@@ -2,8 +2,9 @@
 
 Builds random small instances (embeddings, label space, model, labeled
 batch) and compares every analytic parameter gradient against central
-finite differences of the batch loss.  Cycles through both training modes
-and the mixing weights {0, 0.6, 1} so all loss paths get exercised.
+finite differences of the batch loss that :func:`loss_gradients` reports.
+Cycles through both training modes and the mixing weights {0, 0.6, 1} so
+all loss paths get exercised.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import batch_loss, loss_gradients
+from .loss import loss_gradients
 from .model import Model, RegionSample
 from .semantics import EmbeddingTable, LabelSpace, _readonly
 
@@ -31,6 +32,37 @@ def random_space(rng: np.random.Generator, n_classes: int, n_meta: int, n_unseen
         meta_labels=metas,
         _meta_of=meta_of,
     )
+
+
+def random_batch(
+    rng: np.random.Generator, space: LabelSpace, d_f: int, size: int = 4
+) -> list[RegionSample]:
+    """Random labeled samples over the seen classes and background.
+
+    Foreground samples get a random matched gt box; background ones none.
+    """
+    targets = list(space.seen_ids) + [space.bg_id]
+    batch = []
+    for i in range(size):
+        y = int(targets[rng.integers(len(targets))])
+        x1, y1 = rng.uniform(0, 50, size=2)
+        w, h = rng.uniform(10, 40, size=2)
+        box = np.array([x1, y1, x1 + w, y1 + h])
+        gt_box = None
+        if space.is_seen(y):
+            gx1, gy1 = rng.uniform(0, 50, size=2)
+            gw, gh = rng.uniform(10, 40, size=2)
+            gt_box = np.array([gx1, gy1, gx1 + gw, gy1 + gh])
+        batch.append(
+            RegionSample(
+                feature=rng.standard_normal(d_f),
+                box=box,
+                label=y,
+                image_id=f"img{i}",
+                gt_box=gt_box,
+            )
+        )
+    return batch
 
 
 def random_instance(
@@ -69,28 +101,7 @@ def random_instance(
         box_b=rng.standard_normal(4 * space.S) * 0.1,
         config=from_config,
     )
-    targets = list(space.seen_ids) + [space.bg_id]
-    batch = []
-    for i in range(batch_size):
-        y = int(targets[rng.integers(len(targets))])
-        x1, y1 = rng.uniform(0, 50, size=2)
-        w, h = rng.uniform(10, 40, size=2)
-        box = np.array([x1, y1, x1 + w, y1 + h])
-        gt_box = None
-        if space.is_seen(y):
-            gx1, gy1 = rng.uniform(0, 50, size=2)
-            gw, gh = rng.uniform(10, 40, size=2)
-            gt_box = np.array([gx1, gy1, gx1 + gw, gy1 + gh])
-        batch.append(
-            RegionSample(
-                feature=rng.standard_normal(d_f),
-                box=box,
-                label=y,
-                image_id=f"img{i}",
-                gt_box=gt_box,
-            )
-        )
-    return model, batch, space
+    return model, random_batch(rng, space, d_f, batch_size), space
 
 
 def _rel_err(a: float, n: float) -> float:
@@ -146,9 +157,9 @@ def gradient_audit(
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = batch_loss(model, batch, space, lam, mode)
+                up = loss_gradients(model, batch, space, lam, mode)[0].total
                 flat[idx] = orig - h
-                down = batch_loss(model, batch, space, lam, mode)
+                down = loss_gradients(model, batch, space, lam, mode)[0].total
                 flat[idx] = orig
                 numeric = (up - down) / (2.0 * h)
                 worst = max(worst, _rel_err(float(a_flat[idx]), numeric))

@@ -6,17 +6,14 @@ a seen/unseen split), ``train``, ``predict`` (dump detections), ``eval``
 ``export-embeddings`` (modified class vectors for external plotting).
 
 Every run writes a manifest beside its outputs.  Exit codes: 0 success,
-1 verification failure, 2 usage or config error.  ``ZSD_THREADS`` caps the
-per-image inference worker count during prediction and evaluation.
+1 verification failure, 2 usage, config or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +40,7 @@ from .evaluation import (
     report_to_dict,
 )
 from .infer import conse_detect, detect, dump_detections, tag_image
-from .model import Model, load_checkpoint, modified_embeddings, save_checkpoint
+from .model import Model, checkpoint_labels, load_checkpoint, modified_embeddings, save_checkpoint
 from .semantics import (
     LabelSpace,
     build_label_space,
@@ -53,24 +50,6 @@ from .semantics import (
     save_word_vectors,
 )
 from .train import TrainConfig, train, write_loss_history
-
-
-def _threads() -> int:
-    raw = os.environ.get("ZSD_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ZsdetError(f"ZSD_THREADS must be an integer, got {raw!r}")
-
-
-def _map_images(fn, items):
-    workers = _threads()
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_manifest(primary_out: Path, subcommand: str, args: argparse.Namespace,
@@ -95,9 +74,7 @@ def _write_manifest(primary_out: Path, subcommand: str, args: argparse.Namespace
 
 
 def _space_from_checkpoint(ckpt_path: str, meta_map_path: str) -> LabelSpace:
-    with open(ckpt_path, encoding="utf-8") as f:
-        payload = json.load(f)
-    labels, n_seen = payload["labels"], payload["S"]
+    labels, n_seen = checkpoint_labels(ckpt_path)
     return build_label_space(
         labels[:n_seen], labels[n_seen:], load_meta_map(meta_map_path)
     )
@@ -117,20 +94,19 @@ def _detections_for(model, space, dataset: Dataset, args):
             "its unseen embedding columns were never trained (use --inference conse)",
             file=sys.stderr,
         )
-
-    def run(img):
+    detections = []
+    for img in dataset.images:
         if args.inference == "conse":
-            return conse_detect(
+            detections += conse_detect(
                 model, space, img.proposals, img.image_id,
                 k=args.k, alpha=args.alpha, nms_iou=args.nms_iou,
             )
-        return detect(
-            model, space, img.proposals, img.image_id,
-            alpha=args.alpha, nms_iou=args.nms_iou,
-        )
-
-    per_image = _map_images(run, dataset.images)
-    return [d for dets in per_image for d in dets]
+        else:
+            detections += detect(
+                model, space, img.proposals, img.image_id,
+                alpha=args.alpha, nms_iou=args.nms_iou,
+            )
+    return detections
 
 
 def cmd_synth(args) -> int:
@@ -228,14 +204,10 @@ def cmd_eval(args) -> int:
             report = evaluate(detections, gts, space, task, iou_thresh=args.iou_eval)
         else:
             if tags is None:
-                tags = dict(
-                    zip(
-                        [img.image_id for img in dataset.images],
-                        _map_images(
-                            lambda img: tag_image(model, space, img.proposals), dataset.images
-                        ),
-                    )
-                )
+                tags = {
+                    img.image_id: tag_image(model, space, img.proposals)
+                    for img in dataset.images
+                }
             report = evaluate(tags, gts, space, task, iou_thresh=args.iou_eval)
         report.meta.update(
             {"inference": args.inference, "alpha": args.alpha, "k": args.k,
@@ -280,8 +252,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     table = finalize_embeddings(load_word_vectors(args.embeddings))
-    with open(args.checkpoint, encoding="utf-8") as f:
-        labels = tuple(json.load(f)["labels"])
+    labels, _ = checkpoint_labels(args.checkpoint)
     model = load_checkpoint(args.checkpoint, table.reorder(labels))
     out = Path(args.out)
     save_word_vectors(out, model.labels, modified_embeddings(model))

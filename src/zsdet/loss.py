@@ -12,6 +12,10 @@ margin loss reads only the seen and background entries and the clustering
 term is dropped entirely; the reported mixing weight is then 1.0 so the
 breakdown identity ``l_cls = lam*l_mm + (1-lam)*l_mc`` always holds.
 
+One kernel, :func:`_class_terms`, turns an (n, C+1) score matrix into
+per-row ``l_mm``, ``l_mc`` and ``dL_cls/do`` for the whole batch; the
+single-row losses below are one-row calls into it.
+
 Gradient convention: the batch classification loss is averaged over all
 samples, while the regression loss is averaged over foreground samples
 only (background and unseen carry no box loss).
@@ -78,66 +82,84 @@ def _check_target(y: int | None, space: LabelSpace) -> int:
     return y
 
 
-@lru_cache(maxsize=8192)
-def _margin_cols(space: LabelSpace, y: int, mode: str) -> np.ndarray:
-    """0-based score columns compared against the target for L_mm."""
+@lru_cache(maxsize=64)
+def _margin_table(space: LabelSpace, mode: str) -> np.ndarray:
+    """(C+2, K) table: row y holds the 0-based score columns ranked against target y.
+
+    ``full`` compares against every other class and background (K = C);
+    ``seen_only`` against the other seen classes and background (K = S).
+    Rows of ids that are never valid targets (0 and unseen) stay zero.
+    """
     if mode == "full":
-        ids = [c for c in range(1, space.bg_id + 1) if c != y]
+        ids = np.arange(1, space.bg_id + 1)
     elif mode == "seen_only":
-        ids = [c for c in list(space.seen_ids) + [space.bg_id] if c != y]
+        ids = np.array([*space.seen_ids, space.bg_id])
     else:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    cols = np.array(ids, dtype=np.intp) - 1
-    cols.flags.writeable = False
-    return cols
+    table = np.zeros((space.bg_id + 1, ids.size - 1), dtype=np.intp)
+    for y in (*space.seen_ids, space.bg_id):
+        table[y] = ids[ids != y] - 1
+    table.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=8192)
-def _cluster_cols(space: LabelSpace, y: int) -> tuple[np.ndarray, np.ndarray]:
-    """(member, outside) 0-based columns for the clustering loss of target y."""
-    z = np.array(space.members(space.meta_of(y)), dtype=np.intp) - 1
-    inside = np.zeros(space.bg_id, dtype=bool)
-    inside[z] = True
-    out = np.nonzero(~inside)[0]
-    z.flags.writeable = False
-    out.flags.writeable = False
-    return z, out
+@lru_cache(maxsize=64)
+def _meta_columns(space: LabelSpace) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """Meta id per class id, and each meta's (member, outside) 0-based columns."""
+    meta = np.array([0] + [space.meta_of(c) for c in range(1, space.bg_id + 1)])
+    members = {m: np.array(space.members(m)) - 1 for m in range(1, space.bg_meta_id + 1)}
+    return meta, {m: (z, np.setdiff1d(np.arange(space.bg_id), z)) for m, z in members.items()}
 
 
-def _margin_terms(
-    o: np.ndarray, y: int, space: LabelSpace, mode: str
-) -> tuple[float, np.ndarray]:
-    cols = _margin_cols(space, y, mode)
-    diffs = o[cols] - o[y - 1]
-    loss = float(_softplus(diffs).mean())
-    grad = np.zeros_like(o)
-    w = _sigmoid(diffs) / cols.size
-    np.add.at(grad, cols, w)
-    grad[y - 1] -= w.sum()
-    return loss, grad
+def _class_terms(
+    scores: np.ndarray, ys: np.ndarray, space: LabelSpace, lam: float, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row ``(l_mm, l_mc, dL_cls/do)`` of an (n, C+1) score matrix.
+
+    ``ys`` holds the validated 1-based targets.  The margin term gathers
+    each row's comparison columns from :func:`_margin_table`; the
+    clustering term groups rows by target meta-class and ranks every
+    outside column against every member column in one (n_g, |out|, |z|)
+    block per group.  In ``seen_only`` mode ``l_mc`` is zero and the
+    gradient is the margin gradient alone.  Blocks are made C-contiguous
+    before reducing so each row sums in the same order as a lone row.
+    """
+    rows = np.arange(scores.shape[0])
+    cols = _margin_table(space, mode)[ys]
+    diffs = np.ascontiguousarray(
+        np.take_along_axis(scores, cols, axis=1) - scores[rows, ys - 1][:, None]
+    )
+    l_mm = _softplus(diffs).mean(axis=1)
+    w = _sigmoid(diffs) / cols.shape[1]
+    g_mm = np.zeros_like(scores)
+    np.put_along_axis(g_mm, cols, w, axis=1)
+    g_mm[rows, ys - 1] -= w.sum(axis=1)
+    l_mc = np.zeros(scores.shape[0])
+    if mode == "seen_only":
+        return l_mm, l_mc, g_mm
+
+    g_mc = np.zeros_like(scores)
+    meta, groups = _meta_columns(space)
+    target_meta = meta[ys]
+    for m in np.unique(target_meta):
+        idx = np.flatnonzero(target_meta == m)
+        z, out = groups[int(m)]
+        o = scores[idx]
+        pairs = np.ascontiguousarray(o[:, out, None] - o[:, None, z])
+        l_mc[idx] = _softplus(pairs).reshape(idx.size, -1).mean(axis=1)
+        w = _sigmoid(pairs) / (out.size * z.size)
+        g_mc[idx[:, None], out] += w.sum(axis=2)
+        g_mc[idx[:, None], z] -= w.sum(axis=1)
+    return l_mm, l_mc, lam * g_mm + (1.0 - lam) * g_mc
 
 
-def _margin_value(o: np.ndarray, y: int, space: LabelSpace, mode: str) -> float:
-    cols = _margin_cols(space, y, mode)
-    return float(_softplus(o[cols] - o[y - 1]).mean())
-
-
-def _cluster_terms(
-    o: np.ndarray, y: int, space: LabelSpace
-) -> tuple[float, np.ndarray]:
-    z, out = _cluster_cols(space, y)
-    diffs = o[out][:, None] - o[z][None, :]
-    loss = float(_softplus(diffs).mean())
-    grad = np.zeros_like(o)
-    w = _sigmoid(diffs) / diffs.size
-    grad[out] += w.sum(axis=1)
-    grad[z] -= w.sum(axis=0)
-    return loss, grad
-
-
-def _cluster_value(o: np.ndarray, y: int, space: LabelSpace) -> float:
-    z, out = _cluster_cols(space, y)
-    return float(_softplus(o[out][:, None] - o[z][None, :]).mean())
+def _row_losses(
+    o: np.ndarray, y: int, space: LabelSpace, lam: float, mode: str
+) -> tuple[float, float]:
+    o = _check_scores(o, space)
+    y = _check_target(y, space)
+    l_mm, l_mc, _ = _class_terms(o[None], np.array([y]), space, lam, mode)
+    return float(l_mm[0]), float(l_mc[0])
 
 
 def max_margin_loss(
@@ -148,9 +170,7 @@ def max_margin_loss(
     ``full`` ranges over all classes plus background; ``seen_only`` reads
     only the seen and background entries (the L'_mm variant).
     """
-    o = _check_scores(o, space)
-    y = _check_target(y, space)
-    return _margin_value(o, y, space, mode)
+    return _row_losses(o, y, space, 1.0, mode)[0]
 
 
 def clustering_loss(o: np.ndarray, y: int, space: LabelSpace) -> float:
@@ -160,9 +180,7 @@ def clustering_loss(o: np.ndarray, y: int, space: LabelSpace) -> float:
     (including background) is ranked against every member of z; the sum is
     normalized by the pair count.
     """
-    o = _check_scores(o, space)
-    y = _check_target(y, space)
-    return _cluster_value(o, y, space)
+    return _row_losses(o, y, space, 0.0, "full")[1]
 
 
 def classification_loss(
@@ -171,17 +189,10 @@ def classification_loss(
     """Mix margin and clustering terms: ``lam*L_mm + (1-lam)*L_mc``."""
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    o = _check_scores(o, space)
-    y = _check_target(y, space)
-    if mode == "seen_only":
-        l_mm = _margin_value(o, y, space, mode)
-        return LossBreakdown(l_mm, 0.0, l_mm, 0.0, l_mm, 1.0)
-    if mode != "full":
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    l_mm = _margin_value(o, y, space, mode)
-    l_mc = _cluster_value(o, y, space)
-    l_cls = lam * l_mm + (1.0 - lam) * l_mc
-    return LossBreakdown(l_mm, l_mc, l_cls, 0.0, l_cls, lam)
+    l_mm, l_mc = _row_losses(o, y, space, lam, mode)
+    lam_eff = 1.0 if mode == "seen_only" else lam
+    l_cls = lam_eff * l_mm + (1.0 - lam_eff) * l_mc
+    return LossBreakdown(l_mm, l_mc, l_cls, 0.0, l_cls, lam_eff)
 
 
 def smooth_l1(x: np.ndarray) -> np.ndarray:
@@ -243,42 +254,40 @@ def loss_gradients(
     feats = np.stack([np.asarray(s.feature, dtype=np.float64) for s in batch])
     if feats.shape[1] != model.d_f:
         raise ShapeError(f"feature length {feats.shape[1]} != d_f {model.d_f}")
+    ys = np.array([_check_target(s.label, space) for s in batch], dtype=np.intp)
     scores = (feats @ model.w1) @ model.w2
     offsets = feats @ model.box_w + model.box_b
 
-    g_scores = np.zeros_like(scores)
-    d_offsets = np.zeros_like(offsets)
-    mm_sum = mc_sum = reg_sum = 0.0
-    n_pos = 0
-    for i, sample in enumerate(batch):
-        y = _check_target(sample.label, space)
-        o = scores[i]
-        if not np.isfinite(o).all():
-            raise NumericFailureError("non-finite score", sample_index=i)
-        l_mm, g_mm = _margin_terms(o, y, space, mode)
-        if mode == "full":
-            l_mc, g_mc = _cluster_terms(o, y, space)
-            g_scores[i] = lam * g_mm + (1.0 - lam) * g_mc
-        else:
-            l_mc = 0.0
-            g_scores[i] = g_mm
-        mm_sum += l_mm
-        mc_sum += l_mc
-        if space.is_seen(y):
-            if sample.gt_box is None:
-                raise ConfigError(f"foreground sample {i} has no matched gt box")
-            n_pos += 1
-            target = encode_boxes(np.asarray(sample.gt_box), np.asarray(sample.box))
-            sl = box_slice(y)
-            diff = offsets[i, sl] - target
-            reg_sum += float(smooth_l1(diff).sum())
-            d_offsets[i, sl] = np.clip(diff, -1.0, 1.0)
-        if not np.isfinite(g_scores[i]).all():
-            raise NumericFailureError("non-finite gradient", sample_index=i)
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        raise NumericFailureError("non-finite score", sample_index=int(np.argmin(finite)))
+    mm, mc, g_scores = _class_terms(scores, ys, space, lam, mode)
+    finite = np.isfinite(g_scores).all(axis=1)
+    if not finite.all():
+        raise NumericFailureError("non-finite gradient", sample_index=int(np.argmin(finite)))
 
+    fg = np.flatnonzero(ys <= space.S)
+    n_pos = fg.size
+    d_offsets = np.zeros_like(offsets)
+    reg_sum = 0.0
+    if n_pos:
+        for i in fg:
+            if batch[i].gt_box is None:
+                raise ConfigError(f"foreground sample {i} has no matched gt box")
+        target = encode_boxes(
+            np.array([batch[i].gt_box for i in fg], dtype=np.float64),
+            np.array([batch[i].box for i in fg], dtype=np.float64),
+        )
+        box_cols = 4 * (ys[fg, None] - 1) + np.arange(4)
+        diff = offsets[fg[:, None], box_cols] - target
+        reg_sum = sum(smooth_l1(diff).sum(axis=1).tolist())
+        d_offsets[fg[:, None], box_cols] = np.clip(diff, -1.0, 1.0)
+
+    # Loss totals (reg_sum too) add per-sample values in sample order, so the
+    # reported losses do not depend on how numpy pairs up a reduction.
     lam_eff = 1.0 if mode == "seen_only" else lam
-    l_mm = mm_sum / n
-    l_mc = mc_sum / n
+    l_mm = sum(mm.tolist()) / n
+    l_mc = sum(mc.tolist()) / n
     l_cls = lam_eff * l_mm + (1.0 - lam_eff) * l_mc
     l_reg = reg_sum / n_pos if n_pos else 0.0
 
@@ -293,38 +302,3 @@ def loss_gradients(
     breakdown = LossBreakdown(l_mm, l_mc, l_cls, l_reg, l_cls + l_reg, lam_eff)
     return breakdown, Gradients(dw1=dw1, dbox=dbox, dbox_b=dbox_b)
 
-
-def batch_loss(
-    model: Model,
-    batch: Sequence[RegionSample],
-    space: LabelSpace,
-    lam: float,
-    mode: str = "full",
-) -> float:
-    """Mean batch loss only, matching :func:`loss_gradients` exactly.
-
-    Used by finite-difference audits where recomputing gradients at every
-    perturbation would dominate the runtime.
-    """
-    if not batch:
-        raise ConfigError("batch must be nonempty")
-    feats = np.stack([np.asarray(s.feature, dtype=np.float64) for s in batch])
-    scores = (feats @ model.w1) @ model.w2
-    offsets = None
-    mm_sum = mc_sum = reg_sum = 0.0
-    n_pos = 0
-    for i, sample in enumerate(batch):
-        y = _check_target(sample.label, space)
-        mm_sum += _margin_value(scores[i], y, space, mode)
-        if mode == "full":
-            mc_sum += _cluster_value(scores[i], y, space)
-        if space.is_seen(y):
-            n_pos += 1
-            if offsets is None:
-                offsets = feats @ model.box_w + model.box_b
-            target = encode_boxes(np.asarray(sample.gt_box), np.asarray(sample.box))
-            reg_sum += float(smooth_l1(offsets[i, box_slice(y)] - target).sum())
-    n = len(batch)
-    lam_eff = 1.0 if mode == "seen_only" else lam
-    l_cls = lam_eff * (mm_sum / n) + (1.0 - lam_eff) * (mc_sum / n)
-    return l_cls + (reg_sum / n_pos if n_pos else 0.0)

@@ -203,15 +203,41 @@ def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
         f.write("\n")
 
 
-def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
-    """Rebuild a model from a checkpoint plus the finalized, id-ordered table."""
-    from .train import TrainConfig
+_CHECKPOINT_KEYS = ("d_f", "d", "S", "U", "labels", "W1", "box_weights", "box_bias", "config")
 
+
+def _read_checkpoint(path: str | os.PathLike) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"invalid checkpoint JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise ParseError("checkpoint must be a JSON object")
+    missing = [k for k in _CHECKPOINT_KEYS if k not in payload]
+    if missing:
+        raise ParseError(f"checkpoint is missing {', '.join(missing)}")
+    labels, s = payload["labels"], payload["S"]
+    if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)
+            and isinstance(s, int) and 0 <= s <= len(labels)):
+        raise ParseError("checkpoint labels must be a list of names and S a count within it")
+    return payload
+
+
+def checkpoint_labels(path: str | os.PathLike) -> tuple[tuple[str, ...], int]:
+    """Class labels in id order and the seen-class count S of a checkpoint."""
+    payload = _read_checkpoint(path)
+    return tuple(payload["labels"]), payload["S"]
+
+
+def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
+    """Rebuild a model from a checkpoint plus the finalized, id-ordered table.
+
+    A file that is not a complete checkpoint raises :class:`ParseError`.
+    """
+    from .train import TrainConfig
+
+    payload = _read_checkpoint(path)
     labels = tuple(payload["labels"])
     if labels != table.labels:
         raise CoverageError("checkpoint labels do not match the embedding table order")
@@ -220,17 +246,20 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
     if table.d != d:
         raise ShapeError(f"table dimensionality {table.d} != checkpoint d {d}")
     w2 = table.w2()
-    return Model(
-        w1=np.array(payload["W1"], dtype=np.float64).reshape(d_f, d),
-        w2=w2,
-        col_norms=np.linalg.norm(w2, axis=0),
-        labels=labels,
-        n_seen=s,
-        n_unseen=payload["U"],
-        box_w=np.array(payload["box_weights"], dtype=np.float64).reshape(d_f, 4 * s),
-        box_b=np.array(payload["box_bias"], dtype=np.float64),
-        config=TrainConfig(**payload["config"]),
-    )
+    try:
+        return Model(
+            w1=np.array(payload["W1"], dtype=np.float64).reshape(d_f, d),
+            w2=w2,
+            col_norms=np.linalg.norm(w2, axis=0),
+            labels=labels,
+            n_seen=s,
+            n_unseen=payload["U"],
+            box_w=np.array(payload["box_weights"], dtype=np.float64).reshape(d_f, 4 * s),
+            box_b=np.array(payload["box_bias"], dtype=np.float64).reshape(4 * s),
+            config=TrainConfig(**payload["config"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed checkpoint: {exc}")
 
 
 def modified_embeddings(model: Model) -> np.ndarray:

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from zsdet.audit import random_batch
 from zsdet.data import SynthConfig, generate_synthetic, ground_truth_records
 from zsdet.evaluation import average_precision, evaluate, nms
 from zsdet.infer import Detection, conse_detect, detect, tag_image
@@ -24,7 +25,6 @@ from zsdet.train import TrainConfig, train
 
 from conftest import make_space, make_table, random_unit_columns
 from test_evaluation import ap_ref, nms_ref, random_case
-from test_loss import random_batch
 
 
 @contextmanager

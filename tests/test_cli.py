@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -158,21 +157,6 @@ class TestPredictAndEval:
         assert (out / "report_T1.json").exists()
         assert not (out / "report_T2.json").exists()
 
-    def test_thread_env_does_not_change_results(self, tmp_path):
-        data = synth(tmp_path)
-        ckpt = quick_train(tmp_path, data)
-        serial, threaded = tmp_path / "r1", tmp_path / "r2"
-        base = ["eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                "--task", "T1", "--alpha", 0.1]
-        assert run(*base, "--out", serial) == 0
-        os.environ["ZSD_THREADS"] = "4"
-        try:
-            assert run(*base, "--out", threaded) == 0
-        finally:
-            del os.environ["ZSD_THREADS"]
-        assert (serial / "report_T1.json").read_bytes() == (threaded / "report_T1.json").read_bytes()
-
     def test_san_on_seen_only_checkpoint_warns(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data, mode="seen_only", **{"lambda": 1.0})
@@ -248,6 +232,26 @@ class TestExitCodes:
         assert run("train", "--embeddings", tmp_path / "missing.txt",
                    "--meta-map", tmp_path / "m.csv", "--split", tmp_path / "s.txt",
                    "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o.json") == 2
+
+    @pytest.mark.parametrize("damage", ["missing_w1", "truncated"])
+    def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, damage):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        if damage == "missing_w1":
+            payload = json.loads(ckpt.read_text())
+            del payload["W1"]
+            ckpt.write_text(json.dumps(payload))
+        else:
+            ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+        capsys.readouterr()
+        common = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt"]
+        for argv in (
+            ["predict", *common, "--meta-map", data / "meta_map.csv",
+             "--data", data / "test.jsonl", "--out", tmp_path / "dets.jsonl"],
+            ["export-embeddings", *common, "--out", tmp_path / "mod.txt"],
+        ):
+            assert run(*argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

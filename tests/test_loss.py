@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zsdet.audit import random_batch
 from zsdet.errors import ConfigError, InvalidTargetError, NumericFailureError
 from zsdet.loss import (
-    batch_loss,
     classification_loss,
     clustering_loss,
     loss_gradients,
     max_margin_loss,
     regression_loss,
 )
-from zsdet.model import RegionSample, encode_boxes
+from zsdet.model import encode_boxes
 from zsdet.train import TrainConfig
 
 from conftest import make_model, make_space, make_table, random_unit_columns
@@ -260,30 +262,6 @@ class TestRegressionLoss:
         assert regression_loss(pred, self.proposal, self.gt, 1, self.space) == 0.0
 
 
-def random_batch(rng, space, d_f, size=4):
-    targets = list(space.seen_ids) + [space.bg_id]
-    batch = []
-    for i in range(size):
-        y = int(targets[rng.integers(len(targets))])
-        x1, y1 = rng.uniform(0, 50, 2)
-        w, h = rng.uniform(10, 40, 2)
-        gt_box = None
-        if space.is_seen(y):
-            gx1, gy1 = rng.uniform(0, 50, 2)
-            gw, gh = rng.uniform(10, 40, 2)
-            gt_box = np.array([gx1, gy1, gx1 + gw, gy1 + gh])
-        batch.append(
-            RegionSample(
-                feature=rng.standard_normal(d_f),
-                box=np.array([x1, y1, x1 + w, y1 + h]),
-                label=y,
-                image_id=f"i{i}",
-                gt_box=gt_box,
-            )
-        )
-    return batch
-
-
 def fd_gradient(model, batch, space, lam, mode, param, h=1e-5):
     grad = np.zeros_like(param)
     flat = param.reshape(-1)
@@ -291,9 +269,9 @@ def fd_gradient(model, batch, space, lam, mode, param, h=1e-5):
     for idx in range(flat.size):
         orig = flat[idx]
         flat[idx] = orig + h
-        up = batch_loss(model, batch, space, lam, mode)
+        up = loss_gradients(model, batch, space, lam, mode)[0].total
         flat[idx] = orig - h
-        down = batch_loss(model, batch, space, lam, mode)
+        down = loss_gradients(model, batch, space, lam, mode)[0].total
         flat[idx] = orig
         gflat[idx] = (up - down) / (2 * h)
     return grad
@@ -327,10 +305,7 @@ class TestLossGradients:
         model.box_w = rng.standard_normal(model.box_w.shape) * 0.1
         model.box_b = rng.standard_normal(model.box_b.shape) * 0.1
         batch = random_batch(rng, space, 8)
-        breakdown, grads = loss_gradients(model, batch, space, lam, mode)
-        assert batch_loss(model, batch, space, lam, mode) == pytest.approx(
-            breakdown.total, abs=1e-15
-        )
+        _, grads = loss_gradients(model, batch, space, lam, mode)
         for analytic, param in [
             (grads.dw1, model.w1),
             (grads.dbox, model.box_w),
@@ -401,3 +376,48 @@ class TestLossGradients:
         batch[0].label = space.S + 1
         with pytest.raises(InvalidTargetError):
             loss_gradients(model, batch, space, 0.5, "full")
+
+
+@st.composite
+def kernel_cases(draw):
+    n_meta = draw(st.integers(1, 6))
+    n_seen = draw(st.integers(max(1, n_meta - 2), 8))
+    n_unseen = draw(st.integers(max(0, n_meta - n_seen), 3))
+    return (
+        make_space(n_seen, n_unseen, n_meta=n_meta),
+        draw(st.integers(1, 32)),
+        draw(st.sampled_from(["full", "seen_only"])),
+        draw(st.floats(0.0, 1.0)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestBatchedKernel:
+    """The batched kernel agrees with per-row references and per-row calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_batch_matches_brute_force_and_single_rows(self, case):
+        space, size, mode, lam, seed = case
+        rng = np.random.default_rng(seed)
+        table = make_table(random_unit_columns(rng, 5, space.C))
+        model = make_model(table, space, d_f=5)
+        model.w1 = rng.standard_normal(model.w1.shape) * 0.7
+        batch = random_batch(rng, space, 5, size=size)
+
+        breakdown, grads = loss_gradients(model, batch, space, lam, mode)
+        full_ids = list(range(1, space.bg_id + 1))
+        mm_ids = full_ids if mode == "full" else list(space.seen_ids) + [space.bg_id]
+        rows = [((s.feature @ model.w1) @ model.w2, s.label) for s in batch]
+        mm_ref = sum(brute_force_mm(o, y, mm_ids) for o, y in rows) / size
+        assert breakdown.l_mm == pytest.approx(mm_ref, rel=0, abs=1e-12)
+        if mode == "full":
+            mc_ref = sum(brute_force_mc(o, y, space) for o, y in rows) / size
+            assert breakdown.l_mc == pytest.approx(mc_ref, rel=0, abs=1e-12)
+        else:
+            assert breakdown.l_mc == 0.0
+
+        # a row scattered into another meta group's block would break this
+        per_row = sum(loss_gradients(model, [s], space, lam, mode)[1].dw1 for s in batch)
+        scale = max(float(np.abs(per_row).max()), 1e-300)
+        np.testing.assert_allclose(size * grads.dw1, per_row, rtol=0, atol=1e-12 * scale)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zsdet.errors import NormalizationError, ShapeError
+from zsdet.errors import NormalizationError, ParseError, ShapeError
 from zsdet.model import (
     decode_boxes,
     encode_boxes,
@@ -233,3 +233,23 @@ class TestCheckpoint:
         }
         assert payload["S"] == space.S
         assert payload["U"] == space.U
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.pop("box_bias"),
+            lambda p: p.update(W1=p["W1"][:-1]),
+            lambda p: p.update(labels="c1"),
+            lambda p: p.update(config={"no_such_field": 1}),
+        ],
+        ids=["missing_key", "w1_shape", "labels_type", "config_field"],
+    )
+    def test_malformed_payload_raises_parse_error(self, tmp_path, damage):
+        model, table, _ = identity_setup()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        payload = json.loads(path.read_text())
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_checkpoint(path, table)
