@@ -40,7 +40,7 @@ from .evaluation import (
     report_to_dict,
 )
 from .infer import conse_detect, detect, dump_detections, tag_image
-from .model import Model, checkpoint_labels, load_checkpoint, modified_embeddings, save_checkpoint
+from .model import Model, load_checkpoint, modified_embeddings, save_checkpoint
 from .semantics import (
     LabelSpace,
     build_label_space,
@@ -73,18 +73,14 @@ def _write_manifest(primary_out: Path, subcommand: str, args: argparse.Namespace
         f.write("\n")
 
 
-def _space_from_checkpoint(ckpt_path: str, meta_map_path: str) -> LabelSpace:
-    labels, n_seen = checkpoint_labels(ckpt_path)
-    return build_label_space(
-        labels[:n_seen], labels[n_seen:], load_meta_map(meta_map_path)
-    )
-
-
 def _model_and_space(args) -> tuple[Model, LabelSpace]:
-    space = _space_from_checkpoint(args.checkpoint, args.meta_map)
     table = finalize_embeddings(load_word_vectors(args.embeddings))
-    table = table.reorder(space.labels)
-    return load_checkpoint(args.checkpoint, table), space
+    model = load_checkpoint(args.checkpoint, table)
+    space = build_label_space(
+        model.labels[: model.n_seen], model.labels[model.n_seen :],
+        load_meta_map(args.meta_map),
+    )
+    return model, space
 
 
 def _detections_for(model, space, dataset: Dataset, args):
@@ -252,8 +248,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     table = finalize_embeddings(load_word_vectors(args.embeddings))
-    labels, _ = checkpoint_labels(args.checkpoint)
-    model = load_checkpoint(args.checkpoint, table.reorder(labels))
+    model = load_checkpoint(args.checkpoint, table)
     out = Path(args.out)
     save_word_vectors(out, model.labels, modified_embeddings(model))
     _write_manifest(out, "export-embeddings", args, [out.name])

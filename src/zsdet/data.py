@@ -313,13 +313,48 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
 
 
 def _require(rec: Mapping, key: str, lineno: int):
-    if key not in rec:
+    if not isinstance(rec, dict) or key not in rec:
         raise ParseError(f"missing field {key!r}", lineno)
     return rec[key]
 
 
+def _rows(records, key: str, width: int, what: str, lineno: int,
+          error=ParseError) -> np.ndarray:
+    """Field ``key`` of each record as one finite ``(n, width)`` float64 array.
+
+    Converted in one call per image; only a malformed image is walked row by
+    row, to name the offending entry.
+    """
+    if not isinstance(records, list):
+        raise ParseError(f"{what}s must be in a list", lineno)
+    values = [_require(r, key, lineno) for r in records]
+    if not values:
+        return np.empty((0, width))
+    try:
+        rows = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.shape != (len(values), width):
+        for i, value in enumerate(values):
+            try:
+                row = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{what} {i} must be numbers: {exc}", lineno)
+            if row.shape != (width,):
+                raise error(f"{what} {i} has {row.size} values, expected {width}", lineno)
+        raise ParseError(f"{what}s must be lists of {width} numbers", lineno)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{what} {int(np.argmin(finite))} has a non-finite value", lineno)
+    return rows
+
+
 def load_dataset(path: str | os.PathLike) -> Dataset:
-    """Round-trip reader for :func:`save_dataset`; validates dimensions."""
+    """Round-trip reader for :func:`save_dataset`.
+
+    Validates feature lengths and rejects, with the line number, any box
+    that is not 4 finite numbers and any non-finite feature value.
+    """
     with open(path, encoding="utf-8") as f:
         header_line = f.readline()
         try:
@@ -336,23 +371,15 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad image record: {exc}", lineno)
-            proposals = []
-            for p in _require(rec, "proposals", lineno):
-                feature = np.asarray(_require(p, "feature", lineno), dtype=np.float64)
-                if feature.size != d_f:
-                    raise DimensionMismatchError(
-                        f"feature length {feature.size} != header d_f {d_f}", lineno
-                    )
-                box = np.asarray(_require(p, "box", lineno), dtype=np.float64)
-                proposals.append(Proposal(feature=feature, box=box))
-            gts = []
-            for g in _require(rec, "gts", lineno):
-                gts.append(
-                    Annotation(
-                        label=str(_require(g, "label", lineno)),
-                        box=np.asarray(_require(g, "box", lineno), dtype=np.float64),
-                    )
-                )
+            props = _require(rec, "proposals", lineno)
+            features = _rows(props, "feature", d_f, "proposal feature", lineno,
+                             DimensionMismatchError)
+            boxes = _rows(props, "box", 4, "proposal box", lineno)
+            proposals = [Proposal(feature=f, box=b) for f, b in zip(features, boxes)]
+            annotations = _require(rec, "gts", lineno)
+            gt_boxes = _rows(annotations, "box", 4, "ground-truth box", lineno)
+            gts = [Annotation(label=str(_require(g, "label", lineno)), box=b)
+                   for g, b in zip(annotations, gt_boxes)]
             images.append(
                 ImageRecord(
                     image_id=str(_require(rec, "image_id", lineno)),
@@ -377,7 +404,10 @@ def load_split(path: str | os.PathLike) -> tuple[list[str], list[str]]:
         text = f.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        rec = json.loads(text)
+        try:
+            rec = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad JSON split record: {exc}")
         try:
             return list(rec["seen_labels"]), list(rec["unseen_labels"])
         except KeyError as exc:

@@ -12,7 +12,9 @@ W2 is frozen: its array is read-only and training never writes to it.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -165,25 +167,57 @@ def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     )
 
 
+# Largest log-scale offset applied when decoding (Faster R-CNN's bound), so a
+# box grows at most 62.5x its anchor and stays finite.
+BOX_SCALE_CLAMP = math.log(1000.0 / 16)
+
+
 def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Invert :func:`encode_boxes`: apply offsets to anchors."""
+    """Invert :func:`encode_boxes`: apply offsets to anchors.
+
+    ``dw`` and ``dh`` are clamped from above at :data:`BOX_SCALE_CLAMP`, so
+    the decoded box is finite for any finite offsets.
+    """
     anchors = np.asarray(anchors, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
-    aw = anchors[..., 2] - anchors[..., 0]
-    ah = anchors[..., 3] - anchors[..., 1]
-    ax = anchors[..., 0] + 0.5 * aw
-    ay = anchors[..., 1] + 0.5 * ah
-    bx = deltas[..., 0] * aw + ax
-    by = deltas[..., 1] * ah + ay
-    bw = np.exp(deltas[..., 2]) * aw
-    bh = np.exp(deltas[..., 3]) * ah
-    return np.stack(
-        [bx - 0.5 * bw, by - 0.5 * bh, bx + 0.5 * bw, by + 0.5 * bh], axis=-1
-    )
+    size = anchors[..., 2:4] - anchors[..., 0:2]
+    center = deltas[..., 0:2] * size + (anchors[..., 0:2] + 0.5 * size)
+    half = 0.5 * (np.exp(np.minimum(deltas[..., 2:4], BOX_SCALE_CLAMP)) * size)
+    return np.concatenate([center - half, center + half], axis=-1)
+
+
+def _encode_array(a: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    text = payload[key]
+    if isinstance(text, list):
+        raise ParseError(
+            f"checkpoint {key} is a JSON list, the format before base64 arrays; "
+            "re-run `zsdet train` to write a current checkpoint"
+        )
+    if not isinstance(text, str):
+        raise ParseError(f"checkpoint {key} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ParseError(f"checkpoint {key} is not valid base64: {exc}")
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise ParseError(
+            f"checkpoint {key} holds {len(raw)} bytes, expected {expected} for shape {shape}"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
-    """Serialize the trainable state to JSON (W2 is rebuilt from embeddings)."""
+    """Serialize the trainable state to JSON (W2 is rebuilt from embeddings).
+
+    ``W1``, ``box_weights`` and ``box_bias`` are base64 strings of their
+    little-endian float64 bytes in C order; their shapes follow from
+    ``d_f``, ``d`` and ``S``.
+    """
     from dataclasses import asdict
 
     payload = {
@@ -193,20 +227,29 @@ def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
         "S": model.n_seen,
         "U": model.n_unseen,
         "labels": list(model.labels),
-        "W1": model.w1.ravel(order="C").tolist(),
-        "box_weights": model.box_w.ravel(order="C").tolist(),
-        "box_bias": model.box_b.tolist(),
+        "W1": _encode_array(model.w1),
+        "box_weights": _encode_array(model.box_w),
+        "box_bias": _encode_array(model.box_b),
         "config": asdict(model.config),
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
+        f.write(json.dumps(payload))
         f.write("\n")
 
 
 _CHECKPOINT_KEYS = ("d_f", "d", "S", "U", "labels", "W1", "box_weights", "box_bias", "config")
 
 
-def _read_checkpoint(path: str | os.PathLike) -> dict:
+def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
+    """Rebuild a model from a checkpoint plus the finalized embedding table.
+
+    The file is read once.  The table may be in any order: it is reordered
+    to the checkpoint's labels, which set the model's class ids.  A file
+    that is not a complete checkpoint in the current format raises
+    :class:`ParseError`.
+    """
+    from .train import TrainConfig
+
     with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
@@ -217,49 +260,33 @@ def _read_checkpoint(path: str | os.PathLike) -> dict:
     missing = [k for k in _CHECKPOINT_KEYS if k not in payload]
     if missing:
         raise ParseError(f"checkpoint is missing {', '.join(missing)}")
-    labels, s = payload["labels"], payload["S"]
+    labels, d_f, d, s = payload["labels"], payload["d_f"], payload["d"], payload["S"]
     if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)
-            and isinstance(s, int) and 0 <= s <= len(labels)):
-        raise ParseError("checkpoint labels must be a list of names and S a count within it")
-    return payload
-
-
-def checkpoint_labels(path: str | os.PathLike) -> tuple[tuple[str, ...], int]:
-    """Class labels in id order and the seen-class count S of a checkpoint."""
-    payload = _read_checkpoint(path)
-    return tuple(payload["labels"]), payload["S"]
-
-
-def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
-    """Rebuild a model from a checkpoint plus the finalized, id-ordered table.
-
-    A file that is not a complete checkpoint raises :class:`ParseError`.
-    """
-    from .train import TrainConfig
-
-    payload = _read_checkpoint(path)
-    labels = tuple(payload["labels"])
-    if labels != table.labels:
-        raise CoverageError("checkpoint labels do not match the embedding table order")
-    d_f, d = payload["d_f"], payload["d"]
-    s = payload["S"]
+            and isinstance(s, int) and 0 <= s <= len(labels)
+            and payload["U"] == len(labels) - s):
+        raise ParseError(
+            "checkpoint labels must be a list of names, S a count within it and U the rest"
+        )
+    if not (isinstance(d_f, int) and d_f > 0 and isinstance(d, int) and d > 0):
+        raise ParseError("checkpoint d_f and d must be positive integers")
     if table.d != d:
         raise ShapeError(f"table dimensionality {table.d} != checkpoint d {d}")
-    w2 = table.w2()
+    w2 = table.reorder(labels).w2()
     try:
-        return Model(
-            w1=np.array(payload["W1"], dtype=np.float64).reshape(d_f, d),
-            w2=w2,
-            col_norms=np.linalg.norm(w2, axis=0),
-            labels=labels,
-            n_seen=s,
-            n_unseen=payload["U"],
-            box_w=np.array(payload["box_weights"], dtype=np.float64).reshape(d_f, 4 * s),
-            box_b=np.array(payload["box_bias"], dtype=np.float64).reshape(4 * s),
-            config=TrainConfig(**payload["config"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed checkpoint: {exc}")
+        config = TrainConfig(**payload["config"])
+    except TypeError as exc:
+        raise ParseError(f"malformed checkpoint config: {exc}")
+    return Model(
+        w1=_decode_array(payload, "W1", (d_f, d)),
+        w2=w2,
+        col_norms=np.linalg.norm(w2, axis=0),
+        labels=tuple(labels),
+        n_seen=s,
+        n_unseen=len(labels) - s,
+        box_w=_decode_array(payload, "box_weights", (d_f, 4 * s)),
+        box_b=_decode_array(payload, "box_bias", (4 * s,)),
+        config=config,
+    )
 
 
 def modified_embeddings(model: Model) -> np.ndarray:

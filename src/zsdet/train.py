@@ -95,20 +95,41 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """Standard bias-corrected Adam update, applied in place elementwise."""
+    """Standard bias-corrected Adam update, applied in place elementwise.
+
+    ``p``, ``state.m`` and ``state.v`` are updated in place, with two scratch
+    arrays per parameter instead of a temporary per operation.  Each
+    operation is the one the textbook formula evaluates, in the same order::
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
+
+    so results are bit-identical to evaluating it with temporaries.
+    """
     state.t += 1
     b1, b2 = config.beta1, config.beta2
+    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ConfigError(f"gradient shape {g.shape} != param shape {p.shape}")
         if not np.isfinite(g).all():
             raise NumericFailureError(f"non-finite gradient for {key!r}")
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
-        m_hat = state.m[key] / (1.0 - b1**state.t)
-        v_hat = state.v[key] / (1.0 - b2**state.t)
-        p -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        m, v = state.m[key], state.v[key]
+        buf = np.multiply(g, 1.0 - b1)
+        np.multiply(m, b1, out=m)
+        np.add(m, buf, out=m)
+        np.multiply(g, 1.0 - b2, out=buf)
+        np.multiply(buf, g, out=buf)
+        np.multiply(v, b2, out=v)
+        np.add(v, buf, out=v)
+        np.divide(m, c1, out=buf)
+        np.multiply(buf, config.lr, out=buf)
+        den = np.divide(v, c2)
+        np.sqrt(den, out=den)
+        np.add(den, config.eps, out=den)
+        np.divide(buf, den, out=buf)
+        np.subtract(p, buf, out=p)
     return params, state
 
 

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import hashlib
 import json
@@ -167,6 +168,25 @@ class TestPredictAndEval:
                    "--out", out) == 0
         assert "seen-only checkpoint" in capsys.readouterr().err
 
+    def test_predict_and_eval_read_checkpoint_once(self, tmp_path, monkeypatch):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        common = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                  "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl"]
+        for argv in (["predict", *common, "--out", tmp_path / "dets.jsonl"],
+                     ["eval", *common, "--task", "T1", "--out", tmp_path / "reports"]):
+            opened.clear()
+            assert run(*argv) == 0
+            assert opened.count(str(ckpt)) == 1, argv[0]
+
     def test_eval_default_alpha_is_cluster_threshold(self):
         parser = build_parser()
         args = parser.parse_args(["eval", "--checkpoint", "c", "--embeddings", "e",
@@ -202,17 +222,15 @@ class TestExportEmbeddings:
     def test_identity_w1_reproduces_normalized_inputs(self, tmp_path):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        # overwrite W1 with identity
-        payload = json.loads(ckpt.read_text())
-        eye = np.eye(payload["d_f"]).ravel().tolist()
-        payload["W1"] = eye
-        ckpt.write_text(json.dumps(payload))
+        original = finalize_embeddings(load_word_vectors(data / "embeddings.txt"))
+        model = load_checkpoint(ckpt, original)
+        model.w1 = np.eye(model.d_f)
+        save_checkpoint(model, ckpt)
         out = tmp_path / "mod.txt"
         assert run("export-embeddings", "--checkpoint", ckpt, "--embeddings",
                    data / "embeddings.txt", "--out", out) == 0
         exported = load_word_vectors(out)
-        original = finalize_embeddings(load_word_vectors(data / "embeddings.txt"))
-        assert exported.labels == tuple(payload["labels"])
+        assert exported.labels == model.labels
         for label in exported.labels:
             np.testing.assert_allclose(
                 exported.vector(label), original.vector(label), atol=1e-12
@@ -233,13 +251,17 @@ class TestExitCodes:
                    "--meta-map", tmp_path / "m.csv", "--split", tmp_path / "s.txt",
                    "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o.json") == 2
 
-    @pytest.mark.parametrize("damage", ["missing_w1", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing_w1", "truncated", "list_w1"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         if damage == "missing_w1":
             payload = json.loads(ckpt.read_text())
             del payload["W1"]
+            ckpt.write_text(json.dumps(payload))
+        elif damage == "list_w1":  # the format before base64 arrays
+            payload = json.loads(ckpt.read_text())
+            payload["W1"] = np.eye(payload["d_f"]).ravel().tolist()
             ckpt.write_text(json.dumps(payload))
         else:
             ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
@@ -251,7 +273,39 @@ class TestExitCodes:
             ["export-embeddings", *common, "--out", tmp_path / "mod.txt"],
         ):
             assert run(*argv) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            if damage == "list_w1":
+                assert "re-run `zsdet train`" in err
+
+    def test_truncated_json_split_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        split = tmp_path / "split.json"
+        split.write_text('{"seen_labels": [')
+        capsys.readouterr()
+        assert run("train", "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--split", split,
+                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("damage", ["box_3_numbers", "nan_feature"])
+    def test_bad_dataset_record_exits_2(self, tmp_path, capsys, damage):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        lines = (data / "test.jsonl").read_text().splitlines()
+        rec = json.loads(lines[1])
+        if damage == "box_3_numbers":
+            rec["proposals"][0]["box"] = rec["proposals"][0]["box"][:3]
+        else:
+            rec["proposals"][0]["feature"][0] = float("nan")
+        lines[1] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", bad,
+                   "--out", tmp_path / "dets.jsonl") == 2
+        assert capsys.readouterr().err.startswith("error: line 2: ")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

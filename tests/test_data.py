@@ -231,6 +231,34 @@ class TestDatasetIO:
             load_dataset(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "proposal, gt_box",
+        [
+            ({"feature": [1, 2], "box": [0, 0, 1]}, [0, 0, 1, 1]),
+            ({"feature": [1, float("nan")], "box": [0, 0, 1, 1]}, [0, 0, 1, 1]),
+            ({"feature": [1, 2], "box": [0, 0, float("inf"), 1]}, [0, 0, 1, 1]),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, 1, 1, 1]),
+        ],
+        ids=["box_3_numbers", "nan_feature", "inf_box", "gt_box_5_numbers"],
+    )
+    def test_bad_record_rejected_with_line(self, tmp_path, proposal, gt_box):
+        good = {"feature": [1, 2], "box": [0, 0, 1, 1]}
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            json.dumps({"d_f": 2, "labels": ["a"]})
+            + "\n"
+            + json.dumps({"image_id": "i", "proposals": [good], "gts": []})
+            + "\n"
+            + json.dumps(
+                {"image_id": "j", "proposals": [good, proposal],
+                 "gts": [{"label": "a", "box": gt_box}]}
+            )
+            + "\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert exc.value.line == 3
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("not json\n")
@@ -248,6 +276,12 @@ class TestSplitIO:
         path = tmp_path / "oracle.json"
         path.write_text(json.dumps({"seen_labels": ["a"], "unseen_labels": ["x"]}))
         assert load_split(path) == (["a"], ["x"])
+
+    def test_truncated_json_record_is_parse_error(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text('{"seen_labels": [')
+        with pytest.raises(ParseError):
+            load_split(path)
 
     def test_missing_line_rejected(self, tmp_path):
         path = tmp_path / "split.txt"

@@ -1,10 +1,17 @@
+import base64
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zsdet.errors import NormalizationError, ParseError, ShapeError
 from zsdet.model import (
+    BOX_SCALE_CLAMP,
     decode_boxes,
     encode_boxes,
     forward_boxes,
@@ -202,6 +209,31 @@ class TestBoxParameterization:
         t = encode_boxes(gt, anchor)
         np.testing.assert_allclose(t, [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
+    def test_huge_scale_offsets_are_clamped_to_finite_boxes(self):
+        anchor = np.array([0.0, 0.0, 10.0, 10.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            box = decode_boxes(anchor, np.array([0.0, 0.0, 800.0, 800.0]))
+        assert np.isfinite(box).all()
+        side = 10.0 * 1000.0 / 16
+        np.testing.assert_allclose(box, [5 - side / 2, 5 - side / 2, 5 + side / 2, 5 + side / 2])
+        assert BOX_SCALE_CLAMP == math.log(1000.0 / 16)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        anchor=st.tuples(st.floats(-500, 500), st.floats(-500, 500),
+                         st.floats(1, 300), st.floats(1, 300)),
+        deltas=st.tuples(st.floats(-3, 3), st.floats(-3, 3),
+                         st.floats(-4, BOX_SCALE_CLAMP), st.floats(-4, BOX_SCALE_CLAMP)),
+    )
+    def test_decode_encode_roundtrip_inside_clamp(self, anchor, deltas):
+        x, y, w, h = anchor
+        anchor = np.array([x, y, x + w, y + h])
+        deltas = np.array(deltas)
+        np.testing.assert_allclose(
+            encode_boxes(decode_boxes(anchor, deltas), anchor), deltas, rtol=1e-9, atol=1e-9
+        )
+
     def test_ill_ordered_box_raises(self):
         with pytest.raises(ShapeError):
             encode_boxes(np.array([5.0, 0.0, 1.0, 10.0]), np.array([0, 0, 10, 10.0]))
@@ -223,6 +255,42 @@ class TestCheckpoint:
         assert loaded.labels == model.labels
         assert loaded.config == model.config
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_save_load_identity(self, tmp_path_factory, data):
+        d_f = data.draw(st.integers(1, 6))
+        d = data.draw(st.integers(1, 5))
+        n_seen = data.draw(st.integers(0, 4))
+        n_unseen = data.draw(st.integers(0 if n_seen else 1, 3))
+        values = st.one_of(
+            st.floats(width=64),
+            st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e300, -1e300]),
+        )
+        table = make_table(np.random.default_rng(d).standard_normal((d, n_seen + n_unseen)))
+        model = make_model(table, make_space(n_seen, n_unseen), d_f=d_f)
+        model.w1 = data.draw(arrays(np.float64, (d_f, d), elements=values))
+        model.box_w = data.draw(arrays(np.float64, (d_f, 4 * n_seen), elements=values))
+        model.box_b = data.draw(arrays(np.float64, (4 * n_seen,), elements=values))
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path, table)
+        for a, b in ((loaded.w1, model.w1), (loaded.box_w, model.box_w),
+                     (loaded.box_b, model.box_b)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.writeable
+        assert (loaded.labels, loaded.n_seen, loaded.n_unseen) == (
+            model.labels, model.n_seen, model.n_unseen)
+
+    def test_load_reorders_table_to_checkpoint_labels(self, tmp_path, rng):
+        table = make_table(rng.standard_normal((3, 4)))
+        model = make_model(table, make_space(3, 1))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        shuffled = table.reorder(("c3", "c1", "c4", "c2"))
+        loaded = load_checkpoint(path, shuffled)
+        assert loaded.labels == model.labels
+        np.testing.assert_array_equal(loaded.w2, model.w2)
+
     def test_checkpoint_fields(self, tmp_path):
         model, table, space = identity_setup()
         path = tmp_path / "ckpt.json"
@@ -233,6 +301,8 @@ class TestCheckpoint:
         }
         assert payload["S"] == space.S
         assert payload["U"] == space.U
+        w1 = np.frombuffer(base64.b64decode(payload["W1"], validate=True), dtype="<f8")
+        np.testing.assert_array_equal(w1.reshape(model.d_f, model.d), model.w1)
 
     @pytest.mark.parametrize(
         "damage",
@@ -241,8 +311,12 @@ class TestCheckpoint:
             lambda p: p.update(W1=p["W1"][:-1]),
             lambda p: p.update(labels="c1"),
             lambda p: p.update(config={"no_such_field": 1}),
+            lambda p: p.update(W1=np.eye(4).ravel().tolist()),
+            lambda p: p.update(W1="not base64!"),
+            lambda p: p.update(W1=base64.b64encode(np.zeros(15).tobytes()).decode()),
         ],
-        ids=["missing_key", "w1_shape", "labels_type", "config_field"],
+        ids=["missing_key", "w1_shape", "labels_type", "config_field",
+             "w1_list", "w1_not_base64", "w1_byte_count"],
     )
     def test_malformed_payload_raises_parse_error(self, tmp_path, damage):
         model, table, _ = identity_setup()

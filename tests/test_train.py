@@ -64,10 +64,37 @@ class TestAdamStep:
             magnitudes.append(abs(params["w"][0]))
         assert all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
 
+    def test_in_place_update_is_bitwise_textbook_adam(self):
+        cfg = TrainConfig(lr=1e-3)
+        rng = np.random.default_rng(7)
+        shapes = {"w": (5, 3), "b": (4,)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        state = AdamState.for_params(params)
+        ref = {k: (p.copy(), np.zeros(s), np.zeros(s)) for (k, p), s in
+               zip(params.items(), shapes.values())}
+        b1, b2 = cfg.beta1, cfg.beta2
+        for t in range(1, 13):
+            grads = {k: rng.standard_normal(s) * rng.integers(0, 2, s) for k, s in shapes.items()}
+            if t % 4 == 0:
+                grads["b"] = np.zeros(shapes["b"])
+            adam_step(params, grads, state, cfg)
+            for key, g in grads.items():
+                p, m, v = ref[key]
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1**t)
+                v_hat = v / (1.0 - b2**t)
+                p = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                ref[key] = (p, m, v)
+                assert params[key].tobytes() == p.tobytes()
+                assert state.m[key].tobytes() == m.tobytes()
+                assert state.v[key].tobytes() == v.tobytes()
+
     def test_non_finite_gradient_aborts(self):
         params, state = one_param(0.0)
         with pytest.raises(Exception):
             adam_step(params, {"w": np.array([np.nan])}, state, TrainConfig())
+        assert params["w"][0] == 0.0 and state.m["w"][0] == 0.0 and state.v["w"][0] == 0.0
 
     def test_shape_mismatch(self):
         params, state = one_param(0.0)
