@@ -25,6 +25,7 @@ from .evaluation import (
     average_precision,
     evaluate,
     iou,
+    iou_matrix,
     nms,
     top1_accuracy,
 )

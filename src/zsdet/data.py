@@ -349,11 +349,23 @@ def _rows(records, key: str, width: int, what: str, lineno: int,
     return rows
 
 
+def _boxes(records, what: str, lineno: int) -> np.ndarray:
+    """The ``box`` field of each record: finite and ordered, ``x1 < x2``, ``y1 < y2``."""
+    boxes = _rows(records, "box", 4, what, lineno)
+    ordered = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+    if not ordered.all():
+        raise ParseError(
+            f"{what} {int(np.argmin(ordered))} must have x1 < x2 and y1 < y2", lineno
+        )
+    return boxes
+
+
 def load_dataset(path: str | os.PathLike) -> Dataset:
     """Round-trip reader for :func:`save_dataset`.
 
     Validates feature lengths and rejects, with the line number, any box
-    that is not 4 finite numbers and any non-finite feature value.
+    that is not 4 finite numbers with ``x1 < x2`` and ``y1 < y2``, and any
+    non-finite feature value.
     """
     with open(path, encoding="utf-8") as f:
         header_line = f.readline()
@@ -374,10 +386,10 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             props = _require(rec, "proposals", lineno)
             features = _rows(props, "feature", d_f, "proposal feature", lineno,
                              DimensionMismatchError)
-            boxes = _rows(props, "box", 4, "proposal box", lineno)
+            boxes = _boxes(props, "proposal box", lineno)
             proposals = [Proposal(feature=f, box=b) for f, b in zip(features, boxes)]
             annotations = _require(rec, "gts", lineno)
-            gt_boxes = _rows(annotations, "box", 4, "ground-truth box", lineno)
+            gt_boxes = _boxes(annotations, "ground-truth box", lineno)
             gts = [Annotation(label=str(_require(g, "label", lineno)), box=b)
                    for g, b in zip(annotations, gt_boxes)]
             images.append(

@@ -81,20 +81,48 @@ def iou(box_a, box_b) -> float:
     return inter / union
 
 
+def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
+    """``(n, m)`` IoU of every box in ``boxes_a`` (n, 4) with every box in
+    ``boxes_b`` (m, 4).
+
+    Entry ``[i, j]`` equals ``iou(boxes_a[i], boxes_b[j])`` bit for bit: the
+    same floating-point operations run in the same order, and the same
+    cases (no overlap, zero union) give 0.
+    """
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)[:, None, :]
+    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)[None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = iw * ih
+    union = (
+        (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        - inter
+    )
+    zero = (iw <= 0.0) | (ih <= 0.0) | (union <= 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=~zero)
+
+
 def nms(detections: Sequence["Detection"], iou_thresh: float) -> list["Detection"]:
     """Greedy suppression for one class: keep highest score, drop IoU > thresh.
 
     Score ties break by ascending original index; output is ordered by
-    descending score.
+    descending score.  A detection is kept iff its IoU with every box kept
+    before it is ``<= iou_thresh``.
     """
     if not detections:
         return []
     scores = np.array([d.score for d in detections], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
+    boxes = np.array([d.box for d in detections], dtype=np.float64)
+    # column k: the boxes a kept box k suppresses; "not <=" keeps the rule
+    # above exact when an IoU is NaN
+    suppresses = ~(iou_matrix(boxes, boxes) <= iou_thresh)
+    suppressed = np.zeros(len(detections), dtype=bool)
     kept: list[int] = []
-    for idx in order:
-        if all(iou(detections[idx].box, detections[k].box) <= iou_thresh for k in kept):
+    for idx in np.argsort(-scores, kind="stable"):
+        if not suppressed[idx]:
             kept.append(int(idx))
+            suppressed |= suppresses[:, idx]
     return [detections[k] for k in kept]
 
 

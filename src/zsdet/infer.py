@@ -1,6 +1,9 @@
 """Test-time prediction paths.
 
-Two inference routes share the same score normalization:
+Each image is scored as one batch: its proposals are stacked into a
+``features (P, d_f)`` matrix, rows with a zero-norm feature are dropped
+(they cannot be normalized and count as background), and one normalized
+``(P, C+1)`` score matrix feeds the route.  Two routes read it:
 
 * :func:`detect` - for models trained with unseen embeddings in place: a
   proposal whose top normalized score is background is discarded; otherwise
@@ -11,10 +14,9 @@ Two inference routes share the same score normalization:
   projected into semantic space as the top-K score-weighted sum of seen
   class vectors and classified by cosine against the unseen vectors.
 
-Ties break toward the lowest class id everywhere.  Proposals with zero-norm
-features cannot be normalized and are treated as background.  Per-class NMS
-(default IoU 0.5) runs before results are returned; pass ``nms_iou=0`` to
-disable it.
+:func:`tag_image` takes the column maximum of the same matrix.  Ties break
+toward the lowest class id everywhere.  Per-class NMS (default IoU 0.5) runs
+before results are returned; pass ``nms_iou=0`` to disable it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, CoverageError, ParseError
 from .evaluation import nms
-from .model import Model, box_slice, decode_boxes, forward_boxes, forward_scores
+from .model import Model, decode_boxes, forward_boxes, forward_scores, normalized_scores
 from .semantics import LabelSpace
 
 if TYPE_CHECKING:
@@ -46,21 +48,38 @@ class Detection:
     box: np.ndarray
 
 
-def _normalized(model: Model, feature: np.ndarray) -> np.ndarray | None:
-    """Normalized score vector, or None for a zero-norm feature (background)."""
-    feature = np.asarray(feature, dtype=np.float64)
-    fnorm = float(np.linalg.norm(feature))
-    if fnorm == 0.0:
-        return None
-    o = forward_scores(model, feature)
-    return o / (model.col_norms * fnorm)
+def _scored(
+    model: Model, proposals: Sequence["Proposal"]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(features, boxes, scores)`` of the proposals with a nonzero feature.
+
+    Rows keep proposal order; ``scores`` is the normalized ``(n, C+1)``
+    matrix.  Zero-norm rows are dropped, so they are background everywhere.
+    """
+    if proposals:
+        features = np.array([p.feature for p in proposals], dtype=np.float64)
+    else:
+        features = np.empty((0, model.d_f))
+    boxes = np.array([p.box for p in proposals], dtype=np.float64).reshape(-1, 4)
+    valid = np.linalg.norm(features, axis=1) != 0.0
+    features, boxes = features[valid], boxes[valid]
+    return features, boxes, normalized_scores(model, forward_scores(model, features), features)
 
 
-def _seen_box(model: Model, feature: np.ndarray, scores: np.ndarray, box) -> np.ndarray:
-    """Decode the proposal with the offsets of the highest-scoring seen class."""
-    s_star = int(np.argmax(scores[: model.n_seen])) + 1
-    offsets = forward_boxes(model, feature)[box_slice(s_star)]
-    return decode_boxes(np.asarray(box, dtype=np.float64), offsets)
+def _emit(
+    model: Model, image_id: str, labels: np.ndarray, values: np.ndarray,
+    features: np.ndarray, scores: np.ndarray, boxes: np.ndarray,
+) -> list[Detection]:
+    """One detection per row, its box decoded with the offsets of the row's
+    highest-scoring seen class."""
+    n = len(features)
+    s_star = np.argmax(scores[:, : model.n_seen], axis=1)
+    offsets = forward_boxes(model, features).reshape(n, model.n_seen, 4)
+    decoded = decode_boxes(boxes, offsets[np.arange(n), s_star])
+    return [
+        Detection(image_id, int(label), float(value), box)
+        for label, value, box in zip(labels, values, decoded)
+    ]
 
 
 def _apply_class_nms(detections: list[Detection], nms_iou: float) -> list[Detection]:
@@ -85,21 +104,21 @@ def detect(
     Emits a detection only when the background is not the top label and the
     best unseen normalized score is strictly above ``alpha``.
     """
-    out: list[Detection] = []
-    bg_col = space.bg_id - 1
+    features, boxes, scores = _scored(model, proposals)
     s, c = space.S, space.C
-    for prop in proposals:
-        scores = _normalized(model, prop.feature)
-        if scores is None:
-            continue
-        if int(np.argmax(scores)) == bg_col:
-            continue
-        u_col = s + int(np.argmax(scores[s:c]))
-        score = float(scores[u_col])
-        if score > alpha:
-            box = _seen_box(model, prop.feature, scores, prop.box)
-            out.append(Detection(image_id, u_col + 1, score, box))
+    u_cols = s + np.argmax(scores[:, s:c], axis=1)
+    u_scores = scores[np.arange(len(scores)), u_cols]
+    rows = np.flatnonzero(
+        (np.argmax(scores, axis=1) != space.bg_id - 1) & (u_scores > alpha)
+    )
+    out = _emit(model, image_id, u_cols[rows] + 1, u_scores[rows],
+                features[rows], scores[rows], boxes[rows])
     return _apply_class_nms(out, nms_iou)
+
+
+def _check_k(k: int, n_seen: int) -> None:
+    if not 1 <= k <= n_seen:
+        raise ConfigError(f"K must be in 1..{n_seen}, got {k}")
 
 
 def conse_project(
@@ -107,16 +126,18 @@ def conse_project(
 ) -> np.ndarray:
     """Top-K score-weighted sum of seen class vectors.
 
-    ``seen_vectors`` holds one column per seen class.  Sorting is stable
-    with ties broken toward the lower class id; background never enters the
-    list (its column is a mean, not a class).
+    ``seen_scores`` is one score row (S,) or a batch of rows (n, S);
+    ``seen_vectors`` holds one column per seen class, and the result is
+    (d,) or (n, d).  Sorting is stable with ties broken toward the lower
+    class id; background never enters the list (its column is a mean, not
+    a class).
     """
     seen_scores = np.asarray(seen_scores, dtype=np.float64)
-    n_seen = seen_scores.size
-    if not 1 <= k <= n_seen:
-        raise ConfigError(f"K must be in 1..{n_seen}, got {k}")
-    order = np.argsort(-seen_scores, kind="stable")[:k]
-    return seen_vectors[:, order] @ seen_scores[order]
+    _check_k(k, seen_scores.shape[-1])
+    top = np.argsort(-seen_scores, axis=-1, kind="stable")[..., :k]
+    weights = np.zeros_like(seen_scores)
+    np.put_along_axis(weights, top, np.take_along_axis(seen_scores, top, axis=-1), axis=-1)
+    return weights @ seen_vectors.T
 
 
 def conse_detect(
@@ -132,28 +153,25 @@ def conse_detect(
 
     Reads only seen and background score entries, so it works with any
     checkpoint regardless of training mode.  A proposal is dropped when the
-    background outranks every seen class or its projection is zero.
+    background outranks every seen class or its projection is zero.  ``k``
+    is checked before any proposal is scored.
     """
-    out: list[Detection] = []
     s = space.S
-    bg_col = space.bg_id - 1
+    _check_k(k, s)
+    features, boxes, scores = _scored(model, proposals)
+    rows = np.flatnonzero(~(scores[:, space.bg_id - 1] > scores[:, :s].max(axis=1)))
+    e = conse_project(scores[rows, :s], model.w2[:, :s], k)
+    e_norm = np.linalg.norm(e, axis=1)
+    nonzero = e_norm != 0.0
+    rows, e, e_norm = rows[nonzero], e[nonzero], e_norm[nonzero]
     u_cols = np.arange(s, space.C)
-    for prop in proposals:
-        scores = _normalized(model, prop.feature)
-        if scores is None:
-            continue
-        if scores[bg_col] > scores[:s].max():
-            continue
-        e = conse_project(scores[:s], model.w2[:, :s], k)
-        e_norm = float(np.linalg.norm(e))
-        if e_norm == 0.0:
-            continue
-        cos = (model.w2[:, u_cols].T @ e) / (e_norm * model.col_norms[u_cols])
-        u_idx = int(np.argmax(cos))
-        score = float(cos[u_idx])
-        if score > alpha:
-            box = _seen_box(model, prop.feature, scores, prop.box)
-            out.append(Detection(image_id, s + u_idx + 1, score, box))
+    cos = (e @ model.w2[:, u_cols]) / (e_norm[:, None] * model.col_norms[u_cols])
+    u_idx = np.argmax(cos, axis=1)
+    u_scores = cos[np.arange(len(rows)), u_idx]
+    hit = u_scores > alpha
+    rows = rows[hit]
+    out = _emit(model, image_id, s + u_idx[hit] + 1, u_scores[hit],
+                features[rows], scores[rows], boxes[rows])
     return _apply_class_nms(out, nms_iou)
 
 
@@ -181,16 +199,8 @@ def tag_image(
     if mode not in ("class", "meta"):
         raise ConfigError(f"mode must be 'class' or 'meta', got {mode!r}")
     s, c = space.S, space.C
-    best = np.full(c - s, -np.inf)
-    any_valid = False
-    for prop in proposals:
-        scores = _normalized(model, prop.feature)
-        if scores is None:
-            continue
-        any_valid = True
-        best = np.maximum(best, scores[s:c])
-    if not any_valid:
-        best = np.zeros(c - s)
+    _, _, scores = _scored(model, proposals)
+    best = scores[:, s:c].max(axis=0) if len(scores) else np.zeros(c - s)
     class_tags = {s + i + 1: float(best[i]) for i in range(c - s)}
     if mode == "class":
         return class_tags

@@ -123,14 +123,16 @@ def forward_scores(model: Model, feature: np.ndarray) -> np.ndarray:
 def normalized_scores(model: Model, o: np.ndarray, feature: np.ndarray) -> np.ndarray:
     """Cosine-style normalization ``o_c / (‖v_c‖ ‖f‖)``.
 
-    Uses each W2 column's actual stored norm; the background column's norm
-    is its true (<=1) value, not 1.
+    Accepts one row (``o`` (C+1,), ``feature`` (d_f,)) or a batch of rows
+    (``o`` (n, C+1), ``feature`` (n, d_f)); the feature norm is taken over
+    the last axis.  Uses each W2 column's actual stored norm; the background
+    column's norm is its true (<=1) value, not 1.
     """
     o = np.asarray(o, dtype=np.float64)
     if o.shape[-1] != model.w2.shape[1]:
         raise ShapeError(f"score length {o.shape[-1]} != C+1 {model.w2.shape[1]}")
-    fnorm = float(np.linalg.norm(feature))
-    if fnorm == 0.0:
+    fnorm = np.linalg.norm(feature, axis=-1, keepdims=True)
+    if np.any(fnorm == 0.0):
         raise NormalizationError("cannot normalize scores for a zero feature")
     return o / (model.col_norms * fnorm)
 

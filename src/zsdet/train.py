@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, ImageRecord, Proposal
 from .errors import ConfigError, InvalidTargetError, NumericFailureError
-from .evaluation import GroundTruth, iou
+from .evaluation import GroundTruth, iou_matrix
 from .loss import MODES, LossBreakdown, loss_gradients
 from .model import Model, RegionSample, init_model
 from .semantics import LabelSpace
@@ -143,35 +143,25 @@ def label_proposals(
     """Assign each proposal the class of its max-IoU ground truth.
 
     A proposal is foreground iff its best IoU is >= ``fg_iou`` (boundary
-    inclusive); background samples carry no regression target.
+    inclusive); among equal best IoUs the first ground truth wins.
+    Background samples carry no regression target.
     """
-    samples = []
-    for prop in proposals:
-        best_iou, best = 0.0, None
-        for gt in gts:
-            overlap = iou(prop.box, gt.box)
-            if overlap > best_iou or best is None:
-                best_iou, best = overlap, gt
-        if best is not None and best_iou >= fg_iou:
-            samples.append(
-                RegionSample(
-                    feature=prop.feature,
-                    box=prop.box,
-                    label=best.label,
-                    image_id=image_id,
-                    gt_box=best.box,
-                )
-            )
-        else:
-            samples.append(
-                RegionSample(
-                    feature=prop.feature,
-                    box=prop.box,
-                    label=space.bg_id,
-                    image_id=image_id,
-                )
-            )
-    return samples
+    matches: list[GroundTruth | None] = [None] * len(proposals)
+    if gts:
+        overlaps = iou_matrix([p.box for p in proposals], [g.box for g in gts])
+        best = overlaps.argmax(axis=1)
+        for i in np.flatnonzero(overlaps[np.arange(len(proposals)), best] >= fg_iou):
+            matches[i] = gts[best[i]]
+    return [
+        RegionSample(
+            feature=prop.feature,
+            box=prop.box,
+            label=space.bg_id if gt is None else gt.label,
+            image_id=image_id,
+            gt_box=None if gt is None else gt.box,
+        )
+        for prop, gt in zip(proposals, matches)
+    ]
 
 
 def _draw(pool: list, n: int, rng: np.random.Generator) -> list:

@@ -288,7 +288,7 @@ class TestExitCodes:
                    "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("damage", ["box_3_numbers", "nan_feature"])
+    @pytest.mark.parametrize("damage", ["box_3_numbers", "nan_feature", "box_flipped"])
     def test_bad_dataset_record_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
@@ -296,6 +296,9 @@ class TestExitCodes:
         rec = json.loads(lines[1])
         if damage == "box_3_numbers":
             rec["proposals"][0]["box"] = rec["proposals"][0]["box"][:3]
+        elif damage == "box_flipped":
+            x1, y1, x2, y2 = rec["proposals"][0]["box"]
+            rec["proposals"][0]["box"] = [x2, y1, x1, y2]
         else:
             rec["proposals"][0]["feature"][0] = float("nan")
         lines[1] = json.dumps(rec)
@@ -306,6 +309,23 @@ class TestExitCodes:
                    "--meta-map", data / "meta_map.csv", "--data", bad,
                    "--out", tmp_path / "dets.jsonl") == 2
         assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    def test_conse_k_out_of_range_exits_2_on_all_zero_features(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        lines = (data / "test.jsonl").read_text().splitlines()
+        for i in range(1, len(lines)):
+            rec = json.loads(lines[i])
+            for p in rec["proposals"]:
+                p["feature"] = [0.0] * len(p["feature"])
+            lines[i] = json.dumps(rec)
+        zeros = tmp_path / "zeros.jsonl"
+        zeros.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", zeros,
+                   "--inference", "conse", "--k", 0, "--out", tmp_path / "dets.jsonl") == 2
+        assert capsys.readouterr().err.startswith("error: K must be in 1..")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -238,8 +238,13 @@ class TestDatasetIO:
             ({"feature": [1, float("nan")], "box": [0, 0, 1, 1]}, [0, 0, 1, 1]),
             ({"feature": [1, 2], "box": [0, 0, float("inf"), 1]}, [0, 0, 1, 1]),
             ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, 1, 1, 1]),
+            ({"feature": [1, 2], "box": [1, 0, 1, 1]}, [0, 0, 1, 1]),
+            ({"feature": [1, 2], "box": [0, 1, 1, 0]}, [0, 0, 1, 1]),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [2, 0, 1, 1]),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 1, 1, 1]),
         ],
-        ids=["box_3_numbers", "nan_feature", "inf_box", "gt_box_5_numbers"],
+        ids=["box_3_numbers", "nan_feature", "inf_box", "gt_box_5_numbers",
+             "box_zero_width", "box_y_flipped", "gt_box_x_flipped", "gt_box_zero_height"],
     )
     def test_bad_record_rejected_with_line(self, tmp_path, proposal, gt_box):
         good = {"feature": [1, 2], "box": [0, 0, 1, 1]}

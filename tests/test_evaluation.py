@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zsdet.errors import ConfigError
 from zsdet.evaluation import (
@@ -7,6 +9,7 @@ from zsdet.evaluation import (
     average_precision,
     evaluate,
     iou,
+    iou_matrix,
     nms,
     top1_accuracy,
 )
@@ -130,7 +133,48 @@ class TestIou:
         assert iou([0, 0, 0, 0], [0, 0, 0, 0]) == 0.0
 
 
+@st.composite
+def grid_boxes(draw, max_size=8):
+    """Integer-grid boxes, zero width or height included."""
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x1, y1 = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        w, h = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        out.append([float(x1), float(y1), float(x1 + w), float(y1 + h)])
+    return out
+
+
+HALF = [[0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0]]  # IoU exactly 0.5
+
+
+class TestIouMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_boxes(), grid_boxes())
+    @example(HALF, HALF)
+    @example([[0.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0, 3.0]])
+    def test_entries_are_scalar_iou_bit_for_bit(self, a, b):
+        m = iou_matrix(a, b)
+        assert m.shape == (len(a), len(b))
+        for i, box_a in enumerate(a):
+            for j, box_b in enumerate(b):
+                assert m[i, j].tobytes() == np.float64(iou(box_a, box_b)).tobytes()
+
+    def test_half_overlap_is_exact(self):
+        assert iou_matrix(HALF, HALF)[0, 1] == 0.5
+
+
 class TestNms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid_boxes(max_size=10),
+        st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=10, max_size=10),
+        st.sampled_from([0.0, 0.3, 0.5, 0.7]),
+    )
+    @example(HALF + HALF, [0.5] * 10, 0.5)
+    def test_matches_reference_on_grid_boxes_with_tied_scores(self, boxes, scores, thresh):
+        d = [det("i", 1, s, b) for s, b in zip(scores, boxes)]
+        assert [id(k) for k in nms(d, thresh)] == [id(r) for r in nms_ref(d, thresh)]
+
     def test_duplicate_boxes_keep_best(self):
         d = [det("i", 1, 0.9, [0, 0, 10, 10]), det("i", 1, 0.8, [0, 0, 10, 10])]
         kept = nms(d, 0.5)

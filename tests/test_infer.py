@@ -14,9 +14,10 @@ from zsdet.infer import (
     reduce_to_meta,
     tag_image,
 )
-from zsdet.model import forward_scores, normalized_scores
+from zsdet.model import box_slice, decode_boxes, forward_boxes, forward_scores, normalized_scores
 
 from conftest import make_model, make_space, make_table
+from test_evaluation import nms_ref
 
 
 def axis_setup(n_seen=2, n_unseen=1, d=4):
@@ -117,6 +118,16 @@ class TestConseProject:
         with pytest.raises(ConfigError):
             conse_project(np.array([0.5, 0.5]), np.eye(2), k=0)
 
+    def test_rows_match_single_row_projection(self, rng):
+        vectors = rng.standard_normal((5, 6))
+        scores = rng.standard_normal((7, 6))
+        scores[3, 1] = scores[3, 4]  # a tie inside one row
+        batch = conse_project(scores, vectors, k=3)
+        assert batch.shape == (7, 5)
+        for row, e in zip(scores, batch):
+            np.testing.assert_allclose(e, conse_project_ref(row, vectors, 3), rtol=0, atol=1e-12)
+        assert conse_project(np.empty((0, 6)), vectors, k=3).shape == (0, 5)
+
 
 class TestConseDetect:
     def overlap_setup(self):
@@ -159,6 +170,14 @@ class TestConseDetect:
         model, _, space = axis_setup()
         with pytest.raises(ConfigError):
             conse_detect(model, space, [prop(np.eye(4)[0])], "img", k=5, alpha=0.1)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_k_checked_before_scoring(self, k):
+        # every proposal is zero-norm, so none would reach the projection
+        model, _, space = axis_setup()
+        for proposals in ([prop(np.zeros(4)), prop(np.zeros(4))], []):
+            with pytest.raises(ConfigError, match="K must be in 1..2"):
+                conse_detect(model, space, proposals, "img", k=k, alpha=0.1)
 
     def test_defaults_follow_reference_protocol(self):
         import inspect
@@ -296,3 +315,184 @@ class TestDetectionDump:
         path = tmp_path / "dets.jsonl"
         dump_detections([Detection("a", 2, 0.5, np.zeros(4))], path, space)
         assert '"label": "c2"' in path.read_text()
+
+
+# -- batched scoring against the per-proposal loops it replaced ----------------
+
+
+def _normalized_ref(model, feature):
+    fnorm = float(np.linalg.norm(feature))
+    if fnorm == 0.0:
+        return None
+    return forward_scores(model, feature) / (model.col_norms * fnorm)
+
+
+def _seen_box_ref(model, feature, scores, box):
+    s_star = int(np.argmax(scores[: model.n_seen])) + 1
+    offsets = forward_boxes(model, feature)[box_slice(s_star)]
+    return decode_boxes(np.asarray(box, dtype=np.float64), offsets)
+
+
+def _class_nms_ref(detections, nms_iou):
+    if nms_iou <= 0.0 or not detections:
+        return detections
+    kept = []
+    for label in sorted({d.label for d in detections}):
+        kept.extend(nms_ref([d for d in detections if d.label == label], nms_iou))
+    return kept
+
+
+def detect_ref(model, space, proposals, image_id, alpha, nms_iou=0.5):
+    out = []
+    s, c = space.S, space.C
+    for p in proposals:
+        scores = _normalized_ref(model, p.feature)
+        if scores is None or int(np.argmax(scores)) == space.bg_id - 1:
+            continue
+        u_col = s + int(np.argmax(scores[s:c]))
+        if scores[u_col] > alpha:
+            box = _seen_box_ref(model, p.feature, scores, p.box)
+            out.append(Detection(image_id, u_col + 1, float(scores[u_col]), box))
+    return _class_nms_ref(out, nms_iou)
+
+
+def conse_project_ref(seen_scores, seen_vectors, k):
+    order = np.argsort(-seen_scores, kind="stable")[:k]
+    return seen_vectors[:, order] @ seen_scores[order]
+
+
+def conse_detect_ref(model, space, proposals, image_id, k, alpha, nms_iou=0.5):
+    out = []
+    s = space.S
+    u_cols = np.arange(s, space.C)
+    for p in proposals:
+        scores = _normalized_ref(model, p.feature)
+        if scores is None or scores[space.bg_id - 1] > scores[:s].max():
+            continue
+        e = conse_project_ref(scores[:s], model.w2[:, :s], k)
+        e_norm = float(np.linalg.norm(e))
+        if e_norm == 0.0:
+            continue
+        cos = (model.w2[:, u_cols].T @ e) / (e_norm * model.col_norms[u_cols])
+        u_idx = int(np.argmax(cos))
+        if cos[u_idx] > alpha:
+            box = _seen_box_ref(model, p.feature, scores, p.box)
+            out.append(Detection(image_id, s + u_idx + 1, float(cos[u_idx]), box))
+    return _class_nms_ref(out, nms_iou)
+
+
+def tag_image_ref(model, space, proposals, mode="class"):
+    s, c = space.S, space.C
+    rows = [scores[s:c] for p in proposals
+            if (scores := _normalized_ref(model, p.feature)) is not None]
+    best = np.max(rows, axis=0) if rows else np.zeros(c - s)
+    tags = {s + i + 1: float(best[i]) for i in range(c - s)}
+    if mode == "class":
+        return tags
+    return {mid: max(tags[cid] for cid in space.unseen_members(mid))
+            for mid in range(1, space.M + 1) if space.unseen_members(mid)}
+
+
+def assert_same_detections(got, ref):
+    assert [(d.image_id, d.label) for d in got] == [(d.image_id, d.label) for d in ref]
+    for g, r in zip(got, ref):
+        assert abs(g.score - r.score) <= 1e-12
+        np.testing.assert_allclose(g.box, r.box, rtol=0, atol=1e-9)
+
+
+def assert_same_tags(got, ref):
+    assert sorted(got) == sorted(ref)
+    for key in ref:
+        assert abs(got[key] - ref[key]) <= 1e-12
+
+
+def random_instance(rng):
+    n_seen, n_unseen = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+    d, d_f = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    table = make_table(rng.standard_normal((d, n_seen + n_unseen)))
+    space = make_space(n_seen, n_unseen)
+    model = make_model(table, space, d_f=d_f, seed=int(rng.integers(1 << 30)))
+    model.box_w = 0.2 * rng.standard_normal(model.box_w.shape)
+    model.box_b = 0.2 * rng.standard_normal(model.box_b.shape)
+    return model, space
+
+
+def random_proposals(rng, d_f):
+    props = []
+    for _ in range(int(rng.integers(0, 24))):
+        zero = rng.uniform() < 0.2
+        x1, y1 = rng.uniform(0, 40, 2)
+        w, h = rng.uniform(5, 30, 2)
+        f = np.zeros(d_f) if zero else rng.standard_normal(d_f)
+        props.append(prop(f, (x1, y1, x1 + w, y1 + h)))
+    return props
+
+
+class TestBatchedMatchesPerProposalLoops:
+    """The per-image batches against the loops they replaced: same
+    detections in the same order, scores within 1e-12, boxes within 1e-9."""
+
+    def test_random_models_both_routes(self, rng):
+        for _ in range(60):
+            model, space = random_instance(rng)
+            props = random_proposals(rng, model.d_f)
+            alpha = float(rng.uniform(-0.5, 0.3))
+            nms_iou = float(rng.choice([0.0, 0.3, 0.5]))
+            assert_same_detections(
+                detect(model, space, props, "img", alpha=alpha, nms_iou=nms_iou),
+                detect_ref(model, space, props, "img", alpha, nms_iou),
+            )
+            # K >= 2: at K = 1 all proposals sharing a top seen class tie
+            # exactly in cosine, and rounding alone would order them
+            k = int(rng.integers(2, space.S + 1))
+            assert_same_detections(
+                conse_detect(model, space, props, "img", k=k, alpha=alpha, nms_iou=nms_iou),
+                conse_detect_ref(model, space, props, "img", k, alpha, nms_iou),
+            )
+            for mode in ("class", "meta"):
+                assert_same_tags(tag_image(model, space, props, mode=mode),
+                                 tag_image_ref(model, space, props, mode))
+
+    def test_image_without_proposals(self, rng):
+        model, space = random_instance(rng)
+        assert detect(model, space, [], "img", alpha=-1.0) == []
+        assert conse_detect(model, space, [], "img", k=1, alpha=-1.0) == []
+        for mode in ("class", "meta"):
+            assert tag_image(model, space, [], mode=mode) == tag_image_ref(model, space, [], mode)
+
+    def test_all_zero_features(self):
+        model, _, space = axis_setup(n_seen=2, n_unseen=2, d=5)
+        props = [prop(np.zeros(5)) for _ in range(3)]
+        assert detect(model, space, props, "img", alpha=-1.0) == []
+        assert conse_detect(model, space, props, "img", k=2, alpha=-1.0) == []
+        assert tag_image(model, space, props) == {3: 0.0, 4: 0.0}
+
+    def test_score_ties(self):
+        # exact arithmetic: axis embeddings, identity W1, integer features
+        model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
+        model.box_b = np.array([1.0, 0, 0, 0, -1.0, 0, 0, 0])  # seen class shows in the box
+        features = [
+            [0, 0, 1, 1, 0],  # unseen tie c3 = c4
+            [1, 1, 1, 1, 0],  # seen tie and unseen tie
+            [0, 0, 1, 1, 0],  # duplicate of the first: NMS score tie
+            [0, 0, 0, 0, 0],  # zero-norm
+            [2, 2, 0, 1, 1],  # seen tie, c4 best unseen
+            [1, 1, -1, -1, 0],  # seen tie above the background, unseen tie
+            [1, 1, -1, -1, 0],  # its duplicate
+            [3, 1, -1, -1, 0],  # c1 best seen
+        ]
+        boxes = [(0, 0, 10, 10), (1, 1, 11, 11), (0, 0, 10, 10), (0, 0, 4, 4),
+                 (30, 30, 40, 40), (50, 50, 60, 60), (51, 50, 61, 60), (0, 50, 10, 60)]
+        props = [prop(np.array(f, dtype=np.float64), b) for f, b in zip(features, boxes)]
+        for nms_iou in (0.0, 0.5):
+            got = detect(model, space, props, "img", alpha=-1.0, nms_iou=nms_iou)
+            assert_same_detections(got, detect_ref(model, space, props, "img", -1.0, nms_iou))
+            assert got
+            for k in (1, 2):
+                got = conse_detect(model, space, props, "img", k=k, alpha=-1.0, nms_iou=nms_iou)
+                ref = conse_detect_ref(model, space, props, "img", k, -1.0, nms_iou)
+                assert_same_detections(got, ref)
+                assert got
+        for mode in ("class", "meta"):
+            assert_same_tags(tag_image(model, space, props, mode=mode),
+                             tag_image_ref(model, space, props, mode))

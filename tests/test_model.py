@@ -126,6 +126,23 @@ class TestNormalizedScores:
         with pytest.raises(NormalizationError):
             normalized_scores(model, np.zeros(4), np.zeros(4))
 
+    def test_rows_match_single_row_calls(self, rng):
+        table = make_table(rng.standard_normal((4, 3)))
+        model = make_model(table, make_space(2, 1), d_f=5, seed=3)
+        features = rng.standard_normal((6, 5))
+        batch = normalized_scores(model, forward_scores(model, features), features)
+        assert batch.shape == (6, 4)
+        for f, row in zip(features, batch):
+            single = normalized_scores(model, forward_scores(model, f), f)
+            np.testing.assert_allclose(row, single, rtol=0, atol=1e-15)
+
+    def test_any_zero_row_raises(self, rng):
+        model, _, _ = identity_setup()
+        features = rng.standard_normal((3, 4))
+        features[1] = 0.0
+        with pytest.raises(NormalizationError):
+            normalized_scores(model, forward_scores(model, features), features)
+
 
 class TestForwardBoxes:
     def test_zero_head_decodes_to_proposal(self, rng):

@@ -3,7 +3,7 @@ import pytest
 
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.errors import ConfigError, InvalidTargetError
-from zsdet.evaluation import GroundTruth
+from zsdet.evaluation import GroundTruth, iou
 from zsdet.model import RegionSample, init_model, save_checkpoint
 from zsdet.semantics import build_label_space
 from zsdet.train import (
@@ -149,6 +149,45 @@ class TestLabelProposals:
         props = [Proposal(np.ones(3), np.array([2.0, 2.0, 12.0, 12.0]))]
         samples = label_proposals(props, gts, 0.5, self.space, "i")
         assert samples[0].label == 2
+
+
+def label_proposals_ref(proposals, gts, fg_iou, space):
+    """The per-pair loop: (label, matched gt box or None) per proposal."""
+    out = []
+    for prop in proposals:
+        best_iou, best = 0.0, None
+        for gt in gts:
+            overlap = iou(prop.box, gt.box)
+            if overlap > best_iou or best is None:
+                best_iou, best = overlap, gt
+        if best is not None and best_iou >= fg_iou:
+            out.append((best.label, best.box))
+        else:
+            out.append((space.bg_id, None))
+    return out
+
+
+class TestLabelProposalsMatchesLoop:
+    def test_grid_boxes_with_ties(self, rng):
+        # integer boxes: equal IoUs against several gts and IoU exactly 0.5
+        space = make_space(3, 1)
+        for _ in range(200):
+            def box():
+                x1, y1 = rng.integers(0, 8, 2)
+                w, h = rng.integers(1, 5, 2)
+                return np.array([x1, y1, x1 + w, y1 + h], dtype=np.float64)
+
+            gts = [GroundTruth("i", int(rng.integers(1, 4)), box())
+                   for _ in range(int(rng.integers(0, 5)))]
+            gts += gts[: int(rng.integers(0, 2))]  # a repeated gt box: an exact tie
+            props = [Proposal(np.ones(2), box()) for _ in range(int(rng.integers(0, 8)))]
+            fg_iou = float(rng.choice([0.0, 0.3, 0.5]))
+            got = label_proposals(props, gts, fg_iou, space, "i")
+            ref = label_proposals_ref(props, gts, fg_iou, space)
+            assert [s.label for s in got] == [label for label, _ in ref]
+            for sample, (_, gt_box) in zip(got, ref):
+                assert sample.gt_box is gt_box
+                assert sample.image_id == "i"
 
 
 class TestComposeBatch:
