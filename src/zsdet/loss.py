@@ -291,9 +291,13 @@ def loss_gradients(
     l_cls = lam_eff * l_mm + (1.0 - lam_eff) * l_mc
     l_reg = reg_sum / n_pos if n_pos else 0.0
 
-    dw1 = feats.T @ (g_scores @ model.w2.T) / n
+    # Gradients are scaled in place: the same division, without a second
+    # full-size array per gradient.
+    dw1 = feats.T @ (g_scores @ model.w2.T)
+    np.divide(dw1, n, out=dw1)
     if n_pos:
-        dbox = feats.T @ d_offsets / n_pos
+        dbox = feats.T @ d_offsets
+        np.divide(dbox, n_pos, out=dbox)
         dbox_b = d_offsets.sum(axis=0) / n_pos
     else:
         dbox = np.zeros_like(model.box_w)

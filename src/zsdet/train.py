@@ -14,6 +14,7 @@ up front, before any optimization step.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -73,6 +74,13 @@ class TrainConfig:
             raise ConfigError("fg_iou must be in (0, 1]")
 
 
+# Elements per Adam block: the step's 14 in-place operations run over one
+# block of p, g, m, v and the two scratch arrays while it is in cache (six
+# 256 KB slices at 32K float64s).  In a sweep at the paper shape, 16K-64K
+# were equally fast and 8K and 128K slower (CHANGES.md has the numbers).
+ADAM_BLOCK = 32768
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators per parameter plus the step counter."""
@@ -83,10 +91,30 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
+        """Zero moments in C order, whatever the parameters' order:
+        ``adam_step`` walks them as flat views."""
         return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+            m={k: np.zeros(p.shape) for k, p in params.items()},
+            v={k: np.zeros(p.shape) for k, p in params.items()},
         )
+
+
+def _adam_update(p, g, m, v, buf, den, b1, b2, c1, c2, lr, eps) -> None:
+    # buf and den may be None: the first write to each then allocates it.
+    buf = np.multiply(g, 1.0 - b1, out=buf)
+    np.multiply(m, b1, out=m)
+    np.add(m, buf, out=m)
+    np.multiply(g, 1.0 - b2, out=buf)
+    np.multiply(buf, g, out=buf)
+    np.multiply(v, b2, out=v)
+    np.add(v, buf, out=v)
+    np.divide(m, c1, out=buf)
+    np.multiply(buf, lr, out=buf)
+    den = np.divide(v, c2, out=den)
+    np.sqrt(den, out=den)
+    np.add(den, eps, out=den)
+    np.divide(buf, den, out=buf)
+    np.subtract(p, buf, out=p)
 
 
 def adam_step(
@@ -97,39 +125,54 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """Standard bias-corrected Adam update, applied in place elementwise.
 
-    ``p``, ``state.m`` and ``state.v`` are updated in place, with two scratch
-    arrays per parameter instead of a temporary per operation.  Each
-    operation is the one the textbook formula evaluates, in the same order::
+    ``p``, ``state.m`` and ``state.v`` are updated in place.  Each operation
+    is the one the textbook formula evaluates, in the same order::
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
 
-    so results are bit-identical to evaluating it with temporaries.
+    so results are bit-identical to evaluating it with temporaries.  A
+    parameter of at most ``ADAM_BLOCK`` elements is updated as one array.  A
+    larger one is walked as flat views in blocks of ``ADAM_BLOCK`` elements
+    (the last one ragged), each running all the operations while it is in
+    cache, with two block-sized scratch arrays (``buf`` for the ``g`` terms
+    and the step, ``den`` for the denominator) reused across blocks and
+    parameters.  Every gradient's shape and finiteness, and the C-contiguity
+    of every ``p``, ``m`` and ``v``, are checked before anything is written;
+    a non-contiguous array raises ``ConfigError``, since its flat view would
+    be a copy and the update would be lost.
     """
-    state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
             raise ConfigError(f"gradient shape {g.shape} != param shape {p.shape}")
-        if not np.isfinite(g).all():
+        # A sum is finite only if every term is; only a sum that overflows
+        # needs the elementwise test.
+        if not (math.isfinite(g.sum()) or np.isfinite(g).all()):
             raise NumericFailureError(f"non-finite gradient for {key!r}")
-        m, v = state.m[key], state.v[key]
-        buf = np.multiply(g, 1.0 - b1)
-        np.multiply(m, b1, out=m)
-        np.add(m, buf, out=m)
-        np.multiply(g, 1.0 - b2, out=buf)
-        np.multiply(buf, g, out=buf)
-        np.multiply(v, b2, out=v)
-        np.add(v, buf, out=v)
-        np.divide(m, c1, out=buf)
-        np.multiply(buf, config.lr, out=buf)
-        den = np.divide(v, c2)
-        np.sqrt(den, out=den)
-        np.add(den, config.eps, out=den)
-        np.divide(buf, den, out=buf)
-        np.subtract(p, buf, out=p)
+        if not (
+            p.flags.c_contiguous
+            and state.m[key].flags.c_contiguous
+            and state.v[key].flags.c_contiguous
+        ):
+            raise ConfigError(f"{key!r}: param, m and v must be C-contiguous")
+    state.t += 1
+    b1, b2 = config.beta1, config.beta2
+    coefs = (b1, b2, 1.0 - b1**state.t, 1.0 - b2**state.t, config.lr, config.eps)
+    scratch = None
+    for key, p in params.items():
+        g, m, v = grads[key], state.m[key], state.v[key]
+        if p.size <= ADAM_BLOCK:
+            _adam_update(p, g, m, v, None, None, *coefs)
+            continue
+        if scratch is None:
+            scratch = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+        flat = [a.reshape(-1) for a in (p, g, m, v)]
+        for lo in range(0, p.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p.size)
+            _adam_update(
+                *(a[lo:hi] for a in flat), *(s[: hi - lo] for s in scratch), *coefs
+            )
     return params, state
 
 

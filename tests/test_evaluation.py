@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zsdet.errors import ConfigError
@@ -217,6 +217,17 @@ class TestNms:
         assert kept[0] is d[0]
 
 
+@st.composite
+def ap_cases(draw):
+    """Grid-box detections and ground truths over up to three images, with
+    scores drawn from three values so that ranks tie."""
+    images = st.sampled_from(["i0", "i1", "i2"])
+    dets = [det(draw(images), 1, draw(st.sampled_from([0.2, 0.5, 0.8])), box)
+            for box in draw(grid_boxes(max_size=8))]
+    gts = [gt(draw(images), 1, box) for box in draw(grid_boxes(max_size=5))]
+    return dets, gts
+
+
 class TestAveragePrecision:
     def test_single_perfect_detection(self):
         assert average_precision(
@@ -257,6 +268,20 @@ class TestAveragePrecision:
             assert average_precision(dets, gts, 0.5) == pytest.approx(
                 ap_ref(dets, gts, 0.5), abs=1e-9
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(ap_cases(), st.sampled_from([0.3, 0.5, 0.7]))
+    @example(([det("i0", 1, 0.5, HALF[0])], [gt("i0", 1, HALF[1])]), 0.5)
+    @example(([det("i0", 1, 0.5, HALF[0]), det("i0", 1, 0.5, HALF[1]),
+               det("i1", 1, 0.5, HALF[1])], [gt("i0", 1, HALF[1])]), 0.5)
+    def test_matches_reference_on_grid_boxes_with_tied_scores(self, case, thresh):
+        # integer-grid areas are exact, so IoU lands exactly on 0.5 where the
+        # geometry says so (HALF), and both sides see the same matches
+        dets, gts = case
+        assume(gts)  # AP without ground truth is undefined (tested above)
+        assert average_precision(dets, gts, thresh) == pytest.approx(
+            ap_ref(dets, gts, thresh), rel=0, abs=1e-12
+        )
 
     def test_invariant_to_monotone_score_transform(self, rng):
         dets, gts = random_case(rng, n_det_max=6, n_gt_max=4)

@@ -194,6 +194,36 @@ class TestClassificationLoss:
                 b.lam * b.l_mm + (1 - b.lam) * b.l_mc, abs=1e-12
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(0, 4), st.integers(1, 4),
+        st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+    )
+    def test_lambda_identity_property(self, n_seen, n_unseen, n_meta, lam, seed):
+        space = make_space(n_seen, n_unseen, n_meta=min(n_meta, n_seen + n_unseen))
+        rng = np.random.default_rng(seed)
+        o = rng.standard_normal(space.bg_id) * 3
+        y = [*space.seen_ids, space.bg_id][rng.integers(space.S + 1)]
+        b = classification_loss(o, y, space, lam=lam)
+        assert b.lam == lam
+        assert abs(b.l_cls - (lam * b.l_mm + (1.0 - lam) * b.l_mc)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(0, 4), st.integers(1, 4),
+        st.floats(-1e3, 1e3), st.floats(0.0, 1.0), st.integers(0, 6),
+    )
+    def test_constant_scores_give_log2_property(
+        self, n_seen, n_unseen, n_meta, c, lam, pick
+    ):
+        space = make_space(n_seen, n_unseen, n_meta=min(n_meta, n_seen + n_unseen))
+        o = np.full(space.bg_id, c)
+        y = [*space.seen_ids, space.bg_id][pick % (space.S + 1)]
+        b = classification_loss(o, y, space, lam=lam)
+        assert abs(b.l_mm - LOG2) <= 1e-12
+        assert abs(b.l_mc - LOG2) <= 1e-12
+        assert abs(max_margin_loss(o, y, space, "seen_only") - LOG2) <= 1e-12
+
     def test_seen_only_drops_clustering(self, rng):
         space = make_space(3, 2)
         o = rng.standard_normal(space.bg_id)

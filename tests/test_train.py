@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from zsdet.data import SynthConfig, generate_synthetic
-from zsdet.errors import ConfigError, InvalidTargetError
+from zsdet.errors import ConfigError, InvalidTargetError, NumericFailureError
 from zsdet.evaluation import GroundTruth, iou
 from zsdet.model import RegionSample, init_model, save_checkpoint
 from zsdet.semantics import build_label_space
 from zsdet.train import (
+    ADAM_BLOCK,
     AdamState,
     TrainConfig,
     adam_step,
@@ -64,19 +65,22 @@ class TestAdamStep:
             magnitudes.append(abs(params["w"][0]))
         assert all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
 
-    def test_in_place_update_is_bitwise_textbook_adam(self):
+    @staticmethod
+    def check_bitwise_textbook_adam(shapes, steps=12):
         cfg = TrainConfig(lr=1e-3)
         rng = np.random.default_rng(7)
-        shapes = {"w": (5, 3), "b": (4,)}
         params = {k: rng.standard_normal(s) for k, s in shapes.items()}
         state = AdamState.for_params(params)
         ref = {k: (p.copy(), np.zeros(s), np.zeros(s)) for (k, p), s in
                zip(params.items(), shapes.values())}
         b1, b2 = cfg.beta1, cfg.beta2
-        for t in range(1, 13):
+        zero_key = list(shapes)[-1]
+        for t in range(1, steps + 1):
             grads = {k: rng.standard_normal(s) * rng.integers(0, 2, s) for k, s in shapes.items()}
             if t % 4 == 0:
-                grads["b"] = np.zeros(shapes["b"])
+                grads[zero_key] = np.zeros(shapes[zero_key])
+            if t % 5 == 0:
+                grads = {k: np.zeros(s) for k, s in shapes.items()}
             adam_step(params, grads, state, cfg)
             for key, g in grads.items():
                 p, m, v = ref[key]
@@ -89,6 +93,83 @@ class TestAdamStep:
                 assert params[key].tobytes() == p.tobytes()
                 assert state.m[key].tobytes() == m.tobytes()
                 assert state.v[key].tobytes() == v.tobytes()
+
+    def test_in_place_update_is_bitwise_textbook_adam(self):
+        self.check_bitwise_textbook_adam({"w": (5, 3), "b": (4,)})
+
+    def test_blocked_update_is_bitwise_textbook_adam(self):
+        # one block, a ragged second block, and two blocks plus a tail; the
+        # largest is 2-D (rows x cols, rows its smallest factor above 1)
+        n = 2 * ADAM_BLOCK + 13
+        rows = next(r for r in range(2, n + 1) if n % r == 0)
+        self.check_bitwise_textbook_adam({
+            "one": (1,),
+            "under": (ADAM_BLOCK - 1,),
+            "exact": (ADAM_BLOCK,),
+            "over": (ADAM_BLOCK + 1,),
+            "two_d": (rows, n // rows),
+        })
+
+    def test_non_finite_in_last_block_writes_nothing(self):
+        # NaN in the tail block of a multi-block parameter, after a finite
+        # parameter: nothing may be written, in any block of any parameter
+        rng = np.random.default_rng(3)
+        shapes = {"first": (7,), "big": (2 * ADAM_BLOCK + 13,)}
+        params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        state = AdamState.for_params(params)
+        cfg = TrainConfig(lr=1e-3)
+        adam_step(params, {k: rng.standard_normal(s) for k, s in shapes.items()}, state, cfg)
+        before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in shapes}
+        grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        grads["big"][-1] = np.nan
+        with pytest.raises(NumericFailureError):
+            adam_step(params, grads, state, cfg)
+        for key, (p, m, v) in before.items():
+            assert params[key].tobytes() == p.tobytes()
+            assert state.m[key].tobytes() == m.tobytes()
+            assert state.v[key].tobytes() == v.tobytes()
+        assert state.t == 1
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_aborts(self, bad):
+        params, state = one_param(0.0)
+        with pytest.raises(NumericFailureError):
+            adam_step(params, {"w": np.array([bad])}, state, TrainConfig())
+
+    def test_finite_gradient_whose_sum_overflows_is_accepted(self):
+        params = {"w": np.zeros(3)}
+        state = AdamState.for_params(params)
+        with np.errstate(over="ignore"):  # g*g overflows; v saturates at inf
+            adam_step(params, {"w": np.array([1e308, 1e308, -1e308])}, state, TrainConfig())
+        assert np.isfinite(params["w"]).all() and state.t == 1
+
+    def test_moments_are_c_ordered_for_fortran_param(self):
+        params = {"w": np.asfortranarray(np.ones((3, 4)))}
+        state = AdamState.for_params(params)
+        assert state.m["w"].flags.c_contiguous and state.v["w"].flags.c_contiguous
+
+    @pytest.mark.parametrize("which", ["param", "m", "v", "strided_param"])
+    def test_non_contiguous_array_is_config_error(self, which):
+        # a flat view of a non-C-contiguous array is a copy: an update written
+        # there would be lost, so it must be refused before any write
+        rng = np.random.default_rng(5)
+        shape = (3, ADAM_BLOCK)
+        params = {"first": np.ones(4), "w": rng.standard_normal(shape)}
+        state = AdamState.for_params(params)
+        if which == "param":
+            params["w"] = np.asfortranarray(params["w"])
+        elif which == "strided_param":
+            params["w"] = rng.standard_normal((3, 2 * ADAM_BLOCK))[:, ::2]
+        else:
+            getattr(state, which)["w"] = np.asfortranarray(np.zeros(shape))
+        before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in params}
+        grads = {k: np.ones(p.shape) for k, p in params.items()}
+        with pytest.raises(ConfigError, match="C-contiguous"):
+            adam_step(params, grads, state, TrainConfig())
+        for key, (p, m, v) in before.items():
+            assert params[key].tobytes() == p.tobytes()
+            assert state.m[key].tobytes() == m.tobytes()
+            assert state.v[key].tobytes() == v.tobytes()
 
     def test_non_finite_gradient_aborts(self):
         params, state = one_param(0.0)
