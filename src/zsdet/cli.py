@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .audit import gradient_audit
+from .codec import encode_array
 from .data import (
     Dataset,
     SynthConfig,
@@ -58,6 +59,7 @@ def _write_manifest(primary_out: Path, subcommand: str, args: argparse.Namespace
         path = primary_out / "manifest.json"
     else:
         path = primary_out.with_name(primary_out.stem + ".manifest.json")
+    folder = path.parent
     config = {
         k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")
     }
@@ -65,6 +67,7 @@ def _write_manifest(primary_out: Path, subcommand: str, args: argparse.Namespace
         "subcommand": subcommand,
         "config": config,
         "outputs": outputs,
+        "output_bytes": {name: (folder / name).stat().st_size for name in outputs},
         "seed": config.get("seed"),
         "version": __version__,
     }
@@ -120,9 +123,9 @@ def cmd_synth(args) -> int:
     save_meta_map(bundle.meta_map, out / "meta_map.csv")
     save_dataset(bundle.train, out / "train.jsonl")
     save_dataset(bundle.test, out / "test.jsonl")
+    oracle = {**bundle.oracle, "g_map": encode_array(np.asarray(bundle.oracle["g_map"]))}
     with open(out / "oracle.json", "w", encoding="utf-8") as f:
-        json.dump(bundle.oracle, f)
-        f.write("\n")
+        f.write(json.dumps(oracle) + "\n")
     outputs = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]
     _write_manifest(out, "synth", args, outputs)
     print(f"wrote {', '.join(outputs)} to {out}")

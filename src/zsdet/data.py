@@ -10,7 +10,11 @@ and the remaining proposals are background (noise features, random boxes).
 
 Dataset files are JSON-lines: a header ``{"d_f": ..., "labels": [...]}``
 followed by one image per line.  Proposals are stored unlabeled; training
-assigns labels by IoU against the ground truths.
+assigns labels by IoU against the ground truths.  An image record holds its
+proposals as two array blocks (see :mod:`zsdet.codec`): ``features``, the
+``(P, d_f)`` matrix, and ``boxes``, the ``(P, 4)`` matrix.  The reader also
+takes the list form ``"proposals": [{"feature": [...], "box": [...]}, ...]``
+that hand-written and external files use.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .codec import decode_array, encode_array, read_utf8, utf8_lines
 from .errors import ConfigError, CoverageError, DimensionMismatchError, ParseError
 from .evaluation import GroundTruth
 from .semantics import EmbeddingTable, LabelSpace, _readonly
@@ -294,16 +299,18 @@ def propose_split(
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
-    """Write the JSON-lines dataset format (header line, then one image/line)."""
+    """Write the JSON-lines dataset format (header line, then one image/line).
+
+    Each image's proposals go out as the ``features`` and ``boxes`` array
+    blocks; its few ground truths stay a list of ``{label, box}``.
+    """
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps({"d_f": dataset.d_f, "labels": list(dataset.labels)}) + "\n")
         for img in dataset.images:
             rec = {
                 "image_id": img.image_id,
-                "proposals": [
-                    {"feature": p.feature.tolist(), "box": [float(v) for v in p.box]}
-                    for p in img.proposals
-                ],
+                "features": encode_array(np.array([p.feature for p in img.proposals])),
+                "boxes": encode_array(np.array([p.box for p in img.proposals])),
                 "gts": [
                     {"label": gt.label, "box": [float(v) for v in gt.box]}
                     for gt in img.gts
@@ -316,6 +323,22 @@ def _require(rec: Mapping, key: str, lineno: int):
     if not isinstance(rec, dict) or key not in rec:
         raise ParseError(f"missing field {key!r}", lineno)
     return rec[key]
+
+
+def _finite(rows: np.ndarray, what: str, lineno: int) -> np.ndarray:
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{what} {int(np.argmin(finite))} has a non-finite value", lineno)
+    return rows
+
+
+def _ordered(boxes: np.ndarray, what: str, lineno: int) -> np.ndarray:
+    ordered = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+    if not ordered.all():
+        raise ParseError(
+            f"{what} {int(np.argmin(ordered))} must have x1 < x2 and y1 < y2", lineno
+        )
+    return boxes
 
 
 def _rows(records, key: str, width: int, what: str, lineno: int,
@@ -343,63 +366,83 @@ def _rows(records, key: str, width: int, what: str, lineno: int,
             if row.shape != (width,):
                 raise error(f"{what} {i} has {row.size} values, expected {width}", lineno)
         raise ParseError(f"{what}s must be lists of {width} numbers", lineno)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise ParseError(f"{what} {int(np.argmin(finite))} has a non-finite value", lineno)
-    return rows
+    return _finite(rows, what, lineno)
 
 
 def _boxes(records, what: str, lineno: int) -> np.ndarray:
     """The ``box`` field of each record: finite and ordered, ``x1 < x2``, ``y1 < y2``."""
-    boxes = _rows(records, "box", 4, what, lineno)
-    ordered = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
-    if not ordered.all():
-        raise ParseError(
-            f"{what} {int(np.argmin(ordered))} must have x1 < x2 and y1 < y2", lineno
-        )
-    return boxes
+    return _ordered(_rows(records, "box", 4, what, lineno), what, lineno)
+
+
+def _header(line: str) -> tuple[int, tuple[str, ...]]:
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad header: {exc}", 1)
+    d_f = _require(header, "d_f", 1)
+    labels = _require(header, "labels", 1)
+    if isinstance(d_f, bool) or not isinstance(d_f, int) or d_f < 1:
+        raise ParseError(f"header d_f must be a positive integer, got {d_f!r}", 1)
+    if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
+        raise ParseError("header labels must be a list of strings", 1)
+    return d_f, tuple(labels)
+
+
+def _proposal_arrays(rec: dict, d_f: int, lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(features (P, d_f), boxes (P, 4))`` of an image record, in either form."""
+    if "features" not in rec and "boxes" not in rec:
+        props = _require(rec, "proposals", lineno)
+        features = _rows(props, "feature", d_f, "proposal feature", lineno,
+                         DimensionMismatchError)
+        return features, _boxes(props, "proposal box", lineno)
+    if "proposals" in rec:
+        raise ParseError("record has both 'proposals' and 'features'/'boxes'", lineno)
+    features = decode_array(_require(rec, "features", lineno), "features", (None, d_f),
+                            lineno)
+    features = _finite(features, "proposal feature", lineno)
+    boxes = decode_array(_require(rec, "boxes", lineno), "boxes", (len(features), 4),
+                         lineno)
+    return features, _ordered(_finite(boxes, "proposal box", lineno), "proposal box", lineno)
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
-    """Round-trip reader for :func:`save_dataset`.
+    """Round-trip reader for :func:`save_dataset`; also reads the list form.
 
-    Validates feature lengths and rejects, with the line number, any box
-    that is not 4 finite numbers with ``x1 < x2`` and ``y1 < y2``, and any
-    non-finite feature value.
+    Rejects, with the line number, a header whose ``d_f`` is not a positive
+    integer or whose ``labels`` are not strings, a record with both proposal
+    forms, an array block of the wrong size, a feature of the wrong length,
+    any non-finite feature value, any box that is not 4 finite numbers with
+    ``x1 < x2`` and ``y1 < y2``, and a repeated ``image_id``.
     """
-    with open(path, encoding="utf-8") as f:
-        header_line = f.readline()
+    lines = utf8_lines(path)
+    _, header_line = next(lines, (1, ""))
+    d_f, labels = _header(header_line)
+    images: list[ImageRecord] = []
+    first_line: dict[str, int] = {}
+    for lineno, line in lines:
+        if not line.strip():
+            continue
         try:
-            header = json.loads(header_line)
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"bad header: {exc}", 1)
-        d_f = _require(header, "d_f", 1)
-        labels = tuple(_require(header, "labels", 1))
-        images: list[ImageRecord] = []
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad image record: {exc}", lineno)
-            props = _require(rec, "proposals", lineno)
-            features = _rows(props, "feature", d_f, "proposal feature", lineno,
-                             DimensionMismatchError)
-            boxes = _boxes(props, "proposal box", lineno)
-            proposals = [Proposal(feature=f, box=b) for f, b in zip(features, boxes)]
-            annotations = _require(rec, "gts", lineno)
-            gt_boxes = _boxes(annotations, "ground-truth box", lineno)
-            gts = [Annotation(label=str(_require(g, "label", lineno)), box=b)
-                   for g, b in zip(annotations, gt_boxes)]
-            images.append(
-                ImageRecord(
-                    image_id=str(_require(rec, "image_id", lineno)),
-                    proposals=proposals,
-                    gts=gts,
-                )
+            raise ParseError(f"bad image record: {exc}", lineno)
+        if not isinstance(rec, dict):
+            raise ParseError("image record must be a JSON object", lineno)
+        features, boxes = _proposal_arrays(rec, d_f, lineno)
+        proposals = [Proposal(feature=f, box=b) for f, b in zip(features, boxes)]
+        annotations = _require(rec, "gts", lineno)
+        gt_boxes = _boxes(annotations, "ground-truth box", lineno)
+        gts = [Annotation(label=str(_require(g, "label", lineno)), box=b)
+               for g, b in zip(annotations, gt_boxes)]
+        image_id = str(_require(rec, "image_id", lineno))
+        if image_id in first_line:
+            raise ParseError(
+                f"image_id {image_id!r} repeats the image on line {first_line[image_id]}",
+                lineno,
             )
-    return Dataset(d_f=int(d_f), labels=labels, images=images)
+        first_line[image_id] = lineno
+        images.append(ImageRecord(image_id=image_id, proposals=proposals, gts=gts))
+    return Dataset(d_f=d_f, labels=labels, images=images)
 
 
 def save_split(
@@ -412,8 +455,7 @@ def save_split(
 
 def load_split(path: str | os.PathLike) -> tuple[list[str], list[str]]:
     """Read a split file; also accepts a JSON record with seen/unseen lists."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    text = read_utf8(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

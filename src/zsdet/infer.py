@@ -22,6 +22,7 @@ before results are returned; pass ``nms_iou=0`` to disable it.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -102,8 +103,10 @@ def detect(
     """Unseen-class detections for one image's proposals.
 
     Emits a detection only when the background is not the top label and the
-    best unseen normalized score is strictly above ``alpha``.
+    best unseen normalized score is strictly above ``alpha``, which must be
+    finite.
     """
+    _check_alpha(alpha)
     features, boxes, scores = _scored(model, proposals)
     s, c = space.S, space.C
     u_cols = s + np.argmax(scores[:, s:c], axis=1)
@@ -114,6 +117,11 @@ def detect(
     out = _emit(model, image_id, u_cols[rows] + 1, u_scores[rows],
                 features[rows], scores[rows], boxes[rows])
     return _apply_class_nms(out, nms_iou)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ConfigError(f"alpha must be a finite number, got {alpha}")
 
 
 def _check_k(k: int, n_seen: int) -> None:
@@ -154,10 +162,11 @@ def conse_detect(
     Reads only seen and background score entries, so it works with any
     checkpoint regardless of training mode.  A proposal is dropped when the
     background outranks every seen class or its projection is zero.  ``k``
-    is checked before any proposal is scored.
+    and ``alpha`` are checked before any proposal is scored.
     """
     s = space.S
     _check_k(k, s)
+    _check_alpha(alpha)
     features, boxes, scores = _scored(model, proposals)
     rows = np.flatnonzero(~(scores[:, space.bg_id - 1] > scores[:, :s].max(axis=1)))
     e = conse_project(scores[rows, :s], model.w2[:, :s], k)

@@ -12,7 +12,6 @@ W2 is frozen: its array is read-only and training never writes to it.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -21,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .codec import decode_array, encode_array
 from .errors import CoverageError, NormalizationError, ParseError, ShapeError
 from .semantics import EmbeddingTable, LabelSpace
 
@@ -188,29 +188,13 @@ def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return np.concatenate([center - half, center + half], axis=-1)
 
 
-def _encode_array(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
 def _decode_array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    text = payload[key]
-    if isinstance(text, list):
+    if isinstance(payload[key], list):
         raise ParseError(
             f"checkpoint {key} is a JSON list, the format before base64 arrays; "
             "re-run `zsdet train` to write a current checkpoint"
         )
-    if not isinstance(text, str):
-        raise ParseError(f"checkpoint {key} must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ParseError(f"checkpoint {key} is not valid base64: {exc}")
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
-        raise ParseError(
-            f"checkpoint {key} holds {len(raw)} bytes, expected {expected} for shape {shape}"
-        )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return decode_array(payload[key], f"checkpoint {key}", shape)
 
 
 def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
@@ -229,9 +213,9 @@ def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
         "S": model.n_seen,
         "U": model.n_unseen,
         "labels": list(model.labels),
-        "W1": _encode_array(model.w1),
-        "box_weights": _encode_array(model.box_w),
-        "box_bias": _encode_array(model.box_b),
+        "W1": encode_array(model.w1),
+        "box_weights": encode_array(model.box_w),
+        "box_bias": encode_array(model.box_b),
         "config": asdict(model.config),
     }
     with open(path, "w", encoding="utf-8") as f:

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .codec import utf8_lines
 from .errors import (
     CoverageError,
     DegenerateEmbeddingError,
@@ -111,28 +112,27 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
     labels: list[str] = []
     rows: list[np.ndarray] = []
     d: int | None = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            label, tokens = parts[0], parts[1:]
-            if not tokens:
-                raise ParseError(f"record {label!r} has no vector components", lineno)
-            if label in labels:
-                raise DuplicateLabelError(f"duplicate label {label!r}", lineno)
-            try:
-                vec = np.array([float(t) for t in tokens], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"non-numeric token in record {label!r}: {exc}", lineno)
-            if d is None:
-                d = vec.size
-            elif vec.size != d:
-                raise DimensionMismatchError(
-                    f"record {label!r} has {vec.size} components, expected {d}", lineno
-                )
-            labels.append(label)
-            rows.append(vec)
+    for lineno, line in utf8_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        label, tokens = parts[0], parts[1:]
+        if not tokens:
+            raise ParseError(f"record {label!r} has no vector components", lineno)
+        if label in labels:
+            raise DuplicateLabelError(f"duplicate label {label!r}", lineno)
+        try:
+            vec = np.array([float(t) for t in tokens], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"non-numeric token in record {label!r}: {exc}", lineno)
+        if d is None:
+            d = vec.size
+        elif vec.size != d:
+            raise DimensionMismatchError(
+                f"record {label!r} has {vec.size} components, expected {d}", lineno
+            )
+        labels.append(label)
+        rows.append(vec)
     if not rows:
         raise ParseError(f"no records in {path}")
     return EmbeddingTable(labels=tuple(labels), vectors=_readonly(np.stack(rows, axis=1)))
@@ -248,16 +248,16 @@ class LabelSpace:
 def load_meta_map(path: str | os.PathLike) -> dict[str, str]:
     """Parse the two-column ``class_label,meta_label`` CSV (no header)."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"expected 2 columns, got {len(row)}", lineno)
-            cls, meta = row[0].strip(), row[1].strip()
-            if cls in mapping:
-                raise CoverageError(f"class {cls!r} listed in more than one meta row")
-            mapping[cls] = meta
+    rows = csv.reader(line for _, line in utf8_lines(path))
+    for lineno, row in enumerate(rows, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ParseError(f"expected 2 columns, got {len(row)}", lineno)
+        cls, meta = row[0].strip(), row[1].strip()
+        if cls in mapping:
+            raise CoverageError(f"class {cls!r} listed in more than one meta row")
+        mapping[cls] = meta
     if not mapping:
         raise ParseError(f"no rows in meta map {path}")
     return mapping

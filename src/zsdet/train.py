@@ -58,12 +58,12 @@ class TrainConfig:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ConfigError("betas must be in (0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be a positive finite number, got {self.eps}")
         if self.n_pos < 0 or self.n_neg < 0:
             raise ConfigError("proposal counts must be >= 0")
         if self.epochs < 0:

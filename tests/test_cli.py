@@ -1,3 +1,4 @@
+import base64
 import builtins
 import csv
 import hashlib
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from zsdet.cli import build_parser, main
+from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.model import load_checkpoint, save_checkpoint
 from zsdet.semantics import finalize_embeddings, load_word_vectors
 
@@ -45,6 +47,26 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def b64(a):
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def blocks(rec, d_f):
+    """An image record's ``features`` and ``boxes`` as writable arrays."""
+    features = np.frombuffer(base64.b64decode(rec["features"]), "<f8").reshape(-1, d_f)
+    boxes = np.frombuffer(base64.b64decode(rec["boxes"]), "<f8").reshape(-1, 4)
+    return features.copy(), boxes.copy()
+
+
+def to_list_form(rec, d_f):
+    """The record with its array blocks rewritten as a ``proposals`` list."""
+    features, boxes = blocks(rec, d_f)
+    del rec["features"], rec["boxes"]
+    rec["proposals"] = [{"feature": f.tolist(), "box": b.tolist()}
+                        for f, b in zip(features, boxes)]
+    return rec
+
+
 class TestSynthCommand:
     def test_writes_five_artifact_files(self, tmp_path):
         out = synth(tmp_path)
@@ -69,6 +91,25 @@ class TestSynthCommand:
         assert manifest["subcommand"] == "synth"
         assert manifest["seed"] == 3
         assert manifest["version"]
+
+    def test_manifests_record_output_sizes(self, tmp_path):
+        out = synth(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["output_bytes"] == {n: (out / n).stat().st_size for n in SYNTH_FILES}
+        ckpt = quick_train(tmp_path, out)
+        manifest = json.loads(ckpt.with_name("ckpt.manifest.json").read_text())
+        assert manifest["output_bytes"] == {
+            n: (tmp_path / n).stat().st_size for n in ("ckpt.json", "ckpt.loss.csv")
+        }
+
+    def test_oracle_g_map_is_an_array_block(self, tmp_path):
+        out = synth(tmp_path)
+        oracle = json.loads((out / "oracle.json").read_text())
+        bundle = generate_synthetic(SynthConfig(
+            s=6, u=2, m=2, d=6, d_f=6, images=12, test_images=6, proposals_per_image=8,
+        ))
+        assert oracle["g_map"] == b64(bundle.oracle["g_map"])
+        assert {**oracle, "g_map": None} == {**bundle.oracle, "g_map": None}
 
 
 class TestSplitCommand:
@@ -288,19 +329,41 @@ class TestExitCodes:
                    "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("damage", ["box_3_numbers", "nan_feature", "box_flipped"])
+    @pytest.mark.parametrize("damage", [
+        "box_3_numbers", "nan_feature", "box_flipped",  # list form
+        "b64_not_base64", "b64_features_not_whole_rows", "b64_boxes_rows_mismatch",
+        "b64_nan_feature", "b64_box_flipped", "both_forms",
+    ])
     def test_bad_dataset_record_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         lines = (data / "test.jsonl").read_text().splitlines()
+        d_f = json.loads(lines[0])["d_f"]
         rec = json.loads(lines[1])
+        features, boxes = blocks(rec, d_f)
+        if not damage.startswith(("b64_", "both_")):
+            rec = to_list_form(rec, d_f)
         if damage == "box_3_numbers":
             rec["proposals"][0]["box"] = rec["proposals"][0]["box"][:3]
         elif damage == "box_flipped":
             x1, y1, x2, y2 = rec["proposals"][0]["box"]
             rec["proposals"][0]["box"] = [x2, y1, x1, y2]
-        else:
+        elif damage == "nan_feature":
             rec["proposals"][0]["feature"][0] = float("nan")
+        elif damage == "b64_not_base64":
+            rec["features"] = "!" + rec["features"][1:]
+        elif damage == "b64_features_not_whole_rows":
+            rec["features"] = b64(np.append(features.ravel(), 1.0))
+        elif damage == "b64_boxes_rows_mismatch":
+            rec["boxes"] = b64(boxes[1:])
+        elif damage == "b64_nan_feature":
+            features[0, 0] = np.nan
+            rec["features"] = b64(features)
+        elif damage == "b64_box_flipped":
+            boxes[0, [0, 2]] = boxes[0, [2, 0]]
+            rec["boxes"] = b64(boxes)
+        else:
+            rec["proposals"] = to_list_form(dict(rec), d_f)["proposals"]
         lines[1] = json.dumps(rec)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")
@@ -310,12 +373,63 @@ class TestExitCodes:
                    "--out", tmp_path / "dets.jsonl") == 2
         assert capsys.readouterr().err.startswith("error: line 2: ")
 
+    def test_repeated_image_id_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        lines = (data / "test.jsonl").read_text().splitlines()
+        lines.append(lines[1])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", bad,
+                   "--out", tmp_path / "dets.jsonl") == 2
+        assert capsys.readouterr().err.startswith(f"error: line {len(lines)}: ")
+
+    @pytest.mark.parametrize("name", ["embeddings.txt", "meta_map.csv", "oracle.json",
+                                      "train.jsonl"],
+                             ids=["word_vectors", "meta_map", "split", "dataset"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, name):
+        data = synth(tmp_path)
+        path = data / name
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        capsys.readouterr()
+        assert run("train", "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--split", data / "oracle.json",
+                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("inference", ["san", "conse"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, tmp_path, capsys, inference, alpha):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--inference", inference, "--k", 3, "--alpha", alpha,
+                   "--out", tmp_path / "dets.jsonl") == 2
+        assert capsys.readouterr().err.startswith("error: alpha must be a finite number")
+
+    @pytest.mark.parametrize("knob", [("--lr", "nan"), ("--lr", "inf"), ("--eps", "nan")])
+    def test_non_finite_train_knob_exits_2(self, tmp_path, capsys, knob):
+        data = synth(tmp_path)
+        capsys.readouterr()
+        assert run("train", "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--split", data / "oracle.json",
+                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json",
+                   *knob) == 2
+        assert capsys.readouterr().err.startswith(f"error: {knob[0][2:]} must be")
+
     def test_conse_k_out_of_range_exits_2_on_all_zero_features(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         lines = (data / "test.jsonl").read_text().splitlines()
+        d_f = json.loads(lines[0])["d_f"]
         for i in range(1, len(lines)):
-            rec = json.loads(lines[i])
+            rec = to_list_form(json.loads(lines[i]), d_f)
             for p in rec["proposals"]:
                 p["feature"] = [0.0] * len(p["feature"])
             lines[i] = json.dumps(rec)

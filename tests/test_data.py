@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zsdet.data import (
     Annotation,
@@ -18,6 +22,7 @@ from zsdet.data import (
     save_dataset,
     save_split,
 )
+from zsdet.codec import encode_array
 from zsdet.errors import ConfigError, DimensionMismatchError, ParseError
 from zsdet.semantics import build_label_space
 
@@ -269,6 +274,104 @@ class TestDatasetIO:
         path.write_text("not json\n")
         with pytest.raises(ParseError):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"d_f": "16", "labels": ["a"]}, {"d_f": True, "labels": ["a"]},
+         {"d_f": 0, "labels": ["a"]}, {"d_f": 2.0, "labels": ["a"]},
+         {"d_f": 2, "labels": "ab"}, {"d_f": 2, "labels": ["a", 1]}],
+        ids=["d_f_string", "d_f_bool", "d_f_zero", "d_f_float", "labels_string",
+             "labels_number"],
+    )
+    def test_bad_header_fields_rejected_on_line_1(self, tmp_path, header):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert exc.value.line == 1
+
+    def test_repeated_image_id_rejected_with_line(self, tmp_path):
+        image = {"image_id": "i", "proposals": [], "gts": []}
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in (
+            {"d_f": 2, "labels": ["a"]}, image, {**image, "image_id": "j"}, image
+        )) + "\n")
+        with pytest.raises(ParseError, match="repeats the image on line 2") as exc:
+            load_dataset(path)
+        assert exc.value.line == 4
+
+    def test_record_with_both_forms_rejected(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            json.dumps({"d_f": 2, "labels": ["a"]}) + "\n"
+            + json.dumps({"image_id": "i", "proposals": [], "features": "", "boxes": "",
+                          "gts": []}) + "\n"
+        )
+        with pytest.raises(ParseError, match="both") as exc:
+            load_dataset(path)
+        assert exc.value.line == 2
+
+    def test_writes_array_blocks(self, tmp_path):
+        bundle = generate_synthetic(small_cfg())
+        path = tmp_path / "d.jsonl"
+        save_dataset(bundle.train, path)
+        rec = json.loads(path.read_text().splitlines()[1])
+        assert set(rec) == {"image_id", "features", "boxes", "gts"}
+        img = bundle.train.images[0]
+        assert rec["features"] == encode_array(np.array([p.feature for p in img.proposals]))
+        assert rec["boxes"] == encode_array(np.array([p.box for p in img.proposals]))
+
+
+# Finite floats, drawn so that -0.0, subnormals and extremes all turn up.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def datasets(draw):
+    d_f = draw(st.integers(1, 4))
+    images = []
+    for i in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(0, 3))
+        proposals = []
+        for _ in range(n):
+            feature = np.array(draw(st.lists(FINITE, min_size=d_f, max_size=d_f)))
+            xs, ys = (sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+                      for _ in range(2))
+            proposals.append(Proposal(feature, np.array([xs[0], ys[0], xs[1], ys[1]])))
+        gts = [Annotation("a", np.array([-0.0, 5e-324, 1.0, 1.0]))] if i % 2 else []
+        images.append(ImageRecord(f"img{i}", proposals, gts))
+    return Dataset(d_f=d_f, labels=("a",), images=images)
+
+
+def _bits(a):
+    return np.asarray(a, dtype="<f8").tobytes()
+
+
+class TestDatasetRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(datasets())
+    @example(Dataset(d_f=2, labels=("a",), images=[
+        ImageRecord("empty", [], []),
+        ImageRecord("edge", [Proposal(np.array([-0.0, 5e-324]),
+                                      np.array([-0.0, -5e-324, 5e-324, 1e-310]))], []),
+    ]))
+    def test_save_then_load_is_bit_equal(self, dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.jsonl")
+            save_dataset(dataset, path)
+            loaded = load_dataset(path)
+        assert (loaded.d_f, loaded.labels) == (dataset.d_f, dataset.labels)
+        assert [i.image_id for i in loaded.images] == [i.image_id for i in dataset.images]
+        for a, b in zip(loaded.images, dataset.images):
+            assert len(a.proposals) == len(b.proposals)
+            for pa, pb in zip(a.proposals, b.proposals):
+                assert _bits(pa.feature) == _bits(pb.feature)
+                assert _bits(pa.box) == _bits(pb.box)
+            assert [(g.label, _bits(g.box)) for g in a.gts] == \
+                [(g.label, _bits(g.box)) for g in b.gts]
 
 
 class TestSplitIO:

@@ -196,6 +196,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(n_pos=-1)
 
+    @pytest.mark.parametrize("knob", [
+        {"lr": float("nan")}, {"lr": float("inf")}, {"eps": float("nan")},
+        {"eps": float("inf")}, {"lam": float("nan")}, {"beta1": float("nan")},
+        {"fg_iou": float("nan")},
+    ], ids=lambda k: "_".join(f"{n}_{v}" for n, v in k.items()))
+    def test_non_finite_knob_rejected(self, knob):
+        with pytest.raises(ConfigError):
+            TrainConfig(**knob)
+
 
 class TestLabelProposals:
     def setup_method(self):
