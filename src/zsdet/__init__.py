@@ -49,7 +49,7 @@ from .loss import (
 )
 from .model import (
     Model,
-    RegionSample,
+    RegionBatch,
     forward_boxes,
     forward_scores,
     init_model,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import loss_gradients
-from .model import Model, RegionSample
+from .model import Model, RegionBatch, encode_boxes
 from .semantics import EmbeddingTable, LabelSpace, _readonly
 
 REL_TOL = 1e-4
@@ -36,33 +36,31 @@ def random_space(rng: np.random.Generator, n_classes: int, n_meta: int, n_unseen
 
 def random_batch(
     rng: np.random.Generator, space: LabelSpace, d_f: int, size: int = 4
-) -> list[RegionSample]:
-    """Random labeled samples over the seen classes and background.
+) -> RegionBatch:
+    """Random labeled rows over the seen classes and background.
 
-    Foreground samples get a random matched gt box; background ones none.
+    Foreground rows get the target of a random proposal box against a
+    random gt box; background rows a NaN target.
     """
-    targets = list(space.seen_ids) + [space.bg_id]
-    batch = []
+    ids = list(space.seen_ids) + [space.bg_id]
+    features = np.empty((size, d_f))
+    ys = np.empty(size, dtype=np.intp)
+    boxes = np.empty((size, 4))
+    gt_boxes = np.empty((size, 4))
     for i in range(size):
-        y = int(targets[rng.integers(len(targets))])
+        ys[i] = ids[rng.integers(len(ids))]
         x1, y1 = rng.uniform(0, 50, size=2)
         w, h = rng.uniform(10, 40, size=2)
-        box = np.array([x1, y1, x1 + w, y1 + h])
-        gt_box = None
-        if space.is_seen(y):
+        boxes[i] = (x1, y1, x1 + w, y1 + h)
+        if space.is_seen(int(ys[i])):
             gx1, gy1 = rng.uniform(0, 50, size=2)
             gw, gh = rng.uniform(10, 40, size=2)
-            gt_box = np.array([gx1, gy1, gx1 + gw, gy1 + gh])
-        batch.append(
-            RegionSample(
-                feature=rng.standard_normal(d_f),
-                box=box,
-                label=y,
-                image_id=f"img{i}",
-                gt_box=gt_box,
-            )
-        )
-    return batch
+            gt_boxes[i] = (gx1, gy1, gx1 + gw, gy1 + gh)
+        features[i] = rng.standard_normal(d_f)
+    fg = ys <= space.S
+    targets = np.full((size, 4), np.nan)
+    targets[fg] = encode_boxes(gt_boxes[fg], boxes[fg])
+    return RegionBatch(features, ys, targets)
 
 
 def random_instance(
@@ -73,7 +71,7 @@ def random_instance(
     n_meta: int = 3,
     batch_size: int = 4,
     from_config=None,
-) -> tuple[Model, list[RegionSample], LabelSpace]:
+) -> tuple[Model, RegionBatch, LabelSpace]:
     """One random model + labeled batch for gradient auditing."""
     n_unseen = max(1, n_classes // 4)
     space = random_space(rng, n_classes, n_meta, n_unseen)

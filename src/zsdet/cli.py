@@ -123,7 +123,7 @@ def cmd_synth(args) -> int:
     save_meta_map(bundle.meta_map, out / "meta_map.csv")
     save_dataset(bundle.train, out / "train.jsonl")
     save_dataset(bundle.test, out / "test.jsonl")
-    oracle = {**bundle.oracle, "g_map": encode_array(np.asarray(bundle.oracle["g_map"]))}
+    oracle = {**bundle.oracle, "g_map": encode_array(bundle.oracle["g_map"])}
     with open(out / "oracle.json", "w", encoding="utf-8") as f:
         f.write(json.dumps(oracle) + "\n")
     outputs = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]

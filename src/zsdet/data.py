@@ -14,7 +14,8 @@ assigns labels by IoU against the ground truths.  An image record holds its
 proposals as two array blocks (see :mod:`zsdet.codec`): ``features``, the
 ``(P, d_f)`` matrix, and ``boxes``, the ``(P, 4)`` matrix.  The reader also
 takes the list form ``"proposals": [{"feature": [...], "box": [...]}, ...]``
-that hand-written and external files use.
+that hand-written and external files use.  In memory an image keeps both
+matrices, as :class:`Proposals`, until they are scored or trained on.
 """
 
 from __future__ import annotations
@@ -38,27 +39,27 @@ GRID = 3
 MIN_BG_BOX = 20.0
 
 
-@dataclass
-class Proposal:
-    """Unlabeled region proposal: feature vector plus box."""
+@dataclass(frozen=True)
+class Proposals:
+    """An image's unlabeled region proposals as aligned rows:
+    ``features (P, d_f)`` and ``boxes (P, 4)``."""
 
-    feature: np.ndarray
-    box: np.ndarray
+    features: np.ndarray
+    boxes: np.ndarray
 
-
-@dataclass
-class Annotation:
-    """Ground-truth box with its class label (string; ids are assigned later)."""
-
-    label: str
-    box: np.ndarray
+    def __len__(self) -> int:
+        return len(self.features)
 
 
 @dataclass
 class ImageRecord:
+    """One image: its proposals, and its ground truths as a label per row of
+    ``gt_boxes (G, 4)`` (class names; ids are assigned later)."""
+
     image_id: str
-    proposals: list[Proposal]
-    gts: list[Annotation]
+    proposals: Proposals
+    gt_labels: tuple[str, ...]
+    gt_boxes: np.ndarray
 
 
 @dataclass
@@ -69,7 +70,7 @@ class Dataset:
 
     def class_stats(self) -> dict[str, int]:
         """Ground-truth instances per class, covering all header labels."""
-        counts = Counter(gt.label for img in self.images for gt in img.gts)
+        counts = Counter(label for img in self.images for label in img.gt_labels)
         return {label: counts.get(label, 0) for label in self.labels}
 
 
@@ -135,26 +136,25 @@ def _make_image(
 ) -> ImageRecord:
     cell = CANVAS / GRID
     cells = rng.choice(GRID * GRID, size=class_ids.size, replace=False)
-    proposals: list[Proposal] = []
-    gts: list[Annotation] = []
-    for cid, cell_idx in zip(class_ids, cells):
-        gt_box = _grid_cell(int(cell_idx))
-        feature = g_map @ vectors[:, cid - 1] + cfg.noise_sigma * rng.standard_normal(
+    features = np.empty((cfg.proposals_per_image, cfg.d_f))
+    boxes = np.empty((cfg.proposals_per_image, 4))
+    gt_boxes = np.empty((class_ids.size, 4))
+    for i, (cid, cell_idx) in enumerate(zip(class_ids, cells)):
+        gt_boxes[i] = _grid_cell(int(cell_idx))
+        features[i] = g_map @ vectors[:, cid - 1] + cfg.noise_sigma * rng.standard_normal(
             cfg.d_f
         )
         shift = rng.uniform(-0.2, 0.2, size=2) * cell
-        prop_box = gt_box + np.array([shift[0], shift[1], shift[0], shift[1]])
-        gts.append(Annotation(label=labels[cid - 1], box=gt_box))
-        proposals.append(Proposal(feature=feature, box=prop_box))
-    for _ in range(cfg.proposals_per_image - class_ids.size):
-        feature = cfg.noise_sigma * bg_scale * rng.standard_normal(cfg.d_f)
+        boxes[i] = gt_boxes[i] + shift[[0, 1, 0, 1]]
+    for i in range(class_ids.size, cfg.proposals_per_image):
+        features[i] = cfg.noise_sigma * bg_scale * rng.standard_normal(cfg.d_f)
         x1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
         y1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
         w = rng.uniform(MIN_BG_BOX, CANVAS / 2)
         h = rng.uniform(MIN_BG_BOX, CANVAS / 2)
-        box = np.array([x1, y1, min(x1 + w, CANVAS), min(y1 + h, CANVAS)])
-        proposals.append(Proposal(feature=feature, box=box))
-    return ImageRecord(image_id=image_id, proposals=proposals, gts=gts)
+        boxes[i] = (x1, y1, min(x1 + w, CANVAS), min(y1 + h, CANVAS))
+    gt_labels = tuple(labels[cid - 1] for cid in class_ids)
+    return ImageRecord(image_id, Proposals(features, boxes), gt_labels, gt_boxes)
 
 
 def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
@@ -228,7 +228,7 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
 
     unseen_set = set(labels[cfg.s :])
     leaked = [
-        gt.label for img in train.images for gt in img.gts if gt.label in unseen_set
+        label for img in train.images for label in img.gt_labels if label in unseen_set
     ]
     if leaked:
         raise AssertionError(f"unseen labels leaked into the train set: {leaked[:5]}")
@@ -237,7 +237,7 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
         "seen_labels": list(labels[: cfg.s]),
         "unseen_labels": list(labels[cfg.s :]),
         "meta_of": meta_map,
-        "g_map": g_map.tolist(),
+        "g_map": g_map,
         "bg_feature_scale": bg_scale,
         "canvas": CANVAS,
         "objects_per_image": objects,
@@ -309,19 +309,21 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
         for img in dataset.images:
             rec = {
                 "image_id": img.image_id,
-                "features": encode_array(np.array([p.feature for p in img.proposals])),
-                "boxes": encode_array(np.array([p.box for p in img.proposals])),
+                "features": encode_array(img.proposals.features),
+                "boxes": encode_array(img.proposals.boxes),
                 "gts": [
-                    {"label": gt.label, "box": [float(v) for v in gt.box]}
-                    for gt in img.gts
+                    {"label": label, "box": [float(v) for v in box]}
+                    for label, box in zip(img.gt_labels, img.gt_boxes)
                 ],
             }
             f.write(json.dumps(rec) + "\n")
 
 
-def _require(rec: Mapping, key: str, lineno: int):
+def _require(rec: Mapping, key: str, lineno: int, kind: type = object):
     if not isinstance(rec, dict) or key not in rec:
         raise ParseError(f"missing field {key!r}", lineno)
+    if not isinstance(rec[key], kind):
+        raise ParseError(f"field {key!r} must be a {kind.__name__}", lineno)
     return rec[key]
 
 
@@ -341,31 +343,29 @@ def _ordered(boxes: np.ndarray, what: str, lineno: int) -> np.ndarray:
     return boxes
 
 
-def _rows(records, key: str, width: int, what: str, lineno: int,
+def _rows(records: list, key: str, width: int, what: str, lineno: int,
           error=ParseError) -> np.ndarray:
     """Field ``key`` of each record as one finite ``(n, width)`` float64 array.
 
     Converted in one call per image; only a malformed image is walked row by
     row, to name the offending entry.
     """
-    if not isinstance(records, list):
-        raise ParseError(f"{what}s must be in a list", lineno)
     values = [_require(r, key, lineno) for r in records]
     if not values:
         return np.empty((0, width))
     try:
         rows = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         rows = None
     if rows is None or rows.shape != (len(values), width):
         for i, value in enumerate(values):
             try:
                 row = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"{what} {i} must be numbers: {exc}", lineno)
             if row.shape != (width,):
                 raise error(f"{what} {i} has {row.size} values, expected {width}", lineno)
-        raise ParseError(f"{what}s must be lists of {width} numbers", lineno)
+        raise ParseError(f"each {what} must be a list of {width} numbers", lineno)
     return _finite(rows, what, lineno)
 
 
@@ -391,7 +391,7 @@ def _header(line: str) -> tuple[int, tuple[str, ...]]:
 def _proposal_arrays(rec: dict, d_f: int, lineno: int) -> tuple[np.ndarray, np.ndarray]:
     """``(features (P, d_f), boxes (P, 4))`` of an image record, in either form."""
     if "features" not in rec and "boxes" not in rec:
-        props = _require(rec, "proposals", lineno)
+        props = _require(rec, "proposals", lineno, list)
         features = _rows(props, "feature", d_f, "proposal feature", lineno,
                          DimensionMismatchError)
         return features, _boxes(props, "proposal box", lineno)
@@ -428,12 +428,10 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             raise ParseError(f"bad image record: {exc}", lineno)
         if not isinstance(rec, dict):
             raise ParseError("image record must be a JSON object", lineno)
-        features, boxes = _proposal_arrays(rec, d_f, lineno)
-        proposals = [Proposal(feature=f, box=b) for f, b in zip(features, boxes)]
-        annotations = _require(rec, "gts", lineno)
+        proposals = Proposals(*_proposal_arrays(rec, d_f, lineno))
+        annotations = _require(rec, "gts", lineno, list)
         gt_boxes = _boxes(annotations, "ground-truth box", lineno)
-        gts = [Annotation(label=str(_require(g, "label", lineno)), box=b)
-               for g, b in zip(annotations, gt_boxes)]
+        gt_labels = tuple(str(_require(g, "label", lineno)) for g in annotations)
         image_id = str(_require(rec, "image_id", lineno))
         if image_id in first_line:
             raise ParseError(
@@ -441,7 +439,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
                 lineno,
             )
         first_line[image_id] = lineno
-        images.append(ImageRecord(image_id=image_id, proposals=proposals, gts=gts))
+        images.append(ImageRecord(image_id, proposals, gt_labels, gt_boxes))
     return Dataset(d_f=d_f, labels=labels, images=images)
 
 
@@ -493,8 +491,8 @@ def ground_truth_records(dataset: Dataset, space: LabelSpace) -> list[GroundTrut
     """Flatten a dataset's annotations into id-labeled ground-truth records."""
     out = []
     for img in dataset.images:
-        for gt in img.gts:
-            if gt.label not in space.labels:
-                raise CoverageError(f"gt label {gt.label!r} not in label space")
-            out.append(GroundTruth(img.image_id, space.id_of(gt.label), gt.box))
+        for label, box in zip(img.gt_labels, img.gt_boxes):
+            if label not in space.labels:
+                raise CoverageError(f"gt label {label!r} not in label space")
+            out.append(GroundTruth(img.image_id, space.id_of(label), box))
     return out

@@ -18,6 +18,7 @@ unseen members.  These readings are echoed in the report metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -218,10 +219,12 @@ def evaluate(
     T1/T2 take unseen-class :class:`Detection` lists (T2 relabels both sides
     through the meta map).  T3/T4 take per-image class tag scores, a mapping
     ``image_id -> {unseen class id: score}`` (T4 reduces to meta scores by
-    max over each meta's unseen members).
+    max over each meta's unseen members).  ``iou_thresh`` must be finite.
     """
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    if not math.isfinite(iou_thresh):
+        raise ConfigError(f"iou_thresh must be a finite number, got {iou_thresh}")
     gts_u = [g for g in ground_truths if space.is_unseen(g.label)]
 
     rows: list[ApRow] = []

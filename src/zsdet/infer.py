@@ -1,9 +1,10 @@
 """Test-time prediction paths.
 
-Each image is scored as one batch: its proposals are stacked into a
-``features (P, d_f)`` matrix, rows with a zero-norm feature are dropped
-(they cannot be normalized and count as background), and one normalized
-``(P, C+1)`` score matrix feeds the route.  Two routes read it:
+Each image is scored as one batch: its :class:`~zsdet.data.Proposals`
+matrix ``features (P, d_f)`` is taken as it is, rows with a zero-norm
+feature are dropped (they cannot be normalized and count as background),
+and one normalized ``(P, C+1)`` score matrix feeds the route.  Two routes
+read it:
 
 * :func:`detect` - for models trained with unseen embeddings in place: a
   proposal whose top normalized score is background is discarded; otherwise
@@ -35,7 +36,7 @@ from .model import Model, decode_boxes, forward_boxes, forward_scores, normalize
 from .semantics import LabelSpace
 
 if TYPE_CHECKING:
-    from .data import Proposal
+    from .data import Proposals
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,15 @@ class Detection:
 
 
 def _scored(
-    model: Model, proposals: Sequence["Proposal"]
+    model: Model, proposals: "Proposals"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(features, boxes, scores)`` of the proposals with a nonzero feature.
 
     Rows keep proposal order; ``scores`` is the normalized ``(n, C+1)``
     matrix.  Zero-norm rows are dropped, so they are background everywhere.
     """
-    if proposals:
-        features = np.array([p.feature for p in proposals], dtype=np.float64)
-    else:
-        features = np.empty((0, model.d_f))
-    boxes = np.array([p.box for p in proposals], dtype=np.float64).reshape(-1, 4)
-    valid = np.linalg.norm(features, axis=1) != 0.0
-    features, boxes = features[valid], boxes[valid]
+    valid = np.linalg.norm(proposals.features, axis=1) != 0.0
+    features, boxes = proposals.features[valid], proposals.boxes[valid]
     return features, boxes, normalized_scores(model, forward_scores(model, features), features)
 
 
@@ -95,7 +91,7 @@ def _apply_class_nms(detections: list[Detection], nms_iou: float) -> list[Detect
 def detect(
     model: Model,
     space: LabelSpace,
-    proposals: Sequence["Proposal"],
+    proposals: "Proposals",
     image_id: str,
     alpha: float,
     nms_iou: float = 0.5,
@@ -103,10 +99,11 @@ def detect(
     """Unseen-class detections for one image's proposals.
 
     Emits a detection only when the background is not the top label and the
-    best unseen normalized score is strictly above ``alpha``, which must be
-    finite.
+    best unseen normalized score is strictly above ``alpha``.  ``alpha``
+    and ``nms_iou`` must be finite.
     """
-    _check_alpha(alpha)
+    _check_finite("alpha", alpha)
+    _check_finite("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)
     s, c = space.S, space.C
     u_cols = s + np.argmax(scores[:, s:c], axis=1)
@@ -119,9 +116,9 @@ def detect(
     return _apply_class_nms(out, nms_iou)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha):
-        raise ConfigError(f"alpha must be a finite number, got {alpha}")
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value}")
 
 
 def _check_k(k: int, n_seen: int) -> None:
@@ -151,7 +148,7 @@ def conse_project(
 def conse_detect(
     model: Model,
     space: LabelSpace,
-    proposals: Sequence["Proposal"],
+    proposals: "Proposals",
     image_id: str,
     k: int = 10,
     alpha: float = 0.1,
@@ -161,12 +158,13 @@ def conse_detect(
 
     Reads only seen and background score entries, so it works with any
     checkpoint regardless of training mode.  A proposal is dropped when the
-    background outranks every seen class or its projection is zero.  ``k``
-    and ``alpha`` are checked before any proposal is scored.
+    background outranks every seen class or its projection is zero.  ``k``,
+    ``alpha`` and ``nms_iou`` are checked before any proposal is scored.
     """
     s = space.S
     _check_k(k, s)
-    _check_alpha(alpha)
+    _check_finite("alpha", alpha)
+    _check_finite("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)
     rows = np.flatnonzero(~(scores[:, space.bg_id - 1] > scores[:, :s].max(axis=1)))
     e = conse_project(scores[rows, :s], model.w2[:, :s], k)
@@ -197,7 +195,7 @@ def reduce_to_meta(detections: Sequence[Detection], space: LabelSpace) -> list[D
 def tag_image(
     model: Model,
     space: LabelSpace,
-    proposals: Sequence["Proposal"],
+    proposals: "Proposals",
     mode: str = "class",
 ) -> dict[int, float]:
     """Image-level score per unseen label (or meta label): max over proposals.
@@ -222,7 +220,7 @@ def tag_image(
 
 
 def recognize_top1(
-    model: Model, space: LabelSpace, proposals: Sequence["Proposal"]
+    model: Model, space: LabelSpace, proposals: "Proposals"
 ) -> int:
     """Single best unseen class for an image; ties go to the lowest id."""
     tags = tag_image(model, space, proposals, mode="class")

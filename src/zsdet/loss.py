@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvalidTargetError, NumericFailureError, ShapeError
-from .model import Model, RegionSample, box_slice, encode_boxes
+from .model import Model, RegionBatch, box_slice, encode_boxes
 from .semantics import LabelSpace
 
 MODES = ("full", "seen_only")
@@ -233,7 +232,7 @@ def _check_scores(o: np.ndarray, space: LabelSpace) -> np.ndarray:
 
 def loss_gradients(
     model: Model,
-    batch: Sequence[RegionSample],
+    batch: RegionBatch,
     space: LabelSpace,
     lam: float,
     mode: str = "full",
@@ -241,7 +240,9 @@ def loss_gradients(
     """Mean batch loss and exact analytic gradients for W1 and the box head.
 
     The score-path gradient chains through the bilinear form:
-    ``dW1 = (1/T) sum_i f_i (W2 dL/do_i)^T``.
+    ``dW1 = (1/T) sum_i f_i (W2 dL/do_i)^T``.  Every target must be a seen
+    class or background, and every foreground row needs a finite
+    regression target.
     """
     if not batch:
         raise ConfigError("batch must be nonempty")
@@ -251,10 +252,13 @@ def loss_gradients(
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
     n = len(batch)
-    feats = np.stack([np.asarray(s.feature, dtype=np.float64) for s in batch])
-    if feats.shape[1] != model.d_f:
-        raise ShapeError(f"feature length {feats.shape[1]} != d_f {model.d_f}")
-    ys = np.array([_check_target(s.label, space) for s in batch], dtype=np.intp)
+    feats, ys = batch.features, batch.ys
+    if feats.shape != (n, model.d_f) or batch.targets.shape != (n, 4):
+        raise ShapeError(f"batch features {feats.shape} and targets {batch.targets.shape}"
+                         f" must be ({n}, d_f {model.d_f}) and ({n}, 4)")
+    bad = np.flatnonzero(((ys < 1) | (ys > space.S)) & (ys != space.bg_id))
+    if bad.size:
+        _check_target(int(ys[bad[0]]), space)
     scores = (feats @ model.w1) @ model.w2
     offsets = feats @ model.box_w + model.box_b
 
@@ -271,13 +275,12 @@ def loss_gradients(
     d_offsets = np.zeros_like(offsets)
     reg_sum = 0.0
     if n_pos:
-        for i in fg:
-            if batch[i].gt_box is None:
-                raise ConfigError(f"foreground sample {i} has no matched gt box")
-        target = encode_boxes(
-            np.array([batch[i].gt_box for i in fg], dtype=np.float64),
-            np.array([batch[i].box for i in fg], dtype=np.float64),
-        )
+        target = batch.targets[fg]
+        finite = np.isfinite(target).all(axis=1)
+        if not finite.all():
+            raise ConfigError(
+                f"foreground sample {fg[np.argmin(finite)]} has no finite regression target"
+            )
         box_cols = 4 * (ys[fg, None] - 1) + np.arange(4)
         diff = offsets[fg[:, None], box_cols] - target
         reg_sum = sum(smooth_l1(diff).sum(axis=1).tolist())

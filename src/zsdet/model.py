@@ -28,20 +28,22 @@ if TYPE_CHECKING:
     from .train import TrainConfig
 
 
-@dataclass
-class RegionSample:
-    """One labeled proposal: feature vector, box, and (for training) target.
+@dataclass(frozen=True)
+class RegionBatch:
+    """Labeled training rows: ``features (n, d_f)``, class-id targets
+    ``ys (n,)`` in S', and the encoded regression targets ``targets (n, 4)``
+    of each row against its matched ground-truth box (NaN for background)."""
 
-    ``label`` is a class id in S' during training and None at test time.
-    ``gt_box`` is the matched ground-truth box for foreground samples and
-    None for background; it is the regression target.
-    """
+    features: np.ndarray
+    ys: np.ndarray
+    targets: np.ndarray
 
-    feature: np.ndarray
-    box: np.ndarray
-    label: int | None = None
-    image_id: str = ""
-    gt_box: np.ndarray | None = None
+    def __len__(self) -> int:
+        return len(self.ys)
+
+    def rows(self, idx: np.ndarray) -> "RegionBatch":
+        """The batch of rows ``idx``, in that order (repeats allowed)."""
+        return RegionBatch(self.features[idx], self.ys[idx], self.targets[idx])
 
 
 @dataclass

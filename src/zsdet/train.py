@@ -1,8 +1,11 @@
 """Adam training of the projection and box head over per-image mini-batches.
 
-Each epoch walks the images in dataset order, drawing one mini-batch per
-image: up to ``n_pos`` foreground and ``n_neg`` background proposals,
-without replacement when the pool is large enough, with replacement
+Each image's proposals are labeled once, up front, into a
+:class:`~zsdet.model.RegionBatch` of all its rows: class-id targets from
+the max-IoU ground truth and regression targets encoded against it.  Each
+epoch then walks the images in dataset order, drawing one mini-batch per
+image as row indices: up to ``n_pos`` foreground and ``n_neg`` background
+rows, without replacement when the pool is large enough, with replacement
 (repetition) otherwise.  The whole run is bit-reproducible from the config
 seed; W2 is read-only and verified untouched by tests.
 
@@ -17,16 +20,18 @@ import csv
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, ImageRecord, Proposal
+from .data import Dataset, Proposals
 from .errors import ConfigError, InvalidTargetError, NumericFailureError
-from .evaluation import GroundTruth, iou_matrix
+from .evaluation import iou_matrix
 from .loss import MODES, LossBreakdown, loss_gradients
-from .model import Model, RegionSample, init_model
+from .model import Model, RegionBatch, encode_boxes, init_model
 from .semantics import LabelSpace
 
 
@@ -177,61 +182,55 @@ def adam_step(
 
 
 def label_proposals(
-    proposals: Sequence[Proposal],
-    gts: Sequence[GroundTruth],
+    proposals: Proposals,
+    gt_ids: Sequence[int],
+    gt_boxes: np.ndarray,
     fg_iou: float,
     space: LabelSpace,
-    image_id: str = "",
-) -> list[RegionSample]:
-    """Assign each proposal the class of its max-IoU ground truth.
+) -> RegionBatch:
+    """Label an image's proposals with the class of their max-IoU ground truth.
 
-    A proposal is foreground iff its best IoU is >= ``fg_iou`` (boundary
-    inclusive); among equal best IoUs the first ground truth wins.
-    Background samples carry no regression target.
+    ``gt_ids`` (G,) holds the class ids of the ground-truth boxes
+    ``gt_boxes`` (G, 4).  A proposal is foreground iff its best IoU is
+    >= ``fg_iou`` (boundary inclusive); among equal best IoUs the first
+    ground truth wins.  Foreground rows get their regression target encoded
+    against the matched box, in one call for the image; background rows get
+    the background id and a NaN target.
     """
-    matches: list[GroundTruth | None] = [None] * len(proposals)
-    if gts:
-        overlaps = iou_matrix([p.box for p in proposals], [g.box for g in gts])
+    ys = np.full(len(proposals), space.bg_id, dtype=np.intp)
+    targets = np.full((len(proposals), 4), np.nan)
+    if len(gt_ids):
+        overlaps = iou_matrix(proposals.boxes, gt_boxes)
         best = overlaps.argmax(axis=1)
-        for i in np.flatnonzero(overlaps[np.arange(len(proposals)), best] >= fg_iou):
-            matches[i] = gts[best[i]]
-    return [
-        RegionSample(
-            feature=prop.feature,
-            box=prop.box,
-            label=space.bg_id if gt is None else gt.label,
-            image_id=image_id,
-            gt_box=None if gt is None else gt.box,
-        )
-        for prop, gt in zip(proposals, matches)
-    ]
+        fg = np.flatnonzero(overlaps[np.arange(len(proposals)), best] >= fg_iou)
+        ys[fg] = np.asarray(gt_ids)[best[fg]]
+        targets[fg] = encode_boxes(gt_boxes[best[fg]], proposals.boxes[fg])
+    return RegionBatch(proposals.features, ys, targets)
 
 
-def _draw(pool: list, n: int, rng: np.random.Generator) -> list:
-    if n <= 0 or not pool:
-        return []
-    replace = len(pool) < n
-    idx = rng.choice(len(pool), size=n, replace=replace)
-    return [pool[int(i)] for i in idx]
+def _draw(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    if n <= 0 or not pool.size:
+        return pool[:0]
+    return pool[rng.choice(pool.size, size=n, replace=pool.size < n)]
 
 
 def compose_batch(
-    image_samples: Sequence[RegionSample],
+    labeled: RegionBatch,
     n_pos: int,
     n_neg: int,
     rng: np.random.Generator,
     bg_id: int,
-) -> list[RegionSample]:
-    """Sample a per-image batch: n_pos foreground plus n_neg background.
+) -> RegionBatch:
+    """Sample a per-image batch: n_pos foreground plus n_neg background rows.
 
-    Short pools repeat samples (draw with replacement); an empty pool
-    contributes nothing.  Returns [] for an image without proposals.
+    Short pools repeat rows (draw with replacement); an empty pool
+    contributes nothing, so an image without proposals gives an empty batch.
     """
-    if not image_samples:
-        return []
-    fg = [s for s in image_samples if s.label != bg_id]
-    bg = [s for s in image_samples if s.label == bg_id]
-    return _draw(fg, n_pos, rng) + _draw(bg, n_neg, rng)
+    background = labeled.ys == bg_id
+    return labeled.rows(np.concatenate([
+        _draw(np.flatnonzero(~background), n_pos, rng),
+        _draw(np.flatnonzero(background), n_neg, rng),
+    ]))
 
 
 def rebalance_dataset(
@@ -269,8 +268,8 @@ def rebalance_dataset(
         instances = [
             (ii, gi)
             for ii, img in enumerate(images)
-            for gi, gt in enumerate(img.gts)
-            if gt.label in seen_m
+            for gi, label in enumerate(img.gt_labels)
+            if label in seen_m
         ]
         count = len(instances)
         if count == 0:
@@ -280,20 +279,13 @@ def rebalance_dataset(
             )
             continue
         if count < min_similar:
-            pool = sorted({ii for ii, _ in instances})
-            pool_counts = {
-                ii: sum(1 for jj, _ in instances if jj == ii) for ii in pool
-            }
+            pool_counts = Counter(ii for ii, _ in instances)
+            pool = sorted(pool_counts)
             while count < min_similar:
                 pick = pool[int(rng.integers(len(pool)))]
-                src = images[pick]
                 n_copies += 1
                 images.append(
-                    ImageRecord(
-                        image_id=f"{src.image_id}~r{n_copies}",
-                        proposals=src.proposals,
-                        gts=list(src.gts),
-                    )
+                    replace(images[pick], image_id=f"{images[pick].image_id}~r{n_copies}")
                 )
                 count += pool_counts[pick]
         elif count > min_similar:
@@ -306,11 +298,9 @@ def rebalance_dataset(
                     drop.setdefault(ii, set()).add(gi)
             for ii, gone in drop.items():
                 img = images[ii]
-                images[ii] = ImageRecord(
-                    image_id=img.image_id,
-                    proposals=img.proposals,
-                    gts=[gt for gi, gt in enumerate(img.gts) if gi not in gone],
-                )
+                kept = ~np.isin(np.arange(len(img.gt_labels)), list(gone))
+                images[ii] = replace(img, gt_labels=tuple(compress(img.gt_labels, kept)),
+                                     gt_boxes=img.gt_boxes[kept])
     return Dataset(d_f=dataset.d_f, labels=dataset.labels, images=images)
 
 
@@ -323,10 +313,10 @@ def train(
     """Full training loop; deterministic given (dataset, config, seed)."""
     unseen_names = {space.label_of(cid) for cid in space.unseen_ids}
     for img in dataset.images:
-        for gt in img.gts:
-            if gt.label in unseen_names:
+        for label in img.gt_labels:
+            if label in unseen_names:
                 raise InvalidTargetError(
-                    f"train dataset leaks unseen class {gt.label!r} "
+                    f"train dataset leaks unseen class {label!r} "
                     f"in image {img.image_id}"
                 )
 
@@ -334,12 +324,11 @@ def train(
     work = rebalance_dataset(
         dataset, space, config.min_similar, np.random.default_rng([config.seed, 1])
     )
-    labeled = []
-    for img in work.images:
-        gts = [GroundTruth(img.image_id, space.id_of(gt.label), gt.box) for gt in img.gts]
-        labeled.append(
-            label_proposals(img.proposals, gts, config.fg_iou, space, img.image_id)
-        )
+    labeled = [
+        label_proposals(img.proposals, [space.id_of(label) for label in img.gt_labels],
+                        img.gt_boxes, config.fg_iou, space)
+        for img in work.images
+    ]
 
     params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
     state = AdamState.for_params(params)
@@ -347,8 +336,8 @@ def train(
     history: list[LossBreakdown] = []
     step = 0
     for _ in range(config.epochs):
-        for samples in labeled:
-            batch = compose_batch(samples, config.n_pos, config.n_neg, rng, space.bg_id)
+        for rows in labeled:
+            batch = compose_batch(rows, config.n_pos, config.n_neg, rng, space.bg_id)
             if not batch:
                 continue
             try:

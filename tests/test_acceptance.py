@@ -221,10 +221,10 @@ def _run_experiment(tmp_path):
                 img.image_id,
                 int(chance_rng.integers(space.S + 1, space.C + 1)),
                 float(chance_rng.uniform()),
-                np.asarray(p.box),
+                np.asarray(box),
             )
             for img in bundle.test.images
-            for p in img.proposals
+            for box in img.proposals.boxes
         ]
         maps["chance"] = _zsd_map(chance_dets, gts, space)
 
@@ -334,10 +334,10 @@ def test_criterion_8_leakage_guard():
             bundle = generate_synthetic(cfg)
             unseen = set(bundle.oracle["unseen_labels"])
             leaked = [
-                gt.label
+                label
                 for img in bundle.train.images
-                for gt in img.gts
-                if gt.label in unseen
+                for label in img.gt_labels
+                if label in unseen
             ]
             assert leaked == []
             stats = bundle.train.class_stats()

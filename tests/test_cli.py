@@ -413,6 +413,25 @@ class TestExitCodes:
                    "--out", tmp_path / "dets.jsonl") == 2
         assert capsys.readouterr().err.startswith("error: alpha must be a finite number")
 
+    def test_non_finite_nms_iou_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--alpha", 0.0, "--nms-iou", "nan", "--out", tmp_path / "dets.jsonl") == 2
+        assert capsys.readouterr().err.startswith("error: nms_iou must be a finite number")
+
+    def test_non_finite_iou_eval_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--task", "T1", "--alpha", 0.0, "--iou-eval", "nan",
+                   "--out", tmp_path / "reports") == 2
+        assert capsys.readouterr().err.startswith("error: iou_thresh must be a finite number")
+
     @pytest.mark.parametrize("knob", [("--lr", "nan"), ("--lr", "inf"), ("--eps", "nan")])
     def test_non_finite_train_knob_exits_2(self, tmp_path, capsys, knob):
         data = synth(tmp_path)

@@ -9,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zsdet.data import (
-    Annotation,
     Dataset,
     ImageRecord,
-    Proposal,
+    Proposals,
     SynthConfig,
     generate_synthetic,
     ground_truth_records,
@@ -56,20 +55,21 @@ class TestGenerator:
         save_dataset(a.train, pa)
         save_dataset(b.train, pb)
         assert pa.read_bytes() == pb.read_bytes()
-        assert a.oracle == b.oracle
+        assert a.oracle["g_map"].tobytes() == b.oracle["g_map"].tobytes()
+        assert {**a.oracle, "g_map": None} == {**b.oracle, "g_map": None}
 
     def test_train_set_has_no_unseen_instances(self):
         bundle = generate_synthetic(small_cfg())
         unseen = set(bundle.oracle["unseen_labels"])
         for img in bundle.train.images:
-            for gt in img.gts:
-                assert gt.label not in unseen
+            for label in img.gt_labels:
+                assert label not in unseen
 
     def test_every_test_image_has_an_unseen_instance(self):
         bundle = generate_synthetic(small_cfg())
         unseen = set(bundle.oracle["unseen_labels"])
         for img in bundle.test.images:
-            assert any(gt.label in unseen for gt in img.gts)
+            assert any(label in unseen for label in img.gt_labels)
 
     def test_noiseless_features_identify_classes(self):
         bundle = generate_synthetic(small_cfg(noise_sigma=0.0))
@@ -79,9 +79,9 @@ class TestGenerator:
         labels = table.labels
         checked = 0
         for img in bundle.train.images:
-            for p, gt in zip(img.proposals, img.gts):
-                scores = (p.feature @ w1) @ table.vectors
-                assert labels[int(np.argmax(scores))] == gt.label
+            for feature, label in zip(img.proposals.features, img.gt_labels):
+                scores = (feature @ w1) @ table.vectors
+                assert labels[int(np.argmax(scores))] == label
                 checked += 1
         assert checked > 0
 
@@ -89,8 +89,8 @@ class TestGenerator:
         bundle = generate_synthetic(small_cfg(noise_sigma=0.0))
         by_class = {}
         for img in bundle.train.images:
-            for p, gt in zip(img.proposals, img.gts):
-                by_class.setdefault(gt.label, p.feature)
+            for feature, label in zip(img.proposals.features, img.gt_labels):
+                by_class.setdefault(label, feature)
         feats = list(by_class.items())
         for i in range(len(feats)):
             for j in range(i + 1, len(feats)):
@@ -101,13 +101,13 @@ class TestGenerator:
         from zsdet.evaluation import iou
 
         for img in bundle.train.images:
-            for p, gt in zip(img.proposals, img.gts):
-                assert iou(p.box, gt.box) > 0.3
+            for box, gt_box in zip(img.proposals.boxes, img.gt_boxes):
+                assert iou(box, gt_box) > 0.3
 
     def test_stats_consistent_with_gts(self):
         bundle = generate_synthetic(small_cfg())
         stats = bundle.train.class_stats()
-        assert sum(stats.values()) == sum(len(img.gts) for img in bundle.train.images)
+        assert sum(stats.values()) == sum(len(img.gt_labels) for img in bundle.train.images)
 
     def test_meta_map_covers_all_classes(self):
         bundle = generate_synthetic(small_cfg())
@@ -198,12 +198,10 @@ class TestDatasetIO:
         assert len(loaded.images) == len(bundle.train.images)
         for a, b in zip(loaded.images, bundle.train.images):
             assert a.image_id == b.image_id
-            for pa, pb in zip(a.proposals, b.proposals):
-                np.testing.assert_array_equal(pa.feature, pb.feature)
-                np.testing.assert_array_equal(pa.box, pb.box)
-            for ga, gb in zip(a.gts, b.gts):
-                assert ga.label == gb.label
-                np.testing.assert_array_equal(ga.box, gb.box)
+            np.testing.assert_array_equal(a.proposals.features, b.proposals.features)
+            np.testing.assert_array_equal(a.proposals.boxes, b.proposals.boxes)
+            assert a.gt_labels == b.gt_labels
+            np.testing.assert_array_equal(a.gt_boxes, b.gt_boxes)
 
     def test_missing_box_field_names_it(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -311,6 +309,15 @@ class TestDatasetIO:
             load_dataset(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("field", ["proposals", "gts"])
+    def test_non_list_records_named_in_the_message(self, tmp_path, field):
+        record = {"image_id": "i", "proposals": [], "gts": [], field: {"box": [0, 0, 1, 1]}}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"d_f": 2, "labels": ["a"]}) + "\n"
+                        + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=f"line 2: field '{field}' must be a list"):
+            load_dataset(path)
+
     def test_writes_array_blocks(self, tmp_path):
         bundle = generate_synthetic(small_cfg())
         path = tmp_path / "d.jsonl"
@@ -318,8 +325,8 @@ class TestDatasetIO:
         rec = json.loads(path.read_text().splitlines()[1])
         assert set(rec) == {"image_id", "features", "boxes", "gts"}
         img = bundle.train.images[0]
-        assert rec["features"] == encode_array(np.array([p.feature for p in img.proposals]))
-        assert rec["boxes"] == encode_array(np.array([p.box for p in img.proposals]))
+        assert rec["features"] == encode_array(img.proposals.features)
+        assert rec["boxes"] == encode_array(img.proposals.boxes)
 
 
 # Finite floats, drawn so that -0.0, subnormals and extremes all turn up.
@@ -335,14 +342,14 @@ def datasets(draw):
     images = []
     for i in range(draw(st.integers(0, 3))):
         n = draw(st.integers(0, 3))
-        proposals = []
-        for _ in range(n):
-            feature = np.array(draw(st.lists(FINITE, min_size=d_f, max_size=d_f)))
+        features, boxes = np.empty((n, d_f)), np.empty((n, 4))
+        for j in range(n):
+            features[j] = draw(st.lists(FINITE, min_size=d_f, max_size=d_f))
             xs, ys = (sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
                       for _ in range(2))
-            proposals.append(Proposal(feature, np.array([xs[0], ys[0], xs[1], ys[1]])))
-        gts = [Annotation("a", np.array([-0.0, 5e-324, 1.0, 1.0]))] if i % 2 else []
-        images.append(ImageRecord(f"img{i}", proposals, gts))
+            boxes[j] = [xs[0], ys[0], xs[1], ys[1]]
+        gts = (("a",), np.array([[-0.0, 5e-324, 1.0, 1.0]])) if i % 2 else ((), np.empty((0, 4)))
+        images.append(ImageRecord(f"img{i}", Proposals(features, boxes), *gts))
     return Dataset(d_f=d_f, labels=("a",), images=images)
 
 
@@ -354,9 +361,11 @@ class TestDatasetRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(datasets())
     @example(Dataset(d_f=2, labels=("a",), images=[
-        ImageRecord("empty", [], []),
-        ImageRecord("edge", [Proposal(np.array([-0.0, 5e-324]),
-                                      np.array([-0.0, -5e-324, 5e-324, 1e-310]))], []),
+        ImageRecord("empty", Proposals(np.empty((0, 2)), np.empty((0, 4))), (),
+                    np.empty((0, 4))),
+        ImageRecord("edge", Proposals(np.array([[-0.0, 5e-324]]),
+                                      np.array([[-0.0, -5e-324, 5e-324, 1e-310]])), (),
+                    np.empty((0, 4))),
     ]))
     def test_save_then_load_is_bit_equal(self, dataset):
         with tempfile.TemporaryDirectory() as tmp:
@@ -367,11 +376,64 @@ class TestDatasetRoundTrip:
         assert [i.image_id for i in loaded.images] == [i.image_id for i in dataset.images]
         for a, b in zip(loaded.images, dataset.images):
             assert len(a.proposals) == len(b.proposals)
-            for pa, pb in zip(a.proposals, b.proposals):
-                assert _bits(pa.feature) == _bits(pb.feature)
-                assert _bits(pa.box) == _bits(pb.box)
-            assert [(g.label, _bits(g.box)) for g in a.gts] == \
-                [(g.label, _bits(g.box)) for g in b.gts]
+            assert a.proposals.features.shape == (len(b.proposals), dataset.d_f)
+            assert _bits(a.proposals.features) == _bits(b.proposals.features)
+            assert _bits(a.proposals.boxes) == _bits(b.proposals.boxes)
+            assert a.gt_labels == b.gt_labels
+            assert _bits(a.gt_boxes) == _bits(b.gt_boxes)
+
+
+def _synth_files():
+    """A small synth dataset file, in the block form and in the list form."""
+    dataset = generate_synthetic(small_cfg(images=3, test_images=1, proposals_per_image=4)).train
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.jsonl")
+        save_dataset(dataset, path)
+        with open(path, "rb") as f:
+            blocks = f.read()
+    lines = blocks.decode().splitlines()
+    listed = [lines[0]]
+    for img, line in zip(dataset.images, lines[1:]):
+        rec = json.loads(line)
+        del rec["features"], rec["boxes"]
+        rec["proposals"] = [{"feature": f.tolist(), "box": b.tolist()}
+                            for f, b in zip(img.proposals.features, img.proposals.boxes)]
+        listed.append(json.dumps(rec))
+    return blocks, ("\n".join(listed) + "\n").encode()
+
+
+SYNTH_FILES = _synth_files()
+
+
+@st.composite
+def mutated_files(draw):
+    """A synth dataset file after a few truncations, bit flips and splices."""
+    data = bytearray(draw(st.sampled_from(SYNTH_FILES)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["truncate", "flip", "splice"]))
+        if op == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif op == "flip" and data:
+            data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        elif op == "splice":
+            start, end = sorted(draw(st.integers(0, len(data))) for _ in range(2))
+            at = draw(st.integers(0, len(data)))
+            data[at:at] = data[start:end]
+    return bytes(data)
+
+
+class TestMutatedDatasetFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_files())
+    def test_loads_or_raises_parse_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.jsonl")
+            with open(path, "wb") as f:
+                f.write(data)
+            try:
+                load_dataset(path)
+            except ParseError:
+                pass
 
 
 class TestSplitIO:
@@ -407,8 +469,9 @@ class TestGroundTruthRecords:
             images=[
                 ImageRecord(
                     "i",
-                    [Proposal(np.ones(2), np.array([0, 0, 1, 1.0]))],
-                    [Annotation("c3", np.array([0, 0, 1, 1.0]))],
+                    Proposals(np.ones((1, 2)), np.array([[0, 0, 1, 1.0]])),
+                    ("c3",),
+                    np.array([[0, 0, 1, 1.0]]),
                 )
             ],
         )

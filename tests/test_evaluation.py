@@ -353,6 +353,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate([], [], space, "T9")
 
+    @pytest.mark.parametrize("thresh", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_iou_thresh_rejected(self, thresh):
+        space = make_space(4, 2, n_meta=2)
+        dets, gts = self.make_perfect(space)
+        with pytest.raises(ConfigError, match="iou_thresh must be a finite number"):
+            evaluate(dets, gts, space, "T1", iou_thresh=thresh)
+
     def test_tagging_ap_ranks_images(self):
         space = make_space(2, 1)
         u = space.S + 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zsdet.data import Proposal
+from zsdet.data import Proposals
 from zsdet.errors import ConfigError, CoverageError
 from zsdet.infer import (
     Detection,
@@ -31,30 +31,40 @@ def axis_setup(n_seen=2, n_unseen=1, d=4):
 
 
 def prop(feature, box=(0.0, 0.0, 10.0, 10.0)):
-    return Proposal(np.asarray(feature, dtype=np.float64), np.asarray(box))
+    """One proposal, as a one-row :class:`Proposals`."""
+    return Proposals(np.asarray(feature, dtype=np.float64)[None],
+                     np.asarray(box, dtype=np.float64)[None])
+
+
+def stack(props, d_f=0):
+    """One image's proposals from one-row ones; ``d_f`` sizes an image with none."""
+    if not props:
+        return Proposals(np.empty((0, d_f)), np.empty((0, 4)))
+    return Proposals(np.concatenate([p.features for p in props]),
+                     np.concatenate([p.boxes for p in props]))
 
 
 class TestDetect:
     def test_unseen_hit_uses_proposal_box_with_zero_head(self):
         model, table, space = axis_setup()
         p = prop(table.vector("c3") * 2.0, box=(5, 5, 25, 25))
-        dets = detect(model, space, [p], "img", alpha=0.5)
+        dets = detect(model, space, p, "img", alpha=0.5)
         assert len(dets) == 1
         assert dets[0].label == 3
         assert dets[0].score == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(dets[0].box, p.box, atol=1e-9)
+        np.testing.assert_allclose(dets[0].box, p.boxes[0], atol=1e-9)
 
     def test_background_argmax_rejected(self):
         model, _, space = axis_setup()
         f = np.array([1.0, 1.0, 1.0, 0.0])  # parallel to the background mean
-        assert detect(model, space, [prop(f)], "img", alpha=0.0) == []
+        assert detect(model, space, prop(f), "img", alpha=0.0) == []
 
     def test_threshold_is_strict(self):
         model, table, space = axis_setup()
         p = prop(table.vector("c3"))
-        [d] = detect(model, space, [p], "img", alpha=0.0)
-        assert detect(model, space, [p], "img", alpha=d.score) == []
-        assert len(detect(model, space, [p], "img", alpha=d.score - 1e-9)) == 1
+        [d] = detect(model, space, p, "img", alpha=0.0)
+        assert detect(model, space, p, "img", alpha=d.score) == []
+        assert len(detect(model, space, p, "img", alpha=d.score - 1e-9)) == 1
 
     def test_unseen_tie_goes_to_lowest_id(self):
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
@@ -64,26 +74,26 @@ class TestDetect:
             + table.vector("c4")
             - 0.3 * (table.vector("c1") + table.vector("c2"))
         )
-        [d] = detect(model, space, [prop(f)], "img", alpha=0.5)
+        [d] = detect(model, space, prop(f), "img", alpha=0.5)
         assert d.label == 3
 
     def test_zero_feature_treated_as_background(self):
         model, _, space = axis_setup()
-        assert detect(model, space, [prop(np.zeros(4))], "img", alpha=0.0) == []
+        assert detect(model, space, prop(np.zeros(4)), "img", alpha=0.0) == []
 
     def test_per_class_nms_drops_duplicates(self):
         model, table, space = axis_setup()
         p1 = prop(table.vector("c3") * 2, box=(0, 0, 10, 10))
         p2 = prop(table.vector("c3"), box=(0.5, 0.5, 10.5, 10.5))
-        kept = detect(model, space, [p1, p2], "img", alpha=0.1, nms_iou=0.5)
+        kept = detect(model, space, stack([p1, p2]), "img", alpha=0.1, nms_iou=0.5)
         assert len(kept) == 1
-        unsuppressed = detect(model, space, [p1, p2], "img", alpha=0.1, nms_iou=0.0)
+        unsuppressed = detect(model, space, stack([p1, p2]), "img", alpha=0.1, nms_iou=0.0)
         assert len(unsuppressed) == 2
 
     def test_scores_all_above_alpha(self):
         model, table, space = axis_setup()
         rng = np.random.default_rng(0)
-        props = [prop(rng.standard_normal(4)) for _ in range(40)]
+        props = stack([prop(rng.standard_normal(4)) for _ in range(40)])
         for d in detect(model, space, props, "img", alpha=0.3):
             assert d.score > 0.3
 
@@ -92,7 +102,7 @@ class TestDetect:
         # class 2's slice shifts the box; make c2 the best seen class
         model.box_b = np.array([0, 0, 0, 0, 0.5, 0.0, 0.0, 0.0], dtype=np.float64)
         f = table.vector("c3") + 0.5 * table.vector("c2")
-        [d] = detect(model, space, [prop(f, box=(0, 0, 10, 10))], "img", alpha=0.1)
+        [d] = detect(model, space, prop(f, box=(0, 0, 10, 10)), "img", alpha=0.1)
         np.testing.assert_allclose(d.box, [5.0, 0.0, 15.0, 10.0], atol=1e-9)
 
 
@@ -147,35 +157,44 @@ class TestConseDetect:
         w2 = model.w2.copy()
         w2[:, 2] = w2[:, 0]
         model.w2 = w2
-        [d] = conse_detect(model, space, [prop(np.eye(4)[0])], "img", k=2, alpha=0.5)
+        [d] = conse_detect(model, space, prop(np.eye(4)[0]), "img", k=2, alpha=0.5)
         assert d.label == 3
         assert d.score == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_projection_discarded(self):
         model, table, space = axis_setup()
         # feature along seen c1; unseen c3 is orthogonal to every seen vector
-        out = conse_detect(model, space, [prop(np.eye(4)[0])], "img", k=2, alpha=0.1)
+        out = conse_detect(model, space, prop(np.eye(4)[0]), "img", k=2, alpha=0.1)
         assert out == []
 
     def test_within_span_unseen_recovered(self):
         model, table, space = self.overlap_setup()
-        out = conse_detect(model, space, [prop(np.array([1.0, 1.0, 0, 0]))], "img", k=2, alpha=0.2)
+        out = conse_detect(model, space, prop(np.array([1.0, 1.0, 0, 0])), "img", k=2, alpha=0.2)
         # the background (mean) outranks both seen classes for this feature
         assert out == []
-        out = conse_detect(model, space, [prop(np.array([1.0, 0.2, 0, 0]))], "img", k=2, alpha=0.2)
+        out = conse_detect(model, space, prop(np.array([1.0, 0.2, 0, 0])), "img", k=2, alpha=0.2)
         assert len(out) == 1
         assert out[0].label == 3
 
     def test_k_larger_than_seen_rejected(self):
         model, _, space = axis_setup()
         with pytest.raises(ConfigError):
-            conse_detect(model, space, [prop(np.eye(4)[0])], "img", k=5, alpha=0.1)
+            conse_detect(model, space, prop(np.eye(4)[0]), "img", k=5, alpha=0.1)
+
+    @pytest.mark.parametrize("nms_iou", [float("nan"), float("inf")])
+    def test_non_finite_nms_iou_rejected_before_scoring(self, nms_iou):
+        model, _, space = axis_setup()
+        none = stack([], 4)
+        with pytest.raises(ConfigError, match="nms_iou must be a finite number"):
+            conse_detect(model, space, none, "img", k=2, alpha=0.1, nms_iou=nms_iou)
+        with pytest.raises(ConfigError, match="nms_iou must be a finite number"):
+            detect(model, space, none, "img", alpha=0.1, nms_iou=nms_iou)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_k_checked_before_scoring(self, k):
         # every proposal is zero-norm, so none would reach the projection
         model, _, space = axis_setup()
-        for proposals in ([prop(np.zeros(4)), prop(np.zeros(4))], []):
+        for proposals in (stack([prop(np.zeros(4)), prop(np.zeros(4))]), stack([], 4)):
             with pytest.raises(ConfigError, match="K must be in 1..2"):
                 conse_detect(model, space, proposals, "img", k=k, alpha=0.1)
 
@@ -188,7 +207,7 @@ class TestConseDetect:
 
     def test_scores_are_cosines_in_unit_range(self, rng):
         model, table, space = self.overlap_setup()
-        props = [prop(rng.standard_normal(4)) for _ in range(50)]
+        props = stack([prop(rng.standard_normal(4)) for _ in range(50)])
         for d in conse_detect(model, space, props, "img", k=2, alpha=-2.0):
             assert -1.0 - 1e-12 <= d.score <= 1.0 + 1e-12
 
@@ -241,7 +260,7 @@ class TestTagImage:
         rng = np.random.default_rng(1)
         f = rng.standard_normal(5)
         o_hat = normalized_scores(model, forward_scores(model, f), f)
-        tags = tag_image(model, space, [prop(f)])
+        tags = tag_image(model, space, prop(f))
         for uid in space.unseen_ids:
             assert tags[uid] == pytest.approx(o_hat[uid - 1], abs=1e-15)
 
@@ -251,7 +270,7 @@ class TestTagImage:
         f1, f2 = rng.standard_normal((2, 5))
         o1 = normalized_scores(model, forward_scores(model, f1), f1)
         o2 = normalized_scores(model, forward_scores(model, f2), f2)
-        tags = tag_image(model, space, [prop(f1), prop(f2)])
+        tags = tag_image(model, space, stack([prop(f1), prop(f2)]))
         for uid in space.unseen_ids:
             assert tags[uid] == pytest.approx(max(o1[uid - 1], o2[uid - 1]), abs=1e-15)
 
@@ -259,8 +278,8 @@ class TestTagImage:
         model, table, space_cls = axis_setup(n_seen=2, n_unseen=2, d=5)
         space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m2", "c3": "m1", "c4": "m1"})
         f = np.ones(5)
-        class_tags = tag_image(model, space, [prop(f)])
-        meta_tags = tag_image(model, space, [prop(f)], mode="meta")
+        class_tags = tag_image(model, space, prop(f))
+        meta_tags = tag_image(model, space, prop(f), mode="meta")
         assert set(meta_tags) == {1}  # only m1 holds unseen classes
         assert meta_tags[1] == max(class_tags[3], class_tags[4])
 
@@ -268,13 +287,13 @@ class TestTagImage:
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         rng = np.random.default_rng(3)
         props = [prop(rng.standard_normal(5)) for _ in range(5)]
-        a = tag_image(model, space, props)
-        b = tag_image(model, space, list(reversed(props)))
+        a = tag_image(model, space, stack(props))
+        b = tag_image(model, space, stack(props[::-1]))
         assert a == b
 
     def test_all_zero_proposals_give_zero_scores(self):
         model, _, space = axis_setup()
-        tags = tag_image(model, space, [prop(np.zeros(4))])
+        tags = tag_image(model, space, prop(np.zeros(4)))
         assert tags == {3: 0.0}
 
 
@@ -283,7 +302,7 @@ class TestRecognizeTop1:
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         rng = np.random.default_rng(4)
         for _ in range(10):
-            props = [prop(rng.standard_normal(5)) for _ in range(4)]
+            props = stack([prop(rng.standard_normal(5)) for _ in range(4)])
             tags = tag_image(model, space, props)
             best = max(sorted(tags), key=lambda cid: tags[cid])
             assert recognize_top1(model, space, props) == best
@@ -291,7 +310,7 @@ class TestRecognizeTop1:
     def test_tie_breaks_to_lowest_id(self):
         model, table, space = axis_setup(n_seen=1, n_unseen=2)
         f = table.vector("c2") + table.vector("c3")
-        assert recognize_top1(model, space, [prop(f)]) == 2
+        assert recognize_top1(model, space, prop(f)) == 2
 
 
 class TestDetectionDump:
@@ -345,13 +364,13 @@ def _class_nms_ref(detections, nms_iou):
 def detect_ref(model, space, proposals, image_id, alpha, nms_iou=0.5):
     out = []
     s, c = space.S, space.C
-    for p in proposals:
-        scores = _normalized_ref(model, p.feature)
+    for feature, box in zip(proposals.features, proposals.boxes):
+        scores = _normalized_ref(model, feature)
         if scores is None or int(np.argmax(scores)) == space.bg_id - 1:
             continue
         u_col = s + int(np.argmax(scores[s:c]))
         if scores[u_col] > alpha:
-            box = _seen_box_ref(model, p.feature, scores, p.box)
+            box = _seen_box_ref(model, feature, scores, box)
             out.append(Detection(image_id, u_col + 1, float(scores[u_col]), box))
     return _class_nms_ref(out, nms_iou)
 
@@ -365,8 +384,8 @@ def conse_detect_ref(model, space, proposals, image_id, k, alpha, nms_iou=0.5):
     out = []
     s = space.S
     u_cols = np.arange(s, space.C)
-    for p in proposals:
-        scores = _normalized_ref(model, p.feature)
+    for feature, box in zip(proposals.features, proposals.boxes):
+        scores = _normalized_ref(model, feature)
         if scores is None or scores[space.bg_id - 1] > scores[:s].max():
             continue
         e = conse_project_ref(scores[:s], model.w2[:, :s], k)
@@ -376,15 +395,15 @@ def conse_detect_ref(model, space, proposals, image_id, k, alpha, nms_iou=0.5):
         cos = (model.w2[:, u_cols].T @ e) / (e_norm * model.col_norms[u_cols])
         u_idx = int(np.argmax(cos))
         if cos[u_idx] > alpha:
-            box = _seen_box_ref(model, p.feature, scores, p.box)
+            box = _seen_box_ref(model, feature, scores, box)
             out.append(Detection(image_id, s + u_idx + 1, float(cos[u_idx]), box))
     return _class_nms_ref(out, nms_iou)
 
 
 def tag_image_ref(model, space, proposals, mode="class"):
     s, c = space.S, space.C
-    rows = [scores[s:c] for p in proposals
-            if (scores := _normalized_ref(model, p.feature)) is not None]
+    rows = [scores[s:c] for feature in proposals.features
+            if (scores := _normalized_ref(model, feature)) is not None]
     best = np.max(rows, axis=0) if rows else np.zeros(c - s)
     tags = {s + i + 1: float(best[i]) for i in range(c - s)}
     if mode == "class":
@@ -425,7 +444,7 @@ def random_proposals(rng, d_f):
         w, h = rng.uniform(5, 30, 2)
         f = np.zeros(d_f) if zero else rng.standard_normal(d_f)
         props.append(prop(f, (x1, y1, x1 + w, y1 + h)))
-    return props
+    return stack(props, d_f)
 
 
 class TestBatchedMatchesPerProposalLoops:
@@ -455,14 +474,15 @@ class TestBatchedMatchesPerProposalLoops:
 
     def test_image_without_proposals(self, rng):
         model, space = random_instance(rng)
-        assert detect(model, space, [], "img", alpha=-1.0) == []
-        assert conse_detect(model, space, [], "img", k=1, alpha=-1.0) == []
+        none = stack([], model.d_f)
+        assert detect(model, space, none, "img", alpha=-1.0) == []
+        assert conse_detect(model, space, none, "img", k=1, alpha=-1.0) == []
         for mode in ("class", "meta"):
-            assert tag_image(model, space, [], mode=mode) == tag_image_ref(model, space, [], mode)
+            assert tag_image(model, space, none, mode=mode) == tag_image_ref(model, space, none, mode)
 
     def test_all_zero_features(self):
         model, _, space = axis_setup(n_seen=2, n_unseen=2, d=5)
-        props = [prop(np.zeros(5)) for _ in range(3)]
+        props = stack([prop(np.zeros(5)) for _ in range(3)])
         assert detect(model, space, props, "img", alpha=-1.0) == []
         assert conse_detect(model, space, props, "img", k=2, alpha=-1.0) == []
         assert tag_image(model, space, props) == {3: 0.0, 4: 0.0}
@@ -483,7 +503,7 @@ class TestBatchedMatchesPerProposalLoops:
         ]
         boxes = [(0, 0, 10, 10), (1, 1, 11, 11), (0, 0, 10, 10), (0, 0, 4, 4),
                  (30, 30, 40, 40), (50, 50, 60, 60), (51, 50, 61, 60), (0, 50, 10, 60)]
-        props = [prop(np.array(f, dtype=np.float64), b) for f, b in zip(features, boxes)]
+        props = stack([prop(np.array(f, dtype=np.float64), b) for f, b in zip(features, boxes)])
         for nms_iou in (0.0, 0.5):
             got = detect(model, space, props, "img", alpha=-1.0, nms_iou=nms_iou)
             assert_same_detections(got, detect_ref(model, space, props, "img", -1.0, nms_iou))

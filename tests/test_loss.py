@@ -320,8 +320,7 @@ class TestLossGradients:
         table = make_table(random_unit_columns(rng, 4, 4))
         model = make_model(table, space, d_f=4)
         batch = random_batch(rng, space, 4)
-        for s in batch:
-            s.feature = np.zeros(4)
+        batch.features[:] = 0.0
         _, grads = loss_gradients(model, batch, space, 0.5, "full")
         np.testing.assert_array_equal(grads.dw1, np.zeros_like(grads.dw1))
 
@@ -352,16 +351,16 @@ class TestLossGradients:
         _, grads = loss_gradients(model, batch, space, 1.0, "full")
         # independent pure-margin gradient: sigma weights from the definition
         dw1 = np.zeros_like(model.w1)
-        for s in batch:
-            o = (s.feature @ model.w1) @ model.w2
+        for feature, y in zip(batch.features, batch.ys):
+            o = (feature @ model.w1) @ model.w2
             g = np.zeros(space.bg_id)
-            cols = [c - 1 for c in range(1, space.bg_id + 1) if c != s.label]
-            diffs = o[cols] - o[s.label - 1]
+            cols = [c - 1 for c in range(1, space.bg_id + 1) if c != y]
+            diffs = o[cols] - o[y - 1]
             sig = 1.0 / (1.0 + np.exp(-diffs))
             for c, w in zip(cols, sig / len(cols)):
                 g[c] += w
-            g[s.label - 1] -= sig.sum() / len(cols)
-            dw1 += np.outer(s.feature, model.w2 @ g)
+            g[y - 1] -= sig.sum() / len(cols)
+            dw1 += np.outer(feature, model.w2 @ g)
         dw1 /= len(batch)
         np.testing.assert_allclose(grads.dw1, dw1, atol=1e-12)
 
@@ -386,7 +385,7 @@ class TestLossGradients:
         table = make_table(random_unit_columns(rng, 4, 4))
         model = make_model(table, space, d_f=4)
         batch = random_batch(rng, space, 4, size=3)
-        batch[1].feature = np.array([np.inf, 0.0, 0.0, 0.0])
+        batch.features[1] = [np.inf, 0.0, 0.0, 0.0]
         with pytest.raises(NumericFailureError) as exc:
             loss_gradients(model, batch, space, 0.5, "full")
         assert exc.value.sample_index == 1
@@ -396,15 +395,38 @@ class TestLossGradients:
         table = make_table(random_unit_columns(rng, 4, 4))
         model = make_model(table, space, d_f=4)
         with pytest.raises(ConfigError):
-            loss_gradients(model, [], space, 0.5, "full")
+            loss_gradients(model, random_batch(rng, space, 4, size=0), space, 0.5, "full")
 
     def test_unseen_label_in_batch_rejected(self, rng):
         space = make_space(3, 1)
         table = make_table(random_unit_columns(rng, 4, 4))
         model = make_model(table, space, d_f=4)
         batch = random_batch(rng, space, 4, size=2)
-        batch[0].label = space.S + 1
+        batch.ys[0] = space.S + 1
         with pytest.raises(InvalidTargetError):
+            loss_gradients(model, batch, space, 0.5, "full")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("unseen", "target 4 is an unseen class"),
+        (0, "target 0 outside the extended label set"),
+        (6, "target 6 outside the extended label set"),
+    ])
+    def test_first_bad_target_named(self, rng, bad, message):
+        space = make_space(3, 1)
+        model = make_model(make_table(random_unit_columns(rng, 4, 4)), space, d_f=4)
+        batch = random_batch(rng, space, 4, size=4)
+        batch.ys[2] = space.S + 1 if bad == "unseen" else bad
+        batch.ys[3] = 0
+        with pytest.raises(InvalidTargetError, match=message):
+            loss_gradients(model, batch, space, 0.5, "full")
+
+    def test_foreground_row_without_finite_target_rejected(self, rng):
+        space = make_space(3, 1)
+        model = make_model(make_table(random_unit_columns(rng, 4, 4)), space, d_f=4)
+        batch = random_batch(rng, space, 4, size=3)
+        batch.ys[:] = [space.bg_id, 1, 2]
+        batch.targets[1:] = [[0.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]]
+        with pytest.raises(ConfigError, match="foreground sample 2"):
             loss_gradients(model, batch, space, 0.5, "full")
 
 
@@ -438,7 +460,7 @@ class TestBatchedKernel:
         breakdown, grads = loss_gradients(model, batch, space, lam, mode)
         full_ids = list(range(1, space.bg_id + 1))
         mm_ids = full_ids if mode == "full" else list(space.seen_ids) + [space.bg_id]
-        rows = [((s.feature @ model.w1) @ model.w2, s.label) for s in batch]
+        rows = [((f @ model.w1) @ model.w2, y) for f, y in zip(batch.features, batch.ys)]
         mm_ref = sum(brute_force_mm(o, y, mm_ids) for o, y in rows) / size
         assert breakdown.l_mm == pytest.approx(mm_ref, rel=0, abs=1e-12)
         if mode == "full":
@@ -448,6 +470,7 @@ class TestBatchedKernel:
             assert breakdown.l_mc == 0.0
 
         # a row scattered into another meta group's block would break this
-        per_row = sum(loss_gradients(model, [s], space, lam, mode)[1].dw1 for s in batch)
+        per_row = sum(loss_gradients(model, batch.rows([i]), space, lam, mode)[1].dw1
+                      for i in range(size))
         scale = max(float(np.abs(per_row).max()), 1e-300)
         np.testing.assert_allclose(size * grads.dw1, per_row, rtol=0, atol=1e-12 * scale)

@@ -4,7 +4,7 @@ import pytest
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.errors import ConfigError, InvalidTargetError, NumericFailureError
 from zsdet.evaluation import GroundTruth, iou
-from zsdet.model import RegionSample, init_model, save_checkpoint
+from zsdet.model import RegionBatch, encode_boxes, init_model, save_checkpoint
 from zsdet.semantics import build_label_space
 from zsdet.train import (
     ADAM_BLOCK,
@@ -17,7 +17,7 @@ from zsdet.train import (
     train,
     write_loss_history,
 )
-from zsdet.data import Annotation, Dataset, ImageRecord, Proposal
+from zsdet.data import Dataset, ImageRecord, Proposals
 
 from conftest import make_space
 
@@ -206,48 +206,58 @@ class TestTrainConfig:
             TrainConfig(**knob)
 
 
+def proposals_at(*boxes, d_f=3):
+    """Proposals with all-ones features at ``boxes``."""
+    return Proposals(np.ones((len(boxes), d_f)), np.array(boxes, dtype=np.float64).reshape(-1, 4))
+
+
+def label_gts(proposals, gts, fg_iou, space):
+    """``label_proposals`` over a list of :class:`GroundTruth` records."""
+    ids = np.array([g.label for g in gts], dtype=np.intp)
+    boxes = np.array([g.box for g in gts], dtype=np.float64).reshape(-1, 4)
+    return label_proposals(proposals, ids, boxes, fg_iou, space)
+
+
 class TestLabelProposals:
     def setup_method(self):
         self.space = make_space(2, 1)
 
     def test_identical_box_gets_gt_label(self):
         gts = [GroundTruth("i", 2, np.array([0.0, 0.0, 10.0, 10.0]))]
-        props = [Proposal(np.ones(3), np.array([0.0, 0.0, 10.0, 10.0]))]
-        samples = label_proposals(props, gts, 0.5, self.space, "i")
-        assert samples[0].label == 2
-        np.testing.assert_array_equal(samples[0].gt_box, gts[0].box)
+        props = proposals_at([0.0, 0.0, 10.0, 10.0])
+        labeled = label_gts(props, gts, 0.5, self.space)
+        assert labeled.ys[0] == 2
+        np.testing.assert_array_equal(labeled.targets[0], encode_boxes(gts[0].box, props.boxes[0]))
 
     def test_disjoint_is_background(self):
         gts = [GroundTruth("i", 1, np.array([0.0, 0.0, 10.0, 10.0]))]
-        props = [Proposal(np.ones(3), np.array([50.0, 50.0, 60.0, 60.0]))]
-        samples = label_proposals(props, gts, 0.5, self.space, "i")
-        assert samples[0].label == self.space.bg_id
-        assert samples[0].gt_box is None
+        props = proposals_at([50.0, 50.0, 60.0, 60.0])
+        labeled = label_gts(props, gts, 0.5, self.space)
+        assert labeled.ys[0] == self.space.bg_id
+        assert np.isnan(labeled.targets[0]).all()
 
     def test_iou_exactly_at_threshold_is_foreground(self):
         # proposal covers exactly half the gt: IoU = 50/100 = 0.5
         gts = [GroundTruth("i", 1, np.array([0.0, 0.0, 10.0, 10.0]))]
-        props = [Proposal(np.ones(3), np.array([0.0, 0.0, 10.0, 5.0]))]
-        samples = label_proposals(props, gts, 0.5, self.space, "i")
-        assert samples[0].label == 1
+        props = proposals_at([0.0, 0.0, 10.0, 5.0])
+        assert label_gts(props, gts, 0.5, self.space).ys[0] == 1
 
     def test_max_iou_gt_wins(self):
         gts = [
             GroundTruth("i", 1, np.array([0.0, 0.0, 10.0, 10.0])),
             GroundTruth("i", 2, np.array([2.0, 2.0, 12.0, 12.0])),
         ]
-        props = [Proposal(np.ones(3), np.array([2.0, 2.0, 12.0, 12.0]))]
-        samples = label_proposals(props, gts, 0.5, self.space, "i")
-        assert samples[0].label == 2
+        props = proposals_at([2.0, 2.0, 12.0, 12.0])
+        assert label_gts(props, gts, 0.5, self.space).ys[0] == 2
 
 
 def label_proposals_ref(proposals, gts, fg_iou, space):
     """The per-pair loop: (label, matched gt box or None) per proposal."""
     out = []
-    for prop in proposals:
+    for box in proposals.boxes:
         best_iou, best = 0.0, None
         for gt in gts:
-            overlap = iou(prop.box, gt.box)
+            overlap = iou(box, gt.box)
             if overlap > best_iou or best is None:
                 best_iou, best = overlap, gt
         if best is not None and best_iou >= fg_iou:
@@ -270,54 +280,62 @@ class TestLabelProposalsMatchesLoop:
             gts = [GroundTruth("i", int(rng.integers(1, 4)), box())
                    for _ in range(int(rng.integers(0, 5)))]
             gts += gts[: int(rng.integers(0, 2))]  # a repeated gt box: an exact tie
-            props = [Proposal(np.ones(2), box()) for _ in range(int(rng.integers(0, 8)))]
+            props = proposals_at(*(box() for _ in range(int(rng.integers(0, 8)))), d_f=2)
             fg_iou = float(rng.choice([0.0, 0.3, 0.5]))
-            got = label_proposals(props, gts, fg_iou, space, "i")
+            got = label_gts(props, gts, fg_iou, space)
             ref = label_proposals_ref(props, gts, fg_iou, space)
-            assert [s.label for s in got] == [label for label, _ in ref]
-            for sample, (_, gt_box) in zip(got, ref):
-                assert sample.gt_box is gt_box
-                assert sample.image_id == "i"
+            assert list(got.ys) == [y for y, _ in ref]
+            for target, prop_box, (_, gt_box) in zip(got.targets, props.boxes, ref):
+                want = np.full(4, np.nan) if gt_box is None else encode_boxes(gt_box, prop_box)
+                assert target.tobytes() == want.tobytes()
 
 
 class TestComposeBatch:
-    def make_samples(self, n_fg, n_bg, space):
-        fg = [
-            RegionSample(np.ones(2), np.array([0, 0, 1, 1.0]), label=1, gt_box=np.array([0, 0, 1, 1.0]))
-            for _ in range(n_fg)
-        ]
-        bg = [
-            RegionSample(np.zeros(2), np.array([0, 0, 1, 1.0]), label=space.bg_id)
-            for _ in range(n_bg)
-        ]
-        return fg + bg
+    def make_rows(self, n_fg, n_bg, space):
+        """Labeled rows whose first feature is the row index."""
+        features = np.zeros((n_fg + n_bg, 2))
+        features[:, 0] = np.arange(n_fg + n_bg)
+        ys = np.array([1] * n_fg + [space.bg_id] * n_bg, dtype=np.intp)
+        targets = np.full((n_fg + n_bg, 4), np.nan)
+        targets[:n_fg] = 0.0
+        return RegionBatch(features, ys, targets)
 
     def test_full_pools_no_duplicates(self):
         space = make_space(2, 1)
-        samples = self.make_samples(20, 20, space)
-        batch = compose_batch(samples, 16, 16, np.random.default_rng(0), space.bg_id)
+        rows = self.make_rows(20, 20, space)
+        batch = compose_batch(rows, 16, 16, np.random.default_rng(0), space.bg_id)
         assert len(batch) == 32
-        assert len({id(s) for s in batch}) == 32
-        assert sum(1 for s in batch if s.label != space.bg_id) == 16
+        assert len(set(batch.features[:, 0])) == 32
+        assert int(np.sum(batch.ys != space.bg_id)) == 16
 
     def test_short_pool_repeats(self):
         space = make_space(2, 1)
-        samples = self.make_samples(3, 20, space)
-        batch = compose_batch(samples, 16, 16, np.random.default_rng(0), space.bg_id)
-        fg = [s for s in batch if s.label != space.bg_id]
-        assert len(fg) == 16
-        assert len({id(s) for s in fg}) <= 3
+        rows = self.make_rows(3, 20, space)
+        batch = compose_batch(rows, 16, 16, np.random.default_rng(0), space.bg_id)
+        fg = batch.ys != space.bg_id
+        assert int(fg.sum()) == 16
+        assert len(set(batch.features[fg, 0])) <= 3
 
     def test_fixed_seed_reproducible(self):
         space = make_space(2, 1)
-        samples = self.make_samples(10, 10, space)
-        a = compose_batch(samples, 4, 4, np.random.default_rng(7), space.bg_id)
-        b = compose_batch(samples, 4, 4, np.random.default_rng(7), space.bg_id)
-        assert [id(s) for s in a] == [id(s) for s in b]
+        rows = self.make_rows(10, 10, space)
+        a = compose_batch(rows, 4, 4, np.random.default_rng(7), space.bg_id)
+        b = compose_batch(rows, 4, 4, np.random.default_rng(7), space.bg_id)
+        assert list(a.features[:, 0]) == list(b.features[:, 0])
+
+    def test_rows_stay_aligned(self):
+        space = make_space(2, 1)
+        rows = self.make_rows(5, 5, space)
+        batch = compose_batch(rows, 8, 8, np.random.default_rng(3), space.bg_id)
+        picked = batch.features[:, 0].astype(int)
+        assert list(batch.ys) == list(rows.ys[picked])
+        assert batch.targets.tobytes() == rows.targets[picked].tobytes()
 
     def test_empty_image_skips(self):
         space = make_space(2, 1)
-        assert compose_batch([], 4, 4, np.random.default_rng(0), space.bg_id) == []
+        batch = compose_batch(self.make_rows(0, 0, space), 4, 4,
+                              np.random.default_rng(0), space.bg_id)
+        assert len(batch) == 0
 
 
 def stats_dataset(space, counts, objects_per_image=1):
@@ -330,8 +348,9 @@ def stats_dataset(space, counts, objects_per_image=1):
             images.append(
                 ImageRecord(
                     image_id=f"im{n}",
-                    proposals=[Proposal(np.ones(2), box)],
-                    gts=[Annotation(label, box)],
+                    proposals=Proposals(np.ones((1, 2)), box[None]),
+                    gt_labels=(label,),
+                    gt_boxes=box[None],
                 )
             )
             n += 1
@@ -365,9 +384,22 @@ class TestRebalance:
         space = make_space(2, 1, meta_of={"c1": "m", "c2": "m", "c3": "m"})
         ds = stats_dataset(space, {"c1": 5})
         out = rebalance_dataset(ds, space, 30, np.random.default_rng(1))
-        base_ids = {img.image_id for img in ds.images}
+        originals = {img.image_id: img for img in ds.images}
         for img in out.images:
-            assert img.image_id.split("~r")[0] in base_ids
+            original = originals[img.image_id.split("~r")[0]]
+            assert img.proposals is original.proposals
+
+    def test_dropped_instances_keep_labels_and_boxes_aligned(self):
+        space = make_space(2, 1, meta_of={"c1": "m", "c2": "m", "c3": "m"})
+        boxes = np.array([[0, 0, 10, 10.0], [20, 20, 30, 30.0], [40, 40, 50, 50.0]])
+        images = [ImageRecord(f"im{i}", Proposals(np.ones((3, 2)), boxes),
+                              ("c1", "c2", "c1"), boxes) for i in range(4)]
+        ds = Dataset(d_f=2, labels=space.labels, images=images)
+        out = rebalance_dataset(ds, space, 7, np.random.default_rng(0))
+        assert sum(out.class_stats().values()) == 7
+        for img in out.images:
+            rows = [int(b[0]) // 20 for b in img.gt_boxes]
+            assert img.gt_labels == tuple(("c1", "c2", "c1")[r] for r in rows)
 
     def test_meta_without_seen_members_warns(self):
         space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m1", "c3": "m1", "c4": "m2"})
@@ -445,8 +477,9 @@ class TestTrain:
             + [
                 ImageRecord(
                     "bad",
-                    [Proposal(np.ones(4), np.array([0, 0, 10, 10.0]))],
-                    [Annotation(bundle.oracle["unseen_labels"][0], np.array([0, 0, 10, 10.0]))],
+                    Proposals(np.ones((1, 4)), np.array([[0, 0, 10, 10.0]])),
+                    (bundle.oracle["unseen_labels"][0],),
+                    np.array([[0, 0, 10, 10.0]]),
                 )
             ],
         )
