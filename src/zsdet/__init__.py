@@ -24,7 +24,6 @@ from .evaluation import (
     GroundTruth,
     average_precision,
     evaluate,
-    iou,
     iou_matrix,
     nms,
     top1_accuracy,

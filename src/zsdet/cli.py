@@ -33,7 +33,7 @@ from .data import (
     save_meta_map,
     save_split,
 )
-from .errors import ZsdetError
+from .errors import ZsdetError, check_finite
 from .evaluation import (
     TASKS,
     evaluate,
@@ -185,6 +185,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_finite("iou_thresh", args.iou_eval)
     model, space = _model_and_space(args)
     dataset = load_dataset(args.data)
     gts = ground_truth_records(dataset, space)
@@ -270,7 +271,7 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
                    help="minimum normalized score for emitting a detection")
     p.add_argument("--k", type=int, default=10, help="ConSE top-K")
     p.add_argument("--nms-iou", type=float, default=0.5,
-                   help="per-class NMS threshold before evaluation (0 disables)")
+                   help="IoU threshold of the per-image label-aware NMS (0 disables)")
 
 
 def build_parser() -> argparse.ArgumentParser:

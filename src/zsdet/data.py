@@ -364,7 +364,7 @@ def _rows(records: list, key: str, width: int, what: str, lineno: int,
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"{what} {i} must be numbers: {exc}", lineno)
             if row.shape != (width,):
-                raise error(f"{what} {i} has {row.size} values, expected {width}", lineno)
+                raise error(f"{what} {i} has shape {row.shape}, expected ({width},)", lineno)
         raise ParseError(f"each {what} must be a list of {width} numbers", lineno)
     return _finite(rows, what, lineno)
 

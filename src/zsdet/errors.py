@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all zsdet modules."""
 
+import math
+
 
 class ZsdetError(Exception):
     """Base class for all errors raised by this package."""
@@ -59,3 +61,9 @@ class NumericFailureError(ZsdetError):
 
 class ConfigError(ZsdetError):
     """A configuration value violates its documented range."""
+
+
+def check_finite(name: str, value: float) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a finite number."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value}")

@@ -18,13 +18,13 @@ unseen members.  These readings are echoed in the report metadata.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .semantics import LabelSpace
 
 if TYPE_CHECKING:
@@ -67,31 +67,9 @@ class DetectionReport:
     meta: dict = field(default_factory=dict)
 
 
-def iou(box_a, box_b) -> float:
-    """Intersection-over-union of two well-ordered boxes; degenerate -> 0."""
-    ax1, ay1, ax2, ay2 = (float(v) for v in box_a)
-    bx1, by1, bx2, by2 = (float(v) for v in box_b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
-    """``(n, m)`` IoU of every box in ``boxes_a`` (n, 4) with every box in
-    ``boxes_b`` (m, 4).
-
-    Entry ``[i, j]`` equals ``iou(boxes_a[i], boxes_b[j])`` bit for bit: the
-    same floating-point operations run in the same order, and the same
-    cases (no overlap, zero union) give 0.
-    """
-    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)[:, None, :]
-    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)[None, :, :]
+def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of the boxes in ``a[..., :4]`` with those in ``b[..., :4]``, under
+    broadcasting.  No overlap, a degenerate box or a zero union gives 0."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
@@ -104,27 +82,47 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=~zero)
 
 
-def nms(detections: Sequence["Detection"], iou_thresh: float) -> list["Detection"]:
-    """Greedy suppression for one class: keep highest score, drop IoU > thresh.
+def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
+    """``(n, m)`` IoU of every box in ``boxes_a`` (n, 4) with every box in
+    ``boxes_b`` (m, 4).
 
-    Score ties break by ascending original index; output is ordered by
-    descending score.  A detection is kept iff its IoU with every box kept
-    before it is ``<= iou_thresh``.
+    Entry ``[i, j]`` is bit for bit the IoU that :func:`average_precision`
+    computes for the pair ``(boxes_a[i], boxes_b[j])``: both run the same
+    elementwise operations in the same order.
+    """
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
+    return _box_iou(a[:, None, :], b[None, :, :])
+
+
+def nms(detections: Sequence["Detection"], iou_thresh: float) -> list["Detection"]:
+    """Greedy label-aware suppression over one image's detections.
+
+    Visits detections by descending score, ties by ascending original index.
+    A detection is kept iff its IoU with every box of its own label kept
+    before it is ``<= iou_thresh``; labels never suppress each other.  The
+    kept detections are ordered by ascending label, and within a label by
+    descending score, so the result equals one greedy pass per label.
     """
     if not detections:
         return []
     scores = np.array([d.score for d in detections], dtype=np.float64)
     boxes = np.array([d.box for d in detections], dtype=np.float64)
-    # column k: the boxes a kept box k suppresses; "not <=" keeps the rule
-    # above exact when an IoU is NaN
+    labels = np.array([d.label for d in detections])
+    # column k: the other boxes a kept box k suppresses; "not <=" keeps the
+    # rule above exact when an IoU is NaN
     suppresses = ~(iou_matrix(boxes, boxes) <= iou_thresh)
-    suppressed = np.zeros(len(detections), dtype=bool)
-    kept: list[int] = []
-    for idx in np.argsort(-scores, kind="stable"):
-        if not suppressed[idx]:
-            kept.append(int(idx))
-            suppressed |= suppresses[:, idx]
-    return [detections[k] for k in kept]
+    suppresses &= labels[:, None] == labels[None, :]
+    np.fill_diagonal(suppresses, False)
+    order = np.argsort(-scores, kind="stable")
+    keep = np.ones(len(detections), dtype=bool)
+    # a box that suppresses nothing changes nothing when visited, so the
+    # greedy pass visits only the others
+    for idx in order[suppresses.any(axis=0)[order]]:
+        if keep[idx]:
+            keep &= ~suppresses[:, idx]
+    kept = order[keep[order]]
+    return [detections[k] for k in kept[np.argsort(labels[kept], kind="stable")]]
 
 
 def average_precision(
@@ -146,29 +144,30 @@ def average_precision(
     gt_by_image: dict[str, list[int]] = {}
     for gi, gt in enumerate(ground_truths):
         gt_by_image.setdefault(gt.image_id, []).append(gi)
-    matched = np.zeros(n_gt, dtype=bool)
-
     scores = np.array([d.score for d in detections], dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    tp = np.zeros(order.size)
-    fp = np.zeros(order.size)
-    for rank, di in enumerate(order):
-        det = detections[di]
+    # every same-image (detection, ground truth) pair, by rank then gt index
+    candidates = [gt_by_image.get(detections[di].image_id, ()) for di in order.tolist()]
+    pair_det = np.repeat(order, [len(c) for c in candidates])
+    pair_gt = np.fromiter(chain.from_iterable(candidates), dtype=np.intp, count=pair_det.size)
+    det_boxes = np.array([d.box for d in detections], dtype=np.float64)
+    gt_boxes = np.array([g.box for g in ground_truths], dtype=np.float64)
+    overlaps = iter(_box_iou(det_boxes[pair_det], gt_boxes[pair_gt]).tolist())
+
+    matched = [False] * n_gt
+    hits = []
+    for gis in candidates:
         best_iou, best_gi = 0.0, -1
-        for gi in gt_by_image.get(det.image_id, ()):
-            if matched[gi]:
-                continue
-            overlap = iou(det.box, ground_truths[gi].box)
-            if overlap >= iou_thresh and overlap > best_iou:
+        for gi, overlap in zip(gis, overlaps):
+            if not matched[gi] and overlap >= iou_thresh and overlap > best_iou:
                 best_iou, best_gi = overlap, gi
         if best_gi >= 0:
             matched[best_gi] = True
-            tp[rank] = 1.0
-        else:
-            fp[rank] = 1.0
+        hits.append(best_gi >= 0)
 
+    tp = np.array(hits, dtype=np.float64)
     cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(fp)
+    cum_fp = np.cumsum(1.0 - tp)
     recall = cum_tp / n_gt
     precision = cum_tp / np.maximum(cum_tp + cum_fp, 1e-300)
     return _envelope_area(recall, precision)
@@ -178,8 +177,7 @@ def _envelope_area(recall: np.ndarray, precision: np.ndarray) -> float:
     """Area under the precision envelope over recall (all-points rule)."""
     mrec = np.concatenate(([0.0], recall, [1.0]))
     mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
@@ -198,13 +196,13 @@ def _ranking_ap(ranked_positive_flags: Sequence[bool], n_pos: int) -> float:
     return _envelope_area(recall, precision)
 
 
-def _check_unseen_detections(detections, space: LabelSpace) -> None:
-    for d in detections:
-        if not space.is_unseen(d.label):
-            raise ConfigError(
-                f"detection label {d.label} is not an unseen class id; "
-                "T1/T2 expect unseen-class detections"
-            )
+def _grouped(items, relabel: Mapping[int, int]) -> dict[int, list]:
+    """``items`` grouped by ``relabel[item.label]``, each group in input order;
+    a label missing from ``relabel`` raises KeyError."""
+    groups: dict[int, list] = {}
+    for item in items:
+        groups.setdefault(relabel[item.label], []).append(item)
+    return groups
 
 
 def evaluate(
@@ -223,8 +221,7 @@ def evaluate(
     """
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    if not math.isfinite(iou_thresh):
-        raise ConfigError(f"iou_thresh must be a finite number, got {iou_thresh}")
+    check_finite("iou_thresh", iou_thresh)
     gts_u = [g for g in ground_truths if space.is_unseen(g.label)]
 
     rows: list[ApRow] = []
@@ -239,23 +236,18 @@ def evaluate(
     }
 
     if task in ("T1", "T2"):
-        detections = list(model_outputs)
-        _check_unseen_detections(detections, space)
-        if task == "T2":
-            from .infer import reduce_to_meta
-
-            detections = reduce_to_meta(detections, space)
-            gts_u = [
-                GroundTruth(g.image_id, space.meta_of(g.label), g.box) for g in gts_u
-            ]
-            eval_ids = sorted({g.label for g in gts_u})
-            name_of = space.meta_label_of
-        else:
-            eval_ids = sorted({g.label for g in gts_u})
-            name_of = space.label_of
-        for cid in eval_ids:
-            dets_c = [d for d in detections if d.label == cid]
-            gts_c = [g for g in gts_u if g.label == cid]
+        # T2 relabels both sides through the meta map; AP never reads a label
+        relabel = {cid: space.meta_of(cid) if task == "T2" else cid
+                   for cid in space.unseen_ids}
+        name_of = space.meta_label_of if task == "T2" else space.label_of
+        try:
+            dets_by_label = _grouped(model_outputs, relabel)
+        except KeyError as exc:
+            raise ConfigError(f"detection label {exc.args[0]} is not an unseen class id; "
+                              "T1/T2 expect unseen-class detections") from None
+        gts_by_label = _grouped(gts_u, relabel)
+        for cid in sorted(gts_by_label):
+            dets_c, gts_c = dets_by_label.get(cid, []), gts_by_label[cid]
             ap = average_precision(dets_c, gts_c, iou_thresh)
             rows.append(ApRow(cid, name_of(cid), ap, len(gts_c), len(dets_c)))
     else:
@@ -269,14 +261,15 @@ def evaluate(
             for cid, imgs in pos_by_label.items():
                 meta_pos.setdefault(space.meta_of(cid), set()).update(imgs)
             pos_by_label = meta_pos
+            members_of = {mid: space.unseen_members(mid) for mid in sorted(pos_by_label)}
             label_scores = {}
             for img in image_ids:
                 class_scores = tags[img]
                 reduced: dict[int, float] = {}
-                for mid in sorted(pos_by_label):
-                    members = [c for c in space.unseen_members(mid) if c in class_scores]
-                    if members:
-                        reduced[mid] = max(class_scores[c] for c in members)
+                for mid, members in members_of.items():
+                    present = [c for c in members if c in class_scores]
+                    if present:
+                        reduced[mid] = max(class_scores[c] for c in present)
                 label_scores[img] = reduced
             name_of = space.meta_label_of
         else:

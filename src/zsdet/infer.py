@@ -16,8 +16,9 @@ read it:
   class vectors and classified by cosine against the unseen vectors.
 
 :func:`tag_image` takes the column maximum of the same matrix.  Ties break
-toward the lowest class id everywhere.  Per-class NMS (default IoU 0.5) runs
-before results are returned; pass ``nms_iou=0`` to disable it.
+toward the lowest class id everywhere.  Before results are returned, one
+label-aware NMS pass over the image's detections (default IoU 0.5) lets a
+box suppress only boxes of its own class; pass ``nms_iou=0`` to disable it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, ParseError
+from .codec import utf8_lines
+from .errors import ConfigError, CoverageError, ParseError, check_finite
 from .evaluation import nms
 from .model import Model, decode_boxes, forward_boxes, forward_scores, normalized_scores
 from .semantics import LabelSpace
@@ -79,15 +81,6 @@ def _emit(
     ]
 
 
-def _apply_class_nms(detections: list[Detection], nms_iou: float) -> list[Detection]:
-    if nms_iou <= 0.0 or not detections:
-        return detections
-    kept: list[Detection] = []
-    for label in sorted({d.label for d in detections}):
-        kept.extend(nms([d for d in detections if d.label == label], nms_iou))
-    return kept
-
-
 def detect(
     model: Model,
     space: LabelSpace,
@@ -102,8 +95,8 @@ def detect(
     best unseen normalized score is strictly above ``alpha``.  ``alpha``
     and ``nms_iou`` must be finite.
     """
-    _check_finite("alpha", alpha)
-    _check_finite("nms_iou", nms_iou)
+    check_finite("alpha", alpha)
+    check_finite("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)
     s, c = space.S, space.C
     u_cols = s + np.argmax(scores[:, s:c], axis=1)
@@ -113,12 +106,7 @@ def detect(
     )
     out = _emit(model, image_id, u_cols[rows] + 1, u_scores[rows],
                 features[rows], scores[rows], boxes[rows])
-    return _apply_class_nms(out, nms_iou)
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value}")
+    return nms(out, nms_iou) if nms_iou > 0.0 and out else out
 
 
 def _check_k(k: int, n_seen: int) -> None:
@@ -163,8 +151,8 @@ def conse_detect(
     """
     s = space.S
     _check_k(k, s)
-    _check_finite("alpha", alpha)
-    _check_finite("nms_iou", nms_iou)
+    check_finite("alpha", alpha)
+    check_finite("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)
     rows = np.flatnonzero(~(scores[:, space.bg_id - 1] > scores[:, :s].max(axis=1)))
     e = conse_project(scores[rows, :s], model.w2[:, :s], k)
@@ -179,16 +167,17 @@ def conse_detect(
     rows = rows[hit]
     out = _emit(model, image_id, s + u_idx[hit] + 1, u_scores[hit],
                 features[rows], scores[rows], boxes[rows])
-    return _apply_class_nms(out, nms_iou)
+    return nms(out, nms_iou) if nms_iou > 0.0 and out else out
 
 
 def reduce_to_meta(detections: Sequence[Detection], space: LabelSpace) -> list[Detection]:
     """Replace each unseen class id by its meta id; scores and boxes unchanged."""
+    meta_of = {cid: space.meta_of(cid) for cid in space.unseen_ids}
     out = []
     for d in detections:
-        if not space.is_unseen(d.label):
+        if d.label not in meta_of:
             raise CoverageError(f"detection label {d.label} is not an unseen class id")
-        out.append(Detection(d.image_id, space.meta_of(d.label), d.score, d.box))
+        out.append(Detection(d.image_id, meta_of[d.label], d.score, d.box))
     return out
 
 
@@ -247,21 +236,27 @@ def dump_detections(
 
 
 def load_detections(path: str | os.PathLike, space: LabelSpace) -> list[Detection]:
+    """Reader for :func:`dump_detections`.
+
+    Each line must be a JSON object with a known label, a finite score and a
+    box of exactly 4 finite numbers, or :class:`ParseError` names the line.
+    Boxes need not be ordered: a decoded box can be degenerate.
+    """
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(
-                    Detection(
-                        rec["image_id"],
-                        space.id_of(rec["label"]),
-                        float(rec["score"]),
-                        np.array(rec["box"], dtype=np.float64),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(f"bad detection record: {exc}", lineno)
+    for lineno, line in utf8_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ParseError("detection record must be a JSON object", lineno)
+            image_id, label = str(rec["image_id"]), space.id_of(rec["label"])
+            score, box = float(rec["score"]), np.array(rec["box"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad detection record: {exc}", lineno)
+        if not math.isfinite(score):
+            raise ParseError(f"detection score must be finite, got {score}", lineno)
+        if box.shape != (4,) or not np.isfinite(box).all():
+            raise ParseError("detection box must be 4 finite numbers", lineno)
+        out.append(Detection(image_id, label, score, box))
     return out

@@ -432,6 +432,22 @@ class TestExitCodes:
                    "--out", tmp_path / "reports") == 2
         assert capsys.readouterr().err.startswith("error: iou_thresh must be a finite number")
 
+    def test_non_finite_iou_eval_exits_2_before_scoring(self, tmp_path, capsys, monkeypatch):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+
+        def never(*args, **kwargs):
+            raise AssertionError("scored an image before checking --iou-eval")
+
+        for name in ("detect", "conse_detect", "tag_image"):
+            monkeypatch.setattr(f"zsdet.cli.{name}", never)
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--task", "all", "--iou-eval", "nan", "--out", tmp_path / "reports") == 2
+        assert capsys.readouterr().err.startswith("error: iou_thresh must be a finite number")
+        assert not (tmp_path / "reports").exists()
+
     @pytest.mark.parametrize("knob", [("--lr", "nan"), ("--lr", "inf"), ("--eps", "nan")])
     def test_non_finite_train_knob_exits_2(self, tmp_path, capsys, knob):
         data = synth(tmp_path)

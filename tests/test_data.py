@@ -98,7 +98,7 @@ class TestGenerator:
 
     def test_positive_proposals_overlap_their_cells(self):
         bundle = generate_synthetic(small_cfg())
-        from zsdet.evaluation import iou
+        from test_evaluation import iou
 
         for img in bundle.train.images:
             for box, gt_box in zip(img.proposals.boxes, img.gt_boxes):
@@ -267,6 +267,25 @@ class TestDatasetIO:
             load_dataset(path)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize(
+        "box, shape",
+        [([0, 0, 1], "(3,)"), ([[0, 0, 1, 1]], "(1, 4)")],
+        ids=["short", "nested"],
+    )
+    def test_wrong_box_shape_message_names_the_shape(self, tmp_path, box, shape):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            json.dumps({"d_f": 2, "labels": ["a"]})
+            + "\n"
+            + json.dumps({"image_id": "i", "gts": [],
+                          "proposals": [{"feature": [1, 2], "box": [0, 0, 1, 1]},
+                                        {"feature": [1, 2], "box": box}]})
+            + "\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"line 2: proposal box 1 has shape {shape}, expected (4,)"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("not json\n")
@@ -406,9 +425,10 @@ SYNTH_FILES = _synth_files()
 
 
 @st.composite
-def mutated_files(draw):
-    """A synth dataset file after a few truncations, bit flips and splices."""
-    data = bytearray(draw(st.sampled_from(SYNTH_FILES)))
+def mutated_files(draw, sources):
+    """One of the ``sources`` file contents after a few truncations, bit
+    flips and splices."""
+    data = bytearray(draw(st.sampled_from(sources)))
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(["truncate", "flip", "splice"]))
         if op == "truncate":
@@ -424,7 +444,7 @@ def mutated_files(draw):
 
 class TestMutatedDatasetFiles:
     @settings(max_examples=300, deadline=None)
-    @given(mutated_files())
+    @given(mutated_files(SYNTH_FILES))
     def test_loads_or_raises_parse_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "d.jsonl")

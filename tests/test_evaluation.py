@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from zsdet.errors import ConfigError
 from zsdet.evaluation import (
     GroundTruth,
+    _envelope_area,
     average_precision,
     evaluate,
-    iou,
     iou_matrix,
     nms,
     top1_accuracy,
@@ -27,6 +27,22 @@ def gt(img, label, box):
 
 
 # -- independent references ---------------------------------------------------
+
+
+def iou(box_a, box_b) -> float:
+    """Scalar IoU of two well-ordered boxes; degenerate -> 0.  Every
+    :func:`iou_matrix` entry equals it bit for bit."""
+    ax1, ay1, ax2, ay2 = (float(v) for v in box_a)
+    bx1, by1, bx2, by2 = (float(v) for v in box_b)
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def iou_ref(a, b):
@@ -269,14 +285,21 @@ class TestAveragePrecision:
                 ap_ref(dets, gts, 0.5), abs=1e-9
             )
 
-    @settings(max_examples=300, deadline=None)
-    @given(ap_cases(), st.sampled_from([0.3, 0.5, 0.7]))
+    @settings(max_examples=400, deadline=None)
+    @given(ap_cases(), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
     @example(([det("i0", 1, 0.5, HALF[0])], [gt("i0", 1, HALF[1])]), 0.5)
     @example(([det("i0", 1, 0.5, HALF[0]), det("i0", 1, 0.5, HALF[1]),
                det("i1", 1, 0.5, HALF[1])], [gt("i0", 1, HALF[1])]), 0.5)
+    @example(([det("i0", 1, 0.5, [0.0, 0.0, 0.0, 0.0]), det("i2", 1, 0.8, HALF[0])],
+              [gt("i0", 1, [0.0, 0.0, 0.0, 0.0]), gt("i1", 1, HALF[0])]), 0.0)
+    @example(([det("i0", 1, 0.5, HALF[0]), det("i0", 1, 0.5, HALF[0])],
+              [gt("i0", 1, HALF[0]), gt("i0", 1, HALF[0])]), 1.0)
     def test_matches_reference_on_grid_boxes_with_tied_scores(self, case, thresh):
         # integer-grid areas are exact, so IoU lands exactly on 0.5 where the
-        # geometry says so (HALF), and both sides see the same matches
+        # geometry says so (HALF), and both sides see the same matches.  Boxes
+        # may be degenerate and detections may sit in images without ground
+        # truth; at 0 a disjoint pair still cannot match (IoU 0 is not above
+        # the running best), at 1 only identical boxes match
         dets, gts = case
         assume(gts)  # AP without ground truth is undefined (tested above)
         assert average_precision(dets, gts, thresh) == pytest.approx(
@@ -290,6 +313,31 @@ class TestAveragePrecision:
         base = average_precision(dets, gts, 0.5)
         warped = [det(d.image_id, d.label, float(np.exp(d.score) + 3), d.box) for d in dets]
         assert average_precision(warped, gts, 0.5) == pytest.approx(base, abs=1e-12)
+
+
+def _envelope_loop_ref(recall, precision):
+    """The per-point backward loop that the accumulated maximum replaced."""
+    mrec = np.concatenate(([0.0], recall, [1.0]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.size - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
+class TestEnvelopeArea:
+    def test_bitwise_equal_to_the_loop_on_random_curves(self, rng):
+        for _ in range(200):
+            # a ranked list's curve, and an arbitrary one
+            n = int(rng.integers(0, 40))
+            cum_tp = np.cumsum(rng.uniform(size=n) < rng.uniform())
+            n_pos = (int(cum_tp[-1]) if n else 0) + int(rng.integers(1, 5))
+            curves = [(cum_tp / n_pos, cum_tp / np.arange(1, n + 1)),
+                      (np.sort(rng.uniform(size=n)), rng.uniform(size=n))]
+            for recall, precision in curves:
+                got = _envelope_area(recall, precision)
+                ref = _envelope_loop_ref(recall, precision)
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 class TestEvaluate:

@@ -1,8 +1,14 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zsdet.data import Proposals
-from zsdet.errors import ConfigError, CoverageError
+from zsdet.errors import ConfigError, CoverageError, ParseError
+from zsdet.evaluation import nms
 from zsdet.infer import (
     Detection,
     conse_detect,
@@ -17,7 +23,8 @@ from zsdet.infer import (
 from zsdet.model import box_slice, decode_boxes, forward_boxes, forward_scores, normalized_scores
 
 from conftest import make_model, make_space, make_table
-from test_evaluation import nms_ref
+from test_data import mutated_files
+from test_evaluation import HALF, grid_boxes, nms_ref
 
 
 def axis_setup(n_seen=2, n_unseen=1, d=4):
@@ -335,6 +342,75 @@ class TestDetectionDump:
         dump_detections([Detection("a", 2, 0.5, np.zeros(4))], path, space)
         assert '"label": "c2"' in path.read_text()
 
+    def test_degenerate_boxes_read_back(self, tmp_path):
+        space = make_space(1, 1)
+        dets = [Detection("a", 2, 0.5, np.array([3.0, 3.0, 3.0, 3.0])),
+                Detection("a", 2, 0.25, np.array([5.0, 0.0, 1.0, 2.0]))]
+        path = tmp_path / "dets.jsonl"
+        dump_detections(dets, path, space)
+        for got, ref in zip(load_detections(path, space), dets):
+            np.testing.assert_array_equal(got.box, ref.box)
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"image_id": "b", "label": "c2", "score": 0.5, "box": [0, 0, 1]}',
+         '{"image_id": "b", "label": "c2", "score": 0.5, "box": [[0, 0, 1, 1]]}',
+         '{"image_id": "b", "label": "c2", "score": 0.5, "box": [0, 0, 1, Infinity]}',
+         '{"image_id": "b", "label": "c2", "score": 0.5, "box": ["x", 0, 1, 1]}',
+         '{"image_id": "b", "label": "c2", "score": NaN, "box": [0, 0, 1, 1]}',
+         '{"image_id": "b", "label": "c2", "score": [0.5], "box": [0, 0, 1, 1]}',
+         '{"image_id": "b", "label": "c9", "score": 0.5, "box": [0, 0, 1, 1]}',
+         '{"image_id": "b", "score": 0.5, "box": [0, 0, 1, 1]}',
+         '[1, 2, 3]',
+         '{"image_id": "b", "label": "c2", "score": 0.5, "box": [0, 0, 1, 1]',
+         '{"image_id": "b", "label": "c2", "score": 1e400, "box": [0, 0, 1, 1]}'],
+        ids=["box_3_numbers", "box_nested", "box_inf", "box_string", "score_nan",
+             "score_list", "label_unknown", "label_missing", "not_an_object",
+             "truncated", "score_overflows"],
+    )
+    def test_bad_record_raises_parse_error_naming_the_line(self, tmp_path, line):
+        space = make_space(1, 1)
+        path = tmp_path / "dets.jsonl"
+        dump_detections([Detection("a", 2, 0.5, np.zeros(4))], path, space)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_detections(path, space)
+        assert exc.value.line == 2
+
+
+def _dump_files():
+    """A small detection dump, with a degenerate and an unordered box."""
+    space = make_space(2, 2)
+    dets = [Detection("a", 3, 0.75, np.array([1.0, 2.0, 3.5, 4.25])),
+            Detection("a", 4, 0.5, np.array([2.0, 2.0, 2.0, 2.0])),
+            Detection("b", 3, 1e-17, np.array([9.0, 0.0, 1.0, 1e300]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dets.jsonl")
+        dump_detections(dets, path, space)
+        with open(path, "rb") as f:
+            return space, [f.read()]
+
+
+DUMP_SPACE, DUMP_FILES = _dump_files()
+
+
+class TestMutatedDetectionFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_files(DUMP_FILES))
+    def test_loads_or_raises_parse_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "dets.jsonl")
+            with open(path, "wb") as f:
+                f.write(data)
+            try:
+                dets = load_detections(path, DUMP_SPACE)
+            except ParseError:
+                return
+        for d in dets:
+            assert d.box.shape == (4,) and np.isfinite(d.box).all()
+            assert np.isfinite(d.score)
+
 
 # -- batched scoring against the per-proposal loops it replaced ----------------
 
@@ -352,13 +428,18 @@ def _seen_box_ref(model, feature, scores, box):
     return decode_boxes(np.asarray(box, dtype=np.float64), offsets)
 
 
-def _class_nms_ref(detections, nms_iou):
-    if nms_iou <= 0.0 or not detections:
-        return detections
+def _label_nms_ref(detections, nms_iou):
+    """One reference greedy pass per label, labels ascending."""
     kept = []
     for label in sorted({d.label for d in detections}):
         kept.extend(nms_ref([d for d in detections if d.label == label], nms_iou))
     return kept
+
+
+def _class_nms_ref(detections, nms_iou):
+    if nms_iou <= 0.0 or not detections:
+        return detections
+    return _label_nms_ref(detections, nms_iou)
 
 
 def detect_ref(model, space, proposals, image_id, alpha, nms_iou=0.5):
@@ -516,3 +597,46 @@ class TestBatchedMatchesPerProposalLoops:
         for mode in ("class", "meta"):
             assert_same_tags(tag_image(model, space, props, mode=mode),
                              tag_image_ref(model, space, props, mode))
+
+
+class TestLabelAwareNms:
+    """One :func:`nms` pass over an image's mixed-label detections against
+    one reference pass per label."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid_boxes(max_size=12),
+        st.lists(st.tuples(st.sampled_from([3, 4, 5]), st.sampled_from(["a", "b"]),
+                           st.sampled_from([0.1, 0.5, 0.9])), min_size=12, max_size=12),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    @example(HALF + HALF, [(3, "a", 0.5), (4, "a", 0.5), (4, "b", 0.5), (3, "a", 0.5)]
+             + [(3, "a", 0.5)] * 8, 0.5)
+    def test_matches_one_reference_pass_per_label(self, boxes, rows, thresh):
+        d = [Detection(img, label, score, np.asarray(box))
+             for box, (label, img, score) in zip(boxes, rows)]
+        assert [id(k) for k in nms(d, thresh)] == [id(r) for r in _label_nms_ref(d, thresh)]
+        if thresh > 0.0:
+            assert [id(k) for k in nms(d, thresh)] == [id(r) for r in _class_nms_ref(d, thresh)]
+
+    def test_routes_call_nms_once_per_image_with_candidates(self, rng, monkeypatch):
+        calls = []
+
+        def counting_nms(detections, iou_thresh):
+            calls.append(len(detections))
+            return nms(detections, iou_thresh)
+
+        monkeypatch.setattr("zsdet.infer.nms", counting_nms)
+        for _ in range(30):
+            model, space = random_instance(rng)
+            props = random_proposals(rng, model.d_f)
+            alpha = float(rng.uniform(-0.5, 0.3))
+            k = int(rng.integers(1, space.S + 1))
+            for route in (lambda iou: detect(model, space, props, "img", alpha=alpha, nms_iou=iou),
+                          lambda iou: conse_detect(model, space, props, "img", k=k,
+                                                   alpha=alpha, nms_iou=iou)):
+                candidates = route(0.0)
+                assert calls == []
+                route(0.5)
+                assert calls == ([len(candidates)] if candidates else [])
+                calls.clear()

@@ -3,7 +3,7 @@ import pytest
 
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.errors import ConfigError, InvalidTargetError, NumericFailureError
-from zsdet.evaluation import GroundTruth, iou
+from zsdet.evaluation import GroundTruth
 from zsdet.model import RegionBatch, encode_boxes, init_model, save_checkpoint
 from zsdet.semantics import build_label_space
 from zsdet.train import (
@@ -20,6 +20,7 @@ from zsdet.train import (
 from zsdet.data import Dataset, ImageRecord, Proposals
 
 from conftest import make_space
+from test_evaluation import iou
 
 
 def one_param(value):
