@@ -34,7 +34,6 @@ from .infer import (
     conse_project,
     detect,
     recognize_top1,
-    reduce_to_meta,
     tag_image,
 )
 from .loss import (

@@ -33,7 +33,7 @@ from .data import (
     save_meta_map,
     save_split,
 )
-from .errors import ZsdetError, check_finite
+from .errors import ZsdetError, check_finite, check_unit_interval
 from .evaluation import (
     TASKS,
     evaluate,
@@ -185,7 +185,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    check_finite("iou_thresh", args.iou_eval)
+    check_unit_interval("iou_thresh", args.iou_eval, open_at_zero=True)
+    # T3/T4 alone never reach the routes that check these, but report them
+    check_finite("alpha", args.alpha)
+    check_unit_interval("nms_iou", args.nms_iou)
     model, space = _model_and_space(args)
     dataset = load_dataset(args.data)
     gts = ground_truth_records(dataset, space)

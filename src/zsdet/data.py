@@ -452,7 +452,8 @@ def save_split(
 
 
 def load_split(path: str | os.PathLike) -> tuple[list[str], list[str]]:
-    """Read a split file; also accepts a JSON record with seen/unseen lists."""
+    """Read a split file; also accepts a JSON record whose ``seen_labels`` and
+    ``unseen_labels`` are lists of strings."""
     text = read_utf8(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -460,10 +461,11 @@ def load_split(path: str | os.PathLike) -> tuple[list[str], list[str]]:
             rec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON split record: {exc}")
-        try:
-            return list(rec["seen_labels"]), list(rec["unseen_labels"])
-        except KeyError as exc:
-            raise ParseError(f"JSON split record missing {exc}")
+        for key in ("seen_labels", "unseen_labels"):
+            labels = rec.get(key)
+            if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+                raise ParseError(f"JSON split record needs {key!r} as a list of strings")
+        return rec["seen_labels"], rec["unseen_labels"]
     seen: list[str] | None = None
     unseen: list[str] | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):

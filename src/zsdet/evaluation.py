@@ -11,9 +11,11 @@ Tasks:
   T3  image-level AP per unseen class from tag scores (zero-shot tagging)
   T4  image-level AP per meta-class (zero-shot meta-class tagging)
 
-For tagging, a label is a positive for an image iff the image has at least
-one ground truth of that label; meta tag scores reduce over the meta's
-unseen members.  These readings are echoed in the report metadata.
+One relabel map takes each unseen class id to itself (T1/T3) or to its
+meta-class (T2/T4).  For tagging, a label is a positive for an image iff
+the image has at least one ground truth of that label; a meta tag score is
+the max over the meta's unseen members.  These readings are echoed in the
+report metadata.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_unit_interval
 from .semantics import LabelSpace
 
 if TYPE_CHECKING:
@@ -205,6 +207,17 @@ def _grouped(items, relabel: Mapping[int, int]) -> dict[int, list]:
     return groups
 
 
+def _reduced(class_scores: Mapping[int, float], relabel: Mapping[int, int]) -> dict[int, float]:
+    """Per label, the ``max`` of its classes' scores in ascending class id (the
+    first maximum wins); a class id missing from ``relabel`` raises KeyError."""
+    out: dict[int, float] = {}
+    for cid in sorted(class_scores):
+        lid, score = relabel[cid], class_scores[cid]
+        if lid not in out or score > out[lid]:
+            out[lid] = score
+    return out
+
+
 def evaluate(
     model_outputs,
     ground_truths: Sequence[GroundTruth],
@@ -214,17 +227,41 @@ def evaluate(
 ) -> DetectionReport:
     """Score one task.
 
-    T1/T2 take unseen-class :class:`Detection` lists (T2 relabels both sides
-    through the meta map).  T3/T4 take per-image class tag scores, a mapping
-    ``image_id -> {unseen class id: score}`` (T4 reduces to meta scores by
-    max over each meta's unseen members).  ``iou_thresh`` must be finite.
+    T1/T2 take unseen-class :class:`Detection` lists; T3/T4 take per-image
+    class tag scores, ``image_id -> {unseen class id: score}``.  Both sides
+    go through the relabel map (T2/T4: to meta ids); a detection or tag whose
+    label is not an unseen class id raises :class:`ConfigError`.
+    ``iou_thresh`` must be finite and in (0, 1].
     """
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    check_finite("iou_thresh", iou_thresh)
-    gts_u = [g for g in ground_truths if space.is_unseen(g.label)]
+    check_unit_interval("iou_thresh", iou_thresh, open_at_zero=True)
+    boxes, to_meta = task in ("T1", "T2"), task in ("T2", "T4")
+    relabel = {cid: space.meta_of(cid) if to_meta else cid for cid in space.unseen_ids}
+    name_of = space.meta_label_of if to_meta else space.label_of
+    gts_by_label = _grouped([g for g in ground_truths if space.is_unseen(g.label)], relabel)
+    try:
+        outputs = (_grouped(model_outputs, relabel) if boxes else
+                   {img: _reduced(tags, relabel) for img, tags in model_outputs.items()})
+    except KeyError as exc:
+        raise ConfigError(f"label {exc.args[0]} is not an unseen class id; "
+                          f"{task} expects unseen-class detections or tags") from None
 
     rows: list[ApRow] = []
+    for lid in sorted(gts_by_label):
+        gts_l = gts_by_label[lid]
+        if boxes:
+            dets_l = outputs.get(lid, [])
+            ap, n_gt, n_det = average_precision(dets_l, gts_l, iou_thresh), len(gts_l), len(dets_l)
+        else:
+            positives = {g.image_id for g in gts_l}
+            scored = [(img, scores[lid]) for img, scores in outputs.items() if lid in scores]
+            scored.sort(key=lambda t: -t[1])
+            flags = [img in positives for img, _ in scored]
+            ap, n_gt, n_det = _ranking_ap(flags, len(positives)), len(positives), len(scored)
+        rows.append(ApRow(lid, name_of(lid), ap, n_gt, n_det))
+
+    mean_ap = float(np.mean([r.ap for r in rows])) if rows else 0.0
     meta = {
         "task": task,
         "task_name": TASK_NAMES[task],
@@ -234,60 +271,6 @@ def evaluate(
         "image holds >=1 ground truth of it; meta tag score = max "
         "over the meta's unseen members",
     }
-
-    if task in ("T1", "T2"):
-        # T2 relabels both sides through the meta map; AP never reads a label
-        relabel = {cid: space.meta_of(cid) if task == "T2" else cid
-                   for cid in space.unseen_ids}
-        name_of = space.meta_label_of if task == "T2" else space.label_of
-        try:
-            dets_by_label = _grouped(model_outputs, relabel)
-        except KeyError as exc:
-            raise ConfigError(f"detection label {exc.args[0]} is not an unseen class id; "
-                              "T1/T2 expect unseen-class detections") from None
-        gts_by_label = _grouped(gts_u, relabel)
-        for cid in sorted(gts_by_label):
-            dets_c, gts_c = dets_by_label.get(cid, []), gts_by_label[cid]
-            ap = average_precision(dets_c, gts_c, iou_thresh)
-            rows.append(ApRow(cid, name_of(cid), ap, len(gts_c), len(dets_c)))
-    else:
-        tags: Mapping[str, Mapping[int, float]] = model_outputs
-        image_ids = list(tags.keys())
-        pos_by_label: dict[int, set[str]] = {}
-        for g in gts_u:
-            pos_by_label.setdefault(g.label, set()).add(g.image_id)
-        if task == "T4":
-            meta_pos: dict[int, set[str]] = {}
-            for cid, imgs in pos_by_label.items():
-                meta_pos.setdefault(space.meta_of(cid), set()).update(imgs)
-            pos_by_label = meta_pos
-            members_of = {mid: space.unseen_members(mid) for mid in sorted(pos_by_label)}
-            label_scores = {}
-            for img in image_ids:
-                class_scores = tags[img]
-                reduced: dict[int, float] = {}
-                for mid, members in members_of.items():
-                    present = [c for c in members if c in class_scores]
-                    if present:
-                        reduced[mid] = max(class_scores[c] for c in present)
-                label_scores[img] = reduced
-            name_of = space.meta_label_of
-        else:
-            label_scores = tags
-            name_of = space.label_of
-        for lid in sorted(pos_by_label):
-            positives = pos_by_label[lid]
-            scored = [
-                (img, label_scores[img][lid])
-                for img in image_ids
-                if lid in label_scores[img]
-            ]
-            scored.sort(key=lambda t: -t[1])
-            flags = [img in positives for img, _ in scored]
-            ap = _ranking_ap(flags, len(positives))
-            rows.append(ApRow(lid, name_of(lid), ap, len(positives), len(scored)))
-
-    mean_ap = float(np.mean([r.ap for r in rows])) if rows else 0.0
     return DetectionReport(task=task, rows=rows, mean_ap=mean_ap, meta=meta)
 
 

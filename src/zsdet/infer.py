@@ -15,7 +15,8 @@ read it:
   projected into semantic space as the top-K score-weighted sum of seen
   class vectors and classified by cosine against the unseen vectors.
 
-:func:`tag_image` takes the column maximum of the same matrix.  Ties break
+:func:`tag_image` takes the column maximum of the same matrix, one score per
+unseen class (meta-classes are :mod:`zsdet.evaluation`'s).  Ties break
 toward the lowest class id everywhere.  Before results are returned, one
 label-aware NMS pass over the image's detections (default IoU 0.5) lets a
 box suppress only boxes of its own class; pass ``nms_iou=0`` to disable it.
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .codec import utf8_lines
-from .errors import ConfigError, CoverageError, ParseError, check_finite
+from .errors import ConfigError, ParseError, check_finite, check_unit_interval
 from .evaluation import nms
 from .model import Model, decode_boxes, forward_boxes, forward_scores, normalized_scores
 from .semantics import LabelSpace
@@ -43,8 +44,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Detection:
-    """One emitted detection; ``label`` is an unseen class id (or a meta id
-    after :func:`reduce_to_meta`)."""
+    """One emitted detection; ``label`` is an unseen class id."""
 
     image_id: str
     label: int
@@ -93,10 +93,10 @@ def detect(
 
     Emits a detection only when the background is not the top label and the
     best unseen normalized score is strictly above ``alpha``.  ``alpha``
-    and ``nms_iou`` must be finite.
+    must be finite and ``nms_iou`` a finite number in [0, 1].
     """
     check_finite("alpha", alpha)
-    check_finite("nms_iou", nms_iou)
+    check_unit_interval("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)
     s, c = space.S, space.C
     u_cols = s + np.argmax(scores[:, s:c], axis=1)
@@ -147,12 +147,13 @@ def conse_detect(
     Reads only seen and background score entries, so it works with any
     checkpoint regardless of training mode.  A proposal is dropped when the
     background outranks every seen class or its projection is zero.  ``k``,
-    ``alpha`` and ``nms_iou`` are checked before any proposal is scored.
+    ``alpha`` and ``nms_iou`` (in [0, 1]) are checked before any proposal is
+    scored.
     """
     s = space.S
     _check_k(k, s)
     check_finite("alpha", alpha)
-    check_finite("nms_iou", nms_iou)
+    check_unit_interval("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)
     rows = np.flatnonzero(~(scores[:, space.bg_id - 1] > scores[:, :s].max(axis=1)))
     e = conse_project(scores[rows, :s], model.w2[:, :s], k)
@@ -170,49 +171,27 @@ def conse_detect(
     return nms(out, nms_iou) if nms_iou > 0.0 and out else out
 
 
-def reduce_to_meta(detections: Sequence[Detection], space: LabelSpace) -> list[Detection]:
-    """Replace each unseen class id by its meta id; scores and boxes unchanged."""
-    meta_of = {cid: space.meta_of(cid) for cid in space.unseen_ids}
-    out = []
-    for d in detections:
-        if d.label not in meta_of:
-            raise CoverageError(f"detection label {d.label} is not an unseen class id")
-        out.append(Detection(d.image_id, meta_of[d.label], d.score, d.box))
-    return out
-
-
 def tag_image(
     model: Model,
     space: LabelSpace,
     proposals: "Proposals",
-    mode: str = "class",
 ) -> dict[int, float]:
-    """Image-level score per unseen label (or meta label): max over proposals.
+    """Image-level score per unseen class id: max over proposals.
 
     No threshold is applied; the scores feed average precision directly.
     Zero-norm proposals are skipped; with no usable proposal all scores are 0.
     """
-    if mode not in ("class", "meta"):
-        raise ConfigError(f"mode must be 'class' or 'meta', got {mode!r}")
     s, c = space.S, space.C
     _, _, scores = _scored(model, proposals)
     best = scores[:, s:c].max(axis=0) if len(scores) else np.zeros(c - s)
-    class_tags = {s + i + 1: float(best[i]) for i in range(c - s)}
-    if mode == "class":
-        return class_tags
-    meta_tags: dict[int, float] = {}
-    for mid in range(1, space.M + 1):
-        members = space.unseen_members(mid)
-        if members:
-            meta_tags[mid] = max(class_tags[cid] for cid in members)
-    return meta_tags
+    return {s + i + 1: float(best[i]) for i in range(c - s)}
 
 
 def recognize_top1(
     model: Model, space: LabelSpace, proposals: "Proposals"
 ) -> int:
     """Single best unseen class for an image; ties go to the lowest id."""
-    tags = tag_image(model, space, proposals, mode="class")
+    tags = tag_image(model, space, proposals)
     best_id, best_score = None, -np.inf
     for cid in sorted(tags):
         if tags[cid] > best_score:

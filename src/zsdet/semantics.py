@@ -80,10 +80,6 @@ class EmbeddingTable:
             raise ValueError("table must be finalized before building W2")
         return _readonly(np.column_stack([self.vectors, self.background]))
 
-    def column_norms(self) -> np.ndarray:
-        """Norms of the C+1 columns of W2 (1.0 for classes, <=1 for background)."""
-        return np.linalg.norm(self.w2(), axis=0)
-
     def reorder(self, labels: Sequence[str]) -> "EmbeddingTable":
         """New table with columns permuted into the given label order.
 
@@ -106,8 +102,9 @@ class EmbeddingTable:
 def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
     """Parse a word-vector text file: one ``label v1 ... vd`` record per line.
 
-    Vectors are kept raw (un-normalized); call :func:`finalize_embeddings`
-    before use.  Multi-token class names must use underscores.
+    Every component must be finite.  Vectors are kept raw (un-normalized);
+    call :func:`finalize_embeddings` before use.  Multi-token class names
+    must use underscores.
     """
     labels: list[str] = []
     rows: list[np.ndarray] = []
@@ -125,6 +122,8 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
             vec = np.array([float(t) for t in tokens], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"non-numeric token in record {label!r}: {exc}", lineno)
+        if not np.isfinite(vec).all():
+            raise ParseError(f"record {label!r} has a non-finite component", lineno)
         if d is None:
             d = vec.size
         elif vec.size != d:

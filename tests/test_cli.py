@@ -448,6 +448,85 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: iou_thresh must be a finite number")
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("iou_eval", ["0", "-0.5", "1.5", "2"])
+    def test_iou_eval_outside_unit_interval_exits_2_before_scoring(
+            self, tmp_path, capsys, monkeypatch, iou_eval):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+
+        def never(*args, **kwargs):
+            raise AssertionError("scored an image before checking --iou-eval")
+
+        for name in ("detect", "conse_detect", "tag_image"):
+            monkeypatch.setattr(f"zsdet.cli.{name}", never)
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--task", "all", "--iou-eval", iou_eval, "--out", tmp_path / "reports") == 2
+        assert capsys.readouterr().err.startswith("error: iou_thresh must be in (0, 1], got")
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("inference", ["san", "conse"])
+    @pytest.mark.parametrize("nms_iou", ["-0.5", "1.5"])
+    def test_nms_iou_outside_unit_interval_exits_2(self, tmp_path, capsys, inference, nms_iou):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--inference", inference, "--k", 3, "--nms-iou", nms_iou,
+                   "--out", tmp_path / "dets.jsonl") == 2
+        assert capsys.readouterr().err.startswith("error: nms_iou must be in [0, 1], got")
+
+    @pytest.mark.parametrize("task", ["T3", "T4"])
+    @pytest.mark.parametrize("knob", [("--nms-iou", "5", "nms_iou must be in [0, 1]"),
+                                      ("--alpha", "nan", "alpha must be a finite number")])
+    def test_tagging_eval_checks_route_knobs_before_scoring(
+            self, tmp_path, capsys, monkeypatch, task, knob):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"scored an image before checking {knob[0]}")
+
+        monkeypatch.setattr("zsdet.cli.tag_image", never)
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--task", task, *knob[:2], "--out", tmp_path / "reports") == 2
+        assert capsys.readouterr().err.startswith(f"error: {knob[2]}")
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_word_vector_exits_2(self, tmp_path, capsys, token):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        lines = (data / "embeddings.txt").read_text().splitlines()
+        parts = lines[6].split()
+        lines[6] = " ".join([parts[0], token, *parts[2:]])
+        (data / "embeddings.txt").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--alpha", 0.0, "--out", tmp_path / "dets.jsonl") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: line 7: record {parts[0]!r} has a non-finite component")
+        assert not (tmp_path / "dets.jsonl").exists()
+
+    @pytest.mark.parametrize("record", [{"seen_labels": 5, "unseen_labels": []},
+                                        {"seen_labels": [1, 2], "unseen_labels": [3]}],
+                             ids=["not_a_list", "integer_labels"])
+    def test_split_labels_not_strings_exit_2(self, tmp_path, capsys, record):
+        data = synth(tmp_path)
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run("train", "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--split", split,
+                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: JSON split record needs 'seen_labels' as a list of strings")
+
     @pytest.mark.parametrize("knob", [("--lr", "nan"), ("--lr", "inf"), ("--eps", "nan")])
     def test_non_finite_train_knob_exits_2(self, tmp_path, capsys, knob):
         data = synth(tmp_path)

@@ -1,7 +1,9 @@
+import contextlib
 import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +23,10 @@ from zsdet.data import (
     save_dataset,
     save_split,
 )
+from zsdet.cli import main
 from zsdet.codec import encode_array
-from zsdet.errors import ConfigError, DimensionMismatchError, ParseError
-from zsdet.semantics import build_label_space
+from zsdet.errors import ConfigError, DimensionMismatchError, ParseError, ZsdetError
+from zsdet.semantics import build_label_space, finalize_embeddings, load_meta_map, load_word_vectors
 
 from conftest import make_space
 
@@ -456,6 +459,41 @@ class TestMutatedDatasetFiles:
                 pass
 
 
+TEXT_READERS = {
+    "embeddings.txt": lambda path: finalize_embeddings(load_word_vectors(path)),
+    "meta_map.csv": load_meta_map,
+    "oracle.json": load_split,
+}
+
+
+def _synth_text_files():
+    """Synth's word vectors, meta map and oracle, as bytes by file name."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", tmp, "--s", "6", "--u", "2", "--m", "2", "--d", "6",
+                     "--d-f", "6", "--images", "4", "--test-images", "1",
+                     "--proposals-per-image", "4"]) == 0
+        return {name: Path(tmp, name).read_bytes() for name in TEXT_READERS}
+
+
+SYNTH_TEXT_FILES = _synth_text_files()
+
+
+class TestMutatedTextInputs:
+    @pytest.mark.parametrize("name", list(TEXT_READERS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_reads_or_raises_zsdet_error(self, name, data):
+        content = data.draw(mutated_files([SYNTH_TEXT_FILES[name]]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as f:
+                f.write(content)
+            try:
+                TEXT_READERS[name](path)
+            except ZsdetError:
+                pass
+
+
 class TestSplitIO:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "split.txt"
@@ -471,6 +509,20 @@ class TestSplitIO:
         path = tmp_path / "oracle.json"
         path.write_text('{"seen_labels": [')
         with pytest.raises(ParseError):
+            load_split(path)
+
+    @pytest.mark.parametrize("record", [
+        {"seen_labels": 5, "unseen_labels": []},
+        {"seen_labels": ["a"], "unseen_labels": "x"},
+        {"seen_labels": ["a", 2], "unseen_labels": ["x"]},
+        {"seen_labels": ["a"], "unseen_labels": [None]},
+        {"seen_labels": {"a": 1}, "unseen_labels": ["x"]},
+        {"seen_labels": ["a"]},
+    ])
+    def test_json_record_needs_lists_of_strings(self, tmp_path, record):
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ParseError, match="as a list of strings"):
             load_split(path)
 
     def test_missing_line_rejected(self, tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from zsdet.errors import ConfigError
 from zsdet.evaluation import (
+    TASKS,
     GroundTruth,
     _envelope_area,
     average_precision,
@@ -14,6 +15,7 @@ from zsdet.evaluation import (
     top1_accuracy,
 )
 from zsdet.infer import Detection
+from zsdet.semantics import build_label_space
 
 from conftest import make_space
 
@@ -393,8 +395,17 @@ class TestEvaluate:
 
     def test_non_unseen_detection_rejected(self):
         space = make_space(4, 2)
-        with pytest.raises(ConfigError):
-            evaluate([det("a", 1, 0.9, [0, 0, 1, 1])], [], space, "T1")
+        for task in ("T1", "T2"):
+            with pytest.raises(ConfigError, match="label 1 is not an unseen class id"):
+                evaluate([det("a", 1, 0.9, [0, 0, 1, 1])], [], space, task)
+
+    @pytest.mark.parametrize("task", ["T3", "T4"])
+    def test_non_unseen_tag_rejected(self, task):
+        space = make_space(4, 2)
+        gts = [gt("a", space.S + 1, [0, 0, 10, 10])]
+        tags = {"a": {space.S + 1: 0.9}, "b": {space.S + 1: 0.1, 2: 0.5}}
+        with pytest.raises(ConfigError, match="label 2 is not an unseen class id"):
+            evaluate(tags, gts, space, task)
 
     def test_bad_task_rejected(self):
         space = make_space(2, 1)
@@ -408,6 +419,20 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="iou_thresh must be a finite number"):
             evaluate(dets, gts, space, "T1", iou_thresh=thresh)
 
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("thresh", [0.0, -0.5, 1.0 + 1e-12, 2.0])
+    def test_iou_thresh_outside_unit_interval_rejected(self, task, thresh):
+        space = make_space(4, 2, n_meta=2)
+        dets, gts = self.make_perfect(space)
+        outputs = dets if task in ("T1", "T2") else {}
+        with pytest.raises(ConfigError, match=r"iou_thresh must be in \(0, 1\], got"):
+            evaluate(outputs, gts, space, task, iou_thresh=thresh)
+
+    def test_iou_thresh_of_one_accepted(self):
+        space = make_space(4, 2, n_meta=2)
+        dets, gts = self.make_perfect(space)
+        assert evaluate(dets, gts, space, "T1", iou_thresh=1.0).mean_ap == 1.0
+
     def test_tagging_ap_ranks_images(self):
         space = make_space(2, 1)
         u = space.S + 1
@@ -416,6 +441,73 @@ class TestEvaluate:
         # ranking: pos1 TP, neg FP, pos2 TP -> precisions 1, 1/2, 2/3
         report = evaluate(tags, gts, space, "T3")
         assert report.mean_ap == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3), abs=1e-12)
+
+
+@st.composite
+def tagging_cases(draw):
+    """A label space whose metas hold one to three unseen classes each, in
+    interleaved id order, with seen classes spread over them and maybe one
+    more meta; per-image class tags over a subset of the unseen ids, with
+    tied (and NaN) scores; and ground truths, seen ones included, on some of
+    the images."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    unseen_metas = draw(st.permutations([m for m, n in enumerate(sizes) for _ in range(n)]))
+    seen = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    unseen = [f"u{i}" for i in range(len(unseen_metas))]
+    meta_of = {lab: f"m{draw(st.integers(0, len(sizes)))}" for lab in seen}
+    meta_of.update((lab, f"m{m}") for lab, m in zip(unseen, unseen_metas))
+    space = build_label_space(seen, unseen, meta_of)
+    images = [f"i{k}" for k in range(5)]
+    scores = st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan")])
+    tags = {img: {cid: draw(scores) for cid in space.unseen_ids if draw(st.booleans())}
+            for img in images if draw(st.booleans())}
+    labels = st.sampled_from(list(space.unseen_ids) + [1])
+    gts = [gt(img, draw(labels), [0, 0, 1, 1])
+           for img in images for _ in range(draw(st.integers(0, 2)))]
+    return space, tags, gts
+
+
+def tagging_ref(tags, gts, space, task):
+    """Brute-force T3/T4: per label with a positive image, each image's
+    score is the ``max`` of its tags of that label's classes in ascending
+    class id; images ranked by it (stable), AP through the envelope loop.
+    Returns ``(rows, mean_ap)``."""
+    to_label = space.meta_of if task == "T4" else (lambda cid: cid)
+    name_of = space.meta_label_of if task == "T4" else space.label_of
+    unseen_gts = [g for g in gts if space.is_unseen(g.label)]
+    rows = []
+    for lid in sorted({to_label(g.label) for g in unseen_gts}):
+        positives = {g.image_id for g in unseen_gts if to_label(g.label) == lid}
+        scored = []
+        for img, class_scores in tags.items():
+            member_scores = [class_scores[c] for c in sorted(class_scores) if to_label(c) == lid]
+            if member_scores:
+                scored.append((img, max(member_scores)))
+        ranked = sorted(scored, key=lambda t: -t[1])
+        recall, precision, tp = [], [], 0
+        for k, (img, _) in enumerate(ranked, start=1):
+            tp += img in positives
+            recall.append(tp / len(positives))
+            precision.append(tp / k)
+        ap = _envelope_loop_ref(np.array(recall), np.array(precision)) if ranked else 0.0
+        rows.append((lid, name_of(lid), ap, len(positives), len(scored)))
+    return rows, float(np.mean([r[2] for r in rows])) if rows else 0.0
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestTaggingTasks:
+    @settings(max_examples=300, deadline=None)
+    @given(tagging_cases(), st.sampled_from(["T3", "T4"]))
+    def test_rows_match_brute_force_bit_for_bit(self, case, task):
+        space, tags, gts = case
+        report = evaluate(tags, gts, space, task)
+        rows, mean_ap = tagging_ref(tags, gts, space, task)
+        assert [(r.label, r.name, _bits(r.ap), r.n_gt, r.n_det) for r in report.rows] == [
+            (lid, name, _bits(ap), n_gt, n_det) for lid, name, ap, n_gt, n_det in rows]
+        assert _bits(report.mean_ap) == _bits(mean_ap)
 
 
 class TestTop1Accuracy:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zsdet.data import Proposals
-from zsdet.errors import ConfigError, CoverageError, ParseError
+from zsdet.errors import ConfigError, ParseError
 from zsdet.evaluation import nms
 from zsdet.infer import (
     Detection,
@@ -17,7 +17,6 @@ from zsdet.infer import (
     dump_detections,
     load_detections,
     recognize_top1,
-    reduce_to_meta,
     tag_image,
 )
 from zsdet.model import box_slice, decode_boxes, forward_boxes, forward_scores, normalized_scores
@@ -197,6 +196,20 @@ class TestConseDetect:
         with pytest.raises(ConfigError, match="nms_iou must be a finite number"):
             detect(model, space, none, "img", alpha=0.1, nms_iou=nms_iou)
 
+    @pytest.mark.parametrize("nms_iou", [-0.5, -1e-12, 1.0 + 1e-12, 2.0])
+    def test_nms_iou_outside_unit_interval_rejected_before_scoring(self, nms_iou, monkeypatch):
+        model, _, space = axis_setup()
+
+        def never(*args):
+            raise AssertionError("scored proposals before checking nms_iou")
+
+        monkeypatch.setattr("zsdet.infer._scored", never)
+        p = prop(np.eye(4)[0])
+        with pytest.raises(ConfigError, match=r"nms_iou must be in \[0, 1\], got"):
+            conse_detect(model, space, p, "img", k=2, alpha=0.1, nms_iou=nms_iou)
+        with pytest.raises(ConfigError, match=r"nms_iou must be in \[0, 1\], got"):
+            detect(model, space, p, "img", alpha=0.1, nms_iou=nms_iou)
+
     @pytest.mark.parametrize("k", [0, 3])
     def test_k_checked_before_scoring(self, k):
         # every proposal is zero-norm, so none would reach the projection
@@ -219,48 +232,6 @@ class TestConseDetect:
             assert -1.0 - 1e-12 <= d.score <= 1.0 + 1e-12
 
 
-class TestReduceToMeta:
-    def test_maps_ids_and_keeps_geometry(self):
-        space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m2", "c3": "m2", "c4": "m1"})
-        dets = [
-            Detection("i", 3, 0.9, np.array([0.0, 0, 1, 1])),
-            Detection("i", 4, 0.8, np.array([5.0, 5, 6, 6])),
-        ]
-        out = reduce_to_meta(dets, space)
-        assert [d.label for d in out] == [2, 1]
-        assert out[0].score == 0.9
-        np.testing.assert_array_equal(out[1].box, dets[1].box)
-
-    def test_empty_input(self):
-        assert reduce_to_meta([], make_space(1, 1)) == []
-
-    def test_same_meta_detections_not_merged(self):
-        space = make_space(1, 2, meta_of={"c1": "m1", "c2": "m1", "c3": "m1"})
-        dets = [
-            Detection("i", 2, 0.9, np.array([0.0, 0, 1, 1])),
-            Detection("i", 3, 0.8, np.array([5.0, 5, 6, 6])),
-        ]
-        out = reduce_to_meta(dets, space)
-        assert len(out) == 2
-        assert out[0].label == out[1].label == 1
-        assert not np.array_equal(out[0].box, out[1].box)
-
-    def test_seen_id_rejected(self):
-        space = make_space(2, 1)
-        with pytest.raises(CoverageError):
-            reduce_to_meta([Detection("i", 1, 0.5, np.zeros(4))], space)
-
-    def test_named_animal_mapping(self):
-        from zsdet.semantics import build_label_space
-
-        space = build_label_space(
-            ["lion", "zebra"], ["tiger"],
-            {"lion": "mammal", "zebra": "mammal", "tiger": "mammal"},
-        )
-        [d] = reduce_to_meta([Detection("i", 3, 0.9, np.zeros(4))], space)
-        assert space.meta_label_of(d.label) == "mammal"
-
-
 class TestTagImage:
     def test_single_proposal_equals_its_scores(self):
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
@@ -280,15 +251,6 @@ class TestTagImage:
         tags = tag_image(model, space, stack([prop(f1), prop(f2)]))
         for uid in space.unseen_ids:
             assert tags[uid] == pytest.approx(max(o1[uid - 1], o2[uid - 1]), abs=1e-15)
-
-    def test_meta_mode_pools_members(self):
-        model, table, space_cls = axis_setup(n_seen=2, n_unseen=2, d=5)
-        space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m2", "c3": "m1", "c4": "m1"})
-        f = np.ones(5)
-        class_tags = tag_image(model, space, prop(f))
-        meta_tags = tag_image(model, space, prop(f), mode="meta")
-        assert set(meta_tags) == {1}  # only m1 holds unseen classes
-        assert meta_tags[1] == max(class_tags[3], class_tags[4])
 
     def test_permutation_equivariant(self):
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
@@ -481,16 +443,12 @@ def conse_detect_ref(model, space, proposals, image_id, k, alpha, nms_iou=0.5):
     return _class_nms_ref(out, nms_iou)
 
 
-def tag_image_ref(model, space, proposals, mode="class"):
+def tag_image_ref(model, space, proposals):
     s, c = space.S, space.C
     rows = [scores[s:c] for feature in proposals.features
             if (scores := _normalized_ref(model, feature)) is not None]
     best = np.max(rows, axis=0) if rows else np.zeros(c - s)
-    tags = {s + i + 1: float(best[i]) for i in range(c - s)}
-    if mode == "class":
-        return tags
-    return {mid: max(tags[cid] for cid in space.unseen_members(mid))
-            for mid in range(1, space.M + 1) if space.unseen_members(mid)}
+    return {s + i + 1: float(best[i]) for i in range(c - s)}
 
 
 def assert_same_detections(got, ref):
@@ -549,17 +507,14 @@ class TestBatchedMatchesPerProposalLoops:
                 conse_detect(model, space, props, "img", k=k, alpha=alpha, nms_iou=nms_iou),
                 conse_detect_ref(model, space, props, "img", k, alpha, nms_iou),
             )
-            for mode in ("class", "meta"):
-                assert_same_tags(tag_image(model, space, props, mode=mode),
-                                 tag_image_ref(model, space, props, mode))
+            assert_same_tags(tag_image(model, space, props), tag_image_ref(model, space, props))
 
     def test_image_without_proposals(self, rng):
         model, space = random_instance(rng)
         none = stack([], model.d_f)
         assert detect(model, space, none, "img", alpha=-1.0) == []
         assert conse_detect(model, space, none, "img", k=1, alpha=-1.0) == []
-        for mode in ("class", "meta"):
-            assert tag_image(model, space, none, mode=mode) == tag_image_ref(model, space, none, mode)
+        assert tag_image(model, space, none) == tag_image_ref(model, space, none)
 
     def test_all_zero_features(self):
         model, _, space = axis_setup(n_seen=2, n_unseen=2, d=5)
@@ -594,9 +549,7 @@ class TestBatchedMatchesPerProposalLoops:
                 ref = conse_detect_ref(model, space, props, "img", k, -1.0, nms_iou)
                 assert_same_detections(got, ref)
                 assert got
-        for mode in ("class", "meta"):
-            assert_same_tags(tag_image(model, space, props, mode=mode),
-                             tag_image_ref(model, space, props, mode))
+        assert_same_tags(tag_image(model, space, props), tag_image_ref(model, space, props))
 
 
 class TestLabelAwareNms:

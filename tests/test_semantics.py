@@ -54,6 +54,14 @@ class TestLoadWordVectors:
             load_word_vectors(path)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_component_reports_line(self, tmp_path, token):
+        path = tmp_path / "v.txt"
+        path.write_text(f"dog 1 0 0\ncat 0 {token} 0\nemu 0 0 1\n")
+        with pytest.raises(ParseError, match="record 'cat' has a non-finite component") as exc:
+            load_word_vectors(path)
+        assert exc.value.line == 2
+
     def test_glove_scale_file(self, tmp_path, rng):
         # 200 classes at d=300, the scale of the reference embeddings
         path = tmp_path / "glove.txt"
