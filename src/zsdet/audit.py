@@ -14,24 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import loss_gradients
-from .model import Model, RegionBatch, encode_boxes
-from .semantics import EmbeddingTable, LabelSpace, _readonly
+from .model import Model, RegionBatch, encode_boxes, init_model
+from .semantics import LabelSpace, build_label_space, finalize_embeddings
+from .train import TrainConfig
 
 REL_TOL = 1e-4
 ZERO_GUARD = 1e-7
-
-
-def random_space(rng: np.random.Generator, n_classes: int, n_meta: int, n_unseen: int) -> LabelSpace:
-    labels = tuple(f"c{i}" for i in range(1, n_classes + 1))
-    metas = tuple(f"m{j}" for j in range(1, n_meta + 1))
-    meta_of = tuple((i % n_meta) + 1 for i in range(n_classes)) + (n_meta + 1,)
-    return LabelSpace(
-        labels=labels,
-        n_seen=n_classes - n_unseen,
-        n_unseen=n_unseen,
-        meta_labels=metas,
-        _meta_of=meta_of,
-    )
 
 
 def random_batch(
@@ -70,35 +58,19 @@ def random_instance(
     n_classes: int = 7,
     n_meta: int = 3,
     batch_size: int = 4,
-    from_config=None,
 ) -> tuple[Model, RegionBatch, LabelSpace]:
     """One random model + labeled batch for gradient auditing."""
-    n_unseen = max(1, n_classes // 4)
-    space = random_space(rng, n_classes, n_meta, n_unseen)
-    vectors = rng.standard_normal((d, n_classes))
-    vectors /= np.linalg.norm(vectors, axis=0)
-    table = EmbeddingTable(
-        labels=space.labels,
-        vectors=_readonly(vectors),
-        background=_readonly(vectors.mean(axis=1)),
-        finalized=True,
+    labels = [f"c{i}" for i in range(1, n_classes + 1)]
+    n_seen = n_classes - max(1, n_classes // 4)
+    space = build_label_space(
+        labels[:n_seen], labels[n_seen:],
+        {label: f"m{i % n_meta + 1}" for i, label in enumerate(labels)},
     )
-    w2 = table.w2()
-    if from_config is None:
-        from .train import TrainConfig
-
-        from_config = TrainConfig()
-    model = Model(
-        w1=rng.standard_normal((d_f, d)) * 0.5,
-        w2=w2,
-        col_norms=np.linalg.norm(w2, axis=0),
-        labels=space.labels,
-        n_seen=space.S,
-        n_unseen=space.U,
-        box_w=rng.standard_normal((d_f, 4 * space.S)) * 0.1,
-        box_b=rng.standard_normal(4 * space.S) * 0.1,
-        config=from_config,
-    )
+    table = finalize_embeddings(space.labels, rng.standard_normal((d, n_classes)))
+    model = init_model(TrainConfig(), table, space, d_f)
+    model.w1 = rng.standard_normal((d_f, d)) * 0.5
+    model.box_w = rng.standard_normal((d_f, 4 * space.S)) * 0.1
+    model.box_b = rng.standard_normal(4 * space.S) * 0.1
     return model, random_batch(rng, space, d_f, batch_size), space
 
 

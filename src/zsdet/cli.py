@@ -40,12 +40,11 @@ from .evaluation import (
     render_report,
     report_to_dict,
 )
-from .infer import conse_detect, detect, dump_detections, tag_image
+from .infer import check_k, conse_detect, detect, dump_detections, tag_image
 from .model import Model, load_checkpoint, modified_embeddings, save_checkpoint
 from .semantics import (
     LabelSpace,
     build_label_space,
-    finalize_embeddings,
     load_meta_map,
     load_word_vectors,
     save_word_vectors,
@@ -77,12 +76,18 @@ def _write_manifest(primary_out: Path, subcommand: str, args: argparse.Namespace
 
 
 def _model_and_space(args) -> tuple[Model, LabelSpace]:
-    table = finalize_embeddings(load_word_vectors(args.embeddings))
-    model = load_checkpoint(args.checkpoint, table)
+    """The checkpoint's model and label space, with the route settings
+    checked before any image is scored (``eval --task T3`` or ``T4`` alone
+    never reaches the routes that check them)."""
+    model = load_checkpoint(args.checkpoint, load_word_vectors(args.embeddings))
     space = build_label_space(
         model.labels[: model.n_seen], model.labels[model.n_seen :],
         load_meta_map(args.meta_map),
     )
+    check_finite("alpha", args.alpha)
+    check_unit_interval("nms_iou", args.nms_iou)
+    if args.inference == "conse":
+        check_k(args.k, space.S)
     return model, space
 
 
@@ -149,7 +154,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    table = finalize_embeddings(load_word_vectors(args.embeddings))
+    table = load_word_vectors(args.embeddings)
     seen, unseen = load_split(args.split)
     space = build_label_space(seen, unseen, load_meta_map(args.meta_map))
     table = table.reorder(space.labels)
@@ -186,9 +191,6 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     check_unit_interval("iou_thresh", args.iou_eval, open_at_zero=True)
-    # T3/T4 alone never reach the routes that check these, but report them
-    check_finite("alpha", args.alpha)
-    check_unit_interval("nms_iou", args.nms_iou)
     model, space = _model_and_space(args)
     dataset = load_dataset(args.data)
     gts = ground_truth_records(dataset, space)
@@ -254,8 +256,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    table = finalize_embeddings(load_word_vectors(args.embeddings))
-    model = load_checkpoint(args.checkpoint, table)
+    model = load_checkpoint(args.checkpoint, load_word_vectors(args.embeddings))
     out = Path(args.out)
     save_word_vectors(out, model.labels, modified_embeddings(model))
     _write_manifest(out, "export-embeddings", args, [out.name])

@@ -179,9 +179,7 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
         raw[:, i] = v / np.linalg.norm(v)
     vectors = _readonly(raw)
     background = _readonly(raw.mean(axis=1))
-    table = EmbeddingTable(
-        labels=labels, vectors=vectors, background=background, finalized=True
-    )
+    table = EmbeddingTable(labels=labels, vectors=vectors, background=background)
 
     g_map = rng.standard_normal((cfg.d_f, cfg.d)) / np.sqrt(cfg.d)
     bg_scale = float(

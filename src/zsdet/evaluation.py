@@ -20,7 +20,7 @@ report metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -166,13 +166,7 @@ def average_precision(
         if best_gi >= 0:
             matched[best_gi] = True
         hits.append(best_gi >= 0)
-
-    tp = np.array(hits, dtype=np.float64)
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(1.0 - tp)
-    recall = cum_tp / n_gt
-    precision = cum_tp / np.maximum(cum_tp + cum_fp, 1e-300)
-    return _envelope_area(recall, precision)
+    return _ranking_ap(hits, n_gt)
 
 
 def _envelope_area(recall: np.ndarray, precision: np.ndarray) -> float:
@@ -185,7 +179,7 @@ def _envelope_area(recall: np.ndarray, precision: np.ndarray) -> float:
 
 
 def _ranking_ap(ranked_positive_flags: Sequence[bool], n_pos: int) -> float:
-    """AP of a ranked binary list (image-level tagging)."""
+    """AP of a ranked list of hit flags against ``n_pos`` positives."""
     if n_pos == 0:
         raise ValueError("undefined with zero positives")
     if not ranked_positive_flags:
@@ -312,15 +306,6 @@ def report_to_dict(report: DetectionReport) -> dict:
         "task": report.task,
         "task_name": TASK_NAMES[report.task],
         "mean_ap": report.mean_ap,
-        "per_class": [
-            {
-                "label": r.label,
-                "name": r.name,
-                "ap": r.ap,
-                "n_gt": r.n_gt,
-                "n_det": r.n_det,
-            }
-            for r in report.rows
-        ],
+        "per_class": [asdict(r) for r in report.rows],
         "meta": report.meta,
     }

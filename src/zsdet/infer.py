@@ -109,7 +109,8 @@ def detect(
     return nms(out, nms_iou) if nms_iou > 0.0 and out else out
 
 
-def _check_k(k: int, n_seen: int) -> None:
+def check_k(k: int, n_seen: int) -> None:
+    """Raise :class:`ConfigError` unless the ConSE top-K is in ``1..n_seen``."""
     if not 1 <= k <= n_seen:
         raise ConfigError(f"K must be in 1..{n_seen}, got {k}")
 
@@ -126,7 +127,7 @@ def conse_project(
     a class).
     """
     seen_scores = np.asarray(seen_scores, dtype=np.float64)
-    _check_k(k, seen_scores.shape[-1])
+    check_k(k, seen_scores.shape[-1])
     top = np.argsort(-seen_scores, axis=-1, kind="stable")[..., :k]
     weights = np.zeros_like(seen_scores)
     np.put_along_axis(weights, top, np.take_along_axis(seen_scores, top, axis=-1), axis=-1)
@@ -151,7 +152,7 @@ def conse_detect(
     scored.
     """
     s = space.S
-    _check_k(k, s)
+    check_k(k, s)
     check_finite("alpha", alpha)
     check_unit_interval("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)

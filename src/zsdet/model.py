@@ -87,7 +87,7 @@ def init_model(
 ) -> Model:
     """Fresh model: Glorot-uniform W1, zero box head, W2 frozen from the table.
 
-    ``table`` must be finalized and ordered by class id (seen, unseen).
+    ``table`` must be ordered by class id (seen, unseen).
     Bit-reproducible for a given seed (defaults to ``config.seed``).
     """
     if table.labels != space.labels:
@@ -229,7 +229,7 @@ _CHECKPOINT_KEYS = ("d_f", "d", "S", "U", "labels", "W1", "box_weights", "box_bi
 
 
 def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
-    """Rebuild a model from a checkpoint plus the finalized embedding table.
+    """Rebuild a model from a checkpoint plus the embedding table.
 
     The file is read once.  The table may be in any order: it is reordered
     to the checkpoint's labels, which set the model's class ids.  A file

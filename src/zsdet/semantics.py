@@ -41,16 +41,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Per-class semantic vectors, stored column-wise.
+    """Unit-norm per-class semantic vectors, stored column-wise.
 
     ``vectors`` has shape (d, C); column order matches ``labels``.
-    ``background`` is set by :func:`finalize_embeddings` and is None before.
+    ``background`` (d,) is the mean of the class columns.  Build one from
+    raw vectors with :func:`finalize_embeddings`.
     """
 
     labels: tuple[str, ...]
     vectors: np.ndarray
-    background: np.ndarray | None = None
-    finalized: bool = False
+    background: np.ndarray
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,16 +68,11 @@ class EmbeddingTable:
     def n_classes(self) -> int:
         return self.vectors.shape[1]
 
-    def index(self, label: str) -> int:
-        return self._index[label]
-
     def vector(self, label: str) -> np.ndarray:
         return self.vectors[:, self._index[label]]
 
     def w2(self) -> np.ndarray:
         """Fixed projection matrix, shape (d, C+1): class columns then background."""
-        if not self.finalized:
-            raise ValueError("table must be finalized before building W2")
         return _readonly(np.column_stack([self.vectors, self.background]))
 
     def reorder(self, labels: Sequence[str]) -> "EmbeddingTable":
@@ -95,16 +90,15 @@ class EmbeddingTable:
             labels=tuple(labels),
             vectors=_readonly(self.vectors[:, cols]),
             background=self.background,
-            finalized=self.finalized,
         )
 
 
 def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
     """Parse a word-vector text file: one ``label v1 ... vd`` record per line.
 
-    Every component must be finite.  Vectors are kept raw (un-normalized);
-    call :func:`finalize_embeddings` before use.  Multi-token class names
-    must use underscores.
+    Every component must be finite.  The vectors are L2-normalized by
+    :func:`finalize_embeddings`.  Multi-token class names must use
+    underscores.
     """
     labels: list[str] = []
     rows: list[np.ndarray] = []
@@ -134,29 +128,21 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
         rows.append(vec)
     if not rows:
         raise ParseError(f"no records in {path}")
-    return EmbeddingTable(labels=tuple(labels), vectors=_readonly(np.stack(rows, axis=1)))
+    return finalize_embeddings(labels, np.stack(rows, axis=1))
 
 
-def finalize_embeddings(table: EmbeddingTable) -> EmbeddingTable:
-    """L2-normalize every class vector and set the background column.
+def finalize_embeddings(labels: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
+    """Table from raw class vectors ``(d, C)``: every column L2-normalized.
 
     The background is the arithmetic mean of the normalized class vectors;
     by the triangle inequality its norm is <= 1 and it is left as-is.
     """
-    norms = np.linalg.norm(table.vectors, axis=0)
+    norms = np.linalg.norm(vectors, axis=0)
     bad = np.where(~(norms > 0.0))[0]
     if bad.size:
-        raise DegenerateEmbeddingError(
-            f"class {table.labels[bad[0]]!r} has zero-norm vector"
-        )
-    vectors = table.vectors / norms
-    background = vectors.mean(axis=1)
-    return EmbeddingTable(
-        labels=table.labels,
-        vectors=_readonly(vectors),
-        background=_readonly(background),
-        finalized=True,
-    )
+        raise DegenerateEmbeddingError(f"class {labels[bad[0]]!r} has zero-norm vector")
+    vectors = _readonly(vectors / norms)
+    return EmbeddingTable(tuple(labels), vectors, _readonly(vectors.mean(axis=1)))
 
 
 @dataclass(frozen=True)

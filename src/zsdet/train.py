@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, Proposals
-from .errors import ConfigError, InvalidTargetError, NumericFailureError
+from .errors import ConfigError, CoverageError, InvalidTargetError, NumericFailureError
 from .evaluation import iou_matrix
 from .loss import MODES, LossBreakdown, loss_gradients
 from .model import Model, RegionBatch, encode_boxes, init_model
@@ -311,9 +311,14 @@ def train(
     config: TrainConfig,
 ) -> tuple[Model, list[LossBreakdown]]:
     """Full training loop; deterministic given (dataset, config, seed)."""
+    known = set(space.labels)
     unseen_names = {space.label_of(cid) for cid in space.unseen_ids}
     for img in dataset.images:
         for label in img.gt_labels:
+            if label not in known:
+                raise CoverageError(
+                    f"train label {label!r} in image {img.image_id} not in label space"
+                )
             if label in unseen_names:
                 raise InvalidTargetError(
                     f"train dataset leaks unseen class {label!r} "

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from zsdet.codec import decode_array
 from zsdet.model import Model, init_model
-from zsdet.semantics import EmbeddingTable, build_label_space, finalize_embeddings
+from zsdet.semantics import build_label_space, finalize_embeddings
 from zsdet.train import TrainConfig
 
 
 def make_table(vectors, labels=None):
-    """Finalized table from raw column vectors (d, C)."""
+    """Table from raw column vectors (d, C)."""
     vectors = np.asarray(vectors, dtype=np.float64)
     if labels is None:
         labels = tuple(f"c{i}" for i in range(1, vectors.shape[1] + 1))
-    return finalize_embeddings(EmbeddingTable(labels=tuple(labels), vectors=vectors))
+    return finalize_embeddings(labels, vectors)
 
 
 def make_space(n_seen, n_unseen, meta_of=None, n_meta=None, labels=None):
@@ -30,6 +31,26 @@ def make_space(n_seen, n_unseen, meta_of=None, n_meta=None, labels=None):
 def make_model(table, space, d_f=None, seed=0, config=None) -> Model:
     config = config or TrainConfig()
     return init_model(config, table, space, d_f=d_f or table.d, seed=seed)
+
+
+def axis_setup(n_seen=2, n_unseen=1, d=4):
+    """Orthonormal axis embeddings with identity W1: scores are cosines."""
+    n = n_seen + n_unseen
+    table = make_table(np.eye(d)[:, :n])
+    space = make_space(n_seen, n_unseen)
+    model = make_model(table, space, d_f=d)
+    model.w1 = np.eye(d)
+    return model, table, space
+
+
+def to_list_form(rec, d_f):
+    """A dataset image record with its array blocks rewritten as a
+    ``proposals`` list."""
+    features = decode_array(rec.pop("features"), "features", (None, d_f))
+    boxes = decode_array(rec.pop("boxes"), "boxes", (None, 4))
+    rec["proposals"] = [{"feature": f.tolist(), "box": b.tolist()}
+                        for f, b in zip(features, boxes)]
+    return rec
 
 
 def random_unit_columns(rng, d, n):

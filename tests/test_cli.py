@@ -1,4 +1,3 @@
-import base64
 import builtins
 import csv
 import hashlib
@@ -8,9 +7,12 @@ import numpy as np
 import pytest
 
 from zsdet.cli import build_parser, main
+from zsdet.codec import decode_array, encode_array
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.model import load_checkpoint, save_checkpoint
-from zsdet.semantics import finalize_embeddings, load_word_vectors
+from zsdet.semantics import load_word_vectors
+
+from conftest import to_list_form
 
 SYNTH_FILES = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]
 
@@ -45,26 +47,6 @@ def quick_train(tmp_path, data, name="ckpt.json", **extra):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def b64(a):
-    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def blocks(rec, d_f):
-    """An image record's ``features`` and ``boxes`` as writable arrays."""
-    features = np.frombuffer(base64.b64decode(rec["features"]), "<f8").reshape(-1, d_f)
-    boxes = np.frombuffer(base64.b64decode(rec["boxes"]), "<f8").reshape(-1, 4)
-    return features.copy(), boxes.copy()
-
-
-def to_list_form(rec, d_f):
-    """The record with its array blocks rewritten as a ``proposals`` list."""
-    features, boxes = blocks(rec, d_f)
-    del rec["features"], rec["boxes"]
-    rec["proposals"] = [{"feature": f.tolist(), "box": b.tolist()}
-                        for f, b in zip(features, boxes)]
-    return rec
 
 
 class TestSynthCommand:
@@ -108,7 +90,7 @@ class TestSynthCommand:
         bundle = generate_synthetic(SynthConfig(
             s=6, u=2, m=2, d=6, d_f=6, images=12, test_images=6, proposals_per_image=8,
         ))
-        assert oracle["g_map"] == b64(bundle.oracle["g_map"])
+        assert oracle["g_map"] == encode_array(bundle.oracle["g_map"])
         assert {**oracle, "g_map": None} == {**bundle.oracle, "g_map": None}
 
 
@@ -263,7 +245,7 @@ class TestExportEmbeddings:
     def test_identity_w1_reproduces_normalized_inputs(self, tmp_path):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        original = finalize_embeddings(load_word_vectors(data / "embeddings.txt"))
+        original = load_word_vectors(data / "embeddings.txt")
         model = load_checkpoint(ckpt, original)
         model.w1 = np.eye(model.d_f)
         save_checkpoint(model, ckpt)
@@ -340,7 +322,8 @@ class TestExitCodes:
         lines = (data / "test.jsonl").read_text().splitlines()
         d_f = json.loads(lines[0])["d_f"]
         rec = json.loads(lines[1])
-        features, boxes = blocks(rec, d_f)
+        features = decode_array(rec["features"], "features", (None, d_f))
+        boxes = decode_array(rec["boxes"], "boxes", (None, 4))
         if not damage.startswith(("b64_", "both_")):
             rec = to_list_form(rec, d_f)
         if damage == "box_3_numbers":
@@ -353,15 +336,15 @@ class TestExitCodes:
         elif damage == "b64_not_base64":
             rec["features"] = "!" + rec["features"][1:]
         elif damage == "b64_features_not_whole_rows":
-            rec["features"] = b64(np.append(features.ravel(), 1.0))
+            rec["features"] = encode_array(np.append(features.ravel(), 1.0))
         elif damage == "b64_boxes_rows_mismatch":
-            rec["boxes"] = b64(boxes[1:])
+            rec["boxes"] = encode_array(boxes[1:])
         elif damage == "b64_nan_feature":
             features[0, 0] = np.nan
-            rec["features"] = b64(features)
+            rec["features"] = encode_array(features)
         elif damage == "b64_box_flipped":
             boxes[0, [0, 2]] = boxes[0, [2, 0]]
-            rec["boxes"] = b64(boxes)
+            rec["boxes"] = encode_array(boxes)
         else:
             rec["proposals"] = to_list_form(dict(rec), d_f)["proposals"]
         lines[1] = json.dumps(rec)
@@ -479,8 +462,12 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: nms_iou must be in [0, 1], got")
 
     @pytest.mark.parametrize("task", ["T3", "T4"])
-    @pytest.mark.parametrize("knob", [("--nms-iou", "5", "nms_iou must be in [0, 1]"),
-                                      ("--alpha", "nan", "alpha must be a finite number")])
+    @pytest.mark.parametrize("knob", [
+        (("--nms-iou", "5"), "nms_iou must be in [0, 1]"),
+        (("--alpha", "nan"), "alpha must be a finite number"),
+        (("--inference", "conse", "--k", "0"), "K must be in 1..6, got 0"),
+        (("--inference", "conse", "--k", "7"), "K must be in 1..6, got 7"),
+    ])
     def test_tagging_eval_checks_route_knobs_before_scoring(
             self, tmp_path, capsys, monkeypatch, task, knob):
         data = synth(tmp_path)
@@ -493,9 +480,46 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--task", task, *knob[:2], "--out", tmp_path / "reports") == 2
-        assert capsys.readouterr().err.startswith(f"error: {knob[2]}")
+                   "--task", task, *knob[0], "--out", tmp_path / "reports") == 2
+        assert capsys.readouterr().err.startswith(f"error: {knob[1]}")
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("knob", [
+        ("--inference", "conse", "--k", "0"),
+        ("--inference", "conse", "--k", "7"),
+        ("--alpha", "nan"),
+        ("--nms-iou", "5"),
+    ])
+    def test_imageless_predict_checks_route_knobs(self, tmp_path, capsys, knob):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        header_only = tmp_path / "header.jsonl"
+        header_only.write_text((data / "test.jsonl").read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", header_only, *knob,
+                   "--out", tmp_path / "dets.jsonl") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "dets.jsonl").exists()
+
+    def test_train_label_outside_label_space_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        lines = (data / "embeddings.txt").read_text().splitlines()
+        (data / "embeddings.txt").write_text(
+            "".join(line + "\n" for line in lines if not line.startswith("class006 "))
+        )
+        oracle = json.loads((data / "oracle.json").read_text())
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({
+            "seen_labels": [l for l in oracle["seen_labels"] if l != "class006"],
+            "unseen_labels": oracle["unseen_labels"],
+        }))
+        capsys.readouterr()
+        assert run("train", "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--split", split,
+                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
+        assert capsys.readouterr().err.startswith("error: train label 'class006' in image train")
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("token", ["inf", "nan"])
     def test_non_finite_word_vector_exits_2(self, tmp_path, capsys, token):

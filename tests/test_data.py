@@ -26,9 +26,9 @@ from zsdet.data import (
 from zsdet.cli import main
 from zsdet.codec import encode_array
 from zsdet.errors import ConfigError, DimensionMismatchError, ParseError, ZsdetError
-from zsdet.semantics import build_label_space, finalize_embeddings, load_meta_map, load_word_vectors
+from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
-from conftest import make_space
+from conftest import make_space, to_list_form
 
 
 class TestSynthConfig:
@@ -414,13 +414,8 @@ def _synth_files():
         with open(path, "rb") as f:
             blocks = f.read()
     lines = blocks.decode().splitlines()
-    listed = [lines[0]]
-    for img, line in zip(dataset.images, lines[1:]):
-        rec = json.loads(line)
-        del rec["features"], rec["boxes"]
-        rec["proposals"] = [{"feature": f.tolist(), "box": b.tolist()}
-                            for f, b in zip(img.proposals.features, img.proposals.boxes)]
-        listed.append(json.dumps(rec))
+    listed = [lines[0]] + [json.dumps(to_list_form(json.loads(line), dataset.d_f))
+                           for line in lines[1:]]
     return blocks, ("\n".join(listed) + "\n").encode()
 
 
@@ -460,7 +455,7 @@ class TestMutatedDatasetFiles:
 
 
 TEXT_READERS = {
-    "embeddings.txt": lambda path: finalize_embeddings(load_word_vectors(path)),
+    "embeddings.txt": load_word_vectors,
     "meta_map.csv": load_meta_map,
     "oracle.json": load_split,
 }

@@ -21,19 +21,9 @@ from zsdet.infer import (
 )
 from zsdet.model import box_slice, decode_boxes, forward_boxes, forward_scores, normalized_scores
 
-from conftest import make_model, make_space, make_table
+from conftest import axis_setup, make_model, make_space, make_table
 from test_data import mutated_files
 from test_evaluation import HALF, grid_boxes, nms_ref
-
-
-def axis_setup(n_seen=2, n_unseen=1, d=4):
-    """Orthonormal axis embeddings with identity W1: scores are cosines."""
-    n = n_seen + n_unseen
-    table = make_table(np.eye(d)[:, :n])
-    space = make_space(n_seen, n_unseen)
-    model = make_model(table, space, d_f=d)
-    model.w1 = np.eye(d)
-    return model, table, space
 
 
 def prop(feature, box=(0.0, 0.0, 10.0, 10.0)):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsdet.audit import random_batch
+from zsdet.audit import gradient_audit, random_batch
 from zsdet.errors import ConfigError, InvalidTargetError, NumericFailureError
 from zsdet.loss import (
     classification_loss,
@@ -474,3 +474,17 @@ class TestBatchedKernel:
                       for i in range(size))
         scale = max(float(np.abs(per_row).max()), 1e-300)
         np.testing.assert_allclose(size * grads.dw1, per_row, rtol=0, atol=1e-12 * scale)
+
+
+class TestGradientAudit:
+    # Any change to the draws of ``audit.random_instance`` (their order, or
+    # how its embeddings, label space and model are built) moves these bits.
+    @pytest.mark.parametrize("seed, max_rel_err", [
+        (0, "0x1.83637c522f123p-20"),
+        (1, "0x1.089769940025bp-20"),
+        (2, "0x1.b8c0ed4b72333p-25"),
+    ])
+    def test_max_rel_err_is_pinned(self, seed, max_rel_err):
+        result = gradient_audit(trials=12, seed=seed)
+        assert result.max_rel_err == float.fromhex(max_rel_err)
+        assert result.passed

@@ -23,28 +23,18 @@ from zsdet.model import (
 )
 from zsdet.train import TrainConfig
 
-from conftest import make_model, make_space, make_table, random_unit_columns
-
-
-def identity_setup(d=4, n_seen=2, n_unseen=1):
-    """Model with W1 = identity over orthonormal axis embeddings."""
-    n = n_seen + n_unseen
-    table = make_table(np.eye(d)[:, :n])
-    space = make_space(n_seen, n_unseen)
-    model = make_model(table, space)
-    model.w1 = np.eye(d)
-    return model, table, space
+from conftest import axis_setup, make_model, make_space, make_table, random_unit_columns
 
 
 class TestForwardScores:
     def test_identity_projection_recovers_cosine(self):
-        model, table, _ = identity_setup()
+        model, table, _ = axis_setup()
         for j, label in enumerate(table.labels):
             o = forward_scores(model, table.vector(label))
             assert o[j] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_feature_gives_zero_scores(self):
-        model, _, _ = identity_setup()
+        model, _, _ = axis_setup()
         np.testing.assert_array_equal(forward_scores(model, np.zeros(4)), np.zeros(4))
 
     def test_matches_dense_matmul_oracle(self, rng):
@@ -76,14 +66,14 @@ class TestForwardScores:
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_shape_error(self):
-        model, _, _ = identity_setup()
+        model, _, _ = axis_setup()
         with pytest.raises(ShapeError):
             forward_scores(model, np.zeros(5))
 
 
 class TestNormalizedScores:
     def test_direct_division(self):
-        model, table, _ = identity_setup()
+        model, table, _ = axis_setup()
         f = 2.0 * table.vector("c1")
         o = forward_scores(model, f)
         o_hat = normalized_scores(model, o, f)
@@ -91,7 +81,7 @@ class TestNormalizedScores:
         assert o[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_cosine_bounds_with_identity(self, rng):
-        model, _, space = identity_setup()
+        model, _, space = axis_setup()
         for _ in range(20):
             f = rng.standard_normal(4)
             o_hat = normalized_scores(model, forward_scores(model, f), f)
@@ -99,7 +89,7 @@ class TestNormalizedScores:
             assert np.all(o_hat[: space.C] >= -1.0 - 1e-12)
 
     def test_identity_w1_gives_exact_cosine(self, rng):
-        model, table, space = identity_setup()
+        model, table, space = axis_setup()
         for _ in range(10):
             f = rng.standard_normal(4)
             o_hat = normalized_scores(model, forward_scores(model, f), f)
@@ -122,7 +112,7 @@ class TestNormalizedScores:
             assert o_hat[c] == pytest.approx(o[c] / (vn * fn), abs=1e-12)
 
     def test_zero_feature_raises(self):
-        model, _, _ = identity_setup()
+        model, _, _ = axis_setup()
         with pytest.raises(NormalizationError):
             normalized_scores(model, np.zeros(4), np.zeros(4))
 
@@ -137,7 +127,7 @@ class TestNormalizedScores:
             np.testing.assert_allclose(row, single, rtol=0, atol=1e-15)
 
     def test_any_zero_row_raises(self, rng):
-        model, _, _ = identity_setup()
+        model, _, _ = axis_setup()
         features = rng.standard_normal((3, 4))
         features[1] = 0.0
         with pytest.raises(NormalizationError):
@@ -146,7 +136,7 @@ class TestNormalizedScores:
 
 class TestForwardBoxes:
     def test_zero_head_decodes_to_proposal(self, rng):
-        model, _, _ = identity_setup()
+        model, _, _ = axis_setup()
         f = rng.standard_normal(4)
         offsets = forward_boxes(model, f)
         np.testing.assert_array_equal(offsets, np.zeros(8))
@@ -154,11 +144,11 @@ class TestForwardBoxes:
         np.testing.assert_allclose(decode_boxes(box, offsets[:4]), box, atol=1e-12)
 
     def test_output_length_4s(self):
-        model, _, space = identity_setup(n_seen=2)
+        model, _, space = axis_setup(n_seen=2)
         assert forward_boxes(model, np.zeros(4)).shape == (4 * space.S,)
 
     def test_per_class_slice_matches_row_oracle(self, rng):
-        model, _, space = identity_setup()
+        model, _, space = axis_setup()
         model.box_w = rng.standard_normal(model.box_w.shape)
         model.box_b = rng.standard_normal(model.box_b.shape)
         f = rng.standard_normal(4)
@@ -202,7 +192,7 @@ class TestInitModel:
         assert not model.box_b.any()
 
     def test_w2_is_read_only(self):
-        model, _, _ = identity_setup()
+        model, _, _ = axis_setup()
         with pytest.raises(ValueError):
             model.w2[0, 0] = 5.0
 
@@ -309,7 +299,7 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.w2, model.w2)
 
     def test_checkpoint_fields(self, tmp_path):
-        model, table, space = identity_setup()
+        model, table, space = axis_setup()
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         payload = json.loads(path.read_text())
@@ -336,7 +326,7 @@ class TestCheckpoint:
              "w1_list", "w1_not_base64", "w1_byte_count"],
     )
     def test_malformed_payload_raises_parse_error(self, tmp_path, damage):
-        model, table, _ = identity_setup()
+        model, table, _ = axis_setup()
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         payload = json.loads(path.read_text())

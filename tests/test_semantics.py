@@ -12,7 +12,6 @@ from zsdet.errors import (
     ParseError,
 )
 from zsdet.semantics import (
-    EmbeddingTable,
     build_label_space,
     finalize_embeddings,
     load_meta_map,
@@ -31,8 +30,8 @@ class TestLoadWordVectors:
         assert table.n_classes == 2
         assert table.d == 3
         assert table.labels == ("dog", "cat")
-        np.testing.assert_array_equal(table.vector("cat"), [0.0, 2.0, 0.0])
-        assert not table.finalized
+        np.testing.assert_array_equal(table.vector("cat"), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(table.background, [0.5, 0.5, 0.0])
 
     def test_ragged_dimensions_reports_line(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -72,6 +71,7 @@ class TestLoadWordVectors:
         table = load_word_vectors(path)
         assert table.n_classes == 200
         assert table.d == 300
+        np.testing.assert_allclose(np.linalg.norm(table.vectors, axis=0), 1.0, atol=1e-12)
 
     def test_underscored_multi_token_names(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -81,21 +81,19 @@ class TestLoadWordVectors:
 
 class TestFinalize:
     def test_axis_vectors(self):
-        table = EmbeddingTable(labels=("a", "b"), vectors=np.array([[2.0, 0.0], [0.0, 2.0]]))
-        out = finalize_embeddings(table)
+        out = finalize_embeddings(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
         np.testing.assert_allclose(out.vector("a"), [1.0, 0.0], atol=0)
         np.testing.assert_allclose(out.vector("b"), [0.0, 1.0], atol=0)
         np.testing.assert_allclose(out.background, [0.5, 0.5], atol=0)
 
     def test_single_class_background_is_itself(self):
-        table = EmbeddingTable(labels=("a",), vectors=np.array([[3.0], [4.0]]))
-        out = finalize_embeddings(table)
+        out = finalize_embeddings(("a",), np.array([[3.0], [4.0]]))
         np.testing.assert_allclose(out.vector("a"), [0.6, 0.8], atol=1e-15)
         np.testing.assert_allclose(out.background, [0.6, 0.8], atol=1e-15)
 
     def test_random_vectors_unit_norm_and_bg_bound(self, rng):
         vectors = rng.standard_normal((7, 5)) * 3.0
-        out = finalize_embeddings(EmbeddingTable(labels=tuple("abcde"), vectors=vectors))
+        out = finalize_embeddings(tuple("abcde"), vectors)
         for j in range(5):
             # independent norm computation
             norm = math.sqrt(sum(float(x) ** 2 for x in out.vectors[:, j]))
@@ -103,21 +101,18 @@ class TestFinalize:
         assert math.sqrt(sum(float(x) ** 2 for x in out.background)) <= 1.0 + 1e-12
 
     def test_zero_vector_names_class(self):
-        table = EmbeddingTable(labels=("ok", "bad"), vectors=np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(DegenerateEmbeddingError, match="bad"):
-            finalize_embeddings(table)
+            finalize_embeddings(("ok", "bad"), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_w2_shape_and_background_column(self):
-        out = finalize_embeddings(
-            EmbeddingTable(labels=("a", "b"), vectors=np.array([[2.0, 0.0], [0.0, 2.0]]))
-        )
+        out = finalize_embeddings(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
         w2 = out.w2()
         assert w2.shape == (2, 3)
         np.testing.assert_array_equal(w2[:, 2], out.background)
 
     def test_reorder_permutes_columns(self, rng):
         vectors = rng.standard_normal((4, 3))
-        out = finalize_embeddings(EmbeddingTable(labels=("a", "b", "c"), vectors=vectors))
+        out = finalize_embeddings(("a", "b", "c"), vectors)
         perm = out.reorder(["c", "a", "b"])
         np.testing.assert_array_equal(perm.vector("c"), out.vector("c"))
         np.testing.assert_array_equal(perm.background, out.background)

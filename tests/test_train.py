@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zsdet.data import SynthConfig, generate_synthetic
-from zsdet.errors import ConfigError, InvalidTargetError, NumericFailureError
+from zsdet.errors import ConfigError, CoverageError, InvalidTargetError, NumericFailureError
 from zsdet.evaluation import GroundTruth
 from zsdet.model import RegionBatch, encode_boxes, init_model, save_checkpoint
 from zsdet.semantics import build_label_space
@@ -469,22 +469,23 @@ class TestTrain:
         seen, _ = train(bundle.train, table, space, self.config(mode="seen_only", lam=1.0))
         assert np.any(full.w1 != seen.w1)
 
+    @staticmethod
+    def with_image_of(dataset, label):
+        """``dataset`` plus one image holding a single ``label`` instance."""
+        box = np.array([[0, 0, 10, 10.0]])
+        bad = ImageRecord("bad", Proposals(np.ones((1, dataset.d_f)), box), (label,), box)
+        return Dataset(d_f=dataset.d_f, labels=dataset.labels, images=dataset.images + [bad])
+
     def test_unseen_leak_rejected(self):
         bundle, table, space = toy_bundle()
-        poisoned = Dataset(
-            d_f=bundle.train.d_f,
-            labels=bundle.train.labels,
-            images=bundle.train.images
-            + [
-                ImageRecord(
-                    "bad",
-                    Proposals(np.ones((1, 4)), np.array([[0, 0, 10, 10.0]])),
-                    (bundle.oracle["unseen_labels"][0],),
-                    np.array([[0, 0, 10, 10.0]]),
-                )
-            ],
-        )
+        poisoned = self.with_image_of(bundle.train, bundle.oracle["unseen_labels"][0])
         with pytest.raises(InvalidTargetError):
+            train(poisoned, table, space, self.config())
+
+    def test_label_outside_label_space_rejected(self):
+        bundle, table, space = toy_bundle()
+        poisoned = self.with_image_of(bundle.train, "not_a_class")
+        with pytest.raises(CoverageError, match="'not_a_class' in image bad"):
             train(poisoned, table, space, self.config())
 
     def test_loss_history_csv(self, tmp_path):
