@@ -43,7 +43,6 @@ from .loss import (
     clustering_loss,
     loss_gradients,
     max_margin_loss,
-    regression_loss,
 )
 from .model import (
     Model,

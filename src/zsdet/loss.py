@@ -14,7 +14,11 @@ breakdown identity ``l_cls = lam*l_mm + (1-lam)*l_mc`` always holds.
 
 One kernel, :func:`_class_terms`, turns an (n, C+1) score matrix into
 per-row ``l_mm``, ``l_mc`` and ``dL_cls/do`` for the whole batch; the
-single-row losses below are one-row calls into it.
+single-row losses below are one-row calls into it.  Background is its own
+meta-class ``{bg}``, so a background row's clustering term is its ``full``
+margin term and costs nothing more; seen-target rows are ranked in one
+block per meta-class size.  The smooth-L1 regression term is batched in
+:func:`loss_gradients`.
 
 Gradient convention: the batch classification loss is averaged over all
 samples, while the regression loss is averaged over foreground samples
@@ -29,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InvalidTargetError, NumericFailureError, ShapeError
-from .model import Model, RegionBatch, box_slice, encode_boxes
+from .model import Model, RegionBatch
 from .semantics import LabelSpace
 
 MODES = ("full", "seen_only")
@@ -103,11 +107,29 @@ def _margin_table(space: LabelSpace, mode: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _meta_columns(space: LabelSpace) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Meta id per class id, and each meta's (member, outside) 0-based columns."""
-    meta = np.array([0] + [space.meta_of(c) for c in range(1, space.bg_id + 1)])
-    members = {m: np.array(space.members(m)) - 1 for m in range(1, space.bg_meta_id + 1)}
-    return meta, {m: (z, np.setdiff1d(np.arange(space.bg_id), z)) for m, z in members.items()}
+def _meta_tables(space: LabelSpace) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """Meta-class size per class id, and per size k two column tables.
+
+    Row y of the (C+2, k) member table holds the 0-based columns of class
+    y's meta-class; row y of the (C+2, C+1-k) outside table holds every
+    other column, ascending.  Rows of ids in a meta-class of another size,
+    and of 0 and background, stay zero (size 0).
+    """
+    size = np.zeros(space.bg_id + 1, dtype=np.intp)
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for m in range(1, space.bg_meta_id):
+        z = np.array(space.members(m)) - 1
+        k = z.size
+        if k not in tables:
+            tables[k] = (np.zeros((space.bg_id + 1, k), dtype=np.intp),
+                         np.zeros((space.bg_id + 1, space.bg_id - k), dtype=np.intp))
+        members, outside = tables[k]
+        members[z + 1] = z
+        outside[z + 1] = np.setdiff1d(np.arange(space.bg_id), z)
+        size[z + 1] = k
+    for table in (size, *(t for pair in tables.values() for t in pair)):
+        table.flags.writeable = False
+    return size, tables
 
 
 def _class_terms(
@@ -116,12 +138,16 @@ def _class_terms(
     """Per-row ``(l_mm, l_mc, dL_cls/do)`` of an (n, C+1) score matrix.
 
     ``ys`` holds the validated 1-based targets.  The margin term gathers
-    each row's comparison columns from :func:`_margin_table`; the
-    clustering term groups rows by target meta-class and ranks every
-    outside column against every member column in one (n_g, |out|, |z|)
-    block per group.  In ``seen_only`` mode ``l_mc`` is zero and the
-    gradient is the margin gradient alone.  Blocks are made C-contiguous
-    before reducing so each row sums in the same order as a lone row.
+    each row's comparison columns from :func:`_margin_table`.  In
+    ``seen_only`` mode ``l_mc`` is zero and the gradient is the margin
+    gradient alone.  Otherwise background rows take their clustering term
+    from the margin term: background is its own meta-class ``{bg}``, so
+    its clustering term ranks every class, ascending, against ``bg``, which
+    is the ``full`` margin term of the same row.  Seen-target rows run in
+    one (n_k, C+1-k, k) block per meta-class size k (:func:`_meta_tables`),
+    every outside column ranked against every member column.  Blocks are
+    C-contiguous before reducing, so each row sums the same values in the
+    same order as a lone row.
     """
     rows = np.arange(scores.shape[0])
     cols = _margin_table(space, mode)[ys]
@@ -137,18 +163,22 @@ def _class_terms(
     if mode == "seen_only":
         return l_mm, l_mc, g_mm
 
+    bg = ys == space.bg_id
+    l_mc[bg] = l_mm[bg]
     g_mc = np.zeros_like(scores)
-    meta, groups = _meta_columns(space)
-    target_meta = meta[ys]
-    for m in np.unique(target_meta):
-        idx = np.flatnonzero(target_meta == m)
-        z, out = groups[int(m)]
-        o = scores[idx]
-        pairs = np.ascontiguousarray(o[:, out, None] - o[:, None, z])
+    g_mc[bg] = g_mm[bg]
+    size, tables = _meta_tables(space)
+    fg = rows[~bg]
+    target_size = size[ys[fg]]
+    for k in np.unique(target_size).tolist():
+        idx = fg[target_size == k]
+        z, out = (table[ys[idx]] for table in tables[k])
+        r = idx[:, None]
+        pairs = scores[r, out][:, :, None] - scores[r, z][:, None, :]
         l_mc[idx] = _softplus(pairs).reshape(idx.size, -1).mean(axis=1)
-        w = _sigmoid(pairs) / (out.size * z.size)
-        g_mc[idx[:, None], out] += w.sum(axis=2)
-        g_mc[idx[:, None], z] -= w.sum(axis=1)
+        w = _sigmoid(pairs) / pairs[0].size
+        g_mc[r, out] = w.sum(axis=2)
+        g_mc[r, z] -= w.sum(axis=1)
     return l_mm, l_mc, lam * g_mm + (1.0 - lam) * g_mc
 
 
@@ -198,29 +228,6 @@ def smooth_l1(x: np.ndarray) -> np.ndarray:
     """Elementwise smooth-L1 with transition point 1.0."""
     ax = np.abs(x)
     return np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
-
-
-def regression_loss(
-    pred_offsets: np.ndarray,
-    proposal_box: np.ndarray,
-    gt_box: np.ndarray,
-    y: int,
-    space: LabelSpace,
-) -> float:
-    """Smooth-L1 over the 4 offsets of the target class slice.
-
-    Background and unseen targets contribute zero by contract: no box is
-    regressed for labels without visual training examples.
-    """
-    if not space.is_seen(y):
-        return 0.0
-    pred_offsets = np.asarray(pred_offsets, dtype=np.float64)
-    if pred_offsets.shape != (4 * space.S,):
-        raise ShapeError(
-            f"expected {4 * space.S} offsets, got shape {pred_offsets.shape}"
-        )
-    target = encode_boxes(np.asarray(gt_box), np.asarray(proposal_box))
-    return float(smooth_l1(pred_offsets[box_slice(y)] - target).sum())
 
 
 def _check_scores(o: np.ndarray, space: LabelSpace) -> np.ndarray:

@@ -196,7 +196,12 @@ def _decode_array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray
             f"checkpoint {key} is a JSON list, the format before base64 arrays; "
             "re-run `zsdet train` to write a current checkpoint"
         )
-    return decode_array(payload[key], f"checkpoint {key}", shape)
+    a = decode_array(payload[key], f"checkpoint {key}", shape)
+    finite = np.isfinite(a)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), a.shape)
+        raise ParseError(f"checkpoint {key} has a non-finite value at {tuple(map(int, at))}")
+    return a
 
 
 def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
@@ -233,8 +238,9 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
 
     The file is read once.  The table may be in any order: it is reordered
     to the checkpoint's labels, which set the model's class ids.  A file
-    that is not a complete checkpoint in the current format raises
-    :class:`ParseError`.
+    that is not a complete checkpoint in the current format, or whose
+    ``W1``, ``box_weights`` or ``box_bias`` holds a non-finite value,
+    raises :class:`ParseError`.
     """
     from .train import TrainConfig
 

@@ -274,11 +274,19 @@ class TestExitCodes:
                    "--meta-map", tmp_path / "m.csv", "--split", tmp_path / "s.txt",
                    "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o.json") == 2
 
-    @pytest.mark.parametrize("damage", ["missing_w1", "truncated", "list_w1"])
+    @pytest.mark.parametrize("damage", ["missing_w1", "truncated", "list_w1",
+                                        "nan_W1", "nan_box_weights", "nan_box_bias"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        if damage == "missing_w1":
+        key = damage.removeprefix("nan_")
+        if damage.startswith("nan_"):
+            payload = json.loads(ckpt.read_text())
+            flat = decode_array(payload[key], key, (None,))
+            flat[flat.size // 2] = np.nan
+            payload[key] = encode_array(flat)
+            ckpt.write_text(json.dumps(payload))
+        elif damage == "missing_w1":
             payload = json.loads(ckpt.read_text())
             del payload["W1"]
             ckpt.write_text(json.dumps(payload))
@@ -290,16 +298,21 @@ class TestExitCodes:
             ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
         capsys.readouterr()
         common = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt"]
+        inputs = ["--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl"]
         for argv in (
-            ["predict", *common, "--meta-map", data / "meta_map.csv",
-             "--data", data / "test.jsonl", "--out", tmp_path / "dets.jsonl"],
+            ["predict", *common, *inputs, "--out", tmp_path / "dets.jsonl"],
+            ["eval", *common, *inputs, "--task", "all", "--out", tmp_path / "reports"],
             ["export-embeddings", *common, "--out", tmp_path / "mod.txt"],
         ):
-            assert run(*argv) == 2
+            assert run(*argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             if damage == "list_w1":
                 assert "re-run `zsdet train`" in err
+            if damage.startswith("nan_"):
+                assert err.startswith(f"error: checkpoint {key} has a non-finite value"), err
+        assert not (tmp_path / "dets.jsonl").exists()
+        assert not (tmp_path / "reports").exists()
 
     def test_truncated_json_split_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)

@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 from zsdet.audit import gradient_audit, random_batch
 from zsdet.errors import ConfigError, InvalidTargetError, NumericFailureError
 from zsdet.loss import (
+    _class_terms,
+    _margin_table,
+    _sigmoid,
+    _softplus,
     classification_loss,
     clustering_loss,
     loss_gradients,
     max_margin_loss,
-    regression_loss,
+    smooth_l1,
 )
-from zsdet.model import encode_boxes
+from zsdet.model import RegionBatch, box_slice, encode_boxes
+from zsdet.semantics import build_label_space
 from zsdet.train import TrainConfig
 
 from conftest import make_model, make_space, make_table, random_unit_columns
@@ -255,6 +260,18 @@ class TestLabelPermutationInvariance:
         )
 
 
+def regression_loss(pred_offsets, proposal_box, gt_box, y, space):
+    """Reference: smooth-L1 over the 4 offsets of one sample's target slice.
+
+    Background and unseen targets contribute zero: no box is regressed for
+    labels without visual training examples.
+    """
+    if not space.is_seen(y):
+        return 0.0
+    target = encode_boxes(np.asarray(gt_box), np.asarray(proposal_box))
+    return float(smooth_l1(np.asarray(pred_offsets)[box_slice(y)] - target).sum())
+
+
 class TestRegressionLoss:
     def setup_method(self):
         self.space = make_space(2, 1)
@@ -290,6 +307,26 @@ class TestRegressionLoss:
         pred[:4] = self.target
         pred[4:] = 100.0  # class 2's slice should not matter for y=1
         assert regression_loss(pred, self.proposal, self.gt, 1, self.space) == 0.0
+
+    @pytest.mark.parametrize("size", [1, 5, 12])
+    def test_batched_path_matches_per_sample_reference(self, rng, size):
+        space = make_space(4, 2)
+        model = make_model(make_table(random_unit_columns(rng, 5, space.C)), space, d_f=5)
+        model.box_w = rng.standard_normal(model.box_w.shape) * 0.5
+        model.box_b = rng.standard_normal(model.box_b.shape) * 0.5
+        corner = rng.uniform(0, 50, (2, size, 2))
+        extent = rng.uniform(10, 40, (2, size, 2))
+        proposals, gts = np.concatenate([corner, corner + extent], axis=2)
+        ys = np.array([*space.seen_ids, space.bg_id])[rng.integers(space.S + 1, size=size)]
+        ys[0] = 1  # at least one foreground row
+        targets = np.where((ys <= space.S)[:, None], encode_boxes(gts, proposals), np.nan)
+        batch = RegionBatch(rng.standard_normal((size, 5)), ys, targets)
+        offsets = batch.features @ model.box_w + model.box_b
+        per_sample = [regression_loss(o, p, g, int(y), space)
+                      for o, p, g, y in zip(offsets, proposals, gts, ys) if y <= space.S]
+        breakdown, _ = loss_gradients(model, batch, space, 0.5, "full")
+        assert breakdown.l_reg == pytest.approx(sum(per_sample) / len(per_sample),
+                                                rel=1e-12, abs=0)
 
 
 def fd_gradient(model, batch, space, lam, mode, param, h=1e-5):
@@ -474,6 +511,84 @@ class TestBatchedKernel:
                       for i in range(size))
         scale = max(float(np.abs(per_row).max()), 1e-300)
         np.testing.assert_allclose(size * grads.dw1, per_row, rtol=0, atol=1e-12 * scale)
+
+
+def class_terms_ref(scores, ys, space, lam, mode):
+    """The kernel as it was with one clustering block per target meta-class:
+    the margin half as in ``_class_terms``, then every meta's rows ranked in
+    one (n_m, |out|, |z|) block."""
+    rows = np.arange(scores.shape[0])
+    cols = _margin_table(space, mode)[ys]
+    diffs = np.ascontiguousarray(
+        np.take_along_axis(scores, cols, axis=1) - scores[rows, ys - 1][:, None]
+    )
+    l_mm = _softplus(diffs).mean(axis=1)
+    w = _sigmoid(diffs) / cols.shape[1]
+    g_mm = np.zeros_like(scores)
+    np.put_along_axis(g_mm, cols, w, axis=1)
+    g_mm[rows, ys - 1] -= w.sum(axis=1)
+    l_mc = np.zeros(scores.shape[0])
+    if mode == "seen_only":
+        return l_mm, l_mc, g_mm
+    g_mc = np.zeros_like(scores)
+    target_meta = np.array([space.meta_of(int(y)) for y in ys])
+    for m in np.unique(target_meta):
+        idx = np.flatnonzero(target_meta == m)
+        z = np.array(space.members(int(m))) - 1
+        out = np.setdiff1d(np.arange(space.bg_id), z)
+        o = scores[idx]
+        pairs = np.ascontiguousarray(o[:, out, None] - o[:, None, z])
+        l_mc[idx] = _softplus(pairs).reshape(idx.size, -1).mean(axis=1)
+        w = _sigmoid(pairs) / (out.size * z.size)
+        g_mc[idx[:, None], out] += w.sum(axis=2)
+        g_mc[idx[:, None], z] -= w.sum(axis=1)
+    return l_mm, l_mc, lam * g_mm + (1.0 - lam) * g_mc
+
+
+@st.composite
+def uneven_spaces(draw):
+    """Label spaces whose metas differ in size, one-member metas included,
+    with classes dealt to metas in a drawn order."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    metas = draw(st.permutations([m for m, k in enumerate(sizes, 1) for _ in range(k)]))
+    labels = [f"c{i}" for i in range(1, len(metas) + 1)]
+    n_seen = draw(st.integers(1, len(labels)))
+    return build_label_space(labels[:n_seen], labels[n_seen:],
+                             {c: f"m{m}" for c, m in zip(labels, metas)})
+
+
+class TestKernelMatchesPerMetaReference:
+    """The per-size kernel gives the per-meta loop's bits: every row ranks
+    the same pairs, laid out and summed in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(uneven_spaces(), st.sampled_from(["background", "foreground", "mixed"]),
+           st.integers(1, 16), st.sampled_from(["full", "seen_only"]), st.floats(0.0, 1.0),
+           st.sampled_from([0.1, 3.0, 300.0]), st.integers(0, 2**32 - 1))
+    def test_bit_equal(self, space, rows, n, mode, lam, scale, seed):
+        rng = np.random.default_rng(seed)
+        seen = rng.integers(1, space.S + 1, size=n)
+        ys = {"background": np.full(n, space.bg_id), "foreground": seen,
+              "mixed": np.where(rng.random(n) < 0.5, seen, space.bg_id)}[rows]
+        scores = rng.standard_normal((n, space.bg_id)) * scale
+        for got, want in zip(_class_terms(scores, ys, space, lam, mode),
+                             class_terms_ref(scores, ys, space, lam, mode)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("scale", [0.1, 3.0, 300.0])
+    def test_background_clustering_is_full_margin(self, rng, scale):
+        # {bg} is background's meta-class: its clustering term ranks every
+        # class against bg, which is exactly the full margin term.
+        space = make_space(4, 3, meta_of={
+            "c1": "m1", "c2": "m1", "c3": "m2", "c4": "m3", "c5": "m3", "c6": "m3", "c7": "m2",
+        })
+        for _ in range(20):
+            o = rng.standard_normal(space.bg_id) * scale
+            assert clustering_loss(o, space.bg_id, space) == max_margin_loss(o, space.bg_id, space)
+            l_mm, l_mc, _ = class_terms_ref(o[None], np.array([space.bg_id]), space, 0.5, "full")
+            assert l_mc[0] == l_mm[0] == max_margin_loss(o, space.bg_id, space)
 
 
 class TestGradientAudit:

@@ -1,7 +1,12 @@
 import base64
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zsdet.errors import NormalizationError, ParseError, ShapeError
+from zsdet.cli import main
+from zsdet.codec import encode_array
+from zsdet.errors import NormalizationError, ParseError, ShapeError, ZsdetError
 from zsdet.model import (
     BOX_SCALE_CLAMP,
     decode_boxes,
@@ -21,9 +28,11 @@ from zsdet.model import (
     normalized_scores,
     save_checkpoint,
 )
+from zsdet.semantics import load_word_vectors
 from zsdet.train import TrainConfig
 
 from conftest import axis_setup, make_model, make_space, make_table, random_unit_columns
+from test_data import mutated_files
 
 
 class TestForwardScores:
@@ -132,6 +141,29 @@ class TestNormalizedScores:
         features[1] = 0.0
         with pytest.raises(NormalizationError):
             normalized_scores(model, forward_scores(model, features), features)
+
+    # A d = 1 table can average to a zero background column, whose score is
+    # then NaN (0/0) with or without the scaling.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4), st.integers(0, 3),
+           st.integers(1, 4), st.floats(1e-100, 1e100), st.integers(0, 2**32 - 1))
+    def test_scaling_a_feature_leaves_its_row_unchanged(
+        self, d_f, d, n_seen, n_unseen, n, c, seed
+    ):
+        # Scores are linear in f and divided by ||f||, so f -> c f (c > 0)
+        # changes the row by rounding only; |o_hat| is at most ||W1||.
+        rng = np.random.default_rng(seed)
+        space = make_space(n_seen, n_unseen)
+        model = make_model(make_table(rng.standard_normal((d, space.C))), space, d_f=d_f)
+        model.w1 = rng.standard_normal((d_f, d))
+        features = rng.standard_normal((n, d_f))
+        scaled = features.copy()
+        scaled[0] *= c
+        got = normalized_scores(model, forward_scores(model, scaled), scaled)[0]
+        want = normalized_scores(model, forward_scores(model, features), features)[0]
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * (d_f + d) * np.linalg.norm(model.w1))
 
 
 class TestForwardBoxes:
@@ -280,6 +312,12 @@ class TestCheckpoint:
         model.box_b = data.draw(arrays(np.float64, (4 * n_seen,), elements=values))
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
         save_checkpoint(model, path)
+        saved = {"W1": model.w1, "box_weights": model.box_w, "box_bias": model.box_b}
+        non_finite = [key for key, a in saved.items() if not np.isfinite(a).all()]
+        if non_finite:
+            with pytest.raises(ParseError, match=f"checkpoint {non_finite[0]} has a non-finite"):
+                load_checkpoint(path, table)
+            return
         loaded = load_checkpoint(path, table)
         for a, b in ((loaded.w1, model.w1), (loaded.box_w, model.box_w),
                      (loaded.box_b, model.box_b)):
@@ -321,9 +359,13 @@ class TestCheckpoint:
             lambda p: p.update(W1=np.eye(4).ravel().tolist()),
             lambda p: p.update(W1="not base64!"),
             lambda p: p.update(W1=base64.b64encode(np.zeros(15).tobytes()).decode()),
+            lambda p: p.update(W1=encode_array(np.insert(np.zeros(15), 7, np.nan))),
+            lambda p: p.update(box_weights=encode_array(np.insert(np.ones(31), 0, np.inf))),
+            lambda p: p.update(box_bias=encode_array(np.insert(np.ones(7), 7, -np.inf))),
         ],
         ids=["missing_key", "w1_shape", "labels_type", "config_field",
-             "w1_list", "w1_not_base64", "w1_byte_count"],
+             "w1_list", "w1_not_base64", "w1_byte_count",
+             "w1_nan", "box_weights_inf", "box_bias_minus_inf"],
     )
     def test_malformed_payload_raises_parse_error(self, tmp_path, damage):
         model, table, _ = axis_setup()
@@ -334,3 +376,35 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
             load_checkpoint(path, table)
+
+
+def _trained_checkpoint():
+    """A small trained checkpoint's bytes and the word vectors it was trained on."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        data = Path(tmp)
+        assert main(["synth", "--out", tmp, "--s", "4", "--u", "2", "--m", "2", "--d", "4",
+                     "--d-f", "4", "--images", "4", "--test-images", "1",
+                     "--proposals-per-image", "4"]) == 0
+        assert main(["train", "--embeddings", str(data / "embeddings.txt"),
+                     "--meta-map", str(data / "meta_map.csv"),
+                     "--split", str(data / "oracle.json"), "--data", str(data / "train.jsonl"),
+                     "--out", str(data / "ckpt.json"), "--epochs", "1",
+                     "--min-similar", "0"]) == 0
+        return (data / "ckpt.json").read_bytes(), load_word_vectors(data / "embeddings.txt")
+
+
+CHECKPOINT, CHECKPOINT_TABLE = _trained_checkpoint()
+
+
+class TestMutatedCheckpoint:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_files([CHECKPOINT]))
+    def test_loads_or_raises_zsdet_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ckpt.json")
+            with open(path, "wb") as f:
+                f.write(data)
+            try:
+                load_checkpoint(path, CHECKPOINT_TABLE)
+            except ZsdetError:
+                pass
