@@ -26,14 +26,12 @@ from .evaluation import (
     evaluate,
     iou_matrix,
     nms,
-    top1_accuracy,
 )
 from .infer import (
-    Detection,
+    Detections,
     conse_detect,
     conse_project,
     detect,
-    recognize_top1,
     tag_image,
 )
 from .loss import (

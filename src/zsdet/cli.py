@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .evaluation import (
     render_report,
     report_to_dict,
 )
-from .infer import check_k, conse_detect, detect, dump_detections, tag_image
+from .infer import Detections, check_k, conse_detect, detect, dump_detections, tag_image
 from .model import Model, load_checkpoint, modified_embeddings, save_checkpoint
 from .semantics import (
     LabelSpace,
@@ -91,26 +92,18 @@ def _model_and_space(args) -> tuple[Model, LabelSpace]:
     return model, space
 
 
-def _detections_for(model, space, dataset: Dataset, args):
+def _detections_for(model, space, dataset: Dataset, args) -> list[Detections]:
+    """One :class:`Detections` per test image, in dataset order."""
     if args.inference == "san" and model.config.mode == "seen_only":
         print(
             "warning: direct unseen scoring on a seen-only checkpoint; "
             "its unseen embedding columns were never trained (use --inference conse)",
             file=sys.stderr,
         )
-    detections = []
-    for img in dataset.images:
-        if args.inference == "conse":
-            detections += conse_detect(
-                model, space, img.proposals, img.image_id,
-                k=args.k, alpha=args.alpha, nms_iou=args.nms_iou,
-            )
-        else:
-            detections += detect(
-                model, space, img.proposals, img.image_id,
-                alpha=args.alpha, nms_iou=args.nms_iou,
-            )
-    return detections
+    route, k = (conse_detect, {"k": args.k}) if args.inference == "conse" else (detect, {})
+    return [route(model, space, img.proposals, img.image_id,
+                  alpha=args.alpha, nms_iou=args.nms_iou, **k)
+            for img in dataset.images]
 
 
 def cmd_synth(args) -> int:
@@ -185,7 +178,7 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     dump_detections(detections, out, space)
     _write_manifest(out, "predict", args, [out.name])
-    print(f"{len(detections)} detections -> {out}")
+    print(f"{sum(map(len, detections))} detections -> {out}")
     return 0
 
 
@@ -199,21 +192,14 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    detections = None
-    tags = None
     text_blocks = []
+    # each kind of model output is computed once, when a task first needs it
+    detections = cache(lambda: _detections_for(model, space, dataset, args))
+    tags = cache(lambda: {img.image_id: tag_image(model, space, img.proposals)
+                          for img in dataset.images})
     for task in tasks:
-        if task in ("T1", "T2"):
-            if detections is None:
-                detections = _detections_for(model, space, dataset, args)
-            report = evaluate(detections, gts, space, task, iou_thresh=args.iou_eval)
-        else:
-            if tags is None:
-                tags = {
-                    img.image_id: tag_image(model, space, img.proposals)
-                    for img in dataset.images
-                }
-            report = evaluate(tags, gts, space, task, iou_thresh=args.iou_eval)
+        model_outputs = detections() if task in ("T1", "T2") else tags()
+        report = evaluate(model_outputs, gts, space, task, iou_thresh=args.iou_eval)
         report.meta.update(
             {"inference": args.inference, "alpha": args.alpha, "k": args.k,
              "nms_iou": args.nms_iou, "checkpoint": str(args.checkpoint)}

@@ -26,7 +26,8 @@ class DuplicateLabelError(ParseError):
 
 
 class DegenerateEmbeddingError(ZsdetError):
-    """A class vector has zero norm and cannot be normalized."""
+    """A class vector, or the background mean of the unit class vectors, has
+    zero norm and cannot be normalized."""
 
 
 class CoverageError(ZsdetError):

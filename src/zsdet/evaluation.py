@@ -30,7 +30,7 @@ from .errors import ConfigError, check_unit_interval
 from .semantics import LabelSpace
 
 if TYPE_CHECKING:
-    from .infer import Detection
+    from .infer import Detections
 
 TASKS = ("T1", "T2", "T3", "T4")
 TASK_NAMES = {
@@ -97,26 +97,23 @@ def iou_matrix(boxes_a, boxes_b) -> np.ndarray:
     return _box_iou(a[:, None, :], b[None, :, :])
 
 
-def nms(detections: Sequence["Detection"], iou_thresh: float) -> list["Detection"]:
-    """Greedy label-aware suppression over one image's detections.
+def nms(detections: "Detections", iou_thresh: float) -> np.ndarray:
+    """Greedy label-aware suppression over one image's detections; returns
+    the kept row indices.
 
-    Visits detections by descending score, ties by ascending original index.
-    A detection is kept iff its IoU with every box of its own label kept
+    Visits detections by descending score, ties by ascending row.  A
+    detection is kept iff its IoU with every box of its own label kept
     before it is ``<= iou_thresh``; labels never suppress each other.  The
-    kept detections are ordered by ascending label, and within a label by
+    kept rows are ordered by ascending label, and within a label by
     descending score, so the result equals one greedy pass per label.
     """
-    if not detections:
-        return []
-    scores = np.array([d.score for d in detections], dtype=np.float64)
-    boxes = np.array([d.box for d in detections], dtype=np.float64)
-    labels = np.array([d.label for d in detections])
+    labels = detections.labels
     # column k: the other boxes a kept box k suppresses; "not <=" keeps the
     # rule above exact when an IoU is NaN
-    suppresses = ~(iou_matrix(boxes, boxes) <= iou_thresh)
+    suppresses = ~(iou_matrix(detections.boxes, detections.boxes) <= iou_thresh)
     suppresses &= labels[:, None] == labels[None, :]
     np.fill_diagonal(suppresses, False)
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-detections.scores, kind="stable")
     keep = np.ones(len(detections), dtype=bool)
     # a box that suppresses nothing changes nothing when visited, so the
     # greedy pass visits only the others
@@ -124,35 +121,36 @@ def nms(detections: Sequence["Detection"], iou_thresh: float) -> list["Detection
         if keep[idx]:
             keep &= ~suppresses[:, idx]
     kept = order[keep[order]]
-    return [detections[k] for k in kept[np.argsort(labels[kept], kind="stable")]]
+    return kept[np.argsort(labels[kept], kind="stable")]
 
 
 def average_precision(
-    detections: Sequence["Detection"],
+    image_ids: Sequence[str],
+    scores: np.ndarray,
+    boxes: np.ndarray,
     ground_truths: Sequence[GroundTruth],
     iou_thresh: float,
 ) -> float:
-    """All-points interpolated AP for a single class.
-
-    Raises ValueError when there is no ground truth; such classes are
-    excluded from mAP by :func:`evaluate`.
-    """
+    """All-points interpolated AP for a single class over its detections'
+    aligned rows ``image_ids (n,)``, ``scores (n,)`` and ``boxes (n, 4)``;
+    score ties rank by row.  Raises ValueError when there is no ground
+    truth; such classes are excluded from mAP by :func:`evaluate`."""
     if not ground_truths:
         raise ValueError("average precision is undefined with zero ground truths")
     n_gt = len(ground_truths)
-    if not detections:
+    if not len(scores):
         return 0.0
 
     gt_by_image: dict[str, list[int]] = {}
     for gi, gt in enumerate(ground_truths):
         gt_by_image.setdefault(gt.image_id, []).append(gi)
-    scores = np.array([d.score for d in detections], dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     # every same-image (detection, ground truth) pair, by rank then gt index
-    candidates = [gt_by_image.get(detections[di].image_id, ()) for di in order.tolist()]
+    ranked_ids = np.asarray(image_ids, dtype=object)[order].tolist()
+    candidates = [gt_by_image.get(image_id, ()) for image_id in ranked_ids]
     pair_det = np.repeat(order, [len(c) for c in candidates])
     pair_gt = np.fromiter(chain.from_iterable(candidates), dtype=np.intp, count=pair_det.size)
-    det_boxes = np.array([d.box for d in detections], dtype=np.float64)
+    det_boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     gt_boxes = np.array([g.box for g in ground_truths], dtype=np.float64)
     overlaps = iter(_box_iou(det_boxes[pair_det], gt_boxes[pair_gt]).tolist())
 
@@ -192,13 +190,19 @@ def _ranking_ap(ranked_positive_flags: Sequence[bool], n_pos: int) -> float:
     return _envelope_area(recall, precision)
 
 
-def _grouped(items, relabel: Mapping[int, int]) -> dict[int, list]:
-    """``items`` grouped by ``relabel[item.label]``, each group in input order;
-    a label missing from ``relabel`` raises KeyError."""
-    groups: dict[int, list] = {}
-    for item in items:
-        groups.setdefault(relabel[item.label], []).append(item)
-    return groups
+def _flat(detections: Sequence["Detections"], relabel: Mapping[int, int]) -> tuple:
+    """``(image_ids, labels, scores, boxes)``: the images' detections as one
+    set of rows, images in order and each in its own row order, with labels
+    mapped by ``relabel``; a label missing from ``relabel`` raises KeyError."""
+    classes, at = np.unique(np.concatenate([np.empty(0, np.intp), *(d.labels for d in detections)]),
+                            return_inverse=True)
+    return (
+        np.repeat(np.array([d.image_id for d in detections], dtype=object),
+                  [len(d) for d in detections]),
+        np.array([relabel[c] for c in classes.tolist()], dtype=np.intp)[at],
+        np.concatenate([np.empty(0), *(d.scores for d in detections)]),
+        np.concatenate([np.empty((0, 4)), *(d.boxes for d in detections)]),
+    )
 
 
 def _reduced(class_scores: Mapping[int, float], relabel: Mapping[int, int]) -> dict[int, float]:
@@ -221,8 +225,9 @@ def evaluate(
 ) -> DetectionReport:
     """Score one task.
 
-    T1/T2 take unseen-class :class:`Detection` lists; T3/T4 take per-image
-    class tag scores, ``image_id -> {unseen class id: score}``.  Both sides
+    T1/T2 take a sequence of per-image unseen-class :class:`Detections`,
+    ranked as one list (images in order, score ties by position); T3/T4 take
+    per-image class tag scores, ``image_id -> {unseen class id: score}``.  Both sides
     go through the relabel map (T2/T4: to meta ids); a detection or tag whose
     label is not an unseen class id raises :class:`ConfigError`.
     ``iou_thresh`` must be finite and in (0, 1].
@@ -233,9 +238,12 @@ def evaluate(
     boxes, to_meta = task in ("T1", "T2"), task in ("T2", "T4")
     relabel = {cid: space.meta_of(cid) if to_meta else cid for cid in space.unseen_ids}
     name_of = space.meta_label_of if to_meta else space.label_of
-    gts_by_label = _grouped([g for g in ground_truths if space.is_unseen(g.label)], relabel)
+    gts_by_label: dict[int, list[GroundTruth]] = {}
+    for g in ground_truths:
+        if space.is_unseen(g.label):
+            gts_by_label.setdefault(relabel[g.label], []).append(g)
     try:
-        outputs = (_grouped(model_outputs, relabel) if boxes else
+        outputs = (_flat(model_outputs, relabel) if boxes else
                    {img: _reduced(tags, relabel) for img, tags in model_outputs.items()})
     except KeyError as exc:
         raise ConfigError(f"label {exc.args[0]} is not an unseen class id; "
@@ -245,8 +253,11 @@ def evaluate(
     for lid in sorted(gts_by_label):
         gts_l = gts_by_label[lid]
         if boxes:
-            dets_l = outputs.get(lid, [])
-            ap, n_gt, n_det = average_precision(dets_l, gts_l, iou_thresh), len(gts_l), len(dets_l)
+            image_ids, labels, scores, det_boxes = outputs
+            rows_l = np.flatnonzero(labels == lid)
+            ap = average_precision(image_ids[rows_l], scores[rows_l], det_boxes[rows_l],
+                                   gts_l, iou_thresh)
+            n_gt, n_det = len(gts_l), len(rows_l)
         else:
             positives = {g.image_id for g in gts_l}
             scored = [(img, scores[lid]) for img, scores in outputs.items() if lid in scores]
@@ -266,22 +277,6 @@ def evaluate(
         "over the meta's unseen members",
     }
     return DetectionReport(task=task, rows=rows, mean_ap=mean_ap, meta=meta)
-
-
-def top1_accuracy(
-    predictions: Mapping[str, int], gt_labels: Mapping[str, int]
-) -> float:
-    """Class-balanced top-1 accuracy: mean over classes of per-class accuracy."""
-    if not gt_labels:
-        raise ConfigError("no ground-truth labels")
-    missing = [img for img in gt_labels if img not in predictions]
-    if missing:
-        raise ConfigError(f"missing predictions for images: {missing[:5]}")
-    per_class: dict[int, list[bool]] = {}
-    for img, gt in gt_labels.items():
-        per_class.setdefault(gt, []).append(predictions[img] == gt)
-    accs = [float(np.mean(hits)) for _, hits in sorted(per_class.items())]
-    return float(np.mean(accs))
 
 
 def render_report(report: DetectionReport) -> str:

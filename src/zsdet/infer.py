@@ -1,10 +1,10 @@
 """Test-time prediction paths.
 
 Each image is scored as one batch: its :class:`~zsdet.data.Proposals`
-matrix ``features (P, d_f)`` is taken as it is, rows with a zero-norm
-feature are dropped (they cannot be normalized and count as background),
-and one normalized ``(P, C+1)`` score matrix feeds the route.  Two routes
-read it:
+matrix ``features (P, d_f)`` is taken as it is, rows whose feature is all
+zero are dropped (they cannot be normalized and count as background), and
+one normalized ``(P, C+1)`` score matrix feeds the route.  Two routes read
+it, each returning the image's :class:`Detections`:
 
 * :func:`detect` - for models trained with unseen embeddings in place: a
   proposal whose top normalized score is background is discarded; otherwise
@@ -28,6 +28,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import groupby
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -43,42 +44,45 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """One emitted detection; ``label`` is an unseen class id."""
+class Detections:
+    """One image's detections as aligned rows: unseen class ids
+    ``labels (n,)``, ``scores (n,)`` and decoded ``boxes (n, 4)``."""
 
     image_id: str
-    label: int
-    score: float
-    box: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+    boxes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, rows: np.ndarray) -> "Detections":
+        """The detections ``rows``, in that order."""
+        return Detections(self.image_id, self.labels[rows], self.scores[rows], self.boxes[rows])
 
 
 def _scored(
     model: Model, proposals: "Proposals"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(features, boxes, scores)`` of the proposals with a nonzero feature.
-
-    Rows keep proposal order; ``scores`` is the normalized ``(n, C+1)``
-    matrix.  Zero-norm rows are dropped, so they are background everywhere.
-    """
-    valid = np.linalg.norm(proposals.features, axis=1) != 0.0
+    """``(features, boxes, scores)`` of the proposals with a nonzero feature,
+    in proposal order; ``scores`` is the normalized ``(n, C+1)`` matrix.
+    All-zero rows are dropped, so they are background everywhere."""
+    valid = proposals.features.any(axis=1)
     features, boxes = proposals.features[valid], proposals.boxes[valid]
     return features, boxes, normalized_scores(model, forward_scores(model, features), features)
 
 
 def _emit(
     model: Model, image_id: str, labels: np.ndarray, values: np.ndarray,
-    features: np.ndarray, scores: np.ndarray, boxes: np.ndarray,
-) -> list[Detection]:
-    """One detection per row, its box decoded with the offsets of the row's
-    highest-scoring seen class."""
+    features: np.ndarray, scores: np.ndarray, boxes: np.ndarray, nms_iou: float,
+) -> Detections:
+    """The rows as detections, each box decoded with the offsets of the row's
+    highest-scoring seen class, then label-aware NMS unless ``nms_iou`` is 0."""
     n = len(features)
     s_star = np.argmax(scores[:, : model.n_seen], axis=1)
     offsets = forward_boxes(model, features).reshape(n, model.n_seen, 4)
-    decoded = decode_boxes(boxes, offsets[np.arange(n), s_star])
-    return [
-        Detection(image_id, int(label), float(value), box)
-        for label, value, box in zip(labels, values, decoded)
-    ]
+    out = Detections(image_id, labels, values, decode_boxes(boxes, offsets[np.arange(n), s_star]))
+    return out.take(nms(out, nms_iou)) if nms_iou > 0.0 and n else out
 
 
 def detect(
@@ -88,7 +92,7 @@ def detect(
     image_id: str,
     alpha: float,
     nms_iou: float = 0.5,
-) -> list[Detection]:
+) -> Detections:
     """Unseen-class detections for one image's proposals.
 
     Emits a detection only when the background is not the top label and the
@@ -104,9 +108,8 @@ def detect(
     rows = np.flatnonzero(
         (np.argmax(scores, axis=1) != space.bg_id - 1) & (u_scores > alpha)
     )
-    out = _emit(model, image_id, u_cols[rows] + 1, u_scores[rows],
-                features[rows], scores[rows], boxes[rows])
-    return nms(out, nms_iou) if nms_iou > 0.0 and out else out
+    return _emit(model, image_id, u_cols[rows] + 1, u_scores[rows],
+                 features[rows], scores[rows], boxes[rows], nms_iou)
 
 
 def check_k(k: int, n_seen: int) -> None:
@@ -142,7 +145,7 @@ def conse_detect(
     k: int = 10,
     alpha: float = 0.1,
     nms_iou: float = 0.5,
-) -> list[Detection]:
+) -> Detections:
     """ConSE-style detections: classify the projected proposal by cosine.
 
     Reads only seen and background score entries, so it works with any
@@ -167,9 +170,8 @@ def conse_detect(
     u_scores = cos[np.arange(len(rows)), u_idx]
     hit = u_scores > alpha
     rows = rows[hit]
-    out = _emit(model, image_id, s + u_idx[hit] + 1, u_scores[hit],
-                features[rows], scores[rows], boxes[rows])
-    return nms(out, nms_iou) if nms_iou > 0.0 and out else out
+    return _emit(model, image_id, s + u_idx[hit] + 1, u_scores[hit],
+                 features[rows], scores[rows], boxes[rows], nms_iou)
 
 
 def tag_image(
@@ -180,7 +182,7 @@ def tag_image(
     """Image-level score per unseen class id: max over proposals.
 
     No threshold is applied; the scores feed average precision directly.
-    Zero-norm proposals are skipped; with no usable proposal all scores are 0.
+    All-zero proposals are skipped; with no usable proposal all scores are 0.
     """
     s, c = space.S, space.C
     _, _, scores = _scored(model, proposals)
@@ -188,41 +190,35 @@ def tag_image(
     return {s + i + 1: float(best[i]) for i in range(c - s)}
 
 
-def recognize_top1(
-    model: Model, space: LabelSpace, proposals: "Proposals"
-) -> int:
-    """Single best unseen class for an image; ties go to the lowest id."""
-    tags = tag_image(model, space, proposals)
-    best_id, best_score = None, -np.inf
-    for cid in sorted(tags):
-        if tags[cid] > best_score:
-            best_id, best_score = cid, tags[cid]
-    return int(best_id)
-
-
 def dump_detections(
-    detections: Sequence[Detection], path: str | os.PathLike, space: LabelSpace
+    detections: Sequence[Detections], path: str | os.PathLike, space: LabelSpace
 ) -> None:
-    """Write the JSON-lines detection dump, one object per detection."""
+    """Write the JSON-lines detection dump, one object per detection, with
+    the bytes ``json.dumps`` gives each record: strings are encoded once, and
+    floats take ``repr`` (``json.dumps`` in an image with a non-finite value)."""
+    names = {cid: json.dumps(space.label_of(cid)) for cid in range(1, space.bg_id + 1)}
     with open(path, "w", encoding="utf-8") as f:
         for d in detections:
-            rec = {
-                "image_id": d.image_id,
-                "label": space.label_of(d.label),
-                "score": d.score,
-                "box": [float(v) for v in d.box],
-            }
-            f.write(json.dumps(rec) + "\n")
+            head = '{"image_id": ' + json.dumps(d.image_id) + ', "label": '
+            finite = np.isfinite(d.scores).all() and np.isfinite(d.boxes).all()
+            num = repr if finite else json.dumps
+            f.writelines(
+                f'{head}{names[label]}, "score": {num(score)}, '
+                f'"box": [{num(x1)}, {num(y1)}, {num(x2)}, {num(y2)}]}}\n'
+                for label, score, (x1, y1, x2, y2) in zip(
+                    d.labels.tolist(), d.scores.tolist(), d.boxes.tolist())
+            )
 
 
-def load_detections(path: str | os.PathLike, space: LabelSpace) -> list[Detection]:
-    """Reader for :func:`dump_detections`.
+def load_detections(path: str | os.PathLike, space: LabelSpace) -> list[Detections]:
+    """Reader for :func:`dump_detections`: one :class:`Detections` per run of
+    lines with equal ``image_id``.
 
     Each line must be a JSON object with a known label, a finite score and a
     box of exactly 4 finite numbers, or :class:`ParseError` names the line.
     Boxes need not be ordered: a decoded box can be degenerate.
     """
-    out = []
+    rows = []
     for lineno, line in utf8_lines(path):
         if not line.strip():
             continue
@@ -238,5 +234,6 @@ def load_detections(path: str | os.PathLike, space: LabelSpace) -> list[Detectio
             raise ParseError(f"detection score must be finite, got {score}", lineno)
         if box.shape != (4,) or not np.isfinite(box).all():
             raise ParseError("detection box must be 4 finite numbers", lineno)
-        out.append(Detection(image_id, label, score, box))
-    return out
+        rows.append((image_id, label, score, box))
+    return [Detections(image_id, *(np.array(column) for column in list(zip(*run))[1:]))
+            for image_id, run in groupby(rows, key=lambda row: row[0])]

@@ -122,18 +122,34 @@ def forward_scores(model: Model, feature: np.ndarray) -> np.ndarray:
     return (feature @ model.w1) @ model.w2
 
 
+def feature_norms(features: np.ndarray) -> np.ndarray:
+    """L2 norms over the last axis (kept).  A row whose ``np.linalg.norm`` is
+    inf or below 1e-150, where its squares over- or underflow, takes
+    ``m * norm(f / m)`` with m its largest ``|entry|``; other rows keep their
+    ``np.linalg.norm`` bits, and an all-zero row has norm 0."""
+    f = np.asarray(features, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(f, axis=-1, keepdims=True)
+    redo = (norms < 1e-150) | (norms == np.inf)
+    if redo.any():
+        m = np.abs(f).max(axis=-1, keepdims=True)
+        rescaled = m * np.linalg.norm(f / np.where(m > 0.0, m, 1.0), axis=-1, keepdims=True)
+        norms = np.where(redo, rescaled, norms)
+    return norms
+
+
 def normalized_scores(model: Model, o: np.ndarray, feature: np.ndarray) -> np.ndarray:
     """Cosine-style normalization ``o_c / (‖v_c‖ ‖f‖)``.
 
     Accepts one row (``o`` (C+1,), ``feature`` (d_f,)) or a batch of rows
     (``o`` (n, C+1), ``feature`` (n, d_f)); the feature norm is taken over
-    the last axis.  Uses each W2 column's actual stored norm; the background
-    column's norm is its true (<=1) value, not 1.
+    the last axis by :func:`feature_norms`.  Uses each W2 column's actual
+    stored norm; the background column's norm is its true (<=1) value, not 1.
     """
     o = np.asarray(o, dtype=np.float64)
     if o.shape[-1] != model.w2.shape[1]:
         raise ShapeError(f"score length {o.shape[-1]} != C+1 {model.w2.shape[1]}")
-    fnorm = np.linalg.norm(feature, axis=-1, keepdims=True)
+    fnorm = feature_norms(feature)
     if np.any(fnorm == 0.0):
         raise NormalizationError("cannot normalize scores for a zero feature")
     return o / (model.col_norms * fnorm)

@@ -135,14 +135,19 @@ def finalize_embeddings(labels: Sequence[str], vectors: np.ndarray) -> Embedding
     """Table from raw class vectors ``(d, C)``: every column L2-normalized.
 
     The background is the arithmetic mean of the normalized class vectors;
-    by the triangle inequality its norm is <= 1 and it is left as-is.
+    by the triangle inequality its norm is <= 1 and it is left as-is.  A
+    zero-norm class vector or background raises :class:`DegenerateEmbeddingError`.
     """
     norms = np.linalg.norm(vectors, axis=0)
     bad = np.where(~(norms > 0.0))[0]
     if bad.size:
         raise DegenerateEmbeddingError(f"class {labels[bad[0]]!r} has zero-norm vector")
     vectors = _readonly(vectors / norms)
-    return EmbeddingTable(tuple(labels), vectors, _readonly(vectors.mean(axis=1)))
+    background = vectors.mean(axis=1)
+    if not np.linalg.norm(background) > 0.0:
+        raise DegenerateEmbeddingError("the unit class vectors average to zero: "
+                                       "the background has zero norm")
+    return EmbeddingTable(tuple(labels), vectors, _readonly(background))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Shared builders for small hand-constructed instances."""
 
+from dataclasses import dataclass
+from itertools import groupby
+
 import numpy as np
 import pytest
 
 from zsdet.codec import decode_array
+from zsdet.evaluation import average_precision
+from zsdet.infer import Detections
 from zsdet.model import Model, init_model
 from zsdet.semantics import build_label_space, finalize_embeddings
 from zsdet.train import TrainConfig
@@ -51,6 +56,43 @@ def to_list_form(rec, d_f):
     rec["proposals"] = [{"feature": f.tolist(), "box": b.tolist()}
                         for f, b in zip(features, boxes)]
     return rec
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One detection row, the reference form of a :class:`Detections` row."""
+
+    image_id: str
+    label: int
+    score: float
+    box: np.ndarray
+
+
+def stacked(rows, image_id="i"):
+    """One image's :class:`Detections` from ``rows`` (their image ids unread)."""
+    return Detections(image_id,
+                      np.array([d.label for d in rows], dtype=np.intp),
+                      np.array([d.score for d in rows], dtype=np.float64),
+                      np.array([d.box for d in rows], dtype=np.float64).reshape(-1, 4))
+
+
+def per_image(rows):
+    """``rows`` as one :class:`Detections` per run of equal image id."""
+    return [stacked(list(run), image_id) for image_id, run in groupby(rows, lambda d: d.image_id)]
+
+
+def rows_of(detections):
+    """The rows of one :class:`Detections`, or of a list of them, in order."""
+    if isinstance(detections, Detections):
+        detections = [detections]
+    return [Detection(d.image_id, int(label), float(score), box)
+            for d in detections for label, score, box in zip(d.labels, d.scores, d.boxes)]
+
+
+def ap_of(rows, gts, thresh):
+    """:func:`average_precision` of one label's detection ``rows``."""
+    d = stacked(rows)
+    return average_precision([r.image_id for r in rows], d.scores, d.boxes, gts, thresh)
 
 
 def random_unit_columns(rng, d, n):

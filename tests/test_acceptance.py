@@ -16,14 +16,14 @@ import pytest
 
 from zsdet.audit import random_batch
 from zsdet.data import SynthConfig, generate_synthetic, ground_truth_records
-from zsdet.evaluation import average_precision, evaluate, nms
-from zsdet.infer import Detection, conse_detect, detect, tag_image
+from zsdet.evaluation import evaluate, nms
+from zsdet.infer import conse_detect, detect, tag_image
 from zsdet.loss import classification_loss, loss_gradients
 from zsdet.model import init_model, modified_embeddings, save_checkpoint
 from zsdet.semantics import build_label_space, load_word_vectors, meta_cosine_stats, save_word_vectors
 from zsdet.train import TrainConfig, train
 
-from conftest import make_space, make_table, random_unit_columns
+from conftest import Detection, ap_of, make_space, make_table, per_image, random_unit_columns, stacked
 from test_evaluation import ap_ref, nms_ref, random_case
 
 
@@ -90,9 +90,9 @@ def test_criterion_2_metric_oracles():
     with criterion(2, "AP and NMS match brute-force references on 500 tiny cases"):
         for _ in range(500):
             dets, gts = random_case(rng)
-            ap = average_precision(dets, gts, 0.5)
+            ap = ap_of(dets, gts, 0.5)
             assert ap == pytest.approx(ap_ref(dets, gts, 0.5), abs=1e-9)
-            kept = nms(dets, 0.4)
+            kept = [dets[i] for i in nms(stacked(dets), 0.4)]
             ref = nms_ref(dets, 0.4)
             assert [id(d) for d in kept] == [id(d) for d in ref]
         elapsed = time.monotonic() - started
@@ -157,10 +157,7 @@ def _zsd_map(dets, gts, space):
 
 
 def _collect(detector, images):
-    out = []
-    for img in images:
-        out.extend(detector(img))
-    return out
+    return [detector(img) for img in images]
 
 
 def _run_experiment(tmp_path):
@@ -226,7 +223,7 @@ def _run_experiment(tmp_path):
             for img in bundle.test.images
             for box in img.proposals.boxes
         ]
-        maps["chance"] = _zsd_map(chance_dets, gts, space)
+        maps["chance"] = _zsd_map(per_image(chance_dets), gts, space)
 
         tag_maps = {}
         for name, model in (("cluster", cluster), ("seen_only", seen_only), ("baseline", baseline)):

@@ -409,6 +409,23 @@ class TestExitCodes:
                    "--out", tmp_path / "dets.jsonl") == 2
         assert capsys.readouterr().err.startswith("error: alpha must be a finite number")
 
+    def test_embeddings_averaging_to_zero_exit_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        labels = [line.split()[0] for line in (data / "embeddings.txt").read_text().splitlines()]
+        # class 2k is +e_k and class 2k+1 is -e_k: the unit vectors sum to zero
+        rows = np.arange(len(labels))
+        vectors = np.zeros((len(labels), 6))
+        vectors[rows, rows // 2] = np.where(rows % 2, -1.0, 1.0)
+        (data / "embeddings.txt").write_text(
+            "".join(f"{label} {' '.join(map(str, v))}\n" for label, v in zip(labels, vectors)))
+        capsys.readouterr()
+        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--alpha", 0.0, "--out", tmp_path / "dets.jsonl") == 2
+        assert "background has zero norm" in capsys.readouterr().err
+        assert not (tmp_path / "dets.jsonl").exists()
+
     def test_non_finite_nms_iou_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)

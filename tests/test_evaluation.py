@@ -8,20 +8,22 @@ from zsdet.evaluation import (
     TASKS,
     GroundTruth,
     _envelope_area,
-    average_precision,
     evaluate,
     iou_matrix,
     nms,
-    top1_accuracy,
 )
-from zsdet.infer import Detection
 from zsdet.semantics import build_label_space
 
-from conftest import make_space
+from conftest import Detection, ap_of, make_space, per_image, stacked
 
 
 def det(img, label, score, box):
     return Detection(img, label, score, np.asarray(box, dtype=np.float64))
+
+
+def nms_rows(rows, thresh):
+    """The ``rows`` that :func:`nms` keeps, in its order."""
+    return [rows[i] for i in nms(stacked(rows), thresh)]
 
 
 def gt(img, label, box):
@@ -191,11 +193,11 @@ class TestNms:
     @example(HALF + HALF, [0.5] * 10, 0.5)
     def test_matches_reference_on_grid_boxes_with_tied_scores(self, boxes, scores, thresh):
         d = [det("i", 1, s, b) for s, b in zip(scores, boxes)]
-        assert [id(k) for k in nms(d, thresh)] == [id(r) for r in nms_ref(d, thresh)]
+        assert [id(k) for k in nms_rows(d, thresh)] == [id(r) for r in nms_ref(d, thresh)]
 
     def test_duplicate_boxes_keep_best(self):
         d = [det("i", 1, 0.9, [0, 0, 10, 10]), det("i", 1, 0.8, [0, 0, 10, 10])]
-        kept = nms(d, 0.5)
+        kept = nms_rows(d, 0.5)
         assert len(kept) == 1
         assert kept[0].score == 0.9
 
@@ -205,7 +207,7 @@ class TestNms:
             det("i", 1, 0.9, [20, 20, 25, 25]),
             det("i", 1, 0.5, [40, 40, 45, 45]),
         ]
-        kept = nms(d, 0.5)
+        kept = nms_rows(d, 0.5)
         assert [k.score for k in kept] == [0.9, 0.5, 0.2]
 
     def test_matches_reference_on_random_boxes(self, rng):
@@ -215,7 +217,7 @@ class TestNms:
                 x1, y1 = rng.uniform(0, 30, 2)
                 w, h = rng.uniform(5, 25, 2)
                 d.append(det("i", 1, float(rng.uniform()), [x1, y1, x1 + w, y1 + h]))
-            kept = nms(d, 0.4)
+            kept = nms_rows(d, 0.4)
             ref = nms_ref(d, 0.4)
             assert [id(k) for k in kept] == [id(r) for r in ref]
 
@@ -225,13 +227,13 @@ class TestNms:
             x1, y1 = rng.uniform(0, 30, 2)
             w, h = rng.uniform(5, 25, 2)
             d.append(det("i", 1, float(rng.uniform()), [x1, y1, x1 + w, y1 + h]))
-        once = nms(d, 0.5)
-        twice = nms(once, 0.5)
+        once = nms_rows(d, 0.5)
+        twice = nms_rows(once, 0.5)
         assert [id(a) for a in once] == [id(b) for b in twice]
 
     def test_score_tie_breaks_by_original_index(self):
         d = [det("i", 1, 0.5, [0, 0, 10, 10]), det("i", 1, 0.5, [1, 1, 11, 11])]
-        kept = nms(d, 0.3)
+        kept = nms_rows(d, 0.3)
         assert kept[0] is d[0]
 
 
@@ -248,7 +250,7 @@ def ap_cases(draw):
 
 class TestAveragePrecision:
     def test_single_perfect_detection(self):
-        assert average_precision(
+        assert ap_of(
             [det("i", 1, 0.9, [0, 0, 10, 10])], [gt("i", 1, [0, 0, 10, 10])], 0.5
         ) == 1.0
 
@@ -257,7 +259,7 @@ class TestAveragePrecision:
             det("i", 1, 0.9, [30, 30, 40, 40]),  # FP
             det("i", 1, 0.5, [0, 0, 10, 10]),  # TP
         ]
-        assert average_precision(dets, [gt("i", 1, [0, 0, 10, 10])], 0.5) == pytest.approx(0.5)
+        assert ap_of(dets, [gt("i", 1, [0, 0, 10, 10])], 0.5) == pytest.approx(0.5)
 
     def test_duplicate_detection_is_fp(self):
         dets = [
@@ -265,25 +267,25 @@ class TestAveragePrecision:
             det("i", 1, 0.8, [0, 0, 10, 10]),
         ]
         gts = [gt("i", 1, [0, 0, 10, 10])]
-        assert average_precision(dets, gts, 0.5) == 1.0
+        assert ap_of(dets, gts, 0.5) == 1.0
         # flip the ranking: the duplicate drags precision before the match
         dets2 = [
             det("i", 1, 0.8, [0, 0, 10, 10]),
             det("i", 1, 0.9, [0.5, 0.5, 10.5, 10.5]),
         ]
-        assert average_precision(dets2, gts, 0.5) == 1.0
+        assert ap_of(dets2, gts, 0.5) == 1.0
 
     def test_zero_ground_truths_undefined(self):
         with pytest.raises(ValueError):
-            average_precision([det("i", 1, 0.5, [0, 0, 1, 1])], [], 0.5)
+            ap_of([det("i", 1, 0.5, [0, 0, 1, 1])], [], 0.5)
 
     def test_no_detections_zero(self):
-        assert average_precision([], [gt("i", 1, [0, 0, 10, 10])], 0.5) == 0.0
+        assert ap_of([], [gt("i", 1, [0, 0, 10, 10])], 0.5) == 0.0
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(200):
             dets, gts = random_case(rng)
-            assert average_precision(dets, gts, 0.5) == pytest.approx(
+            assert ap_of(dets, gts, 0.5) == pytest.approx(
                 ap_ref(dets, gts, 0.5), abs=1e-9
             )
 
@@ -304,7 +306,7 @@ class TestAveragePrecision:
         # the running best), at 1 only identical boxes match
         dets, gts = case
         assume(gts)  # AP without ground truth is undefined (tested above)
-        assert average_precision(dets, gts, thresh) == pytest.approx(
+        assert ap_of(dets, gts, thresh) == pytest.approx(
             ap_ref(dets, gts, thresh), rel=0, abs=1e-12
         )
 
@@ -312,9 +314,9 @@ class TestAveragePrecision:
         dets, gts = random_case(rng, n_det_max=6, n_gt_max=4)
         while not dets:
             dets, gts = random_case(rng)
-        base = average_precision(dets, gts, 0.5)
+        base = ap_of(dets, gts, 0.5)
         warped = [det(d.image_id, d.label, float(np.exp(d.score) + 3), d.box) for d in dets]
-        assert average_precision(warped, gts, 0.5) == pytest.approx(base, abs=1e-12)
+        assert ap_of(warped, gts, 0.5) == pytest.approx(base, abs=1e-12)
 
 
 def _envelope_loop_ref(recall, precision):
@@ -355,8 +357,8 @@ class TestEvaluate:
     def test_perfect_detector_all_tasks(self):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
-        assert evaluate(dets, gts, space, "T1").mean_ap == 1.0
-        assert evaluate(dets, gts, space, "T2").mean_ap == 1.0
+        assert evaluate(per_image(dets), gts, space, "T1").mean_ap == 1.0
+        assert evaluate(per_image(dets), gts, space, "T2").mean_ap == 1.0
         tags = {
             "a": {space.S + 1: 1.0, space.S + 2: 1.0},
             "b": {space.S + 1: 1.0, space.S + 2: 0.0},
@@ -369,21 +371,21 @@ class TestEvaluate:
         space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m2", "c3": "m1", "c4": "m1"})
         gts = [gt("a", 3, [0, 0, 10, 10]), gt("a", 4, [20, 20, 30, 30])]
         dets = [det("a", 4, 0.9, [0, 0, 10, 10]), det("a", 3, 0.8, [20, 20, 30, 30])]
-        t1 = evaluate(dets, gts, space, "T1").mean_ap
-        t2 = evaluate(dets, gts, space, "T2").mean_ap
+        t1 = evaluate(per_image(dets), gts, space, "T1").mean_ap
+        t2 = evaluate(per_image(dets), gts, space, "T2").mean_ap
         assert t1 == 0.0
         assert t2 == 1.0
 
     def test_t2_on_perfect_t1_is_perfect(self):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
-        assert evaluate(dets, gts, space, "T2").mean_ap == 1.0
+        assert evaluate(per_image(dets), gts, space, "T2").mean_ap == 1.0
 
     def test_classes_without_gt_excluded(self):
         space = make_space(4, 2, n_meta=2)
         gts = [gt("a", space.S + 1, [0, 0, 10, 10])]
         dets = [det("a", space.S + 1, 0.9, [0, 0, 10, 10])]
-        report = evaluate(dets, gts, space, "T1")
+        report = evaluate(per_image(dets), gts, space, "T1")
         assert [r.label for r in report.rows] == [space.S + 1]
         assert report.mean_ap == 1.0
 
@@ -391,13 +393,13 @@ class TestEvaluate:
         space = make_space(4, 2, n_meta=2)
         gts = [gt("a", 1, [0, 0, 10, 10]), gt("a", space.S + 1, [20, 20, 30, 30])]
         dets = [det("a", space.S + 1, 0.9, [20, 20, 30, 30])]
-        assert evaluate(dets, gts, space, "T1").mean_ap == 1.0
+        assert evaluate(per_image(dets), gts, space, "T1").mean_ap == 1.0
 
     def test_non_unseen_detection_rejected(self):
         space = make_space(4, 2)
         for task in ("T1", "T2"):
             with pytest.raises(ConfigError, match="label 1 is not an unseen class id"):
-                evaluate([det("a", 1, 0.9, [0, 0, 1, 1])], [], space, task)
+                evaluate(per_image([det("a", 1, 0.9, [0, 0, 1, 1])]), [], space, task)
 
     @pytest.mark.parametrize("task", ["T3", "T4"])
     def test_non_unseen_tag_rejected(self, task):
@@ -417,21 +419,21 @@ class TestEvaluate:
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
         with pytest.raises(ConfigError, match="iou_thresh must be a finite number"):
-            evaluate(dets, gts, space, "T1", iou_thresh=thresh)
+            evaluate(per_image(dets), gts, space, "T1", iou_thresh=thresh)
 
     @pytest.mark.parametrize("task", TASKS)
     @pytest.mark.parametrize("thresh", [0.0, -0.5, 1.0 + 1e-12, 2.0])
     def test_iou_thresh_outside_unit_interval_rejected(self, task, thresh):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
-        outputs = dets if task in ("T1", "T2") else {}
+        outputs = per_image(dets) if task in ("T1", "T2") else {}
         with pytest.raises(ConfigError, match=r"iou_thresh must be in \(0, 1\], got"):
             evaluate(outputs, gts, space, task, iou_thresh=thresh)
 
     def test_iou_thresh_of_one_accepted(self):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
-        assert evaluate(dets, gts, space, "T1", iou_thresh=1.0).mean_ap == 1.0
+        assert evaluate(per_image(dets), gts, space, "T1", iou_thresh=1.0).mean_ap == 1.0
 
     def test_tagging_ap_ranks_images(self):
         space = make_space(2, 1)
@@ -508,20 +510,3 @@ class TestTaggingTasks:
         assert [(r.label, r.name, _bits(r.ap), r.n_gt, r.n_det) for r in report.rows] == [
             (lid, name, _bits(ap), n_gt, n_det) for lid, name, ap, n_gt, n_det in rows]
         assert _bits(report.mean_ap) == _bits(mean_ap)
-
-
-class TestTop1Accuracy:
-    def test_all_correct(self):
-        preds = {"a": 5, "b": 6}
-        gts = {"a": 5, "b": 6}
-        assert top1_accuracy(preds, gts) == 1.0
-
-    def test_class_balanced(self):
-        # class 5: always right (3 images), class 6: always wrong (1 image)
-        preds = {"a": 5, "b": 5, "c": 5, "d": 5}
-        gts = {"a": 5, "b": 5, "c": 5, "d": 6}
-        assert top1_accuracy(preds, gts) == 0.5
-
-    def test_missing_prediction_rejected(self):
-        with pytest.raises(ConfigError):
-            top1_accuracy({}, {"a": 1})

@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -10,20 +11,19 @@ from zsdet.data import Proposals
 from zsdet.errors import ConfigError, ParseError
 from zsdet.evaluation import nms
 from zsdet.infer import (
-    Detection,
+    Detections,
     conse_detect,
     conse_project,
     detect,
     dump_detections,
     load_detections,
-    recognize_top1,
     tag_image,
 )
 from zsdet.model import box_slice, decode_boxes, forward_boxes, forward_scores, normalized_scores
 
-from conftest import axis_setup, make_model, make_space, make_table
+from conftest import Detection, axis_setup, make_model, make_space, make_table, per_image, rows_of
 from test_data import mutated_files
-from test_evaluation import HALF, grid_boxes, nms_ref
+from test_evaluation import HALF, grid_boxes, nms_ref, nms_rows
 
 
 def prop(feature, box=(0.0, 0.0, 10.0, 10.0)):
@@ -44,7 +44,7 @@ class TestDetect:
     def test_unseen_hit_uses_proposal_box_with_zero_head(self):
         model, table, space = axis_setup()
         p = prop(table.vector("c3") * 2.0, box=(5, 5, 25, 25))
-        dets = detect(model, space, p, "img", alpha=0.5)
+        dets = rows_of(detect(model, space, p, "img", alpha=0.5))
         assert len(dets) == 1
         assert dets[0].label == 3
         assert dets[0].score == pytest.approx(1.0, abs=1e-12)
@@ -53,13 +53,13 @@ class TestDetect:
     def test_background_argmax_rejected(self):
         model, _, space = axis_setup()
         f = np.array([1.0, 1.0, 1.0, 0.0])  # parallel to the background mean
-        assert detect(model, space, prop(f), "img", alpha=0.0) == []
+        assert len(detect(model, space, prop(f), "img", alpha=0.0)) == 0
 
     def test_threshold_is_strict(self):
         model, table, space = axis_setup()
         p = prop(table.vector("c3"))
-        [d] = detect(model, space, p, "img", alpha=0.0)
-        assert detect(model, space, p, "img", alpha=d.score) == []
+        [d] = rows_of(detect(model, space, p, "img", alpha=0.0))
+        assert len(detect(model, space, p, "img", alpha=d.score)) == 0
         assert len(detect(model, space, p, "img", alpha=d.score - 1e-9)) == 1
 
     def test_unseen_tie_goes_to_lowest_id(self):
@@ -70,12 +70,21 @@ class TestDetect:
             + table.vector("c4")
             - 0.3 * (table.vector("c1") + table.vector("c2"))
         )
-        [d] = detect(model, space, prop(f), "img", alpha=0.5)
+        [d] = rows_of(detect(model, space, prop(f), "img", alpha=0.5))
         assert d.label == 3
 
     def test_zero_feature_treated_as_background(self):
         model, _, space = axis_setup()
-        assert detect(model, space, prop(np.zeros(4)), "img", alpha=0.0) == []
+        assert len(detect(model, space, prop(np.zeros(4)), "img", alpha=0.0)) == 0
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-300, 1e200])
+    def test_tiny_and_huge_features_are_scored(self, c):
+        model, table, space = axis_setup()
+        f = table.vector("c3") + 0.1 * table.vector("c1")
+        [want] = rows_of(detect(model, space, prop(f), "img", alpha=0.5))
+        [got] = rows_of(detect(model, space, prop(c * f), "img", alpha=0.5))
+        assert got.label == want.label == 3
+        assert got.score == pytest.approx(want.score, rel=1e-14)
 
     def test_per_class_nms_drops_duplicates(self):
         model, table, space = axis_setup()
@@ -90,7 +99,7 @@ class TestDetect:
         model, table, space = axis_setup()
         rng = np.random.default_rng(0)
         props = stack([prop(rng.standard_normal(4)) for _ in range(40)])
-        for d in detect(model, space, props, "img", alpha=0.3):
+        for d in rows_of(detect(model, space, props, "img", alpha=0.3)):
             assert d.score > 0.3
 
     def test_box_decoded_from_best_seen_class(self):
@@ -98,7 +107,7 @@ class TestDetect:
         # class 2's slice shifts the box; make c2 the best seen class
         model.box_b = np.array([0, 0, 0, 0, 0.5, 0.0, 0.0, 0.0], dtype=np.float64)
         f = table.vector("c3") + 0.5 * table.vector("c2")
-        [d] = detect(model, space, prop(f, box=(0, 0, 10, 10)), "img", alpha=0.1)
+        [d] = rows_of(detect(model, space, prop(f, box=(0, 0, 10, 10)), "img", alpha=0.1))
         np.testing.assert_allclose(d.box, [5.0, 0.0, 15.0, 10.0], atol=1e-9)
 
 
@@ -153,7 +162,7 @@ class TestConseDetect:
         w2 = model.w2.copy()
         w2[:, 2] = w2[:, 0]
         model.w2 = w2
-        [d] = conse_detect(model, space, prop(np.eye(4)[0]), "img", k=2, alpha=0.5)
+        [d] = rows_of(conse_detect(model, space, prop(np.eye(4)[0]), "img", k=2, alpha=0.5))
         assert d.label == 3
         assert d.score == pytest.approx(1.0, abs=1e-12)
 
@@ -161,16 +170,15 @@ class TestConseDetect:
         model, table, space = axis_setup()
         # feature along seen c1; unseen c3 is orthogonal to every seen vector
         out = conse_detect(model, space, prop(np.eye(4)[0]), "img", k=2, alpha=0.1)
-        assert out == []
+        assert len(out) == 0
 
     def test_within_span_unseen_recovered(self):
         model, table, space = self.overlap_setup()
         out = conse_detect(model, space, prop(np.array([1.0, 1.0, 0, 0])), "img", k=2, alpha=0.2)
         # the background (mean) outranks both seen classes for this feature
-        assert out == []
+        assert len(out) == 0
         out = conse_detect(model, space, prop(np.array([1.0, 0.2, 0, 0])), "img", k=2, alpha=0.2)
-        assert len(out) == 1
-        assert out[0].label == 3
+        assert out.labels.tolist() == [3]
 
     def test_k_larger_than_seen_rejected(self):
         model, _, space = axis_setup()
@@ -218,7 +226,7 @@ class TestConseDetect:
     def test_scores_are_cosines_in_unit_range(self, rng):
         model, table, space = self.overlap_setup()
         props = stack([prop(rng.standard_normal(4)) for _ in range(50)])
-        for d in conse_detect(model, space, props, "img", k=2, alpha=-2.0):
+        for d in rows_of(conse_detect(model, space, props, "img", k=2, alpha=-2.0)):
             assert -1.0 - 1e-12 <= d.score <= 1.0 + 1e-12
 
 
@@ -256,22 +264,6 @@ class TestTagImage:
         assert tags == {3: 0.0}
 
 
-class TestRecognizeTop1:
-    def test_matches_tag_argmax(self):
-        model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            props = stack([prop(rng.standard_normal(5)) for _ in range(4)])
-            tags = tag_image(model, space, props)
-            best = max(sorted(tags), key=lambda cid: tags[cid])
-            assert recognize_top1(model, space, props) == best
-
-    def test_tie_breaks_to_lowest_id(self):
-        model, table, space = axis_setup(n_seen=1, n_unseen=2)
-        f = table.vector("c2") + table.vector("c3")
-        assert recognize_top1(model, space, prop(f)) == 2
-
-
 class TestDetectionDump:
     def test_roundtrip(self, tmp_path):
         space = make_space(2, 2)
@@ -280,8 +272,8 @@ class TestDetectionDump:
             Detection("b", 4, 0.125, np.array([0.0, 0.0, 1.0, 1.0])),
         ]
         path = tmp_path / "dets.jsonl"
-        dump_detections(dets, path, space)
-        loaded = load_detections(path, space)
+        dump_detections(per_image(dets), path, space)
+        loaded = rows_of(load_detections(path, space))
         assert [(d.image_id, d.label, d.score) for d in loaded] == [
             ("a", 3, 0.25),
             ("b", 4, 0.125),
@@ -291,7 +283,7 @@ class TestDetectionDump:
     def test_dump_uses_label_names(self, tmp_path):
         space = make_space(1, 1)
         path = tmp_path / "dets.jsonl"
-        dump_detections([Detection("a", 2, 0.5, np.zeros(4))], path, space)
+        dump_detections(per_image([Detection("a", 2, 0.5, np.zeros(4))]), path, space)
         assert '"label": "c2"' in path.read_text()
 
     def test_degenerate_boxes_read_back(self, tmp_path):
@@ -299,8 +291,8 @@ class TestDetectionDump:
         dets = [Detection("a", 2, 0.5, np.array([3.0, 3.0, 3.0, 3.0])),
                 Detection("a", 2, 0.25, np.array([5.0, 0.0, 1.0, 2.0]))]
         path = tmp_path / "dets.jsonl"
-        dump_detections(dets, path, space)
-        for got, ref in zip(load_detections(path, space), dets):
+        dump_detections(per_image(dets), path, space)
+        for got, ref in zip(rows_of(load_detections(path, space)), dets):
             np.testing.assert_array_equal(got.box, ref.box)
 
     @pytest.mark.parametrize(
@@ -323,12 +315,68 @@ class TestDetectionDump:
     def test_bad_record_raises_parse_error_naming_the_line(self, tmp_path, line):
         space = make_space(1, 1)
         path = tmp_path / "dets.jsonl"
-        dump_detections([Detection("a", 2, 0.5, np.zeros(4))], path, space)
+        dump_detections(per_image([Detection("a", 2, 0.5, np.zeros(4))]), path, space)
         with open(path, "a", encoding="utf-8") as f:
             f.write(line + "\n")
         with pytest.raises(ParseError) as exc:
             load_detections(path, space)
         assert exc.value.line == 2
+
+
+def dump_ref(detections, path, space):
+    """The per-record writer :func:`dump_detections` replaced."""
+    with open(path, "w", encoding="utf-8") as f:
+        for d in rows_of(detections):
+            rec = {"image_id": d.image_id, "label": space.label_of(d.label),
+                   "score": d.score, "box": [float(v) for v in d.box]}
+            f.write(json.dumps(rec) + "\n")
+
+
+# names that need JSON escapes: a quote, a backslash, a control character,
+# non-ASCII and a character outside the BMP
+ESCAPE_SPACE = make_space(2, 3, labels=['q"uote', "back\\slash", "tab\tbed", "caf\u00e9",
+                                        "\U0001f600"])
+EXTREME_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1e308, -1e308,
+                  1.7976931348623157e308, 3.0, -2.0**53, 1e16, 0.1,
+                  float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def detections_lists(draw):
+    """Per-image detections, images without rows included, over the whole
+    float range."""
+    values = st.floats() | st.sampled_from(EXTREME_FLOATS)
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 4))
+        out.append(Detections(
+            draw(st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\x00", "\u2028"])),
+            np.array(draw(st.lists(st.integers(1, ESCAPE_SPACE.bg_id), min_size=n, max_size=n)),
+                     dtype=np.intp),
+            np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64),
+            np.array(draw(st.lists(values, min_size=4 * n, max_size=4 * n)),
+                     dtype=np.float64).reshape(n, 4),
+        ))
+    return out
+
+
+class TestDumpBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(detections_lists())
+    def test_equals_json_dumps_per_record(self, detections):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got.jsonl"), os.path.join(tmp, "want.jsonl")
+            dump_detections(detections, got, ESCAPE_SPACE)
+            dump_ref(detections, want, ESCAPE_SPACE)
+            with open(got, "rb") as f, open(want, "rb") as g:
+                assert f.read() == g.read()
+
+    def test_non_finite_values_keep_json_spelling(self, tmp_path):
+        d = Detections("a", np.array([3, 4]), np.array([np.nan, 0.5]),
+                       np.array([[np.inf, -np.inf, 0.0, -0.0], [1.0, 2.0, 3.0, 1e308]]))
+        dump_detections([d], tmp_path / "d.jsonl", ESCAPE_SPACE)
+        first = (tmp_path / "d.jsonl").read_text().splitlines()[0]
+        assert '"score": NaN, "box": [Infinity, -Infinity, 0.0, -0.0]' in first
 
 
 def _dump_files():
@@ -339,7 +387,7 @@ def _dump_files():
             Detection("b", 3, 1e-17, np.array([9.0, 0.0, 1.0, 1e300]))]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "dets.jsonl")
-        dump_detections(dets, path, space)
+        dump_detections(per_image(dets), path, space)
         with open(path, "rb") as f:
             return space, [f.read()]
 
@@ -360,8 +408,8 @@ class TestMutatedDetectionFiles:
             except ParseError:
                 return
         for d in dets:
-            assert d.box.shape == (4,) and np.isfinite(d.box).all()
-            assert np.isfinite(d.score)
+            assert d.boxes.shape == (len(d), 4) and np.isfinite(d.boxes).all()
+            assert np.isfinite(d.scores).all()
 
 
 # -- batched scoring against the per-proposal loops it replaced ----------------
@@ -442,6 +490,7 @@ def tag_image_ref(model, space, proposals):
 
 
 def assert_same_detections(got, ref):
+    got = rows_of(got)
     assert [(d.image_id, d.label) for d in got] == [(d.image_id, d.label) for d in ref]
     for g, r in zip(got, ref):
         assert abs(g.score - r.score) <= 1e-12
@@ -502,15 +551,15 @@ class TestBatchedMatchesPerProposalLoops:
     def test_image_without_proposals(self, rng):
         model, space = random_instance(rng)
         none = stack([], model.d_f)
-        assert detect(model, space, none, "img", alpha=-1.0) == []
-        assert conse_detect(model, space, none, "img", k=1, alpha=-1.0) == []
+        assert len(detect(model, space, none, "img", alpha=-1.0)) == 0
+        assert len(conse_detect(model, space, none, "img", k=1, alpha=-1.0)) == 0
         assert tag_image(model, space, none) == tag_image_ref(model, space, none)
 
     def test_all_zero_features(self):
         model, _, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         props = stack([prop(np.zeros(5)) for _ in range(3)])
-        assert detect(model, space, props, "img", alpha=-1.0) == []
-        assert conse_detect(model, space, props, "img", k=2, alpha=-1.0) == []
+        assert len(detect(model, space, props, "img", alpha=-1.0)) == 0
+        assert len(conse_detect(model, space, props, "img", k=2, alpha=-1.0)) == 0
         assert tag_image(model, space, props) == {3: 0.0, 4: 0.0}
 
     def test_score_ties(self):
@@ -558,9 +607,10 @@ class TestLabelAwareNms:
     def test_matches_one_reference_pass_per_label(self, boxes, rows, thresh):
         d = [Detection(img, label, score, np.asarray(box))
              for box, (label, img, score) in zip(boxes, rows)]
-        assert [id(k) for k in nms(d, thresh)] == [id(r) for r in _label_nms_ref(d, thresh)]
+        kept = [id(k) for k in nms_rows(d, thresh)]
+        assert kept == [id(r) for r in _label_nms_ref(d, thresh)]
         if thresh > 0.0:
-            assert [id(k) for k in nms(d, thresh)] == [id(r) for r in _class_nms_ref(d, thresh)]
+            assert kept == [id(r) for r in _class_nms_ref(d, thresh)]
 
     def test_routes_call_nms_once_per_image_with_candidates(self, rng, monkeypatch):
         calls = []

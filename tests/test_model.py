@@ -10,17 +10,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zsdet.cli import main
 from zsdet.codec import encode_array
-from zsdet.errors import NormalizationError, ParseError, ShapeError, ZsdetError
+from zsdet.errors import (
+    DegenerateEmbeddingError,
+    NormalizationError,
+    ParseError,
+    ShapeError,
+    ZsdetError,
+)
 from zsdet.model import (
     BOX_SCALE_CLAMP,
     decode_boxes,
     encode_boxes,
+    feature_norms,
     forward_boxes,
     forward_scores,
     init_model,
@@ -142,12 +149,14 @@ class TestNormalizedScores:
         with pytest.raises(NormalizationError):
             normalized_scores(model, forward_scores(model, features), features)
 
-    # A d = 1 table can average to a zero background column, whose score is
-    # then NaN (0/0) with or without the scaling.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    # A d = 1 table whose unit columns average to zero has no background
+    # column to normalize by, so finalize_embeddings rejects it.
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4), st.integers(0, 3),
-           st.integers(1, 4), st.floats(1e-100, 1e100), st.integers(0, 2**32 - 1))
+           st.integers(1, 4), st.floats(1e-200, 1e200), st.integers(0, 2**32 - 1))
+    @example(5, 3, 2, 1, 2, 1e155, 0)  # the squares overflow
+    @example(5, 3, 2, 1, 2, 1e-160, 0)  # the squares underflow to subnormals
+    @example(5, 3, 2, 1, 2, 1e-170, 0)  # the squares underflow to 0
     def test_scaling_a_feature_leaves_its_row_unchanged(
         self, d_f, d, n_seen, n_unseen, n, c, seed
     ):
@@ -155,7 +164,11 @@ class TestNormalizedScores:
         # changes the row by rounding only; |o_hat| is at most ||W1||.
         rng = np.random.default_rng(seed)
         space = make_space(n_seen, n_unseen)
-        model = make_model(make_table(rng.standard_normal((d, space.C))), space, d_f=d_f)
+        try:
+            table = make_table(rng.standard_normal((d, space.C)))
+        except DegenerateEmbeddingError:
+            assume(False)
+        model = make_model(table, space, d_f=d_f)
         model.w1 = rng.standard_normal((d_f, d))
         features = rng.standard_normal((n, d_f))
         scaled = features.copy()
@@ -164,6 +177,27 @@ class TestNormalizedScores:
         want = normalized_scores(model, forward_scores(model, features), features)[0]
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * (d_f + d) * np.linalg.norm(model.w1))
+
+
+class TestFeatureNorms:
+    def test_ordinary_rows_keep_linalg_norm_bits(self, rng):
+        features = rng.standard_normal((20, 7)) * 10.0 ** rng.integers(-140, 140, (20, 1))
+        np.testing.assert_array_equal(feature_norms(features),
+                                      np.linalg.norm(features, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("c", [1e155, 1e300, 1e-160, 1e-170, 1e-300])
+    def test_rows_that_over_or_underflow_are_rescaled(self, c):
+        # (3, -4, 12) has norm 13 exactly
+        got = feature_norms(np.array([[3.0, -4.0, 12.0], [0.0, 0.0, 0.0]]) * c)
+        assert got[0, 0] == pytest.approx(13.0 * c, rel=1e-15)
+        assert got[1, 0] == 0.0
+
+    def test_subnormal_row(self):
+        assert feature_norms(np.array([[5e-324, 0.0]]))[0, 0] == 5e-324
+
+    def test_single_row_keeps_its_shape(self):
+        assert feature_norms(np.array([3e200, 4e200])).shape == (1,)
+        assert feature_norms(np.array([3e200, 4e200]))[0] == pytest.approx(5e200, rel=1e-15)
 
 
 class TestForwardBoxes:

@@ -104,6 +104,15 @@ class TestFinalize:
         with pytest.raises(DegenerateEmbeddingError, match="bad"):
             finalize_embeddings(("ok", "bad"), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("vectors", [
+        [[1.0, -1.0]],  # d = 1: the unit columns are +1 and -1
+        [[2.0, -3.0, 0.0, 0.0], [0.0, 0.0, 0.5, -7.0]],  # two opposite pairs
+    ])
+    def test_unit_columns_averaging_to_zero_rejected(self, vectors):
+        labels = tuple(f"c{i}" for i in range(len(vectors[0])))
+        with pytest.raises(DegenerateEmbeddingError, match="background has zero norm"):
+            finalize_embeddings(labels, np.array(vectors))
+
     def test_w2_shape_and_background_column(self):
         out = finalize_embeddings(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
         w2 = out.w2()
