@@ -11,12 +11,10 @@ small synthetic instances.
 import contextlib
 import io
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
