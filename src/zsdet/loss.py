@@ -17,7 +17,8 @@ per-row ``l_mm``, ``l_mc`` and ``dL_cls/do`` for the whole batch; the
 single-row losses below are one-row calls into it.  Background is its own
 meta-class ``{bg}``, so a background row's clustering term is its ``full``
 margin term and costs nothing more; seen-target rows are ranked in one
-block per meta-class size.  The smooth-L1 regression term is batched in
+block per meta-class size, and all blocks share one softplus and one
+sigmoid call.  The smooth-L1 regression term is batched in
 :func:`loss_gradients`.
 
 Gradient convention: the batch classification loss is averaged over all
@@ -61,12 +62,9 @@ class Gradients:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Mask-free 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below it.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -145,40 +143,47 @@ def _class_terms(
     its clustering term ranks every class, ascending, against ``bg``, which
     is the ``full`` margin term of the same row.  Seen-target rows run in
     one (n_k, C+1-k, k) block per meta-class size k (:func:`_meta_tables`),
-    every outside column ranked against every member column.  Blocks are
-    C-contiguous before reducing, so each row sums the same values in the
-    same order as a lone row.
+    every outside column ranked against every member column.  All blocks
+    share one softplus and one sigmoid call, then each reduces its own
+    C-contiguous slice: each row sums the same values in the same order.
     """
-    rows = np.arange(scores.shape[0])
+    rows = np.arange(len(ys))
     cols = _margin_table(space, mode)[ys]
-    diffs = np.ascontiguousarray(
-        np.take_along_axis(scores, cols, axis=1) - scores[rows, ys - 1][:, None]
-    )
-    l_mm = _softplus(diffs).mean(axis=1)
-    w = _sigmoid(diffs) / cols.shape[1]
-    g_mm = np.zeros_like(scores)
-    np.put_along_axis(g_mm, cols, w, axis=1)
-    g_mm[rows, ys - 1] -= w.sum(axis=1)
-    l_mc = np.zeros(scores.shape[0])
-    if mode == "seen_only":
-        return l_mm, l_mc, g_mm
+    blocks = [scores[rows[:, None], cols] - scores[rows, ys - 1][:, None]]
+    groups = []
+    if mode != "seen_only":
+        bg = ys == space.bg_id
+        fg = rows[~bg]
+        size, tables = _meta_tables(space)
+        target_size = size[ys[fg]]
+        for k, (members, outside) in tables.items():
+            idx = fg[target_size == k]
+            if idx.size:
+                r, z, out = idx[:, None], members[ys[idx]], outside[ys[idx]]
+                groups.append((idx, r, z, out))
+                blocks.append(scores[r, out][:, :, None] - scores[r, z][:, None, :])
+    flat = np.concatenate(blocks, axis=None)
+    soft, sig = _softplus(flat), _sigmoid(flat)
 
-    bg = ys == space.bg_id
-    l_mc[bg] = l_mm[bg]
-    g_mc = np.zeros_like(scores)
-    g_mc[bg] = g_mm[bg]
-    size, tables = _meta_tables(space)
-    fg = rows[~bg]
-    target_size = size[ys[fg]]
-    for k in np.unique(target_size).tolist():
-        idx = fg[target_size == k]
-        z, out = (table[ys[idx]] for table in tables[k])
-        r = idx[:, None]
-        pairs = scores[r, out][:, :, None] - scores[r, z][:, None, :]
-        l_mc[idx] = _softplus(pairs).reshape(idx.size, -1).mean(axis=1)
-        w = _sigmoid(pairs) / pairs[0].size
+    # ``.sum(axis=1) / K`` gives ``.mean(axis=1)``'s bits with less call overhead.
+    (n, K), lo = cols.shape, cols.size
+    l_mm = soft[:lo].reshape(n, K).sum(axis=1) / K
+    w = sig[:lo].reshape(n, K) / K
+    g_mm = np.zeros(scores.shape)
+    g_mm[rows[:, None], cols] = w
+    g_mm[rows, ys - 1] -= w.sum(axis=1)
+    if mode == "seen_only":
+        return l_mm, np.zeros(n), g_mm
+
+    l_mc = np.where(bg, l_mm, 0.0)
+    g_mc = np.where(bg[:, None], g_mm, 0.0)
+    for (idx, r, z, out), block in zip(groups, blocks[1:]):
+        hi, pairs = lo + block.size, block[0].size
+        l_mc[idx] = soft[lo:hi].reshape(idx.size, pairs).sum(axis=1) / pairs
+        w = sig[lo:hi].reshape(block.shape) / pairs
         g_mc[r, out] = w.sum(axis=2)
         g_mc[r, z] -= w.sum(axis=1)
+        lo = hi
     return l_mm, l_mc, lam * g_mm + (1.0 - lam) * g_mc
 
 
@@ -237,6 +242,11 @@ def _check_scores(o: np.ndarray, space: LabelSpace) -> np.ndarray:
     return o
 
 
+def _first_bad_row(a: np.ndarray) -> int:
+    """Index of the first row of ``a`` holding a non-finite value."""
+    return int(np.argmin(np.isfinite(a).all(axis=1)))
+
+
 def loss_gradients(
     model: Model,
     batch: RegionBatch,
@@ -263,35 +273,32 @@ def loss_gradients(
     if feats.shape != (n, model.d_f) or batch.targets.shape != (n, 4):
         raise ShapeError(f"batch features {feats.shape} and targets {batch.targets.shape}"
                          f" must be ({n}, d_f {model.d_f}) and ({n}, 4)")
-    bad = np.flatnonzero(((ys < 1) | (ys > space.S)) & (ys != space.bg_id))
-    if bad.size:
-        _check_target(int(ys[bad[0]]), space)
+    bad = ((ys < 1) | (ys > space.S)) & (ys != space.bg_id)
+    if bad.any():
+        _check_target(int(ys[bad.argmax()]), space)
     scores = (feats @ model.w1) @ model.w2
     offsets = feats @ model.box_w + model.box_b
 
-    finite = np.isfinite(scores).all(axis=1)
-    if not finite.all():
-        raise NumericFailureError("non-finite score", sample_index=int(np.argmin(finite)))
+    if not np.isfinite(scores).all():
+        raise NumericFailureError("non-finite score", sample_index=_first_bad_row(scores))
     mm, mc, g_scores = _class_terms(scores, ys, space, lam, mode)
-    finite = np.isfinite(g_scores).all(axis=1)
-    if not finite.all():
-        raise NumericFailureError("non-finite gradient", sample_index=int(np.argmin(finite)))
+    if not np.isfinite(g_scores).all():
+        raise NumericFailureError("non-finite gradient", sample_index=_first_bad_row(g_scores))
 
-    fg = np.flatnonzero(ys <= space.S)
+    fg = (ys <= space.S).nonzero()[0]
     n_pos = fg.size
-    d_offsets = np.zeros_like(offsets)
+    d_offsets = np.zeros(offsets.shape)
     reg_sum = 0.0
     if n_pos:
         target = batch.targets[fg]
-        finite = np.isfinite(target).all(axis=1)
-        if not finite.all():
-            raise ConfigError(
-                f"foreground sample {fg[np.argmin(finite)]} has no finite regression target"
-            )
-        box_cols = 4 * (ys[fg, None] - 1) + np.arange(4)
-        diff = offsets[fg[:, None], box_cols] - target
+        if not np.isfinite(target).all():
+            raise ConfigError(f"foreground sample {fg[_first_bad_row(target)]}"
+                              " has no finite regression target")
+        # As (n, S, 4) views, [i, y - 1] is row i's class-y box offsets.
+        at = fg, ys[fg] - 1
+        diff = offsets.reshape(n, -1, 4)[at] - target
         reg_sum = sum(smooth_l1(diff).sum(axis=1).tolist())
-        d_offsets[fg[:, None], box_cols] = np.clip(diff, -1.0, 1.0)
+        d_offsets.reshape(n, -1, 4)[at] = np.clip(diff, -1.0, 1.0)
 
     # Loss totals (reg_sum too) add per-sample values in sample order, so the
     # reported losses do not depend on how numpy pairs up a reduction.

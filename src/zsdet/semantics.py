@@ -203,11 +203,15 @@ class LabelSpace:
     def label_of(self, class_id: int) -> str:
         if class_id == self.bg_id:
             return "__background__"
+        if not 1 <= class_id < self.bg_id:
+            raise CoverageError(f"class id {class_id} outside 1..{self.bg_id}")
         return self.labels[class_id - 1]
 
     def meta_label_of(self, meta_id: int) -> str:
         if meta_id == self.bg_meta_id:
             return "__background__"
+        if not 1 <= meta_id < self.bg_meta_id:
+            raise CoverageError(f"meta id {meta_id} outside 1..{self.bg_meta_id}")
         return self.meta_labels[meta_id - 1]
 
     def is_seen(self, class_id: int) -> bool:

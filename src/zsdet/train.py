@@ -211,7 +211,9 @@ def label_proposals(
 def _draw(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     if n <= 0 or not pool.size:
         return pool[:0]
-    return pool[rng.choice(pool.size, size=n, replace=pool.size < n)]
+    if pool.size < n:  # the rows ``choice(..., replace=True)`` draws, minus its overhead
+        return pool[rng.integers(pool.size, size=n)]
+    return pool[rng.choice(pool.size, size=n, replace=False)]
 
 
 def compose_batch(
@@ -228,8 +230,8 @@ def compose_batch(
     """
     background = labeled.ys == bg_id
     return labeled.rows(np.concatenate([
-        _draw(np.flatnonzero(~background), n_pos, rng),
-        _draw(np.flatnonzero(background), n_neg, rng),
+        _draw((~background).nonzero()[0], n_pos, rng),
+        _draw(background.nonzero()[0], n_neg, rng),
     ]))
 
 
@@ -247,11 +249,14 @@ def rebalance_dataset(
     ``min_similar`` by removing a uniform subset of instances; instances
     removed this way simply become background at labeling time.  Meta-classes
     are processed in id order against the working set, so every retained
-    sample exists in the original dataset.
+    sample exists in the original dataset, though a copy made for one
+    meta-class may lose instances to a later one.  A copy of image ``x`` is
+    named ``x~r<k>``, with ``~`` appended while that id is taken.
     """
     if min_similar <= 0:
         return dataset
     images = list(dataset.images)
+    ids = {img.image_id for img in images}
     n_copies = 0
     for mid in range(1, space.M + 1):
         if not space.unseen_members(mid):
@@ -284,9 +289,11 @@ def rebalance_dataset(
             while count < min_similar:
                 pick = pool[int(rng.integers(len(pool)))]
                 n_copies += 1
-                images.append(
-                    replace(images[pick], image_id=f"{images[pick].image_id}~r{n_copies}")
-                )
+                copy_id = f"{images[pick].image_id}~r{n_copies}"
+                while copy_id in ids:  # an input id may already read like a copy's
+                    copy_id += "~"
+                ids.add(copy_id)
+                images.append(replace(images[pick], image_id=copy_id))
                 count += pool_counts[pick]
         elif count > min_similar:
             keep = set(

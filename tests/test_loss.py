@@ -11,7 +11,6 @@ from zsdet.loss import (
     _class_terms,
     _margin_table,
     _sigmoid,
-    _softplus,
     classification_loss,
     clustering_loss,
     loss_gradients,
@@ -513,17 +512,30 @@ class TestBatchedKernel:
         np.testing.assert_allclose(size * grads.dw1, per_row, rtol=0, atol=1e-12 * scale)
 
 
+def sigmoid_masked(x):
+    """The masked logistic: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def class_terms_ref(scores, ys, space, lam, mode):
-    """The kernel as it was with one clustering block per target meta-class:
-    the margin half as in ``_class_terms``, then every meta's rows ranked in
-    one (n_m, |out|, |z|) block."""
+    """The kernel as it was with one clustering block per target meta-class
+    and one softplus and sigmoid call per block: the margin half gathered
+    with ``take_along_axis`` and scattered with ``put_along_axis``, then
+    every meta's rows ranked in one (n_m, |out|, |z|) block, each block
+    reduced with ``.mean``.  It shares nothing with the module but the
+    margin column table."""
     rows = np.arange(scores.shape[0])
     cols = _margin_table(space, mode)[ys]
     diffs = np.ascontiguousarray(
         np.take_along_axis(scores, cols, axis=1) - scores[rows, ys - 1][:, None]
     )
-    l_mm = _softplus(diffs).mean(axis=1)
-    w = _sigmoid(diffs) / cols.shape[1]
+    l_mm = np.logaddexp(0.0, diffs).mean(axis=1)
+    w = sigmoid_masked(diffs) / cols.shape[1]
     g_mm = np.zeros_like(scores)
     np.put_along_axis(g_mm, cols, w, axis=1)
     g_mm[rows, ys - 1] -= w.sum(axis=1)
@@ -538,8 +550,8 @@ def class_terms_ref(scores, ys, space, lam, mode):
         out = np.setdiff1d(np.arange(space.bg_id), z)
         o = scores[idx]
         pairs = np.ascontiguousarray(o[:, out, None] - o[:, None, z])
-        l_mc[idx] = _softplus(pairs).reshape(idx.size, -1).mean(axis=1)
-        w = _sigmoid(pairs) / (out.size * z.size)
+        l_mc[idx] = np.logaddexp(0.0, pairs).reshape(idx.size, -1).mean(axis=1)
+        w = sigmoid_masked(pairs) / (out.size * z.size)
         g_mc[idx[:, None], out] += w.sum(axis=2)
         g_mc[idx[:, None], z] -= w.sum(axis=1)
     return l_mm, l_mc, lam * g_mm + (1.0 - lam) * g_mc
@@ -589,6 +601,40 @@ class TestKernelMatchesPerMetaReference:
             assert clustering_loss(o, space.bg_id, space) == max_margin_loss(o, space.bg_id, space)
             l_mm, l_mc, _ = class_terms_ref(o[None], np.array([space.bg_id]), space, 0.5, "full")
             assert l_mc[0] == l_mm[0] == max_margin_loss(o, space.bg_id, space)
+
+
+# Signed zeros, subnormals, the range where exp(-|x|) turns subnormal and
+# then underflows to 0 (|x| from 708 to 745), and the extremes.  NaN is left
+# out: scores are checked finite, so the kernel never ranks one.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+               709.0, -709.0, 709.79, -709.79, 710.0, -710.0, 745.2, -745.2,
+               1e308, -1e308, math.inf, -math.inf]
+
+
+@st.composite
+def sigmoid_inputs(draw):
+    """Float64 arrays, plain or as strided views of a larger array."""
+    elements = st.one_of(st.sampled_from(EDGE_FLOATS),
+                         st.floats(allow_nan=False, width=64),
+                         st.floats(-800.0, 800.0))
+    base = np.array(draw(st.lists(elements, min_size=1, max_size=60)), dtype=np.float64)
+    start, step = draw(st.integers(0, 3)), draw(st.sampled_from([1, 2, 3, -1]))
+    return base[start::step] if base[start::step].size else base
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(sigmoid_inputs())
+    def test_equals_masked_form_bit_for_bit(self, x):
+        got, want = _sigmoid(x), sigmoid_masked(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_edges(self):
+        x = np.array(EDGE_FLOATS)
+        assert _sigmoid(x).tobytes() == sigmoid_masked(x).tobytes()
+        assert _sigmoid(x.reshape(4, 5)[:, ::2]).tobytes() == sigmoid_masked(
+            x.reshape(4, 5)[:, ::2]).tobytes()
 
 
 class TestGradientAudit:

@@ -184,6 +184,28 @@ class TestBuildLabelSpace:
         assert space.meta_of(1) == space.meta_of(3) == 1
         assert space.meta_of(2) == 2
 
+    def test_label_names_cover_exactly_the_id_range(self):
+        space = make_space(2, 1)
+        assert [space.label_of(i) for i in range(1, space.bg_id + 1)] == [
+            *space.labels, "__background__"]
+        assert [space.meta_label_of(m) for m in range(1, space.bg_meta_id + 1)] == [
+            *space.meta_labels, "__background__"]
+
+    @pytest.mark.parametrize("which", ["zero", "negative", "past_background"])
+    def test_label_of_rejects_ids_outside_range(self, which):
+        # 0 and -1 would index the last labels; bg_id + 1 would be a bare IndexError
+        space = make_space(2, 1)
+        class_id = {"zero": 0, "negative": -1, "past_background": space.bg_id + 1}[which]
+        with pytest.raises(CoverageError, match=f"class id {class_id} outside 1..4"):
+            space.label_of(class_id)
+
+    @pytest.mark.parametrize("which", ["zero", "negative", "past_background"])
+    def test_meta_label_of_rejects_ids_outside_range(self, which):
+        space = make_space(2, 1)
+        meta_id = {"zero": 0, "negative": -1, "past_background": space.bg_meta_id + 1}[which]
+        with pytest.raises(CoverageError, match=f"meta id {meta_id} outside 1..{space.bg_meta_id}"):
+            space.meta_label_of(meta_id)
+
 
 class TestMetaCosineStats:
     def test_tight_clusters_have_high_intra(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.errors import ConfigError, CoverageError, InvalidTargetError, NumericFailureError
@@ -11,6 +13,7 @@ from zsdet.train import (
     AdamState,
     TrainConfig,
     adam_step,
+    _draw,
     compose_batch,
     label_proposals,
     rebalance_dataset,
@@ -339,6 +342,23 @@ class TestComposeBatch:
         assert len(batch) == 0
 
 
+class TestDraw:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_rows_and_stream_as_choice(self, seed):
+        # with replacement only when the pool is short, as ``choice`` was called
+        for size in range(41):
+            pool = np.arange(100, 100 + size)
+            for n in range(21):
+                got_rng = np.random.default_rng([seed, size, n])
+                want_rng = np.random.default_rng([seed, size, n])
+                got = _draw(pool, n, got_rng)
+                want = (pool[want_rng.choice(pool.size, size=n, replace=pool.size < n)]
+                        if n and size else pool[:0])
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+                assert got_rng.random() == want_rng.random()
+
+
 def stats_dataset(space, counts, objects_per_image=1):
     """One image per instance; class c appears counts[c] times."""
     images = []
@@ -356,6 +376,26 @@ def stats_dataset(space, counts, objects_per_image=1):
             )
             n += 1
     return Dataset(d_f=2, labels=space.labels, images=images)
+
+
+@st.composite
+def rebalance_cases(draw):
+    """Small datasets of seen-class ground truths with unique image ids, some
+    of which read like the id of another image's copy (``a~r1``)."""
+    n_seen = draw(st.integers(1, 5))
+    space = make_space(n_seen, draw(st.integers(0, 3)), n_meta=draw(st.integers(1, 3)))
+    id_parts = st.tuples(st.sampled_from(["a", "b", "a~r1"]),
+                         st.sampled_from(["", "~r1", "~r2", "~"]))
+    ids = draw(st.lists(id_parts.map("".join), max_size=8, unique=True))
+    images = []
+    for i, image_id in enumerate(ids):
+        labels = tuple(draw(st.lists(st.sampled_from(space.labels[:n_seen]), max_size=4)))
+        n_props = draw(st.integers(0, 3))
+        images.append(ImageRecord(
+            image_id, Proposals(np.full((n_props, 2), float(i)), np.zeros((n_props, 4))),
+            labels, np.arange(4.0 * len(labels)).reshape(-1, 4) + 100 * i))
+    dataset = Dataset(d_f=2, labels=space.labels, images=images)
+    return space, dataset, draw(st.integers(0, 12)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestRebalance:
@@ -401,6 +441,62 @@ class TestRebalance:
         for img in out.images:
             rows = [int(b[0]) // 20 for b in img.gt_boxes]
             assert img.gt_labels == tuple(("c1", "c2", "c1")[r] for r in rows)
+
+    def test_copy_ids_skip_taken_input_ids(self):
+        space = make_space(2, 1, meta_of={"c1": "m", "c2": "m", "c3": "m"})
+        box = np.zeros((1, 4))
+        images = [ImageRecord("a", Proposals(np.ones((1, 2)), box), ("c1",), box),
+                  ImageRecord("a~r1", Proposals(np.ones((1, 2)), box), (), box[:0])]
+        ds = Dataset(d_f=2, labels=space.labels, images=images)
+        out = rebalance_dataset(ds, space, 3, np.random.default_rng(0))
+        assert [img.image_id for img in out.images] == ["a", "a~r1", "a~r1~", "a~r2"]
+
+    def test_copy_can_lose_instances_to_a_later_meta(self):
+        # m1 copies image "1" (its only c1); m2 then subsamples its pool of
+        # three c2 instances to two, and the one it drops is the copy's
+        space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m2", "c3": "m1", "c4": "m2"})
+        boxes = np.arange(12.0).reshape(3, 4)
+        images = [ImageRecord("1", Proposals(np.ones((0, 2)), np.zeros((0, 4))),
+                              ("c1", "c2"), boxes[:2]),
+                  ImageRecord("11", Proposals(np.ones((0, 2)), np.zeros((0, 4))),
+                              ("c2",), boxes[2:])]
+        ds = Dataset(d_f=2, labels=space.labels, images=images)
+        out = rebalance_dataset(ds, space, 2, np.random.default_rng(1))
+        assert [(img.image_id, img.gt_labels) for img in out.images] == [
+            ("1", ("c1", "c2")), ("11", ("c2",)), ("1~r1", ("c1",))]
+        assert out.images[2].proposals is images[0].proposals
+
+    @pytest.mark.filterwarnings("ignore:meta-class")
+    @settings(max_examples=300, deadline=None)
+    @given(rebalance_cases())
+    def test_every_image_traces_to_an_input_image(self, case):
+        space, ds, min_similar, seed = case
+
+        def snapshot():
+            return [(id(img), img.image_id, id(img.proposals), img.gt_labels,
+                     img.gt_boxes.tobytes()) for img in ds.images]
+
+        before, inputs = snapshot(), list(ds.images)
+        out = rebalance_dataset(ds, space, min_similar, np.random.default_rng(seed))
+        assert snapshot() == before
+        ids = [img.image_id for img in out.images]
+        assert len(set(ids)) == len(ids)
+        by_id = {img.image_id: img for img in inputs}
+        for img in out.images:
+            # an input image under its own id, or a copy under a new id
+            if img.image_id in by_id:
+                source = by_id[img.image_id]
+                assert img.proposals is source.proposals
+            else:
+                (source,) = [s for s in inputs if s.proposals is img.proposals]
+                assert img.image_id.startswith(f"{source.image_id}~r")
+            # its ground truths an ordered subset of the source's, labels and
+            # boxes aligned (every drawn box is distinct)
+            rows = [source.gt_boxes.tolist().index(b) for b in img.gt_boxes.tolist()]
+            assert rows == sorted(set(rows))
+            assert img.gt_labels == tuple(source.gt_labels[r] for r in rows)
+            if len(rows) == len(source.gt_labels):
+                assert img.gt_boxes is source.gt_boxes  # untouched images share arrays
 
     def test_meta_without_seen_members_warns(self):
         space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m1", "c3": "m1", "c4": "m2"})
