@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
     if history:
         print(f"trained {len(history)} steps (final total loss {history[-1].total:.6f}) -> {out}")
     else:
-        print(f"wrote untrained checkpoint (0 epochs) -> {out}")
+        print(f"wrote untrained checkpoint (0 steps in {config.epochs} epochs) -> {out}")
     return 0
 
 

@@ -17,9 +17,14 @@ import numpy as np
 from .errors import ParseError
 
 
+def encode_array_bytes(a: np.ndarray) -> bytes:
+    """:func:`encode_array` as ASCII bytes, encoded from ``a``'s own buffer."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8"))
+
+
 def encode_array(a: np.ndarray) -> str:
     """Base64 text of ``a`` as little-endian float64 bytes in C order."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+    return encode_array_bytes(a).decode("ascii")
 
 
 def decode_array(text, what: str, shape: tuple[int | None, ...],

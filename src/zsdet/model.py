@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .codec import decode_array, encode_array
+from .codec import decode_array, encode_array_bytes
 from .errors import CoverageError, NormalizationError, ParseError, ShapeError
 from .semantics import EmbeddingTable, LabelSpace
 
@@ -225,25 +225,18 @@ def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
 
     ``W1``, ``box_weights`` and ``box_bias`` are base64 strings of their
     little-endian float64 bytes in C order; their shapes follow from
-    ``d_f``, ``d`` and ``S``.
+    ``d_f``, ``d`` and ``S``.  The bytes are ``json.dumps(payload) + "\\n"``,
+    with each array block streamed as base64, which needs no JSON escaping.
     """
     from dataclasses import asdict
 
-    payload = {
-        "d_f": model.d_f,
-        "d": model.d,
-        "C": model.n_classes,
-        "S": model.n_seen,
-        "U": model.n_unseen,
-        "labels": list(model.labels),
-        "W1": encode_array(model.w1),
-        "box_weights": encode_array(model.box_w),
-        "box_bias": encode_array(model.box_b),
-        "config": asdict(model.config),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload))
-        f.write("\n")
+    head = {"d_f": model.d_f, "d": model.d, "C": model.n_classes, "S": model.n_seen,
+            "U": model.n_unseen, "labels": list(model.labels)}
+    with open(path, "wb") as f:
+        f.write(json.dumps(head)[:-1].encode("ascii"))
+        for key, a in ((b"W1", model.w1), (b"box_weights", model.box_w), (b"box_bias", model.box_b)):
+            f.writelines((b', "', key, b'": "', encode_array_bytes(a), b'"'))
+        f.write(f', {json.dumps({"config": asdict(model.config)})[1:]}\n'.encode("ascii"))
 
 
 _CHECKPOINT_KEYS = ("d_f", "d", "S", "U", "labels", "W1", "box_weights", "box_bias", "config")

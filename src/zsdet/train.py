@@ -17,10 +17,11 @@ up front, before any optimization step.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Sequence
@@ -83,6 +84,7 @@ class TrainConfig:
 # block of p, g, m, v and the two scratch arrays while it is in cache (six
 # 256 KB slices at 32K float64s).  In a sweep at the paper shape, 16K-64K
 # were equally fast and 8K and 128K slower (CHANGES.md has the numbers).
+# Block loops release the GIL, so ``adam_step`` may share them between two threads.
 ADAM_BLOCK = 32768
 
 
@@ -122,6 +124,29 @@ def _adam_update(p, g, m, v, buf, den, b1, b2, c1, c2, lr, eps) -> None:
     np.subtract(p, buf, out=p)
 
 
+def _adam_blocks(todo, coefs, errstate) -> None:
+    scratch = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    with np.errstate(**errstate):
+        while todo:
+            try:
+                block = todo.popleft()
+            except IndexError:  # the other side took the last one
+                break
+            _adam_update(*block, *(s[: block[0].size] for s in scratch), *coefs)
+
+
+@functools.cache
+def _adam_worker(pid: int):
+    """The thread that shares multi-block steps, or ``None`` on one CPU; one
+    per process id, as a forked child does not inherit the thread."""
+    probe = getattr(os, "sched_getaffinity", None)
+    if (len(probe(0)) if probe else os.cpu_count() or 1) < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="zsdet-adam")
+
+
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -141,11 +166,15 @@ def adam_step(
     larger one is walked as flat views in blocks of ``ADAM_BLOCK`` elements
     (the last one ragged), each running all the operations while it is in
     cache, with two block-sized scratch arrays (``buf`` for the ``g`` terms
-    and the step, ``den`` for the denominator) reused across blocks and
-    parameters.  Every gradient's shape and finiteness, and the C-contiguity
-    of every ``p``, ``m`` and ``v``, are checked before anything is written;
-    a non-contiguous array raises ``ConfigError``, since its flat view would
-    be a copy and the update would be lost.
+    and the step, ``den`` for the denominator) reused across blocks.  Given
+    two or more blocks and a second CPU, the caller and a persistent worker
+    thread take blocks off one deque until it is empty, each with its own
+    scratch and the caller's numpy error state; the caller then waits and
+    re-raises a worker error.  Blocks are disjoint and every element takes
+    the same operations in the same order on either thread, so the bits do
+    not depend on the split.  Each gradient's shape and finiteness and the
+    C-contiguity of each ``p``, ``m`` and ``v`` are checked before any write;
+    a non-contiguous array raises ``ConfigError`` (its flat view is a copy).
     """
     for key, p in params.items():
         g = grads[key]
@@ -164,20 +193,23 @@ def adam_step(
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     coefs = (b1, b2, 1.0 - b1**state.t, 1.0 - b2**state.t, config.lr, config.eps)
-    scratch = None
+    blocks = deque()
     for key, p in params.items():
         g, m, v = grads[key], state.m[key], state.v[key]
         if p.size <= ADAM_BLOCK:
             _adam_update(p, g, m, v, None, None, *coefs)
             continue
-        if scratch is None:
-            scratch = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
         flat = [a.reshape(-1) for a in (p, g, m, v)]
-        for lo in range(0, p.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, p.size)
-            _adam_update(
-                *(a[lo:hi] for a in flat), *(s[: hi - lo] for s in scratch), *coefs
-            )
+        blocks += [[a[lo:lo + ADAM_BLOCK] for a in flat] for lo in range(0, p.size, ADAM_BLOCK)]
+    if not blocks:  # a parameter above one block has at least two
+        return params, state
+    worker = _adam_worker(os.getpid())
+    pending = worker.submit(_adam_blocks, blocks, coefs, np.geterr()) if worker else None
+    try:
+        _adam_blocks(blocks, coefs, np.geterr())
+    finally:
+        if pending is not None:
+            pending.result()
     return params, state
 
 

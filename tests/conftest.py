@@ -1,5 +1,9 @@
 """Shared builders for small hand-constructed instances."""
 
+import importlib
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -12,6 +16,8 @@ from zsdet.infer import Detections
 from zsdet.model import Model, init_model
 from zsdet.semantics import build_label_space, finalize_embeddings
 from zsdet.train import TrainConfig
+
+train = importlib.import_module("zsdet.train")  # the module; ``zsdet.train`` names the function
 
 
 def make_table(vectors, labels=None):
@@ -98,6 +104,32 @@ def ap_of(rows, gts, thresh):
 def random_unit_columns(rng, d, n):
     v = rng.standard_normal((d, n))
     return v / np.linalg.norm(v, axis=0)
+
+
+@contextmanager
+def adam_cpus(n):
+    """Run ``adam_step`` as in a process that may use ``n`` CPUs: with 2 a
+    multi-block step hands half of its blocks to the worker thread, with 1
+    the caller runs them all.  Yields the set of thread names that ran
+    blocks, filled as steps run."""
+    ran = set()
+
+    def recorded(*args):
+        ran.add(threading.current_thread().name)
+        return blocks(*args)
+
+    blocks = train._adam_blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        mp.setattr(train, "_adam_blocks", recorded)
+        train._adam_worker.cache_clear()
+        try:
+            yield ran
+        finally:
+            worker = train._adam_worker(os.getpid())
+            if worker is not None:
+                worker.shutdown()
+            train._adam_worker.cache_clear()
 
 
 @pytest.fixture

@@ -2,17 +2,22 @@ import builtins
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zsdet
 from zsdet.cli import build_parser, main
 from zsdet.codec import decode_array, encode_array
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.model import load_checkpoint, save_checkpoint
 from zsdet.semantics import load_word_vectors
 
-from conftest import to_list_form
+from conftest import adam_cpus, to_list_form
 
 SYNTH_FILES = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]
 
@@ -141,6 +146,36 @@ class TestTrainCommand:
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         assert ckpt.with_name(ckpt.stem + ".manifest.json").exists()
+
+    def test_multi_block_training_is_bitwise_on_one_and_two_cpus(self, tmp_path):
+        # W1 (128 x 300) and the box head (128 x 320) each span two Adam blocks
+        data = synth(tmp_path, s=80, d=300, d_f=128)
+        outputs = {}
+        for cpus in (2, 1):
+            with adam_cpus(cpus) as ran:
+                ckpt = quick_train(tmp_path, data, f"ckpt{cpus}.json", epochs=1)
+            assert len(ran) == cpus
+            outputs[cpus] = [ckpt.read_bytes(), ckpt.with_name(ckpt.stem + ".loss.csv").read_bytes()]
+        assert outputs[2] == outputs[1]
+
+    def test_run_without_steps_reports_its_epochs(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        capsys.readouterr()
+        ckpt = quick_train(tmp_path, data, epochs=5, n_pos=0, n_neg=0)
+        assert capsys.readouterr().out == f"wrote untrained checkpoint (0 steps in 5 epochs) -> {ckpt}\n"
+        assert ckpt.with_name(ckpt.stem + ".loss.csv").read_text().splitlines() == [
+            "step,l_mm,l_mc,l_cls,l_reg,total"]
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_thread_pool(self):
+        # the Adam worker's machinery is imported on first use only, so
+        # synth, predict and eval do not pay for it
+        probe = "import sys, zsdet.cli; print('concurrent.futures' in sys.modules)"
+        src = str(Path(zsdet.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout == "False\n"
 
 
 class TestPredictAndEval:

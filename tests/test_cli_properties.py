@@ -2,7 +2,8 @@
 small synthetic instances.
 
 * Metamorphic: a zero-feature proposal added to a test image changes no
-  output byte, and permuting the test images changes no report when no two
+  output byte; permuting the test images changes no report, and permuting
+  the class order of a fixed model changes no label's T1-T4 AP, when no two
   detections or tags tie in score.
 * Robustness: predict and eval over truncated, bit-flipped or field-dropped
   inputs exit 0 or 2 and never raise.
@@ -18,6 +19,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zsdet.codec import decode_array, encode_array
 from zsdet.data import Dataset, ImageRecord, Proposals, load_dataset, save_dataset
 from zsdet.infer import load_detections, tag_image
 from zsdet.model import load_checkpoint
@@ -106,6 +108,42 @@ class TestMetamorphic:
             assume(not has_score_ties(data, ckpt, root / "base" / "dets.jsonl"))
             got = outputs(data, ckpt, root / "permuted.jsonl", root / "got", "san")
             assert {r: got[r] for r in REPORTS} == {r: base[r] for r in REPORTS}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from(["san", "conse"]),
+           st.permutations(range(6)), st.permutations(range(4)), st.permutations(range(10)))
+    def test_permuting_class_order_keeps_every_ap(self, seed, inference, seen, unseen, rows):
+        # one fixed model under a consistent relabeling of its classes:
+        # class ids (the checkpoint's label order), W2 columns (rebuilt in
+        # that order), box-head blocks, and meta ids (the meta map's row order)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            data, ckpt = pipeline(root, seed)
+            base = outputs(data, ckpt, data / "test.jsonl", root / "base", inference)
+            assume(not has_score_ties(data, ckpt, root / "base" / "dets.jsonl"))
+            permuted = root / "permuted"
+            permuted.mkdir()
+            (permuted / "embeddings.txt").write_bytes((data / "embeddings.txt").read_bytes())
+            meta_rows = (data / "meta_map.csv").read_text().splitlines()
+            (permuted / "meta_map.csv").write_text("".join(meta_rows[i] + "\n" for i in rows))
+            payload = json.loads(ckpt.read_text())
+            s, d_f = payload["S"], payload["d_f"]
+            order = list(seen) + [s + j for j in unseen]
+            payload["labels"] = [payload["labels"][i] for i in order]
+            box_w = decode_array(payload["box_weights"], "box_weights", (d_f, s, 4))
+            box_b = decode_array(payload["box_bias"], "box_bias", (s, 4))
+            payload["box_weights"] = encode_array(box_w[:, list(seen)])
+            payload["box_bias"] = encode_array(box_b[list(seen)])
+            (permuted / "ckpt.json").write_text(json.dumps(payload))
+            got = outputs(permuted, permuted / "ckpt.json", data / "test.jsonl",
+                          root / "got", inference)
+            for report in REPORTS[:-1]:
+                assert per_label_ap(got[report]) == per_label_ap(base[report]), report
+
+
+def per_label_ap(report: bytes) -> dict:
+    """``{name: (ap, n_gt, n_det)}`` over a report's per-class rows."""
+    return {r["name"]: (r["ap"], r["n_gt"], r["n_det"]) for r in json.loads(report)["per_class"]}
 
 
 def _drop_field(data: bytes, line_at: int, field_at: int) -> bytes:

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -359,6 +360,58 @@ class TestCheckpoint:
             assert a.flags.writeable
         assert (loaded.labels, loaded.n_seen, loaded.n_unseen) == (
             model.labels, model.n_seen, model.n_unseen)
+
+    @staticmethod
+    def reference_bytes(model):
+        """The checkpoint as one ``json.dumps`` of its whole payload."""
+        def block(a):
+            return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+        payload = {"d_f": model.d_f, "d": model.d, "C": model.n_classes, "S": model.n_seen,
+                   "U": model.n_unseen, "labels": list(model.labels), "W1": block(model.w1),
+                   "box_weights": block(model.box_w), "box_bias": block(model.box_b),
+                   "config": dataclasses.asdict(model.config)}
+        return (json.dumps(payload) + "\n").encode("utf-8")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bytes_are_one_json_dumps_of_the_payload(self, tmp_path_factory, data):
+        # any label text: non-ASCII, quotes, backslashes, control characters
+        names = st.text(max_size=8) | st.sampled_from(
+            ['"', "\\", 'a\\"b', "é", "日本", "\U0001f600", "\x00\n\t", "\ud800"])
+        labels = data.draw(st.lists(names, min_size=1, max_size=5, unique=True))
+        n_seen = data.draw(st.integers(0, len(labels)))
+        d, d_f = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        table = make_table(np.random.default_rng(d).standard_normal((d, len(labels))), labels)
+        config = TrainConfig(epochs=data.draw(st.integers(0, 3)), lr=1e-3, mode="seen_only")
+        model = make_model(table, make_space(n_seen, len(labels) - n_seen, labels=labels),
+                           d_f=d_f, config=config)
+        model.box_w = data.draw(arrays(np.float64, model.box_w.shape, elements=st.floats(-9, 9)))
+        model.box_b = data.draw(arrays(np.float64, model.box_b.shape, elements=st.floats(-9, 9)))
+        path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+        save_checkpoint(model, path)
+        assert path.read_bytes() == self.reference_bytes(model)
+        loaded = load_checkpoint(path, table)
+        assert (loaded.labels, loaded.n_seen, loaded.config) == (
+            model.labels, model.n_seen, model.config)
+        for a, b in ((loaded.w1, model.w1), (loaded.box_w, model.box_w),
+                     (loaded.box_b, model.box_b)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_untrained_cli_checkpoint_is_one_json_dumps(self, tmp_path):
+        # a 0-epoch `zsdet train` writes the initial model
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(tmp_path), "--s", "3", "--u", "1", "--m", "2",
+                         "--d", "4", "--d-f", "5", "--images", "2", "--test-images", "1"]) == 0
+            assert main(["train", "--embeddings", str(tmp_path / "embeddings.txt"),
+                         "--meta-map", str(tmp_path / "meta_map.csv"),
+                         "--split", str(tmp_path / "oracle.json"),
+                         "--data", str(tmp_path / "train.jsonl"),
+                         "--out", str(tmp_path / "ckpt.json"), "--epochs", "0"]) == 0
+        path = tmp_path / "ckpt.json"
+        model = load_checkpoint(path, load_word_vectors(tmp_path / "embeddings.txt"))
+        assert model.config.epochs == 0 and not model.box_w.any()
+        assert path.read_bytes() == self.reference_bytes(model)
 
     def test_load_reorders_table_to_checkpoint_labels(self, tmp_path, rng):
         table = make_table(rng.standard_normal((3, 4)))

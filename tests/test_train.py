@@ -1,3 +1,9 @@
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +28,8 @@ from zsdet.train import (
 )
 from zsdet.data import Dataset, ImageRecord, Proposals
 
-from conftest import make_space
+from conftest import adam_cpus, make_space
+from conftest import train as train_module
 from test_evaluation import iou
 
 
@@ -101,18 +108,95 @@ class TestAdamStep:
     def test_in_place_update_is_bitwise_textbook_adam(self):
         self.check_bitwise_textbook_adam({"w": (5, 3), "b": (4,)})
 
-    def test_blocked_update_is_bitwise_textbook_adam(self):
+    def check_blocked_update(self, cpus):
         # one block, a ragged second block, and two blocks plus a tail; the
-        # largest is 2-D (rows x cols, rows its smallest factor above 1)
+        # largest is 2-D (rows x cols, rows its smallest factor above 1).
+        # With the worker, the caller and its thread share the five blocks.
         n = 2 * ADAM_BLOCK + 13
         rows = next(r for r in range(2, n + 1) if n % r == 0)
-        self.check_bitwise_textbook_adam({
-            "one": (1,),
-            "under": (ADAM_BLOCK - 1,),
-            "exact": (ADAM_BLOCK,),
-            "over": (ADAM_BLOCK + 1,),
-            "two_d": (rows, n // rows),
-        })
+        with adam_cpus(cpus) as ran:
+            self.check_bitwise_textbook_adam({
+                "one": (1,),
+                "under": (ADAM_BLOCK - 1,),
+                "exact": (ADAM_BLOCK,),
+                "over": (ADAM_BLOCK + 1,),
+                "two_d": (rows, n // rows),
+            })
+        others = ran - {threading.current_thread().name}
+        assert threading.current_thread().name in ran
+        assert [name.startswith("zsdet-adam") for name in others] == [True] * (cpus - 1)
+
+    def test_blocked_update_is_bitwise_textbook_adam(self):
+        self.check_blocked_update(cpus=2)
+
+    def test_blocked_update_on_one_cpu_is_bitwise_textbook_adam(self):
+        self.check_blocked_update(cpus=1)
+
+    def test_single_block_params_start_no_worker(self):
+        with adam_cpus(2) as ran:
+            self.check_bitwise_textbook_adam({"w": (ADAM_BLOCK,), "b": (7,)}, steps=3)
+            assert train_module._adam_worker.cache_info().misses == 0 and not ran
+
+    def test_concurrent_callers_share_one_worker_bit_for_bit(self):
+        # more callers than cores hand blocks to the one worker while threads
+        # switch often: a block run twice, or never, would change the bits
+        from concurrent.futures import ThreadPoolExecutor
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with adam_cpus(2) as ran, ThreadPoolExecutor(4) as callers:
+                shapes = {"w": (6 * ADAM_BLOCK + 5,), "b": (3,)}
+                runs = [callers.submit(self.check_bitwise_textbook_adam, shapes, 6)
+                        for _ in range(4)]
+                for run in runs:
+                    run.result(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert any(name.startswith("zsdet-adam") for name in ran)
+
+    def test_worker_error_is_raised_in_caller(self):
+        def fail_off_caller(blocks, coefs, errstate):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("worker failed")
+            run_blocks(blocks, coefs, errstate)
+
+        caller = threading.current_thread()
+        params = {"w": np.ones(3 * ADAM_BLOCK)}
+        state = AdamState.for_params(params)
+        with adam_cpus(2), pytest.MonkeyPatch.context() as mp:
+            run_blocks = train_module._adam_blocks
+            mp.setattr(train_module, "_adam_blocks", fail_off_caller)
+            with pytest.raises(FloatingPointError, match="worker failed"):
+                adam_step(params, {"w": np.ones(3 * ADAM_BLOCK)}, state, TrainConfig())
+        # the worker failed before taking a block: the caller ran all three
+        assert (params["w"] < 1.0).all()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_steps_on_a_worker_of_its_own(self):
+        # the parent's worker thread does not exist in a forked child: a step
+        # there that handed blocks to the parent's executor would never end
+        params = {"w": np.ones(3 * ADAM_BLOCK)}
+        grads = {"w": np.ones(3 * ADAM_BLOCK)}
+        state = AdamState.for_params(params)
+        with adam_cpus(2) as ran:
+            adam_step(params, grads, state, TrainConfig())
+            assert len(ran) == 2
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    adam_step(params, grads, state, TrainConfig())
+                    code = 0
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 20
+            while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if done[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
     def test_non_finite_in_last_block_writes_nothing(self):
         # NaN in the tail block of a multi-block parameter, after a finite
