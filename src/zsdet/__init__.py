@@ -21,7 +21,6 @@ from .data import (
 )
 from .evaluation import (
     DetectionReport,
-    GroundTruth,
     average_precision,
     evaluate,
     iou_matrix,

@@ -95,7 +95,6 @@ def gradient_audit(
     trials: int = 100,
     seed: int = 0,
     h: float = 1e-5,
-    inject_fault: bool = False,
 ) -> AuditResult:
     """Compare analytic gradients to central finite differences.
 
@@ -115,8 +114,6 @@ def gradient_audit(
             "box_w": grads.dbox.copy(),
             "box_b": grads.dbox_b.copy(),
         }
-        if inject_fault:
-            analytic["w1"][0, 0] += 1e-2
         params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
         # Every trial sweeps W1; the (cheaper to get wrong, costlier to sweep)
         # box head is audited on every tenth trial.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from functools import cache
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .data import (
     Dataset,
     SynthConfig,
     generate_synthetic,
-    ground_truth_records,
+    ground_truth_rows,
     load_dataset,
     load_split,
     propose_split,
@@ -34,7 +35,7 @@ from .data import (
     save_meta_map,
     save_split,
 )
-from .errors import ZsdetError, check_finite, check_unit_interval
+from .errors import ConfigError, ZsdetError, check_finite, check_unit_interval
 from .evaluation import (
     TASKS,
     evaluate,
@@ -77,14 +78,17 @@ def _write_manifest(primary_out: Path, subcommand: str, args: argparse.Namespace
 
 
 def _model_and_space(args) -> tuple[Model, LabelSpace]:
-    """The checkpoint's model and label space, with the route settings
-    checked before any image is scored (``eval --task T3`` or ``T4`` alone
-    never reaches the routes that check them)."""
+    """The checkpoint's model and label space, with the class counts and the
+    route settings checked before any image is scored (``eval --task T3`` or
+    ``T4`` alone never reaches the routes that check them)."""
     model = load_checkpoint(args.checkpoint, load_word_vectors(args.embeddings))
     space = build_label_space(
         model.labels[: model.n_seen], model.labels[model.n_seen :],
         load_meta_map(args.meta_map),
     )
+    if not (space.S and space.U):
+        raise ConfigError(f"the checkpoint needs at least one seen and one unseen class, "
+                          f"got {space.S} seen and {space.U} unseen")
     check_finite("alpha", args.alpha)
     check_unit_interval("nms_iou", args.nms_iou)
     if args.inference == "conse":
@@ -106,15 +110,13 @@ def _detections_for(model, space, dataset: Dataset, args) -> list[Detections]:
             for img in dataset.images]
 
 
+def _config(cls, args):
+    """A ``cls`` config from the same-named arguments."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        s=args.s, u=args.u, m=args.m, d=args.d, d_f=args.d_f,
-        images=args.images, test_images=args.test_images,
-        proposals_per_image=args.proposals_per_image,
-        noise_sigma=args.noise_sigma, meta_spread=args.meta_spread,
-        seed=args.seed,
-    )
-    bundle = generate_synthetic(cfg)
+    bundle = generate_synthetic(_config(SynthConfig, args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_word_vectors(out / "embeddings.txt", bundle.table.labels, bundle.table.vectors)
@@ -152,12 +154,7 @@ def cmd_train(args) -> int:
     space = build_label_space(seen, unseen, load_meta_map(args.meta_map))
     table = table.reorder(space.labels)
     dataset = load_dataset(args.data)
-    config = TrainConfig(
-        lam=args.lam, mode=args.mode, lr=args.lr, beta1=args.beta1,
-        beta2=args.beta2, eps=args.eps, n_pos=args.n_pos, n_neg=args.n_neg,
-        epochs=args.epochs, seed=args.seed, min_similar=args.min_similar,
-        fg_iou=args.fg_iou,
-    )
+    config = _config(TrainConfig, args)
     model, history = train(dataset, table, space, config)
     out = Path(args.out)
     save_checkpoint(model, out)
@@ -186,7 +183,7 @@ def cmd_eval(args) -> int:
     check_unit_interval("iou_thresh", args.iou_eval, open_at_zero=True)
     model, space = _model_and_space(args)
     dataset = load_dataset(args.data)
-    gts = ground_truth_records(dataset, space)
+    gts = ground_truth_rows(dataset, space)
     tasks = list(TASKS) if args.task == "all" else [args.task]
 
     out = Path(args.out)
@@ -195,8 +192,8 @@ def cmd_eval(args) -> int:
     text_blocks = []
     # each kind of model output is computed once, when a task first needs it
     detections = cache(lambda: _detections_for(model, space, dataset, args))
-    tags = cache(lambda: {img.image_id: tag_image(model, space, img.proposals)
-                          for img in dataset.images})
+    tags = cache(lambda: ([img.image_id for img in dataset.images], np.reshape(
+        [tag_image(model, space, img.proposals) for img in dataset.images], (-1, space.U))))
     for task in tasks:
         model_outputs = detections() if task in ("T1", "T2") else tags()
         report = evaluate(model_outputs, gts, space, task, iou_thresh=args.iou_eval)
@@ -220,9 +217,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    result = gradient_audit(
-        trials=args.trials, seed=args.seed, h=args.h, inject_fault=args.inject_fault
-    )
+    result = gradient_audit(trials=args.trials, seed=args.seed, h=args.h)
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status}: max relative error {result.max_rel_err:.3e} "
@@ -274,18 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--s", type=int, default=20, help="seen class count")
-    p.add_argument("--u", type=int, default=5, help="unseen class count")
-    p.add_argument("--m", type=int, default=5, help="meta-class count")
-    p.add_argument("--d", type=int, default=16, help="embedding dimensionality")
-    p.add_argument("--d-f", type=int, default=16, help="feature dimensionality")
-    p.add_argument("--images", type=int, default=200, help="train image count")
-    p.add_argument("--test-images", type=int, default=50)
-    p.add_argument("--proposals-per-image", type=int, default=16)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--meta-spread", type=float, default=0.5)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--s", type=int, help="seen class count")
+    p.add_argument("--u", type=int, help="unseen class count")
+    p.add_argument("--m", type=int, help="meta-class count")
+    p.add_argument("--d", type=int, help="embedding dimensionality")
+    p.add_argument("--d-f", type=int, help="feature dimensionality")
+    p.add_argument("--images", type=int, help="train image count")
+    p.add_argument("--test-images", type=int)
+    p.add_argument("--proposals-per-image", type=int)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--meta-spread", type=float)
+    p.set_defaults(func=cmd_synth, **asdict(SynthConfig()))
 
     p = sub.add_parser("split", help="propose a seen/unseen split")
     p.add_argument("--data", required=True)
@@ -304,21 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="split file (or synth oracle.json) naming seen/unseen")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.8,
-                   help="margin/clustering mixing weight")
-    p.add_argument("--mode", choices=("full", "seen_only"), default="full")
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--n-pos", type=int, default=16)
-    p.add_argument("--n-neg", type=int, default=16)
-    p.add_argument("--min-similar", type=int, default=200,
-                   help="per-meta rebalance target (0 disables)")
-    p.add_argument("--fg-iou", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--lambda", dest="lam", type=float, help="margin/clustering mixing weight")
+    p.add_argument("--mode", choices=("full", "seen_only"))
+    p.add_argument("--lr", type=float)
+    p.add_argument("--beta1", type=float)
+    p.add_argument("--beta2", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--n-pos", type=int)
+    p.add_argument("--n-neg", type=int)
+    p.add_argument("--min-similar", type=int, help="per-meta rebalance target (0 disables)")
+    p.add_argument("--fg-iou", type=float)
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func=cmd_train, **asdict(TrainConfig()))
 
     p = sub.add_parser("predict", help="dump detections as JSON-lines")
     _add_common_model_args(p)
@@ -338,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--out", default=None, help="optional JSON report path")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("export-embeddings", help="dump modified class vectors")

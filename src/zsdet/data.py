@@ -31,7 +31,6 @@ import numpy as np
 
 from .codec import decode_array, encode_array, read_utf8, utf8_lines
 from .errors import ConfigError, CoverageError, DimensionMismatchError, ParseError
-from .evaluation import GroundTruth
 from .semantics import EmbeddingTable, LabelSpace, _readonly
 
 CANVAS = 256.0
@@ -54,7 +53,7 @@ class Proposals:
 @dataclass
 class ImageRecord:
     """One image: its proposals, and its ground truths as a label per row of
-    ``gt_boxes (G, 4)`` (class names; ids are assigned later)."""
+    ``gt_boxes (G, 4)`` (class names; :func:`gt_class_ids` gives their ids)."""
 
     image_id: str
     proposals: Proposals
@@ -487,12 +486,27 @@ def save_meta_map(meta_map: Mapping[str, str], path: str | os.PathLike) -> None:
             f.write(f"{cls},{meta}\n")
 
 
-def ground_truth_records(dataset: Dataset, space: LabelSpace) -> list[GroundTruth]:
-    """Flatten a dataset's annotations into id-labeled ground-truth records."""
+def gt_class_ids(dataset: Dataset, space: LabelSpace) -> list[np.ndarray]:
+    """Each image's ground-truth class ids ``(G,)``, in row order; a label
+    outside ``space`` raises :class:`CoverageError` naming it and its image."""
+    ids = dict(zip(space.labels, range(1, space.C + 1)))
     out = []
     for img in dataset.images:
-        for label, box in zip(img.gt_labels, img.gt_boxes):
-            if label not in space.labels:
-                raise CoverageError(f"gt label {label!r} not in label space")
-            out.append(GroundTruth(img.image_id, space.id_of(label), box))
+        try:
+            out.append(np.array([ids[label] for label in img.gt_labels], dtype=np.intp))
+        except KeyError as exc:
+            raise CoverageError(f"ground-truth label {exc.args[0]!r} in image {img.image_id} "
+                                "not in label space") from None
     return out
+
+
+def ground_truth_rows(dataset: Dataset, space: LabelSpace) -> tuple:
+    """``(image_ids (g,), class ids (g,), boxes (g, 4))``: the dataset's
+    ground truths as one set of rows, images in order."""
+    ids = gt_class_ids(dataset, space)
+    return (
+        np.repeat(np.array([img.image_id for img in dataset.images], dtype=object),
+                  [len(i) for i in ids]),
+        np.concatenate([np.empty(0, np.intp), *ids]),
+        np.concatenate([np.empty((0, 4)), *(img.gt_boxes for img in dataset.images)]),
+    )

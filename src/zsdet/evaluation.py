@@ -11,11 +11,14 @@ Tasks:
   T3  image-level AP per unseen class from tag scores (zero-shot tagging)
   T4  image-level AP per meta-class (zero-shot meta-class tagging)
 
-One relabel map takes each unseen class id to itself (T1/T3) or to its
-meta-class (T2/T4).  For tagging, a label is a positive for an image iff
-the image has at least one ground truth of that label; a meta tag score is
-the max over the meta's unseen members.  These readings are echoed in the
-report metadata.
+Every input is a set of aligned array rows: ground truths as ``(image_ids,
+class ids, boxes)``, detections as per-image :class:`~zsdet.infer.Detections`
+and tags as one ``(images, U)`` score matrix.  One relabel map takes each
+unseen class id to itself (T1/T3) or to its meta-class (T2/T4), on both the
+ground-truth and the model side.  For tagging, a label is a positive for an
+image iff the image has at least one ground truth of that label; a meta tag
+score is the max over the meta's unseen members.  These readings are echoed
+in the report metadata.
 """
 
 from __future__ import annotations
@@ -39,15 +42,6 @@ TASK_NAMES = {
     "T3": "ZST",
     "T4": "ZSMT",
 }
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """One annotated box: image, class id, corners."""
-
-    image_id: str
-    label: int
-    box: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,22 +122,24 @@ def average_precision(
     image_ids: Sequence[str],
     scores: np.ndarray,
     boxes: np.ndarray,
-    ground_truths: Sequence[GroundTruth],
+    gt_image_ids: Sequence[str],
+    gt_boxes: np.ndarray,
     iou_thresh: float,
 ) -> float:
     """All-points interpolated AP for a single class over its detections'
-    aligned rows ``image_ids (n,)``, ``scores (n,)`` and ``boxes (n, 4)``;
-    score ties rank by row.  Raises ValueError when there is no ground
-    truth; such classes are excluded from mAP by :func:`evaluate`."""
-    if not ground_truths:
+    aligned rows ``image_ids (n,)``, ``scores (n,)`` and ``boxes (n, 4)``
+    against its ground truths' rows ``gt_image_ids (g,)`` and ``gt_boxes
+    (g, 4)``; score ties rank by row.  Raises ValueError when there is no
+    ground truth; such classes are excluded from mAP by :func:`evaluate`."""
+    n_gt = len(gt_image_ids)
+    if not n_gt:
         raise ValueError("average precision is undefined with zero ground truths")
-    n_gt = len(ground_truths)
     if not len(scores):
         return 0.0
 
     gt_by_image: dict[str, list[int]] = {}
-    for gi, gt in enumerate(ground_truths):
-        gt_by_image.setdefault(gt.image_id, []).append(gi)
+    for gi, image_id in enumerate(gt_image_ids):
+        gt_by_image.setdefault(image_id, []).append(gi)
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     # every same-image (detection, ground truth) pair, by rank then gt index
     ranked_ids = np.asarray(image_ids, dtype=object)[order].tolist()
@@ -151,7 +147,7 @@ def average_precision(
     pair_det = np.repeat(order, [len(c) for c in candidates])
     pair_gt = np.fromiter(chain.from_iterable(candidates), dtype=np.intp, count=pair_det.size)
     det_boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    gt_boxes = np.array([g.box for g in ground_truths], dtype=np.float64)
+    gt_boxes = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 4)
     overlaps = iter(_box_iou(det_boxes[pair_det], gt_boxes[pair_gt]).tolist())
 
     matched = [False] * n_gt
@@ -205,32 +201,25 @@ def _flat(detections: Sequence["Detections"], relabel: Mapping[int, int]) -> tup
     )
 
 
-def _reduced(class_scores: Mapping[int, float], relabel: Mapping[int, int]) -> dict[int, float]:
-    """Per label, the ``max`` of its classes' scores in ascending class id (the
-    first maximum wins); a class id missing from ``relabel`` raises KeyError."""
-    out: dict[int, float] = {}
-    for cid in sorted(class_scores):
-        lid, score = relabel[cid], class_scores[cid]
-        if lid not in out or score > out[lid]:
-            out[lid] = score
-    return out
-
-
 def evaluate(
     model_outputs,
-    ground_truths: Sequence[GroundTruth],
+    ground_truths: tuple,
     space: LabelSpace,
     task: str,
     iou_thresh: float = 0.5,
 ) -> DetectionReport:
     """Score one task.
 
-    T1/T2 take a sequence of per-image unseen-class :class:`Detections`,
-    ranked as one list (images in order, score ties by position); T3/T4 take
-    per-image class tag scores, ``image_id -> {unseen class id: score}``.  Both sides
-    go through the relabel map (T2/T4: to meta ids); a detection or tag whose
-    label is not an unseen class id raises :class:`ConfigError`.
-    ``iou_thresh`` must be finite and in (0, 1].
+    ``ground_truths`` are the rows ``(image_ids (g,), class ids (g,), boxes
+    (g, 4))`` of :func:`zsdet.data.ground_truth_rows`; those of seen classes
+    are ignored.  T1/T2 take a sequence of per-image unseen-class
+    :class:`Detections`, ranked as one list (images in order, score ties by
+    position); a detection whose label is not an unseen class id raises
+    :class:`ConfigError`.  T3/T4 take ``(image_ids (n,), tags (n, U))``, one
+    row of unseen-class tag scores per image (column ``k`` for class id
+    ``S + 1 + k``), ranked by a stable sort on score; tags of another shape
+    raise :class:`ConfigError`.  Both sides go through the relabel map (T2/T4:
+    to meta ids).  ``iou_thresh`` must be finite and in (0, 1].
     """
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
@@ -238,30 +227,38 @@ def evaluate(
     boxes, to_meta = task in ("T1", "T2"), task in ("T2", "T4")
     relabel = {cid: space.meta_of(cid) if to_meta else cid for cid in space.unseen_ids}
     name_of = space.meta_label_of if to_meta else space.label_of
-    gts_by_label: dict[int, list[GroundTruth]] = {}
-    for g in ground_truths:
-        if space.is_unseen(g.label):
-            gts_by_label.setdefault(relabel[g.label], []).append(g)
-    try:
-        outputs = (_flat(model_outputs, relabel) if boxes else
-                   {img: _reduced(tags, relabel) for img, tags in model_outputs.items()})
-    except KeyError as exc:
-        raise ConfigError(f"label {exc.args[0]} is not an unseen class id; "
-                          f"{task} expects unseen-class detections or tags") from None
+    gt_image_ids, gt_classes, gt_boxes = ground_truths
+    gt_labels = np.array([relabel.get(c, 0) for c in gt_classes.tolist()], dtype=np.intp)
+    if boxes:
+        try:
+            image_ids, labels, scores, det_boxes = _flat(model_outputs, relabel)
+        except KeyError as exc:
+            raise ConfigError(f"label {exc.args[0]} is not an unseen class id; "
+                              f"{task} expects unseen-class detections") from None
+    else:
+        image_ids, tags = model_outputs
+        tags = np.asarray(tags, dtype=np.float64)
+        if tags.shape != (len(image_ids), space.U):
+            raise ConfigError(f"{task} expects tags of shape ({len(image_ids)}, {space.U}), "
+                              f"one row per image, got {tags.shape}")
+        # per label, the max of its classes' columns in ascending class id;
+        # ``>`` keeps the first maximum, so ties and NaN keep their bits
+        label_tags: dict[int, np.ndarray] = {}
+        for col, cid in zip(tags.T, space.unseen_ids):
+            best = label_tags.get(relabel[cid], col)
+            label_tags[relabel[cid]] = np.where(col > best, col, best)
 
     rows: list[ApRow] = []
-    for lid in sorted(gts_by_label):
-        gts_l = gts_by_label[lid]
+    for lid in np.unique(gt_labels[gt_labels > 0]).tolist():
+        rows_g = np.flatnonzero(gt_labels == lid)
         if boxes:
-            image_ids, labels, scores, det_boxes = outputs
             rows_l = np.flatnonzero(labels == lid)
             ap = average_precision(image_ids[rows_l], scores[rows_l], det_boxes[rows_l],
-                                   gts_l, iou_thresh)
-            n_gt, n_det = len(gts_l), len(rows_l)
+                                   gt_image_ids[rows_g], gt_boxes[rows_g], iou_thresh)
+            n_gt, n_det = len(rows_g), len(rows_l)
         else:
-            positives = {g.image_id for g in gts_l}
-            scored = [(img, scores[lid]) for img, scores in outputs.items() if lid in scores]
-            scored.sort(key=lambda t: -t[1])
+            positives = set(gt_image_ids[rows_g].tolist())
+            scored = sorted(zip(image_ids, label_tags[lid].tolist()), key=lambda t: -t[1])
             flags = [img in positives for img, _ in scored]
             ap, n_gt, n_det = _ranking_ap(flags, len(positives)), len(positives), len(scored)
         rows.append(ApRow(lid, name_of(lid), ap, n_gt, n_det))

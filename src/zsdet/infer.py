@@ -15,11 +15,12 @@ it, each returning the image's :class:`Detections`:
   projected into semantic space as the top-K score-weighted sum of seen
   class vectors and classified by cosine against the unseen vectors.
 
-:func:`tag_image` takes the column maximum of the same matrix, one score per
-unseen class (meta-classes are :mod:`zsdet.evaluation`'s).  Ties break
-toward the lowest class id everywhere.  Before results are returned, one
-label-aware NMS pass over the image's detections (default IoU 0.5) lets a
-box suppress only boxes of its own class; pass ``nms_iou=0`` to disable it.
+:func:`tag_image` takes the column maximum of the same matrix, a ``(U,)``
+row of one score per unseen class (meta-classes are
+:mod:`zsdet.evaluation`'s).  Ties break toward the lowest class id
+everywhere.  Before results are returned, one label-aware NMS pass over
+the image's detections (default IoU 0.5) lets a box suppress only boxes of
+its own class; pass ``nms_iou=0`` to disable it.
 """
 
 from __future__ import annotations
@@ -178,16 +179,15 @@ def tag_image(
     model: Model,
     space: LabelSpace,
     proposals: "Proposals",
-) -> dict[int, float]:
-    """Image-level score per unseen class id: max over proposals.
+) -> np.ndarray:
+    """Image-level scores ``(U,)``, column ``k`` for unseen class id
+    ``S + 1 + k``: the max over proposals.
 
     No threshold is applied; the scores feed average precision directly.
     All-zero proposals are skipped; with no usable proposal all scores are 0.
     """
-    s, c = space.S, space.C
     _, _, scores = _scored(model, proposals)
-    best = scores[:, s:c].max(axis=0) if len(scores) else np.zeros(c - s)
-    return {s + i + 1: float(best[i]) for i in range(c - s)}
+    return scores[:, space.S : space.C].max(axis=0) if len(scores) else np.zeros(space.U)
 
 
 def dump_detections(

@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, Proposals
-from .errors import ConfigError, CoverageError, InvalidTargetError, NumericFailureError
+from .data import Dataset, Proposals, gt_class_ids
+from .errors import ConfigError, InvalidTargetError, NumericFailureError
 from .evaluation import iou_matrix
 from .loss import MODES, LossBreakdown, loss_gradients
 from .model import Model, RegionBatch, encode_boxes, init_model
@@ -350,29 +350,20 @@ def train(
     config: TrainConfig,
 ) -> tuple[Model, list[LossBreakdown]]:
     """Full training loop; deterministic given (dataset, config, seed)."""
-    known = set(space.labels)
-    unseen_names = {space.label_of(cid) for cid in space.unseen_ids}
-    for img in dataset.images:
-        for label in img.gt_labels:
-            if label not in known:
-                raise CoverageError(
-                    f"train label {label!r} in image {img.image_id} not in label space"
-                )
-            if label in unseen_names:
-                raise InvalidTargetError(
-                    f"train dataset leaks unseen class {label!r} "
-                    f"in image {img.image_id}"
-                )
-
-    model = init_model(config, table, space, d_f=dataset.d_f, seed=config.seed)
     work = rebalance_dataset(
         dataset, space, config.min_similar, np.random.default_rng([config.seed, 1])
     )
-    labeled = [
-        label_proposals(img.proposals, [space.id_of(label) for label in img.gt_labels],
-                        img.gt_boxes, config.fg_iou, space)
-        for img in work.images
-    ]
+    # rebalancing keeps every unseen and unknown label, and the input images
+    # first and in order, so the first error found is the input's first
+    gt_ids = gt_class_ids(work, space)
+    for img, ids in zip(work.images, gt_ids):
+        leaked = ids[ids > space.S]
+        if leaked.size:
+            raise InvalidTargetError(f"train dataset leaks unseen class "
+                                     f"{space.label_of(int(leaked[0]))!r} in image {img.image_id}")
+    model = init_model(config, table, space, d_f=dataset.d_f, seed=config.seed)
+    labeled = [label_proposals(img.proposals, ids, img.gt_boxes, config.fg_iou, space)
+               for img, ids in zip(work.images, gt_ids)]
 
     params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
     state = AdamState.for_params(params)

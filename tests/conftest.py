@@ -74,6 +74,23 @@ class Detection:
     box: np.ndarray
 
 
+@dataclass(frozen=True)
+class GroundTruth:
+    """One annotated box, the reference form of a ground-truth row."""
+
+    image_id: str
+    label: int
+    box: np.ndarray
+
+
+def gt_rows(gts):
+    """``gts`` as the ``(image_ids, class ids, boxes)`` rows that
+    :func:`zsdet.evaluation.evaluate` takes."""
+    return (np.array([g.image_id for g in gts], dtype=object),
+            np.array([g.label for g in gts], dtype=np.intp),
+            np.array([g.box for g in gts], dtype=np.float64).reshape(-1, 4))
+
+
 def stacked(rows, image_id="i"):
     """One image's :class:`Detections` from ``rows`` (their image ids unread)."""
     return Detections(image_id,
@@ -96,9 +113,11 @@ def rows_of(detections):
 
 
 def ap_of(rows, gts, thresh):
-    """:func:`average_precision` of one label's detection ``rows``."""
-    d = stacked(rows)
-    return average_precision([r.image_id for r in rows], d.scores, d.boxes, gts, thresh)
+    """:func:`average_precision` of one label's detection ``rows`` against
+    its ground truths ``gts``."""
+    d, (gt_image_ids, _, gt_boxes) = stacked(rows), gt_rows(gts)
+    return average_precision([r.image_id for r in rows], d.scores, d.boxes,
+                             gt_image_ids, gt_boxes, thresh)
 
 
 def random_unit_columns(rng, d, n):

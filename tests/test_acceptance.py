@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from zsdet.audit import random_batch
-from zsdet.data import SynthConfig, generate_synthetic, ground_truth_records
+from zsdet.data import SynthConfig, generate_synthetic, ground_truth_rows
 from zsdet.evaluation import evaluate, nms
 from zsdet.infer import conse_detect, detect, tag_image
 from zsdet.loss import classification_loss, loss_gradients
@@ -174,7 +174,7 @@ def _run_experiment(tmp_path):
             bundle.oracle["seen_labels"], bundle.oracle["unseen_labels"], bundle.meta_map
         )
         table = bundle.table.reorder(space.labels)
-        gts = ground_truth_records(bundle.test, space)
+        gts = ground_truth_rows(bundle.test, space)
 
         cluster, _ = train(bundle.train, table, space, _train_config(seed, 0.8, "full"))
         margin_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "full"))
@@ -227,10 +227,8 @@ def _run_experiment(tmp_path):
 
         tag_maps = {}
         for name, model in (("cluster", cluster), ("seen_only", seen_only), ("baseline", baseline)):
-            tags = {
-                img.image_id: tag_image(model, space, img.proposals)
-                for img in bundle.test.images
-            }
+            tags = ([img.image_id for img in bundle.test.images],
+                    np.array([tag_image(model, space, img.proposals) for img in bundle.test.images]))
             tag_maps[name] = {
                 "T3": evaluate(tags, gts, space, "T3").mean_ap,
                 "T4": evaluate(tags, gts, space, "T4").mean_ap,

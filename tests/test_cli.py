@@ -263,8 +263,16 @@ class TestGradcheckCommand:
         assert capsys.readouterr().out == first
         assert "PASS" in first
 
-    def test_fault_injection_fails(self, capsys):
-        assert run("gradcheck", "--trials", 2, "--inject-fault") == 1
+    def test_fault_injection_fails(self, capsys, monkeypatch):
+        exact = zsdet.audit.loss_gradients
+
+        def shifted(*args):
+            breakdown, grads = exact(*args)
+            grads.dw1[0, 0] += 1e-2
+            return breakdown, grads
+
+        monkeypatch.setattr("zsdet.audit.loss_gradients", shifted)
+        assert run("gradcheck", "--trials", 2) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_optional_report_file(self, tmp_path):
@@ -583,8 +591,72 @@ class TestExitCodes:
         assert run("train", "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--split", split,
                    "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
-        assert capsys.readouterr().err.startswith("error: train label 'class006' in image train")
+        assert capsys.readouterr().err.startswith(
+            "error: ground-truth label 'class006' in image train")
         assert not (tmp_path / "o.json").exists()
+
+    def test_eval_label_outside_label_space_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        lines = (data / "test.jsonl").read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["gts"][-1]["label"] = "no_such_class"
+        lines[3] = json.dumps(rec)
+        (data / "test.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--out", tmp_path / "reports") == 2
+        assert capsys.readouterr().err == (f"error: ground-truth label 'no_such_class' in image "
+                                           f"{rec['image_id']} not in label space\n")
+
+    @staticmethod
+    def seen_all_checkpoint(tmp_path, data):
+        """A checkpoint trained on a split whose unseen line is empty."""
+        oracle = json.loads((data / "oracle.json").read_text())
+        split = tmp_path / "split.txt"
+        split.write_text("seen: " + ",".join(oracle["seen_labels"] + oracle["unseen_labels"])
+                         + "\nunseen:\n")
+        ckpt = tmp_path / "seen_all.json"
+        assert run("train", "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--split", split,
+                   "--data", data / "train.jsonl", "--out", ckpt, "--epochs", 1,
+                   "--min-similar", 0) == 0
+        return ckpt, "got 8 seen and 0 unseen"
+
+    @staticmethod
+    def unseen_all_checkpoint(tmp_path, data):
+        """A trained checkpoint edited to hold no seen class."""
+        ckpt = quick_train(tmp_path, data)
+        payload = json.loads(ckpt.read_text())
+        d_f = payload["d_f"]
+        payload.update(S=0, U=len(payload["labels"]), box_weights=encode_array(np.zeros((d_f, 0))),
+                       box_bias=encode_array(np.zeros(0)))
+        ckpt.write_text(json.dumps(payload))
+        return ckpt, "got 0 seen and 8 unseen"
+
+    @pytest.mark.parametrize("make", ["seen_all_checkpoint", "unseen_all_checkpoint"])
+    @pytest.mark.parametrize("inference", ["san", "conse"])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_empty_seen_or_unseen_set_exits_2_before_scoring(
+            self, tmp_path, capsys, monkeypatch, make, inference, command):
+        data = synth(tmp_path)
+        ckpt, counts = getattr(self, make)(tmp_path, data)
+
+        def never(*args, **kwargs):
+            raise AssertionError("scored an image with an empty seen or unseen set")
+
+        for name in ("detect", "conse_detect", "tag_image"):
+            monkeypatch.setattr(f"zsdet.cli.{name}", never)
+        capsys.readouterr()
+        out = tmp_path / ("dets.jsonl" if command == "predict" else "reports")
+        assert run(command, "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                   "--inference", inference, "--k", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the checkpoint needs at least one seen and one unseen")
+        assert counts in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("token", ["inf", "nan"])
     def test_non_finite_word_vector_exits_2(self, tmp_path, capsys, token):

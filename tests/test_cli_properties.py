@@ -70,7 +70,7 @@ def has_score_ties(data, ckpt, dets_path):
                               load_meta_map(data / "meta_map.csv"))
     scores = [s for d in load_detections(dets_path, space) for s in d.scores.tolist()]
     tags = [s for img in load_dataset(data / "test.jsonl").images
-            for s in tag_image(model, space, img.proposals).values()]
+            for s in tag_image(model, space, img.proposals).tolist()]
     return len(set(scores)) < len(scores) or len(set(tags)) < len(tags)
 
 

@@ -16,7 +16,7 @@ from zsdet.data import (
     Proposals,
     SynthConfig,
     generate_synthetic,
-    ground_truth_records,
+    ground_truth_rows,
     load_dataset,
     load_split,
     propose_split,
@@ -25,10 +25,10 @@ from zsdet.data import (
 )
 from zsdet.cli import main
 from zsdet.codec import encode_array
-from zsdet.errors import ConfigError, DimensionMismatchError, ParseError, ZsdetError
+from zsdet.errors import ConfigError, CoverageError, DimensionMismatchError, ParseError, ZsdetError
 from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
-from conftest import make_space, to_list_form
+from conftest import GroundTruth, gt_rows, make_space, to_list_form
 
 
 class TestSynthConfig:
@@ -527,21 +527,43 @@ class TestSplitIO:
             load_split(path)
 
 
-class TestGroundTruthRecords:
+def image_with(image_id, labels, boxes):
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    return ImageRecord(image_id, Proposals(np.ones((1, 2)), np.array([[0, 0, 1, 1.0]])),
+                       tuple(labels), boxes)
+
+
+class TestGroundTruthRows:
     def test_maps_labels_to_ids(self):
         space = make_space(2, 1)
-        ds = Dataset(
-            d_f=2,
-            labels=space.labels,
-            images=[
-                ImageRecord(
-                    "i",
-                    Proposals(np.ones((1, 2)), np.array([[0, 0, 1, 1.0]])),
-                    ("c3",),
-                    np.array([[0, 0, 1, 1.0]]),
-                )
-            ],
-        )
-        [g] = ground_truth_records(ds, space)
-        assert g.label == 3
-        assert g.image_id == "i"
+        ds = Dataset(d_f=2, labels=space.labels,
+                     images=[image_with("i", ("c3",), [[0, 0, 1, 1.0]])])
+        image_ids, class_ids, boxes = ground_truth_rows(ds, space)
+        assert image_ids.tolist() == ["i"]
+        assert class_ids.tolist() == [3]
+        assert boxes.tolist() == [[0, 0, 1, 1.0]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(["c1", "c2", "c3", "c4"]),
+                                       st.integers(0, 20), st.integers(1, 9)),
+                             max_size=4), max_size=5))
+    def test_equals_a_per_record_flatten(self, images):
+        space = make_space(3, 1)
+        ds = Dataset(d_f=2, labels=space.labels, images=[
+            image_with(f"i{k}", [label for label, _, _ in gts],
+                       [[x, x, x + w, x + w] for _, x, w in gts])
+            for k, gts in enumerate(images)])
+        ref = gt_rows([GroundTruth(img.image_id, space.id_of(label), box)
+                       for img in ds.images for label, box in zip(img.gt_labels, img.gt_boxes)])
+        got = ground_truth_rows(ds, space)
+        assert [a.dtype for a in got] == [a.dtype for a in ref]
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tolist() == b.tolist()
+
+    def test_unknown_label_names_it_and_its_image(self):
+        space = make_space(2, 1)
+        ds = Dataset(d_f=2, labels=space.labels, images=[
+            image_with("ok", ("c1",), [[0, 0, 1, 1.0]]),
+            image_with("bad", ("c2", "nope"), [[0, 0, 1, 1.0], [0, 0, 2, 2.0]])])
+        with pytest.raises(CoverageError, match="label 'nope' in image bad not in label space"):
+            ground_truth_rows(ds, space)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from zsdet.errors import ConfigError
 from zsdet.evaluation import (
     TASKS,
-    GroundTruth,
     _envelope_area,
     evaluate,
     iou_matrix,
@@ -14,7 +13,7 @@ from zsdet.evaluation import (
 )
 from zsdet.semantics import build_label_space
 
-from conftest import Detection, ap_of, make_space, per_image, stacked
+from conftest import Detection, GroundTruth, ap_of, gt_rows, make_space, per_image, stacked
 
 
 def det(img, label, score, box):
@@ -357,35 +356,32 @@ class TestEvaluate:
     def test_perfect_detector_all_tasks(self):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
-        assert evaluate(per_image(dets), gts, space, "T1").mean_ap == 1.0
-        assert evaluate(per_image(dets), gts, space, "T2").mean_ap == 1.0
-        tags = {
-            "a": {space.S + 1: 1.0, space.S + 2: 1.0},
-            "b": {space.S + 1: 1.0, space.S + 2: 0.0},
-        }
-        assert evaluate(tags, gts, space, "T3").mean_ap == 1.0
-        assert evaluate(tags, gts, space, "T4").mean_ap == 1.0
+        assert evaluate(per_image(dets), gt_rows(gts), space, "T1").mean_ap == 1.0
+        assert evaluate(per_image(dets), gt_rows(gts), space, "T2").mean_ap == 1.0
+        tags = (["a", "b"], np.array([[1.0, 1.0], [1.0, 0.0]]))
+        assert evaluate(tags, gt_rows(gts), space, "T3").mean_ap == 1.0
+        assert evaluate(tags, gt_rows(gts), space, "T4").mean_ap == 1.0
 
     def test_within_meta_confusion_recovered_by_t2(self):
         # both unseen classes share one meta; detector swaps their labels
         space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m2", "c3": "m1", "c4": "m1"})
         gts = [gt("a", 3, [0, 0, 10, 10]), gt("a", 4, [20, 20, 30, 30])]
         dets = [det("a", 4, 0.9, [0, 0, 10, 10]), det("a", 3, 0.8, [20, 20, 30, 30])]
-        t1 = evaluate(per_image(dets), gts, space, "T1").mean_ap
-        t2 = evaluate(per_image(dets), gts, space, "T2").mean_ap
+        t1 = evaluate(per_image(dets), gt_rows(gts), space, "T1").mean_ap
+        t2 = evaluate(per_image(dets), gt_rows(gts), space, "T2").mean_ap
         assert t1 == 0.0
         assert t2 == 1.0
 
     def test_t2_on_perfect_t1_is_perfect(self):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
-        assert evaluate(per_image(dets), gts, space, "T2").mean_ap == 1.0
+        assert evaluate(per_image(dets), gt_rows(gts), space, "T2").mean_ap == 1.0
 
     def test_classes_without_gt_excluded(self):
         space = make_space(4, 2, n_meta=2)
         gts = [gt("a", space.S + 1, [0, 0, 10, 10])]
         dets = [det("a", space.S + 1, 0.9, [0, 0, 10, 10])]
-        report = evaluate(per_image(dets), gts, space, "T1")
+        report = evaluate(per_image(dets), gt_rows(gts), space, "T1")
         assert [r.label for r in report.rows] == [space.S + 1]
         assert report.mean_ap == 1.0
 
@@ -393,55 +389,56 @@ class TestEvaluate:
         space = make_space(4, 2, n_meta=2)
         gts = [gt("a", 1, [0, 0, 10, 10]), gt("a", space.S + 1, [20, 20, 30, 30])]
         dets = [det("a", space.S + 1, 0.9, [20, 20, 30, 30])]
-        assert evaluate(per_image(dets), gts, space, "T1").mean_ap == 1.0
+        assert evaluate(per_image(dets), gt_rows(gts), space, "T1").mean_ap == 1.0
 
     def test_non_unseen_detection_rejected(self):
         space = make_space(4, 2)
         for task in ("T1", "T2"):
             with pytest.raises(ConfigError, match="label 1 is not an unseen class id"):
-                evaluate(per_image([det("a", 1, 0.9, [0, 0, 1, 1])]), [], space, task)
+                evaluate(per_image([det("a", 1, 0.9, [0, 0, 1, 1])]), gt_rows([]), space, task)
 
     @pytest.mark.parametrize("task", ["T3", "T4"])
-    def test_non_unseen_tag_rejected(self, task):
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 3), (1, 2), (3, 2), (2,), (2, 2, 1)])
+    def test_misshapen_tags_rejected(self, task, shape):
         space = make_space(4, 2)
         gts = [gt("a", space.S + 1, [0, 0, 10, 10])]
-        tags = {"a": {space.S + 1: 0.9}, "b": {space.S + 1: 0.1, 2: 0.5}}
-        with pytest.raises(ConfigError, match="label 2 is not an unseen class id"):
-            evaluate(tags, gts, space, task)
+        tags = (["a", "b"], np.zeros(shape))
+        with pytest.raises(ConfigError, match=rf"{task} expects tags of shape \(2, 2\)"):
+            evaluate(tags, gt_rows(gts), space, task)
 
     def test_bad_task_rejected(self):
         space = make_space(2, 1)
         with pytest.raises(ConfigError):
-            evaluate([], [], space, "T9")
+            evaluate([], gt_rows([]), space, "T9")
 
     @pytest.mark.parametrize("thresh", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_iou_thresh_rejected(self, thresh):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
         with pytest.raises(ConfigError, match="iou_thresh must be a finite number"):
-            evaluate(per_image(dets), gts, space, "T1", iou_thresh=thresh)
+            evaluate(per_image(dets), gt_rows(gts), space, "T1", iou_thresh=thresh)
 
     @pytest.mark.parametrize("task", TASKS)
     @pytest.mark.parametrize("thresh", [0.0, -0.5, 1.0 + 1e-12, 2.0])
     def test_iou_thresh_outside_unit_interval_rejected(self, task, thresh):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
-        outputs = per_image(dets) if task in ("T1", "T2") else {}
+        outputs = per_image(dets) if task in ("T1", "T2") else (["a", "b"], np.ones((2, 2)))
         with pytest.raises(ConfigError, match=r"iou_thresh must be in \(0, 1\], got"):
-            evaluate(outputs, gts, space, task, iou_thresh=thresh)
+            evaluate(outputs, gt_rows(gts), space, task, iou_thresh=thresh)
 
     def test_iou_thresh_of_one_accepted(self):
         space = make_space(4, 2, n_meta=2)
         dets, gts = self.make_perfect(space)
-        assert evaluate(per_image(dets), gts, space, "T1", iou_thresh=1.0).mean_ap == 1.0
+        assert evaluate(per_image(dets), gt_rows(gts), space, "T1", iou_thresh=1.0).mean_ap == 1.0
 
     def test_tagging_ap_ranks_images(self):
         space = make_space(2, 1)
         u = space.S + 1
         gts = [gt("pos1", u, [0, 0, 10, 10]), gt("pos2", u, [0, 0, 10, 10])]
-        tags = {"pos1": {u: 0.9}, "neg": {u: 0.8}, "pos2": {u: 0.7}}
+        tags = (["pos1", "neg", "pos2"], np.array([[0.9], [0.8], [0.7]]))
         # ranking: pos1 TP, neg FP, pos2 TP -> precisions 1, 1/2, 2/3
-        report = evaluate(tags, gts, space, "T3")
+        report = evaluate(tags, gt_rows(gts), space, "T3")
         assert report.mean_ap == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3), abs=1e-12)
 
 
@@ -449,9 +446,9 @@ class TestEvaluate:
 def tagging_cases(draw):
     """A label space whose metas hold one to three unseen classes each, in
     interleaved id order, with seen classes spread over them and maybe one
-    more meta; per-image class tags over a subset of the unseen ids, with
-    tied (and NaN) scores; and ground truths, seen ones included, on some of
-    the images."""
+    more meta; a dense ``(m, U)`` tag matrix over m images, with tied (and
+    NaN) scores; and ground truths, seen ones included, on some of the
+    images and on one image without tags."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     unseen_metas = draw(st.permutations([m for m, n in enumerate(sizes) for _ in range(n)]))
     seen = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
@@ -459,21 +456,20 @@ def tagging_cases(draw):
     meta_of = {lab: f"m{draw(st.integers(0, len(sizes)))}" for lab in seen}
     meta_of.update((lab, f"m{m}") for lab, m in zip(unseen, unseen_metas))
     space = build_label_space(seen, unseen, meta_of)
-    images = [f"i{k}" for k in range(5)]
+    images = [f"i{k}" for k in range(draw(st.integers(0, 5)))]
     scores = st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan")])
-    tags = {img: {cid: draw(scores) for cid in space.unseen_ids if draw(st.booleans())}
-            for img in images if draw(st.booleans())}
+    tags = np.array([[draw(scores) for _ in space.unseen_ids] for _ in images]).reshape(-1, space.U)
     labels = st.sampled_from(list(space.unseen_ids) + [1])
     gts = [gt(img, draw(labels), [0, 0, 1, 1])
-           for img in images for _ in range(draw(st.integers(0, 2)))]
-    return space, tags, gts
+           for img in images + ["untagged"] for _ in range(draw(st.integers(0, 2)))]
+    return space, (images, tags), gts
 
 
 def tagging_ref(tags, gts, space, task):
     """Brute-force T3/T4: per label with a positive image, each image's
     score is the ``max`` of its tags of that label's classes in ascending
     class id; images ranked by it (stable), AP through the envelope loop.
-    Returns ``(rows, mean_ap)``."""
+    ``tags`` is ``(image_ids, (m, U) matrix)``.  Returns ``(rows, mean_ap)``."""
     to_label = space.meta_of if task == "T4" else (lambda cid: cid)
     name_of = space.meta_label_of if task == "T4" else space.label_of
     unseen_gts = [g for g in gts if space.is_unseen(g.label)]
@@ -481,10 +477,10 @@ def tagging_ref(tags, gts, space, task):
     for lid in sorted({to_label(g.label) for g in unseen_gts}):
         positives = {g.image_id for g in unseen_gts if to_label(g.label) == lid}
         scored = []
-        for img, class_scores in tags.items():
-            member_scores = [class_scores[c] for c in sorted(class_scores) if to_label(c) == lid]
-            if member_scores:
-                scored.append((img, max(member_scores)))
+        for img, row in zip(*tags):
+            member_scores = [float(row[c - space.S - 1]) for c in space.unseen_ids
+                             if to_label(c) == lid]
+            scored.append((img, max(member_scores)))
         ranked = sorted(scored, key=lambda t: -t[1])
         recall, precision, tp = [], [], 0
         for k, (img, _) in enumerate(ranked, start=1):
@@ -505,7 +501,7 @@ class TestTaggingTasks:
     @given(tagging_cases(), st.sampled_from(["T3", "T4"]))
     def test_rows_match_brute_force_bit_for_bit(self, case, task):
         space, tags, gts = case
-        report = evaluate(tags, gts, space, task)
+        report = evaluate(tags, gt_rows(gts), space, task)
         rows, mean_ap = tagging_ref(tags, gts, space, task)
         assert [(r.label, r.name, _bits(r.ap), r.n_gt, r.n_det) for r in report.rows] == [
             (lid, name, _bits(ap), n_gt, n_det) for lid, name, ap, n_gt, n_det in rows]

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.errors import ConfigError, CoverageError, InvalidTargetError, NumericFailureError
-from zsdet.evaluation import GroundTruth
 from zsdet.model import RegionBatch, encode_boxes, init_model, save_checkpoint
 from zsdet.semantics import build_label_space
 from zsdet.train import (
@@ -28,7 +27,7 @@ from zsdet.train import (
 )
 from zsdet.data import Dataset, ImageRecord, Proposals
 
-from conftest import adam_cpus, make_space
+from conftest import GroundTruth, adam_cpus, gt_rows, make_space
 from conftest import train as train_module
 from test_evaluation import iou
 
@@ -301,8 +300,7 @@ def proposals_at(*boxes, d_f=3):
 
 def label_gts(proposals, gts, fg_iou, space):
     """``label_proposals`` over a list of :class:`GroundTruth` records."""
-    ids = np.array([g.label for g in gts], dtype=np.intp)
-    boxes = np.array([g.box for g in gts], dtype=np.float64).reshape(-1, 4)
+    _, ids, boxes = gt_rows(gts)
     return label_proposals(proposals, ids, boxes, fg_iou, space)
 
 
