@@ -9,10 +9,12 @@ all loss paths get exercised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, check_seed
 from .loss import loss_gradients
 from .model import Model, RegionBatch, encode_boxes, init_model
 from .semantics import LabelSpace, build_label_space, finalize_embeddings
@@ -100,8 +102,14 @@ def gradient_audit(
 
     Every W1, box-weight, and box-bias entry is perturbed by +-h.  Returns
     the worst relative error over all trials; the audit passes when it is
-    below 1e-4.
+    below 1e-4.  ``trials`` must be at least 1 and ``h`` a positive finite
+    number, else :class:`ConfigError`.
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not 0 < h < math.inf:
+        raise ConfigError(f"h must be a positive finite number, got {h}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     combos = [(m, l) for m in ("full", "seen_only") for l in (0.0, 0.6, 1.0)]
     worst = 0.0

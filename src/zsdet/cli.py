@@ -35,7 +35,7 @@ from .data import (
     save_meta_map,
     save_split,
 )
-from .errors import ConfigError, ZsdetError, check_finite, check_unit_interval
+from .errors import ConfigError, ZsdetError, check_finite, check_seed, check_unit_interval
 from .evaluation import (
     TASKS,
     evaluate,
@@ -135,6 +135,7 @@ def cmd_synth(args) -> int:
 def cmd_split(args) -> int:
     dataset = load_dataset(args.data)
     meta_map = load_meta_map(args.meta_map)
+    check_seed(args.seed)
     per_meta = args.per_meta if args.per_meta == "auto" else int(args.per_meta)
     exclude = [t for t in args.exclude.split(",") if t] if args.exclude else []
     seen, unseen = propose_split(
@@ -246,7 +247,7 @@ def cmd_export_embeddings(args) -> int:
 
 
 def _add_common_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--checkpoint", required=True, help="trained checkpoint JSON")
+    p.add_argument("--checkpoint", required=True, help="trained checkpoint file")
     p.add_argument("--embeddings", required=True, help="word-vector text file")
     p.add_argument("--meta-map", required=True, help="class,meta CSV")
     p.add_argument("--data", required=True, help="dataset JSON-lines file")

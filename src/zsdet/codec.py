@@ -1,8 +1,10 @@
 """Encodings shared by the file formats: float64 array blocks and UTF-8 text.
 
 An array block is the base64 text of an array's little-endian float64 bytes
-in C order.  Checkpoints store their weights this way and dataset files
-their per-image proposal features and boxes; the reader supplies the shape.
+in C order.  Dataset files store their per-image proposal features and boxes
+this way and the oracle record its feature map; the reader supplies the
+shape.  Checkpoints do not use it: they store raw float64 bytes after a JSON
+header line (see :func:`zsdet.model.save_checkpoint`).
 """
 
 from __future__ import annotations
@@ -17,14 +19,9 @@ import numpy as np
 from .errors import ParseError
 
 
-def encode_array_bytes(a: np.ndarray) -> bytes:
-    """:func:`encode_array` as ASCII bytes, encoded from ``a``'s own buffer."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8"))
-
-
 def encode_array(a: np.ndarray) -> str:
     """Base64 text of ``a`` as little-endian float64 bytes in C order."""
-    return encode_array_bytes(a).decode("ascii")
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode("ascii")
 
 
 def decode_array(text, what: str, shape: tuple[int | None, ...],

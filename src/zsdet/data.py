@@ -21,6 +21,7 @@ matrices, as :class:`Proposals`, until they are scored or trained on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from collections import Counter
@@ -30,7 +31,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .codec import decode_array, encode_array, read_utf8, utf8_lines
-from .errors import ConfigError, CoverageError, DimensionMismatchError, ParseError
+from .errors import (
+    ConfigError,
+    CoverageError,
+    DimensionMismatchError,
+    ParseError,
+    check_seed,
+)
 from .semantics import EmbeddingTable, LabelSpace, _readonly
 
 CANVAS = 256.0
@@ -96,14 +103,15 @@ class SynthConfig:
             raise ConfigError("need at least one seen class")
         if not 1 <= self.m <= self.s + self.u:
             raise ConfigError("meta-class count must be in 1..S+U")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        if self.meta_spread < 0:
-            raise ConfigError("meta_spread must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
+        if not 0 <= self.meta_spread < math.inf:
+            raise ConfigError(f"meta_spread must be a finite number >= 0, got {self.meta_spread}")
         if min(self.d, self.d_f) < 2:
             raise ConfigError("dimensionalities must be >= 2")
         if min(self.images, self.test_images, self.proposals_per_image) < 1:
             raise ConfigError("images, test_images, proposals_per_image must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -152,6 +160,9 @@ def _make_image(
         w = rng.uniform(MIN_BG_BOX, CANVAS / 2)
         h = rng.uniform(MIN_BG_BOX, CANVAS / 2)
         boxes[i] = (x1, y1, min(x1 + w, CANVAS), min(y1 + h, CANVAS))
+    if not np.isfinite(features).all():
+        raise ConfigError(f"noise_sigma {cfg.noise_sigma} is too large: "
+                          f"proposal features overflow")
     gt_labels = tuple(labels[cid - 1] for cid in class_ids)
     return ImageRecord(image_id, Proposals(features, boxes), gt_labels, gt_boxes)
 
@@ -175,7 +186,11 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
     raw = np.empty((cfg.d, n_classes))
     for i in range(n_classes):
         v = centroids[:, i % cfg.m] + cfg.meta_spread * rng.standard_normal(cfg.d)
-        raw[:, i] = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not norm < math.inf:
+            raise ConfigError(f"meta_spread {cfg.meta_spread} is too large: "
+                              f"a class vector's norm overflows")
+        raw[:, i] = v / norm
     vectors = _readonly(raw)
     background = _readonly(raw.mean(axis=1))
     table = EmbeddingTable(labels=labels, vectors=vectors, background=background)

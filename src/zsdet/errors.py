@@ -70,6 +70,12 @@ def check_finite(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be a finite number, got {value}")
 
 
+def check_seed(value: int) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a usable random seed (>= 0)."""
+    if value < 0:
+        raise ConfigError(f"seed must be >= 0, got {value}")
+
+
 def check_unit_interval(name: str, value: float, open_at_zero: bool = False) -> None:
     """Raise :class:`ConfigError` unless ``value`` is a finite number in
     ``[0, 1]``, or in ``(0, 1]`` when ``open_at_zero``."""

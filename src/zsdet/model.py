@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .codec import decode_array, encode_array_bytes
 from .errors import CoverageError, NormalizationError, ParseError, ShapeError
 from .semantics import EmbeddingTable, LabelSpace
 
@@ -206,40 +205,43 @@ def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return np.concatenate([center - half, center + half], axis=-1)
 
 
-def _decode_array(payload: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    if isinstance(payload[key], list):
-        raise ParseError(
-            f"checkpoint {key} is a JSON list, the format before base64 arrays; "
-            "re-run `zsdet train` to write a current checkpoint"
-        )
-    a = decode_array(payload[key], f"checkpoint {key}", shape)
-    finite = np.isfinite(a)
-    if not finite.all():
-        at = np.unravel_index(np.argmin(finite), a.shape)
-        raise ParseError(f"checkpoint {key} has a non-finite value at {tuple(map(int, at))}")
-    return a
-
-
 def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
-    """Serialize the trainable state to JSON (W2 is rebuilt from embeddings).
+    """Serialize the trainable state (W2 is rebuilt from embeddings).
 
-    ``W1``, ``box_weights`` and ``box_bias`` are base64 strings of their
-    little-endian float64 bytes in C order; their shapes follow from
-    ``d_f``, ``d`` and ``S``.  The bytes are ``json.dumps(payload) + "\\n"``,
-    with each array block streamed as base64, which needs no JSON escaping.
+    The file is one ASCII JSON header line, ``json.dumps`` of ``d_f, d, C,
+    S, U, labels, config`` plus a newline, then the little-endian float64
+    bytes in C order of ``W1``, ``box_weights`` and ``box_bias``, in that
+    order and with nothing between or after them.
     """
     from dataclasses import asdict
 
     head = {"d_f": model.d_f, "d": model.d, "C": model.n_classes, "S": model.n_seen,
-            "U": model.n_unseen, "labels": list(model.labels)}
+            "U": model.n_unseen, "labels": list(model.labels), "config": asdict(model.config)}
     with open(path, "wb") as f:
-        f.write(json.dumps(head)[:-1].encode("ascii"))
-        for key, a in ((b"W1", model.w1), (b"box_weights", model.box_w), (b"box_bias", model.box_b)):
-            f.writelines((b', "', key, b'": "', encode_array_bytes(a), b'"'))
-        f.write(f', {json.dumps({"config": asdict(model.config)})[1:]}\n'.encode("ascii"))
+        f.write((json.dumps(head) + "\n").encode("ascii"))
+        for a in (model.w1, model.box_w, model.box_b):
+            f.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
-_CHECKPOINT_KEYS = ("d_f", "d", "S", "U", "labels", "W1", "box_weights", "box_bias", "config")
+_HEADER_KEYS = ("d_f", "d", "S", "U", "labels", "config")
+# The array blocks in file order; their shapes follow from d_f, d and S.
+_BLOCKS = ("W1", "box_weights", "box_bias")
+
+
+def _read_blocks(raw: bytes, offset: int, shapes: tuple[tuple[int, ...], ...]):
+    """Each array block of ``raw`` from ``offset`` on, as a new aligned and
+    writable float64 array; a non-finite entry raises :class:`ParseError`
+    naming its array and index."""
+    for key, shape in zip(_BLOCKS, shapes):
+        n = math.prod(shape)
+        a = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
+        a = a.astype(np.float64)
+        finite = np.isfinite(a)
+        if not finite.all():
+            at = np.unravel_index(np.argmin(finite), a.shape)
+            raise ParseError(f"checkpoint {key} has a non-finite value at {tuple(map(int, at))}")
+        offset += 8 * n
+        yield a
 
 
 def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
@@ -247,47 +249,64 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
 
     The file is read once.  The table may be in any order: it is reordered
     to the checkpoint's labels, which set the model's class ids.  A file
-    that is not a complete checkpoint in the current format, or whose
-    ``W1``, ``box_weights`` or ``box_bias`` holds a non-finite value,
-    raises :class:`ParseError`.
+    that is not a complete checkpoint in the current format (a header line,
+    then exactly the three array blocks), or whose ``W1``, ``box_weights``
+    or ``box_bias`` holds a non-finite value, raises :class:`ParseError`.
     """
     from .train import TrainConfig
 
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:
-            raise ParseError(f"invalid checkpoint JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise ParseError("checkpoint must be a JSON object")
-    missing = [k for k in _CHECKPOINT_KEYS if k not in payload]
+    with open(path, "rb") as f:
+        raw = f.read()
+    end = raw.find(b"\n")
+    if end < 0:
+        raise ParseError("checkpoint has no header line (no newline)")
+    try:
+        head = json.loads(raw[:end])
+    except ValueError as exc:
+        raise ParseError(f"invalid checkpoint header JSON: {exc}")
+    if not isinstance(head, dict):
+        raise ParseError("checkpoint header must be a JSON object")
+    if "W1" in head:
+        raise ParseError(
+            "checkpoint holds its arrays in its JSON (as lists or base64), a format "
+            "before raw array blocks; re-run `zsdet train` to write a current checkpoint"
+        )
+    missing = [k for k in _HEADER_KEYS if k not in head]
     if missing:
         raise ParseError(f"checkpoint is missing {', '.join(missing)}")
-    labels, d_f, d, s = payload["labels"], payload["d_f"], payload["d"], payload["S"]
+    labels, d_f, d, s = head["labels"], head["d_f"], head["d"], head["S"]
     if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)
             and isinstance(s, int) and 0 <= s <= len(labels)
-            and payload["U"] == len(labels) - s):
+            and head["U"] == len(labels) - s):
         raise ParseError(
             "checkpoint labels must be a list of names, S a count within it and U the rest"
         )
     if not (isinstance(d_f, int) and d_f > 0 and isinstance(d, int) and d > 0):
         raise ParseError("checkpoint d_f and d must be positive integers")
+    shapes = ((d_f, d), (d_f, 4 * s), (4 * s,))
+    expected = 8 * sum(math.prod(shape) for shape in shapes)
+    if len(raw) - (end + 1) != expected:
+        raise ParseError(
+            f"checkpoint holds {len(raw) - (end + 1)} bytes after its header, expected "
+            f"{expected} for {', '.join(f'{k} {sh}' for k, sh in zip(_BLOCKS, shapes))}"
+        )
     if table.d != d:
         raise ShapeError(f"table dimensionality {table.d} != checkpoint d {d}")
     w2 = table.reorder(labels).w2()
     try:
-        config = TrainConfig(**payload["config"])
+        config = TrainConfig(**head["config"])
     except TypeError as exc:
         raise ParseError(f"malformed checkpoint config: {exc}")
+    w1, box_w, box_b = _read_blocks(raw, end + 1, shapes)
     return Model(
-        w1=_decode_array(payload, "W1", (d_f, d)),
+        w1=w1,
         w2=w2,
         col_norms=np.linalg.norm(w2, axis=0),
         labels=tuple(labels),
         n_seen=s,
         n_unseen=len(labels) - s,
-        box_w=_decode_array(payload, "box_weights", (d_f, 4 * s)),
-        box_b=_decode_array(payload, "box_bias", (4 * s,)),
+        box_w=box_w,
+        box_b=box_b,
         config=config,
     )
 

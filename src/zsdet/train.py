@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, Proposals, gt_class_ids
-from .errors import ConfigError, InvalidTargetError, NumericFailureError
+from .errors import ConfigError, InvalidTargetError, NumericFailureError, check_seed
 from .evaluation import iou_matrix
 from .loss import MODES, LossBreakdown, loss_gradients
 from .model import Model, RegionBatch, encode_boxes, init_model
@@ -78,6 +78,7 @@ class TrainConfig:
             raise ConfigError("min_similar must be >= 0")
         if not 0.0 < self.fg_iou <= 1.0:
             raise ConfigError("fg_iou must be in (0, 1]")
+        check_seed(self.seed)
 
 
 # Elements per Adam block: the step's 14 in-place operations run over one
@@ -389,6 +390,12 @@ def train(
                 raise NumericFailureError(f"training step {step}: {exc}") from exc
             history.append(breakdown)
             step += 1
+    # a step's own checks see only its inputs, so the last step's result is
+    # checked here: a model that trained into overflow is not written
+    for key, p in params.items():
+        if not (math.isfinite(p.sum()) or np.isfinite(p).all()):
+            raise NumericFailureError(f"training step {step - 1} left a non-finite value "
+                                      f"in {key!r}")
     return model, history
 
 

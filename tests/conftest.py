@@ -1,11 +1,14 @@
 """Shared builders for small hand-constructed instances."""
 
 import importlib
+import json
+import math
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,48 @@ def to_list_form(rec, d_f):
     rec["proposals"] = [{"feature": f.tolist(), "box": b.tolist()}
                         for f, b in zip(features, boxes)]
     return rec
+
+
+CHECKPOINT_BLOCKS = ("W1", "box_weights", "box_bias")
+
+
+def read_checkpoint(path):
+    """A checkpoint file as ``(header, arrays)``: the JSON object on its first
+    line, and ``{name: float64 array}`` of the raw blocks after it, shaped
+    from the header's ``d_f``, ``d`` and ``S``.  The blocks must end the file."""
+    raw = Path(path).read_bytes()
+    end = raw.index(b"\n")
+    head = json.loads(raw[:end].decode("ascii"))
+    d_f, d, s = head["d_f"], head["d"], head["S"]
+    arrays, at = {}, end + 1
+    for key, shape in zip(CHECKPOINT_BLOCKS, ((d_f, d), (d_f, 4 * s), (4 * s,))):
+        n = math.prod(shape)
+        arrays[key] = np.frombuffer(raw, dtype="<f8", count=n, offset=at).reshape(shape).copy()
+        at += 8 * n
+    assert at == len(raw), f"{len(raw) - at} bytes after the last block"
+    return head, arrays
+
+
+def checkpoint_bytes(head, arrays):
+    """Invert :func:`read_checkpoint`: ``json.dumps(head)`` and a newline,
+    then the little-endian float64 bytes of each array of ``arrays`` in its
+    order (a test may drop or reshape one)."""
+    blocks = (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
+    return (json.dumps(head) + "\n").encode("ascii") + b"".join(blocks)
+
+
+def write_checkpoint(path, head, arrays):
+    Path(path).write_bytes(checkpoint_bytes(head, arrays))
+
+
+def legacy_checkpoint_bytes(head, arrays, encode):
+    """A checkpoint in a format from before raw blocks: one JSON object with
+    each array as ``encode(array)`` (a list, or a base64 string) between the
+    labels and the config."""
+    payload = {k: v for k, v in head.items() if k != "config"}
+    payload |= {key: encode(a) for key, a in arrays.items()}
+    payload["config"] = head["config"]
+    return (json.dumps(payload) + "\n").encode("ascii")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,13 @@ from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.model import load_checkpoint, save_checkpoint
 from zsdet.semantics import load_word_vectors
 
-from conftest import adam_cpus, to_list_form
+from conftest import (
+    adam_cpus,
+    legacy_checkpoint_bytes,
+    read_checkpoint,
+    to_list_form,
+    write_checkpoint,
+)
 
 SYNTH_FILES = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]
 
@@ -71,6 +77,22 @@ class TestSynthCommand:
         code = run("synth", "--out", tmp_path / "x", "--m", 0)
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knob, message", [
+        (("--noise-sigma", "nan"), "noise_sigma must be a finite number >= 0, got nan"),
+        (("--noise-sigma", "inf"), "noise_sigma must be a finite number >= 0, got inf"),
+        (("--meta-spread", "nan"), "meta_spread must be a finite number >= 0, got nan"),
+        (("--meta-spread", "inf"), "meta_spread must be a finite number >= 0, got inf"),
+        (("--noise-sigma", "1e308"), "noise_sigma 1e+308 is too large: proposal features overflow"),
+        (("--meta-spread", "1e308"),
+         "meta_spread 1e+308 is too large: a class vector's norm overflows"),
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+    ])
+    def test_unusable_float_or_seed_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, knob, message):
+        assert run("synth", "--out", tmp_path / "x", *knob) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_manifest_records_subcommand_and_seed(self, tmp_path):
         out = synth(tmp_path, seed=3)
@@ -134,7 +156,7 @@ class TestTrainCommand:
     def test_seen_only_mode_recorded_in_checkpoint(self, tmp_path):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data, mode="seen_only", **{"lambda": 1.0})
-        assert json.loads(ckpt.read_text())["config"]["mode"] == "seen_only"
+        assert read_checkpoint(ckpt)[0]["config"]["mode"] == "seen_only"
 
     def test_deterministic_given_seed(self, tmp_path):
         data = synth(tmp_path)
@@ -275,6 +297,23 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--trials", 2) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("knob, message", [
+        (("--h", "0"), "h must be a positive finite number, got 0.0"),
+        (("--h", "nan"), "h must be a positive finite number, got nan"),
+        (("--h=-1e-5",), "h must be a positive finite number, got -1e-05"),
+        (("--trials", "0"), "trials must be >= 1, got 0"),
+        (("--trials", "-1"), "trials must be >= 1, got -1"),
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+    ])
+    def test_out_of_range_argument_exits_2_before_the_audit(
+            self, capsys, monkeypatch, knob, message):
+        def never(*args):
+            raise AssertionError("the audit ran")
+
+        monkeypatch.setattr("zsdet.audit.loss_gradients", never)
+        assert run("gradcheck", "--trials", 1, *knob) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_optional_report_file(self, tmp_path):
         out = tmp_path / "audit.json"
         assert run("gradcheck", "--trials", 1, "--out", out) == 0
@@ -317,28 +356,33 @@ class TestExitCodes:
                    "--meta-map", tmp_path / "m.csv", "--split", tmp_path / "s.txt",
                    "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o.json") == 2
 
-    @pytest.mark.parametrize("damage", ["missing_w1", "truncated", "list_w1",
+    @pytest.mark.parametrize("damage", ["missing_w1", "truncated", "list_w1", "base64_w1",
+                                        "no_newline", "header_list", "trailing_byte",
                                         "nan_W1", "nan_box_weights", "nan_box_bias"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         key = damage.removeprefix("nan_")
+        raw = ckpt.read_bytes()
+        head, blocks = read_checkpoint(ckpt)
         if damage.startswith("nan_"):
-            payload = json.loads(ckpt.read_text())
-            flat = decode_array(payload[key], key, (None,))
-            flat[flat.size // 2] = np.nan
-            payload[key] = encode_array(flat)
-            ckpt.write_text(json.dumps(payload))
+            blocks[key].flat[blocks[key].size // 2] = np.nan
+            write_checkpoint(ckpt, head, blocks)
         elif damage == "missing_w1":
-            payload = json.loads(ckpt.read_text())
-            del payload["W1"]
-            ckpt.write_text(json.dumps(payload))
+            del blocks["W1"]
+            write_checkpoint(ckpt, head, blocks)
         elif damage == "list_w1":  # the format before base64 arrays
-            payload = json.loads(ckpt.read_text())
-            payload["W1"] = np.eye(payload["d_f"]).ravel().tolist()
-            ckpt.write_text(json.dumps(payload))
+            ckpt.write_bytes(legacy_checkpoint_bytes(head, blocks, lambda a: a.ravel().tolist()))
+        elif damage == "base64_w1":  # the format before raw array blocks
+            ckpt.write_bytes(legacy_checkpoint_bytes(head, blocks, encode_array))
+        elif damage == "no_newline":
+            ckpt.write_bytes(raw[: raw.index(b"\n")])
+        elif damage == "header_list":
+            ckpt.write_bytes(b"[]" + raw[raw.index(b"\n"):])
+        elif damage == "trailing_byte":
+            ckpt.write_bytes(raw + b"\0")
         else:
-            ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+            ckpt.write_bytes(raw[: len(raw) // 2])
         capsys.readouterr()
         common = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt"]
         inputs = ["--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl"]
@@ -350,7 +394,7 @@ class TestExitCodes:
             assert run(*argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert err.startswith("error: ")
-            if damage == "list_w1":
+            if damage in ("list_w1", "base64_w1"):
                 assert "re-run `zsdet train`" in err
             if damage.startswith("nan_"):
                 assert err.startswith(f"error: checkpoint {key} has a non-finite value"), err
@@ -628,11 +672,10 @@ class TestExitCodes:
     def unseen_all_checkpoint(tmp_path, data):
         """A trained checkpoint edited to hold no seen class."""
         ckpt = quick_train(tmp_path, data)
-        payload = json.loads(ckpt.read_text())
-        d_f = payload["d_f"]
-        payload.update(S=0, U=len(payload["labels"]), box_weights=encode_array(np.zeros((d_f, 0))),
-                       box_bias=encode_array(np.zeros(0)))
-        ckpt.write_text(json.dumps(payload))
+        head, blocks = read_checkpoint(ckpt)
+        head.update(S=0, U=len(head["labels"]))
+        blocks.update(box_weights=np.zeros((head["d_f"], 0)), box_bias=np.zeros(0))
+        write_checkpoint(ckpt, head, blocks)
         return ckpt, "got 0 seen and 8 unseen"
 
     @pytest.mark.parametrize("make", ["seen_all_checkpoint", "unseen_all_checkpoint"])
@@ -687,6 +730,13 @@ class TestExitCodes:
                    "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
         assert capsys.readouterr().err.startswith(
             "error: JSON split record needs 'seen_labels' as a list of strings")
+
+    def test_split_with_negative_seed_exits_2(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        capsys.readouterr()
+        assert run("split", "--data", data / "train.jsonl", "--meta-map", data / "meta_map.csv",
+                   "--seed", -1, "--out", tmp_path / "split.txt") == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("knob", [("--lr", "nan"), ("--lr", "inf"), ("--eps", "nan")])
     def test_non_finite_train_knob_exits_2(self, tmp_path, capsys, knob):

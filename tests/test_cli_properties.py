@@ -6,9 +6,12 @@ small synthetic instances.
   the class order of a fixed model changes no label's T1-T4 AP, when no two
   detections or tags tie in score.
 * Robustness: predict and eval over truncated, bit-flipped or field-dropped
-  inputs exit 0 or 2 and never raise.
+  inputs exit 0 or 2 and never raise; so does every numeric flag of every
+  subcommand at nan, +-inf, 0, -1 and 1e308, and the synth files or
+  checkpoint that such a run writes with exit 0 load.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,15 +19,18 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zsdet.codec import decode_array, encode_array
+from zsdet.cli import build_parser
+
 from zsdet.data import Dataset, ImageRecord, Proposals, load_dataset, save_dataset
 from zsdet.infer import load_detections, tag_image
 from zsdet.model import load_checkpoint
 from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
+from conftest import read_checkpoint, write_checkpoint
 from test_cli import SYNTH_FILES, quick_train, run, synth
 
 REPORTS = ["report_T1.json", "report_T2.json", "report_T3.json", "report_T4.json", "report.txt"]
@@ -126,15 +132,13 @@ class TestMetamorphic:
             (permuted / "embeddings.txt").write_bytes((data / "embeddings.txt").read_bytes())
             meta_rows = (data / "meta_map.csv").read_text().splitlines()
             (permuted / "meta_map.csv").write_text("".join(meta_rows[i] + "\n" for i in rows))
-            payload = json.loads(ckpt.read_text())
-            s, d_f = payload["S"], payload["d_f"]
+            head, blocks = read_checkpoint(ckpt)
+            s, d_f = head["S"], head["d_f"]
             order = list(seen) + [s + j for j in unseen]
-            payload["labels"] = [payload["labels"][i] for i in order]
-            box_w = decode_array(payload["box_weights"], "box_weights", (d_f, s, 4))
-            box_b = decode_array(payload["box_bias"], "box_bias", (s, 4))
-            payload["box_weights"] = encode_array(box_w[:, list(seen)])
-            payload["box_bias"] = encode_array(box_b[list(seen)])
-            (permuted / "ckpt.json").write_text(json.dumps(payload))
+            head["labels"] = [head["labels"][i] for i in order]
+            blocks["box_weights"] = blocks["box_weights"].reshape(d_f, s, 4)[:, list(seen)]
+            blocks["box_bias"] = blocks["box_bias"].reshape(s, 4)[list(seen)]
+            write_checkpoint(permuted / "ckpt.json", head, blocks)
             got = outputs(permuted, permuted / "ckpt.json", data / "test.jsonl",
                           root / "got", inference)
             for report in REPORTS[:-1]:
@@ -214,3 +218,69 @@ class TestMutatedInputs:
             assert quiet("predict", *model, "--inference", "conse", "--k", 3,
                          "--out", root / "dets.jsonl") in (0, 2)
             assert quiet("eval", *model, "--task", "all", "--out", root / "eval") in (0, 2)
+
+
+EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e308"]
+TINY_SYNTH = ["--s", 3, "--u", 1, "--m", 2, "--d", 4, "--d-f", 4, "--images", 2,
+              "--test-images", 1, "--proposals-per-image", 4]
+
+
+def numeric_flags():
+    """``(subcommand, flag)`` for every flag that takes an int or a float."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, a.option_strings[0]) for command, parser in sub.choices.items()
+            for a in parser._actions if a.type in (int, float)]
+
+
+def exit_code(*argv):
+    """``quiet(*argv)``; a value argparse refuses counts as its exit code."""
+    try:
+        return quiet(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def train_args(data, out):
+    return ["train", "--embeddings", data / "embeddings.txt", "--meta-map", data / "meta_map.csv",
+            "--split", data / "oracle.json", "--data", data / "train.jsonl", "--out", out]
+
+
+class TestNumericFlags:
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tiny")
+        assert exit_code("synth", *TINY_SYNTH, "--out", out) == 0
+        assert exit_code(*train_args(out, out / "ckpt.json"), "--epochs", 1,
+                         "--min-similar", 0) == 0
+        return out
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command, flag", numeric_flags())
+    def test_extreme_values_exit_0_or_2(self, tmp_path, data, command, flag):
+        # the ``--flag=value`` form, so that argparse reads "-inf" as a value
+        # (an int flag refuses the float spellings, so no run can be huge)
+        for i, value in enumerate(EXTREMES):
+            given = f"{flag}={value}"
+            out = tmp_path / f"run{i}"
+            if command == "synth":
+                code = exit_code("synth", *TINY_SYNTH, "--out", out, given)
+                if code == 0:
+                    assert exit_code(*train_args(out, out / "ckpt.json"), "--epochs", 0) == 0, given
+            elif command == "split":
+                code = exit_code("split", "--data", data / "train.jsonl",
+                                 "--meta-map", data / "meta_map.csv", "--out", out, given)
+            elif command == "train":
+                code = exit_code(*train_args(data, out), "--epochs", 1, "--lr", 1e-3,
+                                 "--n-pos", 2, "--n-neg", 2, "--min-similar", 0, given)
+                if code == 0:
+                    load_checkpoint(out, load_word_vectors(data / "embeddings.txt"))
+            elif command == "gradcheck":
+                code = exit_code("gradcheck", "--trials", 1, given)
+            elif command in ("predict", "eval"):  # predict on the ConSE route, which reads --k
+                route = "conse" if command == "predict" else "san"
+                code = exit_code(command, *model_args(data, data / "ckpt.json", data / "test.jsonl"),
+                                 "--inference", route, "--out", out, given)
+            else:
+                pytest.fail(f"no base arguments for {command} {flag}")
+            assert code in (0, 2), given

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -41,6 +42,15 @@ class TestSynthConfig:
             SynthConfig(m=100, s=5, u=5)
         with pytest.raises(ConfigError):
             SynthConfig(noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("knob", [
+        {"noise_sigma": math.nan}, {"noise_sigma": math.inf},
+        {"meta_spread": math.nan}, {"meta_spread": math.inf}, {"meta_spread": -0.5},
+        {"seed": -1},
+    ], ids=lambda k: "_".join(f"{n}_{v}" for n, v in k.items()))
+    def test_non_finite_or_negative_knob_rejected(self, knob):
+        with pytest.raises(ConfigError):
+            SynthConfig(**knob)
 
 
 def small_cfg(**kw):

@@ -1,10 +1,9 @@
-import base64
 import contextlib
 import dataclasses
 import io
-import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -39,7 +38,17 @@ from zsdet.model import (
 from zsdet.semantics import load_word_vectors
 from zsdet.train import TrainConfig
 
-from conftest import axis_setup, make_model, make_space, make_table, random_unit_columns
+from conftest import (
+    axis_setup,
+    checkpoint_bytes,
+    legacy_checkpoint_bytes,
+    make_model,
+    make_space,
+    make_table,
+    random_unit_columns,
+    read_checkpoint,
+    write_checkpoint,
+)
 from test_data import mutated_files
 
 
@@ -363,20 +372,18 @@ class TestCheckpoint:
 
     @staticmethod
     def reference_bytes(model):
-        """The checkpoint as one ``json.dumps`` of its whole payload."""
-        def block(a):
-            return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-        payload = {"d_f": model.d_f, "d": model.d, "C": model.n_classes, "S": model.n_seen,
-                   "U": model.n_unseen, "labels": list(model.labels), "W1": block(model.w1),
-                   "box_weights": block(model.box_w), "box_bias": block(model.box_b),
-                   "config": dataclasses.asdict(model.config)}
-        return (json.dumps(payload) + "\n").encode("utf-8")
+        """The checkpoint as a ``json.dumps`` header line and the raw blocks."""
+        head = {"d_f": model.d_f, "d": model.d, "C": model.n_classes, "S": model.n_seen,
+                "U": model.n_unseen, "labels": list(model.labels),
+                "config": dataclasses.asdict(model.config)}
+        return checkpoint_bytes(
+            head, {"W1": model.w1, "box_weights": model.box_w, "box_bias": model.box_b})
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_bytes_are_one_json_dumps_of_the_payload(self, tmp_path_factory, data):
+    def test_bytes_are_a_header_line_and_raw_blocks(self, tmp_path_factory, data):
         # any label text: non-ASCII, quotes, backslashes, control characters
+        # (an ASCII header escapes them all, so none ends the header line)
         names = st.text(max_size=8) | st.sampled_from(
             ['"', "\\", 'a\\"b', "é", "日本", "\U0001f600", "\x00\n\t", "\ud800"])
         labels = data.draw(st.lists(names, min_size=1, max_size=5, unique=True))
@@ -398,7 +405,7 @@ class TestCheckpoint:
                      (loaded.box_b, model.box_b)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_untrained_cli_checkpoint_is_one_json_dumps(self, tmp_path):
+    def test_untrained_cli_checkpoint_matches_the_reference_bytes(self, tmp_path):
         # a 0-epoch `zsdet train` writes the initial model
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["synth", "--out", str(tmp_path), "--s", "3", "--u", "1", "--m", "2",
@@ -427,42 +434,108 @@ class TestCheckpoint:
         model, table, space = axis_setup()
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {
-            "d_f", "d", "C", "S", "U", "labels", "W1", "box_weights", "box_bias", "config",
-        }
-        assert payload["S"] == space.S
-        assert payload["U"] == space.U
-        w1 = np.frombuffer(base64.b64decode(payload["W1"], validate=True), dtype="<f8")
-        np.testing.assert_array_equal(w1.reshape(model.d_f, model.d), model.w1)
+        head, blocks = read_checkpoint(path)
+        assert set(head) == {"d_f", "d", "C", "S", "U", "labels", "config"}
+        assert head["S"] == space.S
+        assert head["U"] == space.U
+        assert list(blocks) == ["W1", "box_weights", "box_bias"]
+        np.testing.assert_array_equal(blocks["W1"], model.w1)
 
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda p: p.pop("box_bias"),
-            lambda p: p.update(W1=p["W1"][:-1]),
-            lambda p: p.update(labels="c1"),
-            lambda p: p.update(config={"no_such_field": 1}),
-            lambda p: p.update(W1=np.eye(4).ravel().tolist()),
-            lambda p: p.update(W1="not base64!"),
-            lambda p: p.update(W1=base64.b64encode(np.zeros(15).tobytes()).decode()),
-            lambda p: p.update(W1=encode_array(np.insert(np.zeros(15), 7, np.nan))),
-            lambda p: p.update(box_weights=encode_array(np.insert(np.ones(31), 0, np.inf))),
-            lambda p: p.update(box_bias=encode_array(np.insert(np.ones(7), 7, -np.inf))),
+            lambda h, a: h.pop("config"),
+            lambda h, a: a.update(W1=a["W1"][:, :-1]),
+            lambda h, a: h.update(labels="c1"),
+            lambda h, a: h.update(config={"no_such_field": 1}),
+            lambda h, a: h.update(W1=np.eye(4).ravel().tolist()),
+            lambda h, a: h.update(W1="not base64!"),
+            lambda h, a: a.update(W1=np.zeros(15)),
+            lambda h, a: a.update(W1=np.insert(np.zeros(15), 7, np.nan)),
+            lambda h, a: a.update(box_weights=np.insert(np.ones(31), 0, np.inf)),
+            lambda h, a: a.update(box_bias=np.insert(np.ones(7), 7, -np.inf)),
+            lambda h, a: a.pop("box_bias"),
+            lambda h, a: h.update(d_f=5),
+            lambda h, a: h.update(S=1, U=2),
         ],
         ids=["missing_key", "w1_shape", "labels_type", "config_field",
              "w1_list", "w1_not_base64", "w1_byte_count",
-             "w1_nan", "box_weights_inf", "box_bias_minus_inf"],
+             "w1_nan", "box_weights_inf", "box_bias_minus_inf",
+             "missing_block", "header_d_f", "header_s"],
     )
     def test_malformed_payload_raises_parse_error(self, tmp_path, damage):
         model, table, _ = axis_setup()
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
-        payload = json.loads(path.read_text())
-        damage(payload)
-        path.write_text(json.dumps(payload))
+        head, blocks = read_checkpoint(path)
+        damage(head, blocks)
+        write_checkpoint(path, head, blocks)
         with pytest.raises(ParseError):
             load_checkpoint(path, table)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[: raw.index(b"\n")],
+            lambda raw: b"",
+            lambda raw: b"[1, 2]" + raw[raw.index(b"\n"):],
+            lambda raw: b'"d_f"' + raw[raw.index(b"\n"):],
+            lambda raw: b"{not json" + raw[raw.index(b"\n"):],
+            lambda raw: b"\xff" + raw,
+            lambda raw: raw[:-8],
+            lambda raw: raw[:-1],
+            lambda raw: raw + b"\0",
+            lambda raw: raw + raw[raw.index(b"\n") + 1:],
+        ],
+        ids=["no_newline", "empty", "header_list", "header_string", "header_not_json",
+             "header_not_utf8", "truncated_block", "truncated_byte", "trailing_byte",
+             "blocks_twice"],
+    )
+    def test_malformed_bytes_raise_parse_error(self, tmp_path, damage):
+        model, table, _ = axis_setup()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ParseError):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("key", ["W1", "box_weights", "box_bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_named(self, tmp_path, rng, key, value):
+        model, table, _ = axis_setup(n_seen=3, n_unseen=2, d=6)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        head, blocks = read_checkpoint(path)
+        a = blocks[key]
+        at = tuple(int(rng.integers(n)) for n in a.shape)
+        a[at] = value
+        write_checkpoint(path, head, blocks)
+        with pytest.raises(ParseError, match=re.escape(f"checkpoint {key} has a non-finite "
+                                                       f"value at {at}")):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("encode", [lambda a: a.ravel().tolist(), encode_array],
+                             ids=["list", "base64"])
+    def test_older_formats_raise_with_retrain_hint(self, tmp_path, encode):
+        model, table, _ = axis_setup()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        path.write_bytes(legacy_checkpoint_bytes(*read_checkpoint(path), encode))
+        with pytest.raises(ParseError, match=re.escape("re-run `zsdet train`")):
+            load_checkpoint(path, table)
+
+    @pytest.mark.parametrize("pad", range(8))
+    def test_loaded_arrays_are_aligned_and_writable(self, tmp_path, pad):
+        # label lengths that start the blocks at every offset modulo 8
+        table = make_table(np.eye(4)[:, :3], ("c1", "c2", "c" * (pad + 1)))
+        model = make_model(table, make_space(2, 1, labels=list(table.labels)), d_f=5)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path, table)
+        for a, b in ((loaded.w1, model.w1), (loaded.box_w, model.box_w),
+                     (loaded.box_b, model.box_b)):
+            assert a.dtype == np.float64 and a.flags.aligned and a.flags.writeable
+            assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
 
 
 def _trained_checkpoint():

@@ -292,6 +292,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**knob)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
 
 def proposals_at(*boxes, d_f=3):
     """Proposals with all-ones features at ``boxes``."""
@@ -634,6 +638,26 @@ class TestTrain:
         save_checkpoint(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert h1 == h2
+
+    @pytest.mark.parametrize("key", ["w1", "box_w", "box_b"])
+    def test_overflow_in_the_last_step_raises(self, monkeypatch, key):
+        # a step checks its own scores and gradients, not the parameters it
+        # writes, so an update that overflows on the last step is caught after
+        bundle, table, space = toy_bundle()
+        cfg = self.config(epochs=1)
+        _, history = train(bundle.train, table, space, cfg)
+        steps = []
+
+        def overflowing(params, grads, state, config):
+            adam_step(params, grads, state, config)
+            steps.append(state.t)
+            if len(steps) == len(history):
+                params[key].flat[-1] = np.inf
+
+        monkeypatch.setattr(train_module, "adam_step", overflowing)
+        with pytest.raises(NumericFailureError, match=f"training step {len(history) - 1} "
+                                                      f"left a non-finite value in '{key}'"):
+            train(bundle.train, table, space, cfg)
 
     def test_w2_untouched_by_training(self):
         bundle, table, space = toy_bundle()
