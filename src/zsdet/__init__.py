@@ -36,10 +36,7 @@ from .infer import (
 from .loss import (
     Gradients,
     LossBreakdown,
-    classification_loss,
-    clustering_loss,
     loss_gradients,
-    max_margin_loss,
 )
 from .model import (
     Model,

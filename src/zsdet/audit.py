@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, NumericFailureError, check_seed
 from .loss import loss_gradients
 from .model import Model, RegionBatch, encode_boxes, init_model
 from .semantics import LabelSpace, build_label_space, finalize_embeddings
@@ -103,7 +103,8 @@ def gradient_audit(
     Every W1, box-weight, and box-bias entry is perturbed by +-h.  Returns
     the worst relative error over all trials; the audit passes when it is
     below 1e-4.  ``trials`` must be at least 1 and ``h`` a positive finite
-    number, else :class:`ConfigError`.
+    number, else :class:`ConfigError`, which an ``h`` so large that the
+    loss at a perturbed parameter is not finite raises too.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -131,10 +132,14 @@ def gradient_audit(
             a_flat = analytic[key].reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
-                flat[idx] = orig + h
-                up = loss_gradients(model, batch, space, lam, mode)[0].total
-                flat[idx] = orig - h
-                down = loss_gradients(model, batch, space, lam, mode)[0].total
+                try:
+                    flat[idx] = orig + h
+                    up = loss_gradients(model, batch, space, lam, mode)[0].total
+                    flat[idx] = orig - h
+                    down = loss_gradients(model, batch, space, lam, mode)[0].total
+                except NumericFailureError as exc:
+                    raise ConfigError(f"h is too large, got {h}: the loss at a parameter "
+                                      f"moved by h is not finite ({exc})") from exc
                 flat[idx] = orig
                 numeric = (up - down) / (2.0 * h)
                 worst = max(worst, _rel_err(float(a_flat[idx]), numeric))

@@ -77,6 +77,13 @@ def _write_manifest(primary_out: Path, subcommand: str, args: argparse.Namespace
         f.write("\n")
 
 
+def _check_seen_and_unseen(space: LabelSpace, source: str) -> None:
+    """Refuse a label space that no zero-shot route can score."""
+    if not (space.S and space.U):
+        raise ConfigError(f"{source} needs at least one seen and one unseen class, "
+                          f"got {space.S} seen and {space.U} unseen")
+
+
 def _model_and_space(args) -> tuple[Model, LabelSpace]:
     """The checkpoint's model and label space, with the class counts and the
     route settings checked before any image is scored (``eval --task T3`` or
@@ -86,9 +93,7 @@ def _model_and_space(args) -> tuple[Model, LabelSpace]:
         model.labels[: model.n_seen], model.labels[model.n_seen :],
         load_meta_map(args.meta_map),
     )
-    if not (space.S and space.U):
-        raise ConfigError(f"the checkpoint needs at least one seen and one unseen class, "
-                          f"got {space.S} seen and {space.U} unseen")
+    _check_seen_and_unseen(space, "the checkpoint")
     check_finite("alpha", args.alpha)
     check_unit_interval("nms_iou", args.nms_iou)
     if args.inference == "conse":
@@ -153,6 +158,7 @@ def cmd_train(args) -> int:
     table = load_word_vectors(args.embeddings)
     seen, unseen = load_split(args.split)
     space = build_label_space(seen, unseen, load_meta_map(args.meta_map))
+    _check_seen_and_unseen(space, "the split")
     table = table.reorder(space.labels)
     dataset = load_dataset(args.data)
     config = _config(TrainConfig, args)

@@ -26,16 +26,13 @@ its own class; pass ``nms_iou=0`` to disable it.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
-from itertools import groupby
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .codec import utf8_lines
-from .errors import ConfigError, ParseError, check_finite, check_unit_interval
+from .errors import ConfigError, check_finite, check_unit_interval
 from .evaluation import nms
 from .model import Model, decode_boxes, forward_boxes, forward_scores, normalized_scores
 from .semantics import LabelSpace
@@ -208,32 +205,3 @@ def dump_detections(
                 for label, score, (x1, y1, x2, y2) in zip(
                     d.labels.tolist(), d.scores.tolist(), d.boxes.tolist())
             )
-
-
-def load_detections(path: str | os.PathLike, space: LabelSpace) -> list[Detections]:
-    """Reader for :func:`dump_detections`: one :class:`Detections` per run of
-    lines with equal ``image_id``.
-
-    Each line must be a JSON object with a known label, a finite score and a
-    box of exactly 4 finite numbers, or :class:`ParseError` names the line.
-    Boxes need not be ordered: a decoded box can be degenerate.
-    """
-    rows = []
-    for lineno, line in utf8_lines(path):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ParseError("detection record must be a JSON object", lineno)
-            image_id, label = str(rec["image_id"]), space.id_of(rec["label"])
-            score, box = float(rec["score"]), np.array(rec["box"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"bad detection record: {exc}", lineno)
-        if not math.isfinite(score):
-            raise ParseError(f"detection score must be finite, got {score}", lineno)
-        if box.shape != (4,) or not np.isfinite(box).all():
-            raise ParseError("detection box must be 4 finite numbers", lineno)
-        rows.append((image_id, label, score, box))
-    return [Detections(image_id, *(np.array(column) for column in list(zip(*run))[1:]))
-            for image_id, run in groupby(rows, key=lambda row: row[0])]

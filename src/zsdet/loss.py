@@ -13,13 +13,12 @@ term is dropped entirely; the reported mixing weight is then 1.0 so the
 breakdown identity ``l_cls = lam*l_mm + (1-lam)*l_mc`` always holds.
 
 One kernel, :func:`_class_terms`, turns an (n, C+1) score matrix into
-per-row ``l_mm``, ``l_mc`` and ``dL_cls/do`` for the whole batch; the
-single-row losses below are one-row calls into it.  Background is its own
-meta-class ``{bg}``, so a background row's clustering term is its ``full``
-margin term and costs nothing more; seen-target rows are ranked in one
-block per meta-class size, and all blocks share one softplus and one
-sigmoid call.  The smooth-L1 regression term is batched in
-:func:`loss_gradients`.
+per-row ``l_mm``, ``l_mc`` and ``dL_cls/do`` for the whole batch.
+Background is its own meta-class ``{bg}``, so a background row's
+clustering term is its ``full`` margin term and costs nothing more;
+seen-target rows are ranked in one block per meta-class size, and all
+blocks share one softplus and one sigmoid call.  The smooth-L1 regression
+term is batched in :func:`loss_gradients`.
 
 Gradient convention: the batch classification loss is averaged over all
 samples, while the regression loss is averaged over foreground samples
@@ -187,59 +186,10 @@ def _class_terms(
     return l_mm, l_mc, lam * g_mm + (1.0 - lam) * g_mc
 
 
-def _row_losses(
-    o: np.ndarray, y: int, space: LabelSpace, lam: float, mode: str
-) -> tuple[float, float]:
-    o = _check_scores(o, space)
-    y = _check_target(y, space)
-    l_mm, l_mc, _ = _class_terms(o[None], np.array([y]), space, lam, mode)
-    return float(l_mm[0]), float(l_mc[0])
-
-
-def max_margin_loss(
-    o: np.ndarray, y: int, space: LabelSpace, mode: str = "full"
-) -> float:
-    """Mean softplus margin of every non-target label against the target.
-
-    ``full`` ranges over all classes plus background; ``seen_only`` reads
-    only the seen and background entries (the L'_mm variant).
-    """
-    return _row_losses(o, y, space, 1.0, mode)[0]
-
-
-def clustering_loss(o: np.ndarray, y: int, space: LabelSpace) -> float:
-    """Pair-mean softplus of outside-meta scores over the target meta's members.
-
-    With z the members of the target's meta-class, every label outside z
-    (including background) is ranked against every member of z; the sum is
-    normalized by the pair count.
-    """
-    return _row_losses(o, y, space, 0.0, "full")[1]
-
-
-def classification_loss(
-    o: np.ndarray, y: int, space: LabelSpace, lam: float, mode: str = "full"
-) -> LossBreakdown:
-    """Mix margin and clustering terms: ``lam*L_mm + (1-lam)*L_mc``."""
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    l_mm, l_mc = _row_losses(o, y, space, lam, mode)
-    lam_eff = 1.0 if mode == "seen_only" else lam
-    l_cls = lam_eff * l_mm + (1.0 - lam_eff) * l_mc
-    return LossBreakdown(l_mm, l_mc, l_cls, 0.0, l_cls, lam_eff)
-
-
 def smooth_l1(x: np.ndarray) -> np.ndarray:
     """Elementwise smooth-L1 with transition point 1.0."""
     ax = np.abs(x)
     return np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
-
-
-def _check_scores(o: np.ndarray, space: LabelSpace) -> np.ndarray:
-    o = np.asarray(o, dtype=np.float64)
-    if o.shape != (space.bg_id,):
-        raise ShapeError(f"expected score vector of length {space.bg_id}, got {o.shape}")
-    return o
 
 
 def _first_bad_row(a: np.ndarray) -> int:

@@ -162,11 +162,6 @@ def forward_boxes(model: Model, feature: np.ndarray) -> np.ndarray:
     return feature @ model.box_w + model.box_b
 
 
-def box_slice(class_id: int) -> slice:
-    """Offset slice of a seen class in the flat 4S box output (ids 1-based)."""
-    return slice(4 * (class_id - 1), 4 * class_id)
-
-
 def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Parameterize target boxes against anchors: (dx/w, dy/h, log w, log h)."""
     boxes = np.asarray(boxes, dtype=np.float64)

@@ -197,9 +197,6 @@ class LabelSpace:
     def unseen_ids(self) -> range:
         return range(self.n_seen + 1, self.C + 1)
 
-    def id_of(self, label: str) -> int:
-        return self.labels.index(label) + 1
-
     def label_of(self, class_id: int) -> str:
         if class_id == self.bg_id:
             return "__background__"

@@ -16,6 +16,7 @@ import pytest
 from zsdet.codec import decode_array
 from zsdet.evaluation import average_precision
 from zsdet.infer import Detections
+from zsdet.loss import LossBreakdown, _class_terms
 from zsdet.model import Model, init_model
 from zsdet.semantics import build_label_space, finalize_embeddings
 from zsdet.train import TrainConfig
@@ -136,6 +137,14 @@ def gt_rows(gts):
             np.array([g.box for g in gts], dtype=np.float64).reshape(-1, 4))
 
 
+def read_dump(path, space):
+    """The :class:`Detection` rows of a detection dump, in file order."""
+    with open(path, encoding="utf-8") as f:
+        recs = [json.loads(line) for line in f]
+    return [Detection(r["image_id"], space.labels.index(r["label"]) + 1, r["score"],
+                      np.array(r["box"], dtype=np.float64)) for r in recs]
+
+
 def stacked(rows, image_id="i"):
     """One image's :class:`Detections` from ``rows`` (their image ids unread)."""
     return Detections(image_id,
@@ -163,6 +172,24 @@ def ap_of(rows, gts, thresh):
     d, (gt_image_ids, _, gt_boxes) = stacked(rows), gt_rows(gts)
     return average_precision([r.image_id for r in rows], d.scores, d.boxes,
                              gt_image_ids, gt_boxes, thresh)
+
+
+def classification_loss(o, y, space, lam, mode="full"):
+    """One score row's :func:`zsdet.loss._class_terms`, mixed with the
+    effective lambda (1.0 in ``seen_only``): ``lam*L_mm + (1-lam)*L_mc``."""
+    l_mm, l_mc, _ = _class_terms(np.asarray(o, dtype=np.float64)[None], np.array([y]),
+                                 space, lam, mode)
+    l_mm, l_mc, lam = float(l_mm[0]), float(l_mc[0]), 1.0 if mode == "seen_only" else lam
+    l_cls = lam * l_mm + (1.0 - lam) * l_mc
+    return LossBreakdown(l_mm, l_mc, l_cls, 0.0, l_cls, lam)
+
+
+def max_margin_loss(o, y, space, mode="full"):
+    return classification_loss(o, y, space, 1.0, mode).l_mm
+
+
+def clustering_loss(o, y, space):
+    return classification_loss(o, y, space, 0.0).l_mc
 
 
 def random_unit_columns(rng, d, n):

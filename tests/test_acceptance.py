@@ -18,12 +18,21 @@ from zsdet.audit import random_batch
 from zsdet.data import SynthConfig, generate_synthetic, ground_truth_rows
 from zsdet.evaluation import evaluate, nms
 from zsdet.infer import conse_detect, detect, tag_image
-from zsdet.loss import classification_loss, loss_gradients
+from zsdet.loss import loss_gradients
 from zsdet.model import init_model, modified_embeddings, save_checkpoint
 from zsdet.semantics import build_label_space, load_word_vectors, meta_cosine_stats, save_word_vectors
 from zsdet.train import TrainConfig, train
 
-from conftest import Detection, ap_of, make_space, make_table, per_image, random_unit_columns, stacked
+from conftest import (
+    Detection,
+    ap_of,
+    classification_loss,
+    make_space,
+    make_table,
+    per_image,
+    random_unit_columns,
+    stacked,
+)
 from test_evaluation import ap_ref, nms_ref, random_case
 
 

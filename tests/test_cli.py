@@ -314,6 +314,12 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--trials", 1, *knob) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_step_too_large_for_a_finite_loss_exits_2_naming_h(self, capsys):
+        assert run("gradcheck", "--trials", 1, "--h", "1e308") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: h is too large, got 1e+308: the loss at a parameter "
+                              "moved by h is not finite")
+
     def test_optional_report_file(self, tmp_path):
         out = tmp_path / "audit.json"
         assert run("gradcheck", "--trials", 1, "--out", out) == 0
@@ -656,16 +662,15 @@ class TestExitCodes:
 
     @staticmethod
     def seen_all_checkpoint(tmp_path, data):
-        """A checkpoint trained on a split whose unseen line is empty."""
-        oracle = json.loads((data / "oracle.json").read_text())
-        split = tmp_path / "split.txt"
-        split.write_text("seen: " + ",".join(oracle["seen_labels"] + oracle["unseen_labels"])
-                         + "\nunseen:\n")
-        ckpt = tmp_path / "seen_all.json"
-        assert run("train", "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--split", split,
-                   "--data", data / "train.jsonl", "--out", ckpt, "--epochs", 1,
-                   "--min-similar", 0) == 0
+        """A trained checkpoint edited to hold no unseen class, its box head
+        zero-padded for the classes that became seen."""
+        ckpt = quick_train(tmp_path, data)
+        head, blocks = read_checkpoint(ckpt)
+        head.update(S=len(head["labels"]), U=0)
+        pad = 4 * head["S"] - blocks["box_bias"].size
+        blocks.update(box_weights=np.pad(blocks["box_weights"], ((0, 0), (0, pad))),
+                      box_bias=np.pad(blocks["box_bias"], (0, pad)))
+        write_checkpoint(ckpt, head, blocks)
         return ckpt, "got 8 seen and 0 unseen"
 
     @staticmethod
@@ -677,6 +682,29 @@ class TestExitCodes:
         blocks.update(box_weights=np.zeros((head["d_f"], 0)), box_bias=np.zeros(0))
         write_checkpoint(ckpt, head, blocks)
         return ckpt, "got 0 seen and 8 unseen"
+
+    def test_train_on_a_split_without_unseen_classes_exits_2_before_loading(
+            self, tmp_path, capsys, monkeypatch):
+        data = synth(tmp_path)
+        oracle = json.loads((data / "oracle.json").read_text())
+        split = tmp_path / "split.txt"
+        split.write_text("seen: " + ",".join(oracle["seen_labels"] + oracle["unseen_labels"])
+                         + "\nunseen:\n")
+
+        def never(*args):
+            raise AssertionError("loaded the training set")
+
+        monkeypatch.setattr("zsdet.cli.load_dataset", never)
+        capsys.readouterr()
+        ckpt = tmp_path / "seen_all.json"
+        assert run("train", "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--split", split,
+                   "--data", data / "train.jsonl", "--out", ckpt, "--epochs", 1,
+                   "--min-similar", 0) == 2
+        assert capsys.readouterr().err == (
+            "error: the split needs at least one seen and one unseen class, "
+            "got 8 seen and 0 unseen\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "split.txt"]
 
     @pytest.mark.parametrize("make", ["seen_all_checkpoint", "unseen_all_checkpoint"])
     @pytest.mark.parametrize("inference", ["san", "conse"])

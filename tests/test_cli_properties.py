@@ -26,11 +26,11 @@ from hypothesis import strategies as st
 from zsdet.cli import build_parser
 
 from zsdet.data import Dataset, ImageRecord, Proposals, load_dataset, save_dataset
-from zsdet.infer import load_detections, tag_image
+from zsdet.infer import tag_image
 from zsdet.model import load_checkpoint
 from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
-from conftest import read_checkpoint, write_checkpoint
+from conftest import read_checkpoint, read_dump, write_checkpoint
 from test_cli import SYNTH_FILES, quick_train, run, synth
 
 REPORTS = ["report_T1.json", "report_T2.json", "report_T3.json", "report_T4.json", "report.txt"]
@@ -74,7 +74,7 @@ def has_score_ties(data, ckpt, dets_path):
     model = load_checkpoint(ckpt, load_word_vectors(data / "embeddings.txt"))
     space = build_label_space(model.labels[: model.n_seen], model.labels[model.n_seen:],
                               load_meta_map(data / "meta_map.csv"))
-    scores = [s for d in load_detections(dets_path, space) for s in d.scores.tolist()]
+    scores = [d.score for d in read_dump(dets_path, space)]
     tags = [s for img in load_dataset(data / "test.jsonl").images
             for s in tag_image(model, space, img.proposals).tolist()]
     return len(set(scores)) < len(scores) or len(set(tags)) < len(tags)

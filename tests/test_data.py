@@ -563,7 +563,7 @@ class TestGroundTruthRows:
             image_with(f"i{k}", [label for label, _, _ in gts],
                        [[x, x, x + w, x + w] for _, x, w in gts])
             for k, gts in enumerate(images)])
-        ref = gt_rows([GroundTruth(img.image_id, space.id_of(label), box)
+        ref = gt_rows([GroundTruth(img.image_id, space.labels.index(label) + 1, box)
                        for img in ds.images for label, box in zip(img.gt_labels, img.gt_boxes)])
         got = ground_truth_rows(ds, space)
         assert [a.dtype for a in got] == [a.dtype for a in ref]

@@ -11,17 +11,22 @@ from zsdet.loss import (
     _class_terms,
     _margin_table,
     _sigmoid,
-    classification_loss,
-    clustering_loss,
     loss_gradients,
-    max_margin_loss,
     smooth_l1,
 )
-from zsdet.model import RegionBatch, box_slice, encode_boxes
+from zsdet.model import RegionBatch, encode_boxes
 from zsdet.semantics import build_label_space
 from zsdet.train import TrainConfig
 
-from conftest import make_model, make_space, make_table, random_unit_columns
+from conftest import (
+    classification_loss,
+    clustering_loss,
+    make_model,
+    make_space,
+    make_table,
+    max_margin_loss,
+    random_unit_columns,
+)
 
 LOG2 = math.log(2.0)
 
@@ -65,11 +70,6 @@ class TestMaxMargin:
         expected = softplus_ref(-1.0)
         assert max_margin_loss(o, 1, space) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.313262, abs=1e-6)
-
-    def test_unseen_target_rejected(self):
-        space = make_space(2, 1)
-        with pytest.raises(InvalidTargetError):
-            max_margin_loss(np.zeros(space.bg_id), 3, space)
 
     def test_seen_only_reads_only_seen_and_bg(self, rng):
         space = make_space(4, 3)
@@ -184,10 +184,13 @@ class TestClassificationLoss:
         vals = [classification_loss(o, 1, space, lam).l_cls for lam in (0.0, 0.5, 1.0)]
         assert vals[1] == pytest.approx(0.5 * (vals[0] + vals[2]), abs=1e-12)
 
-    def test_lambda_out_of_range(self):
+    def test_lambda_out_of_range(self, rng):
         space = make_space(2, 1)
-        with pytest.raises(ConfigError):
-            classification_loss(np.zeros(space.bg_id), 1, space, lam=1.5)
+        model = make_model(make_table(random_unit_columns(rng, 4, 3)), space, d_f=4)
+        batch = random_batch(rng, space, 4, size=2)
+        for lam in (1.5, -0.1, math.nan):
+            with pytest.raises(ConfigError, match="lambda must be in"):
+                loss_gradients(model, batch, space, lam, "full")
 
     def test_breakdown_identity(self, rng):
         space = make_space(3, 2)
@@ -268,7 +271,7 @@ def regression_loss(pred_offsets, proposal_box, gt_box, y, space):
     if not space.is_seen(y):
         return 0.0
     target = encode_boxes(np.asarray(gt_box), np.asarray(proposal_box))
-    return float(smooth_l1(np.asarray(pred_offsets)[box_slice(y)] - target).sum())
+    return float(smooth_l1(np.asarray(pred_offsets)[4 * (y - 1) : 4 * y] - target).sum())
 
 
 class TestRegressionLoss:

