@@ -132,11 +132,13 @@ def gradient_audit(
             a_flat = analytic[key].reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
+                # a huge h overflows here, and loss_gradients refuses the loss
                 try:
-                    flat[idx] = orig + h
-                    up = loss_gradients(model, batch, space, lam, mode)[0].total
-                    flat[idx] = orig - h
-                    down = loss_gradients(model, batch, space, lam, mode)[0].total
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        flat[idx] = orig + h
+                        up = loss_gradients(model, batch, space, lam, mode)[0].total
+                        flat[idx] = orig - h
+                        down = loss_gradients(model, batch, space, lam, mode)[0].total
                 except NumericFailureError as exc:
                     raise ConfigError(f"h is too large, got {h}: the loss at a parameter "
                                       f"moved by h is not finite ({exc})") from exc

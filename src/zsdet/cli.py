@@ -35,14 +35,14 @@ from .data import (
     save_meta_map,
     save_split,
 )
-from .errors import ConfigError, ZsdetError, check_finite, check_seed, check_unit_interval
+from .errors import ConfigError, ZsdetError, check_finite, check_seed
 from .evaluation import (
     TASKS,
     evaluate,
     render_report,
     report_to_dict,
 )
-from .infer import Detections, check_k, conse_detect, detect, dump_detections, tag_image
+from .infer import NMS_IOU, Detections, check_k, conse_detect, detect, dump_detections, tag_image
 from .model import Model, load_checkpoint, modified_embeddings, save_checkpoint
 from .semantics import (
     LabelSpace,
@@ -95,7 +95,6 @@ def _model_and_space(args) -> tuple[Model, LabelSpace]:
     )
     _check_seen_and_unseen(space, "the checkpoint")
     check_finite("alpha", args.alpha)
-    check_unit_interval("nms_iou", args.nms_iou)
     if args.inference == "conse":
         check_k(args.k, space.S)
     return model, space
@@ -110,8 +109,7 @@ def _detections_for(model, space, dataset: Dataset, args) -> list[Detections]:
             file=sys.stderr,
         )
     route, k = (conse_detect, {"k": args.k}) if args.inference == "conse" else (detect, {})
-    return [route(model, space, img.proposals, img.image_id,
-                  alpha=args.alpha, nms_iou=args.nms_iou, **k)
+    return [route(model, space, img.proposals, img.image_id, alpha=args.alpha, **k)
             for img in dataset.images]
 
 
@@ -141,11 +139,9 @@ def cmd_split(args) -> int:
     dataset = load_dataset(args.data)
     meta_map = load_meta_map(args.meta_map)
     check_seed(args.seed)
-    per_meta = args.per_meta if args.per_meta == "auto" else int(args.per_meta)
     exclude = [t for t in args.exclude.split(",") if t] if args.exclude else []
     seen, unseen = propose_split(
-        dataset.class_stats(), meta_map, per_meta=per_meta,
-        rng=np.random.default_rng(args.seed), exclude=exclude,
+        dataset.class_stats(), meta_map, rng=np.random.default_rng(args.seed), exclude=exclude,
     )
     out = Path(args.out)
     save_split(seen, unseen, out)
@@ -187,7 +183,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    check_unit_interval("iou_thresh", args.iou_eval, open_at_zero=True)
     model, space = _model_and_space(args)
     dataset = load_dataset(args.data)
     gts = ground_truth_rows(dataset, space)
@@ -203,10 +198,10 @@ def cmd_eval(args) -> int:
         [tag_image(model, space, img.proposals) for img in dataset.images], (-1, space.U))))
     for task in tasks:
         model_outputs = detections() if task in ("T1", "T2") else tags()
-        report = evaluate(model_outputs, gts, space, task, iou_thresh=args.iou_eval)
+        report = evaluate(model_outputs, gts, space, task)
         report.meta.update(
             {"inference": args.inference, "alpha": args.alpha, "k": args.k,
-             "nms_iou": args.nms_iou, "checkpoint": str(args.checkpoint)}
+             "nms_iou": NMS_IOU, "checkpoint": str(args.checkpoint)}
         )
         report_path = out / f"report_{task}.json"
         with open(report_path, "w", encoding="utf-8") as f:
@@ -262,8 +257,6 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.2,
                    help="minimum normalized score for emitting a detection")
     p.add_argument("--k", type=int, default=10, help="ConSE top-K")
-    p.add_argument("--nms-iou", type=float, default=0.5,
-                   help="IoU threshold of the per-image label-aware NMS (0 disables)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="propose a seen/unseen split")
     p.add_argument("--data", required=True)
     p.add_argument("--meta-map", required=True)
-    p.add_argument("--per-meta", default="auto", choices=("auto", "1", "2"),
-                   help="unseen picks per meta-class (auto: 2 when >=9 members)")
     p.add_argument("--exclude", default="", help="comma-separated metas to skip")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -309,14 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, help="margin/clustering mixing weight")
     p.add_argument("--mode", choices=("full", "seen_only"))
     p.add_argument("--lr", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--eps", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--n-pos", type=int)
     p.add_argument("--n-neg", type=int)
     p.add_argument("--min-similar", type=int, help="per-meta rebalance target (0 disables)")
-    p.add_argument("--fg-iou", type=float)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train, **asdict(TrainConfig()))
 
@@ -328,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run the four-task evaluation")
     _add_common_model_args(p)
     p.add_argument("--task", choices=TASKS + ("all",), default="all")
-    p.add_argument("--iou-eval", type=float, default=0.5,
-                   help="IoU threshold for AP matching")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=cmd_eval)
 

@@ -146,20 +146,21 @@ def _make_image(
     features = np.empty((cfg.proposals_per_image, cfg.d_f))
     boxes = np.empty((cfg.proposals_per_image, 4))
     gt_boxes = np.empty((class_ids.size, 4))
-    for i, (cid, cell_idx) in enumerate(zip(class_ids, cells)):
-        gt_boxes[i] = _grid_cell(int(cell_idx))
-        features[i] = g_map @ vectors[:, cid - 1] + cfg.noise_sigma * rng.standard_normal(
-            cfg.d_f
-        )
-        shift = rng.uniform(-0.2, 0.2, size=2) * cell
-        boxes[i] = gt_boxes[i] + shift[[0, 1, 0, 1]]
-    for i in range(class_ids.size, cfg.proposals_per_image):
-        features[i] = cfg.noise_sigma * bg_scale * rng.standard_normal(cfg.d_f)
-        x1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
-        y1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
-        w = rng.uniform(MIN_BG_BOX, CANVAS / 2)
-        h = rng.uniform(MIN_BG_BOX, CANVAS / 2)
-        boxes[i] = (x1, y1, min(x1 + w, CANVAS), min(y1 + h, CANVAS))
+    # a huge noise_sigma overflows here; the check below refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (cid, cell_idx) in enumerate(zip(class_ids, cells)):
+            gt_boxes[i] = _grid_cell(int(cell_idx))
+            features[i] = (g_map @ vectors[:, cid - 1]
+                           + cfg.noise_sigma * rng.standard_normal(cfg.d_f))
+            shift = rng.uniform(-0.2, 0.2, size=2) * cell
+            boxes[i] = gt_boxes[i] + shift[[0, 1, 0, 1]]
+        for i in range(class_ids.size, cfg.proposals_per_image):
+            features[i] = cfg.noise_sigma * bg_scale * rng.standard_normal(cfg.d_f)
+            x1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
+            y1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
+            w = rng.uniform(MIN_BG_BOX, CANVAS / 2)
+            h = rng.uniform(MIN_BG_BOX, CANVAS / 2)
+            boxes[i] = (x1, y1, min(x1 + w, CANVAS), min(y1 + h, CANVAS))
     if not np.isfinite(features).all():
         raise ConfigError(f"noise_sigma {cfg.noise_sigma} is too large: "
                           f"proposal features overflow")
@@ -185,8 +186,9 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
     centroids /= np.linalg.norm(centroids, axis=0)
     raw = np.empty((cfg.d, n_classes))
     for i in range(n_classes):
-        v = centroids[:, i % cfg.m] + cfg.meta_spread * rng.standard_normal(cfg.d)
-        norm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):  # a huge meta_spread is refused below
+            v = centroids[:, i % cfg.m] + cfg.meta_spread * rng.standard_normal(cfg.d)
+            norm = np.linalg.norm(v)
         if not norm < math.inf:
             raise ConfigError(f"meta_spread {cfg.meta_spread} is too large: "
                               f"a class vector's norm overflows")
@@ -263,14 +265,13 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
 def propose_split(
     class_stats: Mapping[str, int],
     meta_map: Mapping[str, str],
-    per_meta: str | int = "auto",
     rng: np.random.Generator | None = None,
     exclude: Sequence[str] = (),
 ) -> tuple[list[str], list[str]]:
     """Pick unseen classes from the rare half of each meta-class.
 
-    ``per_meta='auto'`` draws two candidates from meta-classes with nine or
-    more members and one otherwise; an explicit 1 or 2 forces that count.
+    Two candidates are drawn from meta-classes with nine or more members
+    and one from the others.
     Eligibility is the rarest floor(n/2) members by instance count, with
     ties at the boundary count also eligible.  Meta-classes named in
     ``exclude`` (or with fewer than two members) contribute no unseen class.
@@ -278,8 +279,6 @@ def propose_split(
     """
     if not class_stats and not meta_map:
         raise ConfigError("empty class statistics")
-    if isinstance(per_meta, int) and per_meta not in (1, 2):
-        raise ConfigError(f"per_meta must be 'auto', 1, or 2, got {per_meta}")
     rng = np.random.default_rng() if rng is None else rng
 
     by_meta: dict[str, list[str]] = {}
@@ -295,10 +294,7 @@ def propose_split(
                 f"meta-class {meta!r} has fewer than two members; no unseen pick"
             )
             continue
-        n_pick = (
-            (2 if len(members) >= 9 else 1) if per_meta == "auto" else int(per_meta)
-        )
-        n_pick = min(n_pick, len(members) - 1)
+        n_pick = min(2 if len(members) >= 9 else 1, len(members) - 1)
         ranked = sorted(members, key=lambda c: (class_stats.get(c, 0), c))
         boundary = class_stats.get(ranked[len(members) // 2 - 1], 0)
         pool = [c for c in ranked if class_stats.get(c, 0) <= boundary]

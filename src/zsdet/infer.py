@@ -19,7 +19,7 @@ it, each returning the image's :class:`Detections`:
 row of one score per unseen class (meta-classes are
 :mod:`zsdet.evaluation`'s).  Ties break toward the lowest class id
 everywhere.  Before results are returned, one label-aware NMS pass over
-the image's detections (default IoU 0.5) lets a box suppress only boxes of
+the image's detections (at ``NMS_IOU``) lets a box suppress only boxes of
 its own class; pass ``nms_iou=0`` to disable it.
 """
 
@@ -39,6 +39,9 @@ from .semantics import LabelSpace
 
 if TYPE_CHECKING:
     from .data import Proposals
+
+# The IoU of the per-image NMS that the pipeline runs (the reference protocol's).
+NMS_IOU = 0.5
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ def detect(
     proposals: "Proposals",
     image_id: str,
     alpha: float,
-    nms_iou: float = 0.5,
+    nms_iou: float = NMS_IOU,
 ) -> Detections:
     """Unseen-class detections for one image's proposals.
 
@@ -142,7 +145,7 @@ def conse_detect(
     image_id: str,
     k: int = 10,
     alpha: float = 0.1,
-    nms_iou: float = 0.5,
+    nms_iou: float = NMS_IOU,
 ) -> Detections:
     """ConSE-style detections: classify the projected proposal by cosine.
 

@@ -203,15 +203,15 @@ def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
     """Serialize the trainable state (W2 is rebuilt from embeddings).
 
-    The file is one ASCII JSON header line, ``json.dumps`` of ``d_f, d, C,
-    S, U, labels, config`` plus a newline, then the little-endian float64
+    The file is one ASCII JSON header line, ``json.dumps`` of ``d_f, d, S,
+    U, labels, config`` plus a newline, then the little-endian float64
     bytes in C order of ``W1``, ``box_weights`` and ``box_bias``, in that
     order and with nothing between or after them.
     """
     from dataclasses import asdict
 
-    head = {"d_f": model.d_f, "d": model.d, "C": model.n_classes, "S": model.n_seen,
-            "U": model.n_unseen, "labels": list(model.labels), "config": asdict(model.config)}
+    head = {"d_f": model.d_f, "d": model.d, "S": model.n_seen, "U": model.n_unseen,
+            "labels": list(model.labels), "config": asdict(model.config)}
     with open(path, "wb") as f:
         f.write((json.dumps(head) + "\n").encode("ascii"))
         for a in (model.w1, model.box_w, model.box_b):
@@ -291,7 +291,8 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
     try:
         config = TrainConfig(**head["config"])
     except TypeError as exc:
-        raise ParseError(f"malformed checkpoint config: {exc}")
+        raise ParseError(f"malformed checkpoint config: {exc}; "
+                         "re-run `zsdet train` to write a current checkpoint")
     w1, box_w, box_b = _read_blocks(raw, end + 1, shapes)
     return Model(
         w1=w1,

@@ -42,22 +42,19 @@ class TrainConfig:
 
     ``lam`` weights the margin loss against the clustering loss; ``mode``
     selects full (seen+unseen+bg) or seen-only margin training.  Defaults
-    follow the full-scale reference protocol (lr 1e-5, betas 0.9/0.999,
-    16+16 proposals per image); desk-scale runs typically raise ``lr``.
+    follow the full-scale reference protocol (lr 1e-5, 16+16 proposals per
+    image); desk-scale runs typically raise ``lr``.  Adam's betas and eps and
+    the foreground IoU are the module constants below.
     """
 
     lam: float = 0.8
     mode: str = "full"
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     n_pos: int = 16
     n_neg: int = 16
     epochs: int = 10
     seed: int = 0
     min_similar: int = 200
-    fg_iou: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -66,18 +63,12 @@ class TrainConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("betas must be in (0, 1)")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be a positive finite number, got {self.eps}")
         if self.n_pos < 0 or self.n_neg < 0:
             raise ConfigError("proposal counts must be >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.min_similar < 0:
             raise ConfigError("min_similar must be >= 0")
-        if not 0.0 < self.fg_iou <= 1.0:
-            raise ConfigError("fg_iou must be in (0, 1]")
         check_seed(self.seed)
 
 
@@ -87,6 +78,10 @@ class TrainConfig:
 # were equally fast and 8K and 128K slower (CHANGES.md has the numbers).
 # Block loops release the GIL, so ``adam_step`` may share them between two threads.
 ADAM_BLOCK = 32768
+# The reference protocol's Adam betas and eps, and the IoU at or above which
+# a proposal is labeled foreground.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+FG_IOU = 0.5
 
 
 @dataclass
@@ -192,8 +187,8 @@ def adam_step(
         ):
             raise ConfigError(f"{key!r}: param, m and v must be C-contiguous")
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    coefs = (b1, b2, 1.0 - b1**state.t, 1.0 - b2**state.t, config.lr, config.eps)
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    coefs = (b1, b2, 1.0 - b1**state.t, 1.0 - b2**state.t, config.lr, ADAM_EPS)
     blocks = deque()
     for key, p in params.items():
         g, m, v = grads[key], state.m[key], state.v[key]
@@ -363,7 +358,7 @@ def train(
             raise InvalidTargetError(f"train dataset leaks unseen class "
                                      f"{space.label_of(int(leaked[0]))!r} in image {img.image_id}")
     model = init_model(config, table, space, d_f=dataset.d_f, seed=config.seed)
-    labeled = [label_proposals(img.proposals, ids, img.gt_boxes, config.fg_iou, space)
+    labeled = [label_proposals(img.proposals, ids, img.gt_boxes, FG_IOU, space)
                for img, ids in zip(work.images, gt_ids)]
 
     params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}

@@ -151,7 +151,7 @@ CONSE_K = 10
 def _train_config(seed, lam, mode):
     return TrainConfig(
         lam=lam, mode=mode, lr=1e-3, epochs=15, n_pos=8, n_neg=8,
-        min_similar=200, fg_iou=0.5, seed=seed,
+        min_similar=200, seed=seed,
     )
 
 

@@ -16,6 +16,7 @@ from zsdet.codec import decode_array, encode_array
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.model import load_checkpoint, save_checkpoint
 from zsdet.semantics import load_word_vectors
+from zsdet.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FG_IOU
 
 from conftest import (
     adam_cpus,
@@ -88,6 +89,7 @@ class TestSynthCommand:
          "meta_spread 1e+308 is too large: a class vector's norm overflows"),
         (("--seed", "-1"), "seed must be >= 0, got -1"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_float_or_seed_exits_2_and_writes_nothing(
             self, tmp_path, capsys, knob, message):
         assert run("synth", "--out", tmp_path / "x", *knob) == 2
@@ -138,8 +140,7 @@ class TestTrainCommand:
         args = parser.parse_args(["train", "--embeddings", "e", "--meta-map", "m",
                                   "--split", "s", "--data", "d", "--out", "o"])
         assert args.lr == 1e-5
-        assert args.beta1 == 0.9
-        assert args.beta2 == 0.999
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FG_IOU) == (0.9, 0.999, 1e-8, 0.5)
         assert args.lam == 0.8
         assert args.n_pos == 16 and args.n_neg == 16
 
@@ -273,8 +274,6 @@ class TestPredictAndEval:
                                   "--meta-map", "m", "--data", "d", "--out", "o"])
         assert args.alpha == 0.2
         assert args.k == 10
-        assert args.iou_eval == 0.5
-        assert args.nms_iou == 0.5
 
 
 class TestGradcheckCommand:
@@ -314,6 +313,7 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--trials", 1, *knob) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_step_too_large_for_a_finite_loss_exits_2_naming_h(self, capsys):
         assert run("gradcheck", "--trials", 1, "--h", "1e308") == 2
         err = capsys.readouterr().err
@@ -364,7 +364,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("damage", ["missing_w1", "truncated", "list_w1", "base64_w1",
                                         "no_newline", "header_list", "trailing_byte",
-                                        "nan_W1", "nan_box_weights", "nan_box_bias"])
+                                        "nan_W1", "nan_box_weights", "nan_box_bias",
+                                        "beta1_in_config"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
@@ -376,6 +377,9 @@ class TestExitCodes:
             write_checkpoint(ckpt, head, blocks)
         elif damage == "missing_w1":
             del blocks["W1"]
+            write_checkpoint(ckpt, head, blocks)
+        elif damage == "beta1_in_config":  # checkpoints held the Adam betas before they were fixed
+            head["config"]["beta1"] = 0.9
             write_checkpoint(ckpt, head, blocks)
         elif damage == "list_w1":  # the format before base64 arrays
             ckpt.write_bytes(legacy_checkpoint_bytes(head, blocks, lambda a: a.ravel().tolist()))
@@ -400,12 +404,28 @@ class TestExitCodes:
             assert run(*argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert err.startswith("error: ")
-            if damage in ("list_w1", "base64_w1"):
+            if damage in ("list_w1", "base64_w1", "beta1_in_config"):
                 assert "re-run `zsdet train`" in err
             if damage.startswith("nan_"):
                 assert err.startswith(f"error: checkpoint {key} has a non-finite value"), err
         assert not (tmp_path / "dets.jsonl").exists()
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--beta1"), ("train", "--beta2"), ("train", "--eps"), ("train", "--fg-iou"),
+        ("predict", "--nms-iou"), ("eval", "--nms-iou"), ("eval", "--iou-eval"),
+        ("split", "--per-meta"),
+    ])
+    def test_retired_setting_is_an_unrecognized_argument(self, capsys, command, flag):
+        required = {
+            "train": ["--embeddings", "e", "--meta-map", "m", "--split", "s", "--data", "d"],
+            "predict": ["--checkpoint", "c", "--embeddings", "e", "--meta-map", "m", "--data", "d"],
+            "split": ["--data", "d", "--meta-map", "m"],
+        }
+        with pytest.raises(SystemExit) as exc:
+            run(command, *required.get(command, required["predict"]), "--out", "o", flag, "1")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"unrecognized arguments: {flag} 1\n")
 
     def test_truncated_json_split_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)
@@ -519,74 +539,8 @@ class TestExitCodes:
         assert "background has zero norm" in capsys.readouterr().err
         assert not (tmp_path / "dets.jsonl").exists()
 
-    def test_non_finite_nms_iou_exits_2(self, tmp_path, capsys):
-        data = synth(tmp_path)
-        ckpt = quick_train(tmp_path, data)
-        capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--alpha", 0.0, "--nms-iou", "nan", "--out", tmp_path / "dets.jsonl") == 2
-        assert capsys.readouterr().err.startswith("error: nms_iou must be a finite number")
-
-    def test_non_finite_iou_eval_exits_2(self, tmp_path, capsys):
-        data = synth(tmp_path)
-        ckpt = quick_train(tmp_path, data)
-        capsys.readouterr()
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--task", "T1", "--alpha", 0.0, "--iou-eval", "nan",
-                   "--out", tmp_path / "reports") == 2
-        assert capsys.readouterr().err.startswith("error: iou_thresh must be a finite number")
-
-    def test_non_finite_iou_eval_exits_2_before_scoring(self, tmp_path, capsys, monkeypatch):
-        data = synth(tmp_path)
-        ckpt = quick_train(tmp_path, data)
-
-        def never(*args, **kwargs):
-            raise AssertionError("scored an image before checking --iou-eval")
-
-        for name in ("detect", "conse_detect", "tag_image"):
-            monkeypatch.setattr(f"zsdet.cli.{name}", never)
-        capsys.readouterr()
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--task", "all", "--iou-eval", "nan", "--out", tmp_path / "reports") == 2
-        assert capsys.readouterr().err.startswith("error: iou_thresh must be a finite number")
-        assert not (tmp_path / "reports").exists()
-
-    @pytest.mark.parametrize("iou_eval", ["0", "-0.5", "1.5", "2"])
-    def test_iou_eval_outside_unit_interval_exits_2_before_scoring(
-            self, tmp_path, capsys, monkeypatch, iou_eval):
-        data = synth(tmp_path)
-        ckpt = quick_train(tmp_path, data)
-
-        def never(*args, **kwargs):
-            raise AssertionError("scored an image before checking --iou-eval")
-
-        for name in ("detect", "conse_detect", "tag_image"):
-            monkeypatch.setattr(f"zsdet.cli.{name}", never)
-        capsys.readouterr()
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--task", "all", "--iou-eval", iou_eval, "--out", tmp_path / "reports") == 2
-        assert capsys.readouterr().err.startswith("error: iou_thresh must be in (0, 1], got")
-        assert not (tmp_path / "reports").exists()
-
-    @pytest.mark.parametrize("inference", ["san", "conse"])
-    @pytest.mark.parametrize("nms_iou", ["-0.5", "1.5"])
-    def test_nms_iou_outside_unit_interval_exits_2(self, tmp_path, capsys, inference, nms_iou):
-        data = synth(tmp_path)
-        ckpt = quick_train(tmp_path, data)
-        capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--inference", inference, "--k", 3, "--nms-iou", nms_iou,
-                   "--out", tmp_path / "dets.jsonl") == 2
-        assert capsys.readouterr().err.startswith("error: nms_iou must be in [0, 1], got")
-
     @pytest.mark.parametrize("task", ["T3", "T4"])
     @pytest.mark.parametrize("knob", [
-        (("--nms-iou", "5"), "nms_iou must be in [0, 1]"),
         (("--alpha", "nan"), "alpha must be a finite number"),
         (("--inference", "conse", "--k", "0"), "K must be in 1..6, got 0"),
         (("--inference", "conse", "--k", "7"), "K must be in 1..6, got 7"),
@@ -611,7 +565,6 @@ class TestExitCodes:
         ("--inference", "conse", "--k", "0"),
         ("--inference", "conse", "--k", "7"),
         ("--alpha", "nan"),
-        ("--nms-iou", "5"),
     ])
     def test_imageless_predict_checks_route_knobs(self, tmp_path, capsys, knob):
         data = synth(tmp_path)
@@ -766,7 +719,7 @@ class TestExitCodes:
                    "--seed", -1, "--out", tmp_path / "split.txt") == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
-    @pytest.mark.parametrize("knob", [("--lr", "nan"), ("--lr", "inf"), ("--eps", "nan")])
+    @pytest.mark.parametrize("knob", [("--lr", "nan"), ("--lr", "inf")])
     def test_non_finite_train_knob_exits_2(self, tmp_path, capsys, knob):
         data = synth(tmp_path)
         capsys.readouterr()

@@ -189,12 +189,6 @@ class TestProposeSplit:
         )
         assert all(members[u] != "m2" for u in unseen)
 
-    def test_forced_per_meta_counts(self):
-        members = {f"c{i}": "m" for i in range(10)}
-        counts = {f"c{i}": i for i in range(10)}
-        _, unseen = propose_split(counts, members, per_meta=1, rng=np.random.default_rng(0))
-        assert len(unseen) == 1
-
     def test_empty_stats_rejected(self):
         with pytest.raises(ConfigError):
             propose_split({}, {}, rng=np.random.default_rng(0))

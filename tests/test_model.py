@@ -373,9 +373,8 @@ class TestCheckpoint:
     @staticmethod
     def reference_bytes(model):
         """The checkpoint as a ``json.dumps`` header line and the raw blocks."""
-        head = {"d_f": model.d_f, "d": model.d, "C": model.n_classes, "S": model.n_seen,
-                "U": model.n_unseen, "labels": list(model.labels),
-                "config": dataclasses.asdict(model.config)}
+        head = {"d_f": model.d_f, "d": model.d, "S": model.n_seen, "U": model.n_unseen,
+                "labels": list(model.labels), "config": dataclasses.asdict(model.config)}
         return checkpoint_bytes(
             head, {"W1": model.w1, "box_weights": model.box_w, "box_bias": model.box_b})
 
@@ -435,7 +434,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         head, blocks = read_checkpoint(path)
-        assert set(head) == {"d_f", "d", "C", "S", "U", "labels", "config"}
+        assert set(head) == {"d_f", "d", "S", "U", "labels", "config"}
         assert head["S"] == space.S
         assert head["U"] == space.U
         assert list(blocks) == ["W1", "box_weights", "box_bias"]
