@@ -18,7 +18,6 @@ from .errors import ConfigError, NumericFailureError, check_seed
 from .loss import loss_gradients
 from .model import Model, RegionBatch, encode_boxes, init_model
 from .semantics import LabelSpace, build_label_space, finalize_embeddings
-from .train import TrainConfig
 
 REL_TOL = 1e-4
 ZERO_GUARD = 1e-7
@@ -69,7 +68,7 @@ def random_instance(
         {label: f"m{i % n_meta + 1}" for i, label in enumerate(labels)},
     )
     table = finalize_embeddings(space.labels, rng.standard_normal((d, n_classes)))
-    model = init_model(TrainConfig(), table, space, d_f)
+    model = init_model(table, space, d_f)
     model.w1 = rng.standard_normal((d_f, d)) * 0.5
     model.box_w = rng.standard_normal((d_f, 4 * space.S)) * 0.1
     model.box_b = rng.standard_normal(4 * space.S) * 0.1

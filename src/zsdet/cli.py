@@ -102,7 +102,7 @@ def _model_and_space(args) -> tuple[Model, LabelSpace]:
 
 def _detections_for(model, space, dataset: Dataset, args) -> list[Detections]:
     """One :class:`Detections` per test image, in dataset order."""
-    if args.inference == "san" and model.config.mode == "seen_only":
+    if args.inference == "san" and model.mode == "seen_only":
         print(
             "warning: direct unseen scoring on a seen-only checkpoint; "
             "its unseen embedding columns were never trained (use --inference conse)",
@@ -155,7 +155,6 @@ def cmd_train(args) -> int:
     seen, unseen = load_split(args.split)
     space = build_label_space(seen, unseen, load_meta_map(args.meta_map))
     _check_seen_and_unseen(space, "the split")
-    table = table.reorder(space.labels)
     dataset = load_dataset(args.data)
     config = _config(TrainConfig, args)
     model, history = train(dataset, table, space, config)

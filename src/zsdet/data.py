@@ -265,7 +265,7 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
 def propose_split(
     class_stats: Mapping[str, int],
     meta_map: Mapping[str, str],
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     exclude: Sequence[str] = (),
 ) -> tuple[list[str], list[str]]:
     """Pick unseen classes from the rare half of each meta-class.
@@ -279,7 +279,6 @@ def propose_split(
     """
     if not class_stats and not meta_map:
         raise ConfigError("empty class statistics")
-    rng = np.random.default_rng() if rng is None else rng
 
     by_meta: dict[str, list[str]] = {}
     for cls, meta in meta_map.items():

@@ -33,10 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, InvalidTargetError, NumericFailureError, ShapeError
-from .model import Model, RegionBatch
+from .model import MODES, Model, RegionBatch
 from .semantics import LabelSpace
-
-MODES = ("full", "seen_only")
 
 
 @dataclass(frozen=True)
@@ -70,18 +68,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _check_target(y: int | None, space: LabelSpace) -> int:
-    if y is None:
-        raise InvalidTargetError("sample has no training label")
-    if space.is_unseen(y):
-        raise InvalidTargetError(
-            f"target {y} is an unseen class; unseen classes are never supervised"
-        )
-    if not (space.is_seen(y) or y == space.bg_id):
-        raise InvalidTargetError(f"target {y} outside the extended label set")
-    return y
-
-
 @lru_cache(maxsize=64)
 def _margin_table(space: LabelSpace, mode: str) -> np.ndarray:
     """(C+2, K) table: row y holds the 0-based score columns ranked against target y.
@@ -90,12 +76,10 @@ def _margin_table(space: LabelSpace, mode: str) -> np.ndarray:
     ``seen_only`` against the other seen classes and background (K = S).
     Rows of ids that are never valid targets (0 and unseen) stay zero.
     """
-    if mode == "full":
-        ids = np.arange(1, space.bg_id + 1)
-    elif mode == "seen_only":
+    if mode == "seen_only":
         ids = np.array([*space.seen_ids, space.bg_id])
     else:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        ids = np.arange(1, space.bg_id + 1)
     table = np.zeros((space.bg_id + 1, ids.size - 1), dtype=np.intp)
     for y in (*space.seen_ids, space.bg_id):
         table[y] = ids[ids != y] - 1
@@ -225,7 +209,10 @@ def loss_gradients(
                          f" must be ({n}, d_f {model.d_f}) and ({n}, 4)")
     bad = ((ys < 1) | (ys > space.S)) & (ys != space.bg_id)
     if bad.any():
-        _check_target(int(ys[bad.argmax()]), space)
+        y = int(ys[bad.argmax()])
+        raise InvalidTargetError(
+            f"target {y} is an unseen class; unseen classes are never supervised"
+            if space.is_unseen(y) else f"target {y} outside the extended label set")
     scores = (feats @ model.w1) @ model.w2
     offsets = feats @ model.box_w + model.box_b
 

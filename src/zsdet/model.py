@@ -16,15 +16,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CoverageError, NormalizationError, ParseError, ShapeError
+from .errors import NormalizationError, ParseError, ShapeError
 from .semantics import EmbeddingTable, LabelSpace
 
-if TYPE_CHECKING:
-    from .train import TrainConfig
+# Training modes: ``full`` ranks every class, ``seen_only`` the seen ones.
+MODES = ("full", "seen_only")
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,8 @@ class Model:
 
     ``w2`` has shape (d, C+1) with the background mean vector as the last
     column; ``col_norms`` caches the column norms used by score
-    normalization (1.0 for classes, <=1 for the background).
+    normalization (1.0 for classes, <=1 for the background).  ``mode`` is
+    the training mode (one of :data:`MODES`).
     """
 
     w1: np.ndarray
@@ -62,7 +62,7 @@ class Model:
     n_unseen: int
     box_w: np.ndarray
     box_b: np.ndarray
-    config: "TrainConfig"
+    mode: str
 
     @property
     def d_f(self) -> int:
@@ -77,36 +77,34 @@ class Model:
         return self.w2.shape[1] - 1
 
 
+def _build(table: EmbeddingTable, labels, n_seen: int, w1: np.ndarray,
+           box_w: np.ndarray, box_b: np.ndarray, mode: str) -> Model:
+    """The model over ``table`` reordered to ``labels``, its class order,
+    with W2 and its column norms derived from that table."""
+    table = table.reorder(labels)
+    w2 = table.w2()
+    return Model(w1=w1, w2=w2, col_norms=np.linalg.norm(w2, axis=0), labels=table.labels,
+                 n_seen=n_seen, n_unseen=len(labels) - n_seen, box_w=box_w, box_b=box_b,
+                 mode=mode)
+
+
 def init_model(
-    config: "TrainConfig",
     table: EmbeddingTable,
     space: LabelSpace,
     d_f: int,
-    seed: int | None = None,
+    seed: int = 0,
+    mode: str = "full",
 ) -> Model:
     """Fresh model: Glorot-uniform W1, zero box head, W2 frozen from the table.
 
-    ``table`` must be ordered by class id (seen, unseen).
-    Bit-reproducible for a given seed (defaults to ``config.seed``).
+    The table may be in any order: it is reordered to ``space``'s class ids.
+    Bit-reproducible for a given seed.
     """
-    if table.labels != space.labels:
-        raise CoverageError("embedding table must be reordered to label-space id order")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    d = table.d
-    a = np.sqrt(6.0 / (d_f + d))
-    w1 = rng.uniform(-a, a, size=(d_f, d))
-    w2 = table.w2()
-    return Model(
-        w1=w1,
-        w2=w2,
-        col_norms=np.linalg.norm(w2, axis=0),
-        labels=table.labels,
-        n_seen=space.S,
-        n_unseen=space.U,
-        box_w=np.zeros((d_f, 4 * space.S)),
-        box_b=np.zeros(4 * space.S),
-        config=config,
-    )
+    rng = np.random.default_rng(seed)
+    a = np.sqrt(6.0 / (d_f + table.d))
+    w1 = rng.uniform(-a, a, size=(d_f, table.d))
+    return _build(table, space.labels, space.S, w1, np.zeros((d_f, 4 * space.S)),
+                  np.zeros(4 * space.S), mode)
 
 
 def forward_scores(model: Model, feature: np.ndarray) -> np.ndarray:
@@ -204,21 +202,19 @@ def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
     """Serialize the trainable state (W2 is rebuilt from embeddings).
 
     The file is one ASCII JSON header line, ``json.dumps`` of ``d_f, d, S,
-    U, labels, config`` plus a newline, then the little-endian float64
+    U, labels, mode`` plus a newline, then the little-endian float64
     bytes in C order of ``W1``, ``box_weights`` and ``box_bias``, in that
     order and with nothing between or after them.
     """
-    from dataclasses import asdict
-
     head = {"d_f": model.d_f, "d": model.d, "S": model.n_seen, "U": model.n_unseen,
-            "labels": list(model.labels), "config": asdict(model.config)}
+            "labels": list(model.labels), "mode": model.mode}
     with open(path, "wb") as f:
         f.write((json.dumps(head) + "\n").encode("ascii"))
         for a in (model.w1, model.box_w, model.box_b):
             f.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
-_HEADER_KEYS = ("d_f", "d", "S", "U", "labels", "config")
+_HEADER_KEYS = ("d_f", "d", "S", "U", "labels", "mode")
 # The array blocks in file order; their shapes follow from d_f, d and S.
 _BLOCKS = ("W1", "box_weights", "box_bias")
 
@@ -244,12 +240,11 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
 
     The file is read once.  The table may be in any order: it is reordered
     to the checkpoint's labels, which set the model's class ids.  A file
-    that is not a complete checkpoint in the current format (a header line,
-    then exactly the three array blocks), or whose ``W1``, ``box_weights``
-    or ``box_bias`` holds a non-finite value, raises :class:`ParseError`.
+    that is not a complete checkpoint in the current format (a header line
+    with exactly the keys of ``save_checkpoint``, then exactly the three
+    array blocks), or whose ``W1``, ``box_weights`` or ``box_bias`` holds a
+    non-finite value, raises :class:`ParseError`.
     """
-    from .train import TrainConfig
-
     with open(path, "rb") as f:
         raw = f.read()
     end = raw.find(b"\n")
@@ -261,14 +256,11 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
         raise ParseError(f"invalid checkpoint header JSON: {exc}")
     if not isinstance(head, dict):
         raise ParseError("checkpoint header must be a JSON object")
-    if "W1" in head:
+    if set(head) != set(_HEADER_KEYS):
         raise ParseError(
-            "checkpoint holds its arrays in its JSON (as lists or base64), a format "
-            "before raw array blocks; re-run `zsdet train` to write a current checkpoint"
+            f"checkpoint header has keys {', '.join(head) or 'none'}, expected "
+            f"{', '.join(_HEADER_KEYS)}; re-run `zsdet train` to write a current checkpoint"
         )
-    missing = [k for k in _HEADER_KEYS if k not in head]
-    if missing:
-        raise ParseError(f"checkpoint is missing {', '.join(missing)}")
     labels, d_f, d, s = head["labels"], head["d_f"], head["d"], head["S"]
     if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)
             and isinstance(s, int) and 0 <= s <= len(labels)
@@ -278,6 +270,8 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
         )
     if not (isinstance(d_f, int) and d_f > 0 and isinstance(d, int) and d > 0):
         raise ParseError("checkpoint d_f and d must be positive integers")
+    if head["mode"] not in MODES:
+        raise ParseError(f"checkpoint mode must be one of {MODES}, got {head['mode']!r}")
     shapes = ((d_f, d), (d_f, 4 * s), (4 * s,))
     expected = 8 * sum(math.prod(shape) for shape in shapes)
     if len(raw) - (end + 1) != expected:
@@ -287,24 +281,7 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
         )
     if table.d != d:
         raise ShapeError(f"table dimensionality {table.d} != checkpoint d {d}")
-    w2 = table.reorder(labels).w2()
-    try:
-        config = TrainConfig(**head["config"])
-    except TypeError as exc:
-        raise ParseError(f"malformed checkpoint config: {exc}; "
-                         "re-run `zsdet train` to write a current checkpoint")
-    w1, box_w, box_b = _read_blocks(raw, end + 1, shapes)
-    return Model(
-        w1=w1,
-        w2=w2,
-        col_norms=np.linalg.norm(w2, axis=0),
-        labels=tuple(labels),
-        n_seen=s,
-        n_unseen=len(labels) - s,
-        box_w=box_w,
-        box_b=box_b,
-        config=config,
-    )
+    return _build(table, labels, s, *_read_blocks(raw, end + 1, shapes), head["mode"])
 
 
 def modified_embeddings(model: Model) -> np.ndarray:

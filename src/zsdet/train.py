@@ -31,8 +31,8 @@ import numpy as np
 from .data import Dataset, Proposals, gt_class_ids
 from .errors import ConfigError, InvalidTargetError, NumericFailureError, check_seed
 from .evaluation import iou_matrix
-from .loss import MODES, LossBreakdown, loss_gradients
-from .model import Model, RegionBatch, encode_boxes, init_model
+from .loss import LossBreakdown, loss_gradients
+from .model import MODES, Model, RegionBatch, encode_boxes, init_model
 from .semantics import LabelSpace
 
 
@@ -357,7 +357,7 @@ def train(
         if leaked.size:
             raise InvalidTargetError(f"train dataset leaks unseen class "
                                      f"{space.label_of(int(leaked[0]))!r} in image {img.image_id}")
-    model = init_model(config, table, space, d_f=dataset.d_f, seed=config.seed)
+    model = init_model(table, space, dataset.d_f, config.seed, config.mode)
     labeled = [label_proposals(img.proposals, ids, img.gt_boxes, FG_IOU, space)
                for img, ids in zip(work.images, gt_ids)]
 

@@ -19,7 +19,6 @@ from zsdet.infer import Detections
 from zsdet.loss import LossBreakdown, _class_terms
 from zsdet.model import Model, init_model
 from zsdet.semantics import build_label_space, finalize_embeddings
-from zsdet.train import TrainConfig
 
 train = importlib.import_module("zsdet.train")  # the module; ``zsdet.train`` names the function
 
@@ -43,9 +42,8 @@ def make_space(n_seen, n_unseen, meta_of=None, n_meta=None, labels=None):
     return build_label_space(labels[:n_seen], labels[n_seen:], meta_of)
 
 
-def make_model(table, space, d_f=None, seed=0, config=None) -> Model:
-    config = config or TrainConfig()
-    return init_model(config, table, space, d_f=d_f or table.d, seed=seed)
+def make_model(table, space, d_f=None, seed=0, mode="full") -> Model:
+    return init_model(table, space, d_f or table.d, seed, mode)
 
 
 def axis_setup(n_seen=2, n_unseen=1, d=4):
@@ -103,10 +101,10 @@ def write_checkpoint(path, head, arrays):
 def legacy_checkpoint_bytes(head, arrays, encode):
     """A checkpoint in a format from before raw blocks: one JSON object with
     each array as ``encode(array)`` (a list, or a base64 string) between the
-    labels and the config."""
-    payload = {k: v for k, v in head.items() if k != "config"}
+    labels and the mode."""
+    payload = {k: v for k, v in head.items() if k != "mode"}
     payload |= {key: encode(a) for key, a in arrays.items()}
-    payload["config"] = head["config"]
+    payload["mode"] = head["mode"]
     return (json.dumps(payload) + "\n").encode("ascii")
 
 

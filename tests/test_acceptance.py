@@ -188,10 +188,7 @@ def _run_experiment(tmp_path):
         cluster, _ = train(bundle.train, table, space, _train_config(seed, 0.8, "full"))
         margin_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "full"))
         seen_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "seen_only"))
-        baseline = init_model(
-            _train_config(seed, 1.0, "seen_only"), table, space,
-            d_f=bundle.train.d_f, seed=seed,
-        )
+        baseline = init_model(table, space, bundle.train.d_f, seed, "seen_only")
 
         maps = {
             "cluster": _zsd_map(

@@ -157,7 +157,7 @@ class TestTrainCommand:
     def test_seen_only_mode_recorded_in_checkpoint(self, tmp_path):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data, mode="seen_only", **{"lambda": 1.0})
-        assert read_checkpoint(ckpt)[0]["config"]["mode"] == "seen_only"
+        assert read_checkpoint(ckpt)[0]["mode"] == "seen_only"
 
     def test_deterministic_given_seed(self, tmp_path):
         data = synth(tmp_path)
@@ -365,7 +365,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("damage", ["missing_w1", "truncated", "list_w1", "base64_w1",
                                         "no_newline", "header_list", "trailing_byte",
                                         "nan_W1", "nan_box_weights", "nan_box_bias",
-                                        "beta1_in_config"])
+                                        "config_header"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
@@ -378,8 +378,10 @@ class TestExitCodes:
         elif damage == "missing_w1":
             del blocks["W1"]
             write_checkpoint(ckpt, head, blocks)
-        elif damage == "beta1_in_config":  # checkpoints held the Adam betas before they were fixed
-            head["config"]["beta1"] = 0.9
+        elif damage == "config_header":  # the older header that held every training setting
+            del head["mode"]
+            head["config"] = {"lam": 0.8, "mode": "full", "lr": 1e-3, "n_pos": 4, "n_neg": 4,
+                              "epochs": 2, "seed": 0, "min_similar": 0}
             write_checkpoint(ckpt, head, blocks)
         elif damage == "list_w1":  # the format before base64 arrays
             ckpt.write_bytes(legacy_checkpoint_bytes(head, blocks, lambda a: a.ravel().tolist()))
@@ -404,7 +406,7 @@ class TestExitCodes:
             assert run(*argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert err.startswith("error: ")
-            if damage in ("list_w1", "base64_w1", "beta1_in_config"):
+            if damage in ("list_w1", "base64_w1", "config_header"):
                 assert "re-run `zsdet train`" in err
             if damage.startswith("nan_"):
                 assert err.startswith(f"error: checkpoint {key} has a non-finite value"), err

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import math
 import os
@@ -25,6 +24,7 @@ from zsdet.errors import (
 )
 from zsdet.model import (
     BOX_SCALE_CLAMP,
+    MODES,
     decode_boxes,
     encode_boxes,
     feature_norms,
@@ -36,7 +36,6 @@ from zsdet.model import (
     save_checkpoint,
 )
 from zsdet.semantics import load_word_vectors
-from zsdet.train import TrainConfig
 
 from conftest import (
     axis_setup,
@@ -240,15 +239,14 @@ class TestInitModel:
     def test_same_seed_bit_identical(self):
         table = make_table(np.eye(4)[:, :3])
         space = make_space(2, 1)
-        cfg = TrainConfig()
-        a = init_model(cfg, table, space, d_f=4, seed=11)
-        b = init_model(cfg, table, space, d_f=4, seed=11)
+        a = init_model(table, space, 4, seed=11)
+        b = init_model(table, space, 4, seed=11)
         assert a.w1.tobytes() == b.w1.tobytes()
 
     def test_glorot_bound(self):
         table = make_table(np.eye(4))
         space = make_space(3, 1)
-        model = init_model(TrainConfig(), table, space, d_f=4, seed=0)
+        model = init_model(table, space, 4, seed=0)
         bound = np.sqrt(6.0 / (4 + 4))
         assert model.w1.shape == (4, 4)
         assert np.all(np.abs(model.w1) <= bound)
@@ -256,16 +254,25 @@ class TestInitModel:
     def test_different_seeds_differ(self):
         table = make_table(np.eye(4))
         space = make_space(3, 1)
-        a = init_model(TrainConfig(), table, space, d_f=4, seed=1)
-        b = init_model(TrainConfig(), table, space, d_f=4, seed=2)
+        a = init_model(table, space, 4, seed=1)
+        b = init_model(table, space, 4, seed=2)
         assert np.any(a.w1 != b.w1)
 
     def test_box_head_zero_initialized(self):
         table = make_table(np.eye(4))
         space = make_space(3, 1)
-        model = init_model(TrainConfig(), table, space, d_f=4, seed=0)
+        model = init_model(table, space, 4, seed=0)
         assert not model.box_w.any()
         assert not model.box_b.any()
+
+    def test_shuffled_table_gives_the_ordered_w2(self, rng):
+        table = make_table(rng.standard_normal((3, 4)))
+        space = make_space(3, 1)
+        ordered = init_model(table, space, 5)
+        shuffled = init_model(table.reorder(("c3", "c1", "c4", "c2")), space, 5)
+        assert shuffled.labels == ordered.labels == space.labels
+        assert shuffled.w2.tobytes() == ordered.w2.tobytes()
+        assert shuffled.col_norms.tobytes() == ordered.col_norms.tobytes()
 
     def test_w2_is_read_only(self):
         model, _, _ = axis_setup()
@@ -336,7 +343,7 @@ class TestCheckpoint:
         assert loaded.box_w.tobytes() == model.box_w.tobytes()
         assert loaded.box_b.tobytes() == model.box_b.tobytes()
         assert loaded.labels == model.labels
-        assert loaded.config == model.config
+        assert loaded.mode == model.mode
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -374,7 +381,7 @@ class TestCheckpoint:
     def reference_bytes(model):
         """The checkpoint as a ``json.dumps`` header line and the raw blocks."""
         head = {"d_f": model.d_f, "d": model.d, "S": model.n_seen, "U": model.n_unseen,
-                "labels": list(model.labels), "config": dataclasses.asdict(model.config)}
+                "labels": list(model.labels), "mode": model.mode}
         return checkpoint_bytes(
             head, {"W1": model.w1, "box_weights": model.box_w, "box_bias": model.box_b})
 
@@ -389,17 +396,16 @@ class TestCheckpoint:
         n_seen = data.draw(st.integers(0, len(labels)))
         d, d_f = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
         table = make_table(np.random.default_rng(d).standard_normal((d, len(labels))), labels)
-        config = TrainConfig(epochs=data.draw(st.integers(0, 3)), lr=1e-3, mode="seen_only")
         model = make_model(table, make_space(n_seen, len(labels) - n_seen, labels=labels),
-                           d_f=d_f, config=config)
+                           d_f=d_f, mode=data.draw(st.sampled_from(MODES)))
         model.box_w = data.draw(arrays(np.float64, model.box_w.shape, elements=st.floats(-9, 9)))
         model.box_b = data.draw(arrays(np.float64, model.box_b.shape, elements=st.floats(-9, 9)))
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
         save_checkpoint(model, path)
         assert path.read_bytes() == self.reference_bytes(model)
         loaded = load_checkpoint(path, table)
-        assert (loaded.labels, loaded.n_seen, loaded.config) == (
-            model.labels, model.n_seen, model.config)
+        assert (loaded.labels, loaded.n_seen, loaded.mode) == (
+            model.labels, model.n_seen, model.mode)
         for a, b in ((loaded.w1, model.w1), (loaded.box_w, model.box_w),
                      (loaded.box_b, model.box_b)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -416,7 +422,7 @@ class TestCheckpoint:
                          "--out", str(tmp_path / "ckpt.json"), "--epochs", "0"]) == 0
         path = tmp_path / "ckpt.json"
         model = load_checkpoint(path, load_word_vectors(tmp_path / "embeddings.txt"))
-        assert model.config.epochs == 0 and not model.box_w.any()
+        assert not model.box_w.any()
         assert path.read_bytes() == self.reference_bytes(model)
 
     def test_load_reorders_table_to_checkpoint_labels(self, tmp_path, rng):
@@ -434,7 +440,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         head, blocks = read_checkpoint(path)
-        assert set(head) == {"d_f", "d", "S", "U", "labels", "config"}
+        assert set(head) == {"d_f", "d", "S", "U", "labels", "mode"}
         assert head["S"] == space.S
         assert head["U"] == space.U
         assert list(blocks) == ["W1", "box_weights", "box_bias"]
@@ -443,10 +449,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda h, a: h.pop("config"),
+            lambda h, a: h.pop("mode"),
             lambda h, a: a.update(W1=a["W1"][:, :-1]),
             lambda h, a: h.update(labels="c1"),
-            lambda h, a: h.update(config={"no_such_field": 1}),
+            lambda h, a: h.update(no_such_field=1),
             lambda h, a: h.update(W1=np.eye(4).ravel().tolist()),
             lambda h, a: h.update(W1="not base64!"),
             lambda h, a: a.update(W1=np.zeros(15)),
@@ -456,11 +462,12 @@ class TestCheckpoint:
             lambda h, a: a.pop("box_bias"),
             lambda h, a: h.update(d_f=5),
             lambda h, a: h.update(S=1, U=2),
+            lambda h, a: h.update(mode="x"),
         ],
         ids=["missing_key", "w1_shape", "labels_type", "config_field",
              "w1_list", "w1_not_base64", "w1_byte_count",
              "w1_nan", "box_weights_inf", "box_bias_minus_inf",
-             "missing_block", "header_d_f", "header_s"],
+             "missing_block", "header_d_f", "header_s", "bad_mode"],
     )
     def test_malformed_payload_raises_parse_error(self, tmp_path, damage):
         model, table, _ = axis_setup()

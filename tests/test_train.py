@@ -614,7 +614,7 @@ class TestTrain:
         bundle, table, space = toy_bundle()
         cfg = self.config(epochs=0)
         model, history = train(bundle.train, table, space, cfg)
-        ref = init_model(cfg, table, space, d_f=bundle.train.d_f, seed=cfg.seed)
+        ref = init_model(table, space, bundle.train.d_f, cfg.seed, cfg.mode)
         assert history == []
         assert model.w1.tobytes() == ref.w1.tobytes()
         assert not model.box_w.any()
