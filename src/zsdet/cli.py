@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .audit import gradient_audit
-from .codec import encode_array
 from .data import (
     Dataset,
     SynthConfig,
@@ -126,7 +125,8 @@ def cmd_synth(args) -> int:
     save_meta_map(bundle.meta_map, out / "meta_map.csv")
     save_dataset(bundle.train, out / "train.jsonl")
     save_dataset(bundle.test, out / "test.jsonl")
-    oracle = {**bundle.oracle, "g_map": encode_array(bundle.oracle["g_map"])}
+    # the generator's feature map stays in memory: no stage reads it
+    oracle = {k: v for k, v in bundle.oracle.items() if k != "g_map"}
     with open(out / "oracle.json", "w", encoding="utf-8") as f:
         f.write(json.dumps(oracle) + "\n")
     outputs = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]
@@ -155,8 +155,10 @@ def cmd_train(args) -> int:
     seen, unseen = load_split(args.split)
     space = build_label_space(seen, unseen, load_meta_map(args.meta_map))
     _check_seen_and_unseen(space, "the split")
-    dataset = load_dataset(args.data)
     config = _config(TrainConfig, args)
+    # init_model reorders the table to the split; fail as it would, before loading
+    table.reorder(space.labels)
+    dataset = load_dataset(args.data)
     model, history = train(dataset, table, space, config)
     out = Path(args.out)
     save_checkpoint(model, out)
@@ -250,7 +252,7 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", required=True, help="trained checkpoint file")
     p.add_argument("--embeddings", required=True, help="word-vector text file")
     p.add_argument("--meta-map", required=True, help="class,meta CSV")
-    p.add_argument("--data", required=True, help="dataset JSON-lines file")
+    p.add_argument("--data", required=True, help="dataset file (as synth writes)")
     p.add_argument("--inference", choices=("san", "conse"), default="san",
                    help="direct unseen scoring (san) or ConSE projection")
     p.add_argument("--alpha", type=float, default=0.2,

@@ -1,57 +1,92 @@
-"""Encodings shared by the file formats: float64 array blocks and UTF-8 text.
+"""The one binary layout of checkpoints and datasets, and UTF-8 text reading.
 
-An array block is the base64 text of an array's little-endian float64 bytes
-in C order.  Dataset files store their per-image proposal features and boxes
-this way and the oracle record its feature map; the reader supplies the
-shape.  Checkpoints do not use it: they store raw float64 bytes after a JSON
-header line (see :func:`zsdet.model.save_checkpoint`).
+A binary file is one ASCII JSON header line, ``json.dumps`` of an object plus
+a newline (``json.dumps`` escapes every non-ASCII or control character, so
+the header holds no newline of its own), then raw float64 blocks: each
+array's little-endian bytes in C order, in a fixed order, with nothing
+between or after them.  The header says enough for the reader to know every
+block's shape, so the file holds no offsets, shapes or version field.
 """
 
 from __future__ import annotations
 
-import base64
+import json
 import math
 import os
-from typing import Iterator
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ParseError
 
 
-def encode_array(a: np.ndarray) -> str:
-    """Base64 text of ``a`` as little-endian float64 bytes in C order."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode("ascii")
+def write_blocks(path: str | os.PathLike, header: dict, arrays: Iterable[np.ndarray]) -> None:
+    """Write ``header`` as the header line, then each of ``arrays`` as a block
+    from its own buffer (a C-order little-endian float64 array is not copied).
 
-
-def decode_array(text, what: str, shape: tuple[int | None, ...],
-                 line: int | None = None) -> np.ndarray:
-    """Invert :func:`encode_array` into a new float64 array of ``shape``.
-
-    A leading ``None`` in ``shape`` is the row count, taken from the byte
-    count, which must then be a whole number of rows.  Anything else raises
-    :class:`ParseError` naming ``what`` (and ``line`` when given).
+    A header value that is an iterator is written as a JSON list one item at
+    a time, so that a long list (a dataset's images) is never encoded whole;
+    the line is ``json.dumps`` of the header with that list in its place.
     """
-    if not isinstance(text, str):
-        raise ParseError(f"{what} must be a base64 string", line)
+    with open(path, "wb") as f:
+        f.write(b"{")
+        for i, (key, value) in enumerate(header.items()):
+            f.write(f"{', ' if i else ''}{json.dumps(key)}: ".encode("ascii"))
+            if isinstance(value, Iterator):
+                f.write(b"[")
+                for j, item in enumerate(value):
+                    f.write(f"{', ' if j else ''}{json.dumps(item)}".encode("ascii"))
+                f.write(b"]")
+            else:
+                f.write(json.dumps(value).encode("ascii"))
+        f.write(b"}\n")
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8"))
+
+
+def read_header(f: BinaryIO, what: str) -> dict:
+    """The JSON object on the first line of ``f``, leaving ``f`` at the first
+    block.  A missing newline, invalid JSON or a header that is not an object
+    raises :class:`ParseError` naming ``what``."""
+    line = f.readline()
+    if not line.endswith(b"\n"):
+        raise ParseError(f"{what} has no header line (no newline)")
     try:
-        raw = base64.b64decode(text, validate=True)
+        head = json.loads(line)
     except ValueError as exc:
-        raise ParseError(f"{what} is not valid base64: {exc}", line)
-    if shape[0] is None:
-        row = 8 * math.prod(shape[1:])
-        if len(raw) % row:
-            raise ParseError(
-                f"{what} holds {len(raw)} bytes, not a whole number of "
-                f"{row}-byte rows of {shape[1:]}", line
-            )
-        shape = (len(raw) // row, *shape[1:])
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
+        raise ParseError(f"invalid {what} header JSON: {exc}")
+    if not isinstance(head, dict):
+        raise ParseError(f"{what} header must be a JSON object")
+    return head
+
+
+def read_blocks(f: BinaryIO, what: str,
+                shapes: Mapping[str, tuple[int, ...]]) -> list[np.ndarray]:
+    """The rest of ``f`` as one new, aligned and writable float64 array per
+    entry of ``shapes`` (block name to shape), in order.
+
+    The bytes are read straight into the arrays.  A remainder that is not
+    exactly the blocks' size (truncated or trailing bytes) raises
+    :class:`ParseError` naming ``what`` and every block's shape; so do a
+    shape numpy cannot make and a file that changes while it is read.
+    """
+    expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+    held = os.fstat(f.fileno()).st_size - f.tell()
+    if held != expected:
         raise ParseError(
-            f"{what} holds {len(raw)} bytes, expected {expected} for shape {shape}", line
+            f"{what} holds {held} bytes after its header, expected {expected} for "
+            f"{', '.join(f'{k} {shape}' for k, shape in shapes.items())}"
         )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    out = []
+    for key, shape in shapes.items():
+        try:
+            a = np.empty(shape, dtype="<f8")
+        except ValueError as exc:  # an empty block with a dimension numpy cannot index
+            raise ParseError(f"{what} {key} block cannot have shape {shape}: {exc}")
+        if f.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
+            raise ParseError(f"{what} ended inside its {key} block")
+        out.append(a.astype(np.float64, copy=False))
+    return out
 
 
 def _utf8(raw: bytes, path: str | os.PathLike, line: int | None = None) -> str:

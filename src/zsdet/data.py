@@ -8,14 +8,13 @@ same-meta seen classes.  Ground-truth boxes live on a 3x3 grid; each
 positive proposal is its object's cell under a bounded random translation,
 and the remaining proposals are background (noise features, random boxes).
 
-Dataset files are JSON-lines: a header ``{"d_f": ..., "labels": [...]}``
-followed by one image per line.  Proposals are stored unlabeled; training
-assigns labels by IoU against the ground truths.  An image record holds its
-proposals as two array blocks (see :mod:`zsdet.codec`): ``features``, the
-``(P, d_f)`` matrix, and ``boxes``, the ``(P, 4)`` matrix.  The reader also
-takes the list form ``"proposals": [{"feature": [...], "box": [...]}, ...]``
-that hand-written and external files use.  In memory an image keeps both
-matrices, as :class:`Proposals`, until they are scored or trained on.
+A dataset file is in the binary layout of :mod:`zsdet.codec`: a JSON header
+line with ``d_f``, the labels and each image's id, proposal count and
+ground truths, then one block of every proposal feature and one of every
+proposal box (:func:`save_dataset`).  Proposals are stored unlabeled;
+training assigns labels by IoU against the ground truths.  In memory an
+image keeps its rows of both blocks, as :class:`Proposals`, until they are
+scored or trained on.
 """
 
 from __future__ import annotations
@@ -24,20 +23,16 @@ import json
 import math
 import os
 import warnings
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import decode_array, encode_array, read_utf8, utf8_lines
-from .errors import (
-    ConfigError,
-    CoverageError,
-    DimensionMismatchError,
-    ParseError,
-    check_seed,
-)
+from .codec import read_blocks, read_header, read_utf8, write_blocks
+from .errors import ConfigError, CoverageError, ParseError, check_seed
 from .semantics import EmbeddingTable, LabelSpace, _readonly
 
 CANVAS = 256.0
@@ -306,148 +301,125 @@ def propose_split(
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
-    """Write the JSON-lines dataset format (header line, then one image/line).
+    """Write ``dataset`` in the layout of :mod:`zsdet.codec`.
 
-    Each image's proposals go out as the ``features`` and ``boxes`` array
-    blocks; its few ground truths stay a list of ``{label, box}``.
+    The header holds ``d_f``, ``labels`` and, per image, ``image_id``, its
+    proposal count ``proposals`` and its ground truths ``gts`` as a list of
+    ``{label, box}``.  Two blocks follow: every image's proposal features,
+    ``(ΣP, d_f)``, then every image's proposal boxes, ``(ΣP, 4)``, images in
+    order.  The images' records are encoded one at a time, and their arrays
+    written from their own buffers.
     """
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"d_f": dataset.d_f, "labels": list(dataset.labels)}) + "\n")
-        for img in dataset.images:
-            rec = {
-                "image_id": img.image_id,
-                "features": encode_array(img.proposals.features),
-                "boxes": encode_array(img.proposals.boxes),
-                "gts": [
-                    {"label": label, "box": [float(v) for v in box]}
-                    for label, box in zip(img.gt_labels, img.gt_boxes)
-                ],
-            }
-            f.write(json.dumps(rec) + "\n")
+    head = {"d_f": dataset.d_f, "labels": list(dataset.labels), "images": (
+        {"image_id": img.image_id, "proposals": len(img.proposals), "gts": [
+            {"label": label, "box": box}
+            for label, box in zip(img.gt_labels, img.gt_boxes.tolist())
+        ]}
+        for img in dataset.images
+    )}
+    write_blocks(path, head, chain((img.proposals.features for img in dataset.images),
+                                   (img.proposals.boxes for img in dataset.images)))
 
 
-def _require(rec: Mapping, key: str, lineno: int, kind: type = object):
+def _require(rec, key: str, where: str, kind: type = object, line: int | None = None):
     if not isinstance(rec, dict) or key not in rec:
-        raise ParseError(f"missing field {key!r}", lineno)
+        raise ParseError(f"{where}missing field {key!r}", line)
     if not isinstance(rec[key], kind):
-        raise ParseError(f"field {key!r} must be a {kind.__name__}", lineno)
+        raise ParseError(f"{where}field {key!r} must be a {kind.__name__}", line)
     return rec[key]
 
 
-def _finite(rows: np.ndarray, what: str, lineno: int) -> np.ndarray:
+def _fault(rows: np.ndarray, boxes: bool) -> tuple[int, str] | None:
+    """``(row, fault)`` for the first of ``rows`` that holds a non-finite value
+    or, for ``boxes``, lacks ``x1 < x2`` and ``y1 < y2``; else ``None``."""
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        raise ParseError(f"{what} {int(np.argmin(finite))} has a non-finite value", lineno)
-    return rows
+        return int(np.argmin(finite)), "has a non-finite value"
+    if boxes:
+        ordered = (rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3])
+        if not ordered.all():
+            return int(np.argmin(ordered)), "must have x1 < x2 and y1 < y2"
+    return None
 
 
-def _ordered(boxes: np.ndarray, what: str, lineno: int) -> np.ndarray:
-    ordered = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
-    if not ordered.all():
-        raise ParseError(
-            f"{what} {int(np.argmin(ordered))} must have x1 < x2 and y1 < y2", lineno
-        )
-    return boxes
+def _gt_boxes(gts: list, where: str) -> np.ndarray:
+    """The ``box`` of each ground truth as one checked ``(G, 4)`` array.
 
-
-def _rows(records: list, key: str, width: int, what: str, lineno: int,
-          error=ParseError) -> np.ndarray:
-    """Field ``key`` of each record as one finite ``(n, width)`` float64 array.
-
-    Converted in one call per image; only a malformed image is walked row by
-    row, to name the offending entry.
+    Converted in one call; only a malformed list is walked row by row, to
+    name the offending entry.
     """
-    values = [_require(r, key, lineno) for r in records]
+    values = [_require(g, "box", where) for g in gts]
     if not values:
-        return np.empty((0, width))
+        return np.empty((0, 4))
     try:
         rows = np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         rows = None
-    if rows is None or rows.shape != (len(values), width):
+    if rows is None or rows.shape != (len(values), 4):
         for i, value in enumerate(values):
             try:
                 row = np.asarray(value, dtype=np.float64)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"{what} {i} must be numbers: {exc}", lineno)
-            if row.shape != (width,):
-                raise error(f"{what} {i} has shape {row.shape}, expected ({width},)", lineno)
-        raise ParseError(f"each {what} must be a list of {width} numbers", lineno)
-    return _finite(rows, what, lineno)
-
-
-def _boxes(records, what: str, lineno: int) -> np.ndarray:
-    """The ``box`` field of each record: finite and ordered, ``x1 < x2``, ``y1 < y2``."""
-    return _ordered(_rows(records, "box", 4, what, lineno), what, lineno)
-
-
-def _header(line: str) -> tuple[int, tuple[str, ...]]:
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad header: {exc}", 1)
-    d_f = _require(header, "d_f", 1)
-    labels = _require(header, "labels", 1)
-    if isinstance(d_f, bool) or not isinstance(d_f, int) or d_f < 1:
-        raise ParseError(f"header d_f must be a positive integer, got {d_f!r}", 1)
-    if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
-        raise ParseError("header labels must be a list of strings", 1)
-    return d_f, tuple(labels)
-
-
-def _proposal_arrays(rec: dict, d_f: int, lineno: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(features (P, d_f), boxes (P, 4))`` of an image record, in either form."""
-    if "features" not in rec and "boxes" not in rec:
-        props = _require(rec, "proposals", lineno, list)
-        features = _rows(props, "feature", d_f, "proposal feature", lineno,
-                         DimensionMismatchError)
-        return features, _boxes(props, "proposal box", lineno)
-    if "proposals" in rec:
-        raise ParseError("record has both 'proposals' and 'features'/'boxes'", lineno)
-    features = decode_array(_require(rec, "features", lineno), "features", (None, d_f),
-                            lineno)
-    features = _finite(features, "proposal feature", lineno)
-    boxes = decode_array(_require(rec, "boxes", lineno), "boxes", (len(features), 4),
-                         lineno)
-    return features, _ordered(_finite(boxes, "proposal box", lineno), "proposal box", lineno)
+                raise ParseError(f"{where}ground-truth box {i} must be numbers: {exc}")
+            if row.shape != (4,):
+                raise ParseError(f"{where}ground-truth box {i} has shape {row.shape}, "
+                                 "expected (4,)")
+        raise ParseError(f"{where}each ground-truth box must be a list of 4 numbers")
+    fault = _fault(rows, boxes=True)
+    if fault:
+        raise ParseError(f"{where}ground-truth box {fault[0]} {fault[1]}")
+    return rows
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
-    """Round-trip reader for :func:`save_dataset`; also reads the list form.
+    """Read a file that :func:`save_dataset` wrote; the file is read once.
 
-    Rejects, with the line number, a header whose ``d_f`` is not a positive
-    integer or whose ``labels`` are not strings, a record with both proposal
-    forms, an array block of the wrong size, a feature of the wrong length,
-    any non-finite feature value, any box that is not 4 finite numbers with
-    ``x1 < x2`` and ``y1 < y2``, and a repeated ``image_id``.
+    Each image's :class:`Proposals` are row slices of the file's two blocks.
+    Raises :class:`ParseError` for a header whose ``d_f`` is not a positive
+    integer or whose ``labels`` are not strings, a proposal count that is not
+    a non-negative integer, a file whose length is not the header plus
+    exactly the two blocks, a non-finite feature value, a box that is not 4
+    finite numbers with ``x1 < x2`` and ``y1 < y2``, and a repeated
+    ``image_id``.  An error in one image's data names the image by index and id.
     """
-    lines = utf8_lines(path)
-    _, header_line = next(lines, (1, ""))
-    d_f, labels = _header(header_line)
-    images: list[ImageRecord] = []
-    first_line: dict[str, int] = {}
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad image record: {exc}", lineno)
-        if not isinstance(rec, dict):
-            raise ParseError("image record must be a JSON object", lineno)
-        proposals = Proposals(*_proposal_arrays(rec, d_f, lineno))
-        annotations = _require(rec, "gts", lineno, list)
-        gt_boxes = _boxes(annotations, "ground-truth box", lineno)
-        gt_labels = tuple(str(_require(g, "label", lineno)) for g in annotations)
-        image_id = str(_require(rec, "image_id", lineno))
-        if image_id in first_line:
-            raise ParseError(
-                f"image_id {image_id!r} repeats the image on line {first_line[image_id]}",
-                lineno,
-            )
-        first_line[image_id] = lineno
-        images.append(ImageRecord(image_id, proposals, gt_labels, gt_boxes))
-    return Dataset(d_f=d_f, labels=labels, images=images)
+    with open(path, "rb") as f:
+        head = read_header(f, "dataset")
+        d_f = _require(head, "d_f", "", line=1)
+        labels = _require(head, "labels", "", line=1)
+        if isinstance(d_f, bool) or not isinstance(d_f, int) or d_f < 1:
+            raise ParseError(f"header d_f must be a positive integer, got {d_f!r}", 1)
+        if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
+            raise ParseError("header labels must be a list of strings", 1)
+        index: dict[str, int] = {}  # image id to its index, in file order
+        counts, annotations = [], []
+        for k, rec in enumerate(_require(head, "images", "", list, line=1)):
+            image_id = str(_require(rec, "image_id", f"image {k}: "))
+            where = f"image {k} ({image_id!r}): "
+            if image_id in index:
+                raise ParseError(f"{where}repeats the id of image {index[image_id]}")
+            index[image_id] = k
+            count = _require(rec, "proposals", where, int)
+            if isinstance(count, bool) or count < 0:
+                raise ParseError(f"{where}proposal count must be a non-negative integer, "
+                                 f"got {count!r}")
+            gts = _require(rec, "gts", where, list)
+            gt_boxes = _gt_boxes(gts, where)
+            counts.append(count)
+            annotations.append((tuple(str(_require(g, "label", where)) for g in gts),
+                                gt_boxes))
+        image_ids, bounds = list(index), [0, *accumulate(counts)]
+        features, boxes = read_blocks(f, "dataset", {"features": (bounds[-1], d_f),
+                                                     "boxes": (bounds[-1], 4)})
+    for what, rows, is_box in (("proposal feature", features, False),
+                               ("proposal box", boxes, True)):
+        fault = _fault(rows, is_box)
+        if fault:
+            row, text = fault
+            k = bisect_right(bounds, row) - 1
+            raise ParseError(f"image {k} ({image_ids[k]!r}): {what} {row - bounds[k]} {text}")
+    images = [ImageRecord(image_id, Proposals(features[a:b], boxes[a:b]), *gts)
+              for image_id, a, b, gts in zip(image_ids, bounds, bounds[1:], annotations)]
+    return Dataset(d_f=d_f, labels=tuple(labels), images=images)
 
 
 def save_split(

@@ -65,15 +65,21 @@ class DetectionReport:
 
 def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of the boxes in ``a[..., :4]`` with those in ``b[..., :4]``, under
-    broadcasting.  No overlap, a degenerate box or a zero union gives 0."""
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = iw * ih
-    union = (
-        (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-        + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-        - inter
-    )
+    broadcasting.  No overlap, a degenerate box or a zero union gives 0.
+
+    Sides and areas past the float range (coordinates beyond about 1e154)
+    overflow to inf without a warning, and the IoU is then IEEE's: 0 when
+    only the union is infinite, NaN when the intersection is too.  NMS counts
+    a NaN IoU as an overlap, and AP matching as a miss."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = iw * ih
+        union = (
+            (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+            + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+            - inter
+        )
     zero = (iw <= 0.0) | (ih <= 0.0) | (union <= 0.0)
     return np.divide(inter, union, out=np.zeros_like(inter), where=~zero)
 

@@ -12,14 +12,14 @@ W2 is frozen: its array is read-only and training never writes to it.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError, ParseError, ShapeError
+from .codec import read_blocks, read_header, write_blocks
+from .errors import ConfigError, NormalizationError, ParseError, ShapeError
 from .semantics import EmbeddingTable, LabelSpace
 
 # Training modes: ``full`` ranks every class, ``seen_only`` the seen ones.
@@ -98,8 +98,11 @@ def init_model(
     """Fresh model: Glorot-uniform W1, zero box head, W2 frozen from the table.
 
     The table may be in any order: it is reordered to ``space``'s class ids.
-    Bit-reproducible for a given seed.
+    Bit-reproducible for a given seed.  A ``mode`` outside :data:`MODES`
+    raises :class:`ConfigError`.
     """
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     rng = np.random.default_rng(seed)
     a = np.sqrt(6.0 / (d_f + table.d))
     w1 = rng.uniform(-a, a, size=(d_f, table.d))
@@ -201,38 +204,16 @@ def decode_boxes(anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 def save_checkpoint(model: Model, path: str | os.PathLike) -> None:
     """Serialize the trainable state (W2 is rebuilt from embeddings).
 
-    The file is one ASCII JSON header line, ``json.dumps`` of ``d_f, d, S,
-    U, labels, mode`` plus a newline, then the little-endian float64
-    bytes in C order of ``W1``, ``box_weights`` and ``box_bias``, in that
-    order and with nothing between or after them.
+    The file is in the layout of :mod:`zsdet.codec`: a header line holding
+    ``d_f, d, S, U, labels, mode``, then the blocks ``W1``, ``box_weights``
+    and ``box_bias``, in that order.
     """
     head = {"d_f": model.d_f, "d": model.d, "S": model.n_seen, "U": model.n_unseen,
             "labels": list(model.labels), "mode": model.mode}
-    with open(path, "wb") as f:
-        f.write((json.dumps(head) + "\n").encode("ascii"))
-        for a in (model.w1, model.box_w, model.box_b):
-            f.write(np.ascontiguousarray(a, dtype="<f8"))
+    write_blocks(path, head, (model.w1, model.box_w, model.box_b))
 
 
 _HEADER_KEYS = ("d_f", "d", "S", "U", "labels", "mode")
-# The array blocks in file order; their shapes follow from d_f, d and S.
-_BLOCKS = ("W1", "box_weights", "box_bias")
-
-
-def _read_blocks(raw: bytes, offset: int, shapes: tuple[tuple[int, ...], ...]):
-    """Each array block of ``raw`` from ``offset`` on, as a new aligned and
-    writable float64 array; a non-finite entry raises :class:`ParseError`
-    naming its array and index."""
-    for key, shape in zip(_BLOCKS, shapes):
-        n = math.prod(shape)
-        a = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
-        a = a.astype(np.float64)
-        finite = np.isfinite(a)
-        if not finite.all():
-            at = np.unravel_index(np.argmin(finite), a.shape)
-            raise ParseError(f"checkpoint {key} has a non-finite value at {tuple(map(int, at))}")
-        offset += 8 * n
-        yield a
 
 
 def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
@@ -246,42 +227,33 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
     non-finite value, raises :class:`ParseError`.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    end = raw.find(b"\n")
-    if end < 0:
-        raise ParseError("checkpoint has no header line (no newline)")
-    try:
-        head = json.loads(raw[:end])
-    except ValueError as exc:
-        raise ParseError(f"invalid checkpoint header JSON: {exc}")
-    if not isinstance(head, dict):
-        raise ParseError("checkpoint header must be a JSON object")
-    if set(head) != set(_HEADER_KEYS):
-        raise ParseError(
-            f"checkpoint header has keys {', '.join(head) or 'none'}, expected "
-            f"{', '.join(_HEADER_KEYS)}; re-run `zsdet train` to write a current checkpoint"
-        )
-    labels, d_f, d, s = head["labels"], head["d_f"], head["d"], head["S"]
-    if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)
-            and isinstance(s, int) and 0 <= s <= len(labels)
-            and head["U"] == len(labels) - s):
-        raise ParseError(
-            "checkpoint labels must be a list of names, S a count within it and U the rest"
-        )
-    if not (isinstance(d_f, int) and d_f > 0 and isinstance(d, int) and d > 0):
-        raise ParseError("checkpoint d_f and d must be positive integers")
-    if head["mode"] not in MODES:
-        raise ParseError(f"checkpoint mode must be one of {MODES}, got {head['mode']!r}")
-    shapes = ((d_f, d), (d_f, 4 * s), (4 * s,))
-    expected = 8 * sum(math.prod(shape) for shape in shapes)
-    if len(raw) - (end + 1) != expected:
-        raise ParseError(
-            f"checkpoint holds {len(raw) - (end + 1)} bytes after its header, expected "
-            f"{expected} for {', '.join(f'{k} {sh}' for k, sh in zip(_BLOCKS, shapes))}"
-        )
+        head = read_header(f, "checkpoint")
+        if set(head) != set(_HEADER_KEYS):
+            raise ParseError(
+                f"checkpoint header has keys {', '.join(head) or 'none'}, expected "
+                f"{', '.join(_HEADER_KEYS)}; re-run `zsdet train` to write a current checkpoint"
+            )
+        labels, d_f, d, s = head["labels"], head["d_f"], head["d"], head["S"]
+        if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)
+                and isinstance(s, int) and 0 <= s <= len(labels)
+                and head["U"] == len(labels) - s):
+            raise ParseError(
+                "checkpoint labels must be a list of names, S a count within it and U the rest"
+            )
+        if not (isinstance(d_f, int) and d_f > 0 and isinstance(d, int) and d > 0):
+            raise ParseError("checkpoint d_f and d must be positive integers")
+        if head["mode"] not in MODES:
+            raise ParseError(f"checkpoint mode must be one of {MODES}, got {head['mode']!r}")
+        shapes = {"W1": (d_f, d), "box_weights": (d_f, 4 * s), "box_bias": (4 * s,)}
+        arrays = read_blocks(f, "checkpoint", shapes)
     if table.d != d:
         raise ShapeError(f"table dimensionality {table.d} != checkpoint d {d}")
-    return _build(table, labels, s, *_read_blocks(raw, end + 1, shapes), head["mode"])
+    for key, a in zip(shapes, arrays):
+        finite = np.isfinite(a)
+        if not finite.all():
+            at = np.unravel_index(np.argmin(finite), a.shape)
+            raise ParseError(f"checkpoint {key} has a non-finite value at {tuple(map(int, at))}")
+    return _build(table, labels, s, *arrays, head["mode"])
 
 
 def modified_embeddings(model: Model) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared builders for small hand-constructed instances."""
 
+import base64
 import importlib
 import json
 import math
@@ -13,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zsdet.codec import decode_array
 from zsdet.evaluation import average_precision
 from zsdet.infer import Detections
 from zsdet.loss import LossBreakdown, _class_terms
@@ -56,14 +56,30 @@ def axis_setup(n_seen=2, n_unseen=1, d=4):
     return model, table, space
 
 
-def to_list_form(rec, d_f):
-    """A dataset image record with its array blocks rewritten as a
-    ``proposals`` list."""
-    features = decode_array(rec.pop("features"), "features", (None, d_f))
-    boxes = decode_array(rec.pop("boxes"), "boxes", (None, 4))
-    rec["proposals"] = [{"feature": f.tolist(), "box": b.tolist()}
-                        for f, b in zip(features, boxes)]
-    return rec
+def block_file_bytes(head, arrays):
+    """A file in the checkpoint and dataset layout: ``json.dumps(head)`` and a
+    newline, then the little-endian float64 bytes of each of ``arrays``."""
+    blocks = (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    return (json.dumps(head) + "\n").encode("ascii") + b"".join(blocks)
+
+
+def read_dataset(path):
+    """A dataset file as ``(header, features, boxes)``: the JSON object on its
+    first line, and its two raw blocks, ``(ΣP, d_f)`` and ``(ΣP, 4)``.  The
+    blocks must end the file."""
+    raw = Path(path).read_bytes()
+    end = raw.index(b"\n")
+    head = json.loads(raw[:end].decode("ascii"))
+    rows = sum(image["proposals"] for image in head["images"])
+    blocks = np.frombuffer(raw, dtype="<f8", offset=end + 1)
+    assert blocks.size == rows * (head["d_f"] + 4), "the blocks do not end the file"
+    split = rows * head["d_f"]
+    return head, blocks[:split].reshape(rows, -1).copy(), blocks[split:].reshape(rows, 4).copy()
+
+
+def write_dataset(path, head, features, boxes):
+    """Invert :func:`read_dataset` (a test may make the parts disagree)."""
+    Path(path).write_bytes(block_file_bytes(head, (features, boxes)))
 
 
 CHECKPOINT_BLOCKS = ("W1", "box_weights", "box_bias")
@@ -86,16 +102,15 @@ def read_checkpoint(path):
     return head, arrays
 
 
-def checkpoint_bytes(head, arrays):
-    """Invert :func:`read_checkpoint`: ``json.dumps(head)`` and a newline,
-    then the little-endian float64 bytes of each array of ``arrays`` in its
-    order (a test may drop or reshape one)."""
-    blocks = (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays.values())
-    return (json.dumps(head) + "\n").encode("ascii") + b"".join(blocks)
-
-
 def write_checkpoint(path, head, arrays):
-    Path(path).write_bytes(checkpoint_bytes(head, arrays))
+    """Invert :func:`read_checkpoint` (a test may drop or reshape an array)."""
+    Path(path).write_bytes(block_file_bytes(head, arrays.values()))
+
+
+def base64_array(a):
+    """Base64 text of ``a``'s little-endian float64 bytes in C order: how
+    checkpoints stored arrays before raw blocks."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8")).decode("ascii")
 
 
 def legacy_checkpoint_bytes(head, arrays, encode):

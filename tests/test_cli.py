@@ -12,7 +12,6 @@ import pytest
 
 import zsdet
 from zsdet.cli import build_parser, main
-from zsdet.codec import decode_array, encode_array
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.model import load_checkpoint, save_checkpoint
 from zsdet.semantics import load_word_vectors
@@ -20,10 +19,12 @@ from zsdet.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FG_IOU
 
 from conftest import (
     adam_cpus,
+    base64_array,
     legacy_checkpoint_bytes,
     read_checkpoint,
-    to_list_form,
+    read_dataset,
     write_checkpoint,
+    write_dataset,
 )
 
 SYNTH_FILES = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]
@@ -113,14 +114,14 @@ class TestSynthCommand:
             n: (tmp_path / n).stat().st_size for n in ("ckpt.json", "ckpt.loss.csv")
         }
 
-    def test_oracle_g_map_is_an_array_block(self, tmp_path):
+    def test_oracle_holds_no_g_map(self, tmp_path):
         out = synth(tmp_path)
         oracle = json.loads((out / "oracle.json").read_text())
         bundle = generate_synthetic(SynthConfig(
             s=6, u=2, m=2, d=6, d_f=6, images=12, test_images=6, proposals_per_image=8,
         ))
-        assert oracle["g_map"] == encode_array(bundle.oracle["g_map"])
-        assert {**oracle, "g_map": None} == {**bundle.oracle, "g_map": None}
+        assert "g_map" in bundle.oracle
+        assert oracle == {k: v for k, v in bundle.oracle.items() if k != "g_map"}
 
 
 class TestSplitCommand:
@@ -386,7 +387,7 @@ class TestExitCodes:
         elif damage == "list_w1":  # the format before base64 arrays
             ckpt.write_bytes(legacy_checkpoint_bytes(head, blocks, lambda a: a.ravel().tolist()))
         elif damage == "base64_w1":  # the format before raw array blocks
-            ckpt.write_bytes(legacy_checkpoint_bytes(head, blocks, encode_array))
+            ckpt.write_bytes(legacy_checkpoint_bytes(head, blocks, base64_array))
         elif damage == "no_newline":
             ckpt.write_bytes(raw[: raw.index(b"\n")])
         elif damage == "header_list":
@@ -440,62 +441,61 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("damage", [
-        "box_3_numbers", "nan_feature", "box_flipped",  # list form
-        "b64_not_base64", "b64_features_not_whole_rows", "b64_boxes_rows_mismatch",
-        "b64_nan_feature", "b64_box_flipped", "both_forms",
+        "box_3_numbers", "nan_feature", "box_flipped", "gt_box_flipped", "nan_in_last_image",
+        "header_not_json", "trailing_bytes", "truncated", "count_too_large",
     ])
     def test_bad_dataset_record_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        lines = (data / "test.jsonl").read_text().splitlines()
-        d_f = json.loads(lines[0])["d_f"]
-        rec = json.loads(lines[1])
-        features = decode_array(rec["features"], "features", (None, d_f))
-        boxes = decode_array(rec["boxes"], "boxes", (None, 4))
-        if not damage.startswith(("b64_", "both_")):
-            rec = to_list_form(rec, d_f)
-        if damage == "box_3_numbers":
-            rec["proposals"][0]["box"] = rec["proposals"][0]["box"][:3]
-        elif damage == "box_flipped":
-            x1, y1, x2, y2 = rec["proposals"][0]["box"]
-            rec["proposals"][0]["box"] = [x2, y1, x1, y2]
-        elif damage == "nan_feature":
-            rec["proposals"][0]["feature"][0] = float("nan")
-        elif damage == "b64_not_base64":
-            rec["features"] = "!" + rec["features"][1:]
-        elif damage == "b64_features_not_whole_rows":
-            rec["features"] = encode_array(np.append(features.ravel(), 1.0))
-        elif damage == "b64_boxes_rows_mismatch":
-            rec["boxes"] = encode_array(boxes[1:])
-        elif damage == "b64_nan_feature":
-            features[0, 0] = np.nan
-            rec["features"] = encode_array(features)
-        elif damage == "b64_box_flipped":
-            boxes[0, [0, 2]] = boxes[0, [2, 0]]
-            rec["boxes"] = encode_array(boxes)
-        else:
-            rec["proposals"] = to_list_form(dict(rec), d_f)["proposals"]
-        lines[1] = json.dumps(rec)
+        head, features, boxes = read_dataset(data / "test.jsonl")
+        image = head["images"][0]
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        named = "image 0 ('test0000'): "
+        if damage == "box_3_numbers":
+            image["gts"][0]["box"] = image["gts"][0]["box"][:3]
+        elif damage == "gt_box_flipped":
+            x1, y1, x2, y2 = image["gts"][0]["box"]
+            image["gts"][0]["box"] = [x2, y1, x1, y2]
+        elif damage == "box_flipped":
+            boxes[0, [0, 2]] = boxes[0, [2, 0]]
+        elif damage == "nan_feature":
+            features[0, 0] = np.nan
+        elif damage == "nan_in_last_image":
+            features[-1, -1] = np.nan
+            named = f"image {len(head['images']) - 1} ('{head['images'][-1]['image_id']}'): "
+        elif damage == "count_too_large":
+            image["proposals"] += 1
+            named = "dataset holds "
+        write_dataset(bad, head, features, boxes)
+        if damage == "header_not_json":
+            bad.write_bytes(b"{" + bad.read_bytes())
+            named = "invalid dataset header JSON: "
+        elif damage == "trailing_bytes":
+            bad.write_bytes(bad.read_bytes() + b"\0")
+            named = "dataset holds "
+        elif damage == "truncated":
+            bad.write_bytes(bad.read_bytes()[:-8])
+            named = "dataset holds "
         capsys.readouterr()
         assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", bad,
                    "--out", tmp_path / "dets.jsonl") == 2
-        assert capsys.readouterr().err.startswith("error: line 2: ")
+        assert capsys.readouterr().err.startswith("error: " + named)
 
     def test_repeated_image_id_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        lines = (data / "test.jsonl").read_text().splitlines()
-        lines.append(lines[1])
+        head, features, boxes = read_dataset(data / "test.jsonl")
+        head["images"].append(head["images"][1])
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        write_dataset(bad, head, np.concatenate([features, features[8:16]]),
+                      np.concatenate([boxes, boxes[8:16]]))
         capsys.readouterr()
         assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", bad,
                    "--out", tmp_path / "dets.jsonl") == 2
-        assert capsys.readouterr().err.startswith(f"error: line {len(lines)}: ")
+        assert capsys.readouterr().err == (f"error: image {len(head['images']) - 1} "
+                                           "('test0001'): repeats the id of image 1\n")
 
     @pytest.mark.parametrize("name", ["embeddings.txt", "meta_map.csv", "oracle.json",
                                       "train.jsonl"],
@@ -503,14 +503,19 @@ class TestExitCodes:
     def test_non_utf8_input_exits_2(self, tmp_path, capsys, name):
         data = synth(tmp_path)
         path = data / name
-        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        if name == "train.jsonl":  # the dataset's text is its header line
+            path.write_bytes(path.read_bytes().replace(b'"class001"', b'"class\xff\xfe001"', 1))
+            expected = "invalid dataset header JSON: 'utf-8' codec can't decode byte 0xff"
+        else:
+            path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+            expected = "is not UTF-8 text"
         capsys.readouterr()
         assert run("train", "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--split", data / "oracle.json",
                    "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "is not UTF-8 text" in err
+        assert expected in err
 
     @pytest.mark.parametrize("inference", ["san", "conse"])
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -571,8 +576,9 @@ class TestExitCodes:
     def test_imageless_predict_checks_route_knobs(self, tmp_path, capsys, knob):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
+        head, features, boxes = read_dataset(data / "test.jsonl")
         header_only = tmp_path / "header.jsonl"
-        header_only.write_text((data / "test.jsonl").read_text().splitlines()[0] + "\n")
+        write_dataset(header_only, head | {"images": []}, features[:0], boxes[:0])
         capsys.readouterr()
         assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", header_only, *knob,
@@ -603,11 +609,10 @@ class TestExitCodes:
     def test_eval_label_outside_label_space_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        lines = (data / "test.jsonl").read_text().splitlines()
-        rec = json.loads(lines[3])
+        head, features, boxes = read_dataset(data / "test.jsonl")
+        rec = head["images"][2]
         rec["gts"][-1]["label"] = "no_such_class"
-        lines[3] = json.dumps(rec)
-        (data / "test.jsonl").write_text("\n".join(lines) + "\n")
+        write_dataset(data / "test.jsonl", head, features, boxes)
         capsys.readouterr()
         assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
@@ -660,6 +665,30 @@ class TestExitCodes:
             "error: the split needs at least one seen and one unseen class, "
             "got 8 seen and 0 unseen\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "split.txt"]
+
+    @pytest.mark.parametrize("knob, message", [
+        (("--lr", "nan"), "lr must be a positive finite number, got nan"),
+        (("--lambda", "2"), "lambda must be in [0, 1], got 2.0"),
+        (("--epochs", "-1"), "epochs must be >= 0"),
+        ((), "labels absent from embedding table: ['class001']"),
+    ], ids=["lr", "lambda", "epochs", "table"])
+    def test_bad_train_setting_or_table_exits_2_before_loading(
+            self, tmp_path, capsys, monkeypatch, knob, message):
+        data = synth(tmp_path)
+        if not knob:  # word vectors that lack a split label
+            lines = (data / "embeddings.txt").read_text().splitlines(keepends=True)
+            (data / "embeddings.txt").write_text("".join(lines[1:]))
+
+        def never(*args):
+            raise AssertionError("loaded the training set")
+
+        monkeypatch.setattr("zsdet.cli.load_dataset", never)
+        capsys.readouterr()
+        assert run("train", "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--split", data / "oracle.json",
+                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json", *knob) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("make", ["seen_all_checkpoint", "unseen_all_checkpoint"])
     @pytest.mark.parametrize("inference", ["san", "conse"])
@@ -734,15 +763,9 @@ class TestExitCodes:
     def test_conse_k_out_of_range_exits_2_on_all_zero_features(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        lines = (data / "test.jsonl").read_text().splitlines()
-        d_f = json.loads(lines[0])["d_f"]
-        for i in range(1, len(lines)):
-            rec = to_list_form(json.loads(lines[i]), d_f)
-            for p in rec["proposals"]:
-                p["feature"] = [0.0] * len(p["feature"])
-            lines[i] = json.dumps(rec)
+        head, features, boxes = read_dataset(data / "test.jsonl")
         zeros = tmp_path / "zeros.jsonl"
-        zeros.write_text("\n".join(lines) + "\n")
+        write_dataset(zeros, head, np.zeros_like(features), boxes)
         capsys.readouterr()
         assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", zeros,

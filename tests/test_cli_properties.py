@@ -199,6 +199,7 @@ SOURCES = _sources()
 
 
 class TestMutatedInputs:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(mutations(SOURCES))
     def test_predict_and_eval_exit_0_or_2(self, mutation):

@@ -25,11 +25,10 @@ from zsdet.data import (
     save_split,
 )
 from zsdet.cli import main
-from zsdet.codec import encode_array
-from zsdet.errors import ConfigError, CoverageError, DimensionMismatchError, ParseError, ZsdetError
+from zsdet.errors import ConfigError, CoverageError, ParseError, ZsdetError
 from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
-from conftest import GroundTruth, gt_rows, make_space, to_list_form
+from conftest import GroundTruth, block_file_bytes, gt_rows, make_space
 
 
 class TestSynthConfig:
@@ -194,6 +193,19 @@ class TestProposeSplit:
             propose_split({}, {}, rng=np.random.default_rng(0))
 
 
+def image(image_id, proposals, gts=()):
+    """A dataset header's record of one image."""
+    return {"image_id": image_id, "proposals": proposals, "gts": list(gts)}
+
+
+def write_file(path, images, d_f=2, features=(), boxes=(), labels=("a",)):
+    """A dataset file of ``images`` header records over the flat values of
+    the two blocks."""
+    head = {"d_f": d_f, "labels": list(labels), "images": images}
+    Path(path).write_bytes(block_file_bytes(head, (np.array(features, dtype=np.float64),
+                                                   np.array(boxes, dtype=np.float64))))
+
+
 class TestDatasetIO:
     def test_roundtrip_identity(self, tmp_path):
         bundle = generate_synthetic(small_cfg())
@@ -212,67 +224,61 @@ class TestDatasetIO:
 
     def test_missing_box_field_names_it(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        path.write_text(
-            json.dumps({"d_f": 2, "labels": ["a"]})
-            + "\n"
-            + json.dumps(
-                {"image_id": "i", "proposals": [{"feature": [1, 2]}], "gts": []}
-            )
-            + "\n"
-        )
-        with pytest.raises(ParseError, match="box"):
+        write_file(path, [image("i", 0, [{"label": "a"}])])
+        with pytest.raises(ParseError, match="image 0 \\('i'\\): missing field 'box'"):
             load_dataset(path)
 
     def test_wrong_feature_length_rejected_with_line(self, tmp_path):
+        # features of length 2 under a header that says 3: the blocks come up
+        # one value short, which the file length shows
         path = tmp_path / "d.jsonl"
-        path.write_text(
-            json.dumps({"d_f": 3, "labels": ["a"]})
-            + "\n"
-            + json.dumps(
-                {
-                    "image_id": "i",
-                    "proposals": [{"feature": [1, 2], "box": [0, 0, 1, 1]}],
-                    "gts": [],
-                }
-            )
-            + "\n"
-        )
-        with pytest.raises(DimensionMismatchError) as exc:
-            load_dataset(path)
-        assert exc.value.line == 2
-
-    @pytest.mark.parametrize(
-        "proposal, gt_box",
-        [
-            ({"feature": [1, 2], "box": [0, 0, 1]}, [0, 0, 1, 1]),
-            ({"feature": [1, float("nan")], "box": [0, 0, 1, 1]}, [0, 0, 1, 1]),
-            ({"feature": [1, 2], "box": [0, 0, float("inf"), 1]}, [0, 0, 1, 1]),
-            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, 1, 1, 1]),
-            ({"feature": [1, 2], "box": [1, 0, 1, 1]}, [0, 0, 1, 1]),
-            ({"feature": [1, 2], "box": [0, 1, 1, 0]}, [0, 0, 1, 1]),
-            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [2, 0, 1, 1]),
-            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 1, 1, 1]),
-        ],
-        ids=["box_3_numbers", "nan_feature", "inf_box", "gt_box_5_numbers",
-             "box_zero_width", "box_y_flipped", "gt_box_x_flipped", "gt_box_zero_height"],
-    )
-    def test_bad_record_rejected_with_line(self, tmp_path, proposal, gt_box):
-        good = {"feature": [1, 2], "box": [0, 0, 1, 1]}
-        path = tmp_path / "d.jsonl"
-        path.write_text(
-            json.dumps({"d_f": 2, "labels": ["a"]})
-            + "\n"
-            + json.dumps({"image_id": "i", "proposals": [good], "gts": []})
-            + "\n"
-            + json.dumps(
-                {"image_id": "j", "proposals": [good, proposal],
-                 "gts": [{"label": "a", "box": gt_box}]}
-            )
-            + "\n"
-        )
+        write_file(path, [image("i", 1)], d_f=3, features=[1, 2], boxes=[0, 0, 1, 1])
         with pytest.raises(ParseError) as exc:
             load_dataset(path)
-        assert exc.value.line == 3
+        assert str(exc.value) == ("dataset holds 48 bytes after its header, expected 56 for "
+                                  "features (1, 3), boxes (1, 4)")
+
+    @pytest.mark.parametrize(
+        "proposal, gt_box, message",
+        [
+            ({"feature": [1, 2], "box": [0, 0, 1]}, [0, 0, 1, 1],
+             "dataset holds 136 bytes after its header, expected 144 for features (3, 2), "
+             "boxes (3, 4)"),
+            ({"feature": [1, float("nan")], "box": [0, 0, 1, 1]}, [0, 0, 1, 1],
+             "proposal feature 1 has a non-finite value"),
+            ({"feature": [1, 2], "box": [0, 0, float("inf"), 1]}, [0, 0, 1, 1],
+             "proposal box 1 has a non-finite value"),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, 1, 1, 1],
+             "ground-truth box 0 has shape (5,), expected (4,)"),
+            ({"feature": [1, 2], "box": [1, 0, 1, 1]}, [0, 0, 1, 1],
+             "proposal box 1 must have x1 < x2 and y1 < y2"),
+            ({"feature": [1, 2], "box": [0, 1, 1, 0]}, [0, 0, 1, 1],
+             "proposal box 1 must have x1 < x2 and y1 < y2"),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [2, 0, 1, 1],
+             "ground-truth box 0 must have x1 < x2 and y1 < y2"),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 1, 1, 1],
+             "ground-truth box 0 must have x1 < x2 and y1 < y2"),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, float("nan"), 1],
+             "ground-truth box 0 has a non-finite value"),
+        ],
+        ids=["box_3_numbers", "nan_feature", "inf_box", "gt_box_5_numbers",
+             "box_zero_width", "box_y_flipped", "gt_box_x_flipped", "gt_box_zero_height",
+             "gt_box_nan"],
+    )
+    def test_bad_record_rejected_with_line(self, tmp_path, proposal, gt_box, message):
+        # the second image's second proposal, or its ground truth, is bad; the
+        # error names that image by index and id (a short box block can only
+        # show in the file length)
+        path = tmp_path / "d.jsonl"
+        good = {"feature": [0, 1], "box": [0, 0, 1, 1]}
+        rows = [good, good, proposal]
+        write_file(path, [image("i", 1), image("j", 2, [{"label": "a", "box": gt_box}])],
+                   features=[v for r in rows for v in r["feature"]],
+                   boxes=[v for r in rows for v in r["box"]])
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        named = "" if message.startswith("dataset") else "image 1 ('j'): "
+        assert str(exc.value) == named + message
 
     @pytest.mark.parametrize(
         "box, shape",
@@ -281,17 +287,12 @@ class TestDatasetIO:
     )
     def test_wrong_box_shape_message_names_the_shape(self, tmp_path, box, shape):
         path = tmp_path / "d.jsonl"
-        path.write_text(
-            json.dumps({"d_f": 2, "labels": ["a"]})
-            + "\n"
-            + json.dumps({"image_id": "i", "gts": [],
-                          "proposals": [{"feature": [1, 2], "box": [0, 0, 1, 1]},
-                                        {"feature": [1, 2], "box": box}]})
-            + "\n"
-        )
+        write_file(path, [image("i", 0, [{"label": "a", "box": [0, 0, 1, 1]},
+                                         {"label": "a", "box": box}])])
         with pytest.raises(ParseError) as exc:
             load_dataset(path)
-        assert str(exc.value) == f"line 2: proposal box 1 has shape {shape}, expected (4,)"
+        assert str(exc.value) == (f"image 0 ('i'): ground-truth box 1 has shape {shape}, "
+                                  "expected (4,)")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -309,50 +310,75 @@ class TestDatasetIO:
     )
     def test_bad_header_fields_rejected_on_line_1(self, tmp_path, header):
         path = tmp_path / "d.jsonl"
-        path.write_text(json.dumps(header) + "\n")
+        path.write_text(json.dumps(header | {"images": []}) + "\n")
         with pytest.raises(ParseError) as exc:
             load_dataset(path)
         assert exc.value.line == 1
 
+    def test_d_f_past_numpy_dimensions_rejected(self, tmp_path):
+        # with no proposals the blocks are empty, so the file length allows any d_f
+        path = tmp_path / "d.jsonl"
+        write_file(path, [image("i", 0)], d_f=2**63)
+        with pytest.raises(ParseError, match="dataset features block cannot have shape"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("count, message", [
+        (-1, "proposal count must be a non-negative integer, got -1"),
+        (True, "proposal count must be a non-negative integer, got True"),
+        (1.0, "field 'proposals' must be a int"),
+        ("1", "field 'proposals' must be a int"),
+        (None, "field 'proposals' must be a int"),
+    ], ids=["negative", "bool", "float", "string", "null"])
+    def test_bad_proposal_count_rejected(self, tmp_path, count, message):
+        path = tmp_path / "d.jsonl"
+        write_file(path, [image("i", 0), image("j", count)])
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == "image 1 ('j'): " + message
+
     def test_repeated_image_id_rejected_with_line(self, tmp_path):
-        image = {"image_id": "i", "proposals": [], "gts": []}
         path = tmp_path / "d.jsonl"
-        path.write_text("\n".join(json.dumps(r) for r in (
-            {"d_f": 2, "labels": ["a"]}, image, {**image, "image_id": "j"}, image
-        )) + "\n")
-        with pytest.raises(ParseError, match="repeats the image on line 2") as exc:
+        write_file(path, [image("i", 0), image("j", 0), image("i", 0)])
+        with pytest.raises(ParseError) as exc:
             load_dataset(path)
-        assert exc.value.line == 4
+        assert str(exc.value) == "image 2 ('i'): repeats the id of image 0"
 
-    def test_record_with_both_forms_rejected(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        path.write_text(
-            json.dumps({"d_f": 2, "labels": ["a"]}) + "\n"
-            + json.dumps({"image_id": "i", "proposals": [], "features": "", "boxes": "",
-                          "gts": []}) + "\n"
-        )
-        with pytest.raises(ParseError, match="both") as exc:
-            load_dataset(path)
-        assert exc.value.line == 2
-
-    @pytest.mark.parametrize("field", ["proposals", "gts"])
+    @pytest.mark.parametrize("field", ["images", "gts"])
     def test_non_list_records_named_in_the_message(self, tmp_path, field):
-        record = {"image_id": "i", "proposals": [], "gts": [], field: {"box": [0, 0, 1, 1]}}
         path = tmp_path / "d.jsonl"
-        path.write_text(json.dumps({"d_f": 2, "labels": ["a"]}) + "\n"
-                        + json.dumps(record) + "\n")
-        with pytest.raises(ParseError, match=f"line 2: field '{field}' must be a list"):
+        if field == "images":
+            path.write_text(json.dumps({"d_f": 2, "labels": ["a"], "images": {"i": 0}}) + "\n")
+            message = "line 1: field 'images' must be a list"
+        else:
+            write_file(path, [image("i", 0) | {"gts": {"box": [0, 0, 1, 1]}}])
+            message = "image 0 ('i'): field 'gts' must be a list"
+        with pytest.raises(ParseError) as exc:
             load_dataset(path)
+        assert str(exc.value) == message
 
     def test_writes_array_blocks(self, tmp_path):
         bundle = generate_synthetic(small_cfg())
         path = tmp_path / "d.jsonl"
         save_dataset(bundle.train, path)
-        rec = json.loads(path.read_text().splitlines()[1])
-        assert set(rec) == {"image_id", "features", "boxes", "gts"}
-        img = bundle.train.images[0]
-        assert rec["features"] == encode_array(img.proposals.features)
-        assert rec["boxes"] == encode_array(img.proposals.boxes)
+        images = bundle.train.images
+        head = {"d_f": 6, "labels": list(bundle.train.labels), "images": [
+            image(img.image_id, len(img.proposals),
+                  [{"label": l, "box": b.tolist()} for l, b in zip(img.gt_labels, img.gt_boxes)])
+            for img in images]}
+        assert path.read_bytes() == block_file_bytes(
+            head, [img.proposals.features for img in images]
+            + [img.proposals.boxes for img in images])
+
+    def test_proposals_are_rows_of_one_block(self, tmp_path):
+        bundle = generate_synthetic(small_cfg())
+        path = tmp_path / "d.jsonl"
+        save_dataset(bundle.train, path)
+        images = load_dataset(path).images
+        for a, b in zip(images, images[1:]):
+            for key in ("features", "boxes"):
+                x, y = getattr(a.proposals, key), getattr(b.proposals, key)
+                assert x.base is y.base is not None
+                assert x.ctypes.data + x.nbytes == y.ctypes.data
 
 
 # Finite floats, drawn so that -0.0, subnormals and extremes all turn up.
@@ -362,21 +388,32 @@ FINITE = st.one_of(
 )
 
 
+# Any text: non-ASCII, quotes, backslashes, control characters, lone surrogates.
+NAMES = st.text(max_size=6) | st.sampled_from(['"', "\\", "é", "日本", "\U0001f600", "\x00\n",
+                                                "\ud800"])
+
+
 @st.composite
 def datasets(draw):
     d_f = draw(st.integers(1, 4))
+    labels = tuple(draw(st.lists(NAMES, max_size=3, unique=True)))
     images = []
-    for i in range(draw(st.integers(0, 3))):
+    for image_id in draw(st.lists(NAMES, max_size=3, unique=True)):
         n = draw(st.integers(0, 3))
         features, boxes = np.empty((n, d_f)), np.empty((n, 4))
         for j in range(n):
             features[j] = draw(st.lists(FINITE, min_size=d_f, max_size=d_f))
-            xs, ys = (sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
-                      for _ in range(2))
-            boxes[j] = [xs[0], ys[0], xs[1], ys[1]]
-        gts = (("a",), np.array([[-0.0, 5e-324, 1.0, 1.0]])) if i % 2 else ((), np.empty((0, 4)))
-        images.append(ImageRecord(f"img{i}", Proposals(features, boxes), *gts))
-    return Dataset(d_f=d_f, labels=("a",), images=images)
+            boxes[j] = _ordered_box(draw)
+        gt_labels = tuple(draw(st.lists(st.sampled_from(labels), max_size=2))) if labels else ()
+        gt_boxes = np.array([_ordered_box(draw) for _ in gt_labels]).reshape(-1, 4)
+        images.append(ImageRecord(image_id, Proposals(features, boxes), gt_labels, gt_boxes))
+    return Dataset(d_f=d_f, labels=labels, images=images)
+
+
+def _ordered_box(draw):
+    xs, ys = (sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+              for _ in range(2))
+    return [xs[0], ys[0], xs[1], ys[1]]
 
 
 def _bits(a):
@@ -408,22 +445,32 @@ class TestDatasetRoundTrip:
             assert a.gt_labels == b.gt_labels
             assert _bits(a.gt_boxes) == _bits(b.gt_boxes)
 
+    @settings(max_examples=25, deadline=None)
+    @given(datasets())
+    def test_every_strict_prefix_and_one_more_byte_raise(self, dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.jsonl")
+            save_dataset(dataset, path)
+            with open(path, "rb") as f:
+                whole = f.read()
+            for damaged in [whole[:n] for n in range(len(whole))] + [whole + b"\0"]:
+                with open(path, "wb") as f:
+                    f.write(damaged)
+                with pytest.raises(ParseError):
+                    load_dataset(path)
 
-def _synth_files():
-    """A small synth dataset file, in the block form and in the list form."""
+
+def _synth_file():
+    """A small synth dataset file."""
     dataset = generate_synthetic(small_cfg(images=3, test_images=1, proposals_per_image=4)).train
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.jsonl")
         save_dataset(dataset, path)
         with open(path, "rb") as f:
-            blocks = f.read()
-    lines = blocks.decode().splitlines()
-    listed = [lines[0]] + [json.dumps(to_list_form(json.loads(line), dataset.d_f))
-                           for line in lines[1:]]
-    return blocks, ("\n".join(listed) + "\n").encode()
+            return f.read()
 
 
-SYNTH_FILES = _synth_files()
+SYNTH_FILE = _synth_file()
 
 
 @st.composite
@@ -446,7 +493,7 @@ def mutated_files(draw, sources):
 
 class TestMutatedDatasetFiles:
     @settings(max_examples=300, deadline=None)
-    @given(mutated_files(SYNTH_FILES))
+    @given(mutated_files([SYNTH_FILE]))
     def test_loads_or_raises_parse_error(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "d.jsonl")

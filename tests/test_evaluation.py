@@ -181,6 +181,17 @@ class TestIouMatrix:
     def test_half_overlap_is_exact(self):
         assert iou_matrix(HALF, HALF)[0, 1] == 0.5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_areas_follow_ieee_without_a_warning(self):
+        huge = [0.0, 0.0, 1e300, 1e300]
+        m = iou_matrix([huge, [0.0, 0.0, 1.0, 1.0], [-1e300, -1e300, -1e299, -1e299]], [huge])
+        # intersection and union overflow: NaN; only the union: 0; no overlap: 0
+        assert np.isnan(m[0, 0]) and m[1, 0] == 0.0 and m[2, 0] == 0.0
+        # NMS counts a NaN IoU as an overlap, AP matching as a miss
+        d = [det("i", 1, 0.9, huge), det("i", 1, 0.8, huge)]
+        assert [r.score for r in nms_rows(d, 0.5)] == [0.9]
+        assert ap_of(d[:1], [gt("i", 1, huge)], 0.5) == 0.0
+
 
 class TestNms:
     @settings(max_examples=200, deadline=None)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zsdet.cli import main
-from zsdet.codec import encode_array
 from zsdet.errors import (
+    ConfigError,
     DegenerateEmbeddingError,
     NormalizationError,
     ParseError,
@@ -39,7 +39,8 @@ from zsdet.semantics import load_word_vectors
 
 from conftest import (
     axis_setup,
-    checkpoint_bytes,
+    base64_array,
+    block_file_bytes,
     legacy_checkpoint_bytes,
     make_model,
     make_space,
@@ -274,6 +275,13 @@ class TestInitModel:
         assert shuffled.w2.tobytes() == ordered.w2.tobytes()
         assert shuffled.col_norms.tobytes() == ordered.col_norms.tobytes()
 
+    @pytest.mark.parametrize("mode", ["x", "", "FULL", None])
+    def test_unknown_mode_rejected(self, mode):
+        # a model in no mode would write a checkpoint that load_checkpoint refuses
+        table = make_table(np.eye(4)[:, :3])
+        with pytest.raises(ConfigError, match="mode must be one of"):
+            init_model(table, make_space(2, 1), 4, mode=mode)
+
     def test_w2_is_read_only(self):
         model, _, _ = axis_setup()
         with pytest.raises(ValueError):
@@ -382,8 +390,7 @@ class TestCheckpoint:
         """The checkpoint as a ``json.dumps`` header line and the raw blocks."""
         head = {"d_f": model.d_f, "d": model.d, "S": model.n_seen, "U": model.n_unseen,
                 "labels": list(model.labels), "mode": model.mode}
-        return checkpoint_bytes(
-            head, {"W1": model.w1, "box_weights": model.box_w, "box_bias": model.box_b})
+        return block_file_bytes(head, (model.w1, model.box_w, model.box_b))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -520,7 +527,7 @@ class TestCheckpoint:
                                                        f"value at {at}")):
             load_checkpoint(path, table)
 
-    @pytest.mark.parametrize("encode", [lambda a: a.ravel().tolist(), encode_array],
+    @pytest.mark.parametrize("encode", [lambda a: a.ravel().tolist(), base64_array],
                              ids=["list", "base64"])
     def test_older_formats_raise_with_retrain_hint(self, tmp_path, encode):
         model, table, _ = axis_setup()
