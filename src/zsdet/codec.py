@@ -4,8 +4,9 @@ A binary file is one ASCII JSON header line, ``json.dumps`` of an object plus
 a newline (``json.dumps`` escapes every non-ASCII or control character, so
 the header holds no newline of its own), then raw float64 blocks: each
 array's little-endian bytes in C order, in a fixed order, with nothing
-between or after them.  The header says enough for the reader to know every
-block's shape, so the file holds no offsets, shapes or version field.
+between or after them.  Every array of the file is a block, never header
+JSON.  The header says enough for the reader to know every block's shape,
+so the file holds no offsets, shapes or version field.
 """
 
 from __future__ import annotations
@@ -22,24 +23,9 @@ from .errors import ParseError
 
 def write_blocks(path: str | os.PathLike, header: dict, arrays: Iterable[np.ndarray]) -> None:
     """Write ``header`` as the header line, then each of ``arrays`` as a block
-    from its own buffer (a C-order little-endian float64 array is not copied).
-
-    A header value that is an iterator is written as a JSON list one item at
-    a time, so that a long list (a dataset's images) is never encoded whole;
-    the line is ``json.dumps`` of the header with that list in its place.
-    """
+    from its own buffer (a C-order little-endian float64 array is not copied)."""
     with open(path, "wb") as f:
-        f.write(b"{")
-        for i, (key, value) in enumerate(header.items()):
-            f.write(f"{', ' if i else ''}{json.dumps(key)}: ".encode("ascii"))
-            if isinstance(value, Iterator):
-                f.write(b"[")
-                for j, item in enumerate(value):
-                    f.write(f"{', ' if j else ''}{json.dumps(item)}".encode("ascii"))
-                f.write(b"]")
-            else:
-                f.write(json.dumps(value).encode("ascii"))
-        f.write(b"}\n")
+        f.write(json.dumps(header).encode("ascii") + b"\n")
         for a in arrays:
             f.write(np.ascontiguousarray(a, dtype="<f8"))
 

@@ -10,11 +10,12 @@ and the remaining proposals are background (noise features, random boxes).
 
 A dataset file is in the binary layout of :mod:`zsdet.codec`: a JSON header
 line with ``d_f``, the labels and each image's id, proposal count and
-ground truths, then one block of every proposal feature and one of every
-proposal box (:func:`save_dataset`).  Proposals are stored unlabeled;
-training assigns labels by IoU against the ground truths.  In memory an
-image keeps its rows of both blocks, as :class:`Proposals`, until they are
-scored or trained on.
+ground-truth labels, then one block of every proposal feature, one of every
+proposal box and one of every ground-truth box (:func:`save_dataset`); the
+header holds no float.  Proposals are stored unlabeled; training assigns
+labels by IoU against the ground truths.  In memory an image keeps its rows
+of the blocks, its proposals as :class:`Proposals`, until they are scored
+or trained on.
 """
 
 from __future__ import annotations
@@ -304,21 +305,20 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write ``dataset`` in the layout of :mod:`zsdet.codec`.
 
     The header holds ``d_f``, ``labels`` and, per image, ``image_id``, its
-    proposal count ``proposals`` and its ground truths ``gts`` as a list of
-    ``{label, box}``.  Two blocks follow: every image's proposal features,
-    ``(ΣP, d_f)``, then every image's proposal boxes, ``(ΣP, 4)``, images in
-    order.  The images' records are encoded one at a time, and their arrays
-    written from their own buffers.
+    proposal count ``proposals`` and its ground-truth labels ``gt_labels``.
+    Three blocks follow, images in order: every proposal feature,
+    ``(ΣP, d_f)``, every proposal box, ``(ΣP, 4)``, and every ground-truth
+    box, ``(ΣG, 4)``.  Each image's arrays are written from their own buffers.
     """
-    head = {"d_f": dataset.d_f, "labels": list(dataset.labels), "images": (
-        {"image_id": img.image_id, "proposals": len(img.proposals), "gts": [
-            {"label": label, "box": box}
-            for label, box in zip(img.gt_labels, img.gt_boxes.tolist())
-        ]}
-        for img in dataset.images
-    )}
-    write_blocks(path, head, chain((img.proposals.features for img in dataset.images),
-                                   (img.proposals.boxes for img in dataset.images)))
+    images = dataset.images
+    head = {"d_f": dataset.d_f, "labels": list(dataset.labels), "images": [
+        {"image_id": img.image_id, "proposals": len(img.proposals),
+         "gt_labels": list(img.gt_labels)}
+        for img in images
+    ]}
+    write_blocks(path, head, chain((img.proposals.features for img in images),
+                                   (img.proposals.boxes for img in images),
+                                   (img.gt_boxes for img in images)))
 
 
 def _require(rec, key: str, where: str, kind: type = object, line: int | None = None):
@@ -342,44 +342,16 @@ def _fault(rows: np.ndarray, boxes: bool) -> tuple[int, str] | None:
     return None
 
 
-def _gt_boxes(gts: list, where: str) -> np.ndarray:
-    """The ``box`` of each ground truth as one checked ``(G, 4)`` array.
-
-    Converted in one call; only a malformed list is walked row by row, to
-    name the offending entry.
-    """
-    values = [_require(g, "box", where) for g in gts]
-    if not values:
-        return np.empty((0, 4))
-    try:
-        rows = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        rows = None
-    if rows is None or rows.shape != (len(values), 4):
-        for i, value in enumerate(values):
-            try:
-                row = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"{where}ground-truth box {i} must be numbers: {exc}")
-            if row.shape != (4,):
-                raise ParseError(f"{where}ground-truth box {i} has shape {row.shape}, "
-                                 "expected (4,)")
-        raise ParseError(f"{where}each ground-truth box must be a list of 4 numbers")
-    fault = _fault(rows, boxes=True)
-    if fault:
-        raise ParseError(f"{where}ground-truth box {fault[0]} {fault[1]}")
-    return rows
-
-
 def load_dataset(path: str | os.PathLike) -> Dataset:
     """Read a file that :func:`save_dataset` wrote; the file is read once.
 
-    Each image's :class:`Proposals` are row slices of the file's two blocks.
-    Raises :class:`ParseError` for a header whose ``d_f`` is not a positive
-    integer or whose ``labels`` are not strings, a proposal count that is not
-    a non-negative integer, a file whose length is not the header plus
-    exactly the two blocks, a non-finite feature value, a box that is not 4
-    finite numbers with ``x1 < x2`` and ``y1 < y2``, and a repeated
+    Each image's :class:`Proposals` and ``gt_boxes`` are row slices of the
+    file's three blocks.  Raises :class:`ParseError` for a header whose
+    ``d_f`` is not a positive integer or whose ``labels`` are not strings, a
+    proposal count that is not a non-negative integer, ``gt_labels`` that are
+    not a list of strings, a file whose length is not the header plus exactly
+    the three blocks, a non-finite feature value, a proposal or ground-truth
+    box that is not finite with ``x1 < x2`` and ``y1 < y2``, and a repeated
     ``image_id``.  An error in one image's data names the image by index and id.
     """
     with open(path, "rb") as f:
@@ -391,7 +363,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
             raise ParseError("header labels must be a list of strings", 1)
         index: dict[str, int] = {}  # image id to its index, in file order
-        counts, annotations = [], []
+        counts, gt_labels = [], []
         for k, rec in enumerate(_require(head, "images", "", list, line=1)):
             image_id = str(_require(rec, "image_id", f"image {k}: "))
             where = f"image {k} ({image_id!r}): "
@@ -402,23 +374,29 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             if isinstance(count, bool) or count < 0:
                 raise ParseError(f"{where}proposal count must be a non-negative integer, "
                                  f"got {count!r}")
-            gts = _require(rec, "gts", where, list)
-            gt_boxes = _gt_boxes(gts, where)
+            names = _require(rec, "gt_labels", where, list)
+            for i, name in enumerate(names):
+                if not isinstance(name, str):
+                    raise ParseError(f"{where}ground-truth label {i} must be a string, "
+                                     f"got {name!r}")
             counts.append(count)
-            annotations.append((tuple(str(_require(g, "label", where)) for g in gts),
-                                gt_boxes))
-        image_ids, bounds = list(index), [0, *accumulate(counts)]
-        features, boxes = read_blocks(f, "dataset", {"features": (bounds[-1], d_f),
-                                                     "boxes": (bounds[-1], 4)})
-    for what, rows, is_box in (("proposal feature", features, False),
-                               ("proposal box", boxes, True)):
+            gt_labels.append(tuple(names))
+        image_ids = list(index)
+        bounds, gt_bounds = [0, *accumulate(counts)], [0, *accumulate(map(len, gt_labels))]
+        features, boxes, gt_boxes = read_blocks(f, "dataset", {
+            "features": (bounds[-1], d_f), "boxes": (bounds[-1], 4),
+            "gt_boxes": (gt_bounds[-1], 4)})
+    for what, rows, starts, is_box in (("proposal feature", features, bounds, False),
+                                       ("proposal box", boxes, bounds, True),
+                                       ("ground-truth box", gt_boxes, gt_bounds, True)):
         fault = _fault(rows, is_box)
         if fault:
             row, text = fault
-            k = bisect_right(bounds, row) - 1
-            raise ParseError(f"image {k} ({image_ids[k]!r}): {what} {row - bounds[k]} {text}")
-    images = [ImageRecord(image_id, Proposals(features[a:b], boxes[a:b]), *gts)
-              for image_id, a, b, gts in zip(image_ids, bounds, bounds[1:], annotations)]
+            k = bisect_right(starts, row) - 1
+            raise ParseError(f"image {k} ({image_ids[k]!r}): {what} {row - starts[k]} {text}")
+    images = [ImageRecord(image_id, Proposals(features[a:b], boxes[a:b]), names, gt_boxes[g:h])
+              for image_id, a, b, names, g, h in zip(image_ids, bounds, bounds[1:], gt_labels,
+                                                     gt_bounds, gt_bounds[1:])]
     return Dataset(d_f=d_f, labels=tuple(labels), images=images)
 
 

@@ -75,12 +75,3 @@ def check_seed(value: int) -> None:
     if value < 0:
         raise ConfigError(f"seed must be >= 0, got {value}")
 
-
-def check_unit_interval(name: str, value: float, open_at_zero: bool = False) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is a finite number in
-    ``[0, 1]``, or in ``(0, 1]`` when ``open_at_zero``."""
-    check_finite(name, value)
-    above_low = value > 0.0 if open_at_zero else value >= 0.0
-    if not above_low or value > 1.0:
-        interval = "(0, 1]" if open_at_zero else "[0, 1]"
-        raise ConfigError(f"{name} must be in {interval}, got {value}")

@@ -29,12 +29,15 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_unit_interval
+from .errors import ConfigError
 from .semantics import LabelSpace
 
 if TYPE_CHECKING:
     from .infer import Detections
 
+# The IoU at or above which a detection matches a ground truth (the reference
+# protocol's).
+EVAL_IOU = 0.5
 TASKS = ("T1", "T2", "T3", "T4")
 TASK_NAMES = {
     "T1": "ZSD",
@@ -212,7 +215,6 @@ def evaluate(
     ground_truths: tuple,
     space: LabelSpace,
     task: str,
-    iou_thresh: float = 0.5,
 ) -> DetectionReport:
     """Score one task.
 
@@ -225,11 +227,10 @@ def evaluate(
     row of unseen-class tag scores per image (column ``k`` for class id
     ``S + 1 + k``), ranked by a stable sort on score; tags of another shape
     raise :class:`ConfigError`.  Both sides go through the relabel map (T2/T4:
-    to meta ids).  ``iou_thresh`` must be finite and in (0, 1].
+    to meta ids).  A box matches at IoU ``EVAL_IOU`` or above.
     """
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-    check_unit_interval("iou_thresh", iou_thresh, open_at_zero=True)
     boxes, to_meta = task in ("T1", "T2"), task in ("T2", "T4")
     relabel = {cid: space.meta_of(cid) if to_meta else cid for cid in space.unseen_ids}
     name_of = space.meta_label_of if to_meta else space.label_of
@@ -260,7 +261,7 @@ def evaluate(
         if boxes:
             rows_l = np.flatnonzero(labels == lid)
             ap = average_precision(image_ids[rows_l], scores[rows_l], det_boxes[rows_l],
-                                   gt_image_ids[rows_g], gt_boxes[rows_g], iou_thresh)
+                                   gt_image_ids[rows_g], gt_boxes[rows_g], EVAL_IOU)
             n_gt, n_det = len(rows_g), len(rows_l)
         else:
             positives = set(gt_image_ids[rows_g].tolist())
@@ -273,7 +274,7 @@ def evaluate(
     meta = {
         "task": task,
         "task_name": TASK_NAMES[task],
-        "iou_thresh": iou_thresh,
+        "iou_thresh": EVAL_IOU,
         "interpolation": "all-points precision envelope",
         "tagging": "image-level AP; a label is positive for an image iff the "
         "image holds >=1 ground truth of it; meta tag score = max "

@@ -20,7 +20,7 @@ row of one score per unseen class (meta-classes are
 :mod:`zsdet.evaluation`'s).  Ties break toward the lowest class id
 everywhere.  Before results are returned, one label-aware NMS pass over
 the image's detections (at ``NMS_IOU``) lets a box suppress only boxes of
-its own class; pass ``nms_iou=0`` to disable it.
+its own class.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_finite, check_unit_interval
+from .errors import ConfigError, check_finite
 from .evaluation import nms
 from .model import Model, decode_boxes, forward_boxes, forward_scores, normalized_scores
 from .semantics import LabelSpace
@@ -75,15 +75,15 @@ def _scored(
 
 def _emit(
     model: Model, image_id: str, labels: np.ndarray, values: np.ndarray,
-    features: np.ndarray, scores: np.ndarray, boxes: np.ndarray, nms_iou: float,
+    features: np.ndarray, scores: np.ndarray, boxes: np.ndarray,
 ) -> Detections:
     """The rows as detections, each box decoded with the offsets of the row's
-    highest-scoring seen class, then label-aware NMS unless ``nms_iou`` is 0."""
+    highest-scoring seen class, then label-aware NMS at ``NMS_IOU``."""
     n = len(features)
     s_star = np.argmax(scores[:, : model.n_seen], axis=1)
     offsets = forward_boxes(model, features).reshape(n, model.n_seen, 4)
     out = Detections(image_id, labels, values, decode_boxes(boxes, offsets[np.arange(n), s_star]))
-    return out.take(nms(out, nms_iou)) if nms_iou > 0.0 and n else out
+    return out.take(nms(out, NMS_IOU)) if n else out
 
 
 def detect(
@@ -92,16 +92,14 @@ def detect(
     proposals: "Proposals",
     image_id: str,
     alpha: float,
-    nms_iou: float = NMS_IOU,
 ) -> Detections:
     """Unseen-class detections for one image's proposals.
 
     Emits a detection only when the background is not the top label and the
-    best unseen normalized score is strictly above ``alpha``.  ``alpha``
-    must be finite and ``nms_iou`` a finite number in [0, 1].
+    best unseen normalized score is strictly above ``alpha``, which must be
+    finite.
     """
     check_finite("alpha", alpha)
-    check_unit_interval("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)
     s, c = space.S, space.C
     u_cols = s + np.argmax(scores[:, s:c], axis=1)
@@ -110,7 +108,7 @@ def detect(
         (np.argmax(scores, axis=1) != space.bg_id - 1) & (u_scores > alpha)
     )
     return _emit(model, image_id, u_cols[rows] + 1, u_scores[rows],
-                 features[rows], scores[rows], boxes[rows], nms_iou)
+                 features[rows], scores[rows], boxes[rows])
 
 
 def check_k(k: int, n_seen: int) -> None:
@@ -145,20 +143,17 @@ def conse_detect(
     image_id: str,
     k: int = 10,
     alpha: float = 0.1,
-    nms_iou: float = NMS_IOU,
 ) -> Detections:
     """ConSE-style detections: classify the projected proposal by cosine.
 
     Reads only seen and background score entries, so it works with any
     checkpoint regardless of training mode.  A proposal is dropped when the
-    background outranks every seen class or its projection is zero.  ``k``,
-    ``alpha`` and ``nms_iou`` (in [0, 1]) are checked before any proposal is
-    scored.
+    background outranks every seen class or its projection is zero.  ``k``
+    and ``alpha`` are checked before any proposal is scored.
     """
     s = space.S
     check_k(k, s)
     check_finite("alpha", alpha)
-    check_unit_interval("nms_iou", nms_iou)
     features, boxes, scores = _scored(model, proposals)
     rows = np.flatnonzero(~(scores[:, space.bg_id - 1] > scores[:, :s].max(axis=1)))
     e = conse_project(scores[rows, :s], model.w2[:, :s], k)
@@ -172,7 +167,7 @@ def conse_detect(
     hit = u_scores > alpha
     rows = rows[hit]
     return _emit(model, image_id, s + u_idx[hit] + 1, u_scores[hit],
-                 features[rows], scores[rows], boxes[rows], nms_iou)
+                 features[rows], scores[rows], boxes[rows])
 
 
 def tag_image(

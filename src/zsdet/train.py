@@ -213,14 +213,13 @@ def label_proposals(
     proposals: Proposals,
     gt_ids: Sequence[int],
     gt_boxes: np.ndarray,
-    fg_iou: float,
     space: LabelSpace,
 ) -> RegionBatch:
     """Label an image's proposals with the class of their max-IoU ground truth.
 
     ``gt_ids`` (G,) holds the class ids of the ground-truth boxes
     ``gt_boxes`` (G, 4).  A proposal is foreground iff its best IoU is
-    >= ``fg_iou`` (boundary inclusive); among equal best IoUs the first
+    >= ``FG_IOU`` (boundary inclusive); among equal best IoUs the first
     ground truth wins.  Foreground rows get their regression target encoded
     against the matched box, in one call for the image; background rows get
     the background id and a NaN target.
@@ -230,7 +229,7 @@ def label_proposals(
     if len(gt_ids):
         overlaps = iou_matrix(proposals.boxes, gt_boxes)
         best = overlaps.argmax(axis=1)
-        fg = np.flatnonzero(overlaps[np.arange(len(proposals)), best] >= fg_iou)
+        fg = np.flatnonzero(overlaps[np.arange(len(proposals)), best] >= FG_IOU)
         ys[fg] = np.asarray(gt_ids)[best[fg]]
         targets[fg] = encode_boxes(gt_boxes[best[fg]], proposals.boxes[fg])
     return RegionBatch(proposals.features, ys, targets)
@@ -358,7 +357,7 @@ def train(
             raise InvalidTargetError(f"train dataset leaks unseen class "
                                      f"{space.label_of(int(leaked[0]))!r} in image {img.image_id}")
     model = init_model(table, space, dataset.d_f, config.seed, config.mode)
-    labeled = [label_proposals(img.proposals, ids, img.gt_boxes, FG_IOU, space)
+    labeled = [label_proposals(img.proposals, ids, img.gt_boxes, space)
                for img, ids in zip(work.images, gt_ids)]
 
     params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
@@ -381,6 +380,7 @@ def train(
                     state,
                     config,
                 )
+                del grads  # else the next loss_gradients builds its own while these live
             except NumericFailureError as exc:
                 raise NumericFailureError(f"training step {step}: {exc}") from exc
             history.append(breakdown)

@@ -64,22 +64,24 @@ def block_file_bytes(head, arrays):
 
 
 def read_dataset(path):
-    """A dataset file as ``(header, features, boxes)``: the JSON object on its
-    first line, and its two raw blocks, ``(ΣP, d_f)`` and ``(ΣP, 4)``.  The
-    blocks must end the file."""
+    """A dataset file as ``(header, features, boxes, gt_boxes)``: the JSON
+    object on its first line, and its three raw blocks, ``(ΣP, d_f)``,
+    ``(ΣP, 4)`` and ``(ΣG, 4)``.  The blocks must end the file."""
     raw = Path(path).read_bytes()
     end = raw.index(b"\n")
     head = json.loads(raw[:end].decode("ascii"))
     rows = sum(image["proposals"] for image in head["images"])
+    gts = sum(len(image["gt_labels"]) for image in head["images"])
     blocks = np.frombuffer(raw, dtype="<f8", offset=end + 1)
-    assert blocks.size == rows * (head["d_f"] + 4), "the blocks do not end the file"
-    split = rows * head["d_f"]
-    return head, blocks[:split].reshape(rows, -1).copy(), blocks[split:].reshape(rows, 4).copy()
+    assert blocks.size == rows * (head["d_f"] + 4) + gts * 4, "the blocks do not end the file"
+    split, gt_start = rows * head["d_f"], rows * (head["d_f"] + 4)
+    return (head, blocks[:split].reshape(rows, -1).copy(),
+            blocks[split:gt_start].reshape(rows, 4).copy(), blocks[gt_start:].reshape(gts, 4).copy())
 
 
-def write_dataset(path, head, features, boxes):
+def write_dataset(path, head, features, boxes, gt_boxes):
     """Invert :func:`read_dataset` (a test may make the parts disagree)."""
-    Path(path).write_bytes(block_file_bytes(head, (features, boxes)))
+    Path(path).write_bytes(block_file_bytes(head, (features, boxes, gt_boxes)))
 
 
 CHECKPOINT_BLOCKS = ("W1", "box_weights", "box_bias")

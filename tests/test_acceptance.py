@@ -162,7 +162,7 @@ def _checkpoint_bytes(model, tmp_path, name):
 
 
 def _zsd_map(dets, gts, space):
-    return evaluate(dets, gts, space, "T1", iou_thresh=0.5).mean_ap
+    return evaluate(dets, gts, space, "T1").mean_ap
 
 
 def _collect(detector, images):

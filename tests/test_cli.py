@@ -20,6 +20,7 @@ from zsdet.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FG_IOU
 from conftest import (
     adam_cpus,
     base64_array,
+    block_file_bytes,
     legacy_checkpoint_bytes,
     read_checkpoint,
     read_dataset,
@@ -441,21 +442,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("damage", [
-        "box_3_numbers", "nan_feature", "box_flipped", "gt_box_flipped", "nan_in_last_image",
-        "header_not_json", "trailing_bytes", "truncated", "count_too_large",
+        "box_3_numbers", "nan_feature", "box_flipped", "gt_box_flipped", "gt_label_number",
+        "nan_in_last_image", "header_not_json", "trailing_bytes", "truncated", "count_too_large",
     ])
     def test_bad_dataset_record_exits_2(self, tmp_path, capsys, damage):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        head, features, boxes = read_dataset(data / "test.jsonl")
+        head, features, boxes, gt_boxes = read_dataset(data / "test.jsonl")
         image = head["images"][0]
         bad = tmp_path / "bad.jsonl"
         named = "image 0 ('test0000'): "
-        if damage == "box_3_numbers":
-            image["gts"][0]["box"] = image["gts"][0]["box"][:3]
+        if damage == "box_3_numbers":  # the first ground-truth box: the block ends short
+            gt_boxes = gt_boxes.ravel()[1:]
+            named = "dataset holds "
         elif damage == "gt_box_flipped":
-            x1, y1, x2, y2 = image["gts"][0]["box"]
-            image["gts"][0]["box"] = [x2, y1, x1, y2]
+            gt_boxes[0, [0, 2]] = gt_boxes[0, [2, 0]]
+        elif damage == "gt_label_number":
+            image["gt_labels"][1] = 3
+            named += "ground-truth label 1 must be a string, got 3"
         elif damage == "box_flipped":
             boxes[0, [0, 2]] = boxes[0, [2, 0]]
         elif damage == "nan_feature":
@@ -466,7 +470,7 @@ class TestExitCodes:
         elif damage == "count_too_large":
             image["proposals"] += 1
             named = "dataset holds "
-        write_dataset(bad, head, features, boxes)
+        write_dataset(bad, head, features, boxes, gt_boxes)
         if damage == "header_not_json":
             bad.write_bytes(b"{" + bad.read_bytes())
             named = "invalid dataset header JSON: "
@@ -485,17 +489,36 @@ class TestExitCodes:
     def test_repeated_image_id_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        head, features, boxes = read_dataset(data / "test.jsonl")
+        head, features, boxes, gt_boxes = read_dataset(data / "test.jsonl")
         head["images"].append(head["images"][1])
         bad = tmp_path / "bad.jsonl"
         write_dataset(bad, head, np.concatenate([features, features[8:16]]),
-                      np.concatenate([boxes, boxes[8:16]]))
+                      np.concatenate([boxes, boxes[8:16]]),
+                      np.concatenate([gt_boxes, gt_boxes[2:4]]))
         capsys.readouterr()
         assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", bad,
                    "--out", tmp_path / "dets.jsonl") == 2
         assert capsys.readouterr().err == (f"error: image {len(head['images']) - 1} "
                                            "('test0001'): repeats the id of image 1\n")
+
+    def test_dataset_with_ground_truths_in_the_header_exits_2(self, tmp_path, capsys):
+        # the earlier layout: each image's ground truths as ``gts``, a list of
+        # ``{label, box}``, and two blocks
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        head, features, boxes, gt_boxes = read_dataset(data / "test.jsonl")
+        rows = iter(gt_boxes.tolist())
+        for image in head["images"]:
+            image["gts"] = [{"label": label, "box": next(rows)}
+                            for label in image.pop("gt_labels")]
+        old = tmp_path / "old.jsonl"
+        old.write_bytes(block_file_bytes(head, (features, boxes)))
+        capsys.readouterr()
+        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                   "--meta-map", data / "meta_map.csv", "--data", old,
+                   "--out", tmp_path / "reports") == 2
+        assert capsys.readouterr().err == "error: image 0 ('test0000'): missing field 'gt_labels'\n"
 
     @pytest.mark.parametrize("name", ["embeddings.txt", "meta_map.csv", "oracle.json",
                                       "train.jsonl"],
@@ -576,9 +599,9 @@ class TestExitCodes:
     def test_imageless_predict_checks_route_knobs(self, tmp_path, capsys, knob):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        head, features, boxes = read_dataset(data / "test.jsonl")
+        head, features, boxes, gt_boxes = read_dataset(data / "test.jsonl")
         header_only = tmp_path / "header.jsonl"
-        write_dataset(header_only, head | {"images": []}, features[:0], boxes[:0])
+        write_dataset(header_only, head | {"images": []}, features[:0], boxes[:0], gt_boxes[:0])
         capsys.readouterr()
         assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", header_only, *knob,
@@ -609,10 +632,10 @@ class TestExitCodes:
     def test_eval_label_outside_label_space_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        head, features, boxes = read_dataset(data / "test.jsonl")
+        head, features, boxes, gt_boxes = read_dataset(data / "test.jsonl")
         rec = head["images"][2]
-        rec["gts"][-1]["label"] = "no_such_class"
-        write_dataset(data / "test.jsonl", head, features, boxes)
+        rec["gt_labels"][-1] = "no_such_class"
+        write_dataset(data / "test.jsonl", head, features, boxes, gt_boxes)
         capsys.readouterr()
         assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
@@ -763,9 +786,9 @@ class TestExitCodes:
     def test_conse_k_out_of_range_exits_2_on_all_zero_features(self, tmp_path, capsys):
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        head, features, boxes = read_dataset(data / "test.jsonl")
+        head, features, boxes, gt_boxes = read_dataset(data / "test.jsonl")
         zeros = tmp_path / "zeros.jsonl"
-        write_dataset(zeros, head, np.zeros_like(features), boxes)
+        write_dataset(zeros, head, np.zeros_like(features), boxes, gt_boxes)
         capsys.readouterr()
         assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
                    "--meta-map", data / "meta_map.csv", "--data", zeros,

@@ -193,17 +193,17 @@ class TestProposeSplit:
             propose_split({}, {}, rng=np.random.default_rng(0))
 
 
-def image(image_id, proposals, gts=()):
+def image(image_id, proposals, gt_labels=()):
     """A dataset header's record of one image."""
-    return {"image_id": image_id, "proposals": proposals, "gts": list(gts)}
+    return {"image_id": image_id, "proposals": proposals, "gt_labels": list(gt_labels)}
 
 
-def write_file(path, images, d_f=2, features=(), boxes=(), labels=("a",)):
+def write_file(path, images, d_f=2, features=(), boxes=(), gt_boxes=(), labels=("a",)):
     """A dataset file of ``images`` header records over the flat values of
-    the two blocks."""
+    the three blocks."""
     head = {"d_f": d_f, "labels": list(labels), "images": images}
-    Path(path).write_bytes(block_file_bytes(head, (np.array(features, dtype=np.float64),
-                                                   np.array(boxes, dtype=np.float64))))
+    Path(path).write_bytes(block_file_bytes(head, [np.array(values, dtype=np.float64)
+                                                   for values in (features, boxes, gt_boxes)]))
 
 
 class TestDatasetIO:
@@ -222,11 +222,33 @@ class TestDatasetIO:
             assert a.gt_labels == b.gt_labels
             np.testing.assert_array_equal(a.gt_boxes, b.gt_boxes)
 
-    def test_missing_box_field_names_it(self, tmp_path):
+    @pytest.mark.parametrize("field, message", [
+        ("d_f", "line 1: missing field 'd_f'"),
+        ("labels", "line 1: missing field 'labels'"),
+        ("images", "line 1: missing field 'images'"),
+        ("image_id", "image 0: missing field 'image_id'"),
+        ("proposals", "image 0 ('i'): missing field 'proposals'"),
+        ("gt_labels", "image 0 ('i'): missing field 'gt_labels'"),
+    ], ids=["d_f", "labels", "images", "image_id", "proposals", "gt_labels"])
+    def test_missing_field_named(self, tmp_path, field, message):
         path = tmp_path / "d.jsonl"
-        write_file(path, [image("i", 0, [{"label": "a"}])])
-        with pytest.raises(ParseError, match="image 0 \\('i'\\): missing field 'box'"):
+        head = {"d_f": 2, "labels": ["a"], "images": [image("i", 0)]}
+        head.pop(field, None)
+        head.get("images", [{}])[0].pop(field, None)
+        path.write_bytes(block_file_bytes(head, ()))
+        with pytest.raises(ParseError) as exc:
             load_dataset(path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("label", [3, None, ["a"]], ids=["number", "null", "list"])
+    def test_ground_truth_label_that_is_not_a_string_rejected(self, tmp_path, label):
+        path = tmp_path / "d.jsonl"
+        write_file(path, [image("i", 0), image("j", 0, ["a", label])],
+                   gt_boxes=[0, 0, 1, 1, 0, 0, 1, 1])
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == (f"image 1 ('j'): ground-truth label 1 must be a string, "
+                                  f"got {label!r}")
 
     def test_wrong_feature_length_rejected_with_line(self, tmp_path):
         # features of length 2 under a header that says 3: the blocks come up
@@ -236,20 +258,24 @@ class TestDatasetIO:
         with pytest.raises(ParseError) as exc:
             load_dataset(path)
         assert str(exc.value) == ("dataset holds 48 bytes after its header, expected 56 for "
-                                  "features (1, 3), boxes (1, 4)")
+                                  "features (1, 3), boxes (1, 4), gt_boxes (0, 4)")
 
     @pytest.mark.parametrize(
         "proposal, gt_box, message",
         [
             ({"feature": [1, 2], "box": [0, 0, 1]}, [0, 0, 1, 1],
-             "dataset holds 136 bytes after its header, expected 144 for features (3, 2), "
-             "boxes (3, 4)"),
+             "dataset holds 168 bytes after its header, expected 176 for features (3, 2), "
+             "boxes (3, 4), gt_boxes (1, 4)"),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, 1],
+             "dataset holds 168 bytes after its header, expected 176 for features (3, 2), "
+             "boxes (3, 4), gt_boxes (1, 4)"),
+            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, 1, 1, 1],
+             "dataset holds 184 bytes after its header, expected 176 for features (3, 2), "
+             "boxes (3, 4), gt_boxes (1, 4)"),
             ({"feature": [1, float("nan")], "box": [0, 0, 1, 1]}, [0, 0, 1, 1],
              "proposal feature 1 has a non-finite value"),
             ({"feature": [1, 2], "box": [0, 0, float("inf"), 1]}, [0, 0, 1, 1],
              "proposal box 1 has a non-finite value"),
-            ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, 1, 1, 1],
-             "ground-truth box 0 has shape (5,), expected (4,)"),
             ({"feature": [1, 2], "box": [1, 0, 1, 1]}, [0, 0, 1, 1],
              "proposal box 1 must have x1 < x2 and y1 < y2"),
             ({"feature": [1, 2], "box": [0, 1, 1, 0]}, [0, 0, 1, 1],
@@ -261,38 +287,36 @@ class TestDatasetIO:
             ({"feature": [1, 2], "box": [0, 0, 1, 1]}, [0, 0, float("nan"), 1],
              "ground-truth box 0 has a non-finite value"),
         ],
-        ids=["box_3_numbers", "nan_feature", "inf_box", "gt_box_5_numbers",
+        ids=["box_3_numbers", "gt_box_3_numbers", "gt_box_5_numbers", "nan_feature", "inf_box",
              "box_zero_width", "box_y_flipped", "gt_box_x_flipped", "gt_box_zero_height",
              "gt_box_nan"],
     )
     def test_bad_record_rejected_with_line(self, tmp_path, proposal, gt_box, message):
         # the second image's second proposal, or its ground truth, is bad; the
-        # error names that image by index and id (a short box block can only
-        # show in the file length)
+        # error names that image by index and id (a box of the wrong length
+        # can only show in the file length)
         path = tmp_path / "d.jsonl"
         good = {"feature": [0, 1], "box": [0, 0, 1, 1]}
         rows = [good, good, proposal]
-        write_file(path, [image("i", 1), image("j", 2, [{"label": "a", "box": gt_box}])],
+        write_file(path, [image("i", 1), image("j", 2, ["a"])],
                    features=[v for r in rows for v in r["feature"]],
-                   boxes=[v for r in rows for v in r["box"]])
+                   boxes=[v for r in rows for v in r["box"]], gt_boxes=gt_box)
         with pytest.raises(ParseError) as exc:
             load_dataset(path)
         named = "" if message.startswith("dataset") else "image 1 ('j'): "
         assert str(exc.value) == named + message
 
-    @pytest.mark.parametrize(
-        "box, shape",
-        [([0, 0, 1], "(3,)"), ([[0, 0, 1, 1]], "(1, 4)")],
-        ids=["short", "nested"],
-    )
-    def test_wrong_box_shape_message_names_the_shape(self, tmp_path, box, shape):
+    def test_ground_truth_box_named_by_its_own_image(self, tmp_path):
+        # proposal rows and ground-truth rows belong to different images:
+        # the bad third ground truth is image 2's second, after an image
+        # with proposals and none, and one with a ground truth and no proposal
         path = tmp_path / "d.jsonl"
-        write_file(path, [image("i", 0, [{"label": "a", "box": [0, 0, 1, 1]},
-                                         {"label": "a", "box": box}])])
+        write_file(path, [image("i", 2), image("j", 0, ["a"]), image("k", 0, ["a", "a"])],
+                   features=[0, 1, 0, 1], boxes=[0, 0, 1, 1] * 2,
+                   gt_boxes=[0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, -1])
         with pytest.raises(ParseError) as exc:
             load_dataset(path)
-        assert str(exc.value) == (f"image 0 ('i'): ground-truth box 1 has shape {shape}, "
-                                  "expected (4,)")
+        assert str(exc.value) == "image 2 ('k'): ground-truth box 1 must have x1 < x2 and y1 < y2"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -343,15 +367,15 @@ class TestDatasetIO:
             load_dataset(path)
         assert str(exc.value) == "image 2 ('i'): repeats the id of image 0"
 
-    @pytest.mark.parametrize("field", ["images", "gts"])
+    @pytest.mark.parametrize("field", ["images", "gt_labels"])
     def test_non_list_records_named_in_the_message(self, tmp_path, field):
         path = tmp_path / "d.jsonl"
         if field == "images":
             path.write_text(json.dumps({"d_f": 2, "labels": ["a"], "images": {"i": 0}}) + "\n")
             message = "line 1: field 'images' must be a list"
         else:
-            write_file(path, [image("i", 0) | {"gts": {"box": [0, 0, 1, 1]}}])
-            message = "image 0 ('i'): field 'gts' must be a list"
+            write_file(path, [image("i", 0) | {"gt_labels": "a"}], gt_boxes=[0, 0, 1, 1])
+            message = "image 0 ('i'): field 'gt_labels' must be a list"
         with pytest.raises(ParseError) as exc:
             load_dataset(path)
         assert str(exc.value) == message
@@ -362,12 +386,10 @@ class TestDatasetIO:
         save_dataset(bundle.train, path)
         images = bundle.train.images
         head = {"d_f": 6, "labels": list(bundle.train.labels), "images": [
-            image(img.image_id, len(img.proposals),
-                  [{"label": l, "box": b.tolist()} for l, b in zip(img.gt_labels, img.gt_boxes)])
-            for img in images]}
+            image(img.image_id, len(img.proposals), img.gt_labels) for img in images]}
         assert path.read_bytes() == block_file_bytes(
             head, [img.proposals.features for img in images]
-            + [img.proposals.boxes for img in images])
+            + [img.proposals.boxes for img in images] + [img.gt_boxes for img in images])
 
     def test_proposals_are_rows_of_one_block(self, tmp_path):
         bundle = generate_synthetic(small_cfg())
@@ -375,8 +397,8 @@ class TestDatasetIO:
         save_dataset(bundle.train, path)
         images = load_dataset(path).images
         for a, b in zip(images, images[1:]):
-            for key in ("features", "boxes"):
-                x, y = getattr(a.proposals, key), getattr(b.proposals, key)
+            for x, y in ((a.proposals.features, b.proposals.features),
+                         (a.proposals.boxes, b.proposals.boxes), (a.gt_boxes, b.gt_boxes)):
                 assert x.base is y.base is not None
                 assert x.ctypes.data + x.nbytes == y.ctypes.data
 
@@ -420,16 +442,24 @@ def _bits(a):
     return np.asarray(a, dtype="<f8").tobytes()
 
 
+# Images with and without ground truths, between images with and without
+# proposals.
+MIXED = Dataset(d_f=2, labels=("a", "b"), images=[
+    ImageRecord("empty", Proposals(np.empty((0, 2)), np.empty((0, 4))), (), np.empty((0, 4))),
+    ImageRecord("edge", Proposals(np.array([[-0.0, 5e-324]]),
+                                  np.array([[-0.0, -5e-324, 5e-324, 1e-310]])), (),
+                np.empty((0, 4))),
+    ImageRecord("gts only", Proposals(np.empty((0, 2)), np.empty((0, 4))), ("b", "a"),
+                np.array([[-0.0, 5e-324, 1e-310, 1.0], [-1e308, -2.0, 1e308, -1.5]])),
+    ImageRecord("both", Proposals(np.array([[1.0, 2.0]]), np.array([[0.0, 0.0, 1.0, 1.0]])),
+                ("a",), np.array([[0.5, 0.5, 3.0, 4.0]])),
+])
+
+
 class TestDatasetRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(datasets())
-    @example(Dataset(d_f=2, labels=("a",), images=[
-        ImageRecord("empty", Proposals(np.empty((0, 2)), np.empty((0, 4))), (),
-                    np.empty((0, 4))),
-        ImageRecord("edge", Proposals(np.array([[-0.0, 5e-324]]),
-                                      np.array([[-0.0, -5e-324, 5e-324, 1e-310]])), (),
-                    np.empty((0, 4))),
-    ]))
+    @example(MIXED)
     def test_save_then_load_is_bit_equal(self, dataset):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "d.jsonl")
@@ -447,6 +477,7 @@ class TestDatasetRoundTrip:
 
     @settings(max_examples=25, deadline=None)
     @given(datasets())
+    @example(MIXED)
     def test_every_strict_prefix_and_one_more_byte_raise(self, dataset):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "d.jsonl")

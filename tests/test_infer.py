@@ -11,6 +11,7 @@ from zsdet.data import Proposals
 from zsdet.errors import ConfigError
 from zsdet.evaluation import nms
 from zsdet.infer import (
+    NMS_IOU,
     Detections,
     conse_detect,
     conse_project,
@@ -31,6 +32,13 @@ from conftest import (
     rows_of,
 )
 from test_evaluation import HALF, grid_boxes, nms_ref, nms_rows
+
+
+def nms_at(monkeypatch, iou):
+    """Make both routes run their per-image NMS at ``iou`` in place of
+    ``NMS_IOU``; at 0 they keep every candidate, in order."""
+    keep = (lambda d, _: nms(d, iou)) if iou > 0.0 else (lambda d, _: np.arange(len(d)))
+    monkeypatch.setattr("zsdet.infer.nms", keep)
 
 
 def prop(feature, box=(0.0, 0.0, 10.0, 10.0)):
@@ -93,13 +101,14 @@ class TestDetect:
         assert got.label == want.label == 3
         assert got.score == pytest.approx(want.score, rel=1e-14)
 
-    def test_per_class_nms_drops_duplicates(self):
+    def test_per_class_nms_drops_duplicates(self, monkeypatch):
         model, table, space = axis_setup()
         p1 = prop(table.vector("c3") * 2, box=(0, 0, 10, 10))
         p2 = prop(table.vector("c3"), box=(0.5, 0.5, 10.5, 10.5))
-        kept = detect(model, space, stack([p1, p2]), "img", alpha=0.1, nms_iou=0.5)
+        kept = detect(model, space, stack([p1, p2]), "img", alpha=0.1)
         assert len(kept) == 1
-        unsuppressed = detect(model, space, stack([p1, p2]), "img", alpha=0.1, nms_iou=0.0)
+        nms_at(monkeypatch, 0.0)
+        unsuppressed = detect(model, space, stack([p1, p2]), "img", alpha=0.1)
         assert len(unsuppressed) == 2
 
     def test_scores_all_above_alpha(self):
@@ -191,29 +200,6 @@ class TestConseDetect:
         model, _, space = axis_setup()
         with pytest.raises(ConfigError):
             conse_detect(model, space, prop(np.eye(4)[0]), "img", k=5, alpha=0.1)
-
-    @pytest.mark.parametrize("nms_iou", [float("nan"), float("inf")])
-    def test_non_finite_nms_iou_rejected_before_scoring(self, nms_iou):
-        model, _, space = axis_setup()
-        none = stack([], 4)
-        with pytest.raises(ConfigError, match="nms_iou must be a finite number"):
-            conse_detect(model, space, none, "img", k=2, alpha=0.1, nms_iou=nms_iou)
-        with pytest.raises(ConfigError, match="nms_iou must be a finite number"):
-            detect(model, space, none, "img", alpha=0.1, nms_iou=nms_iou)
-
-    @pytest.mark.parametrize("nms_iou", [-0.5, -1e-12, 1.0 + 1e-12, 2.0])
-    def test_nms_iou_outside_unit_interval_rejected_before_scoring(self, nms_iou, monkeypatch):
-        model, _, space = axis_setup()
-
-        def never(*args):
-            raise AssertionError("scored proposals before checking nms_iou")
-
-        monkeypatch.setattr("zsdet.infer._scored", never)
-        p = prop(np.eye(4)[0])
-        with pytest.raises(ConfigError, match=r"nms_iou must be in \[0, 1\], got"):
-            conse_detect(model, space, p, "img", k=2, alpha=0.1, nms_iou=nms_iou)
-        with pytest.raises(ConfigError, match=r"nms_iou must be in \[0, 1\], got"):
-            detect(model, space, p, "img", alpha=0.1, nms_iou=nms_iou)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_k_checked_before_scoring(self, k):
@@ -476,21 +462,22 @@ class TestBatchedMatchesPerProposalLoops:
     """The per-image batches against the loops they replaced: same
     detections in the same order, scores within 1e-12, boxes within 1e-9."""
 
-    def test_random_models_both_routes(self, rng):
+    def test_random_models_both_routes(self, rng, monkeypatch):
         for _ in range(60):
             model, space = random_instance(rng)
             props = random_proposals(rng, model.d_f)
             alpha = float(rng.uniform(-0.5, 0.3))
             nms_iou = float(rng.choice([0.0, 0.3, 0.5]))
+            nms_at(monkeypatch, nms_iou)
             assert_same_detections(
-                detect(model, space, props, "img", alpha=alpha, nms_iou=nms_iou),
+                detect(model, space, props, "img", alpha=alpha),
                 detect_ref(model, space, props, "img", alpha, nms_iou),
             )
             # K >= 2: at K = 1 all proposals sharing a top seen class tie
             # exactly in cosine, and rounding alone would order them
             k = int(rng.integers(2, space.S + 1))
             assert_same_detections(
-                conse_detect(model, space, props, "img", k=k, alpha=alpha, nms_iou=nms_iou),
+                conse_detect(model, space, props, "img", k=k, alpha=alpha),
                 conse_detect_ref(model, space, props, "img", k, alpha, nms_iou),
             )
             assert_same_tags(tag_image(model, space, props), tag_image_ref(model, space, props))
@@ -509,7 +496,7 @@ class TestBatchedMatchesPerProposalLoops:
         assert len(conse_detect(model, space, props, "img", k=2, alpha=-1.0)) == 0
         assert tag_image(model, space, props).tolist() == [0.0, 0.0]
 
-    def test_score_ties(self):
+    def test_score_ties(self, monkeypatch):
         # exact arithmetic: axis embeddings, identity W1, integer features
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         model.box_b = np.array([1.0, 0, 0, 0, -1.0, 0, 0, 0])  # seen class shows in the box
@@ -527,11 +514,12 @@ class TestBatchedMatchesPerProposalLoops:
                  (30, 30, 40, 40), (50, 50, 60, 60), (51, 50, 61, 60), (0, 50, 10, 60)]
         props = stack([prop(np.array(f, dtype=np.float64), b) for f, b in zip(features, boxes)])
         for nms_iou in (0.0, 0.5):
-            got = detect(model, space, props, "img", alpha=-1.0, nms_iou=nms_iou)
+            nms_at(monkeypatch, nms_iou)
+            got = detect(model, space, props, "img", alpha=-1.0)
             assert_same_detections(got, detect_ref(model, space, props, "img", -1.0, nms_iou))
             assert got
             for k in (1, 2):
-                got = conse_detect(model, space, props, "img", k=k, alpha=-1.0, nms_iou=nms_iou)
+                got = conse_detect(model, space, props, "img", k=k, alpha=-1.0)
                 ref = conse_detect_ref(model, space, props, "img", k, -1.0, nms_iou)
                 assert_same_detections(got, ref)
                 assert got
@@ -563,8 +551,8 @@ class TestLabelAwareNms:
         calls = []
 
         def counting_nms(detections, iou_thresh):
-            calls.append(len(detections))
-            return nms(detections, iou_thresh)
+            calls.append((len(detections), iou_thresh))
+            return np.arange(len(detections))  # keep every candidate
 
         monkeypatch.setattr("zsdet.infer.nms", counting_nms)
         for _ in range(30):
@@ -572,11 +560,8 @@ class TestLabelAwareNms:
             props = random_proposals(rng, model.d_f)
             alpha = float(rng.uniform(-0.5, 0.3))
             k = int(rng.integers(1, space.S + 1))
-            for route in (lambda iou: detect(model, space, props, "img", alpha=alpha, nms_iou=iou),
-                          lambda iou: conse_detect(model, space, props, "img", k=k,
-                                                   alpha=alpha, nms_iou=iou)):
-                candidates = route(0.0)
-                assert calls == []
-                route(0.5)
-                assert calls == ([len(candidates)] if candidates else [])
+            for route in (lambda: detect(model, space, props, "img", alpha=alpha),
+                          lambda: conse_detect(model, space, props, "img", k=k, alpha=alpha)):
+                candidates = route()
+                assert calls == ([(len(candidates), NMS_IOU)] if candidates else [])
                 calls.clear()

@@ -301,10 +301,10 @@ def proposals_at(*boxes, d_f=3):
     return Proposals(np.ones((len(boxes), d_f)), np.array(boxes, dtype=np.float64).reshape(-1, 4))
 
 
-def label_gts(proposals, gts, fg_iou, space):
+def label_gts(proposals, gts, space):
     """``label_proposals`` over a list of :class:`GroundTruth` records."""
     _, ids, boxes = gt_rows(gts)
-    return label_proposals(proposals, ids, boxes, fg_iou, space)
+    return label_proposals(proposals, ids, boxes, space)
 
 
 class TestLabelProposals:
@@ -314,14 +314,14 @@ class TestLabelProposals:
     def test_identical_box_gets_gt_label(self):
         gts = [GroundTruth("i", 2, np.array([0.0, 0.0, 10.0, 10.0]))]
         props = proposals_at([0.0, 0.0, 10.0, 10.0])
-        labeled = label_gts(props, gts, 0.5, self.space)
+        labeled = label_gts(props, gts, self.space)
         assert labeled.ys[0] == 2
         np.testing.assert_array_equal(labeled.targets[0], encode_boxes(gts[0].box, props.boxes[0]))
 
     def test_disjoint_is_background(self):
         gts = [GroundTruth("i", 1, np.array([0.0, 0.0, 10.0, 10.0]))]
         props = proposals_at([50.0, 50.0, 60.0, 60.0])
-        labeled = label_gts(props, gts, 0.5, self.space)
+        labeled = label_gts(props, gts, self.space)
         assert labeled.ys[0] == self.space.bg_id
         assert np.isnan(labeled.targets[0]).all()
 
@@ -329,7 +329,7 @@ class TestLabelProposals:
         # proposal covers exactly half the gt: IoU = 50/100 = 0.5
         gts = [GroundTruth("i", 1, np.array([0.0, 0.0, 10.0, 10.0]))]
         props = proposals_at([0.0, 0.0, 10.0, 5.0])
-        assert label_gts(props, gts, 0.5, self.space).ys[0] == 1
+        assert label_gts(props, gts, self.space).ys[0] == 1
 
     def test_max_iou_gt_wins(self):
         gts = [
@@ -337,7 +337,7 @@ class TestLabelProposals:
             GroundTruth("i", 2, np.array([2.0, 2.0, 12.0, 12.0])),
         ]
         props = proposals_at([2.0, 2.0, 12.0, 12.0])
-        assert label_gts(props, gts, 0.5, self.space).ys[0] == 2
+        assert label_gts(props, gts, self.space).ys[0] == 2
 
 
 def label_proposals_ref(proposals, gts, fg_iou, space):
@@ -357,7 +357,7 @@ def label_proposals_ref(proposals, gts, fg_iou, space):
 
 
 class TestLabelProposalsMatchesLoop:
-    def test_grid_boxes_with_ties(self, rng):
+    def test_grid_boxes_with_ties(self, rng, monkeypatch):
         # integer boxes: equal IoUs against several gts and IoU exactly 0.5
         space = make_space(3, 1)
         for _ in range(200):
@@ -371,7 +371,8 @@ class TestLabelProposalsMatchesLoop:
             gts += gts[: int(rng.integers(0, 2))]  # a repeated gt box: an exact tie
             props = proposals_at(*(box() for _ in range(int(rng.integers(0, 8)))), d_f=2)
             fg_iou = float(rng.choice([0.0, 0.3, 0.5]))
-            got = label_gts(props, gts, fg_iou, space)
+            monkeypatch.setattr(train_module, "FG_IOU", fg_iou)
+            got = label_gts(props, gts, space)
             ref = label_proposals_ref(props, gts, fg_iou, space)
             assert list(got.ys) == [y for y, _ in ref]
             for target, prop_box, (_, gt_box) in zip(got.targets, props.boxes, ref):
