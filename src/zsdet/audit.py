@@ -116,12 +116,7 @@ def gradient_audit(
     for trial in range(trials):
         mode, lam = combos[trial % len(combos)]
         model, batch, space = random_instance(rng)
-        _, grads = loss_gradients(model, batch, space, lam, mode)
-        analytic = {
-            "w1": grads.dw1.copy(),
-            "box_w": grads.dbox.copy(),
-            "box_b": grads.dbox_b.copy(),
-        }
+        _, analytic = loss_gradients(model, batch, space, lam, mode)
         params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
         # Every trial sweeps W1; the (cheaper to get wrong, costlier to sweep)
         # box head is audited on every tenth trial.

@@ -41,7 +41,7 @@ from .evaluation import (
     render_report,
     report_to_dict,
 )
-from .infer import NMS_IOU, Detections, check_k, conse_detect, detect, dump_detections, tag_image
+from .infer import Detections, check_k, conse_detect, detect, dump_detections, tag_image
 from .model import Model, load_checkpoint, modified_embeddings, save_checkpoint
 from .semantics import (
     LabelSpace,
@@ -200,10 +200,6 @@ def cmd_eval(args) -> int:
     for task in tasks:
         model_outputs = detections() if task in ("T1", "T2") else tags()
         report = evaluate(model_outputs, gts, space, task)
-        report.meta.update(
-            {"inference": args.inference, "alpha": args.alpha, "k": args.k,
-             "nms_iou": NMS_IOU, "checkpoint": str(args.checkpoint)}
-        )
         report_path = out / f"report_{task}.json"
         with open(report_path, "w", encoding="utf-8") as f:
             json.dump(report_to_dict(report), f, indent=2)

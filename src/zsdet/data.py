@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .codec import read_blocks, read_header, read_utf8, write_blocks
-from .errors import ConfigError, CoverageError, ParseError, check_seed
+from .errors import ConfigError, ParseError, check_seed
 from .semantics import EmbeddingTable, LabelSpace, _readonly
 
 CANVAS = 256.0
@@ -448,15 +448,15 @@ def save_meta_map(meta_map: Mapping[str, str], path: str | os.PathLike) -> None:
 
 def gt_class_ids(dataset: Dataset, space: LabelSpace) -> list[np.ndarray]:
     """Each image's ground-truth class ids ``(G,)``, in row order; a label
-    outside ``space`` raises :class:`CoverageError` naming it and its image."""
+    outside ``space`` raises :class:`ConfigError` naming it and its image."""
     ids = dict(zip(space.labels, range(1, space.C + 1)))
     out = []
     for img in dataset.images:
         try:
             out.append(np.array([ids[label] for label in img.gt_labels], dtype=np.intp))
         except KeyError as exc:
-            raise CoverageError(f"ground-truth label {exc.args[0]!r} in image {img.image_id} "
-                                "not in label space") from None
+            raise ConfigError(f"ground-truth label {exc.args[0]!r} in image {img.image_id} "
+                              "not in label space") from None
     return out
 
 

@@ -1,4 +1,9 @@
-"""Exception taxonomy shared by all zsdet modules."""
+"""Exception taxonomy shared by all zsdet modules.
+
+Every refusal exits 2 from the CLI; the classes differ only in what a
+caller can read from them (a parse error's line, a numeric failure's
+sample index).
+"""
 
 import math
 
@@ -17,37 +22,8 @@ class ParseError(ZsdetError):
         super().__init__(message)
 
 
-class DimensionMismatchError(ParseError):
-    """Vector or feature length disagrees with the established dimensionality."""
-
-
-class DuplicateLabelError(ParseError):
-    """The same label appears more than once in a vector file."""
-
-
-class DegenerateEmbeddingError(ZsdetError):
-    """A class vector, or the background mean of the unit class vectors, has
-    zero norm and cannot be normalized."""
-
-
-class CoverageError(ZsdetError):
-    """A class is missing from (or duplicated in) the meta-class map."""
-
-
-class DisjointnessError(ZsdetError):
-    """Seen and unseen label sets overlap."""
-
-
-class ShapeError(ZsdetError):
-    """An array argument has the wrong shape."""
-
-
-class NormalizationError(ZsdetError):
-    """Score normalization is undefined (zero-norm feature)."""
-
-
-class InvalidTargetError(ZsdetError):
-    """A training target is an unseen class id; unseen classes are never supervised."""
+class ConfigError(ZsdetError):
+    """An argument, setting or combination of inputs that the protocol refuses."""
 
 
 class NumericFailureError(ZsdetError):
@@ -60,10 +36,6 @@ class NumericFailureError(ZsdetError):
         super().__init__(message)
 
 
-class ConfigError(ZsdetError):
-    """A configuration value violates its documented range."""
-
-
 def check_finite(name: str, value: float) -> None:
     """Raise :class:`ConfigError` unless ``value`` is a finite number."""
     if not math.isfinite(value):
@@ -74,4 +46,3 @@ def check_seed(value: int) -> None:
     """Raise :class:`ConfigError` unless ``value`` is a usable random seed (>= 0)."""
     if value < 0:
         raise ConfigError(f"seed must be >= 0, got {value}")
-

@@ -32,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTargetError, NumericFailureError, ShapeError
-from .model import MODES, Model, RegionBatch
+from .errors import ConfigError, NumericFailureError
+from .model import MODES, Model, RegionBatch, forward_boxes, forward_scores
 from .semantics import LabelSpace
 
 
@@ -47,15 +47,6 @@ class LossBreakdown:
     l_reg: float
     total: float
     lam: float
-
-
-@dataclass
-class Gradients:
-    """Analytic gradients shaped like the trainable parameters."""
-
-    dw1: np.ndarray
-    dbox: np.ndarray
-    dbox_b: np.ndarray
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -187,13 +178,14 @@ def loss_gradients(
     space: LabelSpace,
     lam: float,
     mode: str = "full",
-) -> tuple[LossBreakdown, Gradients]:
+) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Mean batch loss and exact analytic gradients for W1 and the box head.
 
-    The score-path gradient chains through the bilinear form:
-    ``dW1 = (1/T) sum_i f_i (W2 dL/do_i)^T``.  Every target must be a seen
-    class or background, and every foreground row needs a finite
-    regression target.
+    The gradients are keyed by parameter name (``w1``, ``box_w``, ``box_b``)
+    and shaped like the parameters.  The score-path gradient chains through
+    the bilinear form: ``dW1 = (1/T) sum_i f_i (W2 dL/do_i)^T``.  Every
+    target must be a seen class or background, and every foreground row
+    needs a finite regression target.
     """
     if not batch:
         raise ConfigError("batch must be nonempty")
@@ -205,16 +197,16 @@ def loss_gradients(
     n = len(batch)
     feats, ys = batch.features, batch.ys
     if feats.shape != (n, model.d_f) or batch.targets.shape != (n, 4):
-        raise ShapeError(f"batch features {feats.shape} and targets {batch.targets.shape}"
-                         f" must be ({n}, d_f {model.d_f}) and ({n}, 4)")
+        raise ConfigError(f"batch features {feats.shape} and targets {batch.targets.shape}"
+                          f" must be ({n}, d_f {model.d_f}) and ({n}, 4)")
     bad = ((ys < 1) | (ys > space.S)) & (ys != space.bg_id)
     if bad.any():
         y = int(ys[bad.argmax()])
-        raise InvalidTargetError(
+        raise ConfigError(
             f"target {y} is an unseen class; unseen classes are never supervised"
             if space.is_unseen(y) else f"target {y} outside the extended label set")
-    scores = (feats @ model.w1) @ model.w2
-    offsets = feats @ model.box_w + model.box_b
+    scores = forward_scores(model, feats)
+    offsets = forward_boxes(model, feats)
 
     if not np.isfinite(scores).all():
         raise NumericFailureError("non-finite score", sample_index=_first_bad_row(scores))
@@ -258,5 +250,5 @@ def loss_gradients(
         dbox_b = np.zeros_like(model.box_b)
 
     breakdown = LossBreakdown(l_mm, l_mc, l_cls, l_reg, l_cls + l_reg, lam_eff)
-    return breakdown, Gradients(dw1=dw1, dbox=dbox, dbox_b=dbox_b)
+    return breakdown, {"w1": dw1, "box_w": dbox, "box_b": dbox_b}
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import read_blocks, read_header, write_blocks
-from .errors import ConfigError, NormalizationError, ParseError, ShapeError
+from .errors import ConfigError, ParseError
 from .semantics import EmbeddingTable, LabelSpace
 
 # Training modes: ``full`` ranks every class, ``seen_only`` the seen ones.
@@ -118,7 +118,7 @@ def forward_scores(model: Model, feature: np.ndarray) -> np.ndarray:
     """
     feature = np.asarray(feature, dtype=np.float64)
     if feature.shape[-1] != model.d_f:
-        raise ShapeError(f"feature length {feature.shape[-1]} != d_f {model.d_f}")
+        raise ConfigError(f"feature length {feature.shape[-1]} != d_f {model.d_f}")
     return (feature @ model.w1) @ model.w2
 
 
@@ -148,10 +148,10 @@ def normalized_scores(model: Model, o: np.ndarray, feature: np.ndarray) -> np.nd
     """
     o = np.asarray(o, dtype=np.float64)
     if o.shape[-1] != model.w2.shape[1]:
-        raise ShapeError(f"score length {o.shape[-1]} != C+1 {model.w2.shape[1]}")
+        raise ConfigError(f"score length {o.shape[-1]} != C+1 {model.w2.shape[1]}")
     fnorm = feature_norms(feature)
     if np.any(fnorm == 0.0):
-        raise NormalizationError("cannot normalize scores for a zero feature")
+        raise ConfigError("cannot normalize scores for a zero feature")
     return o / (model.col_norms * fnorm)
 
 
@@ -159,7 +159,7 @@ def forward_boxes(model: Model, feature: np.ndarray) -> np.ndarray:
     """Per-seen-class box offsets, flat length 4S, grouped (tx,ty,tw,th)."""
     feature = np.asarray(feature, dtype=np.float64)
     if feature.shape[-1] != model.d_f:
-        raise ShapeError(f"feature length {feature.shape[-1]} != d_f {model.d_f}")
+        raise ConfigError(f"feature length {feature.shape[-1]} != d_f {model.d_f}")
     return feature @ model.box_w + model.box_b
 
 
@@ -176,7 +176,7 @@ def encode_boxes(boxes: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     bx = boxes[..., 0] + 0.5 * bw
     by = boxes[..., 1] + 0.5 * bh
     if np.any(aw <= 0) or np.any(ah <= 0) or np.any(bw <= 0) or np.any(bh <= 0):
-        raise ShapeError("boxes must be well-ordered with positive width/height")
+        raise ConfigError("boxes must be well-ordered with positive width/height")
     return np.stack(
         [(bx - ax) / aw, (by - ay) / ah, np.log(bw / aw), np.log(bh / ah)], axis=-1
     )
@@ -247,7 +247,7 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
         shapes = {"W1": (d_f, d), "box_weights": (d_f, 4 * s), "box_bias": (4 * s,)}
         arrays = read_blocks(f, "checkpoint", shapes)
     if table.d != d:
-        raise ShapeError(f"table dimensionality {table.d} != checkpoint d {d}")
+        raise ConfigError(f"table dimensionality {table.d} != checkpoint d {d}")
     for key, a in zip(shapes, arrays):
         finite = np.isfinite(a)
         if not finite.all():

@@ -21,14 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .codec import utf8_lines
-from .errors import (
-    CoverageError,
-    DegenerateEmbeddingError,
-    DimensionMismatchError,
-    DisjointnessError,
-    DuplicateLabelError,
-    ParseError,
-)
+from .errors import ConfigError, ParseError
 
 NORM_TOL = 1e-9
 
@@ -56,7 +49,7 @@ class EmbeddingTable:
     def __post_init__(self):
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
         if self.vectors.shape[1] != len(self.labels):
-            raise DimensionMismatchError(
+            raise ParseError(
                 f"{len(self.labels)} labels but {self.vectors.shape[1]} vector columns"
             )
 
@@ -82,9 +75,9 @@ class EmbeddingTable:
         """
         missing = [l for l in labels if l not in self._index]
         if missing:
-            raise CoverageError(f"labels absent from embedding table: {missing}")
+            raise ConfigError(f"labels absent from embedding table: {missing}")
         if len(set(labels)) != len(labels) or len(labels) != len(self.labels):
-            raise CoverageError("reorder labels must be a permutation of table labels")
+            raise ConfigError("reorder labels must be a permutation of table labels")
         cols = [self._index[l] for l in labels]
         return EmbeddingTable(
             labels=tuple(labels),
@@ -111,7 +104,7 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
         if not tokens:
             raise ParseError(f"record {label!r} has no vector components", lineno)
         if label in labels:
-            raise DuplicateLabelError(f"duplicate label {label!r}", lineno)
+            raise ParseError(f"duplicate label {label!r}", lineno)
         try:
             vec = np.array([float(t) for t in tokens], dtype=np.float64)
         except ValueError as exc:
@@ -121,7 +114,7 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
         if d is None:
             d = vec.size
         elif vec.size != d:
-            raise DimensionMismatchError(
+            raise ParseError(
                 f"record {label!r} has {vec.size} components, expected {d}", lineno
             )
         labels.append(label)
@@ -136,17 +129,17 @@ def finalize_embeddings(labels: Sequence[str], vectors: np.ndarray) -> Embedding
 
     The background is the arithmetic mean of the normalized class vectors;
     by the triangle inequality its norm is <= 1 and it is left as-is.  A
-    zero-norm class vector or background raises :class:`DegenerateEmbeddingError`.
+    zero-norm class vector or background raises :class:`ConfigError`.
     """
     norms = np.linalg.norm(vectors, axis=0)
     bad = np.where(~(norms > 0.0))[0]
     if bad.size:
-        raise DegenerateEmbeddingError(f"class {labels[bad[0]]!r} has zero-norm vector")
+        raise ConfigError(f"class {labels[bad[0]]!r} has zero-norm vector")
     vectors = _readonly(vectors / norms)
     background = vectors.mean(axis=1)
     if not np.linalg.norm(background) > 0.0:
-        raise DegenerateEmbeddingError("the unit class vectors average to zero: "
-                                       "the background has zero norm")
+        raise ConfigError("the unit class vectors average to zero: "
+                          "the background has zero norm")
     return EmbeddingTable(tuple(labels), vectors, _readonly(background))
 
 
@@ -201,14 +194,14 @@ class LabelSpace:
         if class_id == self.bg_id:
             return "__background__"
         if not 1 <= class_id < self.bg_id:
-            raise CoverageError(f"class id {class_id} outside 1..{self.bg_id}")
+            raise ConfigError(f"class id {class_id} outside 1..{self.bg_id}")
         return self.labels[class_id - 1]
 
     def meta_label_of(self, meta_id: int) -> str:
         if meta_id == self.bg_meta_id:
             return "__background__"
         if not 1 <= meta_id < self.bg_meta_id:
-            raise CoverageError(f"meta id {meta_id} outside 1..{self.bg_meta_id}")
+            raise ConfigError(f"meta id {meta_id} outside 1..{self.bg_meta_id}")
         return self.meta_labels[meta_id - 1]
 
     def is_seen(self, class_id: int) -> bool:
@@ -219,7 +212,7 @@ class LabelSpace:
 
     def meta_of(self, class_id: int) -> int:
         if not 1 <= class_id <= self.bg_id:
-            raise CoverageError(f"class id {class_id} outside 1..{self.bg_id}")
+            raise ConfigError(f"class id {class_id} outside 1..{self.bg_id}")
         return self._meta_of[class_id - 1]
 
     def members(self, meta_id: int) -> tuple[int, ...]:
@@ -227,7 +220,7 @@ class LabelSpace:
         if meta_id == self.bg_meta_id:
             return (self.bg_id,)
         if not 1 <= meta_id <= self.M:
-            raise CoverageError(f"meta id {meta_id} outside 1..{self.bg_meta_id}")
+            raise ConfigError(f"meta id {meta_id} outside 1..{self.bg_meta_id}")
         return tuple(
             cid for cid in range(1, self.C + 1) if self._meta_of[cid - 1] == meta_id
         )
@@ -247,7 +240,7 @@ def load_meta_map(path: str | os.PathLike) -> dict[str, str]:
             raise ParseError(f"expected 2 columns, got {len(row)}", lineno)
         cls, meta = row[0].strip(), row[1].strip()
         if cls in mapping:
-            raise CoverageError(f"class {cls!r} listed in more than one meta row")
+            raise ConfigError(f"class {cls!r} listed in more than one meta row")
         mapping[cls] = meta
     if not mapping:
         raise ParseError(f"no rows in meta map {path}")
@@ -257,26 +250,23 @@ def load_meta_map(path: str | os.PathLike) -> dict[str, str]:
 def build_label_space(
     seen_labels: Sequence[str],
     unseen_labels: Sequence[str],
-    meta_map: str | os.PathLike | Mapping[str, str],
+    meta_map: Mapping[str, str],
 ) -> LabelSpace:
     """Assign ids (seen, then unseen, then bg) and populate the meta structure.
 
-    ``meta_map`` is either a path to the CSV map or an in-memory mapping.
     Every class must appear exactly once; meta ids follow first appearance
     in the map's iteration order.
     """
     overlap = set(seen_labels) & set(unseen_labels)
     if overlap:
-        raise DisjointnessError(f"labels in both seen and unseen sets: {sorted(overlap)}")
+        raise ConfigError(f"labels in both seen and unseen sets: {sorted(overlap)}")
     if len(set(seen_labels)) != len(seen_labels) or len(set(unseen_labels)) != len(unseen_labels):
-        raise DisjointnessError("duplicate labels inside a split set")
-    if isinstance(meta_map, (str, os.PathLike)):
-        meta_map = load_meta_map(meta_map)
+        raise ConfigError("duplicate labels inside a split set")
 
     labels = tuple(seen_labels) + tuple(unseen_labels)
     missing = [l for l in labels if l not in meta_map]
     if missing:
-        raise CoverageError(f"classes missing from meta map: {missing}")
+        raise ConfigError(f"classes missing from meta map: {missing}")
 
     meta_order: list[str] = []
     for meta in meta_map.values():
@@ -301,12 +291,12 @@ def meta_cosine_stats(matrix: np.ndarray, space: LabelSpace) -> tuple[float, flo
     to quantify how strongly training pulls same-meta embeddings together.
     """
     if matrix.shape[1] != space.C:
-        raise DimensionMismatchError(
+        raise ParseError(
             f"expected {space.C} columns, got {matrix.shape[1]}"
         )
     norms = np.linalg.norm(matrix, axis=0)
     if not np.all(norms > 0):
-        raise DegenerateEmbeddingError("zero-norm column in modified embeddings")
+        raise ConfigError("zero-norm column in modified embeddings")
     unit = matrix / norms
     cos = unit.T @ unit
     metas = np.array([space.meta_of(cid) for cid in range(1, space.C + 1)])

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, Proposals, gt_class_ids
-from .errors import ConfigError, InvalidTargetError, NumericFailureError, check_seed
+from .errors import ConfigError, NumericFailureError, check_seed
 from .evaluation import iou_matrix
 from .loss import LossBreakdown, loss_gradients
 from .model import MODES, Model, RegionBatch, encode_boxes, init_model
@@ -354,8 +354,8 @@ def train(
     for img, ids in zip(work.images, gt_ids):
         leaked = ids[ids > space.S]
         if leaked.size:
-            raise InvalidTargetError(f"train dataset leaks unseen class "
-                                     f"{space.label_of(int(leaked[0]))!r} in image {img.image_id}")
+            raise ConfigError(f"train dataset leaks unseen class "
+                              f"{space.label_of(int(leaked[0]))!r} in image {img.image_id}")
     model = init_model(table, space, dataset.d_f, config.seed, config.mode)
     labeled = [label_proposals(img.proposals, ids, img.gt_boxes, space)
                for img, ids in zip(work.images, gt_ids)]
@@ -374,12 +374,7 @@ def train(
                 breakdown, grads = loss_gradients(
                     model, batch, space, config.lam, config.mode
                 )
-                adam_step(
-                    params,
-                    {"w1": grads.dw1, "box_w": grads.dbox, "box_b": grads.dbox_b},
-                    state,
-                    config,
-                )
+                adam_step(params, grads, state, config)
                 del grads  # else the next loss_gradients builds its own while these live
             except NumericFailureError as exc:
                 raise NumericFailureError(f"training step {step}: {exc}") from exc

@@ -1,7 +1,6 @@
 """Shared builders for small hand-constructed instances."""
 
 import base64
-import importlib
 import json
 import math
 import os
@@ -14,13 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zsdet.train
 from zsdet.evaluation import average_precision
 from zsdet.infer import Detections
 from zsdet.loss import LossBreakdown, _class_terms
 from zsdet.model import Model, init_model
 from zsdet.semantics import build_label_space, finalize_embeddings
-
-train = importlib.import_module("zsdet.train")  # the module; ``zsdet.train`` names the function
 
 
 def make_table(vectors, labels=None):
@@ -224,18 +222,18 @@ def adam_cpus(n):
         ran.add(threading.current_thread().name)
         return blocks(*args)
 
-    blocks = train._adam_blocks
+    blocks = zsdet.train._adam_blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        mp.setattr(train, "_adam_blocks", recorded)
-        train._adam_worker.cache_clear()
+        mp.setattr(zsdet.train, "_adam_blocks", recorded)
+        zsdet.train._adam_worker.cache_clear()
         try:
             yield ran
         finally:
-            worker = train._adam_worker(os.getpid())
+            worker = zsdet.train._adam_worker(os.getpid())
             if worker is not None:
                 worker.shutdown()
-            train._adam_worker.cache_clear()
+            zsdet.train._adam_worker.cache_clear()
 
 
 @pytest.fixture

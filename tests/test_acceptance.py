@@ -79,7 +79,7 @@ def test_criterion_1_gradient_fidelity():
                 down = loss_gradients(model, batch, space, lam, mode)[0].total
                 flat[idx] = orig
                 numeric = (up - down) / (2 * h)
-                analytic = float(grads.dw1.reshape(-1)[idx])
+                analytic = float(grads["w1"].reshape(-1)[idx])
                 scale = max(abs(analytic), abs(numeric))
                 if scale >= 1e-7:
                     worst = max(worst, abs(analytic - numeric) / scale)

@@ -5,14 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zsdet
+import zsdet.errors
+import zsdet.train
 from zsdet.cli import build_parser, main
 from zsdet.data import SynthConfig, generate_synthetic
+from zsdet.evaluation import TASKS
 from zsdet.model import load_checkpoint, save_checkpoint
 from zsdet.semantics import load_word_vectors
 from zsdet.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FG_IOU
@@ -203,6 +207,25 @@ class TestImportCost:
         assert out.stdout == "False\n"
 
 
+class TestPackageSurface:
+    def test_errors_defines_the_four_exception_classes(self):
+        defined = {name for name, obj in vars(zsdet.errors).items()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)}
+        assert defined == {"ZsdetError", "ParseError", "ConfigError", "NumericFailureError"}
+
+    def test_train_names_the_module(self):
+        assert isinstance(zsdet.train, types.ModuleType)
+        assert zsdet.train.train.__module__ == "zsdet.train"
+
+    def test_package_root_binds_only_its_version(self):
+        probe = "import zsdet; print(sorted(n for n in vars(zsdet) if not n.startswith('__')))"
+        src = str(Path(zsdet.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
+        assert out.stdout == "[]\n"
+        assert zsdet.__version__
+
+
 class TestPredictAndEval:
     def test_predict_writes_jsonl(self, tmp_path):
         data = synth(tmp_path)
@@ -224,11 +247,31 @@ class TestPredictAndEval:
                    "--task", "all", "--alpha", 0.1, "--out", out) == 0
         for task in ("T1", "T2", "T3", "T4"):
             report = json.loads((out / f"report_{task}.json").read_text())
+            assert set(report) == {"task", "task_name", "mean_ap", "per_class", "meta"}
+            assert set(report["meta"]) == {"task", "task_name", "iou_thresh", "interpolation",
+                                           "tagging"}
             assert report["task"] == task
             assert 0.0 <= report["mean_ap"] <= 1.0
         text = capsys.readouterr().out
         assert text.count("mAP=") == 4
         assert (out / "report.txt").exists()
+
+    def test_reports_do_not_depend_on_how_the_checkpoint_is_named(self, tmp_path, monkeypatch):
+        # the run settings, the checkpoint path among them, live in the manifest
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        monkeypatch.chdir(tmp_path)
+        common = ["--embeddings", data / "embeddings.txt", "--meta-map", data / "meta_map.csv",
+                  "--data", data / "test.jsonl", "--task", "all", "--alpha", 0.1]
+        assert run("eval", "--checkpoint", ckpt.name, *common, "--out", "rel") == 0
+        assert run("eval", "--checkpoint", ckpt.resolve(), *common, "--out", "abs") == 0
+        for task in TASKS:
+            name = f"report_{task}.json"
+            assert (tmp_path / "rel" / name).read_bytes() == (tmp_path / "abs" / name).read_bytes()
+        manifest = json.loads((tmp_path / "abs" / "manifest.json").read_text())
+        assert manifest["config"]["checkpoint"] == str(ckpt.resolve())
+        assert {k: manifest["config"][k] for k in ("inference", "alpha", "k")} == {
+            "inference": "san", "alpha": 0.1, "k": 10}
 
     def test_eval_single_task_conse(self, tmp_path):
         data = synth(tmp_path)
@@ -291,7 +334,7 @@ class TestGradcheckCommand:
 
         def shifted(*args):
             breakdown, grads = exact(*args)
-            grads.dw1[0, 0] += 1e-2
+            grads["w1"][0, 0] += 1e-2
             return breakdown, grads
 
         monkeypatch.setattr("zsdet.audit.loss_gradients", shifted)

@@ -25,7 +25,7 @@ from zsdet.data import (
     save_split,
 )
 from zsdet.cli import main
-from zsdet.errors import ConfigError, CoverageError, ParseError, ZsdetError
+from zsdet.errors import ConfigError, ParseError, ZsdetError
 from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
 from conftest import GroundTruth, block_file_bytes, gt_rows, make_space
@@ -647,5 +647,5 @@ class TestGroundTruthRows:
         ds = Dataset(d_f=2, labels=space.labels, images=[
             image_with("ok", ("c1",), [[0, 0, 1, 1.0]]),
             image_with("bad", ("c2", "nope"), [[0, 0, 1, 1.0], [0, 0, 2, 2.0]])])
-        with pytest.raises(CoverageError, match="label 'nope' in image bad not in label space"):
+        with pytest.raises(ConfigError, match="label 'nope' in image bad not in label space"):
             ground_truth_rows(ds, space)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zsdet.train
 from zsdet.data import SynthConfig, generate_synthetic
-from zsdet.errors import ConfigError, CoverageError, InvalidTargetError, NumericFailureError
+from zsdet.errors import ConfigError, NumericFailureError
 from zsdet.model import RegionBatch, encode_boxes, init_model, save_checkpoint
 from zsdet.semantics import build_label_space
 from zsdet.train import (
@@ -31,7 +32,6 @@ from zsdet.train import (
 from zsdet.data import Dataset, ImageRecord, Proposals
 
 from conftest import GroundTruth, adam_cpus, gt_rows, make_space
-from conftest import train as train_module
 from test_evaluation import iou
 
 
@@ -137,7 +137,7 @@ class TestAdamStep:
     def test_single_block_params_start_no_worker(self):
         with adam_cpus(2) as ran:
             self.check_bitwise_textbook_adam({"w": (ADAM_BLOCK,), "b": (7,)}, steps=3)
-            assert train_module._adam_worker.cache_info().misses == 0 and not ran
+            assert zsdet.train._adam_worker.cache_info().misses == 0 and not ran
 
     def test_concurrent_callers_share_one_worker_bit_for_bit(self):
         # more callers than cores hand blocks to the one worker while threads
@@ -167,8 +167,8 @@ class TestAdamStep:
         params = {"w": np.ones(3 * ADAM_BLOCK)}
         state = AdamState.for_params(params)
         with adam_cpus(2), pytest.MonkeyPatch.context() as mp:
-            run_blocks = train_module._adam_blocks
-            mp.setattr(train_module, "_adam_blocks", fail_off_caller)
+            run_blocks = zsdet.train._adam_blocks
+            mp.setattr(zsdet.train, "_adam_blocks", fail_off_caller)
             with pytest.raises(FloatingPointError, match="worker failed"):
                 adam_step(params, {"w": np.ones(3 * ADAM_BLOCK)}, state, TrainConfig())
         # the worker failed before taking a block: the caller ran all three
@@ -371,7 +371,7 @@ class TestLabelProposalsMatchesLoop:
             gts += gts[: int(rng.integers(0, 2))]  # a repeated gt box: an exact tie
             props = proposals_at(*(box() for _ in range(int(rng.integers(0, 8)))), d_f=2)
             fg_iou = float(rng.choice([0.0, 0.3, 0.5]))
-            monkeypatch.setattr(train_module, "FG_IOU", fg_iou)
+            monkeypatch.setattr(zsdet.train, "FG_IOU", fg_iou)
             got = label_gts(props, gts, space)
             ref = label_proposals_ref(props, gts, fg_iou, space)
             assert list(got.ys) == [y for y, _ in ref]
@@ -654,7 +654,7 @@ class TestTrain:
             if len(steps) == len(history):
                 params[key].flat[-1] = np.inf
 
-        monkeypatch.setattr(train_module, "adam_step", overflowing)
+        monkeypatch.setattr(zsdet.train, "adam_step", overflowing)
         with pytest.raises(NumericFailureError, match=f"training step {len(history) - 1} "
                                                       f"left a non-finite value in '{key}'"):
             train(bundle.train, table, space, cfg)
@@ -681,13 +681,13 @@ class TestTrain:
     def test_unseen_leak_rejected(self):
         bundle, table, space = toy_bundle()
         poisoned = self.with_image_of(bundle.train, bundle.oracle["unseen_labels"][0])
-        with pytest.raises(InvalidTargetError):
+        with pytest.raises(ConfigError, match="train dataset leaks unseen class"):
             train(poisoned, table, space, self.config())
 
     def test_label_outside_label_space_rejected(self):
         bundle, table, space = toy_bundle()
         poisoned = self.with_image_of(bundle.train, "not_a_class")
-        with pytest.raises(CoverageError, match="'not_a_class' in image bad"):
+        with pytest.raises(ConfigError, match="'not_a_class' in image bad"):
             train(poisoned, table, space, self.config())
 
     def test_loss_history_csv(self, tmp_path):
