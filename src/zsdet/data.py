@@ -7,6 +7,11 @@ by construction and features of unseen classes stay related to those of
 same-meta seen classes.  Ground-truth boxes live on a 3x3 grid; each
 positive proposal is its object's cell under a bounded random translation,
 and the remaining proposals are background (noise features, random boxes).
+Its draw order is its contract: one stream from the seed gives the meta
+centroids, each class vector, G, then per image its classes, its grid cells
+and, per proposal in row order, a normal feature draw and its box's uniforms
+(an object's x, y shift; a background box's x1, y1, w, h).  Another order
+changes every synth file and the mAPs in ``perfbench/reference.json``.
 
 A dataset file is in the binary layout of :mod:`zsdet.codec`: a JSON header
 line with ``d_f``, the labels and each image's id, proposal count and
@@ -121,42 +126,50 @@ class SyntheticBundle:
     oracle: dict
 
 
-def _grid_cell(idx: int) -> np.ndarray:
-    cell = CANVAS / GRID
-    r, c = divmod(idx, GRID)
-    return np.array([c * cell, r * cell, (c + 1) * cell, (r + 1) * cell])
+# the grid's cells as boxes, row-major
+_CELLS = CANVAS / GRID * np.array([(c, r, c + 1, r + 1) for r in range(GRID) for c in range(GRID)],
+                                  dtype=float)
 
 
 def _make_image(
     image_id: str,
     class_ids: np.ndarray,
     labels: Sequence[str],
-    g_map: np.ndarray,
-    vectors: np.ndarray,
+    centres: np.ndarray,
     bg_scale: float,
     cfg: SynthConfig,
     rng: np.random.Generator,
 ) -> ImageRecord:
-    cell = CANVAS / GRID
-    cells = rng.choice(GRID * GRID, size=class_ids.size, replace=False)
+    # two draws per proposal, in the order the module docstring fixes, each
+    # into its row; in-place arithmetic over the block then gives the values
+    # of ``rng.uniform(lo, hi)``, which is ``lo + (hi - lo) * random()``
+    gt_boxes = _CELLS[rng.choice(GRID * GRID, size=class_ids.size, replace=False)]
     features = np.empty((cfg.proposals_per_image, cfg.d_f))
     boxes = np.empty((cfg.proposals_per_image, 4))
-    gt_boxes = np.empty((class_ids.size, 4))
+    k = class_ids.size
+    for feature, box in zip(features[:k], boxes[:k]):
+        rng.standard_normal(out=feature)
+        rng.random(out=box[:2])
+    for feature, box in zip(features[k:], boxes[k:]):
+        rng.standard_normal(out=feature)
+        rng.random(out=box)
     # a huge noise_sigma overflows here; the check below refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (cid, cell_idx) in enumerate(zip(class_ids, cells)):
-            gt_boxes[i] = _grid_cell(int(cell_idx))
-            features[i] = (g_map @ vectors[:, cid - 1]
-                           + cfg.noise_sigma * rng.standard_normal(cfg.d_f))
-            shift = rng.uniform(-0.2, 0.2, size=2) * cell
-            boxes[i] = gt_boxes[i] + shift[[0, 1, 0, 1]]
-        for i in range(class_ids.size, cfg.proposals_per_image):
-            features[i] = cfg.noise_sigma * bg_scale * rng.standard_normal(cfg.d_f)
-            x1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
-            y1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
-            w = rng.uniform(MIN_BG_BOX, CANVAS / 2)
-            h = rng.uniform(MIN_BG_BOX, CANVAS / 2)
-            boxes[i] = (x1, y1, min(x1 + w, CANVAS), min(y1 + h, CANVAS))
+        features[:k] *= cfg.noise_sigma
+        features[:k] += centres[class_ids - 1]
+        features[k:] *= cfg.noise_sigma * bg_scale
+    shift = boxes[:k, :2]
+    shift *= 0.4
+    shift -= 0.2
+    shift *= CANVAS / GRID
+    boxes[:k, 2:] = shift
+    boxes[:k] += gt_boxes
+    corner, size = boxes[k:, :2], boxes[k:, 2:]
+    corner *= CANVAS - MIN_BG_BOX
+    size *= CANVAS / 2 - MIN_BG_BOX
+    size += MIN_BG_BOX
+    size += corner
+    np.minimum(size, CANVAS, out=size)
     if not np.isfinite(features).all():
         raise ConfigError(f"noise_sigma {cfg.noise_sigma} is too large: "
                           f"proposal features overflow")
@@ -198,40 +211,26 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
         np.sqrt(np.mean(np.linalg.norm(g_map @ vectors, axis=0) ** 2)) / np.sqrt(cfg.d_f)
     )
 
+    # one matrix-vector product per class: a single ``g_map @ vectors`` differs
+    # in the last bits, and so would every feature
+    centres = np.array([g_map @ vectors[:, c] for c in range(n_classes)])
     objects = min(max(1, cfg.proposals_per_image // 4), GRID * GRID)
     seen_ids = np.arange(1, cfg.s + 1)
     unseen_ids = np.arange(cfg.s + 1, n_classes + 1)
     all_ids = np.arange(1, n_classes + 1)
 
     train_images = [
-        _make_image(
-            f"train{i:04d}",
-            rng.choice(seen_ids, size=objects, replace=True),
-            labels,
-            g_map,
-            vectors,
-            bg_scale,
-            cfg,
-            rng,
-        )
+        _make_image(f"train{i:04d}", rng.choice(seen_ids, size=objects, replace=True), labels,
+                    centres, bg_scale, cfg, rng)
         for i in range(cfg.images)
     ]
     test_images = []
     for i in range(cfg.test_images):
         first = rng.choice(unseen_ids, size=1)
         rest = rng.choice(all_ids, size=objects - 1, replace=True) if objects > 1 else []
+        class_ids = np.concatenate([first, rest]).astype(int) if objects > 1 else first
         test_images.append(
-            _make_image(
-                f"test{i:04d}",
-                np.concatenate([first, rest]).astype(int) if objects > 1 else first,
-                labels,
-                g_map,
-                vectors,
-                bg_scale,
-                cfg,
-                rng,
-            )
-        )
+            _make_image(f"test{i:04d}", class_ids, labels, centres, bg_scale, cfg, rng))
 
     train = Dataset(d_f=cfg.d_f, labels=labels, images=train_images)
     test = Dataset(d_f=cfg.d_f, labels=labels, images=test_images)

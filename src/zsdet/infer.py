@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, check_finite
 from .evaluation import nms
-from .model import Model, decode_boxes, forward_boxes, forward_scores, normalized_scores
+from .model import (Model, decode_boxes, feature_norms, forward_boxes, forward_scores,
+                    normalized_scores)
 from .semantics import LabelSpace
 
 if TYPE_CHECKING:
@@ -157,7 +158,7 @@ def conse_detect(
     features, boxes, scores = _scored(model, proposals)
     rows = np.flatnonzero(~(scores[:, space.bg_id - 1] > scores[:, :s].max(axis=1)))
     e = conse_project(scores[rows, :s], model.w2[:, :s], k)
-    e_norm = np.linalg.norm(e, axis=1)
+    e_norm = feature_norms(e)[:, 0]  # finite where huge weights overflow the squares
     nonzero = e_norm != 0.0
     rows, e, e_norm = rows[nonzero], e[nonzero], e_norm[nonzero]
     u_cols = np.arange(s, space.C)

@@ -345,17 +345,16 @@ def train(
     config: TrainConfig,
 ) -> tuple[Model, list[LossBreakdown]]:
     """Full training loop; deterministic given (dataset, config, seed)."""
-    work = rebalance_dataset(
-        dataset, space, config.min_similar, np.random.default_rng([config.seed, 1])
-    )
-    # rebalancing keeps every unseen and unknown label, and the input images
-    # first and in order, so the first error found is the input's first
-    gt_ids = gt_class_ids(work, space)
-    for img, ids in zip(work.images, gt_ids):
+    # the input is checked before rebalancing, which would warn about it first
+    for img, ids in zip(dataset.images, gt_class_ids(dataset, space)):
         leaked = ids[ids > space.S]
         if leaked.size:
             raise ConfigError(f"train dataset leaks unseen class "
                               f"{space.label_of(int(leaked[0]))!r} in image {img.image_id}")
+    work = rebalance_dataset(
+        dataset, space, config.min_similar, np.random.default_rng([config.seed, 1])
+    )
+    gt_ids = gt_class_ids(work, space)
     model = init_model(table, space, dataset.d_f, config.seed, config.mode)
     labeled = [label_proposals(img.proposals, ids, img.gt_boxes, space)
                for img, ids in zip(work.images, gt_ids)]

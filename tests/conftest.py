@@ -6,7 +6,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from pathlib import Path
 
@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import zsdet.train
+from zsdet.data import CANVAS, GRID, MIN_BG_BOX, Dataset, ImageRecord, Proposals, SyntheticBundle
 from zsdet.evaluation import average_precision
 from zsdet.infer import Detections
 from zsdet.loss import LossBreakdown, _class_terms
 from zsdet.model import Model, init_model
-from zsdet.semantics import build_label_space, finalize_embeddings
+from zsdet.semantics import EmbeddingTable, build_label_space, finalize_embeddings
 
 
 def make_table(vectors, labels=None):
@@ -121,6 +122,73 @@ def legacy_checkpoint_bytes(head, arrays, encode):
     payload |= {key: encode(a) for key, a in arrays.items()}
     payload["mode"] = head["mode"]
     return (json.dumps(payload) + "\n").encode("ascii")
+
+
+def _reference_image(image_id, class_ids, labels, g_map, vectors, bg_scale, cfg, rng):
+    """One synthetic image built a proposal at a time, each value from its
+    own draw: the reference for :func:`zsdet.data._make_image`."""
+    cell = CANVAS / GRID
+    cells = rng.choice(GRID * GRID, size=class_ids.size, replace=False)
+    features = np.empty((cfg.proposals_per_image, cfg.d_f))
+    boxes = np.empty((cfg.proposals_per_image, 4))
+    gt_boxes = np.empty((class_ids.size, 4))
+    for i, (cid, cell_idx) in enumerate(zip(class_ids, cells)):
+        r, c = divmod(int(cell_idx), GRID)
+        gt_boxes[i] = (c * cell, r * cell, (c + 1) * cell, (r + 1) * cell)
+        features[i] = g_map @ vectors[:, cid - 1] + cfg.noise_sigma * rng.standard_normal(cfg.d_f)
+        shift = rng.uniform(-0.2, 0.2, size=2) * cell
+        boxes[i] = gt_boxes[i] + shift[[0, 1, 0, 1]]
+    for i in range(class_ids.size, cfg.proposals_per_image):
+        features[i] = cfg.noise_sigma * bg_scale * rng.standard_normal(cfg.d_f)
+        x1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
+        y1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
+        w = rng.uniform(MIN_BG_BOX, CANVAS / 2)
+        h = rng.uniform(MIN_BG_BOX, CANVAS / 2)
+        boxes[i] = (x1, y1, min(x1 + w, CANVAS), min(y1 + h, CANVAS))
+    gt_labels = tuple(labels[cid - 1] for cid in class_ids)
+    return ImageRecord(image_id, Proposals(features, boxes), gt_labels, gt_boxes)
+
+
+def reference_synthetic(cfg):
+    """The reference for :func:`zsdet.data.generate_synthetic` on a config
+    whose values stay finite: the same random stream, drawn in the same order,
+    with every proposal built from its own draws."""
+    rng = np.random.default_rng(cfg.seed)
+    n_classes = cfg.s + cfg.u
+    labels = tuple(f"class{i:03d}" for i in range(1, n_classes + 1))
+    meta_labels = tuple(f"meta{j:02d}" for j in range(1, cfg.m + 1))
+    meta_map = {labels[i]: meta_labels[i % cfg.m] for i in range(n_classes)}
+    centroids = rng.standard_normal((cfg.d, cfg.m))
+    centroids /= np.linalg.norm(centroids, axis=0)
+    vectors = np.empty((cfg.d, n_classes))
+    for i in range(n_classes):
+        v = centroids[:, i % cfg.m] + cfg.meta_spread * rng.standard_normal(cfg.d)
+        vectors[:, i] = v / np.linalg.norm(v)
+    table = EmbeddingTable(labels, vectors, vectors.mean(axis=1))
+    g_map = rng.standard_normal((cfg.d_f, cfg.d)) / np.sqrt(cfg.d)
+    bg_scale = float(
+        np.sqrt(np.mean(np.linalg.norm(g_map @ vectors, axis=0) ** 2)) / np.sqrt(cfg.d_f))
+    objects = min(max(1, cfg.proposals_per_image // 4), GRID * GRID)
+    seen_ids, all_ids = np.arange(1, cfg.s + 1), np.arange(1, n_classes + 1)
+
+    def image(image_id, class_ids):
+        return _reference_image(image_id, class_ids, labels, g_map, vectors, bg_scale, cfg, rng)
+
+    train = [image(f"train{i:04d}", rng.choice(seen_ids, size=objects, replace=True))
+             for i in range(cfg.images)]
+    test = []
+    for i in range(cfg.test_images):
+        first = rng.choice(np.arange(cfg.s + 1, n_classes + 1), size=1)
+        if objects > 1:
+            first = np.concatenate([first, rng.choice(all_ids, size=objects - 1, replace=True)])
+        test.append(image(f"test{i:04d}", first))
+    oracle = {
+        "seen_labels": list(labels[: cfg.s]), "unseen_labels": list(labels[cfg.s :]),
+        "meta_of": meta_map, "g_map": g_map, "bg_feature_scale": bg_scale, "canvas": CANVAS,
+        "objects_per_image": objects, "config": asdict(cfg),
+    }
+    return SyntheticBundle(table, meta_map, Dataset(cfg.d_f, labels, train),
+                           Dataset(cfg.d_f, labels, test), oracle)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line
 per criterion.  The synthetic end-to-end ordering experiment (criteria 4-7)
-is trained once per session and shared; criterion 7 repeats it from scratch
-to check bit-level determinism.
+is trained once per session, one seed per task on two worker processes, and
+shared; criterion 7 repeats it from scratch in fresh workers to check
+bit-level determinism.
 """
 
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -169,98 +172,102 @@ def _collect(detector, images):
     return [detector(img) for img in images]
 
 
-def _run_experiment(tmp_path):
-    """Train all method variants on 5 seeds; return mAPs, gaps, checkpoints."""
-    started = time.monotonic()
-    per_seed = []
-    for seed in SEEDS:
-        cfg = SynthConfig(
-            s=20, u=5, m=5, d=16, d_f=16, images=200, test_images=50,
-            noise_sigma=0.1, seed=seed,
-        )
-        bundle = generate_synthetic(cfg)
-        space = build_label_space(
-            bundle.oracle["seen_labels"], bundle.oracle["unseen_labels"], bundle.meta_map
-        )
-        table = bundle.table.reorder(space.labels)
-        gts = ground_truth_rows(bundle.test, space)
+def _run_seed(seed, tmp_path):
+    """Train all method variants on one seed; return its mAPs, gaps, checkpoints."""
+    cfg = SynthConfig(
+        s=20, u=5, m=5, d=16, d_f=16, images=200, test_images=50,
+        noise_sigma=0.1, seed=seed,
+    )
+    bundle = generate_synthetic(cfg)
+    space = build_label_space(
+        bundle.oracle["seen_labels"], bundle.oracle["unseen_labels"], bundle.meta_map
+    )
+    table = bundle.table.reorder(space.labels)
+    gts = ground_truth_rows(bundle.test, space)
 
-        cluster, _ = train(bundle.train, table, space, _train_config(seed, 0.8, "full"))
-        margin_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "full"))
-        seen_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "seen_only"))
-        baseline = init_model(table, space, bundle.train.d_f, seed, "seen_only")
+    cluster, _ = train(bundle.train, table, space, _train_config(seed, 0.8, "full"))
+    margin_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "full"))
+    seen_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "seen_only"))
+    baseline = init_model(table, space, bundle.train.d_f, seed, "seen_only")
 
-        maps = {
-            "cluster": _zsd_map(
-                _collect(
-                    lambda img: detect(cluster, space, img.proposals, img.image_id, ALPHA_CLUSTER),
-                    bundle.test.images,
-                ),
-                gts, space,
+    maps = {
+        "cluster": _zsd_map(
+            _collect(
+                lambda img: detect(cluster, space, img.proposals, img.image_id, ALPHA_CLUSTER),
+                bundle.test.images,
             ),
-            "seen_only": _zsd_map(
-                _collect(
-                    lambda img: conse_detect(
-                        seen_only, space, img.proposals, img.image_id, CONSE_K, ALPHA_CONSE
-                    ),
-                    bundle.test.images,
+            gts, space,
+        ),
+        "seen_only": _zsd_map(
+            _collect(
+                lambda img: conse_detect(
+                    seen_only, space, img.proposals, img.image_id, CONSE_K, ALPHA_CONSE
                 ),
-                gts, space,
+                bundle.test.images,
             ),
-            "baseline": _zsd_map(
-                _collect(
-                    lambda img: conse_detect(
-                        baseline, space, img.proposals, img.image_id, CONSE_K, ALPHA_CONSE
-                    ),
-                    bundle.test.images,
+            gts, space,
+        ),
+        "baseline": _zsd_map(
+            _collect(
+                lambda img: conse_detect(
+                    baseline, space, img.proposals, img.image_id, CONSE_K, ALPHA_CONSE
                 ),
-                gts, space,
+                bundle.test.images,
             ),
+            gts, space,
+        ),
+    }
+
+    chance_rng = np.random.default_rng([seed, 99])
+    chance_dets = [
+        Detection(
+            img.image_id,
+            int(chance_rng.integers(space.S + 1, space.C + 1)),
+            float(chance_rng.uniform()),
+            np.asarray(box),
+        )
+        for img in bundle.test.images
+        for box in img.proposals.boxes
+    ]
+    maps["chance"] = _zsd_map(per_image(chance_dets), gts, space)
+
+    tag_maps = {}
+    for name, model in (("cluster", cluster), ("seen_only", seen_only), ("baseline", baseline)):
+        tags = ([img.image_id for img in bundle.test.images],
+                np.array([tag_image(model, space, img.proposals) for img in bundle.test.images]))
+        tag_maps[name] = {
+            "T3": evaluate(tags, gts, space, "T3").mean_ap,
+            "T4": evaluate(tags, gts, space, "T4").mean_ap,
         }
 
-        chance_rng = np.random.default_rng([seed, 99])
-        chance_dets = [
-            Detection(
-                img.image_id,
-                int(chance_rng.integers(space.S + 1, space.C + 1)),
-                float(chance_rng.uniform()),
-                np.asarray(box),
-            )
-            for img in bundle.test.images
-            for box in img.proposals.boxes
-        ]
-        maps["chance"] = _zsd_map(per_image(chance_dets), gts, space)
+    # embedding separation, measured on the exported modified vectors
+    gaps = {}
+    for name, model in (("cluster", cluster), ("margin_only", margin_only)):
+        path = tmp_path / f"modified_{name}_{seed}.txt"
+        save_word_vectors(path, space.labels, modified_embeddings(model))
+        exported = load_word_vectors(path)
+        intra, inter = meta_cosine_stats(exported.vectors, space)
+        gaps[name] = (intra, inter)
 
-        tag_maps = {}
-        for name, model in (("cluster", cluster), ("seen_only", seen_only), ("baseline", baseline)):
-            tags = ([img.image_id for img in bundle.test.images],
-                    np.array([tag_image(model, space, img.proposals) for img in bundle.test.images]))
-            tag_maps[name] = {
-                "T3": evaluate(tags, gts, space, "T3").mean_ap,
-                "T4": evaluate(tags, gts, space, "T4").mean_ap,
-            }
+    return {
+        "maps": maps,
+        "tags": tag_maps,
+        "gaps": gaps,
+        "checkpoints": {
+            "cluster": _checkpoint_bytes(cluster, tmp_path, f"cluster_{seed}.json"),
+            "margin_only": _checkpoint_bytes(margin_only, tmp_path, f"margin_{seed}.json"),
+            "seen_only": _checkpoint_bytes(seen_only, tmp_path, f"seen_{seed}.json"),
+        },
+    }
 
-        # embedding separation, measured on the exported modified vectors
-        gaps = {}
-        for name, model in (("cluster", cluster), ("margin_only", margin_only)):
-            path = tmp_path / f"modified_{name}_{seed}.txt"
-            save_word_vectors(path, space.labels, modified_embeddings(model))
-            exported = load_word_vectors(path)
-            intra, inter = meta_cosine_stats(exported.vectors, space)
-            gaps[name] = (intra, inter)
 
-        per_seed.append(
-            {
-                "maps": maps,
-                "tags": tag_maps,
-                "gaps": gaps,
-                "checkpoints": {
-                    "cluster": _checkpoint_bytes(cluster, tmp_path, f"cluster_{seed}.json"),
-                    "margin_only": _checkpoint_bytes(margin_only, tmp_path, f"margin_{seed}.json"),
-                    "seen_only": _checkpoint_bytes(seen_only, tmp_path, f"seen_{seed}.json"),
-                },
-            }
-        )
+def _run_experiment(tmp_path):
+    """Train all method variants on 5 seeds, one seed per task on two worker
+    processes; return mAPs, gaps, checkpoints and the wall time."""
+    started = time.monotonic()
+    # spawned workers start clean: no BLAS or hypothesis state is forked
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        per_seed = list(pool.map(_run_seed, SEEDS, [tmp_path] * len(SEEDS), timeout=300.0))
     return {"per_seed": per_seed, "elapsed": time.monotonic() - started}
 
 

@@ -9,12 +9,17 @@ small synthetic instances.
   inputs exit 0 or 2 and never raise; so does every numeric flag of every
   subcommand at nan, +-inf, 0, -1 and 1e308, and the synth files or
   checkpoint that such a run writes with exit 0 load.
+* Fail before the heavy work: a train, predict or eval run whose setting,
+  split, meta map, word vectors or checkpoint is refused exits 2 with its
+  one error line before it reads the dataset.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -27,10 +32,10 @@ from zsdet.cli import build_parser
 
 from zsdet.data import Dataset, ImageRecord, Proposals, load_dataset, save_dataset
 from zsdet.infer import tag_image
-from zsdet.model import load_checkpoint
+from zsdet.model import MODES, load_checkpoint
 from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
-from conftest import read_checkpoint, read_dump, write_checkpoint
+from conftest import block_file_bytes, read_checkpoint, read_dump, write_checkpoint
 from test_cli import SYNTH_FILES, quick_train, run, synth
 
 REPORTS = ["report_T1.json", "report_T2.json", "report_T3.json", "report_T4.json", "report.txt"]
@@ -285,3 +290,174 @@ class TestNumericFlags:
             else:
                 pytest.fail(f"no base arguments for {command} {flag}")
             assert code in (0, 2), given
+
+
+INPUTS = {"train": ["embeddings.txt", "meta_map.csv", "oracle.json"],
+          "predict": ["ckpt.json", "embeddings.txt", "meta_map.csv"],
+          "eval": ["ckpt.json", "embeddings.txt", "meta_map.csv"]}
+ORACLE = json.loads(SOURCES["oracle.json"])
+LABELS = ORACLE["seen_labels"] + ORACLE["unseen_labels"]
+
+
+def _read_source_checkpoint():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ckpt.json"
+        path.write_bytes(SOURCES["ckpt.json"])
+        return read_checkpoint(path)
+
+
+CKPT_HEAD, CKPT_BLOCKS = _read_source_checkpoint()
+
+
+def text_lines(name):
+    return SOURCES[name].decode().splitlines(keepends=True)
+
+
+def split_text(seen, unseen):
+    return f"seen: {','.join(seen)}\nunseen: {','.join(unseen)}\n".encode()
+
+
+COMMON_FAULTS = ["missing", "meta_drop", "meta_columns", "meta_repeat", "table_drop",
+                 "table_extra", "table_non_finite"]
+FAULTS = {"train": COMMON_FAULTS + ["lr", "lambda", "epochs", "counts", "min_similar", "seed",
+                                    "split_side", "split_overlap", "split_unknown", "split_json"],
+          "predict": COMMON_FAULTS + ["alpha", "k", "ckpt_truncated", "ckpt_mode", "ckpt_side",
+                                      "table_dim"]}
+FAULTS["eval"] = FAULTS["predict"]
+
+
+@st.composite
+def refused_inputs(draw, command, fault):
+    """``(files, argv, message)``: the inputs of a ``command`` run with one
+    ``fault``, an input refused before the dataset is read.  ``files`` replace
+    sources by name (``None`` removes one), ``argv`` is appended, and
+    ``message`` is a regular expression for the error line's text."""
+    files, argv, exact = {}, [], None
+    label = draw(st.sampled_from(LABELS))
+    fresh = draw(st.from_regex(r"[a-z]{1,8}", fullmatch=True).filter(lambda l: l not in LABELS))
+    if fault == "missing":
+        name = draw(st.sampled_from(INPUTS[command]))
+        files[name] = None
+        message = re.escape("[Errno 2] No such file or directory: ") + f".*{re.escape(name)}'"
+    elif fault == "meta_drop":
+        files["meta_map.csv"] = "".join(
+            line for line in text_lines("meta_map.csv") if line.split(",")[0] != label).encode()
+        exact = f"classes missing from meta map: [{label!r}]"
+    elif fault == "meta_columns":
+        lines = text_lines("meta_map.csv")
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k].rstrip("\n") + f",{fresh}\n"
+        files["meta_map.csv"] = "".join(lines).encode()
+        exact = f"line {k + 1}: expected 2 columns, got 3"
+    elif fault == "meta_repeat":
+        files["meta_map.csv"] = SOURCES["meta_map.csv"] + f"{label},{fresh}\n".encode()
+        exact = f"class {label!r} listed in more than one meta row"
+    elif fault == "table_drop":
+        files["embeddings.txt"] = "".join(
+            line for line in text_lines("embeddings.txt") if line.split()[0] != label).encode()
+        exact = f"labels absent from embedding table: [{label!r}]"
+    elif fault == "table_extra":
+        d = CKPT_HEAD["d"]
+        vector = draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d).filter(any))
+        files["embeddings.txt"] = (SOURCES["embeddings.txt"]
+                                   + f"{fresh} {' '.join(map(repr, vector))}\n".encode())
+        exact = "reorder labels must be a permutation of table labels"
+    elif fault == "table_non_finite":
+        lines = text_lines("embeddings.txt")
+        k = draw(st.integers(0, len(lines) - 1))
+        parts = lines[k].split()
+        parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        lines[k] = " ".join(parts) + "\n"
+        files["embeddings.txt"] = "".join(lines).encode()
+        exact = f"line {k + 1}: record {parts[0]!r} has a non-finite component"
+    elif fault == "lr":
+        value = draw(st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]))
+        argv, exact = [f"--lr={value!r}"], f"lr must be a positive finite number, got {value}"
+    elif fault == "lambda":
+        value = draw(st.floats(max_value=-5e-324) | st.floats(min_value=1.0, exclude_min=True)
+                     | st.just(math.nan))
+        argv, exact = [f"--lambda={value!r}"], f"lambda must be in [0, 1], got {value}"
+    elif fault in ("epochs", "counts", "min_similar", "seed"):
+        flag = {"epochs": "--epochs", "min_similar": "--min-similar", "seed": "--seed",
+                "counts": draw(st.sampled_from(["--n-pos", "--n-neg"]))}[fault]
+        value = draw(st.integers(max_value=-1))
+        argv = [f"{flag}={value}"]
+        exact = {"epochs": "epochs must be >= 0", "counts": "proposal counts must be >= 0",
+                 "min_similar": "min_similar must be >= 0",
+                 "seed": f"seed must be >= 0, got {value}"}[fault]
+    elif fault == "split_side":
+        seen_only = draw(st.booleans())
+        files["oracle.json"] = split_text(LABELS, []) if seen_only else split_text([], LABELS)
+        counts = (len(LABELS), 0) if seen_only else (0, len(LABELS))
+        exact = ("the split needs at least one seen and one unseen class, "
+                 "got {} seen and {} unseen".format(*counts))
+    elif fault == "split_overlap":
+        files["oracle.json"] = split_text(ORACLE["seen_labels"] + [ORACLE["unseen_labels"][0]],
+                                          ORACLE["unseen_labels"])
+        exact = f"labels in both seen and unseen sets: [{ORACLE['unseen_labels'][0]!r}]"
+    elif fault == "split_unknown":
+        files["oracle.json"] = split_text(ORACLE["seen_labels"], ORACLE["unseen_labels"] + [fresh])
+        exact = f"classes missing from meta map: [{fresh!r}]"
+    elif fault == "split_json":
+        seen = draw(st.integers() | st.lists(st.integers(), min_size=1))
+        files["oracle.json"] = json.dumps({"seen_labels": seen, "unseen_labels": []}).encode()
+        exact = "JSON split record needs 'seen_labels' as a list of strings"
+    elif fault == "alpha":
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        argv, exact = [f"--alpha={value}"], f"alpha must be a finite number, got {value}"
+    elif fault == "k":
+        n_seen = len(ORACLE["seen_labels"])
+        value = draw(st.integers(max_value=0) | st.integers(min_value=n_seen + 1))
+        argv = ["--inference", "conse", f"--k={value}"]
+        exact = f"K must be in 1..{n_seen}, got {value}"
+    elif fault == "ckpt_truncated":
+        files["ckpt.json"] = SOURCES["ckpt.json"][:draw(st.integers(0, len(SOURCES["ckpt.json"]) - 1))]
+        message = ".*"
+    elif fault == "ckpt_mode":
+        mode = draw(st.text().filter(lambda m: m not in MODES))
+        files["ckpt.json"] = block_file_bytes(CKPT_HEAD | {"mode": mode}, CKPT_BLOCKS.values())
+        exact = f"checkpoint mode must be one of {MODES}, got {mode!r}"
+    elif fault == "ckpt_side":
+        s = draw(st.sampled_from([0, len(LABELS)]))  # every class seen, or none
+        head = CKPT_HEAD | {"S": s, "U": len(LABELS) - s}
+        files["ckpt.json"] = block_file_bytes(head, (CKPT_BLOCKS["W1"],
+                                                     np.zeros((head["d_f"], 4 * s)), np.zeros(4 * s)))
+        exact = ("the checkpoint needs at least one seen and one unseen class, "
+                 f"got {s} seen and {len(LABELS) - s} unseen")
+    elif fault == "table_dim":
+        j = draw(st.integers(1, CKPT_HEAD["d"]))
+        files["embeddings.txt"] = "".join(
+            " ".join(p for i, p in enumerate(line.split()) if i != j) + "\n"
+            for line in text_lines("embeddings.txt")).encode()
+        exact = f"table dimensionality {CKPT_HEAD['d'] - 1} != checkpoint d {CKPT_HEAD['d']}"
+    return files, argv, re.escape(exact) if exact is not None else message
+
+
+def never(*args, **kwargs):
+    raise AssertionError("read the dataset before refusing an input")
+
+
+class TestFailBeforeLoading:
+    @pytest.mark.parametrize("command, fault",
+                             [(command, fault) for command in FAULTS for fault in FAULTS[command]])
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_refused_input_exits_2_before_loading(self, command, fault, data):
+        files, argv, message = data.draw(refused_inputs(command, fault))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            for name, content in (SOURCES | files).items():
+                if content is not None:
+                    (root / name).write_bytes(content)
+            before = sorted(p.name for p in root.iterdir())
+            if command == "train":
+                args = train_args(root, root / "out")
+            else:
+                args = [command, *model_args(root, root / "ckpt.json", root / "test.jsonl"),
+                        "--out", root / "out"]
+            mp.setattr("zsdet.cli.load_dataset", never)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert run(*args, *argv) == 2
+            assert re.fullmatch(f"error: {message}\n", err.getvalue()), err.getvalue()
+            assert sorted(p.name for p in root.iterdir()) == before

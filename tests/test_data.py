@@ -28,7 +28,7 @@ from zsdet.cli import main
 from zsdet.errors import ConfigError, ParseError, ZsdetError
 from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
-from conftest import GroundTruth, block_file_bytes, gt_rows, make_space
+from conftest import GroundTruth, block_file_bytes, gt_rows, make_space, reference_synthetic
 
 
 class TestSynthConfig:
@@ -129,6 +129,39 @@ class TestGenerator:
         bundle = generate_synthetic(small_cfg())
         norms = np.linalg.norm(bundle.table.vectors, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_the_per_draw_reference_bit_for_bit(self, data):
+        # pins the draw order: every synth file and perfbench/reference.json
+        # depend on it; 1-3 proposals per image reach the one-object floor
+        s = data.draw(st.integers(1, 6))
+        u = data.draw(st.integers(1, 4))
+        cfg = SynthConfig(
+            s=s, u=u, m=data.draw(st.integers(1, s + u)), d=data.draw(st.integers(2, 8)),
+            d_f=data.draw(st.integers(2, 20)), images=data.draw(st.integers(1, 4)),
+            test_images=data.draw(st.integers(1, 3)),
+            proposals_per_image=data.draw(st.integers(1, 70)),
+            noise_sigma=data.draw(st.just(0.0) | st.floats(0.0, 100.0)),
+            meta_spread=data.draw(st.floats(0.0, 10.0)), seed=data.draw(st.integers(0, 2**64)))
+        got, ref = generate_synthetic(cfg), reference_synthetic(cfg)
+
+        def bits(a):  # compared as bytes, so that -0.0 differs from 0.0
+            return a.dtype, a.shape, a.tobytes()
+
+        for split in ("train", "test"):
+            got_images, ref_images = getattr(got, split).images, getattr(ref, split).images
+            assert len(got_images) == len(ref_images)
+            for g, r in zip(got_images, ref_images):
+                assert (g.image_id, g.gt_labels) == (r.image_id, r.gt_labels)
+                assert bits(g.proposals.features) == bits(r.proposals.features)
+                assert bits(g.proposals.boxes) == bits(r.proposals.boxes)
+                assert bits(g.gt_boxes) == bits(r.gt_boxes)
+        assert bits(got.oracle["g_map"]) == bits(ref.oracle["g_map"])
+        assert {**got.oracle, "g_map": None} == {**ref.oracle, "g_map": None}
+        assert got.meta_map == ref.meta_map and got.table.labels == ref.table.labels
+        assert bits(got.table.vectors) == bits(ref.table.vectors)
+        assert bits(got.table.background) == bits(ref.table.background)
 
 
 class TestProposeSplit:

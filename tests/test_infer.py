@@ -216,6 +216,19 @@ class TestConseDetect:
         assert sig.parameters["k"].default == 10
         assert sig.parameters["alpha"].default == 0.1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_projection_whose_squares_overflow_keeps_its_cosines(self, rng):
+        # a checkpoint's finite but huge W1 scales every projection, whose
+        # sum of squares then overflows; cosines do not depend on the scale
+        model, table, space = self.overlap_setup()
+        props = stack([prop(rng.standard_normal(4)) for _ in range(50)])
+        base = conse_detect(model, space, props, "img", k=2, alpha=-2.0)
+        assert len(base)
+        model.w1 = np.eye(4) * 1e300
+        huge = conse_detect(model, space, props, "img", k=2, alpha=-2.0)
+        assert huge.labels.tolist() == base.labels.tolist()
+        np.testing.assert_allclose(huge.scores, base.scores, rtol=1e-12)
+
     def test_scores_are_cosines_in_unit_range(self, rng):
         model, table, space = self.overlap_setup()
         props = stack([prop(rng.standard_normal(4)) for _ in range(50)])
