@@ -59,8 +59,9 @@ def random_instance(
     n_classes: int = 7,
     n_meta: int = 3,
     batch_size: int = 4,
+    mode: str = "full",
 ) -> tuple[Model, RegionBatch, LabelSpace]:
-    """One random model + labeled batch for gradient auditing."""
+    """One random model, in training ``mode``, + labeled batch for gradient auditing."""
     labels = [f"c{i}" for i in range(1, n_classes + 1)]
     n_seen = n_classes - max(1, n_classes // 4)
     space = build_label_space(
@@ -68,7 +69,7 @@ def random_instance(
         {label: f"m{i % n_meta + 1}" for i, label in enumerate(labels)},
     )
     table = finalize_embeddings(space.labels, rng.standard_normal((d, n_classes)))
-    model = init_model(table, space, d_f)
+    model = init_model(table, space, d_f, mode=mode)
     model.w1 = rng.standard_normal((d_f, d)) * 0.5
     model.box_w = rng.standard_normal((d_f, 4 * space.S)) * 0.1
     model.box_b = rng.standard_normal(4 * space.S) * 0.1
@@ -115,8 +116,8 @@ def gradient_audit(
     worst = 0.0
     for trial in range(trials):
         mode, lam = combos[trial % len(combos)]
-        model, batch, space = random_instance(rng)
-        _, analytic = loss_gradients(model, batch, space, lam, mode)
+        model, batch, space = random_instance(rng, mode=mode)
+        _, analytic = loss_gradients(model, batch, space, lam)
         params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
         # Every trial sweeps W1; the (cheaper to get wrong, costlier to sweep)
         # box head is audited on every tenth trial.
@@ -130,9 +131,9 @@ def gradient_audit(
                 try:
                     with np.errstate(over="ignore", invalid="ignore"):
                         flat[idx] = orig + h
-                        up = loss_gradients(model, batch, space, lam, mode)[0].total
+                        up = loss_gradients(model, batch, space, lam)[0].total
                         flat[idx] = orig - h
-                        down = loss_gradients(model, batch, space, lam, mode)[0].total
+                        down = loss_gradients(model, batch, space, lam)[0].total
                 except NumericFailureError as exc:
                     raise ConfigError(f"h is too large, got {h}: the loss at a parameter "
                                       f"moved by h is not finite ({exc})") from exc

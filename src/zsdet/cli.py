@@ -95,11 +95,11 @@ def _model_and_space(args) -> tuple[Model, LabelSpace]:
     _check_seen_and_unseen(space, "the checkpoint")
     check_finite("alpha", args.alpha)
     if args.inference == "conse":
-        check_k(args.k, space.S)
+        check_k(args.k, model.n_seen)
     return model, space
 
 
-def _detections_for(model, space, dataset: Dataset, args) -> list[Detections]:
+def _detections_for(model, dataset: Dataset, args) -> list[Detections]:
     """One :class:`Detections` per test image, in dataset order."""
     if args.inference == "san" and model.mode == "seen_only":
         print(
@@ -108,7 +108,7 @@ def _detections_for(model, space, dataset: Dataset, args) -> list[Detections]:
             file=sys.stderr,
         )
     route, k = (conse_detect, {"k": args.k}) if args.inference == "conse" else (detect, {})
-    return [route(model, space, img.proposals, img.image_id, alpha=args.alpha, **k)
+    return [route(model, img.proposals, img.image_id, alpha=args.alpha, **k)
             for img in dataset.images]
 
 
@@ -136,9 +136,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dataset = load_dataset(args.data)
     meta_map = load_meta_map(args.meta_map)
     check_seed(args.seed)
+    dataset = load_dataset(args.data)
     exclude = [t for t in args.exclude.split(",") if t] if args.exclude else []
     seen, unseen = propose_split(
         dataset.class_stats(), meta_map, rng=np.random.default_rng(args.seed), exclude=exclude,
@@ -173,11 +173,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, space = _model_and_space(args)
+    model, _ = _model_and_space(args)  # the meta map is checked, though detection needs none
     dataset = load_dataset(args.data)
-    detections = _detections_for(model, space, dataset, args)
+    detections = _detections_for(model, dataset, args)
     out = Path(args.out)
-    dump_detections(detections, out, space)
+    dump_detections(detections, out, model.labels)
     _write_manifest(out, "predict", args, [out.name])
     print(f"{sum(map(len, detections))} detections -> {out}")
     return 0
@@ -187,6 +187,9 @@ def cmd_eval(args) -> int:
     model, space = _model_and_space(args)
     dataset = load_dataset(args.data)
     gts = ground_truth_rows(dataset, space)
+    if not (gts[1] > space.S).any():
+        raise ConfigError("the test set holds no ground truth of an unseen class, "
+                          "so T1-T4 have no class to score")
     tasks = list(TASKS) if args.task == "all" else [args.task]
 
     out = Path(args.out)
@@ -194,9 +197,9 @@ def cmd_eval(args) -> int:
     outputs = []
     text_blocks = []
     # each kind of model output is computed once, when a task first needs it
-    detections = cache(lambda: _detections_for(model, space, dataset, args))
+    detections = cache(lambda: _detections_for(model, dataset, args))
     tags = cache(lambda: ([img.image_id for img in dataset.images], np.reshape(
-        [tag_image(model, space, img.proposals) for img in dataset.images], (-1, space.U))))
+        [tag_image(model, img.proposals) for img in dataset.images], (-1, model.n_unseen))))
     for task in tasks:
         model_outputs = detections() if task in ("T1", "T2") else tags()
         report = evaluate(model_outputs, gts, space, task)

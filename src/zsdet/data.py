@@ -14,11 +14,11 @@ and, per proposal in row order, a normal feature draw and its box's uniforms
 changes every synth file and the mAPs in ``perfbench/reference.json``.
 
 A dataset file is in the binary layout of :mod:`zsdet.codec`: a JSON header
-line with ``d_f``, the labels and each image's id, proposal count and
-ground-truth labels, then one block of every proposal feature, one of every
-proposal box and one of every ground-truth box (:func:`save_dataset`); the
-header holds no float.  Proposals are stored unlabeled; training assigns
-labels by IoU against the ground truths.  In memory an image keeps its rows
+line with ``d_f`` and each image's id, proposal count and ground-truth
+labels, then one block of every proposal feature, one of every proposal box
+and one of every ground-truth box (:func:`save_dataset`); the header holds
+no float.  Proposals are stored unlabeled; training assigns labels by IoU
+against the ground truths.  In memory an image keeps its rows
 of the blocks, its proposals as :class:`Proposals`, until they are scored
 or trained on.
 """
@@ -72,13 +72,11 @@ class ImageRecord:
 @dataclass
 class Dataset:
     d_f: int
-    labels: tuple[str, ...]
     images: list[ImageRecord]
 
-    def class_stats(self) -> dict[str, int]:
-        """Ground-truth instances per class, covering all header labels."""
-        counts = Counter(label for img in self.images for label in img.gt_labels)
-        return {label: counts.get(label, 0) for label in self.labels}
+    def class_stats(self) -> Counter[str]:
+        """Ground-truth instances per class; a class without one counts 0."""
+        return Counter(label for img in self.images for label in img.gt_labels)
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,8 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
         test_images.append(
             _make_image(f"test{i:04d}", class_ids, labels, centres, bg_scale, cfg, rng))
 
-    train = Dataset(d_f=cfg.d_f, labels=labels, images=train_images)
-    test = Dataset(d_f=cfg.d_f, labels=labels, images=test_images)
+    train = Dataset(d_f=cfg.d_f, images=train_images)
+    test = Dataset(d_f=cfg.d_f, images=test_images)
 
     unseen_set = set(labels[cfg.s :])
     leaked = [
@@ -303,14 +301,14 @@ def propose_split(
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write ``dataset`` in the layout of :mod:`zsdet.codec`.
 
-    The header holds ``d_f``, ``labels`` and, per image, ``image_id``, its
-    proposal count ``proposals`` and its ground-truth labels ``gt_labels``.
-    Three blocks follow, images in order: every proposal feature,
-    ``(ΣP, d_f)``, every proposal box, ``(ΣP, 4)``, and every ground-truth
-    box, ``(ΣG, 4)``.  Each image's arrays are written from their own buffers.
+    The header holds ``d_f`` and, per image, ``image_id``, its proposal
+    count ``proposals`` and its ground-truth labels ``gt_labels``.  Three
+    blocks follow, images in order: every proposal feature, ``(ΣP, d_f)``,
+    every proposal box, ``(ΣP, 4)``, and every ground-truth box, ``(ΣG, 4)``.
+    Each image's arrays are written from their own buffers.
     """
     images = dataset.images
-    head = {"d_f": dataset.d_f, "labels": list(dataset.labels), "images": [
+    head = {"d_f": dataset.d_f, "images": [
         {"image_id": img.image_id, "proposals": len(img.proposals),
          "gt_labels": list(img.gt_labels)}
         for img in images
@@ -345,22 +343,20 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     """Read a file that :func:`save_dataset` wrote; the file is read once.
 
     Each image's :class:`Proposals` and ``gt_boxes`` are row slices of the
-    file's three blocks.  Raises :class:`ParseError` for a header whose
-    ``d_f`` is not a positive integer or whose ``labels`` are not strings, a
-    proposal count that is not a non-negative integer, ``gt_labels`` that are
-    not a list of strings, a file whose length is not the header plus exactly
-    the three blocks, a non-finite feature value, a proposal or ground-truth
-    box that is not finite with ``x1 < x2`` and ``y1 < y2``, and a repeated
-    ``image_id``.  An error in one image's data names the image by index and id.
+    file's three blocks.  A header key besides ``d_f`` and ``images`` (older
+    files hold ``labels``) is ignored.  Raises :class:`ParseError` for a
+    header whose ``d_f`` is not a positive integer, a proposal count that is
+    not a non-negative integer, ``gt_labels`` that are not a list of strings,
+    a file whose length is not the header plus exactly the three blocks, a
+    non-finite feature value, a proposal or ground-truth box that is not
+    finite with ``x1 < x2`` and ``y1 < y2``, and a repeated ``image_id``.  An
+    error in one image's data names the image by index and id.
     """
     with open(path, "rb") as f:
         head = read_header(f, "dataset")
         d_f = _require(head, "d_f", "", line=1)
-        labels = _require(head, "labels", "", line=1)
         if isinstance(d_f, bool) or not isinstance(d_f, int) or d_f < 1:
             raise ParseError(f"header d_f must be a positive integer, got {d_f!r}", 1)
-        if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
-            raise ParseError("header labels must be a list of strings", 1)
         index: dict[str, int] = {}  # image id to its index, in file order
         counts, gt_labels = [], []
         for k, rec in enumerate(_require(head, "images", "", list, line=1)):
@@ -396,7 +392,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     images = [ImageRecord(image_id, Proposals(features[a:b], boxes[a:b]), names, gt_boxes[g:h])
               for image_id, a, b, names, g, h in zip(image_ids, bounds, bounds[1:], gt_labels,
                                                      gt_bounds, gt_bounds[1:])]
-    return Dataset(d_f=d_f, labels=tuple(labels), images=images)
+    return Dataset(d_f=d_f, images=images)
 
 
 def save_split(

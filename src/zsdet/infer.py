@@ -3,8 +3,9 @@
 Each image is scored as one batch: its :class:`~zsdet.data.Proposals`
 matrix ``features (P, d_f)`` is taken as it is, rows whose feature is all
 zero are dropped (they cannot be normalized and count as background), and
-one normalized ``(P, C+1)`` score matrix feeds the route.  Two routes read
-it, each returning the image's :class:`Detections`:
+one normalized ``(P, C+1)`` score matrix, in the model's class order (S
+seen, U unseen, then background), feeds the route.  Two routes read it,
+each returning the image's :class:`Detections`:
 
 * :func:`detect` - for models trained with unseen embeddings in place: a
   proposal whose top normalized score is background is discarded; otherwise
@@ -34,9 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, check_finite
 from .evaluation import nms
-from .model import (Model, decode_boxes, feature_norms, forward_boxes, forward_scores,
-                    normalized_scores)
-from .semantics import LabelSpace
+from .model import Model, decode_boxes, feature_norms, forward_boxes, normalized_scores
 
 if TYPE_CHECKING:
     from .data import Proposals
@@ -71,7 +70,7 @@ def _scored(
     All-zero rows are dropped, so they are background everywhere."""
     valid = proposals.features.any(axis=1)
     features, boxes = proposals.features[valid], proposals.boxes[valid]
-    return features, boxes, normalized_scores(model, forward_scores(model, features), features)
+    return features, boxes, normalized_scores(model, features)
 
 
 def _emit(
@@ -87,13 +86,7 @@ def _emit(
     return out.take(nms(out, NMS_IOU)) if n else out
 
 
-def detect(
-    model: Model,
-    space: LabelSpace,
-    proposals: "Proposals",
-    image_id: str,
-    alpha: float,
-) -> Detections:
+def detect(model: Model, proposals: "Proposals", image_id: str, alpha: float) -> Detections:
     """Unseen-class detections for one image's proposals.
 
     Emits a detection only when the background is not the top label and the
@@ -102,12 +95,10 @@ def detect(
     """
     check_finite("alpha", alpha)
     features, boxes, scores = _scored(model, proposals)
-    s, c = space.S, space.C
+    s, c = model.n_seen, model.n_classes
     u_cols = s + np.argmax(scores[:, s:c], axis=1)
     u_scores = scores[np.arange(len(scores)), u_cols]
-    rows = np.flatnonzero(
-        (np.argmax(scores, axis=1) != space.bg_id - 1) & (u_scores > alpha)
-    )
+    rows = np.flatnonzero((np.argmax(scores, axis=1) != c) & (u_scores > alpha))
     return _emit(model, image_id, u_cols[rows] + 1, u_scores[rows],
                  features[rows], scores[rows], boxes[rows])
 
@@ -137,14 +128,8 @@ def conse_project(
     return weights @ seen_vectors.T
 
 
-def conse_detect(
-    model: Model,
-    space: LabelSpace,
-    proposals: "Proposals",
-    image_id: str,
-    k: int = 10,
-    alpha: float = 0.1,
-) -> Detections:
+def conse_detect(model: Model, proposals: "Proposals", image_id: str, k: int = 10,
+                 alpha: float = 0.1) -> Detections:
     """ConSE-style detections: classify the projected proposal by cosine.
 
     Reads only seen and background score entries, so it works with any
@@ -152,16 +137,16 @@ def conse_detect(
     background outranks every seen class or its projection is zero.  ``k``
     and ``alpha`` are checked before any proposal is scored.
     """
-    s = space.S
+    s, c = model.n_seen, model.n_classes
     check_k(k, s)
     check_finite("alpha", alpha)
     features, boxes, scores = _scored(model, proposals)
-    rows = np.flatnonzero(~(scores[:, space.bg_id - 1] > scores[:, :s].max(axis=1)))
+    rows = np.flatnonzero(~(scores[:, c] > scores[:, :s].max(axis=1)))
     e = conse_project(scores[rows, :s], model.w2[:, :s], k)
     e_norm = feature_norms(e)[:, 0]  # finite where huge weights overflow the squares
     nonzero = e_norm != 0.0
     rows, e, e_norm = rows[nonzero], e[nonzero], e_norm[nonzero]
-    u_cols = np.arange(s, space.C)
+    u_cols = np.arange(s, c)
     cos = (e @ model.w2[:, u_cols]) / (e_norm[:, None] * model.col_norms[u_cols])
     u_idx = np.argmax(cos, axis=1)
     u_scores = cos[np.arange(len(rows)), u_idx]
@@ -171,11 +156,7 @@ def conse_detect(
                  features[rows], scores[rows], boxes[rows])
 
 
-def tag_image(
-    model: Model,
-    space: LabelSpace,
-    proposals: "Proposals",
-) -> np.ndarray:
+def tag_image(model: Model, proposals: "Proposals") -> np.ndarray:
     """Image-level scores ``(U,)``, column ``k`` for unseen class id
     ``S + 1 + k``: the max over proposals.
 
@@ -183,16 +164,18 @@ def tag_image(
     All-zero proposals are skipped; with no usable proposal all scores are 0.
     """
     _, _, scores = _scored(model, proposals)
-    return scores[:, space.S : space.C].max(axis=0) if len(scores) else np.zeros(space.U)
+    return (scores[:, model.n_seen : model.n_classes].max(axis=0) if len(scores)
+            else np.zeros(model.n_unseen))
 
 
 def dump_detections(
-    detections: Sequence[Detections], path: str | os.PathLike, space: LabelSpace
+    detections: Sequence[Detections], path: str | os.PathLike, labels: Sequence[str]
 ) -> None:
     """Write the JSON-lines detection dump, one object per detection, with
-    the bytes ``json.dumps`` gives each record: strings are encoded once, and
-    floats take ``repr`` (``json.dumps`` in an image with a non-finite value)."""
-    names = {cid: json.dumps(space.label_of(cid)) for cid in range(1, space.bg_id + 1)}
+    the bytes ``json.dumps`` gives each record: class id ``c`` is named
+    ``labels[c - 1]``, strings are encoded once, and floats take ``repr``
+    (``json.dumps`` in an image with a non-finite value)."""
+    names = {cid: json.dumps(label) for cid, label in enumerate(labels, start=1)}
     with open(path, "w", encoding="utf-8") as f:
         for d in detections:
             head = '{"image_id": ' + json.dumps(d.image_id) + ', "label": '

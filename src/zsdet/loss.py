@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericFailureError
-from .model import MODES, Model, RegionBatch, forward_boxes, forward_scores
+from .model import Model, RegionBatch, forward_boxes, forward_scores
 from .semantics import LabelSpace
 
 
@@ -172,14 +172,10 @@ def _first_bad_row(a: np.ndarray) -> int:
     return int(np.argmin(np.isfinite(a).all(axis=1)))
 
 
-def loss_gradients(
-    model: Model,
-    batch: RegionBatch,
-    space: LabelSpace,
-    lam: float,
-    mode: str = "full",
-) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Mean batch loss and exact analytic gradients for W1 and the box head.
+def loss_gradients(model: Model, batch: RegionBatch, space: LabelSpace,
+                   lam: float) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+    """Mean batch loss and exact analytic gradients for W1 and the box head,
+    in the model's training mode.
 
     The gradients are keyed by parameter name (``w1``, ``box_w``, ``box_b``)
     and shaped like the parameters.  The score-path gradient chains through
@@ -191,8 +187,6 @@ def loss_gradients(
         raise ConfigError("batch must be nonempty")
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
     n = len(batch)
     feats, ys = batch.features, batch.ys
@@ -210,7 +204,7 @@ def loss_gradients(
 
     if not np.isfinite(scores).all():
         raise NumericFailureError("non-finite score", sample_index=_first_bad_row(scores))
-    mm, mc, g_scores = _class_terms(scores, ys, space, lam, mode)
+    mm, mc, g_scores = _class_terms(scores, ys, space, lam, model.mode)
     if not np.isfinite(g_scores).all():
         raise NumericFailureError("non-finite gradient", sample_index=_first_bad_row(g_scores))
 
@@ -231,7 +225,7 @@ def loss_gradients(
 
     # Loss totals (reg_sum too) add per-sample values in sample order, so the
     # reported losses do not depend on how numpy pairs up a reduction.
-    lam_eff = 1.0 if mode == "seen_only" else lam
+    lam_eff = 1.0 if model.mode == "seen_only" else lam
     l_mm = sum(mm.tolist()) / n
     l_mc = sum(mc.tolist()) / n
     l_cls = lam_eff * l_mm + (1.0 - lam_eff) * l_mc

@@ -50,8 +50,9 @@ class Model:
 
     ``w2`` has shape (d, C+1) with the background mean vector as the last
     column; ``col_norms`` caches the column norms used by score
-    normalization (1.0 for classes, <=1 for the background).  ``mode`` is
-    the training mode (one of :data:`MODES`).
+    normalization (1.0 for classes, <=1 for the background).  ``labels``
+    names the C classes in id order, the first ``n_seen`` of them seen and
+    the rest unseen.  ``mode`` is the training mode (one of :data:`MODES`).
     """
 
     w1: np.ndarray
@@ -59,7 +60,6 @@ class Model:
     col_norms: np.ndarray
     labels: tuple[str, ...]
     n_seen: int
-    n_unseen: int
     box_w: np.ndarray
     box_b: np.ndarray
     mode: str
@@ -76,6 +76,10 @@ class Model:
     def n_classes(self) -> int:
         return self.w2.shape[1] - 1
 
+    @property
+    def n_unseen(self) -> int:
+        return self.n_classes - self.n_seen
+
 
 def _build(table: EmbeddingTable, labels, n_seen: int, w1: np.ndarray,
            box_w: np.ndarray, box_b: np.ndarray, mode: str) -> Model:
@@ -84,8 +88,7 @@ def _build(table: EmbeddingTable, labels, n_seen: int, w1: np.ndarray,
     table = table.reorder(labels)
     w2 = table.w2()
     return Model(w1=w1, w2=w2, col_norms=np.linalg.norm(w2, axis=0), labels=table.labels,
-                 n_seen=n_seen, n_unseen=len(labels) - n_seen, box_w=box_w, box_b=box_b,
-                 mode=mode)
+                 n_seen=n_seen, box_w=box_w, box_b=box_b, mode=mode)
 
 
 def init_model(
@@ -138,17 +141,16 @@ def feature_norms(features: np.ndarray) -> np.ndarray:
     return norms
 
 
-def normalized_scores(model: Model, o: np.ndarray, feature: np.ndarray) -> np.ndarray:
-    """Cosine-style normalization ``o_c / (‖v_c‖ ‖f‖)``.
+def normalized_scores(model: Model, feature: np.ndarray) -> np.ndarray:
+    """Cosine-style normalization ``o_c / (‖v_c‖ ‖f‖)`` of the scores ``o``
+    of :func:`forward_scores`.
 
-    Accepts one row (``o`` (C+1,), ``feature`` (d_f,)) or a batch of rows
-    (``o`` (n, C+1), ``feature`` (n, d_f)); the feature norm is taken over
-    the last axis by :func:`feature_norms`.  Uses each W2 column's actual
-    stored norm; the background column's norm is its true (<=1) value, not 1.
+    Accepts one feature (d_f,), giving a (C+1,) row, or a batch (n, d_f),
+    giving (n, C+1); the feature norm is taken over the last axis by
+    :func:`feature_norms`.  Uses each W2 column's actual stored norm; the
+    background column's norm is its true (<=1) value, not 1.
     """
-    o = np.asarray(o, dtype=np.float64)
-    if o.shape[-1] != model.w2.shape[1]:
-        raise ConfigError(f"score length {o.shape[-1]} != C+1 {model.w2.shape[1]}")
+    o = forward_scores(model, feature)
     fnorm = feature_norms(feature)
     if np.any(fnorm == 0.0):
         raise ConfigError("cannot normalize scores for a zero feature")

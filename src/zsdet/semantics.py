@@ -147,28 +147,24 @@ def finalize_embeddings(labels: Sequence[str], vectors: np.ndarray) -> Embedding
 class LabelSpace:
     """Contiguous 1-based ids: seen 1..S, unseen S+1..S+U, background C+1.
 
-    ``meta_of`` maps every class id (including bg) to its meta id; meta ids
+    ``labels`` names the C classes in id order, and its first ``S`` are
+    seen.  ``meta_of`` maps every class id (including bg) to its meta id; meta ids
     are 1..M in first-appearance order of the meta map, and the background
     owns the singleton meta-class M+1.
     """
 
     labels: tuple[str, ...]
-    n_seen: int
-    n_unseen: int
+    S: int
     meta_labels: tuple[str, ...]
     _meta_of: tuple[int, ...]
 
     @property
-    def S(self) -> int:
-        return self.n_seen
-
-    @property
     def U(self) -> int:
-        return self.n_unseen
+        return len(self.labels) - self.S
 
     @property
     def C(self) -> int:
-        return self.n_seen + self.n_unseen
+        return len(self.labels)
 
     @property
     def bg_id(self) -> int:
@@ -184,11 +180,11 @@ class LabelSpace:
 
     @property
     def seen_ids(self) -> range:
-        return range(1, self.n_seen + 1)
+        return range(1, self.S + 1)
 
     @property
     def unseen_ids(self) -> range:
-        return range(self.n_seen + 1, self.C + 1)
+        return range(self.S + 1, self.C + 1)
 
     def label_of(self, class_id: int) -> str:
         if class_id == self.bg_id:
@@ -205,10 +201,10 @@ class LabelSpace:
         return self.meta_labels[meta_id - 1]
 
     def is_seen(self, class_id: int) -> bool:
-        return 1 <= class_id <= self.n_seen
+        return 1 <= class_id <= self.S
 
     def is_unseen(self, class_id: int) -> bool:
-        return self.n_seen < class_id <= self.C
+        return self.S < class_id <= self.C
 
     def meta_of(self, class_id: int) -> int:
         if not 1 <= class_id <= self.bg_id:
@@ -277,8 +273,7 @@ def build_label_space(
     meta_of = tuple(meta_ids[meta_map[l]] for l in labels) + (len(meta_order) + 1,)
     return LabelSpace(
         labels=labels,
-        n_seen=len(seen_labels),
-        n_unseen=len(unseen_labels),
+        S=len(seen_labels),
         meta_labels=tuple(meta_order),
         _meta_of=meta_of,
     )

@@ -143,13 +143,10 @@ def _adam_worker(pid: int):
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="zsdet-adam")
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """Standard bias-corrected Adam update, applied in place elementwise.
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState,
+              lr: float) -> None:
+    """Standard bias-corrected Adam update at learning rate ``lr``, applied
+    in place elementwise.
 
     ``p``, ``state.m`` and ``state.v`` are updated in place.  Each operation
     is the one the textbook formula evaluates, in the same order::
@@ -188,7 +185,7 @@ def adam_step(
             raise ConfigError(f"{key!r}: param, m and v must be C-contiguous")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    coefs = (b1, b2, 1.0 - b1**state.t, 1.0 - b2**state.t, config.lr, ADAM_EPS)
+    coefs = (b1, b2, 1.0 - b1**state.t, 1.0 - b2**state.t, lr, ADAM_EPS)
     blocks = deque()
     for key, p in params.items():
         g, m, v = grads[key], state.m[key], state.v[key]
@@ -198,7 +195,7 @@ def adam_step(
         flat = [a.reshape(-1) for a in (p, g, m, v)]
         blocks += [[a[lo:lo + ADAM_BLOCK] for a in flat] for lo in range(0, p.size, ADAM_BLOCK)]
     if not blocks:  # a parameter above one block has at least two
-        return params, state
+        return
     worker = _adam_worker(os.getpid())
     pending = worker.submit(_adam_blocks, blocks, coefs, np.geterr()) if worker else None
     try:
@@ -206,7 +203,6 @@ def adam_step(
     finally:
         if pending is not None:
             pending.result()
-    return params, state
 
 
 def label_proposals(
@@ -335,7 +331,7 @@ def rebalance_dataset(
                 kept = ~np.isin(np.arange(len(img.gt_labels)), list(gone))
                 images[ii] = replace(img, gt_labels=tuple(compress(img.gt_labels, kept)),
                                      gt_boxes=img.gt_boxes[kept])
-    return Dataset(d_f=dataset.d_f, labels=dataset.labels, images=images)
+    return Dataset(d_f=dataset.d_f, images=images)
 
 
 def train(
@@ -370,10 +366,8 @@ def train(
             if not batch:
                 continue
             try:
-                breakdown, grads = loss_gradients(
-                    model, batch, space, config.lam, config.mode
-                )
-                adam_step(params, grads, state, config)
+                breakdown, grads = loss_gradients(model, batch, space, config.lam)
+                adam_step(params, grads, state, config.lr)
                 del grads  # else the next loss_gradients builds its own while these live
             except NumericFailureError as exc:
                 raise NumericFailureError(f"training step {step}: {exc}") from exc

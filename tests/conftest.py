@@ -187,8 +187,8 @@ def reference_synthetic(cfg):
         "meta_of": meta_map, "g_map": g_map, "bg_feature_scale": bg_scale, "canvas": CANVAS,
         "objects_per_image": objects, "config": asdict(cfg),
     }
-    return SyntheticBundle(table, meta_map, Dataset(cfg.d_f, labels, train),
-                           Dataset(cfg.d_f, labels, test), oracle)
+    return SyntheticBundle(table, meta_map, Dataset(cfg.d_f, train), Dataset(cfg.d_f, test),
+                           oracle)
 
 
 @dataclass(frozen=True)
@@ -218,11 +218,12 @@ def gt_rows(gts):
             np.array([g.box for g in gts], dtype=np.float64).reshape(-1, 4))
 
 
-def read_dump(path, space):
-    """The :class:`Detection` rows of a detection dump, in file order."""
+def read_dump(path, labels):
+    """The :class:`Detection` rows of a detection dump, in file order;
+    ``labels`` names the class ids, as in :func:`zsdet.infer.dump_detections`."""
     with open(path, encoding="utf-8") as f:
         recs = [json.loads(line) for line in f]
-    return [Detection(r["image_id"], space.labels.index(r["label"]) + 1, r["score"],
+    return [Detection(r["image_id"], labels.index(r["label"]) + 1, r["score"],
                       np.array(r["box"], dtype=np.float64)) for r in recs]
 
 

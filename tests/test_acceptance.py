@@ -67,19 +67,19 @@ def test_criterion_1_gradient_fidelity():
             table = make_table(random_unit_columns(rng, 8, 7))
             from conftest import make_model
 
-            model = make_model(table, space, d_f=8, seed=int(rng.integers(2**31)))
+            model = make_model(table, space, d_f=8, seed=int(rng.integers(2**31)), mode=mode)
             model.w1 = rng.standard_normal((8, 8)) * 0.5
             model.box_w = rng.standard_normal(model.box_w.shape) * 0.1
             model.box_b = rng.standard_normal(model.box_b.shape) * 0.1
             batch = random_batch(rng, space, 8, size=4)
-            _, grads = loss_gradients(model, batch, space, lam, mode)
+            _, grads = loss_gradients(model, batch, space, lam)
             flat = model.w1.reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = loss_gradients(model, batch, space, lam, mode)[0].total
+                up = loss_gradients(model, batch, space, lam)[0].total
                 flat[idx] = orig - h
-                down = loss_gradients(model, batch, space, lam, mode)[0].total
+                down = loss_gradients(model, batch, space, lam)[0].total
                 flat[idx] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = float(grads["w1"].reshape(-1)[idx])
@@ -193,7 +193,7 @@ def _run_seed(seed, tmp_path):
     maps = {
         "cluster": _zsd_map(
             _collect(
-                lambda img: detect(cluster, space, img.proposals, img.image_id, ALPHA_CLUSTER),
+                lambda img: detect(cluster, img.proposals, img.image_id, ALPHA_CLUSTER),
                 bundle.test.images,
             ),
             gts, space,
@@ -201,7 +201,7 @@ def _run_seed(seed, tmp_path):
         "seen_only": _zsd_map(
             _collect(
                 lambda img: conse_detect(
-                    seen_only, space, img.proposals, img.image_id, CONSE_K, ALPHA_CONSE
+                    seen_only, img.proposals, img.image_id, CONSE_K, ALPHA_CONSE
                 ),
                 bundle.test.images,
             ),
@@ -210,7 +210,7 @@ def _run_seed(seed, tmp_path):
         "baseline": _zsd_map(
             _collect(
                 lambda img: conse_detect(
-                    baseline, space, img.proposals, img.image_id, CONSE_K, ALPHA_CONSE
+                    baseline, img.proposals, img.image_id, CONSE_K, ALPHA_CONSE
                 ),
                 bundle.test.images,
             ),
@@ -234,7 +234,7 @@ def _run_seed(seed, tmp_path):
     tag_maps = {}
     for name, model in (("cluster", cluster), ("seen_only", seen_only), ("baseline", baseline)):
         tags = ([img.image_id for img in bundle.test.images],
-                np.array([tag_image(model, space, img.proposals) for img in bundle.test.images]))
+                np.array([tag_image(model, img.proposals) for img in bundle.test.images]))
         tag_maps[name] = {
             "T3": evaluate(tags, gts, space, "T3").mean_ap,
             "T4": evaluate(tags, gts, space, "T4").mean_ap,

@@ -704,6 +704,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == (f"error: ground-truth label 'no_such_class' in image "
                                            f"{rec['image_id']} not in label space\n")
 
+    def test_eval_set_without_unseen_ground_truth_exits_2_before_scoring(
+            self, tmp_path, capsys, monkeypatch):
+        # the train set holds seen classes only; predict needs no ground truth
+        data = synth(tmp_path)
+        ckpt = quick_train(tmp_path, data)
+        model = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                 "--meta-map", data / "meta_map.csv", "--data", data / "train.jsonl"]
+        assert run("predict", *model, "--out", tmp_path / "dets.jsonl") == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError("scored an image of a set without unseen ground truth")
+
+        for name in ("detect", "conse_detect", "tag_image"):
+            monkeypatch.setattr(f"zsdet.cli.{name}", never)
+        capsys.readouterr()
+        out = tmp_path / "reports"
+        assert run("eval", *model, "--out", out) == 2
+        assert capsys.readouterr().err == ("error: the test set holds no ground truth of an "
+                                           "unseen class, so T1-T4 have no class to score\n")
+        assert not out.exists()
+
     @staticmethod
     def seen_all_checkpoint(tmp_path, data):
         """A trained checkpoint edited to hold no unseen class, its box head

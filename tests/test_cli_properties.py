@@ -9,9 +9,9 @@ small synthetic instances.
   inputs exit 0 or 2 and never raise; so does every numeric flag of every
   subcommand at nan, +-inf, 0, -1 and 1e308, and the synth files or
   checkpoint that such a run writes with exit 0 load.
-* Fail before the heavy work: a train, predict or eval run whose setting,
-  split, meta map, word vectors or checkpoint is refused exits 2 with its
-  one error line before it reads the dataset.
+* Fail before the heavy work: a split, train, predict or eval run whose
+  setting, split, meta map, word vectors or checkpoint is refused exits 2
+  with its one error line before it reads the dataset.
 """
 
 import argparse
@@ -33,7 +33,7 @@ from zsdet.cli import build_parser
 from zsdet.data import Dataset, ImageRecord, Proposals, load_dataset, save_dataset
 from zsdet.infer import tag_image
 from zsdet.model import MODES, load_checkpoint
-from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
+from zsdet.semantics import load_word_vectors
 
 from conftest import block_file_bytes, read_checkpoint, read_dump, write_checkpoint
 from test_cli import SYNTH_FILES, quick_train, run, synth
@@ -71,17 +71,15 @@ def outputs(data, ckpt, test_file, out, inference):
 
 
 def with_images(dataset, images):
-    return Dataset(dataset.d_f, dataset.labels, images)
+    return Dataset(dataset.d_f, images)
 
 
 def has_score_ties(data, ckpt, dets_path):
     """Whether two detections of the dump, or two image tags, share a score."""
     model = load_checkpoint(ckpt, load_word_vectors(data / "embeddings.txt"))
-    space = build_label_space(model.labels[: model.n_seen], model.labels[model.n_seen:],
-                              load_meta_map(data / "meta_map.csv"))
-    scores = [d.score for d in read_dump(dets_path, space)]
+    scores = [d.score for d in read_dump(dets_path, model.labels)]
     tags = [s for img in load_dataset(data / "test.jsonl").images
-            for s in tag_image(model, space, img.proposals).tolist()]
+            for s in tag_image(model, img.proposals).tolist()]
     return len(set(scores)) < len(scores) or len(set(tags)) < len(tags)
 
 
@@ -272,7 +270,8 @@ class TestNumericFlags:
             if command == "synth":
                 code = exit_code("synth", *TINY_SYNTH, "--out", out, given)
                 if code == 0:
-                    assert exit_code(*train_args(out, out / "ckpt.json"), "--epochs", 0) == 0, given
+                    assert exit_code(*train_args(out, out / "ckpt.json"), "--epochs", 0,
+                                     "--min-similar", 0) == 0, given
             elif command == "split":
                 code = exit_code("split", "--data", data / "train.jsonl",
                                  "--meta-map", data / "meta_map.csv", "--out", out, given)
@@ -292,7 +291,8 @@ class TestNumericFlags:
             assert code in (0, 2), given
 
 
-INPUTS = {"train": ["embeddings.txt", "meta_map.csv", "oracle.json"],
+INPUTS = {"split": ["meta_map.csv"],
+          "train": ["embeddings.txt", "meta_map.csv", "oracle.json"],
           "predict": ["ckpt.json", "embeddings.txt", "meta_map.csv"],
           "eval": ["ckpt.json", "embeddings.txt", "meta_map.csv"]}
 ORACLE = json.loads(SOURCES["oracle.json"])
@@ -319,7 +319,8 @@ def split_text(seen, unseen):
 
 COMMON_FAULTS = ["missing", "meta_drop", "meta_columns", "meta_repeat", "table_drop",
                  "table_extra", "table_non_finite"]
-FAULTS = {"train": COMMON_FAULTS + ["lr", "lambda", "epochs", "counts", "min_similar", "seed",
+FAULTS = {"split": ["missing", "meta_columns", "seed"],
+          "train": COMMON_FAULTS + ["lr", "lambda", "epochs", "counts", "min_similar", "seed",
                                     "split_side", "split_overlap", "split_unknown", "split_json"],
           "predict": COMMON_FAULTS + ["alpha", "k", "ckpt_truncated", "ckpt_mode", "ckpt_side",
                                       "table_dim"]}
@@ -450,7 +451,10 @@ class TestFailBeforeLoading:
                 if content is not None:
                     (root / name).write_bytes(content)
             before = sorted(p.name for p in root.iterdir())
-            if command == "train":
+            if command == "split":
+                args = ["split", "--data", root / "train.jsonl",
+                        "--meta-map", root / "meta_map.csv", "--out", root / "out"]
+            elif command == "train":
                 args = train_args(root, root / "out")
             else:
                 args = [command, *model_args(root, root / "ckpt.json", root / "test.jsonl"),

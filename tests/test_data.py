@@ -28,7 +28,8 @@ from zsdet.cli import main
 from zsdet.errors import ConfigError, ParseError, ZsdetError
 from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
 
-from conftest import GroundTruth, block_file_bytes, gt_rows, make_space, reference_synthetic
+from conftest import (GroundTruth, block_file_bytes, gt_rows, make_space, read_dataset,
+                      reference_synthetic, write_dataset)
 
 
 class TestSynthConfig:
@@ -231,10 +232,10 @@ def image(image_id, proposals, gt_labels=()):
     return {"image_id": image_id, "proposals": proposals, "gt_labels": list(gt_labels)}
 
 
-def write_file(path, images, d_f=2, features=(), boxes=(), gt_boxes=(), labels=("a",)):
+def write_file(path, images, d_f=2, features=(), boxes=(), gt_boxes=()):
     """A dataset file of ``images`` header records over the flat values of
     the three blocks."""
-    head = {"d_f": d_f, "labels": list(labels), "images": images}
+    head = {"d_f": d_f, "images": images}
     Path(path).write_bytes(block_file_bytes(head, [np.array(values, dtype=np.float64)
                                                    for values in (features, boxes, gt_boxes)]))
 
@@ -246,7 +247,6 @@ class TestDatasetIO:
         save_dataset(bundle.train, path)
         loaded = load_dataset(path)
         assert loaded.d_f == bundle.train.d_f
-        assert loaded.labels == bundle.train.labels
         assert len(loaded.images) == len(bundle.train.images)
         for a, b in zip(loaded.images, bundle.train.images):
             assert a.image_id == b.image_id
@@ -255,17 +255,36 @@ class TestDatasetIO:
             assert a.gt_labels == b.gt_labels
             np.testing.assert_array_equal(a.gt_boxes, b.gt_boxes)
 
+    @pytest.mark.parametrize("labels", ["names", "number"])
+    def test_header_labels_key_of_older_files_is_ignored(self, tmp_path, labels):
+        # older files hold the class names as a header list between d_f and images
+        bundle = generate_synthetic(small_cfg())
+        path, old_path = tmp_path / "d.jsonl", tmp_path / "old.jsonl"
+        save_dataset(bundle.test, path)
+        head, *blocks = read_dataset(path)
+        assert list(head) == ["d_f", "images"]
+        names = list(bundle.table.labels) if labels == "names" else 5
+        write_dataset(old_path, {"d_f": head["d_f"], "labels": names, "images": head["images"]},
+                      *blocks)
+        new, old = load_dataset(path), load_dataset(old_path)
+        assert old.d_f == new.d_f
+        assert [i.image_id for i in old.images] == [i.image_id for i in new.images]
+        for a, b in zip(old.images, new.images):
+            assert _bits(a.proposals.features) == _bits(b.proposals.features)
+            assert _bits(a.proposals.boxes) == _bits(b.proposals.boxes)
+            assert a.gt_labels == b.gt_labels
+            assert _bits(a.gt_boxes) == _bits(b.gt_boxes)
+
     @pytest.mark.parametrize("field, message", [
         ("d_f", "line 1: missing field 'd_f'"),
-        ("labels", "line 1: missing field 'labels'"),
         ("images", "line 1: missing field 'images'"),
         ("image_id", "image 0: missing field 'image_id'"),
         ("proposals", "image 0 ('i'): missing field 'proposals'"),
         ("gt_labels", "image 0 ('i'): missing field 'gt_labels'"),
-    ], ids=["d_f", "labels", "images", "image_id", "proposals", "gt_labels"])
+    ], ids=["d_f", "images", "image_id", "proposals", "gt_labels"])
     def test_missing_field_named(self, tmp_path, field, message):
         path = tmp_path / "d.jsonl"
-        head = {"d_f": 2, "labels": ["a"], "images": [image("i", 0)]}
+        head = {"d_f": 2, "images": [image("i", 0)]}
         head.pop(field, None)
         head.get("images", [{}])[0].pop(field, None)
         path.write_bytes(block_file_bytes(head, ()))
@@ -359,11 +378,8 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize(
         "header",
-        [{"d_f": "16", "labels": ["a"]}, {"d_f": True, "labels": ["a"]},
-         {"d_f": 0, "labels": ["a"]}, {"d_f": 2.0, "labels": ["a"]},
-         {"d_f": 2, "labels": "ab"}, {"d_f": 2, "labels": ["a", 1]}],
-        ids=["d_f_string", "d_f_bool", "d_f_zero", "d_f_float", "labels_string",
-             "labels_number"],
+        [{"d_f": "16"}, {"d_f": True}, {"d_f": 0}, {"d_f": 2.0}],
+        ids=["d_f_string", "d_f_bool", "d_f_zero", "d_f_float"],
     )
     def test_bad_header_fields_rejected_on_line_1(self, tmp_path, header):
         path = tmp_path / "d.jsonl"
@@ -404,7 +420,7 @@ class TestDatasetIO:
     def test_non_list_records_named_in_the_message(self, tmp_path, field):
         path = tmp_path / "d.jsonl"
         if field == "images":
-            path.write_text(json.dumps({"d_f": 2, "labels": ["a"], "images": {"i": 0}}) + "\n")
+            path.write_text(json.dumps({"d_f": 2, "images": {"i": 0}}) + "\n")
             message = "line 1: field 'images' must be a list"
         else:
             write_file(path, [image("i", 0) | {"gt_labels": "a"}], gt_boxes=[0, 0, 1, 1])
@@ -418,7 +434,7 @@ class TestDatasetIO:
         path = tmp_path / "d.jsonl"
         save_dataset(bundle.train, path)
         images = bundle.train.images
-        head = {"d_f": 6, "labels": list(bundle.train.labels), "images": [
+        head = {"d_f": 6, "images": [
             image(img.image_id, len(img.proposals), img.gt_labels) for img in images]}
         assert path.read_bytes() == block_file_bytes(
             head, [img.proposals.features for img in images]
@@ -462,7 +478,7 @@ def datasets(draw):
         gt_labels = tuple(draw(st.lists(st.sampled_from(labels), max_size=2))) if labels else ()
         gt_boxes = np.array([_ordered_box(draw) for _ in gt_labels]).reshape(-1, 4)
         images.append(ImageRecord(image_id, Proposals(features, boxes), gt_labels, gt_boxes))
-    return Dataset(d_f=d_f, labels=labels, images=images)
+    return Dataset(d_f=d_f, images=images)
 
 
 def _ordered_box(draw):
@@ -477,7 +493,7 @@ def _bits(a):
 
 # Images with and without ground truths, between images with and without
 # proposals.
-MIXED = Dataset(d_f=2, labels=("a", "b"), images=[
+MIXED = Dataset(d_f=2, images=[
     ImageRecord("empty", Proposals(np.empty((0, 2)), np.empty((0, 4))), (), np.empty((0, 4))),
     ImageRecord("edge", Proposals(np.array([[-0.0, 5e-324]]),
                                   np.array([[-0.0, -5e-324, 5e-324, 1e-310]])), (),
@@ -498,7 +514,7 @@ class TestDatasetRoundTrip:
             path = os.path.join(tmp, "d.jsonl")
             save_dataset(dataset, path)
             loaded = load_dataset(path)
-        assert (loaded.d_f, loaded.labels) == (dataset.d_f, dataset.labels)
+        assert loaded.d_f == dataset.d_f
         assert [i.image_id for i in loaded.images] == [i.image_id for i in dataset.images]
         for a, b in zip(loaded.images, dataset.images):
             assert len(a.proposals) == len(b.proposals)
@@ -651,8 +667,7 @@ def image_with(image_id, labels, boxes):
 class TestGroundTruthRows:
     def test_maps_labels_to_ids(self):
         space = make_space(2, 1)
-        ds = Dataset(d_f=2, labels=space.labels,
-                     images=[image_with("i", ("c3",), [[0, 0, 1, 1.0]])])
+        ds = Dataset(d_f=2, images=[image_with("i", ("c3",), [[0, 0, 1, 1.0]])])
         image_ids, class_ids, boxes = ground_truth_rows(ds, space)
         assert image_ids.tolist() == ["i"]
         assert class_ids.tolist() == [3]
@@ -664,7 +679,7 @@ class TestGroundTruthRows:
                              max_size=4), max_size=5))
     def test_equals_a_per_record_flatten(self, images):
         space = make_space(3, 1)
-        ds = Dataset(d_f=2, labels=space.labels, images=[
+        ds = Dataset(d_f=2, images=[
             image_with(f"i{k}", [label for label, _, _ in gts],
                        [[x, x, x + w, x + w] for _, x, w in gts])
             for k, gts in enumerate(images)])
@@ -677,7 +692,7 @@ class TestGroundTruthRows:
 
     def test_unknown_label_names_it_and_its_image(self):
         space = make_space(2, 1)
-        ds = Dataset(d_f=2, labels=space.labels, images=[
+        ds = Dataset(d_f=2, images=[
             image_with("ok", ("c1",), [[0, 0, 1, 1.0]]),
             image_with("bad", ("c2", "nope"), [[0, 0, 1, 1.0], [0, 0, 2, 2.0]])])
         with pytest.raises(ConfigError, match="label 'nope' in image bad not in label space"):

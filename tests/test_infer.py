@@ -59,7 +59,7 @@ class TestDetect:
     def test_unseen_hit_uses_proposal_box_with_zero_head(self):
         model, table, space = axis_setup()
         p = prop(table.vector("c3") * 2.0, box=(5, 5, 25, 25))
-        dets = rows_of(detect(model, space, p, "img", alpha=0.5))
+        dets = rows_of(detect(model, p, "img", alpha=0.5))
         assert len(dets) == 1
         assert dets[0].label == 3
         assert dets[0].score == pytest.approx(1.0, abs=1e-12)
@@ -68,14 +68,14 @@ class TestDetect:
     def test_background_argmax_rejected(self):
         model, _, space = axis_setup()
         f = np.array([1.0, 1.0, 1.0, 0.0])  # parallel to the background mean
-        assert len(detect(model, space, prop(f), "img", alpha=0.0)) == 0
+        assert len(detect(model, prop(f), "img", alpha=0.0)) == 0
 
     def test_threshold_is_strict(self):
         model, table, space = axis_setup()
         p = prop(table.vector("c3"))
-        [d] = rows_of(detect(model, space, p, "img", alpha=0.0))
-        assert len(detect(model, space, p, "img", alpha=d.score)) == 0
-        assert len(detect(model, space, p, "img", alpha=d.score - 1e-9)) == 1
+        [d] = rows_of(detect(model, p, "img", alpha=0.0))
+        assert len(detect(model, p, "img", alpha=d.score)) == 0
+        assert len(detect(model, p, "img", alpha=d.score - 1e-9)) == 1
 
     def test_unseen_tie_goes_to_lowest_id(self):
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
@@ -85,19 +85,19 @@ class TestDetect:
             + table.vector("c4")
             - 0.3 * (table.vector("c1") + table.vector("c2"))
         )
-        [d] = rows_of(detect(model, space, prop(f), "img", alpha=0.5))
+        [d] = rows_of(detect(model, prop(f), "img", alpha=0.5))
         assert d.label == 3
 
     def test_zero_feature_treated_as_background(self):
         model, _, space = axis_setup()
-        assert len(detect(model, space, prop(np.zeros(4)), "img", alpha=0.0)) == 0
+        assert len(detect(model, prop(np.zeros(4)), "img", alpha=0.0)) == 0
 
     @pytest.mark.parametrize("c", [1e-170, 1e-300, 1e200])
     def test_tiny_and_huge_features_are_scored(self, c):
         model, table, space = axis_setup()
         f = table.vector("c3") + 0.1 * table.vector("c1")
-        [want] = rows_of(detect(model, space, prop(f), "img", alpha=0.5))
-        [got] = rows_of(detect(model, space, prop(c * f), "img", alpha=0.5))
+        [want] = rows_of(detect(model, prop(f), "img", alpha=0.5))
+        [got] = rows_of(detect(model, prop(c * f), "img", alpha=0.5))
         assert got.label == want.label == 3
         assert got.score == pytest.approx(want.score, rel=1e-14)
 
@@ -105,17 +105,17 @@ class TestDetect:
         model, table, space = axis_setup()
         p1 = prop(table.vector("c3") * 2, box=(0, 0, 10, 10))
         p2 = prop(table.vector("c3"), box=(0.5, 0.5, 10.5, 10.5))
-        kept = detect(model, space, stack([p1, p2]), "img", alpha=0.1)
+        kept = detect(model, stack([p1, p2]), "img", alpha=0.1)
         assert len(kept) == 1
         nms_at(monkeypatch, 0.0)
-        unsuppressed = detect(model, space, stack([p1, p2]), "img", alpha=0.1)
+        unsuppressed = detect(model, stack([p1, p2]), "img", alpha=0.1)
         assert len(unsuppressed) == 2
 
     def test_scores_all_above_alpha(self):
         model, table, space = axis_setup()
         rng = np.random.default_rng(0)
         props = stack([prop(rng.standard_normal(4)) for _ in range(40)])
-        for d in rows_of(detect(model, space, props, "img", alpha=0.3)):
+        for d in rows_of(detect(model, props, "img", alpha=0.3)):
             assert d.score > 0.3
 
     def test_box_decoded_from_best_seen_class(self):
@@ -123,7 +123,7 @@ class TestDetect:
         # class 2's slice shifts the box; make c2 the best seen class
         model.box_b = np.array([0, 0, 0, 0, 0.5, 0.0, 0.0, 0.0], dtype=np.float64)
         f = table.vector("c3") + 0.5 * table.vector("c2")
-        [d] = rows_of(detect(model, space, prop(f, box=(0, 0, 10, 10)), "img", alpha=0.1))
+        [d] = rows_of(detect(model, prop(f, box=(0, 0, 10, 10)), "img", alpha=0.1))
         np.testing.assert_allclose(d.box, [5.0, 0.0, 15.0, 10.0], atol=1e-9)
 
 
@@ -178,28 +178,28 @@ class TestConseDetect:
         w2 = model.w2.copy()
         w2[:, 2] = w2[:, 0]
         model.w2 = w2
-        [d] = rows_of(conse_detect(model, space, prop(np.eye(4)[0]), "img", k=2, alpha=0.5))
+        [d] = rows_of(conse_detect(model, prop(np.eye(4)[0]), "img", k=2, alpha=0.5))
         assert d.label == 3
         assert d.score == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_projection_discarded(self):
         model, table, space = axis_setup()
         # feature along seen c1; unseen c3 is orthogonal to every seen vector
-        out = conse_detect(model, space, prop(np.eye(4)[0]), "img", k=2, alpha=0.1)
+        out = conse_detect(model, prop(np.eye(4)[0]), "img", k=2, alpha=0.1)
         assert len(out) == 0
 
     def test_within_span_unseen_recovered(self):
         model, table, space = self.overlap_setup()
-        out = conse_detect(model, space, prop(np.array([1.0, 1.0, 0, 0])), "img", k=2, alpha=0.2)
+        out = conse_detect(model, prop(np.array([1.0, 1.0, 0, 0])), "img", k=2, alpha=0.2)
         # the background (mean) outranks both seen classes for this feature
         assert len(out) == 0
-        out = conse_detect(model, space, prop(np.array([1.0, 0.2, 0, 0])), "img", k=2, alpha=0.2)
+        out = conse_detect(model, prop(np.array([1.0, 0.2, 0, 0])), "img", k=2, alpha=0.2)
         assert out.labels.tolist() == [3]
 
     def test_k_larger_than_seen_rejected(self):
         model, _, space = axis_setup()
         with pytest.raises(ConfigError):
-            conse_detect(model, space, prop(np.eye(4)[0]), "img", k=5, alpha=0.1)
+            conse_detect(model, prop(np.eye(4)[0]), "img", k=5, alpha=0.1)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_k_checked_before_scoring(self, k):
@@ -207,7 +207,7 @@ class TestConseDetect:
         model, _, space = axis_setup()
         for proposals in (stack([prop(np.zeros(4)), prop(np.zeros(4))]), stack([], 4)):
             with pytest.raises(ConfigError, match="K must be in 1..2"):
-                conse_detect(model, space, proposals, "img", k=k, alpha=0.1)
+                conse_detect(model, proposals, "img", k=k, alpha=0.1)
 
     def test_defaults_follow_reference_protocol(self):
         import inspect
@@ -222,17 +222,17 @@ class TestConseDetect:
         # sum of squares then overflows; cosines do not depend on the scale
         model, table, space = self.overlap_setup()
         props = stack([prop(rng.standard_normal(4)) for _ in range(50)])
-        base = conse_detect(model, space, props, "img", k=2, alpha=-2.0)
+        base = conse_detect(model, props, "img", k=2, alpha=-2.0)
         assert len(base)
         model.w1 = np.eye(4) * 1e300
-        huge = conse_detect(model, space, props, "img", k=2, alpha=-2.0)
+        huge = conse_detect(model, props, "img", k=2, alpha=-2.0)
         assert huge.labels.tolist() == base.labels.tolist()
         np.testing.assert_allclose(huge.scores, base.scores, rtol=1e-12)
 
     def test_scores_are_cosines_in_unit_range(self, rng):
         model, table, space = self.overlap_setup()
         props = stack([prop(rng.standard_normal(4)) for _ in range(50)])
-        for d in rows_of(conse_detect(model, space, props, "img", k=2, alpha=-2.0)):
+        for d in rows_of(conse_detect(model, props, "img", k=2, alpha=-2.0)):
             assert -1.0 - 1e-12 <= d.score <= 1.0 + 1e-12
 
 
@@ -241,8 +241,8 @@ class TestTagImage:
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         rng = np.random.default_rng(1)
         f = rng.standard_normal(5)
-        o_hat = normalized_scores(model, forward_scores(model, f), f)
-        tags = tag_image(model, space, prop(f))
+        o_hat = normalized_scores(model, f)
+        tags = tag_image(model, prop(f))
         assert tags.shape == (space.U,)
         for uid in space.unseen_ids:
             assert tags[uid - space.S - 1] == pytest.approx(o_hat[uid - 1], abs=1e-15)
@@ -251,9 +251,9 @@ class TestTagImage:
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         rng = np.random.default_rng(2)
         f1, f2 = rng.standard_normal((2, 5))
-        o1 = normalized_scores(model, forward_scores(model, f1), f1)
-        o2 = normalized_scores(model, forward_scores(model, f2), f2)
-        tags = tag_image(model, space, stack([prop(f1), prop(f2)]))
+        o1 = normalized_scores(model, f1)
+        o2 = normalized_scores(model, f2)
+        tags = tag_image(model, stack([prop(f1), prop(f2)]))
         for uid in space.unseen_ids:
             assert tags[uid - space.S - 1] == pytest.approx(max(o1[uid - 1], o2[uid - 1]),
                                                             abs=1e-15)
@@ -262,13 +262,13 @@ class TestTagImage:
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         rng = np.random.default_rng(3)
         props = [prop(rng.standard_normal(5)) for _ in range(5)]
-        a = tag_image(model, space, stack(props))
-        b = tag_image(model, space, stack(props[::-1]))
+        a = tag_image(model, stack(props))
+        b = tag_image(model, stack(props[::-1]))
         assert a.tolist() == b.tolist()
 
     def test_all_zero_proposals_give_zero_scores(self):
         model, _, space = axis_setup()
-        tags = tag_image(model, space, prop(np.zeros(4)))
+        tags = tag_image(model, prop(np.zeros(4)))
         assert tags.tolist() == [0.0]
 
 
@@ -280,8 +280,8 @@ class TestDetectionDump:
             Detection("b", 4, 0.125, np.array([0.0, 0.0, 1.0, 1.0])),
         ]
         path = tmp_path / "dets.jsonl"
-        dump_detections(per_image(dets), path, space)
-        loaded = read_dump(path, space)
+        dump_detections(per_image(dets), path, space.labels)
+        loaded = read_dump(path, space.labels)
         assert [(d.image_id, d.label, d.score) for d in loaded] == [
             ("a", 3, 0.25),
             ("b", 4, 0.125),
@@ -291,7 +291,7 @@ class TestDetectionDump:
     def test_dump_uses_label_names(self, tmp_path):
         space = make_space(1, 1)
         path = tmp_path / "dets.jsonl"
-        dump_detections(per_image([Detection("a", 2, 0.5, np.zeros(4))]), path, space)
+        dump_detections(per_image([Detection("a", 2, 0.5, np.zeros(4))]), path, space.labels)
         assert '"label": "c2"' in path.read_text()
 
     def test_degenerate_boxes_read_back(self, tmp_path):
@@ -299,8 +299,8 @@ class TestDetectionDump:
         dets = [Detection("a", 2, 0.5, np.array([3.0, 3.0, 3.0, 3.0])),
                 Detection("a", 2, 0.25, np.array([5.0, 0.0, 1.0, 2.0]))]
         path = tmp_path / "dets.jsonl"
-        dump_detections(per_image(dets), path, space)
-        for got, ref in zip(read_dump(path, space), dets):
+        dump_detections(per_image(dets), path, space.labels)
+        for got, ref in zip(read_dump(path, space.labels), dets):
             np.testing.assert_array_equal(got.box, ref.box)
 
 
@@ -332,7 +332,7 @@ def detections_lists(draw):
         n = draw(st.integers(0, 4))
         out.append(Detections(
             draw(st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\x00", "\u2028"])),
-            np.array(draw(st.lists(st.integers(1, ESCAPE_SPACE.bg_id), min_size=n, max_size=n)),
+            np.array(draw(st.lists(st.integers(1, ESCAPE_SPACE.C), min_size=n, max_size=n)),
                      dtype=np.intp),
             np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64),
             np.array(draw(st.lists(values, min_size=4 * n, max_size=4 * n)),
@@ -347,7 +347,7 @@ class TestDumpBytes:
     def test_equals_json_dumps_per_record(self, detections):
         with tempfile.TemporaryDirectory() as tmp:
             got, want = os.path.join(tmp, "got.jsonl"), os.path.join(tmp, "want.jsonl")
-            dump_detections(detections, got, ESCAPE_SPACE)
+            dump_detections(detections, got, ESCAPE_SPACE.labels)
             dump_ref(detections, want, ESCAPE_SPACE)
             with open(got, "rb") as f, open(want, "rb") as g:
                 assert f.read() == g.read()
@@ -355,7 +355,7 @@ class TestDumpBytes:
     def test_non_finite_values_keep_json_spelling(self, tmp_path):
         d = Detections("a", np.array([3, 4]), np.array([np.nan, 0.5]),
                        np.array([[np.inf, -np.inf, 0.0, -0.0], [1.0, 2.0, 3.0, 1e308]]))
-        dump_detections([d], tmp_path / "d.jsonl", ESCAPE_SPACE)
+        dump_detections([d], tmp_path / "d.jsonl", ESCAPE_SPACE.labels)
         first = (tmp_path / "d.jsonl").read_text().splitlines()[0]
         assert '"score": NaN, "box": [Infinity, -Infinity, 0.0, -0.0]' in first
 
@@ -483,31 +483,31 @@ class TestBatchedMatchesPerProposalLoops:
             nms_iou = float(rng.choice([0.0, 0.3, 0.5]))
             nms_at(monkeypatch, nms_iou)
             assert_same_detections(
-                detect(model, space, props, "img", alpha=alpha),
+                detect(model, props, "img", alpha=alpha),
                 detect_ref(model, space, props, "img", alpha, nms_iou),
             )
             # K >= 2: at K = 1 all proposals sharing a top seen class tie
             # exactly in cosine, and rounding alone would order them
             k = int(rng.integers(2, space.S + 1))
             assert_same_detections(
-                conse_detect(model, space, props, "img", k=k, alpha=alpha),
+                conse_detect(model, props, "img", k=k, alpha=alpha),
                 conse_detect_ref(model, space, props, "img", k, alpha, nms_iou),
             )
-            assert_same_tags(tag_image(model, space, props), tag_image_ref(model, space, props))
+            assert_same_tags(tag_image(model, props), tag_image_ref(model, space, props))
 
     def test_image_without_proposals(self, rng):
         model, space = random_instance(rng)
         none = stack([], model.d_f)
-        assert len(detect(model, space, none, "img", alpha=-1.0)) == 0
-        assert len(conse_detect(model, space, none, "img", k=1, alpha=-1.0)) == 0
-        assert tag_image(model, space, none).tolist() == tag_image_ref(model, space, none).tolist()
+        assert len(detect(model, none, "img", alpha=-1.0)) == 0
+        assert len(conse_detect(model, none, "img", k=1, alpha=-1.0)) == 0
+        assert tag_image(model, none).tolist() == tag_image_ref(model, space, none).tolist()
 
     def test_all_zero_features(self):
         model, _, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         props = stack([prop(np.zeros(5)) for _ in range(3)])
-        assert len(detect(model, space, props, "img", alpha=-1.0)) == 0
-        assert len(conse_detect(model, space, props, "img", k=2, alpha=-1.0)) == 0
-        assert tag_image(model, space, props).tolist() == [0.0, 0.0]
+        assert len(detect(model, props, "img", alpha=-1.0)) == 0
+        assert len(conse_detect(model, props, "img", k=2, alpha=-1.0)) == 0
+        assert tag_image(model, props).tolist() == [0.0, 0.0]
 
     def test_score_ties(self, monkeypatch):
         # exact arithmetic: axis embeddings, identity W1, integer features
@@ -528,15 +528,15 @@ class TestBatchedMatchesPerProposalLoops:
         props = stack([prop(np.array(f, dtype=np.float64), b) for f, b in zip(features, boxes)])
         for nms_iou in (0.0, 0.5):
             nms_at(monkeypatch, nms_iou)
-            got = detect(model, space, props, "img", alpha=-1.0)
+            got = detect(model, props, "img", alpha=-1.0)
             assert_same_detections(got, detect_ref(model, space, props, "img", -1.0, nms_iou))
             assert got
             for k in (1, 2):
-                got = conse_detect(model, space, props, "img", k=k, alpha=-1.0)
+                got = conse_detect(model, props, "img", k=k, alpha=-1.0)
                 ref = conse_detect_ref(model, space, props, "img", k, -1.0, nms_iou)
                 assert_same_detections(got, ref)
                 assert got
-        assert_same_tags(tag_image(model, space, props), tag_image_ref(model, space, props))
+        assert_same_tags(tag_image(model, props), tag_image_ref(model, space, props))
 
 
 class TestLabelAwareNms:
@@ -573,8 +573,8 @@ class TestLabelAwareNms:
             props = random_proposals(rng, model.d_f)
             alpha = float(rng.uniform(-0.5, 0.3))
             k = int(rng.integers(1, space.S + 1))
-            for route in (lambda: detect(model, space, props, "img", alpha=alpha),
-                          lambda: conse_detect(model, space, props, "img", k=k, alpha=alpha)):
+            for route in (lambda: detect(model, props, "img", alpha=alpha),
+                          lambda: conse_detect(model, props, "img", k=k, alpha=alpha)):
                 candidates = route()
                 assert calls == ([(len(candidates), NMS_IOU)] if candidates else [])
                 calls.clear()

@@ -190,7 +190,7 @@ class TestClassificationLoss:
         batch = random_batch(rng, space, 4, size=2)
         for lam in (1.5, -0.1, math.nan):
             with pytest.raises(ConfigError, match="lambda must be in"):
-                loss_gradients(model, batch, space, lam, "full")
+                loss_gradients(model, batch, space, lam)
 
     def test_breakdown_identity(self, rng):
         space = make_space(3, 2)
@@ -326,21 +326,21 @@ class TestRegressionLoss:
         offsets = batch.features @ model.box_w + model.box_b
         per_sample = [regression_loss(o, p, g, int(y), space)
                       for o, p, g, y in zip(offsets, proposals, gts, ys) if y <= space.S]
-        breakdown, _ = loss_gradients(model, batch, space, 0.5, "full")
+        breakdown, _ = loss_gradients(model, batch, space, 0.5)
         assert breakdown.l_reg == pytest.approx(sum(per_sample) / len(per_sample),
                                                 rel=1e-12, abs=0)
 
 
-def fd_gradient(model, batch, space, lam, mode, param, h=1e-5):
+def fd_gradient(model, batch, space, lam, param, h=1e-5):
     grad = np.zeros_like(param)
     flat = param.reshape(-1)
     gflat = grad.reshape(-1)
     for idx in range(flat.size):
         orig = flat[idx]
         flat[idx] = orig + h
-        up = loss_gradients(model, batch, space, lam, mode)[0].total
+        up = loss_gradients(model, batch, space, lam)[0].total
         flat[idx] = orig - h
-        down = loss_gradients(model, batch, space, lam, mode)[0].total
+        down = loss_gradients(model, batch, space, lam)[0].total
         flat[idx] = orig
         gflat[idx] = (up - down) / (2 * h)
     return grad
@@ -360,7 +360,7 @@ class TestLossGradients:
         model = make_model(table, space, d_f=4)
         batch = random_batch(rng, space, 4)
         batch.features[:] = 0.0
-        _, grads = loss_gradients(model, batch, space, 0.5, "full")
+        _, grads = loss_gradients(model, batch, space, 0.5)
         np.testing.assert_array_equal(grads["w1"], np.zeros_like(grads["w1"]))
 
     @pytest.mark.parametrize("mode", ["full", "seen_only"])
@@ -368,18 +368,18 @@ class TestLossGradients:
     def test_finite_difference_small_instance(self, rng, mode, lam):
         space = make_space(5, 2, n_meta=3)
         table = make_table(random_unit_columns(rng, 8, 7))
-        model = make_model(table, space, d_f=8, seed=1)
+        model = make_model(table, space, d_f=8, seed=1, mode=mode)
         model.w1 = rng.standard_normal((8, 8)) * 0.5
         model.box_w = rng.standard_normal(model.box_w.shape) * 0.1
         model.box_b = rng.standard_normal(model.box_b.shape) * 0.1
         batch = random_batch(rng, space, 8)
-        _, grads = loss_gradients(model, batch, space, lam, mode)
+        _, grads = loss_gradients(model, batch, space, lam)
         for analytic, param in [
             (grads["w1"], model.w1),
             (grads["box_w"], model.box_w),
             (grads["box_b"], model.box_b),
         ]:
-            numeric = fd_gradient(model, batch, space, lam, mode, param)
+            numeric = fd_gradient(model, batch, space, lam, param)
             assert max_rel_err(analytic, numeric) < 1e-4
 
     def test_lambda_one_equals_pure_margin_path(self, rng):
@@ -387,7 +387,7 @@ class TestLossGradients:
         table = make_table(random_unit_columns(rng, 6, 6))
         model = make_model(table, space, d_f=6, seed=2)
         batch = random_batch(rng, space, 6)
-        _, grads = loss_gradients(model, batch, space, 1.0, "full")
+        _, grads = loss_gradients(model, batch, space, 1.0)
         # independent pure-margin gradient: sigma weights from the definition
         dw1 = np.zeros_like(model.w1)
         for feature, y in zip(batch.features, batch.ys):
@@ -406,16 +406,16 @@ class TestLossGradients:
     def test_seen_only_gradient_ignores_unseen_scores(self, rng):
         space = make_space(4, 2)
         table = make_table(random_unit_columns(rng, 6, 6))
-        model = make_model(table, space, d_f=6, seed=5)
+        model = make_model(table, space, d_f=6, seed=5, mode="seen_only")
         batch = random_batch(rng, space, 6)
-        b1, g1 = loss_gradients(model, batch, space, 0.6, "seen_only")
+        b1, g1 = loss_gradients(model, batch, space, 0.6)
         # perturbing unseen embedding columns must not change loss or grads
         w2 = model.w2.copy()
         w2[:, space.S : space.C] += rng.standard_normal((6, space.U))
-        model2 = make_model(table, space, d_f=6, seed=5)
+        model2 = make_model(table, space, d_f=6, seed=5, mode="seen_only")
         model2.w2 = w2
         model2.w1 = model.w1.copy()
-        b2, g2 = loss_gradients(model2, batch, space, 0.6, "seen_only")
+        b2, g2 = loss_gradients(model2, batch, space, 0.6)
         assert b1.l_cls == pytest.approx(b2.l_cls, abs=1e-15)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -426,7 +426,7 @@ class TestLossGradients:
         batch = random_batch(rng, space, 4, size=3)
         batch.features[1] = [np.inf, 0.0, 0.0, 0.0]
         with pytest.raises(NumericFailureError) as exc:
-            loss_gradients(model, batch, space, 0.5, "full")
+            loss_gradients(model, batch, space, 0.5)
         assert exc.value.sample_index == 1
 
     def test_empty_batch_rejected(self, rng):
@@ -434,7 +434,7 @@ class TestLossGradients:
         table = make_table(random_unit_columns(rng, 4, 4))
         model = make_model(table, space, d_f=4)
         with pytest.raises(ConfigError):
-            loss_gradients(model, random_batch(rng, space, 4, size=0), space, 0.5, "full")
+            loss_gradients(model, random_batch(rng, space, 4, size=0), space, 0.5)
 
     def test_unseen_label_in_batch_rejected(self, rng):
         space = make_space(3, 1)
@@ -443,7 +443,7 @@ class TestLossGradients:
         batch = random_batch(rng, space, 4, size=2)
         batch.ys[0] = space.S + 1
         with pytest.raises(ConfigError, match="target 4 is an unseen class"):
-            loss_gradients(model, batch, space, 0.5, "full")
+            loss_gradients(model, batch, space, 0.5)
 
     @pytest.mark.parametrize("bad, message", [
         ("unseen", "target 4 is an unseen class"),
@@ -457,7 +457,7 @@ class TestLossGradients:
         batch.ys[2] = space.S + 1 if bad == "unseen" else bad
         batch.ys[3] = 0
         with pytest.raises(ConfigError, match=message):
-            loss_gradients(model, batch, space, 0.5, "full")
+            loss_gradients(model, batch, space, 0.5)
 
     def test_foreground_row_without_finite_target_rejected(self, rng):
         space = make_space(3, 1)
@@ -466,7 +466,7 @@ class TestLossGradients:
         batch.ys[:] = [space.bg_id, 1, 2]
         batch.targets[1:] = [[0.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]]
         with pytest.raises(ConfigError, match="foreground sample 2"):
-            loss_gradients(model, batch, space, 0.5, "full")
+            loss_gradients(model, batch, space, 0.5)
 
 
 @st.composite
@@ -492,11 +492,11 @@ class TestBatchedKernel:
         space, size, mode, lam, seed = case
         rng = np.random.default_rng(seed)
         table = make_table(random_unit_columns(rng, 5, space.C))
-        model = make_model(table, space, d_f=5)
+        model = make_model(table, space, d_f=5, mode=mode)
         model.w1 = rng.standard_normal(model.w1.shape) * 0.7
         batch = random_batch(rng, space, 5, size=size)
 
-        breakdown, grads = loss_gradients(model, batch, space, lam, mode)
+        breakdown, grads = loss_gradients(model, batch, space, lam)
         full_ids = list(range(1, space.bg_id + 1))
         mm_ids = full_ids if mode == "full" else list(space.seen_ids) + [space.bg_id]
         rows = [((f @ model.w1) @ model.w2, y) for f, y in zip(batch.features, batch.ys)]
@@ -509,7 +509,7 @@ class TestBatchedKernel:
             assert breakdown.l_mc == 0.0
 
         # a row scattered into another meta group's block would break this
-        per_row = sum(loss_gradients(model, batch.rows([i]), space, lam, mode)[1]["w1"]
+        per_row = sum(loss_gradients(model, batch.rows([i]), space, lam)[1]["w1"]
                       for i in range(size))
         scale = max(float(np.abs(per_row).max()), 1e-300)
         np.testing.assert_allclose(size * grads["w1"], per_row, rtol=0, atol=1e-12 * scale)

@@ -95,7 +95,7 @@ class TestNormalizedScores:
         model, table, _ = axis_setup()
         f = 2.0 * table.vector("c1")
         o = forward_scores(model, f)
-        o_hat = normalized_scores(model, o, f)
+        o_hat = normalized_scores(model, f)
         assert o_hat[0] == pytest.approx(1.0, abs=1e-12)  # o=2, norms 1*2
         assert o[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -103,7 +103,7 @@ class TestNormalizedScores:
         model, _, space = axis_setup()
         for _ in range(20):
             f = rng.standard_normal(4)
-            o_hat = normalized_scores(model, forward_scores(model, f), f)
+            o_hat = normalized_scores(model, f)
             assert np.all(o_hat[: space.C] <= 1.0 + 1e-12)
             assert np.all(o_hat[: space.C] >= -1.0 - 1e-12)
 
@@ -111,7 +111,7 @@ class TestNormalizedScores:
         model, table, space = axis_setup()
         for _ in range(10):
             f = rng.standard_normal(4)
-            o_hat = normalized_scores(model, forward_scores(model, f), f)
+            o_hat = normalized_scores(model, f)
             fn = np.linalg.norm(f)
             for j in range(space.C):
                 cos = float(table.vectors[:, j] @ f) / fn
@@ -123,7 +123,7 @@ class TestNormalizedScores:
         model = make_model(table, space, d_f=5, seed=3)
         f = rng.standard_normal(5)
         o = forward_scores(model, f)
-        o_hat = normalized_scores(model, o, f)
+        o_hat = normalized_scores(model, f)
         w2 = table.w2()
         fn = np.sqrt(sum(float(x) ** 2 for x in f))
         for c in range(4):
@@ -133,16 +133,16 @@ class TestNormalizedScores:
     def test_zero_feature_raises(self):
         model, _, _ = axis_setup()
         with pytest.raises(ConfigError, match="cannot normalize scores for a zero feature"):
-            normalized_scores(model, np.zeros(4), np.zeros(4))
+            normalized_scores(model, np.zeros(4))
 
     def test_rows_match_single_row_calls(self, rng):
         table = make_table(rng.standard_normal((4, 3)))
         model = make_model(table, make_space(2, 1), d_f=5, seed=3)
         features = rng.standard_normal((6, 5))
-        batch = normalized_scores(model, forward_scores(model, features), features)
+        batch = normalized_scores(model, features)
         assert batch.shape == (6, 4)
         for f, row in zip(features, batch):
-            single = normalized_scores(model, forward_scores(model, f), f)
+            single = normalized_scores(model, f)
             np.testing.assert_allclose(row, single, rtol=0, atol=1e-15)
 
     def test_any_zero_row_raises(self, rng):
@@ -150,7 +150,7 @@ class TestNormalizedScores:
         features = rng.standard_normal((3, 4))
         features[1] = 0.0
         with pytest.raises(ConfigError, match="cannot normalize scores for a zero feature"):
-            normalized_scores(model, forward_scores(model, features), features)
+            normalized_scores(model, features)
 
     # A d = 1 table whose unit columns average to zero has no background
     # column to normalize by, so finalize_embeddings rejects it.
@@ -176,8 +176,8 @@ class TestNormalizedScores:
         features = rng.standard_normal((n, d_f))
         scaled = features.copy()
         scaled[0] *= c
-        got = normalized_scores(model, forward_scores(model, scaled), scaled)[0]
-        want = normalized_scores(model, forward_scores(model, features), features)[0]
+        got = normalized_scores(model, scaled)[0]
+        want = normalized_scores(model, features)[0]
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * (d_f + d) * np.linalg.norm(model.w1))
 

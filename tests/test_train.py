@@ -42,23 +42,23 @@ def one_param(value):
 
 class TestAdamStep:
     def test_first_step_is_signed_lr(self):
-        cfg = TrainConfig(lr=0.01)
+        lr = 0.01
         for g in (3.7, -0.04, 1e-3):
             params, state = one_param(1.0)
-            adam_step(params, {"w": np.array([g])}, state, cfg)
-            expected = 1.0 - cfg.lr * g / (abs(g) + ADAM_EPS)
+            adam_step(params, {"w": np.array([g])}, state, lr)
+            expected = 1.0 - lr * g / (abs(g) + ADAM_EPS)
             assert params["w"][0] == pytest.approx(expected, abs=1e-15)
-            assert params["w"][0] == pytest.approx(1.0 - cfg.lr * np.sign(g), abs=1e-5)
+            assert params["w"][0] == pytest.approx(1.0 - lr * np.sign(g), abs=1e-5)
 
     def test_zero_gradient_is_identity(self):
-        cfg = TrainConfig()
+        lr = 1e-5
         params, state = one_param(2.5)
-        adam_step(params, {"w": np.zeros(1)}, state, cfg)
+        assert adam_step(params, {"w": np.zeros(1)}, state, lr) is None
         assert params["w"][0] == 2.5
         assert state.t == 1
 
     def test_quadratic_descent_matches_scalar_simulation(self):
-        cfg = TrainConfig(lr=0.1)
+        lr = 0.1
         params, state = one_param(1.0)
         # independent scalar Adam simulation
         w, m, v, t = 1.0, 0.0, 0.0, 0
@@ -68,19 +68,19 @@ class TestAdamStep:
             t += 1
             m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-            w -= cfg.lr * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS)
+            w -= lr * (m / (1 - ADAM_BETA1**t)) / (np.sqrt(v / (1 - ADAM_BETA2**t)) + ADAM_EPS)
             trajectory.append(w)
         magnitudes = [1.0]
         for step in range(10):
             g = 2.0 * params["w"]
-            adam_step(params, {"w": g}, state, cfg)
+            adam_step(params, {"w": g}, state, lr)
             assert params["w"][0] == pytest.approx(trajectory[step], abs=1e-12)
             magnitudes.append(abs(params["w"][0]))
         assert all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
 
     @staticmethod
     def check_bitwise_textbook_adam(shapes, steps=12):
-        cfg = TrainConfig(lr=1e-3)
+        lr = 1e-3
         rng = np.random.default_rng(7)
         params = {k: rng.standard_normal(s) for k, s in shapes.items()}
         state = AdamState.for_params(params)
@@ -94,14 +94,14 @@ class TestAdamStep:
                 grads[zero_key] = np.zeros(shapes[zero_key])
             if t % 5 == 0:
                 grads = {k: np.zeros(s) for k, s in shapes.items()}
-            adam_step(params, grads, state, cfg)
+            adam_step(params, grads, state, lr)
             for key, g in grads.items():
                 p, m, v = ref[key]
                 m = b1 * m + (1.0 - b1) * g
                 v = b2 * v + (1.0 - b2) * g * g
                 m_hat = m / (1.0 - b1**t)
                 v_hat = v / (1.0 - b2**t)
-                p = p - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 ref[key] = (p, m, v)
                 assert params[key].tobytes() == p.tobytes()
                 assert state.m[key].tobytes() == m.tobytes()
@@ -170,7 +170,7 @@ class TestAdamStep:
             run_blocks = zsdet.train._adam_blocks
             mp.setattr(zsdet.train, "_adam_blocks", fail_off_caller)
             with pytest.raises(FloatingPointError, match="worker failed"):
-                adam_step(params, {"w": np.ones(3 * ADAM_BLOCK)}, state, TrainConfig())
+                adam_step(params, {"w": np.ones(3 * ADAM_BLOCK)}, state, 1e-5)
         # the worker failed before taking a block: the caller ran all three
         assert (params["w"] < 1.0).all()
 
@@ -182,13 +182,13 @@ class TestAdamStep:
         grads = {"w": np.ones(3 * ADAM_BLOCK)}
         state = AdamState.for_params(params)
         with adam_cpus(2) as ran:
-            adam_step(params, grads, state, TrainConfig())
+            adam_step(params, grads, state, 1e-5)
             assert len(ran) == 2
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    adam_step(params, grads, state, TrainConfig())
+                    adam_step(params, grads, state, 1e-5)
                     code = 0
                 finally:
                     os._exit(code)
@@ -207,13 +207,13 @@ class TestAdamStep:
         shapes = {"first": (7,), "big": (2 * ADAM_BLOCK + 13,)}
         params = {k: rng.standard_normal(s) for k, s in shapes.items()}
         state = AdamState.for_params(params)
-        cfg = TrainConfig(lr=1e-3)
-        adam_step(params, {k: rng.standard_normal(s) for k, s in shapes.items()}, state, cfg)
+        lr = 1e-3
+        adam_step(params, {k: rng.standard_normal(s) for k, s in shapes.items()}, state, lr)
         before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in shapes}
         grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
         grads["big"][-1] = np.nan
         with pytest.raises(NumericFailureError):
-            adam_step(params, grads, state, cfg)
+            adam_step(params, grads, state, lr)
         for key, (p, m, v) in before.items():
             assert params[key].tobytes() == p.tobytes()
             assert state.m[key].tobytes() == m.tobytes()
@@ -224,13 +224,13 @@ class TestAdamStep:
     def test_infinite_gradient_aborts(self, bad):
         params, state = one_param(0.0)
         with pytest.raises(NumericFailureError):
-            adam_step(params, {"w": np.array([bad])}, state, TrainConfig())
+            adam_step(params, {"w": np.array([bad])}, state, 1e-5)
 
     def test_finite_gradient_whose_sum_overflows_is_accepted(self):
         params = {"w": np.zeros(3)}
         state = AdamState.for_params(params)
         with np.errstate(over="ignore"):  # g*g overflows; v saturates at inf
-            adam_step(params, {"w": np.array([1e308, 1e308, -1e308])}, state, TrainConfig())
+            adam_step(params, {"w": np.array([1e308, 1e308, -1e308])}, state, 1e-5)
         assert np.isfinite(params["w"]).all() and state.t == 1
 
     def test_moments_are_c_ordered_for_fortran_param(self):
@@ -255,7 +255,7 @@ class TestAdamStep:
         before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in params}
         grads = {k: np.ones(p.shape) for k, p in params.items()}
         with pytest.raises(ConfigError, match="C-contiguous"):
-            adam_step(params, grads, state, TrainConfig())
+            adam_step(params, grads, state, 1e-5)
         for key, (p, m, v) in before.items():
             assert params[key].tobytes() == p.tobytes()
             assert state.m[key].tobytes() == m.tobytes()
@@ -264,13 +264,13 @@ class TestAdamStep:
     def test_non_finite_gradient_aborts(self):
         params, state = one_param(0.0)
         with pytest.raises(Exception):
-            adam_step(params, {"w": np.array([np.nan])}, state, TrainConfig())
+            adam_step(params, {"w": np.array([np.nan])}, state, 1e-5)
         assert params["w"][0] == 0.0 and state.m["w"][0] == 0.0 and state.v["w"][0] == 0.0
 
     def test_shape_mismatch(self):
         params, state = one_param(0.0)
         with pytest.raises(ConfigError):
-            adam_step(params, {"w": np.zeros(2)}, state, TrainConfig())
+            adam_step(params, {"w": np.zeros(2)}, state, 1e-5)
 
 
 class TestTrainConfig:
@@ -461,7 +461,7 @@ def stats_dataset(space, counts, objects_per_image=1):
                 )
             )
             n += 1
-    return Dataset(d_f=2, labels=space.labels, images=images)
+    return Dataset(d_f=2, images=images)
 
 
 @st.composite
@@ -480,7 +480,7 @@ def rebalance_cases(draw):
         images.append(ImageRecord(
             image_id, Proposals(np.full((n_props, 2), float(i)), np.zeros((n_props, 4))),
             labels, np.arange(4.0 * len(labels)).reshape(-1, 4) + 100 * i))
-    dataset = Dataset(d_f=2, labels=space.labels, images=images)
+    dataset = Dataset(d_f=2, images=images)
     return space, dataset, draw(st.integers(0, 12)), draw(st.integers(0, 2**32 - 1))
 
 
@@ -521,7 +521,7 @@ class TestRebalance:
         boxes = np.array([[0, 0, 10, 10.0], [20, 20, 30, 30.0], [40, 40, 50, 50.0]])
         images = [ImageRecord(f"im{i}", Proposals(np.ones((3, 2)), boxes),
                               ("c1", "c2", "c1"), boxes) for i in range(4)]
-        ds = Dataset(d_f=2, labels=space.labels, images=images)
+        ds = Dataset(d_f=2, images=images)
         out = rebalance_dataset(ds, space, 7, np.random.default_rng(0))
         assert sum(out.class_stats().values()) == 7
         for img in out.images:
@@ -533,7 +533,7 @@ class TestRebalance:
         box = np.zeros((1, 4))
         images = [ImageRecord("a", Proposals(np.ones((1, 2)), box), ("c1",), box),
                   ImageRecord("a~r1", Proposals(np.ones((1, 2)), box), (), box[:0])]
-        ds = Dataset(d_f=2, labels=space.labels, images=images)
+        ds = Dataset(d_f=2, images=images)
         out = rebalance_dataset(ds, space, 3, np.random.default_rng(0))
         assert [img.image_id for img in out.images] == ["a", "a~r1", "a~r1~", "a~r2"]
 
@@ -546,7 +546,7 @@ class TestRebalance:
                               ("c1", "c2"), boxes[:2]),
                   ImageRecord("11", Proposals(np.ones((0, 2)), np.zeros((0, 4))),
                               ("c2",), boxes[2:])]
-        ds = Dataset(d_f=2, labels=space.labels, images=images)
+        ds = Dataset(d_f=2, images=images)
         out = rebalance_dataset(ds, space, 2, np.random.default_rng(1))
         assert [(img.image_id, img.gt_labels) for img in out.images] == [
             ("1", ("c1", "c2")), ("11", ("c2",)), ("1~r1", ("c1",))]
@@ -648,8 +648,8 @@ class TestTrain:
         _, history = train(bundle.train, table, space, cfg)
         steps = []
 
-        def overflowing(params, grads, state, config):
-            adam_step(params, grads, state, config)
+        def overflowing(params, grads, state, lr):
+            adam_step(params, grads, state, lr)
             steps.append(state.t)
             if len(steps) == len(history):
                 params[key].flat[-1] = np.inf
@@ -676,7 +676,7 @@ class TestTrain:
         """``dataset`` plus one image holding a single ``label`` instance."""
         box = np.array([[0, 0, 10, 10.0]])
         bad = ImageRecord("bad", Proposals(np.ones((1, dataset.d_f)), box), (label,), box)
-        return Dataset(d_f=dataset.d_f, labels=dataset.labels, images=dataset.images + [bad])
+        return Dataset(d_f=dataset.d_f, images=dataset.images + [bad])
 
     def test_unseen_leak_rejected(self):
         bundle, table, space = toy_bundle()
