@@ -69,7 +69,7 @@ def random_instance(
         {label: f"m{i % n_meta + 1}" for i, label in enumerate(labels)},
     )
     table = finalize_embeddings(space.labels, rng.standard_normal((d, n_classes)))
-    model = init_model(table, space, d_f, mode=mode)
+    model = init_model(table.w2(space.labels), space, d_f, mode=mode)
     model.w1 = rng.standard_normal((d_f, d)) * 0.5
     model.box_w = rng.standard_normal((d_f, 4 * space.S)) * 0.1
     model.box_b = rng.standard_normal(4 * space.S) * 0.1

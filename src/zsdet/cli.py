@@ -156,10 +156,9 @@ def cmd_train(args) -> int:
     space = build_label_space(seen, unseen, load_meta_map(args.meta_map))
     _check_seen_and_unseen(space, "the split")
     config = _config(TrainConfig, args)
-    # init_model reorders the table to the split; fail as it would, before loading
-    table.reorder(space.labels)
+    w2 = table.w2(space.labels)
     dataset = load_dataset(args.data)
-    model, history = train(dataset, table, space, config)
+    model, history = train(dataset, w2, space, config)
     out = Path(args.out)
     save_checkpoint(model, out)
     loss_csv = out.with_name(out.stem + ".loss.csv")

@@ -180,8 +180,8 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
 
     Classes are assigned to meta-classes round-robin so every meta-class
     mixes seen and unseen members whenever counts allow.  The train set
-    contains no unseen instances (hard-checked); every test image holds at
-    least one unseen instance.
+    contains no unseen instances; every test image holds at least one
+    unseen instance.
     """
     rng = np.random.default_rng(cfg.seed)
     n_classes = cfg.s + cfg.u
@@ -232,13 +232,6 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
 
     train = Dataset(d_f=cfg.d_f, images=train_images)
     test = Dataset(d_f=cfg.d_f, images=test_images)
-
-    unseen_set = set(labels[cfg.s :])
-    leaked = [
-        label for img in train.images for label in img.gt_labels if label in unseen_set
-    ]
-    if leaked:
-        raise AssertionError(f"unseen labels leaked into the train set: {leaked[:5]}")
 
     oracle = {
         "seen_labels": list(labels[: cfg.s]),
@@ -398,41 +391,26 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
 def save_split(
     seen: Sequence[str], unseen: Sequence[str], path: str | os.PathLike
 ) -> None:
+    """Write the split as the JSON record that synth's ``oracle.json`` also is."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("seen: " + ",".join(seen) + "\n")
-        f.write("unseen: " + ",".join(unseen) + "\n")
+        f.write(json.dumps({"seen_labels": list(seen), "unseen_labels": list(unseen)}) + "\n")
 
 
 def load_split(path: str | os.PathLike) -> tuple[list[str], list[str]]:
-    """Read a split file; also accepts a JSON record whose ``seen_labels`` and
-    ``unseen_labels`` are lists of strings."""
-    text = read_utf8(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            rec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON split record: {exc}")
-        for key in ("seen_labels", "unseen_labels"):
-            labels = rec.get(key)
-            if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-                raise ParseError(f"JSON split record needs {key!r} as a list of strings")
-        return rec["seen_labels"], rec["unseen_labels"]
-    seen: list[str] | None = None
-    unseen: list[str] | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("seen:"):
-            seen = [t for t in line[len("seen:") :].strip().split(",") if t]
-        elif line.startswith("unseen:"):
-            unseen = [t for t in line[len("unseen:") :].strip().split(",") if t]
-        else:
-            raise ParseError("expected 'seen:' or 'unseen:' prefix", lineno)
-    if seen is None or unseen is None:
-        raise ParseError("split file must define both seen and unseen lines")
-    return seen, unseen
+    """Read a JSON split record (as ``save_split`` or synth's ``oracle.json``
+    writes it) whose ``seen_labels`` and ``unseen_labels`` are lists of
+    strings; anything else raises :class:`ParseError`."""
+    try:
+        rec = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON split record: {exc}")
+    if not isinstance(rec, dict):
+        raise ParseError(f"a split file holds one JSON object, got {type(rec).__name__}")
+    for key in ("seen_labels", "unseen_labels"):
+        labels = rec.get(key)
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise ParseError(f"JSON split record needs {key!r} as a list of strings")
+    return rec["seen_labels"], rec["unseen_labels"]
 
 
 def save_meta_map(meta_map: Mapping[str, str], path: str | os.PathLike) -> None:

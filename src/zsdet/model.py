@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,20 +49,24 @@ class Model:
     """Adjustable projection + box head over fixed semantic embeddings.
 
     ``w2`` has shape (d, C+1) with the background mean vector as the last
-    column; ``col_norms`` caches the column norms used by score
-    normalization (1.0 for classes, <=1 for the background).  ``labels``
-    names the C classes in id order, the first ``n_seen`` of them seen and
-    the rest unseen.  ``mode`` is the training mode (one of :data:`MODES`).
+    column; ``col_norms``, derived from it at construction, holds the column
+    norms used by score normalization (1.0 for classes, <=1 for the
+    background).  ``labels`` names the C classes in id order, the first
+    ``n_seen`` of them seen and the rest unseen.  ``mode`` is the training
+    mode (one of :data:`MODES`).
     """
 
     w1: np.ndarray
     w2: np.ndarray
-    col_norms: np.ndarray
     labels: tuple[str, ...]
     n_seen: int
     box_w: np.ndarray
     box_b: np.ndarray
     mode: str
+    col_norms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.col_norms = np.linalg.norm(self.w2, axis=0)
 
     @property
     def d_f(self) -> int:
@@ -81,36 +85,31 @@ class Model:
         return self.n_classes - self.n_seen
 
 
-def _build(table: EmbeddingTable, labels, n_seen: int, w1: np.ndarray,
-           box_w: np.ndarray, box_b: np.ndarray, mode: str) -> Model:
-    """The model over ``table`` reordered to ``labels``, its class order,
-    with W2 and its column norms derived from that table."""
-    table = table.reorder(labels)
-    w2 = table.w2()
-    return Model(w1=w1, w2=w2, col_norms=np.linalg.norm(w2, axis=0), labels=table.labels,
-                 n_seen=n_seen, box_w=box_w, box_b=box_b, mode=mode)
-
-
 def init_model(
-    table: EmbeddingTable,
+    w2: np.ndarray,
     space: LabelSpace,
     d_f: int,
     seed: int = 0,
     mode: str = "full",
 ) -> Model:
-    """Fresh model: Glorot-uniform W1, zero box head, W2 frozen from the table.
+    """Fresh model: Glorot-uniform W1 and a zero box head over the fixed
+    ``w2`` (d, C+1), whose columns follow ``space``'s class ids, as
+    ``EmbeddingTable.w2(space.labels)`` gives them.
 
-    The table may be in any order: it is reordered to ``space``'s class ids.
-    Bit-reproducible for a given seed.  A ``mode`` outside :data:`MODES`
-    raises :class:`ConfigError`.
+    Bit-reproducible for a given seed.  A ``mode`` outside :data:`MODES`, or
+    a ``w2`` that is not C+1 columns wide, raises :class:`ConfigError`.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if w2.shape[1] != space.C + 1:
+        raise ConfigError(f"w2 has {w2.shape[1]} columns, expected {space.C + 1} "
+                          f"for {space.C} classes and the background")
+    d = w2.shape[0]
     rng = np.random.default_rng(seed)
-    a = np.sqrt(6.0 / (d_f + table.d))
-    w1 = rng.uniform(-a, a, size=(d_f, table.d))
-    return _build(table, space.labels, space.S, w1, np.zeros((d_f, 4 * space.S)),
-                  np.zeros(4 * space.S), mode)
+    a = np.sqrt(6.0 / (d_f + d))
+    w1 = rng.uniform(-a, a, size=(d_f, d))
+    return Model(w1, w2, space.labels, space.S, np.zeros((d_f, 4 * space.S)),
+                 np.zeros(4 * space.S), mode)
 
 
 def forward_scores(model: Model, feature: np.ndarray) -> np.ndarray:
@@ -221,8 +220,8 @@ _HEADER_KEYS = ("d_f", "d", "S", "U", "labels", "mode")
 def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
     """Rebuild a model from a checkpoint plus the embedding table.
 
-    The file is read once.  The table may be in any order: it is reordered
-    to the checkpoint's labels, which set the model's class ids.  A file
+    The file is read once.  The table may be in any order: the checkpoint's
+    labels set the model's class ids, and W2 is ``table.w2(labels)``.  A file
     that is not a complete checkpoint in the current format (a header line
     with exactly the keys of ``save_checkpoint``, then exactly the three
     array blocks), or whose ``W1``, ``box_weights`` or ``box_bias`` holds a
@@ -255,7 +254,8 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
         if not finite.all():
             at = np.unravel_index(np.argmin(finite), a.shape)
             raise ParseError(f"checkpoint {key} has a non-finite value at {tuple(map(int, at))}")
-    return _build(table, labels, s, *arrays, head["mode"])
+    w1, box_w, box_b = arrays
+    return Model(w1, table.w2(labels), tuple(labels), s, box_w, box_b, head["mode"])
 
 
 def modified_embeddings(model: Model) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,52 +38,32 @@ class EmbeddingTable:
 
     ``vectors`` has shape (d, C); column order matches ``labels``.
     ``background`` (d,) is the mean of the class columns.  Build one from
-    raw vectors with :func:`finalize_embeddings`.
+    raw vectors with :func:`finalize_embeddings`; a model reads only
+    :meth:`w2`.
     """
 
     labels: tuple[str, ...]
     vectors: np.ndarray
     background: np.ndarray
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
-        if self.vectors.shape[1] != len(self.labels):
-            raise ParseError(
-                f"{len(self.labels)} labels but {self.vectors.shape[1]} vector columns"
-            )
 
     @property
     def d(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.vectors.shape[1]
-
-    def vector(self, label: str) -> np.ndarray:
-        return self.vectors[:, self._index[label]]
-
-    def w2(self) -> np.ndarray:
-        """Fixed projection matrix, shape (d, C+1): class columns then background."""
-        return _readonly(np.column_stack([self.vectors, self.background]))
-
-    def reorder(self, labels: Sequence[str]) -> "EmbeddingTable":
-        """New table with columns permuted into the given label order.
+    def w2(self, labels: Sequence[str]) -> np.ndarray:
+        """Fixed projection matrix, shape (d, C+1): the class columns in the
+        order of ``labels``, a permutation of the table's, then the background.
 
         The background is order-invariant (a mean), so it is carried over.
         """
-        missing = [l for l in labels if l not in self._index]
+        index = {l: i for i, l in enumerate(self.labels)}
+        missing = [l for l in labels if l not in index]
         if missing:
             raise ConfigError(f"labels absent from embedding table: {missing}")
         if len(set(labels)) != len(labels) or len(labels) != len(self.labels):
             raise ConfigError("reorder labels must be a permutation of table labels")
-        cols = [self._index[l] for l in labels]
-        return EmbeddingTable(
-            labels=tuple(labels),
-            vectors=_readonly(self.vectors[:, cols]),
-            background=self.background,
-        )
+        cols = [index[l] for l in labels]
+        return _readonly(np.column_stack([self.vectors[:, cols], self.background]))
 
 
 def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
@@ -106,7 +86,7 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
         if label in labels:
             raise ParseError(f"duplicate label {label!r}", lineno)
         try:
-            vec = np.array([float(t) for t in tokens], dtype=np.float64)
+            vec = np.array(tokens, dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"non-numeric token in record {label!r}: {exc}", lineno)
         if not np.isfinite(vec).all():

@@ -336,11 +336,12 @@ def rebalance_dataset(
 
 def train(
     dataset: Dataset,
-    table,
+    w2: np.ndarray,
     space: LabelSpace,
     config: TrainConfig,
 ) -> tuple[Model, list[LossBreakdown]]:
-    """Full training loop; deterministic given (dataset, config, seed)."""
+    """Full training loop over the fixed class matrix ``w2``, its columns in
+    ``space``'s class order; deterministic given (dataset, config, seed)."""
     # the input is checked before rebalancing, which would warn about it first
     for img, ids in zip(dataset.images, gt_class_ids(dataset, space)):
         leaked = ids[ids > space.S]
@@ -351,7 +352,7 @@ def train(
         dataset, space, config.min_similar, np.random.default_rng([config.seed, 1])
     )
     gt_ids = gt_class_ids(work, space)
-    model = init_model(table, space, dataset.d_f, config.seed, config.mode)
+    model = init_model(w2, space, dataset.d_f, config.seed, config.mode)
     labeled = [label_proposals(img.proposals, ids, img.gt_boxes, space)
                for img, ids in zip(work.images, gt_ids)]
 

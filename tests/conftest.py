@@ -41,8 +41,20 @@ def make_space(n_seen, n_unseen, meta_of=None, n_meta=None, labels=None):
     return build_label_space(labels[:n_seen], labels[n_seen:], meta_of)
 
 
+def permuted(table, cols):
+    """``table``'s classes stored in the column order ``cols``, with its own
+    background: a mean taken in another order can differ in its last bit."""
+    return EmbeddingTable(tuple(table.labels[c] for c in cols), table.vectors[:, cols],
+                          table.background)
+
+
+def column(table, label):
+    """The unit vector of ``label`` in ``table``."""
+    return table.vectors[:, table.labels.index(label)]
+
+
 def make_model(table, space, d_f=None, seed=0, mode="full") -> Model:
-    return init_model(table, space, d_f or table.d, seed, mode)
+    return init_model(table.w2(space.labels), space, d_f or table.d, seed, mode)
 
 
 def axis_setup(n_seen=2, n_unseen=1, d=4):

@@ -7,7 +7,6 @@ shared; criterion 7 repeats it from scratch in fresh workers to check
 bit-level determinism.
 """
 
-import json
 import math
 import multiprocessing
 import time
@@ -182,13 +181,13 @@ def _run_seed(seed, tmp_path):
     space = build_label_space(
         bundle.oracle["seen_labels"], bundle.oracle["unseen_labels"], bundle.meta_map
     )
-    table = bundle.table.reorder(space.labels)
+    w2 = bundle.table.w2(space.labels)
     gts = ground_truth_rows(bundle.test, space)
 
-    cluster, _ = train(bundle.train, table, space, _train_config(seed, 0.8, "full"))
-    margin_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "full"))
-    seen_only, _ = train(bundle.train, table, space, _train_config(seed, 1.0, "seen_only"))
-    baseline = init_model(table, space, bundle.train.d_f, seed, "seen_only")
+    cluster, _ = train(bundle.train, w2, space, _train_config(seed, 0.8, "full"))
+    margin_only, _ = train(bundle.train, w2, space, _train_config(seed, 1.0, "full"))
+    seen_only, _ = train(bundle.train, w2, space, _train_config(seed, 1.0, "seen_only"))
+    baseline = init_model(w2, space, bundle.train.d_f, seed, "seen_only")
 
     maps = {
         "cluster": _zsd_map(

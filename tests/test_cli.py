@@ -15,7 +15,7 @@ import zsdet
 import zsdet.errors
 import zsdet.train
 from zsdet.cli import build_parser, main
-from zsdet.data import SynthConfig, generate_synthetic
+from zsdet.data import SynthConfig, generate_synthetic, load_split
 from zsdet.evaluation import TASKS
 from zsdet.model import load_checkpoint, save_checkpoint
 from zsdet.semantics import load_word_vectors
@@ -25,6 +25,7 @@ from conftest import (
     adam_cpus,
     base64_array,
     block_file_bytes,
+    column,
     legacy_checkpoint_bytes,
     read_checkpoint,
     read_dataset,
@@ -132,12 +133,13 @@ class TestSynthCommand:
 class TestSplitCommand:
     def test_split_file_written(self, tmp_path):
         data = synth(tmp_path)
-        out = tmp_path / "split.txt"
+        out = tmp_path / "split.json"
         assert run("split", "--data", data / "train.jsonl", "--meta-map",
                    data / "meta_map.csv", "--seed", 1, "--out", out) == 0
-        text = out.read_text()
-        assert text.startswith("seen:")
-        assert "unseen:" in text
+        record = json.loads(out.read_text())
+        assert set(record) == {"seen_labels", "unseen_labels"}
+        assert record["seen_labels"] and record["unseen_labels"]
+        assert load_split(out) == (record["seen_labels"], record["unseen_labels"])
 
 
 class TestTrainCommand:
@@ -389,7 +391,7 @@ class TestExportEmbeddings:
         assert exported.labels == model.labels
         for label in exported.labels:
             np.testing.assert_allclose(
-                exported.vector(label), original.vector(label), atol=1e-12
+                column(exported, label), column(original, label), atol=1e-12
             )
 
     def test_row_count_is_class_count(self, tmp_path):

@@ -313,8 +313,8 @@ def text_lines(name):
     return SOURCES[name].decode().splitlines(keepends=True)
 
 
-def split_text(seen, unseen):
-    return f"seen: {','.join(seen)}\nunseen: {','.join(unseen)}\n".encode()
+def split_record(seen, unseen):
+    return json.dumps({"seen_labels": seen, "unseen_labels": unseen}).encode()
 
 
 COMMON_FAULTS = ["missing", "meta_drop", "meta_columns", "meta_repeat", "table_drop",
@@ -388,16 +388,17 @@ def refused_inputs(draw, command, fault):
                  "seed": f"seed must be >= 0, got {value}"}[fault]
     elif fault == "split_side":
         seen_only = draw(st.booleans())
-        files["oracle.json"] = split_text(LABELS, []) if seen_only else split_text([], LABELS)
+        files["oracle.json"] = split_record(LABELS, []) if seen_only else split_record([], LABELS)
         counts = (len(LABELS), 0) if seen_only else (0, len(LABELS))
         exact = ("the split needs at least one seen and one unseen class, "
                  "got {} seen and {} unseen".format(*counts))
     elif fault == "split_overlap":
-        files["oracle.json"] = split_text(ORACLE["seen_labels"] + [ORACLE["unseen_labels"][0]],
-                                          ORACLE["unseen_labels"])
+        files["oracle.json"] = split_record(ORACLE["seen_labels"] + [ORACLE["unseen_labels"][0]],
+                                            ORACLE["unseen_labels"])
         exact = f"labels in both seen and unseen sets: [{ORACLE['unseen_labels'][0]!r}]"
     elif fault == "split_unknown":
-        files["oracle.json"] = split_text(ORACLE["seen_labels"], ORACLE["unseen_labels"] + [fresh])
+        files["oracle.json"] = split_record(ORACLE["seen_labels"],
+                                            ORACLE["unseen_labels"] + [fresh])
         exact = f"classes missing from meta map: [{fresh!r}]"
     elif fault == "split_json":
         seen = draw(st.integers() | st.lists(st.integers(), min_size=1))

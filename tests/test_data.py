@@ -26,7 +26,7 @@ from zsdet.data import (
 )
 from zsdet.cli import main
 from zsdet.errors import ConfigError, ParseError, ZsdetError
-from zsdet.semantics import build_label_space, load_meta_map, load_word_vectors
+from zsdet.semantics import load_meta_map, load_word_vectors
 
 from conftest import (GroundTruth, block_file_bytes, gt_rows, make_space, read_dataset,
                       reference_synthetic, write_dataset)
@@ -621,10 +621,14 @@ class TestMutatedTextInputs:
 
 
 class TestSplitIO:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "split.txt"
-        save_split(["a", "b"], ["x"], path)
-        assert load_split(path) == (["a", "b"], ["x"])
+    @pytest.mark.parametrize("seen, unseen", [
+        (["a", "b"], ["x"]),
+        (["class,001", "b"], ["x, y"]),  # the meta map and word vectors allow commas
+    ])
+    def test_roundtrip(self, tmp_path, seen, unseen):
+        path = tmp_path / "split.json"
+        save_split(seen, unseen, path)
+        assert load_split(path) == (seen, unseen)
 
     def test_loads_oracle_json(self, tmp_path):
         path = tmp_path / "oracle.json"
@@ -651,10 +655,17 @@ class TestSplitIO:
         with pytest.raises(ParseError, match="as a list of strings"):
             load_split(path)
 
-    def test_missing_line_rejected(self, tmp_path):
+    def test_text_split_rejected(self, tmp_path):
         path = tmp_path / "split.txt"
-        path.write_text("seen: a,b\n")
-        with pytest.raises(ParseError):
+        path.write_text("seen: a,b\nunseen: x\n")
+        with pytest.raises(ParseError, match="bad JSON split record"):
+            load_split(path)
+
+    @pytest.mark.parametrize("value", [["a", "x"], "seen", 5, None])
+    def test_json_value_that_is_not_an_object_rejected(self, tmp_path, value):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(value))
+        with pytest.raises(ParseError, match="a split file holds one JSON object"):
             load_split(path)
 
 

@@ -24,6 +24,7 @@ from zsdet.model import decode_boxes, forward_boxes, forward_scores, normalized_
 from conftest import (
     Detection,
     axis_setup,
+    column,
     make_model,
     make_space,
     make_table,
@@ -58,7 +59,7 @@ def stack(props, d_f=0):
 class TestDetect:
     def test_unseen_hit_uses_proposal_box_with_zero_head(self):
         model, table, space = axis_setup()
-        p = prop(table.vector("c3") * 2.0, box=(5, 5, 25, 25))
+        p = prop(column(table, "c3") * 2.0, box=(5, 5, 25, 25))
         dets = rows_of(detect(model, p, "img", alpha=0.5))
         assert len(dets) == 1
         assert dets[0].label == 3
@@ -72,7 +73,7 @@ class TestDetect:
 
     def test_threshold_is_strict(self):
         model, table, space = axis_setup()
-        p = prop(table.vector("c3"))
+        p = prop(column(table, "c3"))
         [d] = rows_of(detect(model, p, "img", alpha=0.0))
         assert len(detect(model, p, "img", alpha=d.score)) == 0
         assert len(detect(model, p, "img", alpha=d.score - 1e-9)) == 1
@@ -81,9 +82,9 @@ class TestDetect:
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
         # equal unseen alignment, pushed away from the background mean
         f = (
-            table.vector("c3")
-            + table.vector("c4")
-            - 0.3 * (table.vector("c1") + table.vector("c2"))
+            column(table, "c3")
+            + column(table, "c4")
+            - 0.3 * (column(table, "c1") + column(table, "c2"))
         )
         [d] = rows_of(detect(model, prop(f), "img", alpha=0.5))
         assert d.label == 3
@@ -95,7 +96,7 @@ class TestDetect:
     @pytest.mark.parametrize("c", [1e-170, 1e-300, 1e200])
     def test_tiny_and_huge_features_are_scored(self, c):
         model, table, space = axis_setup()
-        f = table.vector("c3") + 0.1 * table.vector("c1")
+        f = column(table, "c3") + 0.1 * column(table, "c1")
         [want] = rows_of(detect(model, prop(f), "img", alpha=0.5))
         [got] = rows_of(detect(model, prop(c * f), "img", alpha=0.5))
         assert got.label == want.label == 3
@@ -103,8 +104,8 @@ class TestDetect:
 
     def test_per_class_nms_drops_duplicates(self, monkeypatch):
         model, table, space = axis_setup()
-        p1 = prop(table.vector("c3") * 2, box=(0, 0, 10, 10))
-        p2 = prop(table.vector("c3"), box=(0.5, 0.5, 10.5, 10.5))
+        p1 = prop(column(table, "c3") * 2, box=(0, 0, 10, 10))
+        p2 = prop(column(table, "c3"), box=(0.5, 0.5, 10.5, 10.5))
         kept = detect(model, stack([p1, p2]), "img", alpha=0.1)
         assert len(kept) == 1
         nms_at(monkeypatch, 0.0)
@@ -122,7 +123,7 @@ class TestDetect:
         model, table, space = axis_setup()
         # class 2's slice shifts the box; make c2 the best seen class
         model.box_b = np.array([0, 0, 0, 0, 0.5, 0.0, 0.0, 0.0], dtype=np.float64)
-        f = table.vector("c3") + 0.5 * table.vector("c2")
+        f = column(table, "c3") + 0.5 * column(table, "c2")
         [d] = rows_of(detect(model, prop(f, box=(0, 0, 10, 10)), "img", alpha=0.1))
         np.testing.assert_allclose(d.box, [5.0, 0.0, 15.0, 10.0], atol=1e-9)
 

@@ -16,7 +16,6 @@ from zsdet.loss import (
 )
 from zsdet.model import RegionBatch, encode_boxes
 from zsdet.semantics import build_label_space
-from zsdet.train import TrainConfig
 
 from conftest import (
     classification_loss,

@@ -32,13 +32,14 @@ from zsdet.semantics import load_word_vectors
 
 from conftest import (
     axis_setup,
+    column,
     base64_array,
     block_file_bytes,
     legacy_checkpoint_bytes,
     make_model,
     make_space,
     make_table,
-    random_unit_columns,
+    permuted,
     read_checkpoint,
     write_checkpoint,
 )
@@ -49,7 +50,7 @@ class TestForwardScores:
     def test_identity_projection_recovers_cosine(self):
         model, table, _ = axis_setup()
         for j, label in enumerate(table.labels):
-            o = forward_scores(model, table.vector(label))
+            o = forward_scores(model, column(table, label))
             assert o[j] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_feature_gives_zero_scores(self):
@@ -63,7 +64,7 @@ class TestForwardScores:
         model.w1 = rng.standard_normal((3, 3))
         f = rng.standard_normal(3)
         # independent oracle: explicit (W1 W2)^T f with scalar loops
-        w2 = table.w2()
+        w2 = table.w2(space.labels)
         expected = np.zeros(3)
         for c in range(3):
             proj = np.zeros(3)
@@ -93,7 +94,7 @@ class TestForwardScores:
 class TestNormalizedScores:
     def test_direct_division(self):
         model, table, _ = axis_setup()
-        f = 2.0 * table.vector("c1")
+        f = 2.0 * column(table, "c1")
         o = forward_scores(model, f)
         o_hat = normalized_scores(model, f)
         assert o_hat[0] == pytest.approx(1.0, abs=1e-12)  # o=2, norms 1*2
@@ -124,7 +125,7 @@ class TestNormalizedScores:
         f = rng.standard_normal(5)
         o = forward_scores(model, f)
         o_hat = normalized_scores(model, f)
-        w2 = table.w2()
+        w2 = table.w2(space.labels)
         fn = np.sqrt(sum(float(x) ** 2 for x in f))
         for c in range(4):
             vn = np.sqrt(sum(float(x) ** 2 for x in w2[:, c]))
@@ -233,14 +234,14 @@ class TestInitModel:
     def test_same_seed_bit_identical(self):
         table = make_table(np.eye(4)[:, :3])
         space = make_space(2, 1)
-        a = init_model(table, space, 4, seed=11)
-        b = init_model(table, space, 4, seed=11)
+        a = init_model(table.w2(space.labels), space, 4, seed=11)
+        b = init_model(table.w2(space.labels), space, 4, seed=11)
         assert a.w1.tobytes() == b.w1.tobytes()
 
     def test_glorot_bound(self):
         table = make_table(np.eye(4))
         space = make_space(3, 1)
-        model = init_model(table, space, 4, seed=0)
+        model = init_model(table.w2(space.labels), space, 4, seed=0)
         bound = np.sqrt(6.0 / (4 + 4))
         assert model.w1.shape == (4, 4)
         assert np.all(np.abs(model.w1) <= bound)
@@ -248,22 +249,22 @@ class TestInitModel:
     def test_different_seeds_differ(self):
         table = make_table(np.eye(4))
         space = make_space(3, 1)
-        a = init_model(table, space, 4, seed=1)
-        b = init_model(table, space, 4, seed=2)
+        a = init_model(table.w2(space.labels), space, 4, seed=1)
+        b = init_model(table.w2(space.labels), space, 4, seed=2)
         assert np.any(a.w1 != b.w1)
 
     def test_box_head_zero_initialized(self):
         table = make_table(np.eye(4))
         space = make_space(3, 1)
-        model = init_model(table, space, 4, seed=0)
+        model = init_model(table.w2(space.labels), space, 4, seed=0)
         assert not model.box_w.any()
         assert not model.box_b.any()
 
     def test_shuffled_table_gives_the_ordered_w2(self, rng):
         table = make_table(rng.standard_normal((3, 4)))
         space = make_space(3, 1)
-        ordered = init_model(table, space, 5)
-        shuffled = init_model(table.reorder(("c3", "c1", "c4", "c2")), space, 5)
+        ordered = init_model(table.w2(space.labels), space, 5)
+        shuffled = init_model(permuted(table, [2, 0, 3, 1]).w2(space.labels), space, 5)
         assert shuffled.labels == ordered.labels == space.labels
         assert shuffled.w2.tobytes() == ordered.w2.tobytes()
         assert shuffled.col_norms.tobytes() == ordered.col_norms.tobytes()
@@ -273,7 +274,13 @@ class TestInitModel:
         # a model in no mode would write a checkpoint that load_checkpoint refuses
         table = make_table(np.eye(4)[:, :3])
         with pytest.raises(ConfigError, match="mode must be one of"):
-            init_model(table, make_space(2, 1), 4, mode=mode)
+            init_model(table.w2(table.labels), make_space(2, 1), 4, mode=mode)
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_w2_of_another_width_rejected(self, classes):
+        table = make_table(np.eye(4)[:, :classes])
+        with pytest.raises(ConfigError, match=f"w2 has {classes + 1} columns, expected 4"):
+            init_model(table.w2(table.labels), make_space(2, 1), 4)
 
     def test_w2_is_read_only(self):
         model, _, _ = axis_setup()
@@ -430,10 +437,9 @@ class TestCheckpoint:
         model = make_model(table, make_space(3, 1))
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
-        shuffled = table.reorder(("c3", "c1", "c4", "c2"))
-        loaded = load_checkpoint(path, shuffled)
+        loaded = load_checkpoint(path, permuted(table, [2, 0, 3, 1]))
         assert loaded.labels == model.labels
-        np.testing.assert_array_equal(loaded.w2, model.w2)
+        assert loaded.w2.tobytes() == model.w2.tobytes()
 
     def test_checkpoint_fields(self, tmp_path):
         model, table, space = axis_setup()

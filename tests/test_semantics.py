@@ -12,7 +12,7 @@ from zsdet.semantics import (
     meta_cosine_stats,
 )
 
-from conftest import make_space
+from conftest import column, make_space, permuted
 
 
 class TestLoadWordVectors:
@@ -20,10 +20,10 @@ class TestLoadWordVectors:
         path = tmp_path / "v.txt"
         path.write_text("dog 1 0 0\ncat 0 2 0\n")
         table = load_word_vectors(path)
-        assert table.n_classes == 2
+        assert len(table.labels) == 2
         assert table.d == 3
         assert table.labels == ("dog", "cat")
-        np.testing.assert_array_equal(table.vector("cat"), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(column(table, "cat"), [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(table.background, [0.5, 0.5, 0.0])
 
     def test_ragged_dimensions_reports_line(self, tmp_path):
@@ -62,7 +62,7 @@ class TestLoadWordVectors:
                 coords = " ".join(f"{v:.6f}" for v in rng.standard_normal(300))
                 f.write(f"class_{i} {coords}\n")
         table = load_word_vectors(path)
-        assert table.n_classes == 200
+        assert len(table.labels) == 200
         assert table.d == 300
         np.testing.assert_allclose(np.linalg.norm(table.vectors, axis=0), 1.0, atol=1e-12)
 
@@ -75,13 +75,13 @@ class TestLoadWordVectors:
 class TestFinalize:
     def test_axis_vectors(self):
         out = finalize_embeddings(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
-        np.testing.assert_allclose(out.vector("a"), [1.0, 0.0], atol=0)
-        np.testing.assert_allclose(out.vector("b"), [0.0, 1.0], atol=0)
+        np.testing.assert_allclose(column(out, "a"), [1.0, 0.0], atol=0)
+        np.testing.assert_allclose(column(out, "b"), [0.0, 1.0], atol=0)
         np.testing.assert_allclose(out.background, [0.5, 0.5], atol=0)
 
     def test_single_class_background_is_itself(self):
         out = finalize_embeddings(("a",), np.array([[3.0], [4.0]]))
-        np.testing.assert_allclose(out.vector("a"), [0.6, 0.8], atol=1e-15)
+        np.testing.assert_allclose(column(out, "a"), [0.6, 0.8], atol=1e-15)
         np.testing.assert_allclose(out.background, [0.6, 0.8], atol=1e-15)
 
     def test_random_vectors_unit_norm_and_bg_bound(self, rng):
@@ -108,18 +108,26 @@ class TestFinalize:
 
     def test_w2_shape_and_background_column(self):
         out = finalize_embeddings(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
-        w2 = out.w2()
+        w2 = out.w2(("a", "b"))
         assert w2.shape == (2, 3)
+        assert not w2.flags.writeable
         np.testing.assert_array_equal(w2[:, 2], out.background)
 
-    def test_reorder_permutes_columns(self, rng):
+    def test_w2_follows_the_given_label_order(self, rng):
         vectors = rng.standard_normal((4, 3))
         out = finalize_embeddings(("a", "b", "c"), vectors)
-        perm = out.reorder(["c", "a", "b"])
-        np.testing.assert_array_equal(perm.vector("c"), out.vector("c"))
-        np.testing.assert_array_equal(perm.background, out.background)
+        w2 = out.w2(["c", "a", "b"])
+        np.testing.assert_array_equal(w2[:, :3], out.vectors[:, [2, 0, 1]])
+        np.testing.assert_array_equal(w2[:, 3], out.background)
+        # the same classes stored in another order give the same bits
+        shuffled = permuted(out, [2, 0, 1])
+        assert shuffled.w2(("a", "b", "c")).tobytes() == out.w2(("a", "b", "c")).tobytes()
         with pytest.raises(ConfigError, match=r"labels absent from embedding table: \['zzz'\]"):
-            out.reorder(["a", "b", "zzz"])
+            out.w2(["a", "b", "zzz"])
+        for labels in (["a", "b"], ["a", "b", "b"], ["a", "b", "c", "a"]):
+            with pytest.raises(ConfigError,
+                               match="reorder labels must be a permutation of table labels"):
+                out.w2(labels)
 
 
 class TestBuildLabelSpace:

@@ -600,8 +600,7 @@ def toy_bundle(seed=0, **overrides):
     space = build_label_space(
         bundle.oracle["seen_labels"], bundle.oracle["unseen_labels"], bundle.meta_map
     )
-    table = bundle.table.reorder(space.labels)
-    return bundle, table, space
+    return bundle, bundle.table.w2(space.labels), space
 
 
 class TestTrain:
@@ -612,27 +611,27 @@ class TestTrain:
         return TrainConfig(**base)
 
     def test_zero_epochs_equals_init(self):
-        bundle, table, space = toy_bundle()
+        bundle, w2, space = toy_bundle()
         cfg = self.config(epochs=0)
-        model, history = train(bundle.train, table, space, cfg)
-        ref = init_model(table, space, bundle.train.d_f, cfg.seed, cfg.mode)
+        model, history = train(bundle.train, w2, space, cfg)
+        ref = init_model(w2, space, bundle.train.d_f, cfg.seed, cfg.mode)
         assert history == []
         assert model.w1.tobytes() == ref.w1.tobytes()
         assert not model.box_w.any()
 
     def test_margin_loss_trends_down(self):
-        bundle, table, space = toy_bundle()
-        _, history = train(bundle.train, table, space, self.config(epochs=10))
+        bundle, w2, space = toy_bundle()
+        _, history = train(bundle.train, w2, space, self.config(epochs=10))
         mm = [b.l_mm for b in history]
         head = np.mean(mm[: max(1, len(mm) // 10)])
         tail = np.mean(mm[-max(1, len(mm) // 10):])
         assert tail < head
 
     def test_deterministic_checkpoints(self, tmp_path):
-        bundle, table, space = toy_bundle()
+        bundle, w2, space = toy_bundle()
         cfg = self.config()
-        m1, h1 = train(bundle.train, table, space, cfg)
-        m2, h2 = train(bundle.train, table, space, cfg)
+        m1, h1 = train(bundle.train, w2, space, cfg)
+        m2, h2 = train(bundle.train, w2, space, cfg)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_checkpoint(m1, p1)
         save_checkpoint(m2, p2)
@@ -643,9 +642,9 @@ class TestTrain:
     def test_overflow_in_the_last_step_raises(self, monkeypatch, key):
         # a step checks its own scores and gradients, not the parameters it
         # writes, so an update that overflows on the last step is caught after
-        bundle, table, space = toy_bundle()
+        bundle, w2, space = toy_bundle()
         cfg = self.config(epochs=1)
-        _, history = train(bundle.train, table, space, cfg)
+        _, history = train(bundle.train, w2, space, cfg)
         steps = []
 
         def overflowing(params, grads, state, lr):
@@ -657,18 +656,18 @@ class TestTrain:
         monkeypatch.setattr(zsdet.train, "adam_step", overflowing)
         with pytest.raises(NumericFailureError, match=f"training step {len(history) - 1} "
                                                       f"left a non-finite value in '{key}'"):
-            train(bundle.train, table, space, cfg)
+            train(bundle.train, w2, space, cfg)
 
     def test_w2_untouched_by_training(self):
-        bundle, table, space = toy_bundle()
-        before = table.w2().tobytes()
-        model, _ = train(bundle.train, table, space, self.config())
+        bundle, w2, space = toy_bundle()
+        before = w2.tobytes()
+        model, _ = train(bundle.train, w2, space, self.config())
         assert model.w2.tobytes() == before
 
     def test_modes_produce_different_w1(self):
-        bundle, table, space = toy_bundle()
-        full, _ = train(bundle.train, table, space, self.config(mode="full", lam=1.0))
-        seen, _ = train(bundle.train, table, space, self.config(mode="seen_only", lam=1.0))
+        bundle, w2, space = toy_bundle()
+        full, _ = train(bundle.train, w2, space, self.config(mode="full", lam=1.0))
+        seen, _ = train(bundle.train, w2, space, self.config(mode="seen_only", lam=1.0))
         assert np.any(full.w1 != seen.w1)
 
     @staticmethod
@@ -679,20 +678,20 @@ class TestTrain:
         return Dataset(d_f=dataset.d_f, images=dataset.images + [bad])
 
     def test_unseen_leak_rejected(self):
-        bundle, table, space = toy_bundle()
+        bundle, w2, space = toy_bundle()
         poisoned = self.with_image_of(bundle.train, bundle.oracle["unseen_labels"][0])
         with pytest.raises(ConfigError, match="train dataset leaks unseen class"):
-            train(poisoned, table, space, self.config())
+            train(poisoned, w2, space, self.config())
 
     def test_label_outside_label_space_rejected(self):
-        bundle, table, space = toy_bundle()
+        bundle, w2, space = toy_bundle()
         poisoned = self.with_image_of(bundle.train, "not_a_class")
         with pytest.raises(ConfigError, match="'not_a_class' in image bad"):
-            train(poisoned, table, space, self.config())
+            train(poisoned, w2, space, self.config())
 
     def test_loss_history_csv(self, tmp_path):
-        bundle, table, space = toy_bundle()
-        _, history = train(bundle.train, table, space, self.config(epochs=1))
+        bundle, w2, space = toy_bundle()
+        _, history = train(bundle.train, w2, space, self.config(epochs=1))
         path = tmp_path / "loss.csv"
         write_loss_history(history, path)
         lines = path.read_text().strip().splitlines()
