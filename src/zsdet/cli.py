@@ -218,7 +218,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    result = gradient_audit(trials=args.trials, seed=args.seed, h=args.h)
+    result = gradient_audit(trials=args.trials, seed=args.seed)
     status = "PASS" if result.passed else "FAIL"
     print(
         f"{status}: max relative error {result.max_rel_err:.3e} "
@@ -317,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
+    # no abbreviations, so the retired ``--h`` is refused, not read as ``--help``
+    p = sub.add_parser("gradcheck", help="finite-difference gradient audit", allow_abbrev=False)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -58,7 +58,7 @@ class Proposals:
         return len(self.features)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImageRecord:
     """One image: its proposals, and its ground truths as a label per row of
     ``gt_boxes (G, 4)`` (class names; :func:`gt_class_ids` gives their ids)."""
@@ -69,7 +69,7 @@ class ImageRecord:
     gt_boxes: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     d_f: int
     images: list[ImageRecord]
@@ -113,7 +113,7 @@ class SynthConfig:
         check_seed(self.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticBundle:
     """Everything the generator emits, including the latent oracle record."""
 

@@ -56,7 +56,7 @@ class ApRow:
     n_det: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionReport:
     """Per-class AP table plus the task mAP and evaluation settings."""
 

@@ -44,16 +44,20 @@ class RegionBatch:
         return RegionBatch(self.features[idx], self.ys[idx], self.targets[idx])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """Adjustable projection + box head over fixed semantic embeddings.
 
     ``w2`` has shape (d, C+1) with the background mean vector as the last
-    column; ``col_norms``, derived from it at construction, holds the column
-    norms used by score normalization (1.0 for classes, <=1 for the
-    background).  ``labels`` names the C classes in id order, the first
-    ``n_seen`` of them seen and the rest unseen.  ``mode`` is the training
-    mode (one of :data:`MODES`).
+    column; ``col_norms``, derived from it at construction and read-only,
+    holds the column norms used by score normalization (1.0 for classes,
+    <=1 for the background).  ``labels`` names the C classes in id order,
+    the first ``n_seen`` of them seen and the rest unseen.  ``mode`` is the
+    training mode (one of :data:`MODES`).
+
+    The fields cannot be rebound: a model with other arrays is
+    ``dataclasses.replace(model, ...)``, which derives fresh norms.
+    Training updates ``w1`` and the box head in place.
     """
 
     w1: np.ndarray
@@ -66,7 +70,9 @@ class Model:
     col_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.col_norms = np.linalg.norm(self.w2, axis=0)
+        norms = np.linalg.norm(self.w2, axis=0)
+        norms.flags.writeable = False
+        object.__setattr__(self, "col_norms", norms)
 
     @property
     def d_f(self) -> int:

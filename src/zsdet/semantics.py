@@ -23,8 +23,6 @@ import numpy as np
 from .codec import utf8_lines
 from .errors import ConfigError, ParseError
 
-NORM_TOL = 1e-9
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -61,7 +59,7 @@ class EmbeddingTable:
         if missing:
             raise ConfigError(f"labels absent from embedding table: {missing}")
         if len(set(labels)) != len(labels) or len(labels) != len(self.labels):
-            raise ConfigError("reorder labels must be a permutation of table labels")
+            raise ConfigError("labels must name each class of the embedding table exactly once")
         cols = [index[l] for l in labels]
         return _readonly(np.column_stack([self.vectors[:, cols], self.background]))
 

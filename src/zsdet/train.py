@@ -86,7 +86,8 @@ FG_IOU = 0.5
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per parameter plus the step counter."""
+    """First/second moment accumulators per parameter plus the step counter,
+    which ``adam_step`` advances: the one record that is not frozen."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -356,6 +357,8 @@ def train(
     labeled = [label_proposals(img.proposals, ids, img.gt_boxes, space)
                for img, ids in zip(work.images, gt_ids)]
 
+    # the model's own arrays (it is frozen, so they stay its own): Adam
+    # updates them in place
     params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
     state = AdamState.for_params(params)
     rng = np.random.default_rng([config.seed, 2])

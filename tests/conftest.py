@@ -6,7 +6,7 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -62,8 +62,7 @@ def axis_setup(n_seen=2, n_unseen=1, d=4):
     n = n_seen + n_unseen
     table = make_table(np.eye(d)[:, :n])
     space = make_space(n_seen, n_unseen)
-    model = make_model(table, space, d_f=d)
-    model.w1 = np.eye(d)
+    model = replace(make_model(table, space, d_f=d), w1=np.eye(d))
     return model, table, space
 
 

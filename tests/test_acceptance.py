@@ -12,6 +12,7 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,9 +68,9 @@ def test_criterion_1_gradient_fidelity():
             from conftest import make_model
 
             model = make_model(table, space, d_f=8, seed=int(rng.integers(2**31)), mode=mode)
-            model.w1 = rng.standard_normal((8, 8)) * 0.5
-            model.box_w = rng.standard_normal(model.box_w.shape) * 0.1
-            model.box_b = rng.standard_normal(model.box_b.shape) * 0.1
+            model = replace(model, w1=rng.standard_normal((8, 8)) * 0.5,
+                            box_w=rng.standard_normal(model.box_w.shape) * 0.1,
+                            box_b=rng.standard_normal(model.box_b.shape) * 0.1)
             batch = random_batch(rng, space, 8, size=4)
             _, grads = loss_gradients(model, batch, space, lam)
             flat = model.w1.reshape(-1)

@@ -362,7 +362,7 @@ def refused_inputs(draw, command, fault):
         vector = draw(st.lists(st.floats(-1, 1), min_size=d, max_size=d).filter(any))
         files["embeddings.txt"] = (SOURCES["embeddings.txt"]
                                    + f"{fresh} {' '.join(map(repr, vector))}\n".encode())
-        exact = "reorder labels must be a permutation of table labels"
+        exact = "labels must name each class of the embedding table exactly once"
     elif fault == "table_non_finite":
         lines = text_lines("embeddings.txt")
         k = draw(st.integers(0, len(lines) - 1))

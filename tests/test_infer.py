@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestDetect:
     def test_box_decoded_from_best_seen_class(self):
         model, table, space = axis_setup()
         # class 2's slice shifts the box; make c2 the best seen class
-        model.box_b = np.array([0, 0, 0, 0, 0.5, 0.0, 0.0, 0.0], dtype=np.float64)
+        model = replace(model, box_b=np.array([0, 0, 0, 0, 0.5, 0.0, 0.0, 0.0]))
         f = column(table, "c3") + 0.5 * column(table, "c2")
         [d] = rows_of(detect(model, prop(f, box=(0, 0, 10, 10)), "img", alpha=0.1))
         np.testing.assert_allclose(d.box, [5.0, 0.0, 15.0, 10.0], atol=1e-9)
@@ -169,16 +170,15 @@ class TestConseDetect:
         )
         table = make_table(raw)
         space = make_space(2, 1)
-        model = make_model(table, space, d_f=4)
-        model.w1 = np.eye(4)
-        return model, table, space
+        return replace(make_model(table, space, d_f=4), w1=np.eye(4)), table, space
 
     def test_projection_parallel_to_unseen_scores_one(self):
         model, table, space = axis_setup(n_seen=2, n_unseen=1)
-        # make the unseen embedding equal the first seen embedding
+        # make the unseen embedding parallel to the first seen embedding,
+        # twice as long: the cosine is 1 only with the new column's norm
         w2 = model.w2.copy()
-        w2[:, 2] = w2[:, 0]
-        model.w2 = w2
+        w2[:, 2] = 2 * w2[:, 0]
+        model = replace(model, w2=w2)
         [d] = rows_of(conse_detect(model, prop(np.eye(4)[0]), "img", k=2, alpha=0.5))
         assert d.label == 3
         assert d.score == pytest.approx(1.0, abs=1e-12)
@@ -225,8 +225,7 @@ class TestConseDetect:
         props = stack([prop(rng.standard_normal(4)) for _ in range(50)])
         base = conse_detect(model, props, "img", k=2, alpha=-2.0)
         assert len(base)
-        model.w1 = np.eye(4) * 1e300
-        huge = conse_detect(model, props, "img", k=2, alpha=-2.0)
+        huge = conse_detect(replace(model, w1=np.eye(4) * 1e300), props, "img", k=2, alpha=-2.0)
         assert huge.labels.tolist() == base.labels.tolist()
         np.testing.assert_allclose(huge.scores, base.scores, rtol=1e-12)
 
@@ -456,8 +455,8 @@ def random_instance(rng):
     table = make_table(rng.standard_normal((d, n_seen + n_unseen)))
     space = make_space(n_seen, n_unseen)
     model = make_model(table, space, d_f=d_f, seed=int(rng.integers(1 << 30)))
-    model.box_w = 0.2 * rng.standard_normal(model.box_w.shape)
-    model.box_b = 0.2 * rng.standard_normal(model.box_b.shape)
+    model = replace(model, box_w=0.2 * rng.standard_normal(model.box_w.shape),
+                    box_b=0.2 * rng.standard_normal(model.box_b.shape))
     return model, space
 
 
@@ -513,7 +512,8 @@ class TestBatchedMatchesPerProposalLoops:
     def test_score_ties(self, monkeypatch):
         # exact arithmetic: axis embeddings, identity W1, integer features
         model, table, space = axis_setup(n_seen=2, n_unseen=2, d=5)
-        model.box_b = np.array([1.0, 0, 0, 0, -1.0, 0, 0, 0])  # seen class shows in the box
+        # the seen class shows in the box
+        model = replace(model, box_b=np.array([1.0, 0, 0, 0, -1.0, 0, 0, 0]))
         features = [
             [0, 0, 1, 1, 0],  # unseen tie c3 = c4
             [1, 1, 1, 1, 0],  # seen tie and unseen tie

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,8 +314,8 @@ class TestRegressionLoss:
     def test_batched_path_matches_per_sample_reference(self, rng, size):
         space = make_space(4, 2)
         model = make_model(make_table(random_unit_columns(rng, 5, space.C)), space, d_f=5)
-        model.box_w = rng.standard_normal(model.box_w.shape) * 0.5
-        model.box_b = rng.standard_normal(model.box_b.shape) * 0.5
+        model = replace(model, box_w=rng.standard_normal(model.box_w.shape) * 0.5,
+                        box_b=rng.standard_normal(model.box_b.shape) * 0.5)
         corner = rng.uniform(0, 50, (2, size, 2))
         extent = rng.uniform(10, 40, (2, size, 2))
         proposals, gts = np.concatenate([corner, corner + extent], axis=2)
@@ -368,9 +369,9 @@ class TestLossGradients:
         space = make_space(5, 2, n_meta=3)
         table = make_table(random_unit_columns(rng, 8, 7))
         model = make_model(table, space, d_f=8, seed=1, mode=mode)
-        model.w1 = rng.standard_normal((8, 8)) * 0.5
-        model.box_w = rng.standard_normal(model.box_w.shape) * 0.1
-        model.box_b = rng.standard_normal(model.box_b.shape) * 0.1
+        model = replace(model, w1=rng.standard_normal((8, 8)) * 0.5,
+                        box_w=rng.standard_normal(model.box_w.shape) * 0.1,
+                        box_b=rng.standard_normal(model.box_b.shape) * 0.1)
         batch = random_batch(rng, space, 8)
         _, grads = loss_gradients(model, batch, space, lam)
         for analytic, param in [
@@ -411,9 +412,7 @@ class TestLossGradients:
         # perturbing unseen embedding columns must not change loss or grads
         w2 = model.w2.copy()
         w2[:, space.S : space.C] += rng.standard_normal((6, space.U))
-        model2 = make_model(table, space, d_f=6, seed=5, mode="seen_only")
-        model2.w2 = w2
-        model2.w1 = model.w1.copy()
+        model2 = replace(model, w2=w2)
         b2, g2 = loss_gradients(model2, batch, space, 0.6)
         assert b1.l_cls == pytest.approx(b2.l_cls, abs=1e-15)
 
@@ -492,7 +491,7 @@ class TestBatchedKernel:
         rng = np.random.default_rng(seed)
         table = make_table(random_unit_columns(rng, 5, space.C))
         model = make_model(table, space, d_f=5, mode=mode)
-        model.w1 = rng.standard_normal(model.w1.shape) * 0.7
+        model = replace(model, w1=rng.standard_normal(model.w1.shape) * 0.7)
         batch = random_batch(rng, space, 5, size=size)
 
         breakdown, grads = loss_gradients(model, batch, space, lam)

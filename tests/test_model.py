@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import warnings
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +61,7 @@ class TestForwardScores:
     def test_matches_dense_matmul_oracle(self, rng):
         table = make_table(rng.standard_normal((3, 2)))
         space = make_space(1, 1)
-        model = make_model(table, space)
-        model.w1 = rng.standard_normal((3, 3))
+        model = replace(make_model(table, space), w1=rng.standard_normal((3, 3)))
         f = rng.standard_normal(3)
         # independent oracle: explicit (W1 W2)^T f with scalar loops
         w2 = table.w2(space.labels)
@@ -172,8 +172,7 @@ class TestNormalizedScores:
             table = make_table(rng.standard_normal((d, space.C)))
         except ConfigError:
             assume(False)
-        model = make_model(table, space, d_f=d_f)
-        model.w1 = rng.standard_normal((d_f, d))
+        model = replace(make_model(table, space, d_f=d_f), w1=rng.standard_normal((d_f, d)))
         features = rng.standard_normal((n, d_f))
         scaled = features.copy()
         scaled[0] *= c
@@ -219,8 +218,8 @@ class TestForwardBoxes:
 
     def test_per_class_slice_matches_row_oracle(self, rng):
         model, _, space = axis_setup()
-        model.box_w = rng.standard_normal(model.box_w.shape)
-        model.box_b = rng.standard_normal(model.box_b.shape)
+        model = replace(model, box_w=rng.standard_normal(model.box_w.shape),
+                        box_b=rng.standard_normal(model.box_b.shape))
         f = rng.standard_normal(4)
         out = forward_boxes(model, f)
         for cid in range(1, space.S + 1):
@@ -286,6 +285,11 @@ class TestInitModel:
         model, _, _ = axis_setup()
         with pytest.raises(ValueError):
             model.w2[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            model.col_norms[0] = 5.0
+        for f in fields(model):
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, f.name, getattr(model, f.name))
 
 
 class TestBoxParameterization:
@@ -342,8 +346,8 @@ class TestCheckpoint:
         table = make_table(rng.standard_normal((4, 3)))
         space = make_space(2, 1)
         model = make_model(table, space, d_f=5, seed=9)
-        model.box_w = rng.standard_normal(model.box_w.shape)
-        model.box_b = rng.standard_normal(model.box_b.shape)
+        model = replace(model, box_w=rng.standard_normal(model.box_w.shape),
+                        box_b=rng.standard_normal(model.box_b.shape))
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path, table)
@@ -365,10 +369,12 @@ class TestCheckpoint:
             st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e300, -1e300]),
         )
         table = make_table(np.random.default_rng(d).standard_normal((d, n_seen + n_unseen)))
-        model = make_model(table, make_space(n_seen, n_unseen), d_f=d_f)
-        model.w1 = data.draw(arrays(np.float64, (d_f, d), elements=values))
-        model.box_w = data.draw(arrays(np.float64, (d_f, 4 * n_seen), elements=values))
-        model.box_b = data.draw(arrays(np.float64, (4 * n_seen,), elements=values))
+        model = replace(
+            make_model(table, make_space(n_seen, n_unseen), d_f=d_f),
+            w1=data.draw(arrays(np.float64, (d_f, d), elements=values)),
+            box_w=data.draw(arrays(np.float64, (d_f, 4 * n_seen), elements=values)),
+            box_b=data.draw(arrays(np.float64, (4 * n_seen,), elements=values)),
+        )
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
         save_checkpoint(model, path)
         saved = {"W1": model.w1, "box_weights": model.box_w, "box_bias": model.box_b}
@@ -405,8 +411,11 @@ class TestCheckpoint:
         table = make_table(np.random.default_rng(d).standard_normal((d, len(labels))), labels)
         model = make_model(table, make_space(n_seen, len(labels) - n_seen, labels=labels),
                            d_f=d_f, mode=data.draw(st.sampled_from(MODES)))
-        model.box_w = data.draw(arrays(np.float64, model.box_w.shape, elements=st.floats(-9, 9)))
-        model.box_b = data.draw(arrays(np.float64, model.box_b.shape, elements=st.floats(-9, 9)))
+        model = replace(
+            model,
+            box_w=data.draw(arrays(np.float64, model.box_w.shape, elements=st.floats(-9, 9))),
+            box_b=data.draw(arrays(np.float64, model.box_b.shape, elements=st.floats(-9, 9))),
+        )
         path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
         save_checkpoint(model, path)
         assert path.read_bytes() == self.reference_bytes(model)

@@ -124,9 +124,9 @@ class TestFinalize:
         assert shuffled.w2(("a", "b", "c")).tobytes() == out.w2(("a", "b", "c")).tobytes()
         with pytest.raises(ConfigError, match=r"labels absent from embedding table: \['zzz'\]"):
             out.w2(["a", "b", "zzz"])
+        refusal = "labels must name each class of the embedding table exactly once"
         for labels in (["a", "b"], ["a", "b", "b"], ["a", "b", "c", "a"]):
-            with pytest.raises(ConfigError,
-                               match="reorder labels must be a permutation of table labels"):
+            with pytest.raises(ConfigError, match=refusal):
                 out.w2(labels)
 
 
