@@ -371,6 +371,13 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--trials", 1, *knob) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("prefix", ["--tri", "--se", "--ou"])
+    def test_abbreviated_flag_is_an_unrecognized_argument(self, capsys, prefix):
+        with pytest.raises(SystemExit) as exc:
+            run("gradcheck", prefix, "1")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {prefix} 1" in capsys.readouterr().err
+
     def test_optional_report_file(self, tmp_path):
         out = tmp_path / "audit.json"
         assert run("gradcheck", "--trials", 1, "--out", out) == 0

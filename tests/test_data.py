@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestGenerator:
         assert pa.read_bytes() == pb.read_bytes()
         assert a.oracle["g_map"].tobytes() == b.oracle["g_map"].tobytes()
         assert {**a.oracle, "g_map": None} == {**b.oracle, "g_map": None}
+
+    def test_bundle_and_its_records_are_frozen(self):
+        bundle = generate_synthetic(small_cfg())
+        dataset = bundle.train
+        img = dataset.images[0]
+        for record, name in [(bundle, "train"), (dataset, "images"), (img, "gt_labels")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+        assert bundle.train is dataset and dataset.images[0] is img
 
     def test_train_set_has_no_unseen_instances(self):
         bundle = generate_synthetic(small_cfg())

@@ -291,6 +291,16 @@ class TestInitModel:
             with pytest.raises(FrozenInstanceError):
                 setattr(model, f.name, getattr(model, f.name))
 
+    def test_replace_derives_the_norms_of_the_new_w2(self):
+        model, _, _ = axis_setup()
+        w2 = model.w2 * np.array([2.0, 3.0, 0.5, 1.0])
+        varied = replace(model, w2=w2)
+        np.testing.assert_array_equal(varied.col_norms, np.linalg.norm(w2, axis=0))
+        np.testing.assert_array_equal(model.col_norms, np.linalg.norm(model.w2, axis=0))
+        assert varied.w1 is model.w1
+        with pytest.raises(ValueError):
+            varied.col_norms[0] = 1.0
+
 
 class TestBoxParameterization:
     def test_encode_decode_roundtrip(self, rng):
