@@ -164,8 +164,8 @@ def cmd_train(args) -> int:
     loss_csv = out.with_name(out.stem + ".loss.csv")
     write_loss_history(history, loss_csv)
     _write_manifest(out, "train", args, [out.name, loss_csv.name])
-    if history:
-        print(f"trained {len(history)} steps (final total loss {history[-1].total:.6f}) -> {out}")
+    if len(history):
+        print(f"trained {len(history)} steps (final total loss {history[-1, 4]:.6f}) -> {out}")
     else:
         print(f"wrote untrained checkpoint (0 steps in {config.epochs} epochs) -> {out}")
     return 0
@@ -259,14 +259,20 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations anywhere: a retired flag that prefixes a live one (as
+    # ``--h`` did ``--help``) is refused, not read as the live one
     parser = argparse.ArgumentParser(
         prog="zsdet",
         description="zero-shot detection head: synthesize, train, predict, evaluate",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"zsdet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic benchmark")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = add("synth", "generate a synthetic benchmark")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int)
     p.add_argument("--s", type=int, help="seen class count")
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta-spread", type=float)
     p.set_defaults(func=cmd_synth, **asdict(SynthConfig()))
 
-    p = sub.add_parser("split", help="propose a seen/unseen split")
+    p = add("split", "propose a seen/unseen split")
     p.add_argument("--data", required=True)
     p.add_argument("--meta-map", required=True)
     p.add_argument("--exclude", default="", help="comma-separated metas to skip")
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train a checkpoint")
+    p = add("train", "train a checkpoint")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--meta-map", required=True)
     p.add_argument("--split", required=True,
@@ -306,25 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train, **asdict(TrainConfig()))
 
-    p = sub.add_parser("predict", help="dump detections as JSON-lines")
+    p = add("predict", "dump detections as JSON-lines")
     _add_common_model_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="run the four-task evaluation")
+    p = add("eval", "run the four-task evaluation")
     _add_common_model_args(p)
     p.add_argument("--task", choices=TASKS + ("all",), default="all")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=cmd_eval)
 
-    # no abbreviations, so the retired ``--h`` is refused, not read as ``--help``
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit", allow_abbrev=False)
+    p = add("gradcheck", "finite-difference gradient audit")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("export-embeddings", help="dump modified class vectors")
+    p = add("export-embeddings", "dump modified class vectors")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)

@@ -256,7 +256,8 @@ def evaluate(
             label_tags[relabel[cid]] = np.where(col > best, col, best)
 
     rows: list[ApRow] = []
-    for lid in np.unique(gt_labels[gt_labels > 0]).tolist():
+    # a sorted set, as np.unique without return_inverse imports numpy.ma on first use
+    for lid in sorted(set(gt_labels[gt_labels > 0].tolist())):
         rows_g = np.flatnonzero(gt_labels == lid)
         if boxes:
             rows_l = np.flatnonzero(labels == lid)

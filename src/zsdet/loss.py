@@ -97,7 +97,10 @@ def _meta_tables(space: LabelSpace) -> tuple[np.ndarray, dict[int, tuple[np.ndar
                          np.zeros((space.bg_id + 1, space.bg_id - k), dtype=np.intp))
         members, outside = tables[k]
         members[z + 1] = z
-        outside[z + 1] = np.setdiff1d(np.arange(space.bg_id), z)
+        # a mask, as np.setdiff1d imports numpy.ma on first use
+        rest = np.ones(space.bg_id, dtype=bool)
+        rest[z] = False
+        outside[z + 1] = rest.nonzero()[0]
         size[z + 1] = k
     for table in (size, *(t for pair in tables.values() for t in pair)):
         table.flags.writeable = False

@@ -71,8 +71,7 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
     :func:`finalize_embeddings`.  Multi-token class names must use
     underscores.
     """
-    labels: list[str] = []
-    rows: list[np.ndarray] = []
+    rows: dict[str, np.ndarray] = {}  # label -> vector, in file order
     d: int | None = None
     for lineno, line in utf8_lines(path):
         parts = line.split()
@@ -81,7 +80,7 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
         label, tokens = parts[0], parts[1:]
         if not tokens:
             raise ParseError(f"record {label!r} has no vector components", lineno)
-        if label in labels:
+        if label in rows:
             raise ParseError(f"duplicate label {label!r}", lineno)
         try:
             vec = np.array(tokens, dtype=np.float64)
@@ -95,11 +94,10 @@ def load_word_vectors(path: str | os.PathLike) -> EmbeddingTable:
             raise ParseError(
                 f"record {label!r} has {vec.size} components, expected {d}", lineno
             )
-        labels.append(label)
-        rows.append(vec)
+        rows[label] = vec
     if not rows:
         raise ParseError(f"no records in {path}")
-    return finalize_embeddings(labels, np.stack(rows, axis=1))
+    return finalize_embeddings(list(rows), np.stack(list(rows.values()), axis=1))
 
 
 def finalize_embeddings(labels: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:

@@ -21,6 +21,7 @@ import functools
 import math
 import os
 import warnings
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import compress
@@ -31,7 +32,7 @@ import numpy as np
 from .data import Dataset, Proposals, gt_class_ids
 from .errors import ConfigError, NumericFailureError, check_seed
 from .evaluation import iou_matrix
-from .loss import LossBreakdown, loss_gradients
+from .loss import loss_gradients
 from .model import MODES, Model, RegionBatch, encode_boxes, init_model
 from .semantics import LabelSpace
 
@@ -329,7 +330,8 @@ def rebalance_dataset(
                     drop.setdefault(ii, set()).add(gi)
             for ii, gone in drop.items():
                 img = images[ii]
-                kept = ~np.isin(np.arange(len(img.gt_labels)), list(gone))
+                kept = np.ones(len(img.gt_labels), dtype=bool)
+                kept[list(gone)] = False
                 images[ii] = replace(img, gt_labels=tuple(compress(img.gt_labels, kept)),
                                      gt_boxes=img.gt_boxes[kept])
     return Dataset(d_f=dataset.d_f, images=images)
@@ -340,9 +342,16 @@ def train(
     w2: np.ndarray,
     space: LabelSpace,
     config: TrainConfig,
-) -> tuple[Model, list[LossBreakdown]]:
+) -> tuple[Model, np.ndarray]:
     """Full training loop over the fixed class matrix ``w2``, its columns in
-    ``space``'s class order; deterministic given (dataset, config, seed)."""
+    ``space``'s class order; deterministic given (dataset, config, seed).
+
+    Returns the trained model and the loss history: a float64 ``(steps, 5)``
+    block, one row ``l_mm, l_mc, l_cls, l_reg, total`` per step, the
+    columns of :func:`write_loss_history`.  A step's values are the floats
+    of its :class:`~zsdet.loss.LossBreakdown`, kept in one growable buffer
+    rather than one record per step.
+    """
     # the input is checked before rebalancing, which would warn about it first
     for img, ids in zip(dataset.images, gt_class_ids(dataset, space)):
         leaked = ids[ids > space.S]
@@ -362,7 +371,7 @@ def train(
     params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
     state = AdamState.for_params(params)
     rng = np.random.default_rng([config.seed, 2])
-    history: list[LossBreakdown] = []
+    history = array("d")
     step = 0
     for _ in range(config.epochs):
         for rows in labeled:
@@ -375,7 +384,8 @@ def train(
                 del grads  # else the next loss_gradients builds its own while these live
             except NumericFailureError as exc:
                 raise NumericFailureError(f"training step {step}: {exc}") from exc
-            history.append(breakdown)
+            history.extend((breakdown.l_mm, breakdown.l_mc, breakdown.l_cls,
+                            breakdown.l_reg, breakdown.total))
             step += 1
     # a step's own checks see only its inputs, so the last step's result is
     # checked here: a model that trained into overflow is not written
@@ -383,15 +393,18 @@ def train(
         if not (math.isfinite(p.sum()) or np.isfinite(p).all()):
             raise NumericFailureError(f"training step {step - 1} left a non-finite value "
                                       f"in {key!r}")
-    return model, history
+    return model, np.frombuffer(history).reshape(-1, 5)
 
 
-def write_loss_history(
-    history: Sequence[LossBreakdown], path: str | os.PathLike
-) -> None:
-    """CSV emitted beside the checkpoint: step,l_mm,l_mc,l_cls,l_reg,total."""
+def write_loss_history(history: np.ndarray, path: str | os.PathLike) -> None:
+    """CSV emitted beside the checkpoint: step,l_mm,l_mc,l_cls,l_reg,total.
+
+    ``history`` is :func:`train`'s ``(steps, 5)`` block; each value is
+    written as its shortest round-trip ``repr``.  Rows are converted one at
+    a time, so the writer holds no second copy of the history.
+    """
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "l_mm", "l_mc", "l_cls", "l_reg", "total"])
-        for i, b in enumerate(history):
-            writer.writerow([i, repr(b.l_mm), repr(b.l_mc), repr(b.l_cls), repr(b.l_reg), repr(b.total)])
+        for i, row in enumerate(history):
+            writer.writerow([i, *map(repr, row.tolist())])

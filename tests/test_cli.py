@@ -210,6 +210,37 @@ class TestImportCost:
                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
         assert out.stdout == "False\n"
 
+    def test_pipeline_stages_load_no_masked_arrays(self, tmp_path):
+        # numpy.ma costs each process about 1.3 MB and 12-16 ms; only what
+        # ``import zsdet.cli`` itself loads (none, in numpy 2) is allowed
+        probe = (
+            "import sys, zsdet.cli\n"
+            "def ma(): return {m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')}\n"
+            "before = ma()\n"
+            "code = zsdet.cli.main(sys.argv[1:])\n"
+            "print(code, sorted(ma() - before))\n"
+        )
+        data, ckpt = tmp_path / "data", tmp_path / "ckpt.json"
+        model = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
+                 "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
+                 "--alpha", 0]
+        stages = [
+            ["synth", "--out", data, "--seed", 0, "--s", 6, "--u", 2, "--m", 2, "--d", 6,
+             "--d-f", 6, "--images", 12, "--test-images", 6, "--proposals-per-image", 8],
+            ["train", "--embeddings", data / "embeddings.txt", "--meta-map", data / "meta_map.csv",
+             "--split", data / "oracle.json", "--data", data / "train.jsonl", "--out", ckpt,
+             "--epochs", 2, "--lr", 1e-3, "--n-pos", 4, "--n-neg", 4, "--min-similar", 4],
+            ["predict", *model, "--out", tmp_path / "dets.jsonl"],
+            ["eval", *model, "--task", "all", "--out", tmp_path / "reports"],
+        ]
+        src = str(Path(zsdet.__file__).resolve().parent.parent)
+        for argv in stages:
+            out = subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
+                                 capture_output=True, text=True, check=True, timeout=120,
+                                 env={**os.environ, "PYTHONPATH": src})
+            assert out.stdout.splitlines()[-1] == "0 []", (argv[0], out.stderr)
+        assert json.loads((tmp_path / "reports" / "report_T1.json").read_text())["per_class"]
+
 
 class TestPackageSurface:
     def test_errors_defines_the_four_exception_classes(self):
@@ -487,6 +518,32 @@ class TestExitCodes:
             run(command, *required.get(command, required["predict"]), "--out", "o", flag, "1")
         assert exc.value.code == 2
         assert capsys.readouterr().err.endswith(f"unrecognized arguments: {flag} 1\n")
+
+    @pytest.mark.parametrize("argv, unrecognized", [
+        (["--vers", "synth", "--out", "o"], "--vers"),
+        (["synth", "--out", "o", "--see", "1"], "--see 1"),
+        (["split", "--data", "d", "--meta-map", "m", "--out", "o", "--exc", "x"], "--exc x"),
+        (["train", "--embeddings", "e", "--meta-map", "m", "--split", "s", "--data", "d",
+          "--out", "o", "--epoch", "1"], "--epoch 1"),
+        (["predict", "--checkpoint", "c", "--embeddings", "e", "--meta-map", "m",
+          "--data", "d", "--out", "o", "--alph", "0"], "--alph 0"),
+        (["eval", "--checkpoint", "c", "--embeddings", "e", "--meta-map", "m",
+          "--data", "d", "--out", "o", "--tas", "all"], "--tas all"),
+        (["gradcheck", "--out", "o", "--tri", "1"], "--tri 1"),
+        (["export-embeddings", "--checkpoint", "c", "--embeddings", "e", "--out", "o",
+          "--checkp", "x"], "--checkp x"),
+    ], ids=["top-level", "synth", "split", "train", "predict", "eval", "gradcheck",
+            "export-embeddings"])
+    def test_abbreviated_flag_is_an_unrecognized_argument(self, tmp_path, monkeypatch, capsys,
+                                                          argv, unrecognized):
+        # a unique prefix of a flag is not that flag, on the top-level parser
+        # or on any subcommand's
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"unrecognized arguments: {unrecognized}\n")
+        assert not any(tmp_path.iterdir())
 
     def test_truncated_json_split_exits_2(self, tmp_path, capsys):
         data = synth(tmp_path)

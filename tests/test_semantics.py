@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +39,29 @@ class TestLoadWordVectors:
         path.write_text("dog 1 0\ndog 0 1\n")
         with pytest.raises(ParseError, match="line 2: duplicate label 'dog'"):
             load_word_vectors(path)
+
+    @staticmethod
+    def vocabulary(path, n, last=None):
+        """A table of ``n`` 2-d records, the last one named ``last`` if given."""
+        names = [f"w{i}" for i in range(n - 1)] + [last or f"w{n - 1}"]
+        path.write_text("".join(f"{name} 1 {i}\n" for i, name in enumerate(names)))
+
+    def test_vocabulary_scale_file_loads_in_linear_time(self, tmp_path):
+        # a full word2vec or GloVe vocabulary: a quadratic duplicate check
+        # takes about 16 s here, a linear one well under a second
+        path = tmp_path / "vocab.txt"
+        self.vocabulary(path, 50_000)
+        start = time.perf_counter()
+        table = load_word_vectors(path)
+        assert time.perf_counter() - start < 5.0
+        assert len(table.labels) == 50_000 and table.labels[-1] == "w49999"
+
+    def test_duplicate_on_the_last_line_of_a_vocabulary(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        self.vocabulary(path, 50_000, last="w17")
+        with pytest.raises(ParseError, match="line 50000: duplicate label 'w17'") as exc:
+            load_word_vectors(path)
+        assert exc.value.line == 50_000
 
     def test_non_numeric_token(self, tmp_path):
         path = tmp_path / "v.txt"

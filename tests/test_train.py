@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import zsdet.train
 from zsdet.data import SynthConfig, generate_synthetic
 from zsdet.errors import ConfigError, NumericFailureError
+from zsdet.loss import loss_gradients
 from zsdet.model import RegionBatch, encode_boxes, init_model, save_checkpoint
 from zsdet.semantics import build_label_space
 from zsdet.train import (
@@ -615,14 +616,14 @@ class TestTrain:
         cfg = self.config(epochs=0)
         model, history = train(bundle.train, w2, space, cfg)
         ref = init_model(w2, space, bundle.train.d_f, cfg.seed, cfg.mode)
-        assert history == []
+        assert history.shape == (0, 5) and history.dtype == np.float64
         assert model.w1.tobytes() == ref.w1.tobytes()
         assert not model.box_w.any()
 
     def test_margin_loss_trends_down(self):
         bundle, w2, space = toy_bundle()
         _, history = train(bundle.train, w2, space, self.config(epochs=10))
-        mm = [b.l_mm for b in history]
+        mm = history[:, 0]
         head = np.mean(mm[: max(1, len(mm) // 10)])
         tail = np.mean(mm[-max(1, len(mm) // 10):])
         assert tail < head
@@ -636,7 +637,7 @@ class TestTrain:
         save_checkpoint(m1, p1)
         save_checkpoint(m2, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert h1 == h2
+        assert h1.tobytes() == h2.tobytes()
 
     @pytest.mark.parametrize("key", ["w1", "box_w", "box_b"])
     def test_overflow_in_the_last_step_raises(self, monkeypatch, key):
@@ -698,4 +699,32 @@ class TestTrain:
         assert lines[0] == "step,l_mm,l_mc,l_cls,l_reg,total"
         assert len(lines) == len(history) + 1
         first = lines[1].split(",")
-        assert float(first[3]) == pytest.approx(history[0].l_cls)
+        assert float(first[3]) == history[0, 2]
+
+    def test_history_rows_are_the_steps_breakdowns(self, monkeypatch):
+        bundle, w2, space = toy_bundle()
+        breakdowns = []
+
+        def recording(*args):
+            breakdown, grads = loss_gradients(*args)
+            breakdowns.append(breakdown)
+            return breakdown, grads
+
+        monkeypatch.setattr(zsdet.train, "loss_gradients", recording)
+        _, history = train(bundle.train, w2, space, self.config(epochs=2))
+        assert history.dtype == np.float64 and history.flags.c_contiguous
+        assert history.shape == (len(breakdowns), 5) and breakdowns
+        assert history.tolist() == [[b.l_mm, b.l_mc, b.l_cls, b.l_reg, b.total]
+                                    for b in breakdowns]
+
+    def test_loss_history_bytes_match_the_record_writer(self, tmp_path):
+        # the bytes the per-record writer gave: each value's repr, in order
+        rows = [[-0.0, 5e-324, 1e300, 0.1, 0.30000000000000004],
+                [0.1, -0.0, 0.0, 5e-324, -1e300]]
+        path = tmp_path / "loss.csv"
+        write_loss_history(np.array(rows), path)
+        assert path.read_bytes() == (
+            b"step,l_mm,l_mc,l_cls,l_reg,total\r\n"
+            b"0,-0.0,5e-324,1e+300,0.1,0.30000000000000004\r\n"
+            b"1,0.1,-0.0,0.0,5e-324,-1e+300\r\n"
+        )
