@@ -21,7 +21,6 @@ import functools
 import math
 import os
 import warnings
-from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import compress
@@ -349,8 +348,8 @@ def train(
     Returns the trained model and the loss history: a float64 ``(steps, 5)``
     block, one row ``l_mm, l_mc, l_cls, l_reg, total`` per step, the
     columns of :func:`write_loss_history`.  A step's values are the floats
-    of its :class:`~zsdet.loss.LossBreakdown`, kept in one growable buffer
-    rather than one record per step.
+    of its :class:`~zsdet.loss.LossBreakdown`, written into one buffer
+    rather than kept as one record per step.
     """
     # the input is checked before rebalancing, which would warn about it first
     for img, ids in zip(dataset.images, gt_class_ids(dataset, space)):
@@ -371,7 +370,9 @@ def train(
     params = {"w1": model.w1, "box_w": model.box_w, "box_b": model.box_b}
     state = AdamState.for_params(params)
     rng = np.random.default_rng([config.seed, 2])
-    history = array("d")
+    # a row for every image of every epoch, the most steps there can be (an
+    # empty batch takes none); a large block's unwritten pages stay unmapped
+    history = np.empty((config.epochs * len(labeled), 5))
     step = 0
     for _ in range(config.epochs):
         for rows in labeled:
@@ -384,8 +385,8 @@ def train(
                 del grads  # else the next loss_gradients builds its own while these live
             except NumericFailureError as exc:
                 raise NumericFailureError(f"training step {step}: {exc}") from exc
-            history.extend((breakdown.l_mm, breakdown.l_mc, breakdown.l_cls,
-                            breakdown.l_reg, breakdown.total))
+            history[step] = (breakdown.l_mm, breakdown.l_mc, breakdown.l_cls,
+                             breakdown.l_reg, breakdown.total)
             step += 1
     # a step's own checks see only its inputs, so the last step's result is
     # checked here: a model that trained into overflow is not written
@@ -393,7 +394,7 @@ def train(
         if not (math.isfinite(p.sum()) or np.isfinite(p).all()):
             raise NumericFailureError(f"training step {step - 1} left a non-finite value "
                                       f"in {key!r}")
-    return model, np.frombuffer(history).reshape(-1, 5)
+    return model, history[:step]
 
 
 def write_loss_history(history: np.ndarray, path: str | os.PathLike) -> None:
