@@ -347,9 +347,8 @@ def train(
 
     Returns the trained model and the loss history: a float64 ``(steps, 5)``
     block, one row ``l_mm, l_mc, l_cls, l_reg, total`` per step, the
-    columns of :func:`write_loss_history`.  A step's values are the floats
-    of its :class:`~zsdet.loss.LossBreakdown`, written into one buffer
-    rather than kept as one record per step.
+    columns of :func:`write_loss_history`; a row holds the floats of its
+    step's :class:`~zsdet.loss.LossBreakdown`.
     """
     # the input is checked before rebalancing, which would warn about it first
     for img, ids in zip(dataset.images, gt_class_ids(dataset, space)):
