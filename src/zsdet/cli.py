@@ -125,10 +125,8 @@ def cmd_synth(args) -> int:
     save_meta_map(bundle.meta_map, out / "meta_map.csv")
     save_dataset(bundle.train, out / "train.jsonl")
     save_dataset(bundle.test, out / "test.jsonl")
-    # the generator's feature map stays in memory: no stage reads it
-    oracle = {k: v for k, v in bundle.oracle.items() if k != "g_map"}
     with open(out / "oracle.json", "w", encoding="utf-8") as f:
-        f.write(json.dumps(oracle) + "\n")
+        f.write(json.dumps(bundle.oracle) + "\n")
     outputs = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]
     _write_manifest(out, "synth", args, outputs)
     print(f"wrote {', '.join(outputs)} to {out}")
@@ -283,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", type=int, help="train image count")
     p.add_argument("--test-images", type=int)
     p.add_argument("--proposals-per-image", type=int)
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--meta-spread", type=float)
     p.set_defaults(func=cmd_synth, **asdict(SynthConfig()))
 
     p = add("split", "propose a seen/unseen split")

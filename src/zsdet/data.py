@@ -25,8 +25,8 @@ or trained on.
 
 from __future__ import annotations
 
+import csv
 import json
-import math
 import os
 import warnings
 from bisect import bisect_right
@@ -44,6 +44,11 @@ from .semantics import EmbeddingTable, LabelSpace, _readonly
 CANVAS = 256.0
 GRID = 3
 MIN_BG_BOX = 20.0
+# the standard deviation of a proposal feature's noise (times the oracle's
+# ``bg_feature_scale`` for a background proposal), and of a class vector's
+# offset from its meta centroid before it is normalized
+NOISE_SIGMA = 0.1
+META_SPREAD = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,6 @@ class SynthConfig:
     images: int = 200
     test_images: int = 50
     proposals_per_image: int = 16
-    noise_sigma: float = 0.1
-    meta_spread: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -102,10 +105,6 @@ class SynthConfig:
             raise ConfigError("need at least one seen class")
         if not 1 <= self.m <= self.s + self.u:
             raise ConfigError("meta-class count must be in 1..S+U")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
-        if not 0 <= self.meta_spread < math.inf:
-            raise ConfigError(f"meta_spread must be a finite number >= 0, got {self.meta_spread}")
         if min(self.d, self.d_f) < 2:
             raise ConfigError("dimensionalities must be >= 2")
         if min(self.images, self.test_images, self.proposals_per_image) < 1:
@@ -115,7 +114,7 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SyntheticBundle:
-    """Everything the generator emits, including the latent oracle record."""
+    """Everything the generator emits; ``oracle`` is what synth writes as ``oracle.json``."""
 
     table: EmbeddingTable
     meta_map: dict[str, str]
@@ -151,11 +150,9 @@ def _make_image(
     for feature, box in zip(features[k:], boxes[k:]):
         rng.standard_normal(out=feature)
         rng.random(out=box)
-    # a huge noise_sigma overflows here; the check below refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        features[:k] *= cfg.noise_sigma
-        features[:k] += centres[class_ids - 1]
-        features[k:] *= cfg.noise_sigma * bg_scale
+    features[:k] *= NOISE_SIGMA
+    features[:k] += centres[class_ids - 1]
+    features[k:] *= NOISE_SIGMA * bg_scale
     shift = boxes[:k, :2]
     shift *= 0.4
     shift -= 0.2
@@ -168,9 +165,6 @@ def _make_image(
     size += MIN_BG_BOX
     size += corner
     np.minimum(size, CANVAS, out=size)
-    if not np.isfinite(features).all():
-        raise ConfigError(f"noise_sigma {cfg.noise_sigma} is too large: "
-                          f"proposal features overflow")
     gt_labels = tuple(labels[cid - 1] for cid in class_ids)
     return ImageRecord(image_id, Proposals(features, boxes), gt_labels, gt_boxes)
 
@@ -193,13 +187,8 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
     centroids /= np.linalg.norm(centroids, axis=0)
     raw = np.empty((cfg.d, n_classes))
     for i in range(n_classes):
-        with np.errstate(over="ignore"):  # a huge meta_spread is refused below
-            v = centroids[:, i % cfg.m] + cfg.meta_spread * rng.standard_normal(cfg.d)
-            norm = np.linalg.norm(v)
-        if not norm < math.inf:
-            raise ConfigError(f"meta_spread {cfg.meta_spread} is too large: "
-                              f"a class vector's norm overflows")
-        raw[:, i] = v / norm
+        v = centroids[:, i % cfg.m] + META_SPREAD * rng.standard_normal(cfg.d)
+        raw[:, i] = v / np.linalg.norm(v)
     vectors = _readonly(raw)
     background = _readonly(raw.mean(axis=1))
     table = EmbeddingTable(labels=labels, vectors=vectors, background=background)
@@ -237,7 +226,6 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
         "seen_labels": list(labels[: cfg.s]),
         "unseen_labels": list(labels[cfg.s :]),
         "meta_of": meta_map,
-        "g_map": g_map,
         "bg_feature_scale": bg_scale,
         "canvas": CANVAS,
         "objects_per_image": objects,
@@ -414,9 +402,9 @@ def load_split(path: str | os.PathLike) -> tuple[list[str], list[str]]:
 
 
 def save_meta_map(meta_map: Mapping[str, str], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for cls, meta in meta_map.items():
-            f.write(f"{cls},{meta}\n")
+    """Write ``class,meta`` rows; a name holding a comma or a quote is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(meta_map.items())
 
 
 def gt_class_ids(dataset: Dataset, space: LabelSpace) -> list[np.ndarray]:

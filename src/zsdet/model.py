@@ -240,14 +240,16 @@ def load_checkpoint(path: str | os.PathLike, table: EmbeddingTable) -> Model:
                 f"checkpoint header has keys {', '.join(head) or 'none'}, expected "
                 f"{', '.join(_HEADER_KEYS)}; re-run `zsdet train` to write a current checkpoint"
             )
-        labels, d_f, d, s = head["labels"], head["d_f"], head["d"], head["S"]
+        labels, d_f, d, s, u = (head[k] for k in ("labels", "d_f", "d", "S", "U"))
+        # ``type(...) is int`` refuses JSON ``true`` and ``2.0``, which ``isinstance``
+        # or ``==`` would take for counts
         if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)
-                and isinstance(s, int) and 0 <= s <= len(labels)
-                and head["U"] == len(labels) - s):
+                and type(s) is int and 0 <= s <= len(labels)
+                and type(u) is int and u == len(labels) - s):
             raise ParseError(
                 "checkpoint labels must be a list of names, S a count within it and U the rest"
             )
-        if not (isinstance(d_f, int) and d_f > 0 and isinstance(d, int) and d > 0):
+        if not (type(d_f) is int and d_f > 0 and type(d) is int and d > 0):
             raise ParseError("checkpoint d_f and d must be positive integers")
         if head["mode"] not in MODES:
             raise ParseError(f"checkpoint mode must be one of {MODES}, got {head['mode']!r}")

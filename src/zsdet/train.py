@@ -371,11 +371,19 @@ def train(
     rng = np.random.default_rng([config.seed, 2])
     # a row for every image of every epoch, the most steps there can be (an
     # empty batch takes none); a large block's unwritten pages stay unmapped
-    history = np.empty((config.epochs * len(labeled), 5))
+    try:
+        history = np.empty((config.epochs * len(labeled), 5))
+    except (ValueError, MemoryError):
+        raise ConfigError(f"a loss history of {config.epochs} epochs x {len(labeled)} images "
+                          "cannot be allocated") from None
     step = 0
     for _ in range(config.epochs):
         for rows in labeled:
-            batch = compose_batch(rows, config.n_pos, config.n_neg, rng, space.bg_id)
+            try:
+                batch = compose_batch(rows, config.n_pos, config.n_neg, rng, space.bg_id)
+            except MemoryError:
+                raise ConfigError(f"a batch of n_pos {config.n_pos} + n_neg {config.n_neg} rows "
+                                  "cannot be allocated") from None
             if not batch:
                 continue
             try:

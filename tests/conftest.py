@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import zsdet.train
-from zsdet.data import CANVAS, GRID, MIN_BG_BOX, Dataset, ImageRecord, Proposals, SyntheticBundle
+from zsdet.data import (CANVAS, GRID, META_SPREAD, MIN_BG_BOX, NOISE_SIGMA, Dataset,
+                        ImageRecord, Proposals, SyntheticBundle)
 from zsdet.evaluation import average_precision
 from zsdet.infer import Detections
 from zsdet.loss import LossBreakdown, _class_terms
@@ -146,11 +147,11 @@ def _reference_image(image_id, class_ids, labels, g_map, vectors, bg_scale, cfg,
     for i, (cid, cell_idx) in enumerate(zip(class_ids, cells)):
         r, c = divmod(int(cell_idx), GRID)
         gt_boxes[i] = (c * cell, r * cell, (c + 1) * cell, (r + 1) * cell)
-        features[i] = g_map @ vectors[:, cid - 1] + cfg.noise_sigma * rng.standard_normal(cfg.d_f)
+        features[i] = g_map @ vectors[:, cid - 1] + NOISE_SIGMA * rng.standard_normal(cfg.d_f)
         shift = rng.uniform(-0.2, 0.2, size=2) * cell
         boxes[i] = gt_boxes[i] + shift[[0, 1, 0, 1]]
     for i in range(class_ids.size, cfg.proposals_per_image):
-        features[i] = cfg.noise_sigma * bg_scale * rng.standard_normal(cfg.d_f)
+        features[i] = NOISE_SIGMA * bg_scale * rng.standard_normal(cfg.d_f)
         x1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
         y1 = rng.uniform(0.0, CANVAS - MIN_BG_BOX)
         w = rng.uniform(MIN_BG_BOX, CANVAS / 2)
@@ -173,7 +174,7 @@ def reference_synthetic(cfg):
     centroids /= np.linalg.norm(centroids, axis=0)
     vectors = np.empty((cfg.d, n_classes))
     for i in range(n_classes):
-        v = centroids[:, i % cfg.m] + cfg.meta_spread * rng.standard_normal(cfg.d)
+        v = centroids[:, i % cfg.m] + META_SPREAD * rng.standard_normal(cfg.d)
         vectors[:, i] = v / np.linalg.norm(v)
     table = EmbeddingTable(labels, vectors, vectors.mean(axis=1))
     g_map = rng.standard_normal((cfg.d_f, cfg.d)) / np.sqrt(cfg.d)
@@ -195,7 +196,7 @@ def reference_synthetic(cfg):
         test.append(image(f"test{i:04d}", first))
     oracle = {
         "seen_labels": list(labels[: cfg.s]), "unseen_labels": list(labels[cfg.s :]),
-        "meta_of": meta_map, "g_map": g_map, "bg_feature_scale": bg_scale, "canvas": CANVAS,
+        "meta_of": meta_map, "bg_feature_scale": bg_scale, "canvas": CANVAS,
         "objects_per_image": objects, "config": asdict(cfg),
     }
     return SyntheticBundle(table, meta_map, Dataset(cfg.d_f, train), Dataset(cfg.d_f, test),

@@ -175,8 +175,7 @@ def _collect(detector, images):
 def _run_seed(seed, tmp_path):
     """Train all method variants on one seed; return its mAPs, gaps, checkpoints."""
     cfg = SynthConfig(
-        s=20, u=5, m=5, d=16, d_f=16, images=200, test_images=50,
-        noise_sigma=0.1, seed=seed,
+        s=20, u=5, m=5, d=16, d_f=16, images=200, test_images=50, seed=seed,
     )
     bundle = generate_synthetic(cfg)
     space = build_label_space(

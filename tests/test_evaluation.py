@@ -103,7 +103,6 @@ def ap_ref(detections, gts, thresh):
     for k, (r, _) in enumerate(points):
         if r == prev_r:
             continue
-        env = max(p for rr, p in points[k:] if rr >= r) if points[k:] else 0.0
         env = max(p for rr, p in points if rr >= r)
         ap += (r - prev_r) * env
         prev_r = r

@@ -504,6 +504,23 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_checkpoint(path, table)
 
+    @pytest.mark.parametrize("key, value", [("d_f", True), ("d", True), ("S", True),
+                                            ("U", True), ("U", 2.0)])
+    def test_count_that_is_not_a_json_integer_raises_parse_error(self, tmp_path, rng, key,
+                                                                 value):
+        # ``true`` is an int to isinstance and 2.0 == 2, so each would pass for
+        # the count it equals; the checkpoint holds exactly that count here
+        n_unseen = int(value) if key == "U" else 2
+        table = make_table(rng.standard_normal((1 if key == "d" else 4, 1 + n_unseen)))
+        model = make_model(table, make_space(1, n_unseen), d_f=1 if key == "d_f" else 4)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        head, blocks = read_checkpoint(path)
+        head[key] = value
+        write_checkpoint(path, head, blocks)
+        with pytest.raises(ParseError):
+            load_checkpoint(path, table)
+
     @pytest.mark.parametrize(
         "damage",
         [

@@ -595,7 +595,7 @@ class TestRebalance:
 def toy_bundle(seed=0, **overrides):
     cfg = SynthConfig(
         s=4, u=1, m=2, d=4, d_f=4, images=30, test_images=5,
-        proposals_per_image=8, noise_sigma=0.05, seed=seed, **overrides,
+        proposals_per_image=8, seed=seed, **overrides,
     )
     bundle = generate_synthetic(cfg)
     space = build_label_space(
