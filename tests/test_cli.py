@@ -18,7 +18,7 @@ import zsdet
 import zsdet.errors
 import zsdet.train
 from zsdet.cli import build_parser, main
-from zsdet.data import SynthConfig, generate_synthetic, load_split
+from zsdet.data import SynthConfig, generate_synthetic, load_split, save_dataset
 from zsdet.evaluation import TASKS
 from zsdet.model import load_checkpoint, save_checkpoint
 from zsdet.semantics import load_word_vectors
@@ -124,6 +124,15 @@ class TestSynthCommand:
         assert oracle == bundle.oracle
         assert "g_map" not in oracle
 
+
+    def test_oracle_config_regenerates_the_datasets(self, tmp_path):
+        out = synth(tmp_path, seed=3)
+        config = json.loads((out / "oracle.json").read_text())["config"]
+        bundle = generate_synthetic(SynthConfig(**config))
+        save_dataset(bundle.train, tmp_path / "train.jsonl")
+        save_dataset(bundle.test, tmp_path / "test.jsonl")
+        for name in ("train.jsonl", "test.jsonl"):
+            assert sha(tmp_path / name) == sha(out / name), name
 
 class TestSplitCommand:
     def test_split_file_written(self, tmp_path):

@@ -3,7 +3,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zsdet.data import (
+    META_SPREAD,
+    NOISE_SIGMA,
     Dataset,
     ImageRecord,
     Proposals,
@@ -48,6 +50,14 @@ class TestSynthConfig:
     def test_non_finite_or_negative_knob_rejected(self, knob):
         with pytest.raises(ConfigError):
             SynthConfig(**knob)
+
+    def test_noise_and_spread_are_module_constants(self):
+        assert [f.name for f in fields(SynthConfig)] == [
+            "s", "u", "m", "d", "d_f", "images", "test_images", "proposals_per_image", "seed"]
+        assert (NOISE_SIGMA, META_SPREAD) == (0.1, 0.5)
+        for knob in ("noise_sigma", "meta_spread"):
+            with pytest.raises(TypeError):
+                SynthConfig(**{knob: 0.1})
 
 
 def small_cfg(**kw):
@@ -88,6 +98,25 @@ class TestGenerator:
         unseen = set(bundle.oracle["unseen_labels"])
         for img in bundle.test.images:
             assert any(label in unseen for label in img.gt_labels)
+
+    def test_features_scatter_by_noise_sigma(self):
+        # an object's feature is its class centre plus NOISE_SIGMA noise, a
+        # background feature zero plus NOISE_SIGMA * bg_feature_scale noise;
+        # 12800 object and 38400 background draws put each estimate well
+        # inside 5%
+        bundle = generate_synthetic(SynthConfig(d_f=16, images=200, seed=2))
+        k = bundle.oracle["objects_per_image"]
+        by_class, background = {}, []
+        for img in bundle.train.images:
+            for feature, label in zip(img.proposals.features, img.gt_labels):
+                by_class.setdefault(label, []).append(feature)
+            background.append(img.proposals.features[k:])
+        residuals = np.concatenate(
+            [f - np.mean(f, axis=0) for f in map(np.array, by_class.values())])
+        dof = residuals.size - len(by_class) * residuals.shape[1]
+        assert np.sqrt(np.sum(residuals**2) / dof) == pytest.approx(NOISE_SIGMA, rel=0.05)
+        assert np.sqrt(np.mean(np.concatenate(background) ** 2)) == pytest.approx(
+            NOISE_SIGMA * bundle.oracle["bg_feature_scale"], rel=0.05)
 
     def test_positive_proposals_overlap_their_cells(self):
         bundle = generate_synthetic(small_cfg())
