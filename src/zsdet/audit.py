@@ -54,29 +54,24 @@ def random_batch(
 
 
 def random_instance(
-    rng: np.random.Generator,
-    d_f: int = 8,
-    d: int = 8,
-    n_classes: int = 7,
-    n_meta: int = 3,
-    batch_size: int = 4,
-    mode: str = "full",
+    rng: np.random.Generator, mode: str = "full"
 ) -> tuple[Model, RegionBatch, LabelSpace]:
-    """One random model, in training ``mode``, + labeled batch for gradient auditing."""
-    labels = [f"c{i}" for i in range(1, n_classes + 1)]
-    n_seen = n_classes - max(1, n_classes // 4)
+    """One random model, in training ``mode``, + labeled batch for gradient
+    auditing: classes ``c1``-``c6`` seen and ``c7`` unseen over three metas,
+    ``d = d_f = 8``, four rows."""
+    d = d_f = 8
+    labels = [f"c{i}" for i in range(1, 8)]
     space = build_label_space(
-        labels[:n_seen], labels[n_seen:],
-        {label: f"m{i % n_meta + 1}" for i, label in enumerate(labels)},
+        labels[:6], labels[6:], {label: f"m{i % 3 + 1}" for i, label in enumerate(labels)},
     )
-    table = finalize_embeddings(space.labels, rng.standard_normal((d, n_classes)))
+    table = finalize_embeddings(space.labels, rng.standard_normal((d, len(labels))))
     model = replace(
         init_model(table.w2(space.labels), space, d_f, mode=mode),
         w1=rng.standard_normal((d_f, d)) * 0.5,
         box_w=rng.standard_normal((d_f, 4 * space.S)) * 0.1,
         box_b=rng.standard_normal(4 * space.S) * 0.1,
     )
-    return model, random_batch(rng, space, d_f, batch_size), space
+    return model, random_batch(rng, space, d_f), space
 
 
 def _rel_err(a: float, n: float) -> float:

@@ -31,7 +31,6 @@ from .data import (
     load_split,
     propose_split,
     save_dataset,
-    save_meta_map,
     save_split,
 )
 from .errors import ConfigError, ZsdetError, check_finite, check_seed
@@ -48,6 +47,7 @@ from .semantics import (
     build_label_space,
     load_meta_map,
     load_word_vectors,
+    save_meta_map,
     save_word_vectors,
 )
 from .train import TrainConfig, train, write_loss_history
@@ -135,9 +135,12 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     meta_map = load_meta_map(args.meta_map)
+    exclude = [t for t in args.exclude.split(",") if t]
+    unknown = [t for t in exclude if t not in meta_map.values()]
+    if unknown:
+        raise ConfigError(f"meta-classes missing from meta map: {unknown}")
     check_seed(args.seed)
     dataset = load_dataset(args.data)
-    exclude = [t for t in args.exclude.split(",") if t] if args.exclude else []
     seen, unseen = propose_split(
         dataset.class_stats(), meta_map, rng=np.random.default_rng(args.seed), exclude=exclude,
     )
@@ -339,10 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ZsdetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ZsdetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

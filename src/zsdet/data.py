@@ -25,7 +25,6 @@ or trained on.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import warnings
@@ -213,9 +212,8 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
     ]
     test_images = []
     for i in range(cfg.test_images):
-        first = rng.choice(unseen_ids, size=1)
-        rest = rng.choice(all_ids, size=objects - 1, replace=True) if objects > 1 else []
-        class_ids = np.concatenate([first, rest]).astype(int) if objects > 1 else first
+        class_ids = np.concatenate([rng.choice(unseen_ids, size=1),
+                                    rng.choice(all_ids, size=objects - 1, replace=True)])
         test_images.append(
             _make_image(f"test{i:04d}", class_ids, labels, centres, bg_scale, cfg, rng))
 
@@ -326,11 +324,12 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     Each image's :class:`Proposals` and ``gt_boxes`` are row slices of the
     file's three blocks.  A header key besides ``d_f`` and ``images`` (older
     files hold ``labels``) is ignored.  Raises :class:`ParseError` for a
-    header whose ``d_f`` is not a positive integer, a proposal count that is
-    not a non-negative integer, ``gt_labels`` that are not a list of strings,
-    a file whose length is not the header plus exactly the three blocks, a
-    non-finite feature value, a proposal or ground-truth box that is not
-    finite with ``x1 < x2`` and ``y1 < y2``, and a repeated ``image_id``.  An
+    header whose ``d_f`` is not a positive integer, an ``image_id`` that is
+    not a string, a proposal count that is not a non-negative integer,
+    ``gt_labels`` that are not a list of strings, a file whose length is not
+    the header plus exactly the three blocks, a non-finite feature value, a
+    proposal or ground-truth box that is not finite with ``x1 < x2`` and
+    ``y1 < y2``, and a repeated ``image_id``.  An
     error in one image's data names the image by index and id.
     """
     with open(path, "rb") as f:
@@ -341,7 +340,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         index: dict[str, int] = {}  # image id to its index, in file order
         counts, gt_labels = [], []
         for k, rec in enumerate(_require(head, "images", "", list, line=1)):
-            image_id = str(_require(rec, "image_id", f"image {k}: "))
+            image_id = _require(rec, "image_id", f"image {k}: ", str)
             where = f"image {k} ({image_id!r}): "
             if image_id in index:
                 raise ParseError(f"{where}repeats the id of image {index[image_id]}")
@@ -399,12 +398,6 @@ def load_split(path: str | os.PathLike) -> tuple[list[str], list[str]]:
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise ParseError(f"JSON split record needs {key!r} as a list of strings")
     return rec["seen_labels"], rec["unseen_labels"]
-
-
-def save_meta_map(meta_map: Mapping[str, str], path: str | os.PathLike) -> None:
-    """Write ``class,meta`` rows; a name holding a comma or a quote is quoted."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        csv.writer(f, lineterminator="\n").writerows(meta_map.items())
 
 
 def gt_class_ids(dataset: Dataset, space: LabelSpace) -> list[np.ndarray]:

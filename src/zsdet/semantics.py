@@ -219,6 +219,12 @@ def load_meta_map(path: str | os.PathLike) -> dict[str, str]:
     return mapping
 
 
+def save_meta_map(meta_map: Mapping[str, str], path: str | os.PathLike) -> None:
+    """Write ``class,meta`` rows; a name holding a comma or a quote is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(meta_map.items())
+
+
 def build_label_space(
     seen_labels: Sequence[str],
     unseen_labels: Sequence[str],

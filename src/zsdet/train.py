@@ -23,7 +23,8 @@ import os
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -274,26 +275,20 @@ def rebalance_dataset(
     removed this way simply become background at labeling time.  Meta-classes
     are processed in id order against the working set, so every retained
     sample exists in the original dataset, though a copy made for one
-    meta-class may lose instances to a later one.  A copy of image ``x`` is
-    named ``x~r<k>``, with ``~`` appended while that id is taken.
+    meta-class may lose instances to a later one.  A copy is its source
+    record itself, so the result may repeat an image id: it is internal to
+    :func:`train` and never saved, so the unique-id rule of
+    :func:`~zsdet.data.load_dataset` does not apply to it.
     """
     if min_similar <= 0:
         return dataset
     images = list(dataset.images)
-    ids = {img.image_id for img in images}
-    n_copies = 0
     for mid in range(1, space.M + 1):
         if not space.unseen_members(mid):
             continue
         seen_m = {
             space.label_of(cid) for cid in space.members(mid) if space.is_seen(cid)
         }
-        if not seen_m:
-            warnings.warn(
-                f"meta-class {space.meta_label_of(mid)!r} has no seen members; "
-                "its unseen classes stay unsupported"
-            )
-            continue
         instances = [
             (ii, gi)
             for ii, img in enumerate(images)
@@ -303,8 +298,8 @@ def rebalance_dataset(
         count = len(instances)
         if count == 0:
             warnings.warn(
-                f"meta-class {space.meta_label_of(mid)!r} has no seen instances; "
-                "its unseen classes stay unsupported"
+                f"meta-class {space.meta_label_of(mid)!r} has no seen "
+                f"{'instances' if seen_m else 'members'}; its unseen classes stay unsupported"
             )
             continue
         if count < min_similar:
@@ -312,27 +307,18 @@ def rebalance_dataset(
             pool = sorted(pool_counts)
             while count < min_similar:
                 pick = pool[int(rng.integers(len(pool)))]
-                n_copies += 1
-                copy_id = f"{images[pick].image_id}~r{n_copies}"
-                while copy_id in ids:  # an input id may already read like a copy's
-                    copy_id += "~"
-                ids.add(copy_id)
-                images.append(replace(images[pick], image_id=copy_id))
+                images.append(images[pick])
                 count += pool_counts[pick]
         elif count > min_similar:
-            keep = set(
-                int(i) for i in rng.choice(count, size=min_similar, replace=False)
-            )
-            drop: dict[int, set[int]] = {}
-            for pos, (ii, gi) in enumerate(instances):
-                if pos not in keep:
-                    drop.setdefault(ii, set()).add(gi)
-            for ii, gone in drop.items():
+            kept = np.zeros(count, dtype=bool)
+            kept[rng.choice(count, size=min_similar, replace=False)] = True
+            # instances run in image order, so each image's dropped ones are adjacent
+            for ii, dropped in groupby(compress(instances, ~kept), key=itemgetter(0)):
                 img = images[ii]
-                kept = np.ones(len(img.gt_labels), dtype=bool)
-                kept[list(gone)] = False
-                images[ii] = replace(img, gt_labels=tuple(compress(img.gt_labels, kept)),
-                                     gt_boxes=img.gt_boxes[kept])
+                mask = np.ones(len(img.gt_labels), dtype=bool)
+                mask[[gi for _, gi in dropped]] = False
+                images[ii] = replace(img, gt_labels=tuple(compress(img.gt_labels, mask)),
+                                     gt_boxes=img.gt_boxes[mask])
     return Dataset(d_f=dataset.d_f, images=images)
 
 

@@ -319,7 +319,7 @@ def split_record(seen, unseen):
 
 COMMON_FAULTS = ["missing", "meta_drop", "meta_columns", "meta_repeat", "table_drop",
                  "table_extra", "table_non_finite"]
-FAULTS = {"split": ["missing", "meta_columns", "seed"],
+FAULTS = {"split": ["missing", "meta_columns", "seed", "exclude"],
           "train": COMMON_FAULTS + ["lr", "lambda", "epochs", "counts", "min_similar", "seed",
                                     "split_side", "split_overlap", "split_unknown", "split_json"],
           "predict": COMMON_FAULTS + ["alpha", "k", "ckpt_truncated", "ckpt_mode", "ckpt_side",
@@ -386,6 +386,11 @@ def refused_inputs(draw, command, fault):
         exact = {"epochs": "epochs must be >= 0", "counts": "proposal counts must be >= 0",
                  "min_similar": "min_similar must be >= 0",
                  "seed": f"seed must be >= 0, got {value}"}[fault]
+    elif fault == "exclude":
+        meta = draw(st.sampled_from([line.rstrip("\n").split(",")[1]
+                                     for line in text_lines("meta_map.csv")]))
+        argv = [f"--exclude={meta},{fresh}"]
+        exact = f"meta-classes missing from meta map: [{fresh!r}]"
     elif fault == "split_side":
         seen_only = draw(st.booleans())
         files["oracle.json"] = split_record(LABELS, []) if seen_only else split_record([], LABELS)

@@ -24,12 +24,11 @@ from zsdet.data import (
     load_split,
     propose_split,
     save_dataset,
-    save_meta_map,
     save_split,
 )
 from zsdet.cli import main
 from zsdet.errors import ConfigError, ParseError, ZsdetError
-from zsdet.semantics import load_meta_map, load_word_vectors
+from zsdet.semantics import load_meta_map, load_word_vectors, save_meta_map
 
 from conftest import (GroundTruth, block_file_bytes, gt_rows, make_space, read_dataset,
                       reference_synthetic, write_dataset)
@@ -308,6 +307,15 @@ class TestDatasetIO:
             load_dataset(path)
         assert str(exc.value) == (f"image 1 ('j'): ground-truth label 1 must be a string, "
                                   f"got {label!r}")
+
+    @pytest.mark.parametrize("image_id", [3, None, [1], {"a": 1}],
+                             ids=["number", "null", "list", "object"])
+    def test_image_id_that_is_not_a_string_rejected(self, tmp_path, image_id):
+        path = tmp_path / "d.jsonl"
+        write_file(path, [image("i", 0), image(image_id, 0)])
+        with pytest.raises(ParseError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == "image 1: field 'image_id' must be a str"
 
     def test_wrong_feature_length_rejected_with_line(self, tmp_path):
         # features of length 2 under a header that says 3: the blocks come up

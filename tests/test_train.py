@@ -467,19 +467,15 @@ def stats_dataset(space, counts, objects_per_image=1):
 
 @st.composite
 def rebalance_cases(draw):
-    """Small datasets of seen-class ground truths with unique image ids, some
-    of which read like the id of another image's copy (``a~r1``)."""
+    """Small datasets of seen-class ground truths with unique image ids."""
     n_seen = draw(st.integers(1, 5))
     space = make_space(n_seen, draw(st.integers(0, 3)), n_meta=draw(st.integers(1, 3)))
-    id_parts = st.tuples(st.sampled_from(["a", "b", "a~r1"]),
-                         st.sampled_from(["", "~r1", "~r2", "~"]))
-    ids = draw(st.lists(id_parts.map("".join), max_size=8, unique=True))
     images = []
-    for i, image_id in enumerate(ids):
+    for i in range(draw(st.integers(0, 8))):
         labels = tuple(draw(st.lists(st.sampled_from(space.labels[:n_seen]), max_size=4)))
         n_props = draw(st.integers(0, 3))
         images.append(ImageRecord(
-            image_id, Proposals(np.full((n_props, 2), float(i)), np.zeros((n_props, 4))),
+            f"im{i}", Proposals(np.full((n_props, 2), float(i)), np.zeros((n_props, 4))),
             labels, np.arange(4.0 * len(labels)).reshape(-1, 4) + 100 * i))
     dataset = Dataset(d_f=2, images=images)
     return space, dataset, draw(st.integers(0, 12)), draw(st.integers(0, 2**32 - 1))
@@ -504,18 +500,20 @@ class TestRebalance:
         out = rebalance_dataset(ds, space, 100, np.random.default_rng(0))
         stats = out.class_stats()
         assert stats["c1"] + stats["c2"] >= 100
-        original_ids = {img.image_id for img in ds.images}
-        kept = {img.image_id for img in out.images if "~r" not in img.image_id}
-        assert kept == original_ids  # each original appears at least once
+        # the inputs come first, each once and in order; the copies follow
+        n = len(ds.images)
+        assert all(a is b for a, b in zip(out.images, ds.images))
+        assert len(out.images) > n
 
     def test_copies_trace_back_to_originals(self):
         space = make_space(2, 1, meta_of={"c1": "m", "c2": "m", "c3": "m"})
         ds = stats_dataset(space, {"c1": 5})
         out = rebalance_dataset(ds, space, 30, np.random.default_rng(1))
-        originals = {img.image_id: img for img in ds.images}
-        for img in out.images:
-            original = originals[img.image_id.split("~r")[0]]
-            assert img.proposals is original.proposals
+        n = len(ds.images)
+        assert len(out.images) == 30
+        for img in out.images[n:]:
+            (original,) = [o for o in ds.images if o is img]
+            assert img.image_id == original.image_id
 
     def test_dropped_instances_keep_labels_and_boxes_aligned(self):
         space = make_space(2, 1, meta_of={"c1": "m", "c2": "m", "c3": "m"})
@@ -529,14 +527,15 @@ class TestRebalance:
             rows = [int(b[0]) // 20 for b in img.gt_boxes]
             assert img.gt_labels == tuple(("c1", "c2", "c1")[r] for r in rows)
 
-    def test_copy_ids_skip_taken_input_ids(self):
+    def test_copy_that_lost_nothing_is_its_source(self):
         space = make_space(2, 1, meta_of={"c1": "m", "c2": "m", "c3": "m"})
         box = np.zeros((1, 4))
         images = [ImageRecord("a", Proposals(np.ones((1, 2)), box), ("c1",), box),
-                  ImageRecord("a~r1", Proposals(np.ones((1, 2)), box), (), box[:0])]
+                  ImageRecord("b", Proposals(np.ones((1, 2)), box), (), box[:0])]
         ds = Dataset(d_f=2, images=images)
         out = rebalance_dataset(ds, space, 3, np.random.default_rng(0))
-        assert [img.image_id for img in out.images] == ["a", "a~r1", "a~r1~", "a~r2"]
+        assert len(out.images) == 4
+        assert all(img is images[0] for img in out.images[2:])
 
     def test_copy_can_lose_instances_to_a_later_meta(self):
         # m1 copies image "1" (its only c1); m2 then subsamples its pool of
@@ -550,7 +549,7 @@ class TestRebalance:
         ds = Dataset(d_f=2, images=images)
         out = rebalance_dataset(ds, space, 2, np.random.default_rng(1))
         assert [(img.image_id, img.gt_labels) for img in out.images] == [
-            ("1", ("c1", "c2")), ("11", ("c2",)), ("1~r1", ("c1",))]
+            ("1", ("c1", "c2")), ("11", ("c2",)), ("1", ("c1",))]
         assert out.images[2].proposals is images[0].proposals
 
     @pytest.mark.filterwarnings("ignore:meta-class")
@@ -566,30 +565,31 @@ class TestRebalance:
         before, inputs = snapshot(), list(ds.images)
         out = rebalance_dataset(ds, space, min_similar, np.random.default_rng(seed))
         assert snapshot() == before
-        ids = [img.image_id for img in out.images]
-        assert len(set(ids)) == len(ids)
-        by_id = {img.image_id: img for img in inputs}
         for img in out.images:
-            # an input image under its own id, or a copy under a new id
-            if img.image_id in by_id:
-                source = by_id[img.image_id]
-                assert img.proposals is source.proposals
-            else:
-                (source,) = [s for s in inputs if s.proposals is img.proposals]
-                assert img.image_id.startswith(f"{source.image_id}~r")
+            # an input image or a copy of one, under its source's id
+            (source,) = [s for s in inputs if s.proposals is img.proposals]
+            assert img.image_id == source.image_id
             # its ground truths an ordered subset of the source's, labels and
             # boxes aligned (every drawn box is distinct)
             rows = [source.gt_boxes.tolist().index(b) for b in img.gt_boxes.tolist()]
             assert rows == sorted(set(rows))
             assert img.gt_labels == tuple(source.gt_labels[r] for r in rows)
             if len(rows) == len(source.gt_labels):
-                assert img.gt_boxes is source.gt_boxes  # untouched images share arrays
+                assert img is source  # an untouched image or copy is its source
 
     def test_meta_without_seen_members_warns(self):
         space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m1", "c3": "m1", "c4": "m2"})
         ds = stats_dataset(space, {"c1": 2, "c2": 2})
         with pytest.warns(UserWarning, match="no seen members"):
             rebalance_dataset(ds, space, 10, np.random.default_rng(0))
+
+    def test_meta_without_seen_instances_warns(self):
+        space = make_space(2, 2, meta_of={"c1": "m1", "c2": "m2", "c3": "m1", "c4": "m2"})
+        ds = stats_dataset(space, {"c1": 2})
+        with pytest.warns(UserWarning) as caught:
+            rebalance_dataset(ds, space, 1, np.random.default_rng(0))
+        assert [str(w.message) for w in caught] == [
+            "meta-class 'm2' has no seen instances; its unseen classes stay unsupported"]
 
 
 def toy_bundle(seed=0, **overrides):
