@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, fields
 from functools import cache
 from pathlib import Path
@@ -41,7 +42,7 @@ from .evaluation import (
     report_to_dict,
 )
 from .infer import Detections, check_k, conse_detect, detect, dump_detections, tag_image
-from .model import Model, load_checkpoint, modified_embeddings, save_checkpoint
+from .model import MODES, Model, load_checkpoint, modified_embeddings, save_checkpoint
 from .semantics import (
     LabelSpace,
     build_label_space,
@@ -192,24 +193,23 @@ def cmd_eval(args) -> int:
                           "so T1-T4 have no class to score")
     tasks = list(TASKS) if args.task == "all" else [args.task]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    text_blocks = []
-    # each kind of model output is computed once, when a task first needs it
+    # each kind of model output is computed once, when a task first needs it;
+    # every report is made before the directory is, so a refused run writes none
     detections = cache(lambda: _detections_for(model, dataset, args))
     tags = cache(lambda: ([img.image_id for img in dataset.images], np.reshape(
         [tag_image(model, img.proposals) for img in dataset.images], (-1, model.n_unseen))))
-    for task in tasks:
-        model_outputs = detections() if task in ("T1", "T2") else tags()
-        report = evaluate(model_outputs, gts, space, task)
-        report_path = out / f"report_{task}.json"
+    reports = [evaluate(detections() if task in ("T1", "T2") else tags(), gts, space, task)
+               for task in tasks]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    for report in reports:
+        report_path = out / f"report_{report.task}.json"
         with open(report_path, "w", encoding="utf-8") as f:
             json.dump(report_to_dict(report), f, indent=2)
             f.write("\n")
         outputs.append(report_path.name)
-        text_blocks.append(render_report(report))
-    text = "\n\n".join(text_blocks) + "\n"
+    text = "\n\n".join(map(render_report, reports)) + "\n"
     with open(out / "report.txt", "w", encoding="utf-8") as f:
         f.write(text)
     outputs.append("report.txt")
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--lambda", dest="lam", type=float, help="margin/clustering mixing weight")
-    p.add_argument("--mode", choices=("full", "seen_only"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--n-pos", type=int)
@@ -337,14 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` for the CLI: the message alone, as a ``warning:`` line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ZsdetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ZsdetError, OSError, MemoryError) as exc:  # numpy's MemoryError names the array
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

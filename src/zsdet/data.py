@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .codec import read_blocks, read_header, read_utf8, write_blocks
-from .errors import ConfigError, ParseError, check_seed
+from .errors import ConfigError, ParseError, allocating, check_seed
 from .semantics import EmbeddingTable, LabelSpace, _readonly
 
 CANVAS = 256.0
@@ -140,7 +140,8 @@ def _make_image(
     # into its row; in-place arithmetic over the block then gives the values
     # of ``rng.uniform(lo, hi)``, which is ``lo + (hi - lo) * random()``
     gt_boxes = _CELLS[rng.choice(GRID * GRID, size=class_ids.size, replace=False)]
-    features = np.empty((cfg.proposals_per_image, cfg.d_f))
+    with allocating(f"a ({cfg.proposals_per_image}, {cfg.d_f}) proposal feature block"):
+        features = np.empty((cfg.proposals_per_image, cfg.d_f))
     boxes = np.empty((cfg.proposals_per_image, 4))
     k = class_ids.size
     for feature, box in zip(features[:k], boxes[:k]):
@@ -182,7 +183,8 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
     meta_labels = tuple(f"meta{j:02d}" for j in range(1, cfg.m + 1))
     meta_map = {labels[i]: meta_labels[i % cfg.m] for i in range(n_classes)}
 
-    centroids = rng.standard_normal((cfg.d, cfg.m))
+    with allocating(f"a ({cfg.d}, {cfg.m}) meta centroid block"):
+        centroids = rng.standard_normal((cfg.d, cfg.m))
     centroids /= np.linalg.norm(centroids, axis=0)
     raw = np.empty((cfg.d, n_classes))
     for i in range(n_classes):
@@ -192,7 +194,8 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticBundle:
     background = _readonly(raw.mean(axis=1))
     table = EmbeddingTable(labels=labels, vectors=vectors, background=background)
 
-    g_map = rng.standard_normal((cfg.d_f, cfg.d)) / np.sqrt(cfg.d)
+    with allocating(f"a ({cfg.d_f}, {cfg.d}) feature map"):
+        g_map = rng.standard_normal((cfg.d_f, cfg.d)) / np.sqrt(cfg.d)
     bg_scale = float(
         np.sqrt(np.mean(np.linalg.norm(g_map @ vectors, axis=0) ** 2)) / np.sqrt(cfg.d_f)
     )

@@ -6,6 +6,7 @@ sample index).
 """
 
 import math
+from contextlib import contextmanager
 
 
 class ZsdetError(Exception):
@@ -46,3 +47,14 @@ def check_seed(value: int) -> None:
     """Raise :class:`ConfigError` unless ``value`` is a usable random seed (>= 0)."""
     if value < 0:
         raise ConfigError(f"seed must be >= 0, got {value}")
+
+
+@contextmanager
+def allocating(what: str):
+    """Raise :class:`ConfigError` "<what> cannot be allocated" where numpy
+    cannot shape an array (ValueError: a dimension past its index range) or
+    cannot allocate it (MemoryError)."""
+    try:
+        yield
+    except (ValueError, MemoryError):
+        raise ConfigError(f"{what} cannot be allocated") from None

@@ -38,13 +38,13 @@ if TYPE_CHECKING:
 # The IoU at or above which a detection matches a ground truth (the reference
 # protocol's).
 EVAL_IOU = 0.5
-TASKS = ("T1", "T2", "T3", "T4")
 TASK_NAMES = {
     "T1": "ZSD",
     "T2": "ZSMD",
     "T3": "ZST",
     "T4": "ZSMT",
 }
+TASKS = tuple(TASK_NAMES)
 
 
 @dataclass(frozen=True)

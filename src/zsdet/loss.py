@@ -165,9 +165,12 @@ def _class_terms(
 
 
 def smooth_l1(x: np.ndarray) -> np.ndarray:
-    """Elementwise smooth-L1 with transition point 1.0."""
+    """Elementwise smooth-L1 with transition point 1.0: ``0.5 x^2`` below it,
+    ``|x| - 0.5`` above, as ``m (|x| - 0.5 m)`` with ``m = min(|x|, 1)``, so a
+    huge ``x`` squares nothing and cannot overflow."""
     ax = np.abs(x)
-    return np.where(ax < 1.0, 0.5 * x * x, ax - 0.5)
+    m = np.minimum(ax, 1.0)
+    return m * (ax - 0.5 * m)
 
 
 def _first_bad_row(a: np.ndarray) -> int:
@@ -202,8 +205,10 @@ def loss_gradients(model: Model, batch: RegionBatch, space: LabelSpace,
         raise ConfigError(
             f"target {y} is an unseen class; unseen classes are never supervised"
             if space.is_unseen(y) else f"target {y} outside the extended label set")
-    scores = forward_scores(model, feats)
-    offsets = forward_boxes(model, feats)
+    # an overflow is refused below, as a non-finite score or gradient, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = forward_scores(model, feats)
+        offsets = forward_boxes(model, feats)
 
     if not np.isfinite(scores).all():
         raise NumericFailureError("non-finite score", sample_index=_first_bad_row(scores))

@@ -246,17 +246,14 @@ def build_label_space(
     if missing:
         raise ConfigError(f"classes missing from meta map: {missing}")
 
-    meta_order: list[str] = []
-    for meta in meta_map.values():
-        if meta not in meta_order:
-            meta_order.append(meta)
+    meta_order = tuple(dict.fromkeys(meta_map.values()))
     meta_ids = {m: i + 1 for i, m in enumerate(meta_order)}
 
     meta_of = tuple(meta_ids[meta_map[l]] for l in labels) + (len(meta_order) + 1,)
     return LabelSpace(
         labels=labels,
         S=len(seen_labels),
-        meta_labels=tuple(meta_order),
+        meta_labels=meta_order,
         _meta_of=meta_of,
     )
 

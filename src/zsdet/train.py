@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, Proposals, gt_class_ids
-from .errors import ConfigError, NumericFailureError, check_seed
+from .errors import ConfigError, NumericFailureError, allocating, check_seed
 from .evaluation import iou_matrix
 from .loss import loss_gradients
 from .model import MODES, Model, RegionBatch, encode_boxes, init_model
@@ -357,17 +357,14 @@ def train(
     rng = np.random.default_rng([config.seed, 2])
     # a row for every image of every epoch, the most steps there can be (an
     # empty batch takes none); a large block's unwritten pages stay unmapped
-    try:
+    with allocating(f"a loss history of {config.epochs} epochs x {len(labeled)} images"):
         history = np.empty((config.epochs * len(labeled), 5))
-    except (ValueError, MemoryError):
-        raise ConfigError(f"a loss history of {config.epochs} epochs x {len(labeled)} images "
-                          "cannot be allocated") from None
     step = 0
     for _ in range(config.epochs):
         for rows in labeled:
-            try:
+            try:  # a bare try: this runs every step, where ``allocating`` adds two calls
                 batch = compose_batch(rows, config.n_pos, config.n_neg, rng, space.bg_id)
-            except MemoryError:
+            except (ValueError, MemoryError):
                 raise ConfigError(f"a batch of n_pos {config.n_pos} + n_neg {config.n_neg} rows "
                                   "cannot be allocated") from None
             if not batch:

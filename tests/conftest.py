@@ -1,4 +1,5 @@
-"""Shared builders for small hand-constructed instances."""
+"""Shared builders for small hand-constructed instances, and the argument
+lists that drive each pipeline stage through the CLI."""
 
 import base64
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import zsdet.train
+from zsdet.cli import main
 from zsdet.data import (CANVAS, GRID, META_SPREAD, MIN_BG_BOX, NOISE_SIGMA, Dataset,
                         ImageRecord, Proposals, SyntheticBundle)
 from zsdet.evaluation import average_precision
@@ -21,6 +23,42 @@ from zsdet.infer import Detections
 from zsdet.loss import LossBreakdown, _class_terms
 from zsdet.model import Model, init_model
 from zsdet.semantics import EmbeddingTable, build_label_space, finalize_embeddings
+
+
+def run(*argv):
+    """``zsdet.cli.main`` on ``argv``, each argument as its ``str``."""
+    return main([str(a) for a in argv])
+
+
+def stage_args(command, **flags):
+    """``[command, "--flag", value, ...]``, a flag per keyword with its
+    underscores as dashes: ``n_pos=4`` is ``--n-pos 4``, and
+    ``**{"lambda": 1.0}`` is ``--lambda 1.0``."""
+    argv = [command]
+    for key, value in flags.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    return argv
+
+
+def train_args(synth_dir, out, /, **flags):
+    """``zsdet train`` on a synth directory's word vectors, meta map, oracle
+    split and train set, writing the checkpoint ``out``; a keyword adds a
+    flag or replaces one of these (``split=``, ``data=``)."""
+    return stage_args("train", **{
+        "embeddings": synth_dir / "embeddings.txt", "meta_map": synth_dir / "meta_map.csv",
+        "split": synth_dir / "oracle.json", "data": synth_dir / "train.jsonl", "out": out,
+    } | flags)
+
+
+def model_args(command, synth_dir, ckpt, /, **flags):
+    """``zsdet predict``, ``eval`` or ``export-embeddings`` on the checkpoint
+    ``ckpt`` and a synth directory's word vectors; ``predict`` and ``eval``
+    also read its meta map and, unless ``data=`` names another, its test
+    set.  A keyword adds a flag or replaces one of these."""
+    base = {"checkpoint": ckpt, "embeddings": synth_dir / "embeddings.txt"}
+    if command != "export-embeddings":
+        base |= {"meta_map": synth_dir / "meta_map.csv", "data": synth_dir / "test.jsonl"}
+    return stage_args(command, **(base | flags))
 
 
 def make_table(vectors, labels=None):

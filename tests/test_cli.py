@@ -19,8 +19,8 @@ import zsdet.errors
 import zsdet.train
 from zsdet.cli import build_parser, main
 from zsdet.data import SynthConfig, generate_synthetic, load_split, save_dataset
-from zsdet.evaluation import TASKS
-from zsdet.model import load_checkpoint, save_checkpoint
+from zsdet.evaluation import TASK_NAMES, TASKS
+from zsdet.model import MODES, load_checkpoint, save_checkpoint
 from zsdet.semantics import load_word_vectors
 from zsdet.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FG_IOU
 
@@ -30,45 +30,55 @@ from conftest import (
     block_file_bytes,
     column,
     legacy_checkpoint_bytes,
+    model_args,
     read_checkpoint,
     read_dataset,
+    run,
+    stage_args,
+    train_args,
     write_checkpoint,
     write_dataset,
 )
 
 SYNTH_FILES = ["embeddings.txt", "meta_map.csv", "train.jsonl", "test.jsonl", "oracle.json"]
+QUICK_TRAIN = {"epochs": 2, "lr": 1e-3, "n_pos": 4, "n_neg": 4, "min_similar": 0}
+# numpy asks for a 10**12-row float64 array at once and is refused, unless
+# the kernel grants any allocation (overcommit mode 1) and lets it be filled
+OVERCOMMIT = Path("/proc/sys/vm/overcommit_memory")
+TERA = pytest.mark.skipif(OVERCOMMIT.is_file() and OVERCOMMIT.read_text().strip() == "1",
+                          reason="the kernel grants any allocation")
 
 
-def run(*argv):
-    return main([str(a) for a in argv])
+def synth_args(out, seed=0, **flags):
+    """``zsdet synth`` of the tests' small instance (6 seen, 2 unseen) into ``out``."""
+    return stage_args("synth", **{"out": out, "seed": seed, "s": 6, "u": 2, "m": 2, "d": 6,
+                                  "d_f": 6, "images": 12, "test_images": 6,
+                                  "proposals_per_image": 8} | flags)
 
 
 def synth(tmp_path, name="data", seed=0, **extra):
     out = tmp_path / name
-    args = ["synth", "--out", out, "--seed", seed, "--s", 6, "--u", 2, "--m", 2,
-            "--d", 6, "--d-f", 6, "--images", 12, "--test-images", 6,
-            "--proposals-per-image", 8]
-    for key, value in extra.items():
-        args += [f"--{key.replace('_', '-')}", value]
-    assert run(*args) == 0
+    assert run(*synth_args(out, seed, **extra)) == 0
     return out
 
 
-def quick_train(tmp_path, data, name="ckpt.json", code=0, **extra):
+def quick_train(tmp_path, data, /, name="ckpt.json", code=0, **extra):
     out = tmp_path / name
-    args = [
-        "train", "--embeddings", data / "embeddings.txt", "--meta-map", data / "meta_map.csv",
-        "--split", data / "oracle.json", "--data", data / "train.jsonl", "--out", out,
-        "--epochs", 2, "--lr", 1e-3, "--n-pos", 4, "--n-neg", 4, "--min-similar", 0,
-    ]
-    for key, value in extra.items():
-        args += [f"--{key.replace('_', '-')}", value]
-    assert run(*args) == code
+    assert run(*train_args(data, out, **QUICK_TRAIN | extra)) == code
     return out
 
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def zsdet_process(*argv):
+    """``python -m zsdet.cli`` in a process of its own, so that its stderr
+    holds every warning it prints (pytest captures them apart)."""
+    src = str(Path(zsdet.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "zsdet.cli", *map(str, argv)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
 
 
 class TestSynthCommand:
@@ -91,6 +101,12 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("knob, message", [
         (("--seed", "-1"), "seed must be >= 0, got -1"),
+        *[pytest.param((flag, str(n)), f"a ({n}, {m}) {what} cannot be allocated",
+                       marks=TERA if n == 10**12 else ())
+          # 10**19 rows is past what numpy can shape at all
+          for n in (10**12, 10**19)
+          for flag, m, what in (("--d", 5, "meta centroid block"), ("--d-f", 16, "feature map"),
+                                ("--proposals-per-image", 16, "proposal feature block"))],
     ])
     def test_unusable_float_or_seed_exits_2_and_writes_nothing(
             self, tmp_path, capsys, knob, message):
@@ -196,13 +212,28 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag", ["epochs", "n_pos", "n_neg"])
     def test_size_that_cannot_be_allocated_exits_2(self, tmp_path, capsys, flag):
         # the loss history (epochs) or the first batch (n_pos, n_neg) fails
-        # to allocate at once, before anything is written
+        # to allocate at once, before anything is written; numpy cannot even
+        # shape it at 10**19
         data = synth(tmp_path)
+        for value in (10**18, 10**19):
+            capsys.readouterr()
+            quick_train(tmp_path, data, code=2, **{flag: value})
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.endswith(" cannot be allocated\n"), err
+            assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+    @TERA
+    def test_feature_length_that_cannot_be_allocated_exits_2(self, tmp_path, capsys):
+        # a valid dataset whose one image has no proposal: only W1 is d_f rows
+        data = synth(tmp_path)
+        big = tmp_path / "big.jsonl"
+        big.write_bytes(block_file_bytes(
+            {"d_f": 10**12, "images": [{"image_id": "x", "proposals": 0, "gt_labels": []}]}, ()))
         capsys.readouterr()
-        quick_train(tmp_path, data, code=2, **{flag: 10**18})
+        quick_train(tmp_path, data, code=2, data=big)
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith(" cannot be allocated\n"), err
-        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+        assert err.startswith("error: ") and "(1000000000000, 6)" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.jsonl", "data"]
 
     def test_run_without_steps_reports_its_epochs(self, tmp_path, capsys):
         data = synth(tmp_path)
@@ -234,17 +265,11 @@ class TestImportCost:
             "print(code, sorted(ma() - before))\n"
         )
         data, ckpt = tmp_path / "data", tmp_path / "ckpt.json"
-        model = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                 "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                 "--alpha", 0]
         stages = [
-            ["synth", "--out", data, "--seed", 0, "--s", 6, "--u", 2, "--m", 2, "--d", 6,
-             "--d-f", 6, "--images", 12, "--test-images", 6, "--proposals-per-image", 8],
-            ["train", "--embeddings", data / "embeddings.txt", "--meta-map", data / "meta_map.csv",
-             "--split", data / "oracle.json", "--data", data / "train.jsonl", "--out", ckpt,
-             "--epochs", 2, "--lr", 1e-3, "--n-pos", 4, "--n-neg", 4, "--min-similar", 4],
-            ["predict", *model, "--out", tmp_path / "dets.jsonl"],
-            ["eval", *model, "--task", "all", "--out", tmp_path / "reports"],
+            synth_args(data),
+            train_args(data, ckpt, **QUICK_TRAIN | {"min_similar": 4}),
+            model_args("predict", data, ckpt, alpha=0, out=tmp_path / "dets.jsonl"),
+            model_args("eval", data, ckpt, alpha=0, task="all", out=tmp_path / "reports"),
         ]
         src = str(Path(zsdet.__file__).resolve().parent.parent)
         for argv in stages:
@@ -285,6 +310,14 @@ class TestPackageSurface:
         assert {"Model", "ImageRecord", "Dataset", "SyntheticBundle", "DetectionReport",
                 "AuditResult"} <= frozen
 
+    def test_choice_lists_are_the_library_constants(self):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        choices = {(name, a.dest): a.choices for name, sub in commands.items()
+                   for a in sub._actions if a.choices}
+        assert choices[("train", "mode")] is MODES
+        assert choices[("eval", "task")] == (*TASKS, "all") and TASKS == tuple(TASK_NAMES)
+
     def test_every_subcommand_has_exactly_its_flags(self):
         # a new or returning knob has to be added here on purpose
         parser = build_parser()
@@ -317,9 +350,7 @@ class TestPredictAndEval:
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         out = tmp_path / "dets.jsonl"
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--alpha", 0.1, "--out", out) == 0
+        assert run(*model_args("predict", data, ckpt, alpha=0.1, out=out)) == 0
         for line in out.read_text().splitlines():
             rec = json.loads(line)
             assert set(rec) == {"image_id", "label", "score", "box"}
@@ -328,9 +359,7 @@ class TestPredictAndEval:
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         out = tmp_path / "reports"
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--task", "all", "--alpha", 0.1, "--out", out) == 0
+        assert run(*model_args("eval", data, ckpt, task="all", alpha=0.1, out=out)) == 0
         for task in ("T1", "T2", "T3", "T4"):
             report = json.loads((out / f"report_{task}.json").read_text())
             assert set(report) == {"task", "task_name", "mean_ap", "per_class", "meta"}
@@ -347,10 +376,8 @@ class TestPredictAndEval:
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         monkeypatch.chdir(tmp_path)
-        common = ["--embeddings", data / "embeddings.txt", "--meta-map", data / "meta_map.csv",
-                  "--data", data / "test.jsonl", "--task", "all", "--alpha", 0.1]
-        assert run("eval", "--checkpoint", ckpt.name, *common, "--out", "rel") == 0
-        assert run("eval", "--checkpoint", ckpt.resolve(), *common, "--out", "abs") == 0
+        for checkpoint, out in ((ckpt.name, "rel"), (ckpt.resolve(), "abs")):
+            assert run(*model_args("eval", data, checkpoint, task="all", alpha=0.1, out=out)) == 0
         for task in TASKS:
             name = f"report_{task}.json"
             assert (tmp_path / "rel" / name).read_bytes() == (tmp_path / "abs" / name).read_bytes()
@@ -363,10 +390,8 @@ class TestPredictAndEval:
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data, mode="seen_only", **{"lambda": 1.0})
         out = tmp_path / "reports"
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--task", "T1", "--inference", "conse", "--k", 3, "--alpha", 0.1,
-                   "--out", out) == 0
+        assert run(*model_args("eval", data, ckpt, task="T1", inference="conse", k=3, alpha=0.1,
+                               out=out)) == 0
         assert (out / "report_T1.json").exists()
         assert not (out / "report_T2.json").exists()
 
@@ -374,10 +399,8 @@ class TestPredictAndEval:
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data, mode="seen_only", **{"lambda": 1.0})
         out = tmp_path / "reports"
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--task", "T1", "--inference", "san", "--alpha", 0.1,
-                   "--out", out) == 0
+        assert run(*model_args("eval", data, ckpt, task="T1", inference="san", alpha=0.1,
+                               out=out)) == 0
         assert "seen-only checkpoint" in capsys.readouterr().err
 
     def test_predict_and_eval_read_checkpoint_once(self, tmp_path, monkeypatch):
@@ -391,10 +414,8 @@ class TestPredictAndEval:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
-        common = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                  "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl"]
-        for argv in (["predict", *common, "--out", tmp_path / "dets.jsonl"],
-                     ["eval", *common, "--task", "T1", "--out", tmp_path / "reports"]):
+        for argv in (model_args("predict", data, ckpt, out=tmp_path / "dets.jsonl"),
+                     model_args("eval", data, ckpt, task="T1", out=tmp_path / "reports")):
             opened.clear()
             assert run(*argv) == 0
             assert opened.count(str(ckpt)) == 1, argv[0]
@@ -466,8 +487,7 @@ class TestExportEmbeddings:
         model = replace(model, w1=np.eye(model.d_f))
         save_checkpoint(model, ckpt)
         out = tmp_path / "mod.txt"
-        assert run("export-embeddings", "--checkpoint", ckpt, "--embeddings",
-                   data / "embeddings.txt", "--out", out) == 0
+        assert run(*model_args("export-embeddings", data, ckpt, out=out)) == 0
         exported = load_word_vectors(out)
         assert exported.labels == model.labels
         for label in exported.labels:
@@ -479,16 +499,15 @@ class TestExportEmbeddings:
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         out = tmp_path / "mod.txt"
-        assert run("export-embeddings", "--checkpoint", ckpt, "--embeddings",
-                   data / "embeddings.txt", "--out", out) == 0
+        assert run(*model_args("export-embeddings", data, ckpt, out=out)) == 0
         assert len(out.read_text().strip().splitlines()) == 8  # C = s + u
 
 
 class TestExitCodes:
     def test_missing_file_is_config_error(self, tmp_path, capsys):
-        assert run("train", "--embeddings", tmp_path / "missing.txt",
-                   "--meta-map", tmp_path / "m.csv", "--split", tmp_path / "s.txt",
-                   "--data", tmp_path / "d.jsonl", "--out", tmp_path / "o.json") == 2
+        assert run(*train_args(tmp_path, tmp_path / "o.json", embeddings=tmp_path / "missing.txt",
+                               meta_map=tmp_path / "m.csv", split=tmp_path / "s.txt",
+                               data=tmp_path / "d.jsonl")) == 2
 
     @pytest.mark.parametrize("damage", ["missing_w1", "truncated", "list_w1", "base64_w1",
                                         "no_newline", "header_list", "trailing_byte",
@@ -524,12 +543,10 @@ class TestExitCodes:
         else:
             ckpt.write_bytes(raw[: len(raw) // 2])
         capsys.readouterr()
-        common = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt"]
-        inputs = ["--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl"]
         for argv in (
-            ["predict", *common, *inputs, "--out", tmp_path / "dets.jsonl"],
-            ["eval", *common, *inputs, "--task", "all", "--out", tmp_path / "reports"],
-            ["export-embeddings", *common, "--out", tmp_path / "mod.txt"],
+            model_args("predict", data, ckpt, out=tmp_path / "dets.jsonl"),
+            model_args("eval", data, ckpt, task="all", out=tmp_path / "reports"),
+            model_args("export-embeddings", data, ckpt, out=tmp_path / "mod.txt"),
         ):
             assert run(*argv) == 2, argv[0]
             err = capsys.readouterr().err
@@ -591,9 +608,7 @@ class TestExitCodes:
         split = tmp_path / "split.json"
         split.write_text('{"seen_labels": [')
         capsys.readouterr()
-        assert run("train", "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--split", split,
-                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
+        assert run(*train_args(data, tmp_path / "o.json", split=split)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("damage", [
@@ -636,9 +651,7 @@ class TestExitCodes:
             bad.write_bytes(bad.read_bytes()[:-8])
             named = "dataset holds "
         capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", bad,
-                   "--out", tmp_path / "dets.jsonl") == 2
+        assert run(*model_args("predict", data, ckpt, data=bad, out=tmp_path / "dets.jsonl")) == 2
         assert capsys.readouterr().err.startswith("error: " + named)
 
     def test_repeated_image_id_exits_2(self, tmp_path, capsys):
@@ -651,9 +664,7 @@ class TestExitCodes:
                       np.concatenate([boxes, boxes[8:16]]),
                       np.concatenate([gt_boxes, gt_boxes[2:4]]))
         capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", bad,
-                   "--out", tmp_path / "dets.jsonl") == 2
+        assert run(*model_args("predict", data, ckpt, data=bad, out=tmp_path / "dets.jsonl")) == 2
         assert capsys.readouterr().err == (f"error: image {len(head['images']) - 1} "
                                            "('test0001'): repeats the id of image 1\n")
 
@@ -670,9 +681,7 @@ class TestExitCodes:
         old = tmp_path / "old.jsonl"
         old.write_bytes(block_file_bytes(head, (features, boxes)))
         capsys.readouterr()
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", old,
-                   "--out", tmp_path / "reports") == 2
+        assert run(*model_args("eval", data, ckpt, data=old, out=tmp_path / "reports")) == 2
         assert capsys.readouterr().err == "error: image 0 ('test0000'): missing field 'gt_labels'\n"
 
     @pytest.mark.parametrize("name", ["embeddings.txt", "meta_map.csv", "oracle.json",
@@ -688,9 +697,7 @@ class TestExitCodes:
             path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
             expected = "is not UTF-8 text"
         capsys.readouterr()
-        assert run("train", "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--split", data / "oracle.json",
-                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
+        assert run(*train_args(data, tmp_path / "o.json")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert expected in err
@@ -701,10 +708,8 @@ class TestExitCodes:
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
         capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--inference", inference, "--k", 3, "--alpha", alpha,
-                   "--out", tmp_path / "dets.jsonl") == 2
+        assert run(*model_args("predict", data, ckpt, inference=inference, k=3, alpha=alpha,
+                               out=tmp_path / "dets.jsonl")) == 2
         assert capsys.readouterr().err.startswith("error: alpha must be a finite number")
 
     def test_embeddings_averaging_to_zero_exit_2(self, tmp_path, capsys):
@@ -718,11 +723,20 @@ class TestExitCodes:
         (data / "embeddings.txt").write_text(
             "".join(f"{label} {' '.join(map(str, v))}\n" for label, v in zip(labels, vectors)))
         capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--alpha", 0.0, "--out", tmp_path / "dets.jsonl") == 2
+        assert run(*model_args("predict", data, ckpt, alpha=0.0, out=tmp_path / "dets.jsonl")) == 2
         assert "background has zero norm" in capsys.readouterr().err
         assert not (tmp_path / "dets.jsonl").exists()
+
+    @pytest.mark.parametrize("task", ["all", "T3"])
+    def test_eval_refused_while_scoring_writes_no_report_directory(self, tmp_path, capsys, task):
+        data, short = synth(tmp_path), synth(tmp_path, "short", d_f=5)
+        ckpt = quick_train(tmp_path, data)
+        out = tmp_path / "reports"
+        capsys.readouterr()
+        assert run(*model_args("eval", data, ckpt, data=short / "test.jsonl", task=task,
+                               out=out)) == 2
+        assert capsys.readouterr().err == "error: feature length 5 != d_f 6\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("task", ["T3", "T4"])
     @pytest.mark.parametrize("knob", [
@@ -740,9 +754,8 @@ class TestExitCodes:
 
         monkeypatch.setattr("zsdet.cli.tag_image", never)
         capsys.readouterr()
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--task", task, *knob[0], "--out", tmp_path / "reports") == 2
+        assert run(*model_args("eval", data, ckpt, task=task, out=tmp_path / "reports"),
+                   *knob[0]) == 2
         assert capsys.readouterr().err.startswith(f"error: {knob[1]}")
         assert not (tmp_path / "reports").exists()
 
@@ -758,9 +771,8 @@ class TestExitCodes:
         header_only = tmp_path / "header.jsonl"
         write_dataset(header_only, head | {"images": []}, features[:0], boxes[:0], gt_boxes[:0])
         capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", header_only, *knob,
-                   "--out", tmp_path / "dets.jsonl") == 2
+        assert run(*model_args("predict", data, ckpt, data=header_only,
+                               out=tmp_path / "dets.jsonl"), *knob) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "dets.jsonl").exists()
 
@@ -777,9 +789,7 @@ class TestExitCodes:
             "unseen_labels": oracle["unseen_labels"],
         }))
         capsys.readouterr()
-        assert run("train", "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--split", split,
-                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
+        assert run(*train_args(data, tmp_path / "o.json", split=split)) == 2
         assert capsys.readouterr().err.startswith(
             "error: ground-truth label 'class006' in image train")
         assert not (tmp_path / "o.json").exists()
@@ -791,12 +801,7 @@ class TestExitCodes:
         data = synth(tmp_path, proposals_per_image=4)
         head = read_dataset(data / "test.jsonl")[0]
         first = head["images"][0]
-        src = str(Path(zsdet.__file__).resolve().parent.parent)
-        out = subprocess.run(
-            [sys.executable, "-m", "zsdet.cli", "train", "--embeddings", data / "embeddings.txt",
-             "--meta-map", data / "meta_map.csv", "--split", data / "oracle.json",
-             "--data", data / "test.jsonl", "--out", tmp_path / "o.json"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        out = zsdet_process(*train_args(data, tmp_path / "o.json", data=data / "test.jsonl"))
         assert out.returncode == 2
         assert out.stderr == (f"error: train dataset leaks unseen class "
                               f"{first['gt_labels'][0]!r} in image {first['image_id']}\n")
@@ -810,9 +815,7 @@ class TestExitCodes:
         rec["gt_labels"][-1] = "no_such_class"
         write_dataset(data / "test.jsonl", head, features, boxes, gt_boxes)
         capsys.readouterr()
-        assert run("eval", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--out", tmp_path / "reports") == 2
+        assert run(*model_args("eval", data, ckpt, out=tmp_path / "reports")) == 2
         assert capsys.readouterr().err == (f"error: ground-truth label 'no_such_class' in image "
                                            f"{rec['image_id']} not in label space\n")
 
@@ -821,9 +824,9 @@ class TestExitCodes:
         # the train set holds seen classes only; predict needs no ground truth
         data = synth(tmp_path)
         ckpt = quick_train(tmp_path, data)
-        model = ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                 "--meta-map", data / "meta_map.csv", "--data", data / "train.jsonl"]
-        assert run("predict", *model, "--out", tmp_path / "dets.jsonl") == 0
+        train_set = data / "train.jsonl"
+        assert run(*model_args("predict", data, ckpt, data=train_set,
+                               out=tmp_path / "dets.jsonl")) == 0
 
         def never(*args, **kwargs):
             raise AssertionError("scored an image of a set without unseen ground truth")
@@ -832,7 +835,7 @@ class TestExitCodes:
             monkeypatch.setattr(f"zsdet.cli.{name}", never)
         capsys.readouterr()
         out = tmp_path / "reports"
-        assert run("eval", *model, "--out", out) == 2
+        assert run(*model_args("eval", data, ckpt, data=train_set, out=out)) == 2
         assert capsys.readouterr().err == ("error: the test set holds no ground truth of an "
                                            "unseen class, so T1-T4 have no class to score\n")
         assert not out.exists()
@@ -875,9 +878,7 @@ class TestExitCodes:
             monkeypatch.setattr(f"zsdet.cli.{name}", never)
         capsys.readouterr()
         out = tmp_path / ("dets.jsonl" if command == "predict" else "reports")
-        assert run(command, "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--inference", inference, "--k", 1, "--out", out) == 2
+        assert run(*model_args(command, data, ckpt, inference=inference, k=1, out=out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the checkpoint needs at least one seen and one unseen")
         assert counts in err
@@ -892,9 +893,7 @@ class TestExitCodes:
         lines[6] = " ".join([parts[0], token, *parts[2:]])
         (data / "embeddings.txt").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", data / "test.jsonl",
-                   "--alpha", 0.0, "--out", tmp_path / "dets.jsonl") == 2
+        assert run(*model_args("predict", data, ckpt, alpha=0.0, out=tmp_path / "dets.jsonl")) == 2
         assert capsys.readouterr().err.startswith(
             f"error: line 7: record {parts[0]!r} has a non-finite component")
         assert not (tmp_path / "dets.jsonl").exists()
@@ -907,9 +906,7 @@ class TestExitCodes:
         split = tmp_path / "split.json"
         split.write_text(json.dumps(record))
         capsys.readouterr()
-        assert run("train", "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--split", split,
-                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json") == 2
+        assert run(*train_args(data, tmp_path / "o.json", split=split)) == 2
         assert capsys.readouterr().err.startswith(
             "error: JSON split record needs 'seen_labels' as a list of strings")
 
@@ -924,10 +921,7 @@ class TestExitCodes:
     def test_non_finite_train_knob_exits_2(self, tmp_path, capsys, knob):
         data = synth(tmp_path)
         capsys.readouterr()
-        assert run("train", "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--split", data / "oracle.json",
-                   "--data", data / "train.jsonl", "--out", tmp_path / "o.json",
-                   *knob) == 2
+        assert run(*train_args(data, tmp_path / "o.json"), *knob) == 2
         assert capsys.readouterr().err.startswith(f"error: {knob[0][2:]} must be")
 
     def test_conse_k_out_of_range_exits_2_on_all_zero_features(self, tmp_path, capsys):
@@ -937,12 +931,53 @@ class TestExitCodes:
         zeros = tmp_path / "zeros.jsonl"
         write_dataset(zeros, head, np.zeros_like(features), boxes, gt_boxes)
         capsys.readouterr()
-        assert run("predict", "--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-                   "--meta-map", data / "meta_map.csv", "--data", zeros,
-                   "--inference", "conse", "--k", 0, "--out", tmp_path / "dets.jsonl") == 2
+        assert run(*model_args("predict", data, ckpt, data=zeros, inference="conse", k=0,
+                               out=tmp_path / "dets.jsonl")) == 2
         assert capsys.readouterr().err.startswith("error: K must be in 1..")
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["train"])  # missing required args
         assert exc.value.code == 2
+
+
+class TestStderr:
+    """A run's stderr holds its ``error:`` and ``warning:`` lines only."""
+
+    @staticmethod
+    def lonely_meta_map(tmp_path, data):
+        """``data``'s meta map with its first unseen class alone in 'lonely'."""
+        unseen = json.loads((data / "oracle.json").read_text())["unseen_labels"][0]
+        rows = (data / "meta_map.csv").read_text().splitlines()
+        path = tmp_path / "lonely.csv"
+        path.write_text("".join((f"{unseen},lonely" if row.split(",")[0] == unseen else row)
+                                + "\n" for row in rows))
+        return path
+
+    def test_rebalance_warning_is_one_line(self, tmp_path):
+        data = synth(tmp_path)
+        out = zsdet_process(*train_args(data, tmp_path / "ckpt.json",
+                                        meta_map=self.lonely_meta_map(tmp_path, data),
+                                        **QUICK_TRAIN | {"min_similar": 4}))
+        assert (out.returncode, out.stderr) == (0, "warning: meta-class 'lonely' has no seen "
+                                                   "members; its unseen classes stay unsupported\n")
+
+    def test_split_warning_is_one_line(self, tmp_path):
+        data = synth(tmp_path)
+        out = zsdet_process("split", "--data", data / "train.jsonl",
+                            "--meta-map", self.lonely_meta_map(tmp_path, data),
+                            "--out", tmp_path / "split.json")
+        assert (out.returncode, out.stderr) == (0, "warning: meta-class 'lonely' has fewer than "
+                                                   "two members; no unseen pick\n")
+
+    def test_overflowing_step_prints_only_its_error(self, tmp_path):
+        data = synth(tmp_path)
+        out = zsdet_process(*train_args(data, tmp_path / "ckpt.json", **QUICK_TRAIN | {"lr": 1e308}))
+        assert (out.returncode, out.stderr) == (
+            2, "error: training step 1: non-finite score (sample 0)\n")
+
+    def test_huge_regression_offsets_print_nothing(self, tmp_path):
+        # the step trains into box offsets whose squares overflow
+        data = synth(tmp_path)
+        out = zsdet_process(*train_args(data, tmp_path / "ckpt.json", **QUICK_TRAIN | {"lr": 1e300}))
+        assert (out.returncode, out.stderr) == (0, "")

@@ -35,8 +35,9 @@ from zsdet.infer import tag_image
 from zsdet.model import MODES, load_checkpoint
 from zsdet.semantics import load_word_vectors
 
-from conftest import block_file_bytes, read_checkpoint, read_dump, write_checkpoint
-from test_cli import SYNTH_FILES, quick_train, run, synth
+from conftest import (block_file_bytes, model_args, read_checkpoint, read_dump, run, train_args,
+                      write_checkpoint)
+from test_cli import SYNTH_FILES, quick_train, synth
 
 REPORTS = ["report_T1.json", "report_T2.json", "report_T3.json", "report_T4.json", "report.txt"]
 
@@ -45,11 +46,6 @@ def quiet(*argv):
     """``run(*argv)`` with its standard output and error discarded."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return run(*argv)
-
-
-def model_args(data, ckpt, test_file):
-    return ["--checkpoint", ckpt, "--embeddings", data / "embeddings.txt",
-            "--meta-map", data / "meta_map.csv", "--data", test_file]
 
 
 def pipeline(root, seed):
@@ -61,11 +57,10 @@ def pipeline(root, seed):
 
 def outputs(data, ckpt, test_file, out, inference):
     """Bytes of the detection dump and of every report for ``test_file``."""
-    model = model_args(data, ckpt, test_file) + ["--inference", inference, "--k", 3,
-                                                 "--alpha", 0.0]
+    route = {"data": test_file, "inference": inference, "k": 3, "alpha": 0.0}
     out.mkdir()
-    assert quiet("predict", *model, "--out", out / "dets.jsonl") == 0
-    assert quiet("eval", *model, "--task", "all", "--out", out / "eval") == 0
+    assert quiet(*model_args("predict", data, ckpt, **route, out=out / "dets.jsonl")) == 0
+    assert quiet(*model_args("eval", data, ckpt, **route, task="all", out=out / "eval")) == 0
     files = {"dets.jsonl": out / "dets.jsonl"} | {r: out / "eval" / r for r in REPORTS}
     return {name: path.read_bytes() for name, path in files.items()}
 
@@ -212,16 +207,15 @@ class TestMutatedInputs:
             for source, content in SOURCES.items():
                 (root / source).write_bytes(mutated if source == name else content)
             if name == "oracle.json":  # only training reads the split
-                assert quiet("train", "--embeddings", root / "embeddings.txt",
-                             "--meta-map", root / "meta_map.csv", "--split", root / name,
-                             "--data", root / "train.jsonl", "--epochs", 0,
-                             "--out", root / "out.json") in (0, 2)
+                assert quiet(*train_args(root, root / "out.json", split=root / name,
+                                         epochs=0)) in (0, 2)
                 return
             test_file = root / ("train.jsonl" if name == "train.jsonl" else "test.jsonl")
-            model = model_args(root, root / "ckpt.json", test_file) + ["--alpha", 0.0]
-            assert quiet("predict", *model, "--inference", "conse", "--k", 3,
-                         "--out", root / "dets.jsonl") in (0, 2)
-            assert quiet("eval", *model, "--task", "all", "--out", root / "eval") in (0, 2)
+            model = {"data": test_file, "alpha": 0.0}
+            assert quiet(*model_args("predict", root, root / "ckpt.json", **model, inference="conse",
+                                     k=3, out=root / "dets.jsonl")) in (0, 2)
+            assert quiet(*model_args("eval", root, root / "ckpt.json", **model, task="all",
+                                     out=root / "eval")) in (0, 2)
 
 
 EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e308"]
@@ -244,18 +238,12 @@ def exit_code(*argv):
         return exc.code
 
 
-def train_args(data, out):
-    return ["train", "--embeddings", data / "embeddings.txt", "--meta-map", data / "meta_map.csv",
-            "--split", data / "oracle.json", "--data", data / "train.jsonl", "--out", out]
-
-
 class TestNumericFlags:
     @pytest.fixture(scope="class")
     def data(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("tiny")
         assert exit_code("synth", *TINY_SYNTH, "--out", out) == 0
-        assert exit_code(*train_args(out, out / "ckpt.json"), "--epochs", 1,
-                         "--min-similar", 0) == 0
+        assert exit_code(*train_args(out, out / "ckpt.json", epochs=1, min_similar=0)) == 0
         return out
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -270,22 +258,22 @@ class TestNumericFlags:
             if command == "synth":
                 code = exit_code("synth", *TINY_SYNTH, "--out", out, given)
                 if code == 0:
-                    assert exit_code(*train_args(out, out / "ckpt.json"), "--epochs", 0,
-                                     "--min-similar", 0) == 0, given
+                    assert exit_code(*train_args(out, out / "ckpt.json", epochs=0,
+                                                 min_similar=0)) == 0, given
             elif command == "split":
                 code = exit_code("split", "--data", data / "train.jsonl",
                                  "--meta-map", data / "meta_map.csv", "--out", out, given)
             elif command == "train":
-                code = exit_code(*train_args(data, out), "--epochs", 1, "--lr", 1e-3,
-                                 "--n-pos", 2, "--n-neg", 2, "--min-similar", 0, given)
+                code = exit_code(*train_args(data, out, epochs=1, lr=1e-3, n_pos=2, n_neg=2,
+                                             min_similar=0), given)
                 if code == 0:
                     load_checkpoint(out, load_word_vectors(data / "embeddings.txt"))
             elif command == "gradcheck":
                 code = exit_code("gradcheck", "--trials", 1, given)
             elif command in ("predict", "eval"):  # predict on the ConSE route, which reads --k
                 route = "conse" if command == "predict" else "san"
-                code = exit_code(command, *model_args(data, data / "ckpt.json", data / "test.jsonl"),
-                                 "--inference", route, "--out", out, given)
+                code = exit_code(*model_args(command, data, data / "ckpt.json", inference=route,
+                                             out=out), given)
             else:
                 pytest.fail(f"no base arguments for {command} {flag}")
             assert code in (0, 2), given
@@ -463,8 +451,7 @@ class TestFailBeforeLoading:
             elif command == "train":
                 args = train_args(root, root / "out")
             else:
-                args = [command, *model_args(root, root / "ckpt.json", root / "test.jsonl"),
-                        "--out", root / "out"]
+                args = model_args(command, root, root / "ckpt.json", out=root / "out")
             mp.setattr("zsdet.cli.load_dataset", never)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

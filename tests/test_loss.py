@@ -275,6 +275,16 @@ def regression_loss(pred_offsets, proposal_box, gt_box, y, space):
 
 
 class TestRegressionLoss:
+    def test_smooth_l1_is_the_two_branch_formula_without_overflow(self):
+        # a huge offset squares nothing (the suite turns any warning into an
+        # error), and every value keeps the bits of 0.5 x^2 or |x| - 0.5
+        x = np.concatenate([np.logspace(-300, 308, 4001), [0.0, 5e-324, 1e-310, 1.0, np.inf],
+                            np.nextafter(1.0, [0.0, 2.0])])
+        x = np.concatenate([x, -x])
+        with np.errstate(over="ignore"):
+            expected = np.where(np.abs(x) < 1.0, 0.5 * x * x, np.abs(x) - 0.5)
+        assert smooth_l1(x).tobytes() == expected.tobytes()
+
     def setup_method(self):
         self.space = make_space(2, 1)
         self.proposal = np.array([0.0, 0.0, 10.0, 10.0])

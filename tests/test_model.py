@@ -42,6 +42,8 @@ from conftest import (
     make_table,
     permuted,
     read_checkpoint,
+    run,
+    train_args,
     write_checkpoint,
 )
 from test_data import mutated_files
@@ -441,11 +443,7 @@ class TestCheckpoint:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["synth", "--out", str(tmp_path), "--s", "3", "--u", "1", "--m", "2",
                          "--d", "4", "--d-f", "5", "--images", "2", "--test-images", "1"]) == 0
-            assert main(["train", "--embeddings", str(tmp_path / "embeddings.txt"),
-                         "--meta-map", str(tmp_path / "meta_map.csv"),
-                         "--split", str(tmp_path / "oracle.json"),
-                         "--data", str(tmp_path / "train.jsonl"),
-                         "--out", str(tmp_path / "ckpt.json"), "--epochs", "0"]) == 0
+            assert run(*train_args(tmp_path, tmp_path / "ckpt.json", epochs=0)) == 0
         path = tmp_path / "ckpt.json"
         model = load_checkpoint(path, load_word_vectors(tmp_path / "embeddings.txt"))
         assert not model.box_w.any()
@@ -593,11 +591,7 @@ def _trained_checkpoint():
         assert main(["synth", "--out", tmp, "--s", "4", "--u", "2", "--m", "2", "--d", "4",
                      "--d-f", "4", "--images", "4", "--test-images", "1",
                      "--proposals-per-image", "4"]) == 0
-        assert main(["train", "--embeddings", str(data / "embeddings.txt"),
-                     "--meta-map", str(data / "meta_map.csv"),
-                     "--split", str(data / "oracle.json"), "--data", str(data / "train.jsonl"),
-                     "--out", str(data / "ckpt.json"), "--epochs", "1",
-                     "--min-similar", "0"]) == 0
+        assert run(*train_args(data, data / "ckpt.json", epochs=1, min_similar=0)) == 0
         return (data / "ckpt.json").read_bytes(), load_word_vectors(data / "embeddings.txt")
 
 
