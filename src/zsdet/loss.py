@@ -205,7 +205,8 @@ def loss_gradients(model: Model, batch: RegionBatch, space: LabelSpace,
         raise ConfigError(
             f"target {y} is an unseen class; unseen classes are never supervised"
             if space.is_unseen(y) else f"target {y} outside the extended label set")
-    # an overflow is refused below, as a non-finite score or gradient, not warned about
+    # an overflow is refused below, as a non-finite score, gradient or box
+    # offset, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         scores = forward_scores(model, feats)
         offsets = forward_boxes(model, feats)
@@ -228,6 +229,9 @@ def loss_gradients(model: Model, batch: RegionBatch, space: LabelSpace,
         # As (n, S, 4) views, [i, y - 1] is row i's class-y box offsets.
         at = fg, ys[fg] - 1
         diff = offsets.reshape(n, -1, 4)[at] - target
+        if not np.isfinite(diff).all():
+            raise NumericFailureError("non-finite box offset",
+                                      sample_index=int(fg[_first_bad_row(diff)]))
         reg_sum = sum(smooth_l1(diff).sum(axis=1).tolist())
         d_offsets.reshape(n, -1, 4)[at] = np.clip(diff, -1.0, 1.0)
 

@@ -360,30 +360,30 @@ def train(
     with allocating(f"a loss history of {config.epochs} epochs x {len(labeled)} images"):
         history = np.empty((config.epochs * len(labeled), 5))
     step = 0
-    for _ in range(config.epochs):
-        for rows in labeled:
-            try:  # a bare try: this runs every step, where ``allocating`` adds two calls
-                batch = compose_batch(rows, config.n_pos, config.n_neg, rng, space.bg_id)
-            except (ValueError, MemoryError):
-                raise ConfigError(f"a batch of n_pos {config.n_pos} + n_neg {config.n_neg} rows "
-                                  "cannot be allocated") from None
-            if not batch:
-                continue
-            try:
-                breakdown, grads = loss_gradients(model, batch, space, config.lam)
-                adam_step(params, grads, state, config.lr)
-                del grads  # else the next loss_gradients builds its own while these live
-            except NumericFailureError as exc:
-                raise NumericFailureError(f"training step {step}: {exc}") from exc
-            history[step] = (breakdown.l_mm, breakdown.l_mc, breakdown.l_cls,
-                             breakdown.l_reg, breakdown.total)
-            step += 1
-    # a step's own checks see only its inputs, so the last step's result is
-    # checked here: a model that trained into overflow is not written
-    for key, p in params.items():
-        if not (math.isfinite(p.sum()) or np.isfinite(p).all()):
-            raise NumericFailureError(f"training step {step - 1} left a non-finite value "
-                                      f"in {key!r}")
+    # an update that overflows is refused, not warned about: by the next
+    # step's finiteness checks, or for the last step by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            for rows in labeled:
+                with allocating(f"a batch of n_pos {config.n_pos} + n_neg {config.n_neg} rows"):
+                    batch = compose_batch(rows, config.n_pos, config.n_neg, rng, space.bg_id)
+                if not batch:
+                    continue
+                try:
+                    breakdown, grads = loss_gradients(model, batch, space, config.lam)
+                    adam_step(params, grads, state, config.lr)
+                    del grads  # else the next loss_gradients builds its own while these live
+                except NumericFailureError as exc:
+                    raise NumericFailureError(f"training step {step}: {exc}") from exc
+                history[step] = (breakdown.l_mm, breakdown.l_mc, breakdown.l_cls,
+                                 breakdown.l_reg, breakdown.total)
+                step += 1
+        # a step's own checks see only its inputs, so the last step's result is
+        # checked here: a model that trained into overflow is not written
+        for key, p in params.items():
+            if not (math.isfinite(p.sum()) or np.isfinite(p).all()):
+                raise NumericFailureError(f"training step {step - 1} left a non-finite value "
+                                          f"in {key!r}")
     return model, history[:step]
 
 

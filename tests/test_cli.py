@@ -976,6 +976,16 @@ class TestStderr:
         assert (out.returncode, out.stderr) == (
             2, "error: training step 1: non-finite score (sample 0)\n")
 
+    def test_overflowing_update_prints_only_its_error(self, tmp_path):
+        # step 0's update leaves weights near 1e308, so step 1's box offsets overflow
+        data = synth(tmp_path, s=3, u=1, m=2, d=4, d_f=4, images=2, test_images=1,
+                     proposals_per_image=4)
+        out = zsdet_process(*train_args(data, tmp_path / "ckpt.json", epochs=1, n_pos=2,
+                                        n_neg=2, min_similar=0, lr=1e308))
+        assert (out.returncode, out.stderr) == (
+            2, "error: training step 1: non-finite box offset (sample 0)\n")
+        assert not (tmp_path / "ckpt.json").exists()
+
     def test_huge_regression_offsets_print_nothing(self, tmp_path):
         # the step trains into box offsets whose squares overflow
         data = synth(tmp_path)

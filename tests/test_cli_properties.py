@@ -246,8 +246,6 @@ class TestNumericFlags:
         assert exit_code(*train_args(out, out / "ckpt.json", epochs=1, min_similar=0)) == 0
         return out
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("command, flag", numeric_flags())
     def test_extreme_values_exit_0_or_2(self, tmp_path, data, command, flag):
         # the ``--flag=value`` form, so that argparse reads "-inf" as a value

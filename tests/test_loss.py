@@ -437,6 +437,19 @@ class TestLossGradients:
             loss_gradients(model, batch, space, 0.5)
         assert exc.value.sample_index == 1
 
+    def test_overflowing_box_offset_reports_sample_index(self, rng):
+        space = make_space(3, 1)
+        table = make_table(random_unit_columns(rng, 4, 4))
+        model = make_model(table, space, d_f=4)
+        model = replace(model, box_w=np.full(model.box_w.shape, 1e308))
+        batch = random_batch(rng, space, 4, size=6)
+        batch.features[:] = 1.0  # each offset sums four 1e308 terms: inf
+        fg = (batch.ys <= space.S).nonzero()[0]
+        assert fg.size and np.isfinite(model.w1).all()
+        with pytest.raises(NumericFailureError, match="non-finite box offset") as exc:
+            loss_gradients(model, batch, space, 0.5)
+        assert exc.value.sample_index == fg[0]
+
     def test_empty_batch_rejected(self, rng):
         space = make_space(3, 1)
         table = make_table(random_unit_columns(rng, 4, 4))
